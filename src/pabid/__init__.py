@@ -52,17 +52,13 @@ from .exp_weights import (
 from .mirror_descent import (
     OccupancyMeasure,
     OmdBidder,
-    Policy,
     ProjectionError,
     ProjectionResult,
-    induced_marginals,
     omd_eta_schedule,
-    omd_round,
-    policy_sample,
     project_to_Q,
     q_membership,
-    recover_policy,
     run_omd,
+    sample_from_marginals,
     unconstrained_step,
     unnormalized_kl,
 )
@@ -80,6 +76,5 @@ from .simulator import (
     market_metrics,
     regret_report,
     run_experiment,
-    self_play_adapter,
 )
 from .scenario import Scenario, ScenarioError, canonical_hash, load_scenario, validate_scenario

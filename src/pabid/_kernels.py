@@ -1,9 +1,7 @@
 """Hot per-round numerical kernels.
 
-Every function here is written as plain loops over float64 arrays so it can
-be JIT-compiled with numba when available and still run (slower) as pure
-Python otherwise. The public modules wrap these in the typed API; tests
-exercise both paths.
+Every function here is written as plain loops over float64 arrays, one
+implementation per kernel. The public modules wrap these in the typed API.
 
 Kernels:
   * project_dual_ascent: unnormalized-KL projection onto the dominance
@@ -14,9 +12,11 @@ Kernels:
     dominance violation, and complementary-slackness residual.
   * ew_tail_sums / ew_marginals / sample_monotone: the log-domain tail-sum
     recursion for decoupled exponential weights, its induced per-slot
-    marginals, and sequential inverse-CDF sampling.
-  * transport_plan / sample_chain: greedy monotone transport converting an
-    occupancy measure into a sampling policy, and sampling from it.
+    marginals, and sequential inverse-CDF sampling (one uniform per slot).
+  * apply_slot_rewards: the full-information weight update.
+
+Mirror descent samples without a kernel: `mirror_descent.sample_from_marginals`
+inverts every slot's CDF at one shared uniform per round.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 _NEG_INF = float("-inf")
 
 
-def _project_dual_ascent(qt, allowed, tol, max_sweeps):
+def project_dual_ascent(qt, allowed, tol, max_sweeps):
     """Returns (q, lam, nu, sweeps_used, gap)."""
     m_units, d = qt.shape
     q = qt.copy()
@@ -95,7 +95,7 @@ def _project_dual_ascent(qt, allowed, tol, max_sweeps):
     return q, lam, nu, max_sweeps, gap
 
 
-def _ew_tail_sums(weights, allowed, eta):
+def ew_tail_sums(weights, allowed, eta):
     """log S[m, b] = eta W[m, b] + log sum_{b' <= b} exp(log S[m+1, b'])."""
     m_units, d = weights.shape
     log_sums = np.full((m_units, d), _NEG_INF)
@@ -118,7 +118,7 @@ def _ew_tail_sums(weights, allowed, eta):
     return log_sums
 
 
-def _sample_monotone(log_sums, uniforms):
+def sample_monotone(log_sums, uniforms):
     """Sequential inverse-CDF sampling; slot m restricted to the previous bid."""
     m_units, d = log_sums.shape
     indices = np.empty(m_units, dtype=np.int64)
@@ -152,7 +152,7 @@ def _sample_monotone(log_sums, uniforms):
     return indices
 
 
-def _ew_marginals(log_sums):
+def ew_marginals(log_sums):
     """Unconditional slot marginals of the sequential sampler."""
     m_units, d = log_sums.shape
     q = np.zeros((m_units, d))
@@ -194,87 +194,7 @@ def _ew_marginals(log_sums):
     return q
 
 
-def _transport_plan(q):
-    """Greedy monotone transport between consecutive layers, rows normalized.
-
-    Routes slot-m mass to slot-(m+1) bids from the highest bid downward,
-    never above the source bid; rows that carry no mass default to a point
-    mass at the grid minimum. Feasible whenever q satisfies the dominance
-    constraints (up to roundoff, which is skipped).
-    """
-    m_units, d = q.shape
-    transitions = np.zeros((max(m_units - 1, 0), d, d))
-    src = np.empty(d)
-    dst = np.empty(d)
-    for m in range(m_units - 1):
-        for j in range(d):
-            src[j] = q[m, j]
-            dst[j] = q[m + 1, j]
-        plan = transitions[m]
-        i = d - 1
-        j = d - 1
-        while j >= 0 and i >= 0:
-            if dst[j] <= 0.0:
-                j -= 1
-                continue
-            if src[i] <= 0.0:
-                i -= 1
-                continue
-            if j > i:
-                j -= 1  # dominance guarantees this is only roundoff mass
-                continue
-            moved = src[i] if src[i] < dst[j] else dst[j]
-            plan[i, j] += moved
-            src[i] -= moved
-            dst[j] -= moved
-        for i in range(d):
-            mass = 0.0
-            for j in range(d):
-                mass += plan[i, j]
-            if mass > 0.0:
-                for j in range(d):
-                    plan[i, j] /= mass
-            else:
-                plan[i, 0] = 1.0
-    return transitions
-
-
-def _sample_chain(initial, transitions, uniforms):
-    """Sample slot 1 from `initial`, then follow the transition rows."""
-    m_units = transitions.shape[0] + 1
-    d = initial.shape[0]
-    indices = np.empty(m_units, dtype=np.int64)
-    total = 0.0
-    for j in range(d):
-        total += initial[j]
-    threshold = uniforms[0] * total
-    acc = 0.0
-    pick = d - 1
-    for j in range(d):
-        acc += initial[j]
-        if acc > threshold:
-            pick = j
-            break
-    indices[0] = pick
-    for m in range(m_units - 1):
-        row = transitions[m, pick]
-        total = 0.0
-        for j in range(pick + 1):
-            total += row[j]
-        threshold = uniforms[m + 1] * total
-        acc = 0.0
-        nxt = pick
-        for j in range(pick + 1):
-            acc += row[j]
-            if acc > threshold:
-                nxt = j
-                break
-        pick = nxt
-        indices[m + 1] = pick
-    return indices
-
-
-def _apply_slot_rewards(weights, allowed, valuations, grid_values, comp_idx, tie_wins):
+def apply_slot_rewards(weights, allowed, valuations, grid_values, comp_idx, tie_wins):
     """Add one round's realized per-slot rewards to every feasible cell."""
     m_units, d = weights.shape
     for m in range(m_units):
@@ -283,34 +203,3 @@ def _apply_slot_rewards(weights, allowed, valuations, grid_values, comp_idx, tie
         for j in range(d):
             if allowed[m, j] and (j > c or (j == c and tie_wins[m])):
                 weights[m, j] += v - grid_values[j]
-
-
-# Pure-Python references (always importable, used as numba fallbacks and in tests).
-project_dual_ascent_python = _project_dual_ascent
-ew_tail_sums_python = _ew_tail_sums
-sample_monotone_python = _sample_monotone
-ew_marginals_python = _ew_marginals
-transport_plan_python = _transport_plan
-sample_chain_python = _sample_chain
-apply_slot_rewards_python = _apply_slot_rewards
-
-try:  # pragma: no cover - exercised when numba is installed
-    from numba import njit
-
-    project_dual_ascent = njit(cache=True)(_project_dual_ascent)
-    ew_tail_sums = njit(cache=True)(_ew_tail_sums)
-    sample_monotone = njit(cache=True)(_sample_monotone)
-    ew_marginals = njit(cache=True)(_ew_marginals)
-    transport_plan = njit(cache=True)(_transport_plan)
-    sample_chain = njit(cache=True)(_sample_chain)
-    apply_slot_rewards = njit(cache=True)(_apply_slot_rewards)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    project_dual_ascent = _project_dual_ascent
-    ew_tail_sums = _ew_tail_sums
-    sample_monotone = _sample_monotone
-    ew_marginals = _ew_marginals
-    transport_plan = _transport_plan
-    sample_chain = _sample_chain
-    apply_slot_rewards = _apply_slot_rewards
-    HAVE_NUMBA = False

@@ -212,9 +212,9 @@ def cmd_grid_advice(args) -> int:
     else:  # omd-bandit
         suggestion = math.ceil(horizon ** (1.0 / 3.0))
     suggestion = max(suggestion, 2)
-    bound = demand * horizon / suggestion
+    bound = demand * horizon / (suggestion - 1)  # even-grid spacing is 1/(D-1)
     print(f"suggested grid size: {suggestion}")
-    print(f"discretization error bound (M*T/D): {bound:g}")
+    print(f"discretization error bound (M*T/(D-1)): {bound:g}")
     return 0
 
 

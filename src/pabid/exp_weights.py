@@ -395,14 +395,6 @@ class ContextualExpWeightsBidder:
         self._pending = None
 
 
-def contextual_bandit_update(
-    learner: ContextualExpWeightsBidder,
-    allocation: int,
-) -> None:
-    """Apply one observed round to every context table of `learner`."""
-    learner.observe(allocation)
-
-
 def run_ew(
     adversary,
     valuation: ValuationProfile,

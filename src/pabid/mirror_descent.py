@@ -5,22 +5,30 @@ set of per-slot marginal tables realizable this way is cut out by per-layer
 simplex constraints plus stochastic dominance between consecutive layers
 (deeper slots bid lower). Expected utility is linear in the marginals, so
 online linear optimization applies directly: multiply by exponentiated
-reward estimates, project back onto the polytope in unnormalized KL, and
-convert the marginals to a sampling policy by a greedy monotone transport.
+reward estimates and project back onto the polytope in unnormalized KL.
+
+Bids are drawn straight from the marginals by the quantile (comonotone)
+coupling: one uniform U per round, and b_m = F_m^{-1}(U) in every slot m.
+Each slot's bid then has law q[m] exactly, and dominance makes the vector
+non-increasing. No transition tensor is built; the regret analysis and the
+bandit estimator read only q.
+
+RNG contract: `OmdBidder` consumes exactly one uniform per round, whatever
+the demand.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import project_dual_ascent
 from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, trusted_bid
 from .exp_weights import FeedbackMode, ix_gamma_schedule
 from .grids import BidGrid
+from .hindsight import _win_matrix
 
 # Floor applied to marginals before dividing in the bandit reward estimate.
 Q_FLOOR = 1e-12
@@ -38,18 +46,6 @@ class OccupancyMeasure:
     @property
     def demand(self) -> int:
         return int(self.probs.shape[0])
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Sampling policy: initial slot-1 distribution plus per-transition rows.
-
-    transitions[m][b] is the distribution of slot m+2's bid given slot m+1
-    bid index b; its support never exceeds index b.
-    """
-
-    initial: np.ndarray
-    transitions: np.ndarray  # shape (M-1, D, D)
 
 
 @dataclass(frozen=True)
@@ -142,42 +138,22 @@ def unnormalized_kl(q: np.ndarray, q_tilde: np.ndarray) -> float:
     return total
 
 
-def recover_policy(q: np.ndarray, tol: float = 1e-6, validate: bool = True) -> Policy:
-    """Greedy monotone transport realizing the marginals as a sampling policy.
+def sample_from_marginals(q: np.ndarray, rng: np.random.Generator, grid: BidGrid) -> BidVector:
+    """Draw a bid vector whose slot-m bid has law q[m], from one uniform U.
 
-    For each transition, the slot-m mass (as source) is routed to slot-(m+1)
-    bids (as sinks) from the highest bid downward, never routing above the
-    source bid; stochastic dominance guarantees this never gets stuck. Rows
-    of unvisited sources default to a point mass at the grid minimum.
+    b_m is the smallest index whose cumulative mass in row m exceeds U times
+    the row total, which is always a cell of positive mass. The total is the
+    cumulative sum's own last entry: U < 1 then keeps U * total below it in
+    floating point, so the index never runs past the grid. Dominance
+    (F_m <= F_{m+1}) makes the indices non-increasing; the running minimum
+    absorbs the dominance slack that the projection's tolerance leaves, and
+    changes nothing on an exact member.
+
+    Consumes exactly one uniform per call.
     """
-    q = np.ascontiguousarray(q, dtype=float)
-    if validate:
-        violations = [v for v in q_membership(q, tol) if v.kind != "row_sum"]
-        if violations:
-            raise ValueError(f"marginals are outside the occupancy polytope: {violations[:3]}")
-    transitions = _kernels.transport_plan(q)
-    return Policy(initial=q[0] / q[0].sum(), transitions=transitions)
-
-
-def induced_marginals(policy: Policy) -> OccupancyMeasure:
-    """Forward recursion: push the slot-1 law through the transition rows."""
-    m_units = policy.transitions.shape[0] + 1
-    d = policy.initial.size
-    q = np.zeros((m_units, d))
-    q[0] = policy.initial
-    for m in range(m_units - 1):
-        q[m + 1] = q[m] @ policy.transitions[m]
-    return OccupancyMeasure(q)
-
-
-def policy_sample(policy: Policy, rng: np.random.Generator, grid: BidGrid) -> BidVector:
-    """Draw a bid vector: slot 1 from the initial law, then row by row.
-
-    Consumes exactly one uniform per slot, in slot order.
-    """
-    m_units = policy.transitions.shape[0] + 1
-    uniforms = rng.random(m_units)
-    indices = _kernels.sample_chain(policy.initial, policy.transitions, uniforms)
+    cdf = np.cumsum(q, axis=1)
+    threshold = rng.random() * cdf[:, -1:]
+    indices = np.minimum.accumulate(np.count_nonzero(cdf <= threshold, axis=1))
     return trusted_bid(indices, grid)
 
 
@@ -188,24 +164,6 @@ def omd_eta_schedule(mode: FeedbackMode, grid_size: int, horizon: int) -> float:
     if mode is FeedbackMode.FULL_INFO:
         return math.sqrt(math.log(grid_size) / horizon)
     return math.sqrt(math.log(grid_size) / (grid_size * horizon))
-
-
-def uniform_policy(allowed: np.ndarray) -> Policy:
-    """Uniform over feasible successors: the standard initialization."""
-    m_units, d = allowed.shape
-    initial = allowed[0].astype(float)
-    initial /= initial.sum()
-    transitions = np.zeros((max(m_units - 1, 0), d, d))
-    for m in range(m_units - 1):
-        for b in range(d):
-            feas = allowed[m + 1, : b + 1]
-            row = np.zeros(d)
-            if feas.any():
-                row[: b + 1] = feas / feas.sum()
-            else:
-                row[0] = 1.0
-            transitions[m, b] = row
-    return Policy(initial=initial, transitions=transitions)
 
 
 class OmdBidder:
@@ -236,8 +194,15 @@ class OmdBidder:
             self.gamma = np.zeros(valuation.demand)
         self.projection_tol = projection_tol
         self.rng = np.random.default_rng(seed)
-        self.policy = uniform_policy(self.allowed)
-        self.q = induced_marginals(self.policy).probs
+        # Start from the marginals of "uniform over feasible successors": slot
+        # 1 is uniform on its IR cells, and after bid b the next slot is
+        # uniform on its IR cells at or below b (cumsum[b] of them).
+        feasible = self.allowed.astype(float)
+        self.q = np.empty_like(feasible)
+        self.q[0] = feasible[0] / feasible[0].sum()
+        for m in range(1, valuation.demand):
+            spread = self.q[m - 1] / np.cumsum(feasible[m])
+            self.q[m] = feasible[m] * np.cumsum(spread[::-1])[::-1]
         self._pending: Optional[BidVector] = None
 
     @property
@@ -245,7 +210,7 @@ class OmdBidder:
         return self.valuation.demand
 
     def propose(self) -> BidVector:
-        bid = policy_sample(self.policy, self.rng, self.grid)
+        bid = sample_from_marginals(self.q, self.rng, self.grid)
         self._pending = bid
         return bid
 
@@ -258,18 +223,9 @@ class OmdBidder:
         if self.mode is FeedbackMode.FULL_INFO:
             if competing is None:
                 raise ValueError("full-information feedback requires the competing bids")
-            c = competing.indices[:m_units]
-            grid_idx = np.arange(d)
-            greater = grid_idx[None, :] > c[:, None]
-            equal = grid_idx[None, :] == c[:, None]
-            if competing.priorities is None:
-                won = greater | (equal & (tie is TieBreak.BIDDER_WINS))
-            else:
-                pri = bidder_priority if bidder_priority is not None else 2**31
-                won = greater | (equal & (pri > competing.priorities[:m_units])[:, None])
+            won = _win_matrix(competing, m_units, tie, bidder_priority)
             margin = v[:, None] - self.grid.values[None, :]
-            est = np.where(won & self.allowed, margin, 0.0)
-            return est
+            return np.where(won & self.allowed, margin, 0.0)
         played = self._pending
         for m in range(m_units):
             j = int(played.indices[m])
@@ -296,19 +252,7 @@ class OmdBidder:
                 best=OccupancyMeasure(q), gap=float(gap),
             )
         self.q = q
-        self.policy = recover_policy(self.q, validate=False)
         self._pending = None
-
-
-def omd_round(
-    bidder: OmdBidder,
-    allocation: int,
-    competing: Optional[CompetingBids] = None,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-) -> OccupancyMeasure:
-    """Apply one round of feedback to `bidder`; returns the updated measure."""
-    bidder.observe(allocation, competing, tie)
-    return OccupancyMeasure(bidder.q)
 
 
 def run_omd(

@@ -308,16 +308,6 @@ def _learner_wants_full_info(learner) -> bool:
     return mode is FeedbackMode.FULL_INFO
 
 
-def self_play_adapter(
-    learners: Sequence,
-    valuations: Sequence[ValuationProfile],
-    grid: BidGrid,
-    supply: int,
-) -> SelfPlayMarket:
-    """Wrap learners as a joint environment; agent index is tie priority."""
-    return SelfPlayMarket(learners, valuations, grid, supply)
-
-
 def run_experiment(scenario, replication: int = 0) -> RunLog:
     """Materialize one replication of a validated scenario into a RunLog."""
     from .scenario import build_market  # deferred: scenario imports this module
@@ -337,7 +327,12 @@ def regret_report(log: RunLog, agent: int) -> RegretReport:
     best = hindsight_optimal(table)
     realized = float(math.fsum(log.utilities[:, agent]))
     discretized = best.total_utility - realized
-    continuous_upper = discretized + valuation.demand * log.rounds / log.grid.count
+    # Rounding each slot of the continuous optimum up to the next grid point,
+    # or down to the largest IR grid point when up would break IR, keeps the
+    # vector monotone and IR and costs at most the widest grid gap per unit
+    # per round: 1/(D-1) on the even grid.
+    gap = float(np.max(np.diff(log.grid.values)))
+    continuous_upper = discretized + valuation.demand * log.rounds * gap
     running = np.cumsum(log.utilities[:, agent]) / np.arange(1, log.rounds + 1)
     return RegretReport(
         discretized_regret=discretized,

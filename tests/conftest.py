@@ -6,7 +6,7 @@ import pytest
 
 from pabid import BidGrid, NodeWeightTable, ValuationProfile, make_even_grid
 from pabid.hindsight import iter_monotone_indices
-from pabid.mirror_descent import Policy
+from pabid.mirror_descent import sample_from_marginals
 
 
 def random_valuation(rng: np.random.Generator, demand: int) -> ValuationProfile:
@@ -60,20 +60,57 @@ def enumerated_marginals(law: dict[tuple[int, ...], float], demand: int, grid_si
     return q
 
 
-def random_policy(rng: np.random.Generator, demand: int, grid_size: int) -> Policy:
-    """Dirichlet-random rows over feasible (non-increasing) successors."""
+def random_policy(rng: np.random.Generator, demand: int, grid_size: int):
+    """Markov chain over bid indices: (initial law, transitions[m, b, b']).
+
+    Dirichlet-random rows over feasible (non-increasing) successors.
+    """
     initial = rng.dirichlet(np.ones(grid_size))
     transitions = np.zeros((max(demand - 1, 0), grid_size, grid_size))
     for m in range(demand - 1):
         for b in range(grid_size):
             transitions[m, b, : b + 1] = rng.dirichlet(np.ones(b + 1))
-    return Policy(initial=initial, transitions=transitions)
+    return initial, transitions
+
+
+def chain_marginals(initial: np.ndarray, transitions: np.ndarray) -> np.ndarray:
+    """Forward recursion: push the slot-1 law through the transition rows."""
+    q = np.zeros((transitions.shape[0] + 1, initial.size))
+    q[0] = initial
+    for m in range(transitions.shape[0]):
+        q[m + 1] = q[m] @ transitions[m]
+    return q
 
 
 def random_q_member(rng: np.random.Generator, demand: int, grid_size: int) -> np.ndarray:
-    from pabid.mirror_descent import induced_marginals
+    return chain_marginals(*random_policy(rng, demand, grid_size))
 
-    return induced_marginals(random_policy(rng, demand, grid_size)).probs
+
+class FixedUniform:
+    """Stand-in generator whose every uniform is `u`."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def sampler_law(q: np.ndarray, grid: BidGrid) -> dict[tuple[int, ...], float]:
+    """Exact law of `sample_from_marginals` on q.
+
+    The draw is a step function of its one uniform, constant between
+    consecutive normalized CDF values of the rows; evaluating it once inside
+    each interval and weighting by the interval's length gives the law.
+    """
+    cdf = np.cumsum(q, axis=1)
+    cuts = np.unique(np.concatenate([[0.0, 1.0], np.clip(cdf / cdf[:, -1:], 0.0, 1.0).ravel()]))
+    law: dict[tuple[int, ...], float] = {}
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        bid = sample_from_marginals(q, FixedUniform(0.5 * (lo + hi)), grid)
+        key = tuple(int(j) for j in bid.indices)
+        law[key] = law.get(key, 0.0) + float(hi - lo)
+    return law
 
 
 @pytest.fixture

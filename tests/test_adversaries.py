@@ -9,12 +9,12 @@ from pabid import (
     ExpWeightsBidder,
     LearnerConfig,
     LowerBoundInstance,
+    SelfPlayMarket,
     StochasticAdversary,
     TieBreak,
     ValuationProfile,
     lower_bound_instance,
     make_even_grid,
-    self_play_adapter,
     settle,
 )
 from pabid.adversaries import CallbackAdversary
@@ -156,7 +156,7 @@ class TestSelfPlay:
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.array([1.0, 0.75]))
         learner = ExpWeightsBidder(valuation, grid, 30, LearnerConfig(seed=0))
-        market = self_play_adapter([learner], [valuation], grid, supply=2)
+        market = SelfPlayMarket([learner], [valuation], grid, supply=2)
         log = market.play(30)
         for t in range(30):
             positive = int(np.sum(log.grid.values[log.bids[0][t]] > 0))
@@ -170,7 +170,7 @@ class TestSelfPlay:
             ExpWeightsBidder(valuations[0], grid, 100, LearnerConfig(seed=1)),
             ExpWeightsBidder(valuations[1], grid, 100, LearnerConfig(seed=2)),
         ]
-        market = self_play_adapter(learners, valuations, grid, supply=1)
+        market = SelfPlayMarket(learners, valuations, grid, supply=1)
         log = market.play(100)
         totals = log.allocations.sum(axis=1)
         assert np.all(totals <= 1)
@@ -185,7 +185,7 @@ class TestSelfPlay:
         ]
         learners = [ExpWeightsBidder(v, grid, 60, LearnerConfig(seed=i))
                     for i, v in enumerate(valuations)]
-        market = self_play_adapter(learners, valuations, grid, supply=5)
+        market = SelfPlayMarket(learners, valuations, grid, supply=5)
         log = market.play(60)
         assert np.all(log.allocations.sum(axis=1) <= 5)
         assert log.replay_matches()

@@ -165,7 +165,7 @@ class TestGridAdvice:
         assert main(["grid-advice", "--mode", "full", "--m", "4", "--t", "10000"]) == 0
         out = capsys.readouterr().out
         assert "suggested grid size: 50" in out
-        assert "800" in out  # M*T/D = 4*10000/50
+        assert "816.327" in out  # M*T/(D-1) = 4*10000/49
 
     def test_omd_cube_root(self, capsys):
         assert main(["grid-advice", "--mode", "omd-bandit", "--m", "3", "--t", "1000"]) == 0

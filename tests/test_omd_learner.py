@@ -1,25 +1,38 @@
-"""Mirror-descent bidder: policy lifecycle, estimates, and convergence."""
+"""Mirror-descent bidder: initial measure, sampling, estimates, and convergence."""
 import math
 
 import numpy as np
 import pytest
 
 from pabid import (
+    BidVector,
     CompetingBids,
     FeedbackMode,
     OmdBidder,
     StochasticAdversary,
     TieBreak,
     ValuationProfile,
-    induced_marginals,
     make_even_grid,
     omd_eta_schedule,
-    omd_round,
     run_omd,
+    sample_from_marginals,
+    settle,
 )
-from pabid.mirror_descent import uniform_policy
 
-from conftest import random_policy
+from conftest import chain_marginals, enumerated_marginals, random_q_member, sampler_law
+
+
+def uniform_successor_chain(allowed: np.ndarray):
+    """Slot 1 uniform on its feasible bids; from bid b, uniform on the next
+    slot's feasible bids at or below b."""
+    m_units, d = allowed.shape
+    initial = allowed[0] / allowed[0].sum()
+    transitions = np.zeros((m_units - 1, d, d))
+    for m in range(m_units - 1):
+        for b in range(d):
+            feas = allowed[m + 1, : b + 1]
+            transitions[m, b, : b + 1] = feas / feas.sum()
+    return initial, transitions
 
 
 class TestSchedulesAndInit:
@@ -30,14 +43,16 @@ class TestSchedulesAndInit:
             math.sqrt(math.log(20) / (20 * 400)))
 
     def test_uniform_policy_rows(self):
-        allowed = np.array([
-            [True, True, True, True],
-            [True, True, True, False],
-        ])
-        policy = uniform_policy(allowed)
-        assert policy.initial.tolist() == pytest.approx([0.25] * 4)
-        # from bid 3, feasible successors are bids 0..2 (IR cuts bid 3)
-        assert policy.transitions[0, 3].tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.0])
+        # grid {0, 1/3, 2/3, 1}: slot 1 bids anything, IR cuts slot 2 at 2/3
+        bidder = OmdBidder(ValuationProfile(np.array([1.0, 0.7])), make_even_grid(4), 100)
+        assert bidder.q[0].tolist() == pytest.approx([0.25] * 4)
+        # slot 2 from bid b is uniform on {0..min(b, 2)}: 1, 2, 3, 3 choices
+        assert bidder.q[1].tolist() == pytest.approx(
+            [0.25 * (1 + 1 / 2 + 2 / 3), 0.25 * (1 / 2 + 2 / 3), 0.25 * 2 / 3, 0.0])
+        for values, d in (([0.9, 0.6, 0.3], 7), ([1.0] * 4, 11), ([0.5, 0.44, 0.2, 0.12, 0.05], 21)):
+            bidder = OmdBidder(ValuationProfile(np.array(values)), make_even_grid(d), 100)
+            chain = chain_marginals(*uniform_successor_chain(bidder.allowed))
+            assert np.max(np.abs(bidder.q - chain)) <= 1e-15
 
     def test_initial_measure_is_member(self):
         grid = make_even_grid(7)
@@ -59,8 +74,8 @@ class TestRounds:
         for _ in range(10):
             bidder.propose()
             # allocation zero: all slot rewards zero
-            measure = omd_round(bidder, allocation=0)
-            assert np.allclose(measure.probs, start, atol=1e-9)
+            bidder.observe(allocation=0)
+            assert np.allclose(bidder.q, start, atol=1e-9)
 
     def test_full_info_round_requires_competing_bids(self):
         grid = make_even_grid(4)
@@ -76,14 +91,28 @@ class TestRounds:
         bidder = OmdBidder(valuation, grid, 100, mode=FeedbackMode.BANDIT_IX, seed=3)
         adversary = StochasticAdversary(
             [CompetingBids.from_values([0.2, 0.4], grid)], [1.0], seed=0)
-        from pabid import settle
-
         for t in range(30):
             bid = bidder.propose()
+            assert np.all(bidder.q[np.arange(2), bid.indices] > 0.0)
             out = settle(valuation, bid, adversary.draw(t))
             bidder.observe(out.allocation)
-            back = induced_marginals(bidder.policy).probs
+            back = enumerated_marginals(sampler_law(bidder.q, grid), 2, 6)
             assert np.max(np.abs(back - bidder.q)) <= 1e-8
+
+    def test_full_info_estimate_follows_the_settlement_tie_rule(self):
+        """Rival priorities set, own priority unknown: the tie mode decides."""
+        grid = make_even_grid(5)
+        valuation = ValuationProfile(np.array([1.0, 1.0]))
+        bidder = OmdBidder(valuation, grid, 10, mode=FeedbackMode.FULL_INFO)
+        bidder.propose()
+        competing = CompetingBids(np.array([2, 2]), grid, priorities=np.array([0, 0]))
+        for tie in TieBreak:
+            estimate = bidder.reward_estimate(0, competing, tie, None)
+            for j in range(grid.count):
+                flat = settle(valuation, BidVector(np.full(2, j), grid), competing, tie)
+                assert estimate[:, j].sum() == pytest.approx(flat.utility), (tie, j)
+        losing_tie = bidder.reward_estimate(0, competing, TieBreak.BIDDER_LOSES, None)
+        assert losing_tie[:, 2].tolist() == [0.0, 0.0]
 
     def test_ir_mass_stays_zero_all_run(self):
         grid = make_even_grid(8)
@@ -105,23 +134,21 @@ class TestRounds:
 
 class TestLinearLossIdentity:
     def test_expected_utility_equals_inner_product(self, rng):
-        """E[bid utility] under a policy equals <marginals, slot rewards>."""
+        """E[bid utility] of the sampler's draws equals <marginals, slot rewards>."""
         grid = make_even_grid(5)
         # unit valuations so every grid bid is individually rational
         valuation = ValuationProfile(np.array([1.0, 1.0, 1.0]))
-        policy = random_policy(rng, 3, 5)
-        q = induced_marginals(policy).probs
+        q = random_q_member(rng, 3, 5)
         competing = CompetingBids(np.array([1, 2, 4]), grid)
         margin = valuation.values[:, None] - grid.values[None, :]
         won = np.arange(5)[None, :] >= competing.indices[:, None]
         rewards = np.where(won, margin, 0.0)
         exact = float(np.sum(q * rewards))
-        from pabid import policy_sample, settle
 
         draws = 200_000
         total = 0.0
         for _ in range(draws):
-            bid = policy_sample(policy, rng, grid)
+            bid = sample_from_marginals(q, rng, grid)
             total += settle(valuation, bid, competing).utility
         mc = total / draws
         sigma = 3.0 / math.sqrt(draws)  # utilities bounded by 3

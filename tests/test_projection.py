@@ -9,7 +9,6 @@ from pabid import (
     unconstrained_step,
     unnormalized_kl,
 )
-from pabid._kernels import project_dual_ascent, project_dual_ascent_python
 
 from conftest import random_q_member
 
@@ -121,13 +120,3 @@ class TestUnconstrainedStep:
         twice = unconstrained_step(q, estimate, 0.8) / q
         assert np.allclose(twice, once**2, rtol=1e-12)
 
-
-class TestKernelParity:
-    def test_python_fallback_agrees_with_jit(self, rng):
-        for _ in range(10):
-            raw = rng.uniform(0.05, 1.5, size=(3, 4))
-            allowed = np.ones((3, 4), dtype=bool)
-            fast = project_dual_ascent(raw.copy(), allowed, 1e-10, 100_000)
-            slow = project_dual_ascent_python(raw.copy(), allowed, 1e-10, 100_000)
-            assert np.allclose(fast[0], slow[0], atol=1e-12)
-            assert fast[3] == slow[3]  # same sweep count

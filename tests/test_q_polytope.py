@@ -1,17 +1,22 @@
-"""Occupancy polytope: membership, policy equivalence, and the transport."""
+"""Occupancy polytope: membership, and sampling bids straight from the marginals."""
 import numpy as np
-import pytest
 
 from pabid import (
-    induced_marginals,
+    CompetingBids,
+    FeedbackMode,
+    OmdBidder,
+    StochasticAdversary,
+    ValuationProfile,
     make_even_grid,
-    policy_sample,
     q_membership,
-    recover_policy,
+    sample_from_marginals,
+    settle,
 )
-from pabid.mirror_descent import Policy
 
-from conftest import random_policy, random_q_member
+from conftest import FixedUniform, enumerated_marginals, random_q_member, sampler_law
+
+# The largest double below 1: the extreme uniform a generator can return.
+LAST_UNIFORM = 1.0 - 2.0**-53
 
 
 class TestMembership:
@@ -40,66 +45,80 @@ class TestMembership:
 
 
 class TestPolicyRoundTrip:
-    def test_point_mass_chain_is_identity_transport(self):
-        q = np.zeros((2, 4))
-        q[:, 2] = 1.0
-        policy = recover_policy(q)
-        assert policy.transitions[0, 2, 2] == pytest.approx(1.0)
-        back = induced_marginals(policy).probs
-        assert np.allclose(back, q, atol=1e-12)
+    """q -> one-uniform quantile sampler -> exact law of its draws -> q."""
 
     def test_round_trip_on_random_members(self, rng):
-        for _ in range(1000):
+        for _ in range(300):
             demand = int(rng.integers(1, 5))
             grid_size = int(rng.integers(2, 9))
             q = random_q_member(rng, demand, grid_size)
-            back = induced_marginals(recover_policy(q)).probs
-            assert np.max(np.abs(back - q)) <= 1e-8
-
-    def test_transport_support_respects_monotonicity(self, rng):
-        for _ in range(50):
-            q = random_q_member(rng, 3, 6)
-            policy = recover_policy(q)
-            for m in range(2):
-                for b in range(6):
-                    assert np.all(policy.transitions[m, b, b + 1:] == 0.0)
-                    assert policy.transitions[m, b].sum() == pytest.approx(1.0)
-
-    def test_dominance_violation_rejected(self):
-        q = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            recover_policy(q)
+            law = sampler_law(q, make_even_grid(grid_size))
+            back = enumerated_marginals(law, demand, grid_size)
+            assert np.max(np.abs(back - q)) <= 1e-12
 
 
 class TestInducedMarginals:
-    def test_uniform_policy_matches_monte_carlo(self, rng):
-        grid = make_even_grid(4)
-        policy = random_policy(rng, 3, 4)
-        exact = induced_marginals(policy).probs
-        draws = 200_000
-        counts = np.zeros((3, 4))
-        for _ in range(draws):
-            bid = policy_sample(policy, rng, grid)
-            for m, j in enumerate(bid.indices):
-                counts[m, j] += 1
-        freq = counts / draws
-        sigma = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / draws)
-        assert np.all(np.abs(freq - exact) <= 3 * sigma + 5e-4)
+    def test_monte_carlo_marginals_match_q(self, rng):
+        for demand, grid_size in ((3, 4), (2, 6), (4, 3), (1, 5)):
+            grid = make_even_grid(grid_size)
+            q = random_q_member(rng, demand, grid_size)
+            draws = 50_000
+            counts = np.zeros((demand, grid_size))
+            for _ in range(draws):
+                bid = sample_from_marginals(q, rng, grid)
+                counts[np.arange(demand), bid.indices] += 1
+            freq = counts / draws
+            sigma = np.sqrt(np.maximum(q * (1 - q), 1e-12) / draws)
+            assert np.all(np.abs(freq - q) <= 3 * sigma + 5e-4), (demand, grid_size)
 
     def test_deterministic_chain(self):
-        initial = np.array([0.0, 0.0, 1.0])
-        transitions = np.zeros((1, 3, 3))
-        transitions[0, 2, 1] = 1.0
-        transitions[0, 1, 1] = 1.0
-        transitions[0, 0, 0] = 1.0
-        policy = Policy(initial=initial, transitions=transitions)
-        q = induced_marginals(policy).probs
-        assert q[0].tolist() == [0.0, 0.0, 1.0]
-        assert q[1].tolist() == [0.0, 1.0, 0.0]
+        grid = make_even_grid(3)
+        q = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        for u in (0.0, 0.3, LAST_UNIFORM):
+            assert sample_from_marginals(q, FixedUniform(u), grid).indices.tolist() == [2, 1]
 
     def test_sampled_vectors_are_monotone(self, rng):
         grid = make_even_grid(5)
-        policy = random_policy(rng, 4, 5)
+        q = random_q_member(rng, 4, 5)
         for _ in range(200):
-            bid = policy_sample(policy, rng, grid)
+            bid = sample_from_marginals(q, rng, grid)
             assert np.all(np.diff(bid.indices) <= 0)
+        # dominance met only to a 1e-9 slack: slot 1 alone would move up for
+        # uniforms inside the slack, and the running minimum holds it down
+        slack = np.array([[0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]])
+        bid = sample_from_marginals(slack, FixedUniform(0.5 + 5e-10), make_even_grid(2))
+        assert bid.indices.tolist() == [0, 0]
+
+    def test_draws_avoid_zero_mass_and_ir_masked_cells(self):
+        grid = make_even_grid(8)
+        valuation = ValuationProfile(np.array([0.6, 0.3, 0.3]))
+        bidder = OmdBidder(valuation, grid, 200, mode=FeedbackMode.BANDIT_IX, seed=4)
+        adversary = StochasticAdversary(
+            [CompetingBids.from_values([0.0, 1 / 7, 2 / 7], grid)], [1.0], seed=0)
+        measures = [bidder.q.copy()]
+        for t in range(40):
+            bidder.observe(settle(valuation, bidder.propose(), adversary.draw(t)).allocation)
+            measures.append(bidder.q.copy())
+        # zero-mass cells inside the IR region, at both ends of the rows
+        measures.append(np.array([[0.0, 0.3, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0],
+                                  [0.0, 0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                  [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
+        for q in measures:
+            law = sampler_law(q, grid)
+            extremes = [sample_from_marginals(q, FixedUniform(u), grid) for u in (0.0, LAST_UNIFORM)]
+            for indices in list(law) + [tuple(b.indices) for b in extremes]:
+                cells = (np.arange(3), np.array(indices))
+                assert np.all(q[cells] > 0.0) and np.all(bidder.allowed[cells]), indices
+        # the extreme uniforms reach the first and last cells of positive mass
+        assert [b.indices.tolist() for b in extremes] == [[1, 1, 1], [3, 2, 1]]
+
+    def test_same_seed_same_draws_one_uniform_each(self, rng):
+        grid = make_even_grid(6)
+        q = random_q_member(rng, 4, 6)
+        first, second = np.random.default_rng(11), np.random.default_rng(11)
+        a = [sample_from_marginals(q, first, grid).indices.tolist() for _ in range(100)]
+        b = [sample_from_marginals(q, second, grid).indices.tolist() for _ in range(100)]
+        assert a == b
+        reference = np.random.default_rng(11)
+        reference.random(100)
+        assert first.random() == reference.random()

@@ -115,7 +115,7 @@ class TestRegretReport:
         fresh = regret_report(log, 0)
         assert fresh.discretized_regret == pytest.approx(0.0, abs=1e-9)
         assert fresh.continuous_regret_upper == pytest.approx(
-            3 * log.rounds / 11, abs=1e-9)
+            3 * log.rounds / 10, abs=1e-9)
 
     def test_random_bidder_regret_non_negative_in_expectation(self):
         """30 seeds of a uniform-random monotone bidder: mean regret >= 0."""
