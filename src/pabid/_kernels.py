@@ -1,24 +1,31 @@
 """Hot per-round numerical kernels.
 
-Every function here is written as plain loops over float64 arrays, one
-implementation per kernel. The public modules wrap these in the typed API.
+One implementation per kernel, over float64 arrays. The public modules wrap
+these in the typed API.
 
 Kernels:
   * project_dual_ascent: unnormalized-KL projection onto the dominance
     polytope by coordinate ascent on the Lagrange dual (per-layer
     renormalizations for the simplex constraints; closed-form prefix-mass
     rebalancing s = sqrt(P/A) for each dominance halfspace, multiplier
-    clipped at zero). The certificate is the max of layer-sum error,
-    dominance violation, and complementary-slackness residual.
-  * ew_tail_sums / ew_marginals / sample_monotone: the log-domain tail-sum
-    recursion for decoupled exponential weights, its induced per-slot
-    marginals, and sequential inverse-CDF sampling (one uniform per slot).
-  * apply_slot_rewards: the full-information weight update.
+    clipped at zero). Row normalization and the certificate are whole-array
+    numpy operations; the constraint walk is a scalar loop that costs O(M*D)
+    per sweep: running prefix sums, one lazy suffix rescale per layer pair,
+    and a skip of every slack constraint whose multiplier is zero. The
+    certificate is the max of layer-sum error, dominance violation, and
+    complementary-slackness residual.
+  * ew_tail_sums / ew_marginals / sample_monotone: plain loops for the
+    log-domain tail-sum recursion of decoupled exponential weights, its
+    induced per-slot marginals, and sequential inverse-CDF sampling (one
+    uniform per slot).
+  * apply_slot_rewards: the full-information weight update, a plain loop.
 
 Mirror descent samples without a kernel: `mirror_descent.sample_from_marginals`
 inverts every slot's CDF at one shared uniform per round.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,73 +33,112 @@ _NEG_INF = float("-inf")
 
 
 def project_dual_ascent(qt, allowed, tol, max_sweeps):
-    """Returns (q, lam, nu, sweeps_used, gap)."""
+    """Unnormalized-KL projection of `qt` onto the dominance polytope.
+
+    Cyclic coordinate ascent on the Lagrange dual. Each sweep renormalizes
+    every row (nu -= log s), then visits the dominance constraints
+    F_m(j) <= F_{m+1}(j): layer pairs forward on even sweeps and backward on
+    odd ones, and j in the same direction. Constraint (m, j) moves mass
+    between the two prefixes by the closed form delta = log(P/A)/2 (P, A the
+    shallow and deep prefix masses), with the multiplier clipped at zero.
+
+    One sweep costs O(M*D): within a pair the prefix masses are running sums
+    (forward, an update touches only cells <= j, so the next prefix adds one
+    untouched cell) or one cumsum times the product of the updates applied so
+    far (backward). The cell rescaling is lazy: cell k of the deep row is
+    multiplied, once per pair, by exp(sum_{j >= k} delta_j) and the shallow
+    row divided by it. A constraint with lambda = 0 and P <= A is skipped,
+    since its clipped update is exactly zero; lambda starts at 0 on every
+    call, so in a one-sweep call most constraints take this path.
+
+    The certificate `gap` is the max of the row-sum error, the dominance
+    violation and the complementary-slackness residual |lambda (A - P)|.
+
+    Returns (q, lam, nu, sweeps_used, gap).
+    """
     m_units, d = qt.shape
-    q = qt.copy()
-    for m in range(m_units):
-        for j in range(d):
-            if not allowed[m, j]:
-                q[m, j] = 0.0
+    q = np.where(allowed, qt, 0.0)
     lam = np.zeros((max(m_units - 1, 1), max(d - 1, 1)))
     nu = np.zeros(m_units)
     gap = np.inf
     for sweep in range(max_sweeps):
-        for m in range(m_units):
-            s = 0.0
-            for j in range(d):
-                s += q[m, j]
-            inv = 1.0 / s
-            for j in range(d):
-                q[m, j] *= inv
-            nu[m] -= np.log(s)
+        s = q.sum(axis=1)
+        q /= s[:, None]
+        nu -= np.log(s)
         forward = sweep % 2 == 0
         for mi in range(m_units - 1):
             m = mi if forward else m_units - 2 - mi
-            for ji in range(d - 1):
-                j = ji if forward else d - 2 - ji
-                shallow = 0.0
-                deep = 0.0
-                for k in range(j + 1):
-                    shallow += q[m, k]
-                    deep += q[m + 1, k]
-                if shallow <= 0.0:
-                    delta = -lam[m, j]
-                elif deep <= 0.0:
-                    continue
-                else:
-                    delta = 0.5 * (np.log(shallow) - np.log(deep))
-                if lam[m, j] + delta < 0.0:
-                    delta = -lam[m, j]
-                if delta != 0.0:
-                    lam[m, j] += delta
-                    up = np.exp(delta)
-                    down = 1.0 / up
-                    for k in range(j + 1):
-                        q[m + 1, k] *= up
-                        q[m, k] *= down
-        gap = 0.0
-        for m in range(m_units):
-            s = 0.0
-            for j in range(d):
-                s += q[m, j]
-            err = abs(s - 1.0)
-            if err > gap:
-                gap = err
-        for m in range(m_units - 1):
-            c_shallow = 0.0
-            c_deep = 0.0
-            for j in range(d - 1):
-                c_shallow += q[m, j]
-                c_deep += q[m + 1, j]
-                viol = c_shallow - c_deep
-                if viol > gap:
-                    gap = viol
-                slack = abs(lam[m, j] * (c_deep - c_shallow))
-                if slack > gap:
-                    gap = slack
-        if gap <= tol:
+            _balance_pair(q, lam, m, forward)
+        gap = _kkt_gap(q, lam)
+        if not gap > tol:  # converged, or a NaN gap: more sweeps cannot help
             return q, lam, nu, sweep + 1, gap
     return q, lam, nu, max_sweeps, gap
+
+
+def _balance_pair(q, lam, m, forward):
+    """One pass over the d - 1 dominance constraints between rows m, m + 1."""
+    n = q.shape[1] - 1
+    lams = lam[m, :n].tolist()
+    deltas = [0.0] * n
+    if forward:
+        shallow_cells = q[m, :n].tolist()
+        deep_cells = q[m + 1, :n].tolist()
+        shallow = deep = 0.0
+        for j in range(n):
+            shallow += shallow_cells[j]
+            deep += deep_cells[j]
+            lj = lams[j]
+            if lj == 0.0 and shallow <= deep:
+                continue
+            delta = _dominance_step(lj, shallow, deep)
+            if delta != 0.0:
+                lams[j] = lj + delta
+                deltas[j] = delta
+                up = math.exp(delta)
+                shallow /= up
+                deep *= up
+    else:
+        shallow_prefix = np.cumsum(q[m, :n]).tolist()
+        deep_prefix = np.cumsum(q[m + 1, :n]).tolist()
+        up_so_far = 1.0  # exp of the sum of the updates applied so far
+        for j in range(n - 1, -1, -1):
+            shallow = shallow_prefix[j] / up_so_far
+            deep = deep_prefix[j] * up_so_far
+            lj = lams[j]
+            if lj == 0.0 and shallow <= deep:
+                continue
+            delta = _dominance_step(lj, shallow, deep)
+            if delta != 0.0:
+                lams[j] = lj + delta
+                deltas[j] = delta
+                up_so_far *= math.exp(delta)
+    if any(deltas):
+        lam[m, :n] = lams
+        up = np.exp(np.cumsum(deltas[::-1])[::-1])
+        q[m, :n] /= up
+        q[m + 1, :n] *= up
+
+
+def _dominance_step(lam_j, shallow, deep):
+    """Clipped dual update of one constraint: log(P/A)/2, lambda kept >= 0.
+
+    Empty shallow prefix: release the multiplier. Empty deep prefix: no move.
+    """
+    if shallow <= 0.0:
+        return -lam_j
+    if deep <= 0.0:
+        return 0.0
+    return max(0.5 * (math.log(shallow) - math.log(deep)), -lam_j)
+
+
+def _kkt_gap(q, lam):
+    """Max of row-sum error, dominance violation and |lambda (A - P)|."""
+    gap = float(np.max(np.abs(q.sum(axis=1) - 1.0)))
+    if q.shape[0] > 1 and q.shape[1] > 1:
+        prefix = np.cumsum(q[:, :-1], axis=1)
+        violation = prefix[:-1] - prefix[1:]
+        gap = max(gap, float(violation.max()), float(np.max(np.abs(lam * violation))))
+    return gap
 
 
 def ew_tail_sums(weights, allowed, eta):

@@ -64,10 +64,13 @@ class ProjectionResult:
 
 
 class ProjectionError(RuntimeError):
-    def __init__(self, message: str, best: OccupancyMeasure, gap: float):
+    """The projection stopped with its certificate above tolerance (or NaN)."""
+
+    def __init__(self, message: str, best: OccupancyMeasure, gap: float, sweeps: int):
         super().__init__(message)
         self.best = best
         self.gap = gap
+        self.sweeps = sweeps
 
 
 def q_membership(q: np.ndarray, tol: float = 1e-8) -> list[Violation]:
@@ -114,14 +117,22 @@ def project_to_Q(
         raise ValueError("projection input must be finite and positive on feasible cells")
     if not np.all(allowed[:, 0]):
         raise ValueError("grid minimum must be feasible in every layer")
-    q, _lam, _nu, sweeps, gap = project_dual_ascent(
-        np.ascontiguousarray(q_tilde), np.ascontiguousarray(allowed), tol, max_sweeps
-    )
+    return _project(q_tilde, allowed, tol, max_sweeps, "projection")
+
+
+def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: int,
+             label: str) -> ProjectionResult:
+    """Run the kernel and check its certificate; `label` opens the error message.
+
+    The kernel is looked up as this module's global at call time, so a
+    wrapper installed there (a tracer, a test) sees every projection.
+    """
+    q, _lam, _nu, sweeps, gap = project_dual_ascent(q_tilde, allowed, tol, max_sweeps)
     measure = OccupancyMeasure(q)
-    if gap > tol:
+    if not gap <= tol:
         raise ProjectionError(
-            f"projection stopped at gap {gap:.3e} after {sweeps} sweeps (tol {tol:.1e})",
-            best=measure, gap=float(gap),
+            f"{label} stopped at gap {gap:.3e} after {sweeps} sweeps (tol {tol:.1e})",
+            best=measure, gap=float(gap), sweeps=int(sweeps),
         )
     return ProjectionResult(measure=measure, gap=float(gap), sweeps=int(sweeps))
 
@@ -204,6 +215,7 @@ class OmdBidder:
             spread = self.q[m - 1] / np.cumsum(feasible[m])
             self.q[m] = feasible[m] * np.cumsum(spread[::-1])[::-1]
         self._pending: Optional[BidVector] = None
+        self.rounds = 0  # rounds observed so far; the next observe is this round index
 
     @property
     def demand(self) -> int:
@@ -242,17 +254,12 @@ class OmdBidder:
             raise RuntimeError("observe called before propose")
         est = self.reward_estimate(allocation, competing, tie, bidder_priority)
         q_tilde = unconstrained_step(self.q, est, self.eta)
-        # invariants hold by construction here, so call the kernel directly
-        q, _lam, _nu, sweeps, gap = project_dual_ascent(
-            q_tilde, self.allowed, self.projection_tol, DEFAULT_MAX_SWEEPS
-        )
-        if gap > self.projection_tol:
-            raise ProjectionError(
-                f"projection stopped at gap {gap:.3e} after {sweeps} sweeps",
-                best=OccupancyMeasure(q), gap=float(gap),
-            )
-        self.q = q
+        # project_to_Q's input checks hold by construction here, so skip them
+        result = _project(q_tilde, self.allowed, self.projection_tol, DEFAULT_MAX_SWEEPS,
+                          f"projection in round {self.rounds}")
+        self.q = result.measure.probs
         self._pending = None
+        self.rounds += 1
 
 
 def run_omd(

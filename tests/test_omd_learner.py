@@ -9,6 +9,7 @@ from pabid import (
     CompetingBids,
     FeedbackMode,
     OmdBidder,
+    ProjectionError,
     StochasticAdversary,
     TieBreak,
     ValuationProfile,
@@ -19,7 +20,13 @@ from pabid import (
     settle,
 )
 
-from conftest import chain_marginals, enumerated_marginals, random_q_member, sampler_law
+from conftest import (
+    FixedUniform,
+    chain_marginals,
+    enumerated_marginals,
+    random_q_member,
+    sampler_law,
+)
 
 
 def uniform_successor_chain(allowed: np.ndarray):
@@ -130,6 +137,42 @@ class TestRounds:
                 bidder.observe(out.allocation,
                                adversary.draw(t) if mode is FeedbackMode.FULL_INFO else None)
                 assert np.all(bidder.q[~bidder.allowed] == 0.0)
+
+
+    def test_projection_failure_names_round_sweeps_and_tol(self, monkeypatch):
+        from pabid import mirror_descent
+
+        project = mirror_descent.project_dual_ascent
+        calls = []
+
+        def fail_third_call(*args):
+            q, lam, nu, sweeps, gap = project(*args)
+            calls.append(sweeps)
+            return (q, lam, nu, 777, 1.0) if len(calls) == 3 else (q, lam, nu, sweeps, gap)
+
+        monkeypatch.setattr(mirror_descent, "project_dual_ascent", fail_third_call)
+        bidder = OmdBidder(ValuationProfile(np.array([1.0, 0.5])), make_even_grid(5), 10, seed=4)
+        for _ in range(2):
+            bidder.propose()
+            bidder.observe(1)
+        bidder.propose()
+        with pytest.raises(ProjectionError) as excinfo:
+            bidder.observe(1)
+        assert str(excinfo.value) == (
+            "projection in round 2 stopped at gap 1.000e+00 after 777 sweeps (tol 1.0e-08)")
+        assert (excinfo.value.sweeps, excinfo.value.gap) == (777, 1.0)
+        assert excinfo.value.best.probs.shape == (2, 5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_raises_instead_of_returning_nan(self):
+        """gamma = 0 and a huge rate overflow exp(eta * estimate) to inf; the
+        NaN iterate that follows must fail the certificate, not pass it."""
+        bidder = OmdBidder(ValuationProfile(np.array([1.0])), make_even_grid(5), 10,
+                           eta=1e4, gamma=0.0)
+        bidder.rng = FixedUniform(0.0)  # bid 0, a margin of 1 when won
+        bidder.propose()
+        with pytest.raises(ProjectionError, match="round 0 stopped at gap nan"):
+            bidder.observe(1)
 
 
 class TestLinearLossIdentity:
