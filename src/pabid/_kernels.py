@@ -14,11 +14,13 @@ Kernels:
     and a skip of every slack constraint whose multiplier is zero. The
     certificate is the max of layer-sum error, dominance violation, and
     complementary-slackness residual.
-  * ew_tail_sums / ew_marginals / sample_monotone: plain loops for the
-    log-domain tail-sum recursion of decoupled exponential weights, its
-    induced per-slot marginals, and sequential inverse-CDF sampling (one
-    uniform per slot).
-  * apply_slot_rewards: the full-information weight update, a plain loop.
+  * ew_tail_sums / ew_marginals / sample_monotone: the log-domain tail-sum
+    recursion of decoupled exponential weights, its induced per-slot
+    marginals, and sequential inverse-CDF sampling (one uniform per slot).
+    Each is a loop over the M layers of whole-row numpy operations
+    (`np.logaddexp.accumulate`, `cumsum`, `searchsorted`), O(M*D) per call.
+  * apply_slot_rewards: the full-information weight update, one masked add
+    over a precomputed win matrix.
 
 Mirror descent samples without a kernel: `mirror_descent.sample_from_marginals`
 inverts every slot's CDF at one shared uniform per round.
@@ -142,110 +144,60 @@ def _kkt_gap(q, lam):
 
 
 def ew_tail_sums(weights, allowed, eta):
-    """log S[m, b] = eta W[m, b] + log sum_{b' <= b} exp(log S[m+1, b'])."""
-    m_units, d = weights.shape
-    log_sums = np.full((m_units, d), _NEG_INF)
-    for j in range(d):
-        if allowed[m_units - 1, j]:
-            log_sums[m_units - 1, j] = eta * weights[m_units - 1, j]
+    """log S[m, b] = eta W[m, b] + log sum_{b' <= b} exp(log S[m+1, b']).
+
+    One `np.logaddexp.accumulate` per layer gives the running log prefix sums
+    of the layer below; forbidden cells are -inf.
+    """
+    m_units = weights.shape[0]
+    log_sums = np.full(weights.shape, _NEG_INF)
+    log_sums[-1] = np.where(allowed[-1], eta * weights[-1], _NEG_INF)
     for m in range(m_units - 2, -1, -1):
-        running = _NEG_INF
-        for j in range(d):
-            # running <- logaddexp(running, log S[m+1, j])
-            nxt = log_sums[m + 1, j]
-            if running == _NEG_INF:
-                running = nxt
-            elif nxt != _NEG_INF:
-                if running < nxt:
-                    running, nxt = nxt, running
-                running = running + np.log1p(np.exp(nxt - running))
-            if allowed[m, j]:
-                log_sums[m, j] = eta * weights[m, j] + running
+        tails = eta * weights[m] + np.logaddexp.accumulate(log_sums[m + 1])
+        log_sums[m] = np.where(allowed[m], tails, _NEG_INF)
     return log_sums
 
 
 def sample_monotone(log_sums, uniforms):
-    """Sequential inverse-CDF sampling; slot m restricted to the previous bid."""
+    """Sequential inverse-CDF sampling; slot m restricted to the previous bid.
+
+    Slot m picks the first index whose running mass exp(row - max) exceeds
+    uniforms[m] times the row total, over the cells at most the previous pick.
+    When roundoff leaves no such index (u * total == total), it takes the
+    largest finite cell. Expects a finite cell 0 in every row.
+    """
     m_units, d = log_sums.shape
     indices = np.empty(m_units, dtype=np.int64)
     cap = d - 1
     for m in range(m_units):
-        top = _NEG_INF
-        for j in range(cap + 1):
-            if log_sums[m, j] > top:
-                top = log_sums[m, j]
-        total = 0.0
-        for j in range(cap + 1):
-            if log_sums[m, j] > _NEG_INF:
-                total += np.exp(log_sums[m, j] - top)
-        threshold = uniforms[m] * total
-        acc = 0.0
-        pick = 0
-        found = False
-        for j in range(cap + 1):
-            if log_sums[m, j] > _NEG_INF:
-                acc += np.exp(log_sums[m, j] - top)
-                if acc > threshold and not found:
-                    pick = j
-                    found = True
-        if not found:  # roundoff: fall to the largest feasible bid
-            for j in range(cap, -1, -1):
-                if log_sums[m, j] > _NEG_INF:
-                    pick = j
-                    break
-        indices[m] = pick
-        cap = pick
+        row = log_sums[m, : cap + 1]
+        mass = np.cumsum(np.exp(row - row.max()))
+        pick = int(np.searchsorted(mass, uniforms[m] * mass[-1], side="right"))
+        if pick > cap:  # roundoff: fall to the largest feasible bid
+            pick = int(np.flatnonzero(row > _NEG_INF)[-1])
+        indices[m] = cap = pick
     return indices
 
 
 def ew_marginals(log_sums):
-    """Unconditional slot marginals of the sequential sampler."""
-    m_units, d = log_sums.shape
-    q = np.zeros((m_units, d))
-    top = _NEG_INF
-    for j in range(d):
-        if log_sums[0, j] > top:
-            top = log_sums[0, j]
-    total = 0.0
-    for j in range(d):
-        if log_sums[0, j] > _NEG_INF:
-            q[0, j] = np.exp(log_sums[0, j] - top)
-            total += q[0, j]
-    for j in range(d):
-        q[0, j] /= total
-    s = np.empty(d)
-    z = np.empty(d)
-    ratio = np.empty(d)
-    for m in range(1, m_units):
-        top = _NEG_INF
-        for j in range(d):
-            if log_sums[m, j] > top:
-                top = log_sums[m, j]
-        running = 0.0
-        for j in range(d):
-            s[j] = np.exp(log_sums[m, j] - top) if log_sums[m, j] > _NEG_INF else 0.0
-            running += s[j]
-            z[j] = running
-        for j in range(d):
-            ratio[j] = q[m - 1, j] / z[j] if z[j] > 0.0 else 0.0
-        suffix = 0.0
-        for j in range(d - 1, -1, -1):
-            suffix += ratio[j]
-            q[m, j] = s[j] * suffix
-        total = 0.0
-        for j in range(d):
-            total += q[m, j]
-        for j in range(d):
-            q[m, j] /= total
+    """Unconditional slot marginals of the sequential sampler.
+
+    With s = exp(log S - row max) and z its running row sums, layer 0 is
+    s[0] / z[0, -1] and layer m is s[m] times the reversed running sum of
+    q[m-1] / z[m] (0 where z = 0), renormalized.
+    """
+    s = np.exp(log_sums - log_sums.max(axis=1, keepdims=True))
+    z = np.cumsum(s, axis=1)
+    q = np.empty_like(s)
+    q[0] = s[0] / z[0, -1]
+    for m in range(1, s.shape[0]):
+        ratio = np.divide(q[m - 1], z[m], out=np.zeros_like(z[m]), where=z[m] > 0.0)
+        q[m] = s[m] * np.cumsum(ratio[::-1])[::-1]
+        q[m] /= q[m].sum()
     return q
 
 
-def apply_slot_rewards(weights, allowed, valuations, grid_values, comp_idx, tie_wins):
-    """Add one round's realized per-slot rewards to every feasible cell."""
-    m_units, d = weights.shape
-    for m in range(m_units):
-        c = comp_idx[m]
-        v = valuations[m]
-        for j in range(d):
-            if allowed[m, j] and (j > c or (j == c and tie_wins[m])):
-                weights[m, j] += v - grid_values[j]
+def apply_slot_rewards(weights, allowed, valuations, grid_values, wins):
+    """Add v_m - B_j to every feasible cell (m, j) that `wins` this round."""
+    np.add(weights, valuations[:, None] - grid_values[None, :], out=weights,
+           where=wins & allowed)

@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernels
 from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, trusted_bid
 from .grids import BidGrid
-from .hindsight import NEG_INF, NodeWeightTable, accumulate_weights
+from .hindsight import NodeWeightTable, _win_matrix
 
 LOG_ZERO = float("-inf")
 
@@ -153,16 +153,9 @@ def full_info_update(
     bidder_priority: Optional[int] = None,
 ) -> None:
     """Add this round's realized per-slot rewards to every feasible cell."""
-    m_units = table.weights.shape[0]
-    if competing.priorities is None:
-        tie_wins = np.full(m_units, tie is TieBreak.BIDDER_WINS)
-    else:
-        if bidder_priority is None:
-            bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
-        tie_wins = bidder_priority > competing.priorities[:m_units]
+    wins = _win_matrix(competing, table.demand, tie, bidder_priority)
     _kernels.apply_slot_rewards(
-        table.weights, table.allowed, table.valuation.values,
-        table.grid.values, competing.indices[:m_units], tie_wins,
+        table.weights, table.allowed, table.valuation.values, table.grid.values, wins
     )
 
 
@@ -181,23 +174,18 @@ def bandit_update(
     rates up to 1/M. Returns the per-slot increments actually applied to the
     played cells (useful for estimator diagnostics).
     """
-    m_units = table.demand
-    values = table.grid.values
-    v = table.valuation.values
-    applied = np.empty(m_units)
+    slots = np.arange(table.demand)
+    j = played.indices
+    q = marginals.probs[slots, j]
+    offset = gamma if gamma is not None else np.zeros(table.demand)
+    if np.any((q <= 0.0) & (offset <= 0.0)):
+        raise RuntimeError("played bid has zero sampling probability; sampler and marginals disagree")
+    won = slots < allocation  # winning slots form a prefix
+    w = np.where(won, table.valuation.values - table.grid.values[j], 0.0)
+    correction = (1.0 - w) / (q + offset)
     table.weights[...] += table.allowed  # +1 on every feasible cell
-    for m in range(m_units):
-        j = int(played.indices[m])
-        q = float(marginals.probs[m, j])
-        offset = float(gamma[m]) if gamma is not None else 0.0
-        if q <= 0.0 and offset <= 0.0:
-            raise RuntimeError("played bid has zero sampling probability; sampler and marginals disagree")
-        won = m < allocation  # winning slots form a prefix
-        w = (v[m] - values[j]) if won else 0.0
-        correction = (1.0 - w) / (q + offset)
-        table.weights[m, j] -= correction
-        applied[m] = 1.0 - correction
-    return applied
+    table.weights[slots, j] -= correction
+    return 1.0 - correction
 
 
 @dataclass

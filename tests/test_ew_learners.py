@@ -13,12 +13,17 @@ from pabid import (
     TieBreak,
     ValuationProfile,
     accumulate_weights,
+    bandit_update,
+    compute_partial_sums,
     eta_schedule,
     full_info_update,
     ix_gamma_schedule,
     make_even_grid,
     run_ew,
+    sample_bid,
+    slot_marginals,
 )
+from pabid.exp_weights import EstimatedWeightTable
 
 
 class TestEtaSchedule:
@@ -60,16 +65,23 @@ class TestFullInfoUpdate:
         assert np.array_equal(table.weights, before)
 
     def test_single_update_equals_singleton_accumulation(self, rng):
+        """One update adds exactly the singleton history's table, under both
+        tie modes, with and without rival and own priorities."""
         grid = make_even_grid(7)
-        for _ in range(30):
-            m = int(rng.integers(1, 4))
-            valuation = ValuationProfile(np.sort(rng.random(m))[::-1])
-            competing = CompetingBids(np.sort(rng.integers(0, 7, size=m)), grid)
-            tie = TieBreak.BIDDER_WINS if rng.random() < 0.5 else TieBreak.BIDDER_LOSES
-            incremental = accumulate_weights(valuation, [], grid)
-            full_info_update(incremental, competing, tie)
-            reference = accumulate_weights(valuation, [competing], grid, tie)
-            assert np.array_equal(incremental.weights, reference.weights)
+        for tie in TieBreak:
+            for rival_priorities in (False, True):
+                for _ in range(30):
+                    m = int(rng.integers(1, 4))
+                    supply = m + int(rng.integers(0, 2))
+                    valuation = ValuationProfile(np.sort(rng.random(m))[::-1])
+                    priorities = rng.integers(0, 3, size=supply) if rival_priorities else None
+                    competing = CompetingBids(np.sort(rng.integers(0, 7, size=supply)), grid,
+                                              priorities)
+                    own = None if rng.random() < 0.5 else int(rng.integers(0, 3))
+                    incremental = accumulate_weights(valuation, [], grid)
+                    full_info_update(incremental, competing, tie, own)
+                    reference = accumulate_weights(valuation, [competing], grid, tie, own)
+                    assert np.array_equal(incremental.weights, reference.weights)
 
     def test_forbidden_cells_stay_forbidden(self):
         grid = make_even_grid(5)
@@ -100,6 +112,35 @@ class TestFullInfoUpdate:
                         wins[m, j] += 1
         expect = np.where(table.allowed, wins * margin, 0.0)
         assert np.allclose(table.weights, expect, atol=1e-9)
+
+
+class TestBanditUpdate:
+    def test_returned_increments_are_the_played_cells_change(self, rng):
+        """Each slot returns 1 - (1 - w)/(q + gamma), the played cell gains
+        that, every other feasible cell gains 1 and forbidden cells stay."""
+        grid = make_even_grid(6)
+        for _ in range(40):
+            m = int(rng.integers(1, 5))
+            valuation = ValuationProfile(0.5 + 0.5 * np.sort(rng.random(m))[::-1])
+            table = EstimatedWeightTable(rng.normal(size=(m, 6)), valuation.ir_mask(grid),
+                                         grid, valuation)
+            partial = compute_partial_sums(table, 0.1)
+            marginals = slot_marginals(partial)
+            played = sample_bid(partial, rng)
+            allocation = int(rng.integers(0, m + 1))
+            gamma = rng.uniform(0.0, 0.2, size=m) if rng.random() < 0.5 else None
+            before = table.weights.copy()
+            applied = bandit_update(table, marginals, played, allocation, gamma)
+            offset = np.zeros(m) if gamma is None else gamma
+            for slot, j in enumerate(played.indices):
+                w = valuation.values[slot] - grid.values[j] if slot < allocation else 0.0
+                assert applied[slot] == 1.0 - (1.0 - w) / (marginals.probs[slot, j] + offset[slot])
+            delta = table.weights - before
+            is_played = np.zeros((m, 6), bool)
+            is_played[np.arange(m), played.indices] = True
+            assert np.allclose(delta[is_played], applied, rtol=0.0, atol=1e-12)
+            assert np.allclose(delta[table.allowed & ~is_played], 1.0, rtol=0.0, atol=1e-12)
+            assert np.all(delta[~table.allowed] == 0.0)
 
 
 class TestLearnerRuns:

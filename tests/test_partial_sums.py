@@ -12,6 +12,7 @@ from pabid import (
     sample_bid,
     slot_marginals,
 )
+from pabid._kernels import ew_marginals, ew_tail_sums, sample_monotone
 from pabid.hindsight import NodeWeightTable, monotone_vector_count
 
 from conftest import (
@@ -24,6 +25,122 @@ from conftest import (
 # chi-square 99th percentiles by degrees of freedom (frozen, no scipy needed)
 CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086, 6: 16.812,
            7: 18.475, 8: 20.090, 9: 21.666, 10: 23.209}
+
+
+def loop_tail_sums(weights, allowed, eta):
+    """The tail-sum recursion by its definition, one cell at a time."""
+    m_units, d = weights.shape
+    log_sums = np.full((m_units, d), -math.inf)
+    for j in range(d):
+        if allowed[m_units - 1, j]:
+            log_sums[m_units - 1, j] = eta * weights[m_units - 1, j]
+    for m in range(m_units - 2, -1, -1):
+        running = -math.inf
+        for j in range(d):
+            # running <- logaddexp(running, log S[m+1, j])
+            nxt = log_sums[m + 1, j]
+            if running == -math.inf:
+                running = nxt
+            elif nxt != -math.inf:
+                if running < nxt:
+                    running, nxt = nxt, running
+                running = running + np.log1p(np.exp(nxt - running))
+            if allowed[m, j]:
+                log_sums[m, j] = eta * weights[m, j] + running
+    return log_sums
+
+
+def loop_sample_monotone(log_sums, uniforms):
+    """Sequential inverse-CDF sampling, one cell at a time."""
+    m_units, d = log_sums.shape
+    indices = np.empty(m_units, dtype=np.int64)
+    cap = d - 1
+    for m in range(m_units):
+        top = max(log_sums[m, : cap + 1])
+        total = 0.0
+        for j in range(cap + 1):
+            if log_sums[m, j] > -math.inf:
+                total += np.exp(log_sums[m, j] - top)
+        threshold = uniforms[m] * total
+        acc = 0.0
+        pick = None
+        for j in range(cap + 1):
+            if log_sums[m, j] > -math.inf:
+                acc += np.exp(log_sums[m, j] - top)
+                if acc > threshold:
+                    pick = j
+                    break
+        if pick is None:  # roundoff: fall to the largest feasible bid
+            pick = max(j for j in range(cap + 1) if log_sums[m, j] > -math.inf)
+        indices[m] = cap = pick
+    return indices
+
+
+def loop_marginals(log_sums):
+    """Slot marginals of the sequential sampler, one cell at a time."""
+    m_units, d = log_sums.shape
+    q = np.zeros((m_units, d))
+    for m in range(m_units):
+        top = max(log_sums[m])
+        s = [np.exp(x - top) if x > -math.inf else 0.0 for x in log_sums[m]]
+        if m == 0:
+            q[0] = s
+        else:
+            running = 0.0
+            z = []
+            for j in range(d):
+                running += s[j]
+                z.append(running)
+            suffix = 0.0
+            for j in range(d - 1, -1, -1):
+                suffix += q[m - 1, j] / z[j] if z[j] > 0.0 else 0.0
+                q[m, j] = s[j] * suffix
+        total = 0.0
+        for j in range(d):
+            total += q[m, j]
+        q[m] /= total
+    return q
+
+
+def kernel_parity_cases():
+    """(weights, allowed, eta): random, random-masked, IR-masked, M = 1, D = 2,
+    single feasible cell and 5e5-weight inputs. Cell 0 is feasible in every
+    row, as `compute_partial_sums` requires."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(20):
+        m = int(rng.integers(1, 8))
+        d = int(rng.integers(2, 40))
+        eta = float(rng.choice([0.01, 0.3, 2.0]))
+        weights = rng.uniform(-5.0, 5.0, size=(m, d))
+        cases.append((weights, np.ones((m, d), bool), eta))
+        masked = rng.random((m, d)) < 0.6
+        masked[:, 0] = True
+        cases.append((weights, masked, eta))
+        table = random_weight_table(rng, m, d)
+        cases.append((table.weights, table.allowed, eta))
+    for m, d in ((1, 2), (1, 17), (6, 2)):
+        table = random_weight_table(rng, m, d, with_ir_mask=False)
+        cases.append((table.weights, table.allowed, 0.7))
+    single = np.zeros((4, 9), bool)
+    single[:, 0] = True
+    cases.append((rng.normal(size=(4, 9)), single, 1.0))
+    big = random_weight_table(rng, 5, 13, with_ir_mask=False)
+    cases.append((np.full((5, 13), 5e5), big.allowed, 1.0))
+    cases.append((5e5 + rng.uniform(-3.0, 3.0, size=(5, 13)), big.allowed, 1.0))
+    return cases
+
+
+def wide_spread_cases():
+    """Rows whose log tail sums span more than exp's range, so cells far
+    below the row (or capped prefix) maximum underflow to zero mass."""
+    d = 13
+    ramp = 100.0 * np.arange(d)
+    deep_ramp = np.vstack([ramp, ramp, ramp])
+    # Layer 0 prefers bid 1 by e^50, so slot 1 is capped at a prefix whose
+    # maximum sits 1,100 below the full row's.
+    prefers_one = np.vstack([-ramp - 50.0 * (np.arange(d) != 1), ramp])
+    return [(w, np.ones(w.shape, bool), 1.0) for w in (deep_ramp, prefers_one)]
 
 
 def zero_table(demand, grid_size):
@@ -164,3 +281,51 @@ class TestSlotMarginals:
         q = slot_marginals(compute_partial_sums(table, 0.3)).probs
         assert np.allclose(q.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(q >= 0.0)
+
+
+class TestKernelsMatchLoops:
+    """The numpy kernels against their cell-by-cell definitions."""
+
+    def test_tail_sums_match(self):
+        for weights, allowed, eta in kernel_parity_cases() + wide_spread_cases():
+            got = ew_tail_sums(weights, allowed, eta)
+            ref = loop_tail_sums(weights, allowed, eta)
+            assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+            finite = ~np.isneginf(ref)
+            assert np.all(np.isfinite(got[finite]))
+            scale = np.maximum(1.0, np.abs(ref[finite]))
+            assert np.max(np.abs(got[finite] - ref[finite]) / scale) <= 1e-12
+
+    def test_marginals_match(self):
+        for weights, allowed, eta in kernel_parity_cases():
+            log_sums = loop_tail_sums(weights, allowed, eta)
+            got = ew_marginals(log_sums)
+            ref = loop_marginals(log_sums)
+            assert np.array_equal(got == 0.0, ref == 0.0)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_sampler_draws_identical_indices(self):
+        rng = np.random.default_rng(7)
+        top = 1.0 - 2.0**-53
+        for weights, allowed, eta in kernel_parity_cases() + wide_spread_cases():
+            log_sums = loop_tail_sums(weights, allowed, eta)
+            m = log_sums.shape[0]
+            draws = [np.zeros(m), np.full(m, top)] + [rng.random(m) for _ in range(20)]
+            for uniforms in draws:
+                got = sample_monotone(log_sums, uniforms)
+                assert got.tolist() == loop_sample_monotone(log_sums, uniforms).tolist()
+                assert np.all(np.isfinite(log_sums[np.arange(m), got]))
+
+    def test_roundoff_fallback_takes_largest_finite_cell_under_cap(self):
+        # U = 1 leaves no cell whose running mass exceeds U * total.
+        log_sums = np.array([
+            [0.0, 1.0, 2.0, -np.inf],   # trailing cell masked: pick 2
+            [0.0, -np.inf, 3.0, 9.0],   # cell 3 is above the cap of 2: pick 2
+            [0.0, 0.5, -np.inf, 5.0],   # cell 2 masked, cell 3 above cap: pick 1
+        ])
+        assert sample_monotone(log_sums, np.ones(3)).tolist() == [2, 2, 1]
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            picks = sample_monotone(log_sums, rng.random(3))
+            assert np.all(np.isfinite(log_sums[np.arange(3), picks]))
+            assert np.all(np.diff(picks) <= 0)
