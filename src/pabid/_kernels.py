@@ -5,20 +5,15 @@ these in the typed API.
 
 Kernels:
   * project_dual_ascent: unnormalized-KL projection onto the dominance
-    polytope by coordinate ascent on the Lagrange dual (per-layer
-    renormalizations for the simplex constraints; closed-form prefix-mass
-    rebalancing s = sqrt(P/A) for each dominance halfspace, multiplier
-    clipped at zero). Row normalization and the certificate are whole-array
-    numpy operations; the constraint walk is a scalar loop that costs O(M*D)
-    per sweep: running prefix sums, one lazy suffix rescale per layer pair,
-    and a skip of every slack constraint whose multiplier is zero. The
-    certificate is the max of layer-sum error, dominance violation, and
+    polytope by cyclic coordinate ascent on the Lagrange dual, O(M*D) per
+    sweep, certified by the max of layer-sum error, dominance violation and
     complementary-slackness residual.
-  * ew_tail_sums / ew_marginals / sample_monotone: the log-domain tail-sum
-    recursion of decoupled exponential weights, its induced per-slot
-    marginals, and sequential inverse-CDF sampling (one uniform per slot).
-    Each is a loop over the M layers of whole-row numpy operations
-    (`np.logaddexp.accumulate`, `cumsum`, `searchsorted`), O(M*D) per call.
+  * ew_tail_sums / sample_monotone / ew_marginals: decoupled exponential
+    weights, all in logs. One backward pass of `np.logaddexp.accumulate`
+    yields the tail sums and their running prefix sums; the prefix sums are
+    the sampler's normalizers, so sampling is one bisection per slot (one
+    uniform per slot), and the marginals' forward recursion runs on log
+    ratios, so rows spanning more than exp's range keep their mass.
   * apply_slot_rewards: the full-information weight update, one masked add
     over a precomputed win matrix.
 
@@ -27,6 +22,7 @@ inverts every slot's CDF at one shared uniform per round.
 """
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -144,57 +140,65 @@ def _kkt_gap(q, lam):
 
 
 def ew_tail_sums(weights, allowed, eta):
-    """log S[m, b] = eta W[m, b] + log sum_{b' <= b} exp(log S[m+1, b']).
+    """Log tail sums and their running log prefix sums, in one backward pass.
 
-    One `np.logaddexp.accumulate` per layer gives the running log prefix sums
-    of the layer below; forbidden cells are -inf.
+    log S[m, b] = eta W[m, b] + log P[m+1, b], with P[m, b] = sum_{b' <= b}
+    S[m, b'] and forbidden cells -inf. Each layer takes one
+    `np.logaddexp.accumulate` into the prefix table, which is then added to
+    the layer above. log P[m, cap] is the normalizer of slot m's law when the
+    previous slot bid `cap`, so the sampler reads it directly.
+
+    Returns (log_sums, log_prefix).
     """
-    m_units = weights.shape[0]
-    log_sums = np.full(weights.shape, _NEG_INF)
-    log_sums[-1] = np.where(allowed[-1], eta * weights[-1], _NEG_INF)
-    for m in range(m_units - 2, -1, -1):
-        tails = eta * weights[m] + np.logaddexp.accumulate(log_sums[m + 1])
-        log_sums[m] = np.where(allowed[m], tails, _NEG_INF)
-    return log_sums
+    log_sums = np.where(allowed, eta * weights, _NEG_INF)
+    log_prefix = np.empty_like(log_sums)
+    for m in range(weights.shape[0] - 1, 0, -1):
+        np.logaddexp.accumulate(log_sums[m], out=log_prefix[m])
+        log_sums[m - 1] += log_prefix[m]
+    np.logaddexp.accumulate(log_sums[0], out=log_prefix[0])
+    return log_sums, log_prefix
 
 
-def sample_monotone(log_sums, uniforms):
+def sample_monotone(log_prefix, uniforms):
     """Sequential inverse-CDF sampling; slot m restricted to the previous bid.
 
-    Slot m picks the first index whose running mass exp(row - max) exceeds
-    uniforms[m] times the row total, over the cells at most the previous pick.
-    When roundoff leaves no such index (u * total == total), it takes the
-    largest finite cell. Expects a finite cell 0 in every row.
+    Slot m picks the first cell whose log prefix sum exceeds log(u_m) plus the
+    prefix sum at the previous pick `cap`, i.e. whose running mass exceeds
+    u_m times the capped total: one bisection of the row. When roundoff leaves
+    no such cell (log u_m + total == total), it takes the first cell at which
+    the prefix reaches its total: the last cell under the cap with mass.
+    Expects a finite cell 0 in every row.
     """
-    m_units, d = log_sums.shape
-    indices = np.empty(m_units, dtype=np.int64)
-    cap = d - 1
-    for m in range(m_units):
-        row = log_sums[m, : cap + 1]
-        mass = np.cumsum(np.exp(row - row.max()))
-        pick = int(np.searchsorted(mass, uniforms[m] * mass[-1], side="right"))
-        if pick > cap:  # roundoff: fall to the largest feasible bid
-            pick = int(np.flatnonzero(row > _NEG_INF)[-1])
-        indices[m] = cap = pick
-    return indices
+    rows = log_prefix.tolist()
+    cap = len(rows[0]) - 1
+    picks = []
+    for row, u in zip(rows, uniforms.tolist()):
+        total = row[cap]
+        threshold = math.log(u) + total if u > 0.0 else _NEG_INF
+        pick = bisect.bisect_right(row, threshold, 0, cap + 1)
+        if pick > cap:  # roundoff: fall to the last cell with mass
+            pick = bisect.bisect_left(row, total, 0, cap + 1)
+        picks.append(pick)
+        cap = pick
+    return np.array(picks, dtype=np.int64)
 
 
 def ew_marginals(log_sums):
-    """Unconditional slot marginals of the sequential sampler.
+    """Unconditional slot marginals of the sequential sampler, in logs.
 
-    With s = exp(log S - row max) and z its running row sums, layer 0 is
-    s[0] / z[0, -1] and layer m is s[m] times the reversed running sum of
-    q[m-1] / z[m] (0 where z = 0), renormalized.
+    With s = log S minus its row maximum and lz its running log row sums,
+    log q[0] = s[0] and log q[m] = s[m] plus the reversed running log sum of
+    log q[m-1] - lz[m]. The ratio q[m-1] / z[m] never leaves the log domain,
+    so rows spanning more than exp's range keep their mass. The recursion is
+    linear in q, so one normalization per row at the end suffices.
     """
-    s = np.exp(log_sums - log_sums.max(axis=1, keepdims=True))
-    z = np.cumsum(s, axis=1)
-    q = np.empty_like(s)
-    q[0] = s[0] / z[0, -1]
+    s = log_sums - log_sums.max(axis=1, keepdims=True)
+    lz = np.logaddexp.accumulate(s, axis=1)
+    log_q = s.copy()
     for m in range(1, s.shape[0]):
-        ratio = np.divide(q[m - 1], z[m], out=np.zeros_like(z[m]), where=z[m] > 0.0)
-        q[m] = s[m] * np.cumsum(ratio[::-1])[::-1]
-        q[m] /= q[m].sum()
-    return q
+        log_q[m] += np.logaddexp.accumulate((log_q[m - 1] - lz[m])[::-1])[::-1]
+    q = np.exp(log_q - log_q.max(axis=1, keepdims=True))
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def apply_slot_rewards(weights, allowed, valuations, grid_values, wins):

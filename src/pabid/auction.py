@@ -68,9 +68,9 @@ class BidVector:
         object.__setattr__(self, "indices", indices)
         if indices.ndim != 1 or indices.size == 0:
             raise ValueError("bid vector must be a non-empty vector")
-        if np.any(indices < 0) or np.any(indices >= self.grid.count):
+        if indices.min() < 0 or indices.max() >= self.grid.count:
             raise ValueError("bid index outside grid")
-        if np.any(np.diff(indices) > 0):
+        if (indices[1:] > indices[:-1]).any():
             raise ValueError("bids must be non-increasing")
 
     @classmethod
@@ -109,9 +109,9 @@ class CompetingBids:
         object.__setattr__(self, "indices", indices)
         if indices.ndim != 1 or indices.size == 0:
             raise ValueError("competing bids must be a non-empty vector")
-        if np.any(indices < 0) or np.any(indices >= self.grid.count):
+        if indices.min() < 0 or indices.max() >= self.grid.count:
             raise ValueError("competing bid index outside grid")
-        if np.any(np.diff(indices) < 0):
+        if (indices[1:] < indices[:-1]).any():
             raise ValueError("competing bids must be non-decreasing")
         if self.priorities is not None:
             pri = np.asarray(self.priorities, dtype=np.int64)

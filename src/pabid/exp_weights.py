@@ -50,11 +50,13 @@ class PartialSumTable:
     """log S[m, b]: exponentially weighted mass of monotone tails from (m, b).
 
     S_m(b) = exp(eta * W_m(b)) * sum_{b' <= b} S_{m+1}(b'); forbidden cells
-    carry log-domain zero. Everything stays in logs so cumulative weights of
-    order eta * T never overflow.
+    carry log-domain zero. `log_prefix[m, b]` is log sum_{b' <= b} S_m(b'),
+    the normalizer of slot m's law when the previous slot bid b. Everything
+    stays in logs so cumulative weights of order eta * T never overflow.
     """
 
     log_sums: np.ndarray
+    log_prefix: np.ndarray
     allowed: np.ndarray
     grid: BidGrid
 
@@ -103,10 +105,11 @@ def compute_partial_sums(table: NodeWeightTable, eta: float) -> PartialSumTable:
     """Backward pass of the log-domain tail-sum recursion, O(M D)."""
     if not np.all(table.allowed[:, 0]):
         raise ValueError("no individually rational bid exists in some layer")
-    log_sums = _kernels.ew_tail_sums(
+    log_sums, log_prefix = _kernels.ew_tail_sums(
         np.ascontiguousarray(table.weights), np.ascontiguousarray(table.allowed), float(eta)
     )
-    return PartialSumTable(log_sums=log_sums, allowed=table.allowed, grid=table.grid)
+    return PartialSumTable(log_sums=log_sums, log_prefix=log_prefix, allowed=table.allowed,
+                           grid=table.grid)
 
 
 def sample_bid(partial: PartialSumTable, rng: np.random.Generator) -> BidVector:
@@ -117,7 +120,7 @@ def sample_bid(partial: PartialSumTable, rng: np.random.Generator) -> BidVector:
     of the summed cell weights (see `path_log_probability`).
     """
     uniforms = rng.random(partial.demand)
-    indices = _kernels.sample_monotone(partial.log_sums, uniforms)
+    indices = _kernels.sample_monotone(partial.log_prefix, uniforms)
     return trusted_bid(indices, partial.grid)
 
 
@@ -129,8 +132,7 @@ def path_log_probability(partial: PartialSumTable, indices: Sequence[int]) -> fl
     for m, idx in enumerate(indices):
         if idx > cap:
             return LOG_ZERO
-        denom = np.logaddexp.reduce(logs[m, : cap + 1])
-        total += logs[m, idx] - denom
+        total += logs[m, idx] - partial.log_prefix[m, cap]
         cap = int(idx)
     return total
 
@@ -171,21 +173,24 @@ def bandit_update(
     Every feasible cell gains 1; the played cell additionally loses
     (1 - realized slot reward) / (q + gamma). The net played-cell increment
     1 - (1 - w)/(q + gamma) is at most 1, which is what permits learning
-    rates up to 1/M. Returns the per-slot increments actually applied to the
-    played cells (useful for estimator diagnostics).
+    rates up to 1/M. A played cell the table forbids (a bid above this
+    table's valuation, possible when the marginals are shared across
+    contexts) is left untouched. Returns the per-slot increments actually
+    applied to the played cells (useful for estimator diagnostics).
     """
     slots = np.arange(table.demand)
     j = played.indices
-    q = marginals.probs[slots, j]
-    offset = gamma if gamma is not None else np.zeros(table.demand)
-    if np.any((q <= 0.0) & (offset <= 0.0)):
+    live = table.allowed[slots, j]
+    offset = gamma if gamma is not None else 0.0
+    q = np.where(live, marginals.probs[slots, j] + offset, np.inf)
+    if (q <= 0.0).any():
         raise RuntimeError("played bid has zero sampling probability; sampler and marginals disagree")
     won = slots < allocation  # winning slots form a prefix
     w = np.where(won, table.valuation.values - table.grid.values[j], 0.0)
-    correction = (1.0 - w) / (q + offset)
+    correction = (1.0 - w) / q  # 0 on forbidden played cells
     table.weights[...] += table.allowed  # +1 on every feasible cell
     table.weights[slots, j] -= correction
-    return 1.0 - correction
+    return live - correction
 
 
 @dataclass
@@ -364,22 +369,9 @@ class ContextualExpWeightsBidder:
                 full_info_update(table, competing, tie)
             self._pending = None
             return
-        shared_q = self.averaged_marginals()
-        values = self.grid.values
-        offset = self.gamma if self.config.mode is FeedbackMode.BANDIT_IX else np.zeros(self.demand)
+        shared = SlotMarginals(probs=self.averaged_marginals())
         for table in self.tables:
-            v = table.valuation.values
-            table.weights[...] += table.allowed
-            for m in range(self.demand):
-                j = int(played.indices[m])
-                if not table.allowed[m, j]:
-                    continue  # played bid overbids this context's valuation
-                q = float(shared_q[m, j]) + float(offset[m])
-                if q <= 0.0:
-                    raise RuntimeError("played bid has zero averaged probability")
-                won = m < allocation
-                w = (v[m] - values[j]) if won else 0.0
-                table.weights[m, j] -= (1.0 - w) / q
+            bandit_update(table, shared, played, allocation, self.gamma)
         self._pending = None
 
 

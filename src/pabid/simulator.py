@@ -244,6 +244,7 @@ class SelfPlayMarket:
         env_bids = (np.empty((rounds, self.supply), dtype=np.int64)
                     if self.environment is not None else None)
         env_priority = ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY
+        full_info = [_learner_wants_full_info(learner) for learner in self.learners]
 
         for t in range(rounds):
             proposals = [learner.propose() for learner in self.learners]
@@ -279,12 +280,9 @@ class SelfPlayMarket:
                 payments[t, n] = outcome.payment
                 rewards[t, n] = outcome.reward
                 round_alloc += outcome.allocation
-                wants_full = getattr(learner, "wants_full_info", None)
-                if wants_full is None:
-                    wants_full = _learner_wants_full_info(learner)
                 learner.observe(
                     outcome.allocation,
-                    competing if wants_full else None,
+                    competing if full_info[n] else None,
                     bidder_priority=n,
                 )
             if round_alloc > self.supply:
@@ -302,6 +300,9 @@ class SelfPlayMarket:
 
 def _learner_wants_full_info(learner) -> bool:
     from .exp_weights import FeedbackMode
+    wants_full = getattr(learner, "wants_full_info", None)
+    if wants_full is not None:
+        return wants_full
     mode = getattr(learner, "mode", None)
     if mode is None and hasattr(learner, "config"):
         mode = learner.config.mode

@@ -72,6 +72,30 @@ class TestVectors:
         with pytest.raises(ValueError):
             CompetingBids.from_values([0.5, 0.2], grid)
 
+    @pytest.mark.parametrize("indices, message", [
+        ([], "non-empty vector"),
+        ([[2, 1]], "non-empty vector"),
+        ([2, -1], "outside grid"),
+        ([5, 0], "outside grid"),
+        ([1, 2], "non-increasing"),
+    ])
+    def test_bid_vector_rejects(self, indices, message):
+        with pytest.raises(ValueError, match=message):
+            BidVector(np.array(indices, dtype=np.int64), make_even_grid(5))
+
+    @pytest.mark.parametrize("indices, priorities, message", [
+        ([], None, "non-empty vector"),
+        ([[1, 2]], None, "non-empty vector"),
+        ([-1, 2], None, "outside grid"),
+        ([0, 5], None, "outside grid"),
+        ([2, 1], None, "non-decreasing"),
+        ([1, 2], [0], "priorities must match"),
+        ([1, 2], [[0, 1]], "priorities must match"),
+    ])
+    def test_competing_bids_reject(self, indices, priorities, message):
+        with pytest.raises(ValueError, match=message):
+            CompetingBids(np.array(indices, dtype=np.int64), make_even_grid(5), priorities)
+
 
 class TestCompetingBids:
     def test_two_rivals_sort_and_take(self):

@@ -19,7 +19,7 @@ from pabid import (
 )
 from pabid.exp_weights import EstimatedWeightTable
 
-from conftest import random_weight_table
+from conftest import random_valuation, random_weight_table
 
 
 def make_estimated(table):
@@ -143,7 +143,65 @@ class TestBanditUpdate:
             assert shifted.weights[m, j] >= plain.weights[m, j] - 1e-12
 
 
+def loop_contextual_update(tables, shared_q, played, allocation, offset):
+    """The shared-normalizer estimator, one context and one slot at a time:
+    every feasible cell gains 1, and each played cell the context allows loses
+    (1 - w) / (Q + gamma). Updates copies; returns the new weight arrays."""
+    out = []
+    for table in tables:
+        weights = table.weights + table.allowed
+        values = table.grid.values
+        for m in range(len(played)):
+            j = int(played[m])
+            if not table.allowed[m, j]:
+                continue  # played bid overbids this context's valuation
+            q = float(shared_q[m, j]) + float(offset[m])
+            if q <= 0.0:
+                raise RuntimeError("played bid has zero averaged probability")
+            w = (table.valuation.values[m] - values[j]) if m < allocation else 0.0
+            weights[m, j] -= (1.0 - w) / q
+        out.append(weights)
+    return out
+
+
 class TestContextualLearner:
+    def test_update_matches_per_slot_loop(self, rng):
+        grid = make_even_grid(7)
+        forbidden_played = 0
+        for trial in range(40):
+            demand = int(rng.integers(1, 4))
+            contexts = [random_valuation(rng, demand) for _ in range(3)]
+            contexts.append(ValuationProfile(np.ones(demand)))  # may play any cell
+            mode = (FeedbackMode.BANDIT_IPW, FeedbackMode.BANDIT_IX)[trial % 2]
+            learner = ContextualExpWeightsBidder(
+                contexts, rng.dirichlet(np.ones(4)), grid, 100,
+                LearnerConfig(mode=mode, eta=0.1, seed=trial))
+            for table in learner.tables:
+                table.weights[...] = np.where(
+                    table.allowed, rng.uniform(-3.0, 3.0, table.weights.shape), 0.0)
+            played = learner.propose(3).indices
+            allocation = int(rng.integers(0, demand + 1))
+            expected = loop_contextual_update(
+                learner.tables, learner.averaged_marginals(), played, allocation, learner.gamma)
+            learner.observe(allocation)
+            for table, ref in zip(learner.tables, expected):
+                assert np.max(np.abs(table.weights - ref)) <= 1e-15
+                forbidden_played += int(np.sum(~table.allowed[np.arange(demand), played]))
+        assert forbidden_played > 0
+
+    def test_zero_averaged_probability_raises(self):
+        grid = make_even_grid(3)
+        learner = ContextualExpWeightsBidder(
+            [ValuationProfile(np.array([1.0]))], [1.0], grid, 10,
+            LearnerConfig(mode=FeedbackMode.BANDIT_IPW, eta=0.1, seed=0))
+        played = learner.propose(0).indices
+        learner.tables[0].weights[0, played[0]] = -1e5  # its probability underflows to 0
+        with pytest.raises(RuntimeError, match="zero .*probability"):
+            loop_contextual_update(learner.tables, learner.averaged_marginals(), played, 1,
+                                   learner.gamma)
+        with pytest.raises(RuntimeError, match="zero .*probability"):
+            learner.observe(1)
+
     def test_single_context_reduces_to_plain_bandit(self):
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.array([1.0, 0.8]))

@@ -6,6 +6,7 @@ import pytest
 
 from pabid import (
     ValuationProfile,
+    bandit_update,
     compute_partial_sums,
     make_even_grid,
     path_log_probability,
@@ -13,6 +14,7 @@ from pabid import (
     slot_marginals,
 )
 from pabid._kernels import ew_marginals, ew_tail_sums, sample_monotone
+from pabid.exp_weights import EstimatedWeightTable
 from pabid.hindsight import NodeWeightTable, monotone_vector_count
 
 from conftest import (
@@ -27,6 +29,22 @@ CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086, 6: 16.812,
            7: 18.475, 8: 20.090, 9: 21.666, 10: 23.209}
 
 
+def loop_log_prefix(row):
+    """Running log sums of one row, one cell at a time."""
+    out = []
+    running = -math.inf
+    for nxt in row:
+        # running <- logaddexp(running, nxt)
+        if running == -math.inf:
+            running = nxt
+        elif nxt != -math.inf:
+            if running < nxt:
+                running, nxt = nxt, running
+            running = running + np.log1p(np.exp(nxt - running))
+        out.append(running)
+    return out
+
+
 def loop_tail_sums(weights, allowed, eta):
     """The tail-sum recursion by its definition, one cell at a time."""
     m_units, d = weights.shape
@@ -35,18 +53,10 @@ def loop_tail_sums(weights, allowed, eta):
         if allowed[m_units - 1, j]:
             log_sums[m_units - 1, j] = eta * weights[m_units - 1, j]
     for m in range(m_units - 2, -1, -1):
-        running = -math.inf
+        prefix = loop_log_prefix(log_sums[m + 1])
         for j in range(d):
-            # running <- logaddexp(running, log S[m+1, j])
-            nxt = log_sums[m + 1, j]
-            if running == -math.inf:
-                running = nxt
-            elif nxt != -math.inf:
-                if running < nxt:
-                    running, nxt = nxt, running
-                running = running + np.log1p(np.exp(nxt - running))
             if allowed[m, j]:
-                log_sums[m, j] = eta * weights[m, j] + running
+                log_sums[m, j] = eta * weights[m, j] + prefix[j]
     return log_sums
 
 
@@ -102,6 +112,24 @@ def loop_marginals(log_sums):
     return q
 
 
+def loop_log_sample_monotone(log_sums, uniforms):
+    """Exact inverse-CDF sampling in logs, one cell at a time: slot m picks the
+    first cell whose running log mass exceeds log(u_m) plus the capped total,
+    or, when roundoff leaves none, the first cell at which the running mass
+    reaches the total."""
+    m_units, d = log_sums.shape
+    indices = np.empty(m_units, dtype=np.int64)
+    cap = d - 1
+    for m in range(m_units):
+        prefix = loop_log_prefix(log_sums[m, : cap + 1])
+        total = prefix[cap]
+        threshold = math.log(uniforms[m]) + total if uniforms[m] > 0.0 else -math.inf
+        above = [j for j in range(cap + 1) if prefix[j] > threshold]
+        pick = above[0] if above else min(j for j in range(cap + 1) if prefix[j] == total)
+        indices[m] = cap = pick
+    return indices
+
+
 def kernel_parity_cases():
     """(weights, allowed, eta): random, random-masked, IR-masked, M = 1, D = 2,
     single feasible cell and 5e5-weight inputs. Cell 0 is feasible in every
@@ -141,6 +169,18 @@ def wide_spread_cases():
     # maximum sits 1,100 below the full row's.
     prefers_one = np.vstack([-ramp - 50.0 * (np.arange(d) != 1), ramp])
     return [(w, np.ones(w.shape, bool), 1.0) for w in (deep_ramp, prefers_one)]
+
+
+# Slot 0 bids 2 almost surely, so slot 1 is uniform on {0, 1, 2}; the cells
+# below 2 sit 1,000 under row 1's maximum.
+EXP_RANGE_WEIGHTS = np.array([[0.0, 0.0, 2000.0, 0.0], [0.0, 0.0, 0.0, 1000.0]])
+
+
+def wide_table(weights, allowed, estimated=False):
+    """An all-ones-valuation weight table over an even grid."""
+    m, d = weights.shape
+    kind = EstimatedWeightTable if estimated else NodeWeightTable
+    return kind(weights.copy(), allowed, make_even_grid(d), ValuationProfile(np.ones(m)))
 
 
 def zero_table(demand, grid_size):
@@ -282,19 +322,48 @@ class TestSlotMarginals:
         assert np.allclose(q.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(q >= 0.0)
 
+    def test_row_spanning_more_than_exp_range(self):
+        table = wide_table(EXP_RANGE_WEIGHTS, np.ones((2, 4), bool))
+        q = slot_marginals(compute_partial_sums(table, eta=1.0)).probs
+        assert q[0].tolist() == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-15)
+        assert q[1].tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.0], abs=1e-15)
+
+    def test_wide_spread_marginals_match_enumeration(self):
+        for weights, allowed, eta in wide_spread_cases():
+            table = wide_table(weights, allowed)
+            law = softmax_path_law(table, eta)
+            expected = enumerated_marginals(law, table.demand, table.grid.count)
+            got = slot_marginals(compute_partial_sums(table, eta)).probs
+            assert np.allclose(got, expected, atol=1e-9, rtol=1e-9)
+        prefers_one = wide_table(*wide_spread_cases()[1][:2])
+        q = slot_marginals(compute_partial_sums(prefers_one, 1.0)).probs
+        assert q[1, 1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_wide_spread_bandit_update_stays_finite(self, rng):
+        cases = [(EXP_RANGE_WEIGHTS, np.ones((2, 4), bool), 1.0)] + wide_spread_cases()
+        for weights, allowed, eta in cases:
+            table = wide_table(weights, allowed, estimated=True)
+            partial = compute_partial_sums(table, eta)
+            marginals = slot_marginals(partial)
+            for allocation in range(table.demand + 1):
+                bandit_update(table, marginals, sample_bid(partial, rng), allocation)
+                assert np.all(np.isfinite(table.weights))
+
 
 class TestKernelsMatchLoops:
     """The numpy kernels against their cell-by-cell definitions."""
 
     def test_tail_sums_match(self):
         for weights, allowed, eta in kernel_parity_cases() + wide_spread_cases():
-            got = ew_tail_sums(weights, allowed, eta)
+            got, got_prefix = ew_tail_sums(weights, allowed, eta)
             ref = loop_tail_sums(weights, allowed, eta)
-            assert np.array_equal(np.isneginf(got), np.isneginf(ref))
-            finite = ~np.isneginf(ref)
-            assert np.all(np.isfinite(got[finite]))
-            scale = np.maximum(1.0, np.abs(ref[finite]))
-            assert np.max(np.abs(got[finite] - ref[finite]) / scale) <= 1e-12
+            ref_prefix = np.array([loop_log_prefix(row) for row in ref])
+            for g, r in ((got, ref), (got_prefix, ref_prefix)):
+                assert np.array_equal(np.isneginf(g), np.isneginf(r))
+                finite = ~np.isneginf(r)
+                assert np.all(np.isfinite(g[finite]))
+                scale = np.maximum(1.0, np.abs(r[finite]))
+                assert np.max(np.abs(g[finite] - r[finite]) / scale) <= 1e-12
 
     def test_marginals_match(self):
         for weights, allowed, eta in kernel_parity_cases():
@@ -307,14 +376,40 @@ class TestKernelsMatchLoops:
     def test_sampler_draws_identical_indices(self):
         rng = np.random.default_rng(7)
         top = 1.0 - 2.0**-53
-        for weights, allowed, eta in kernel_parity_cases() + wide_spread_cases():
+        for weights, allowed, eta in kernel_parity_cases():
             log_sums = loop_tail_sums(weights, allowed, eta)
+            _, log_prefix = ew_tail_sums(weights, allowed, eta)
             m = log_sums.shape[0]
             draws = [np.zeros(m), np.full(m, top)] + [rng.random(m) for _ in range(20)]
             for uniforms in draws:
-                got = sample_monotone(log_sums, uniforms)
+                got = sample_monotone(log_prefix, uniforms)
                 assert got.tolist() == loop_sample_monotone(log_sums, uniforms).tolist()
+                assert got.tolist() == loop_log_sample_monotone(log_sums, uniforms).tolist()
                 assert np.all(np.isfinite(log_sums[np.arange(m), got]))
+        # U on a CDF breakpoint: cell 0 holds half the mass, which does not
+        # exceed U * total at U = 1/2, so both samplers take cell 1.
+        half = np.array([0.5])
+        assert loop_sample_monotone(np.zeros((1, 2)), half).tolist() == [1]
+        assert sample_monotone(np.log([[1.0, 2.0]]), half).tolist() == [1]
+
+    def test_sampler_inverts_the_exact_cdf_on_wide_rows(self):
+        # The linear-domain loop loses cells that underflow against the row
+        # maximum (at U = 0 on the deep ramp it picks [10, 7, 0]); the log
+        # oracle and the kernel keep them.
+        rng = np.random.default_rng(8)
+        top = 1.0 - 2.0**-53
+        for weights, allowed, eta in wide_spread_cases():
+            log_sums = loop_tail_sums(weights, allowed, eta)
+            _, log_prefix = ew_tail_sums(weights, allowed, eta)
+            m = log_sums.shape[0]
+            draws = [np.zeros(m), np.full(m, top)] + [rng.random(m) for _ in range(50)]
+            for uniforms in draws:
+                got = sample_monotone(log_prefix, uniforms)
+                assert got.tolist() == loop_log_sample_monotone(log_sums, uniforms).tolist()
+                assert np.all(np.isfinite(log_sums[np.arange(m), got]))
+        deep_ramp = wide_spread_cases()[0]
+        _, log_prefix = ew_tail_sums(*deep_ramp)
+        assert sample_monotone(log_prefix, np.zeros(3)).tolist() == [0, 0, 0]
 
     def test_roundoff_fallback_takes_largest_finite_cell_under_cap(self):
         # U = 1 leaves no cell whose running mass exceeds U * total.
@@ -323,9 +418,10 @@ class TestKernelsMatchLoops:
             [0.0, -np.inf, 3.0, 9.0],   # cell 3 is above the cap of 2: pick 2
             [0.0, 0.5, -np.inf, 5.0],   # cell 2 masked, cell 3 above cap: pick 1
         ])
-        assert sample_monotone(log_sums, np.ones(3)).tolist() == [2, 2, 1]
+        log_prefix = np.array([loop_log_prefix(row) for row in log_sums])
+        assert sample_monotone(log_prefix, np.ones(3)).tolist() == [2, 2, 1]
         rng = np.random.default_rng(11)
         for _ in range(200):
-            picks = sample_monotone(log_sums, rng.random(3))
+            picks = sample_monotone(log_prefix, rng.random(3))
             assert np.all(np.isfinite(log_sums[np.arange(3), picks]))
             assert np.all(np.diff(picks) <= 0)
