@@ -16,11 +16,10 @@ from .auction import (
     CompetingBids,
     TieBreak,
     ValuationProfile,
-    allocate,
     competing_bids,
-    merge_settle,
+    pool_rival_bids,
     settle,
-    slot_reward,
+    win_thresholds,
 )
 from .hindsight import (
     HindsightSolution,

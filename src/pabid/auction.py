@@ -1,11 +1,23 @@
 """Pay-as-bid auction primitives.
 
 A pay-as-bid auction sells identical units to the highest bids; each winner
-pays their own bid for every unit won. From a single bidder's perspective the
-auction reduces to slot-wise comparisons: with both the bidder's vector and
-the competing-bid vector monotone, the bidder wins slot m exactly when their
-m-th bid beats the m-th smallest of the top rival bids, and the winning slots
-always form a prefix.
+pays their own bid for every unit won. From one bidder's side the auction
+reduces to slot-wise comparisons against the competing bids: the `supply`
+largest rival bids, sorted non-decreasing, so that slot m faces the m-th
+smallest of them.
+
+Both settlement concepts are written once, on integer grid indices, in forms
+that take one round or a (T, supply) history alike:
+
+- The win rule is a per-slot threshold. `win_thresholds` gives the smallest
+  grid index that wins slot m: c_m when the bidder wins a tie against that
+  entry, c_m + 1 when it loses it. Bid j wins slot m iff j >= thr_m; a
+  threshold equal to the grid size means no grid bid wins. With a monotone
+  bid the winning slots form a prefix, and `settle` counts it.
+- The pooling rule ranks every rival entry by (index, owner priority), keeps
+  the top `supply` and pads with (0, PAD_PRIORITY) entries that lose every
+  tie. `pool_rival_bids` applies it to many rounds with one sort of integer
+  keys.
 
 Ties are broken by strict priority. The two-mode `TieBreak` rule covers the
 single-bidder-versus-environment case; multi-agent markets attach an owner
@@ -68,9 +80,10 @@ class BidVector:
         object.__setattr__(self, "indices", indices)
         if indices.ndim != 1 or indices.size == 0:
             raise ValueError("bid vector must be a non-empty vector")
-        if indices.min() < 0 or indices.max() >= self.grid.count:
+        entries = indices.tolist()
+        if min(entries) < 0 or max(entries) >= self.grid.count:
             raise ValueError("bid index outside grid")
-        if (indices[1:] > indices[:-1]).any():
+        if any(a < b for a, b in zip(entries, entries[1:])):
             raise ValueError("bids must be non-increasing")
 
     @classmethod
@@ -97,7 +110,7 @@ class CompetingBids:
     """The supply's worth of largest rival bids, sorted non-decreasing.
 
     `priorities` optionally records the owner priority of each entry; when
-    absent, ties are resolved by the `TieBreak` mode passed to `allocate`.
+    absent, ties are resolved by the `TieBreak` mode passed to `settle`.
     """
 
     indices: np.ndarray
@@ -109,9 +122,10 @@ class CompetingBids:
         object.__setattr__(self, "indices", indices)
         if indices.ndim != 1 or indices.size == 0:
             raise ValueError("competing bids must be a non-empty vector")
-        if indices.min() < 0 or indices.max() >= self.grid.count:
+        entries = indices.tolist()
+        if min(entries) < 0 or max(entries) >= self.grid.count:
             raise ValueError("competing bid index outside grid")
-        if (indices[1:] < indices[:-1]).any():
+        if any(a > b for a, b in zip(entries, entries[1:])):
             raise ValueError("competing bids must be non-decreasing")
         if self.priorities is not None:
             pri = np.asarray(self.priorities, dtype=np.int64)
@@ -161,6 +175,34 @@ class AuctionOutcome:
 PAD_PRIORITY = -(2**62)
 
 
+def pool_rival_bids(
+    rounds: int,
+    supply: int,
+    blocks: Sequence[np.ndarray],
+    owners: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top `supply` rival entries of every round, by (index, priority), ascending.
+
+    `blocks[k]` is a (rounds, width) array of bid indices owned by priority
+    `owners[k]`. Each entry becomes one integer key, index * L + rank of its
+    priority among the L distinct ones, with PAD_PRIORITY at rank 0; `supply`
+    pad keys of 0 are appended, so one sort per row puts the pooled entries
+    in its last `supply` columns. Returns (rounds, supply) indices and
+    priorities.
+    """
+    levels = sorted({PAD_PRIORITY, *owners})
+    rank = {priority: r for r, priority in enumerate(levels)}
+    width = len(levels)
+    keys = np.concatenate(
+        [np.zeros((rounds, supply), dtype=np.int64)]
+        + [block * width + rank[owner] for block, owner in zip(blocks, owners)],
+        axis=1,
+    )
+    keys.sort(axis=1)
+    indices, ranks = np.divmod(keys[:, keys.shape[1] - supply:], width)
+    return indices, np.array(levels, dtype=np.int64)[ranks]
+
+
 def competing_bids(
     rival_bids: Iterable[BidVector],
     supply: int,
@@ -172,72 +214,36 @@ def competing_bids(
     Fewer than `supply` rival bids are padded with the grid minimum at a
     priority below every real bidder, so a padded entry can never win a tie.
     """
-    entries = []  # (index, priority)
-    for r, bid in enumerate(rival_bids):
-        pri = 0 if rival_priorities is None else int(rival_priorities[r])
-        for idx in bid.indices:
-            entries.append((int(idx), pri))
-    # top `supply` by (bid, priority), then ascending for the slot ordering
-    entries.sort(reverse=True)
-    entries = entries[:supply]
-    while len(entries) < supply:
-        entries.append((0, PAD_PRIORITY))
-    entries.sort()
-    idx = np.array([e[0] for e in entries], dtype=np.int64)
-    pri = np.array([e[1] for e in entries], dtype=np.int64)
-    if rival_priorities is None:
-        # uniform priorities collapse to the two-mode tie rule, but padded
-        # entries must still lose ties against a zero bid
-        pri = np.where(pri == PAD_PRIORITY, PAD_PRIORITY, 0)
-        return CompetingBids(idx, grid, pri if np.any(pri == PAD_PRIORITY) else None)
+    rival_bids = list(rival_bids)
+    owners = [0 if rival_priorities is None else int(rival_priorities[r])
+              for r in range(len(rival_bids))]
+    idx, pri = pool_rival_bids(1, supply, [bid.indices[None, :] for bid in rival_bids], owners)
+    idx, pri = idx[0], pri[0]
+    if rival_priorities is None and not (pri == PAD_PRIORITY).any():
+        return CompetingBids(idx, grid)  # uniform priorities: the two-mode tie rule
     return CompetingBids(idx, grid, pri)
 
 
-def win_mask(
-    bid: BidVector,
-    competing: CompetingBids,
+def win_thresholds(
+    indices: np.ndarray,
+    priorities: Optional[np.ndarray],
+    demand: int,
     tie: TieBreak = TieBreak.BIDDER_WINS,
     bidder_priority: Optional[int] = None,
 ) -> np.ndarray:
-    """Per-slot win indicators; monotone inputs make this a prefix."""
-    m = bid.demand
-    if m > competing.supply:
-        raise ValueError("bidder demand exceeds supply of competing bids")
-    b = bid.indices
-    c = competing.indices[:m]
-    greater = b > c
-    equal = b == c
-    if competing.priorities is None:
-        tie_won = tie is TieBreak.BIDDER_WINS
-        return greater | (equal & tie_won)
-    rival_pri = competing.priorities[:m]
+    """Smallest winning grid index of each of the first `demand` slots.
+
+    `indices` and `priorities` hold competing bids along their last axis: one
+    round, or a (rounds, supply) history. The bidder wins a tie against a
+    rival entry of lower priority, or, without priorities, under
+    BIDDER_WINS. A threshold equal to the grid size means no grid bid wins.
+    """
+    c = indices[..., :demand]
+    if priorities is None:
+        return c + (tie is TieBreak.BIDDER_LOSES)
     if bidder_priority is None:
         bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
-    return greater | (equal & (bidder_priority > rival_pri))
-
-
-def allocate(
-    bid: BidVector,
-    competing: CompetingBids,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-    bidder_priority: Optional[int] = None,
-) -> int:
-    """Number of units won; equals the length of the winning prefix."""
-    return int(np.sum(win_mask(bid, competing, tie, bidder_priority)))
-
-
-def slot_reward(
-    valuation_m: float,
-    bid_value: float,
-    competing_value: float,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-) -> float:
-    """Utility from slot m alone: (v_m - b) if the bid wins the slot, else 0."""
-    if tie is TieBreak.BIDDER_WINS:
-        won = bid_value >= competing_value
-    else:
-        won = bid_value > competing_value
-    return (valuation_m - bid_value) if won else 0.0
+    return c + (priorities[..., :demand] >= bidder_priority)
 
 
 def settle(
@@ -249,53 +255,26 @@ def settle(
 ) -> AuctionOutcome:
     """Settle one bidder: allocation, gross reward, payment, and utility.
 
-    Scalar loops: demand is small, and this sits on the per-round hot path.
+    The allocation is the length of the prefix of slots with b_m >= thr_m,
+    counted on Python lists: demand is small, and this sits on the
+    per-round hot path.
     """
     m = bid.indices.size
     if m != valuation.values.size:
         raise ValueError("bid and valuation lengths differ")
     if m > competing.indices.size:
         raise ValueError("bidder demand exceeds supply of competing bids")
-    v = valuation.values
-    grid_values = bid.grid.values
-    b_idx = bid.indices
-    c_idx = competing.indices
-    rival_pri = competing.priorities
-    if rival_pri is None:
-        tie_won = tie is TieBreak.BIDDER_WINS
-    elif bidder_priority is None:
-        bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
-    for k in range(m):
-        if grid_values[b_idx[k]] > v[k] + VALUE_EPS:
-            raise ValueError("bid violates individual rationality")
+    values = valuation.values.tolist()
+    bid_values = bid.grid.values[bid.indices].tolist()
+    if any(b > v + VALUE_EPS for b, v in zip(bid_values, values)):
+        raise ValueError("bid violates individual rationality")
+    thresholds = win_thresholds(competing.indices, competing.priorities, m, tie,
+                                bidder_priority).tolist()
     x = 0
-    for k in range(m):
-        bi = b_idx[k]
-        ci = c_idx[k]
-        if bi > ci or (bi == ci and (tie_won if rival_pri is None
-                                     else bidder_priority > rival_pri[k])):
-            x += 1
-        else:
+    for b, threshold in zip(bid.indices.tolist(), thresholds):
+        if b < threshold:
             break  # monotone inputs: the winning slots form a prefix
-    reward = math.fsum(v[:x])
-    payment = math.fsum(grid_values[b_idx[:x]])
+        x += 1
+    reward = math.fsum(values[:x])
+    payment = math.fsum(bid_values[:x])
     return AuctionOutcome(allocation=x, utility=reward - payment, payment=payment, reward=reward)
-
-
-def merge_settle(
-    bids: Sequence[BidVector],
-    supply: int,
-) -> np.ndarray:
-    """Allocations for all bidders by the global rule: sort every submitted
-    bid descending (ties to the higher bidder index) and grant the top
-    `supply`. Reference allocator; slot-wise settlement must agree with it.
-    """
-    entries = []
-    for n, bid in enumerate(bids):
-        for idx in bid.indices:
-            entries.append((int(idx), n))
-    entries.sort(reverse=True)
-    alloc = np.zeros(len(bids), dtype=np.int64)
-    for _, n in entries[:supply]:
-        alloc[n] += 1
-    return alloc

@@ -103,7 +103,7 @@ def ix_gamma_schedule(allowed: np.ndarray, horizon: int, delta: float = 0.05) ->
 
 def compute_partial_sums(table: NodeWeightTable, eta: float) -> PartialSumTable:
     """Backward pass of the log-domain tail-sum recursion, O(M D)."""
-    if not np.all(table.allowed[:, 0]):
+    if not table.allowed[:, 0].all():
         raise ValueError("no individually rational bid exists in some layer")
     log_sums, log_prefix = _kernels.ew_tail_sums(
         np.ascontiguousarray(table.weights), np.ascontiguousarray(table.allowed), float(eta)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile
+from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, win_thresholds
 from .grids import BidGrid
 
 NEG_INF = float("-inf")
@@ -62,17 +62,17 @@ def _win_matrix(
     bidder_priority: Optional[int],
 ) -> np.ndarray:
     """Boolean (demand, D) matrix: does grid bid j win slot m this round."""
-    c = competing.indices[:demand]
-    grid_idx = np.arange(competing.grid.count)
-    greater = grid_idx[None, :] > c[:, None]
-    equal = grid_idx[None, :] == c[:, None]
-    if competing.priorities is None:
-        tie_won = tie is TieBreak.BIDDER_WINS
-        return greater | (equal & tie_won)
-    pri = competing.priorities[:demand]
-    if bidder_priority is None:
-        bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
-    return greater | (equal & (bidder_priority > pri)[:, None])
+    thresholds = win_thresholds(competing.indices, competing.priorities, demand, tie,
+                                bidder_priority)
+    return np.arange(competing.grid.count) >= thresholds[:, None]
+
+
+def _weight_table(valuation: ValuationProfile, wins: np.ndarray, grid: BidGrid) -> NodeWeightTable:
+    """W[m, j] = wins[m, j] * (v_m - B_j) from exact integer win counts."""
+    weights = wins * (valuation.values[:, None] - grid.values[None, :])
+    allowed = valuation.ir_mask(grid)
+    weights[~allowed] = 0.0
+    return NodeWeightTable(weights=weights, allowed=allowed, grid=grid, valuation=valuation)
 
 
 def accumulate_weights(
@@ -82,17 +82,18 @@ def accumulate_weights(
     tie: TieBreak = TieBreak.BIDDER_WINS,
     bidder_priority: Optional[int] = None,
 ) -> NodeWeightTable:
-    """Sum per-slot rewards of every (unit, bid) cell across the history."""
+    """Sum per-slot rewards of every (unit, bid) cell across the history.
+
+    Wins are counted round by round and multiplied by the margin once, so
+    the table equals `accumulate_weights_history` bit for bit.
+    """
     m = valuation.demand
-    weights = np.zeros((m, grid.count))
-    margin = valuation.values[:, None] - grid.values[None, :]
+    wins = np.zeros((m, grid.count), dtype=np.int64)
     for competing in history:
         if competing.supply < m:
             raise ValueError("competing bids shorter than bidder demand")
-        weights += _win_matrix(competing, m, tie, bidder_priority) * margin
-    allowed = valuation.ir_mask(grid)
-    weights[~allowed] = 0.0
-    return NodeWeightTable(weights=weights, allowed=allowed, grid=grid, valuation=valuation)
+        wins += _win_matrix(competing, m, tie, bidder_priority)
+    return _weight_table(valuation, wins, grid)
 
 
 def accumulate_weights_history(
@@ -105,9 +106,9 @@ def accumulate_weights_history(
 ) -> NodeWeightTable:
     """Vectorized table build from a (T, supply) matrix of competing-bid indices.
 
-    Counting form of `accumulate_weights`: W[m, j] = (#rounds slot m is won
-    at bid j) * (v_m - B_j), computed with one bincount per slot, O(T + D)
-    per slot instead of O(T D).
+    Counting form of `accumulate_weights`: bid j wins slot m in every round
+    whose threshold is at most j, so one bincount of the slot-offset
+    thresholds and a running sum give every win count in O(T M + M D).
     """
     comp_indices = np.asarray(comp_indices, dtype=np.int64)
     if comp_indices.ndim != 2:
@@ -116,23 +117,12 @@ def accumulate_weights_history(
     if comp_indices.shape[1] < m:
         raise ValueError("competing bids shorter than bidder demand")
     d = grid.count
-    if bidder_priority is None:
-        bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
-    weights = np.zeros((m, d))
-    for slot in range(m):
-        c = comp_indices[:, slot]
-        counts = np.bincount(c, minlength=d).astype(float)
-        beaten = np.concatenate([[0.0], np.cumsum(counts)[:-1]])  # rounds with c < j
-        if comp_priorities is None:
-            tie_wins = np.full(c.shape, tie is TieBreak.BIDDER_WINS)
-        else:
-            tie_wins = bidder_priority > comp_priorities[:, slot]
-        tie_counts = np.bincount(c[tie_wins], minlength=d).astype(float)
-        won_rounds = beaten + tie_counts
-        weights[slot] = won_rounds * (valuation.values[slot] - grid.values)
-    allowed = valuation.ir_mask(grid)
-    weights[~allowed] = 0.0
-    return NodeWeightTable(weights=weights, allowed=allowed, grid=grid, valuation=valuation)
+    thresholds = win_thresholds(comp_indices, comp_priorities, m, tie, bidder_priority)
+    # thresholds lie in [0, D]; D (nothing wins) gets its own column, dropped
+    offsets = np.arange(m) * (d + 1)
+    counts = np.bincount((thresholds + offsets).ravel(), minlength=m * (d + 1))
+    wins = np.cumsum(counts.reshape(m, d + 1), axis=1)[:, :d]
+    return _weight_table(valuation, wins, grid)
 
 
 def hindsight_optimal(table: NodeWeightTable) -> HindsightSolution:
@@ -144,7 +134,7 @@ def hindsight_optimal(table: NodeWeightTable) -> HindsightSolution:
     optimal vector (matching `brute_force_optimal` exactly).
     """
     m_units, d = table.weights.shape
-    if not np.all(table.allowed[:, 0]):
+    if not table.allowed[:, 0].all():
         raise ValueError("grid minimum must be individually rational in every layer")
     # u_next[b] = U_{m+1}(b); candidates c[b'] = W_m(b') + U_{m+1}(b')
     u_levels = np.zeros((m_units + 1, d))

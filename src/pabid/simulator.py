@@ -5,6 +5,13 @@ agent is settled against the pooled rival bids (learner agents plus an
 optional exogenous environment), and feedback is dispatched according to
 each agent's mode. Everything that happened is captured in a `RunLog` that
 can be replayed, persisted, and scored for regret, welfare, and revenue.
+
+`play` pools each round's bids with one sort of (index, owner) pairs; agent
+n's competing bids are the first `supply` of them that n does not own. After
+the run, the log is scored over all T rounds at once: `competing_history`
+applies the same pooling rule with `pool_rival_bids`, the regret table
+counts wins from the per-slot thresholds of `win_thresholds`, and the market
+metrics read each agent's winning and losing bids as whole columns.
 """
 from __future__ import annotations
 
@@ -20,9 +27,8 @@ from .auction import (
     PAD_PRIORITY,
     CompetingBids,
     BidVector,
-    TieBreak,
     ValuationProfile,
-    competing_bids,
+    pool_rival_bids,
     settle,
 )
 from .grids import BidGrid
@@ -67,28 +73,12 @@ class RunLog:
 
     def competing_history(self, agent: int) -> tuple[np.ndarray, np.ndarray]:
         """(T, supply) competing-bid indices and owner priorities for one agent."""
-        t_rounds = self.rounds
-        comp_idx = np.empty((t_rounds, self.supply), dtype=np.int64)
-        comp_pri = np.empty((t_rounds, self.supply), dtype=np.int64)
-        env_priority = ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY
-        for t in range(t_rounds):
-            entries = []
-            for n in range(self.num_agents):
-                if n == agent:
-                    continue
-                for idx in self.bids[n][t]:
-                    entries.append((int(idx), n))
-            if self.env_bids is not None:
-                for idx in self.env_bids[t]:
-                    entries.append((int(idx), env_priority))
-            entries.sort(reverse=True)
-            entries = entries[: self.supply]
-            while len(entries) < self.supply:
-                entries.append((0, PAD_PRIORITY))
-            entries.sort()
-            comp_idx[t] = [e[0] for e in entries]
-            comp_pri[t] = [e[1] for e in entries]
-        return comp_idx, comp_pri
+        blocks = [self.bids[n] for n in range(self.num_agents) if n != agent]
+        owners = [n for n in range(self.num_agents) if n != agent]
+        if self.env_bids is not None:
+            blocks.append(self.env_bids)
+            owners.append(ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY)
+        return pool_rival_bids(self.rounds, self.supply, blocks, owners)
 
     def replay_matches(self) -> bool:
         """Re-settle every logged bid and compare with the logged outcomes."""
@@ -105,6 +95,15 @@ class RunLog:
                     return False
         return True
 
+    def _as_lists(self) -> tuple:
+        """Bids, allocations, utilities, payments and environment bids as Python lists.
+
+        Serializers read these once per call instead of indexing numpy per cell.
+        """
+        env_rows = self.env_bids.tolist() if self.env_bids is not None else None
+        return ([rows.tolist() for rows in self.bids], self.allocations.tolist(),
+                self.utilities.tolist(), self.payments.tolist(), env_rows)
+
     def to_csv_text(self) -> str:
         """Fixed column order: t, agent, bid_1..bid_Mmax, allocation, utility, payment.
 
@@ -117,35 +116,38 @@ class RunLog:
             max_m = max(max_m, self.supply)
         lines = ["t,agent," + ",".join(f"bid_{m+1}" for m in range(max_m))
                  + ",allocation,utility,payment"]
+        reprs = [repr(v) for v in self.grid.values.tolist()]
+        blanks = [","] * max_m
+        bids, allocations, utilities, payments, env_rows = self._as_lists()
         for t in range(self.rounds):
-            for n in range(self.num_agents):
-                vals = self.grid.values[self.bids[n][t]]
-                cells = [repr(float(v)) for v in vals] + [""] * (max_m - vals.size)
-                lines.append(
-                    f"{t},{n}," + ",".join(cells)
-                    + f",{self.allocations[t, n]},{float(self.utilities[t, n])!r},{float(self.payments[t, n])!r}"
-                )
-            if self.env_bids is not None:
-                vals = self.grid.values[self.env_bids[t]][::-1]  # report non-increasing
-                cells = [repr(float(v)) for v in vals] + [""] * (max_m - vals.size)
-                lines.append(f"{t},-1," + ",".join(cells) + ",0,0.0,0.0")
+            for n, agent_bids in enumerate(bids):
+                row = agent_bids[t]
+                lines.append(f"{t},{n}," + ",".join([reprs[j] for j in row])
+                             + "".join(blanks[len(row):])
+                             + f",{allocations[t][n]},{utilities[t][n]!r},{payments[t][n]!r}")
+            if env_rows is not None:
+                row = env_rows[t][::-1]  # report non-increasing
+                lines.append(f"{t},-1," + ",".join([reprs[j] for j in row])
+                             + "".join(blanks[len(row):]) + ",0,0.0,0.0")
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
+        values = self.grid.values.tolist()
+        bids, allocations, utilities, payments, env_rows = self._as_lists()
         rows = []
         for t in range(self.rounds):
-            for n in range(self.num_agents):
+            for n, agent_bids in enumerate(bids):
                 rows.append({
                     "t": t, "agent": n,
-                    "bids": [float(v) for v in self.grid.values[self.bids[n][t]]],
-                    "allocation": int(self.allocations[t, n]),
-                    "utility": float(self.utilities[t, n]),
-                    "payment": float(self.payments[t, n]),
+                    "bids": [values[j] for j in agent_bids[t]],
+                    "allocation": allocations[t][n],
+                    "utility": utilities[t][n],
+                    "payment": payments[t][n],
                 })
-            if self.env_bids is not None:
+            if env_rows is not None:
                 rows.append({
                     "t": t, "agent": -1,
-                    "bids": [float(v) for v in self.grid.values[self.env_bids[t]][::-1]],
+                    "bids": [values[j] for j in env_rows[t][::-1]],
                     "allocation": 0, "utility": 0.0, "payment": 0.0,
                 })
         return json.dumps({"seed": self.seed, "rows": rows}, sort_keys=True,
@@ -246,32 +248,23 @@ class SelfPlayMarket:
         env_priority = ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY
         full_info = [_learner_wants_full_info(learner) for learner in self.learners]
 
+        pad = [(0, PAD_PRIORITY)] * self.supply
         for t in range(rounds):
             proposals = [learner.propose() for learner in self.learners]
+            entries = [(j, r) for r, bid in enumerate(proposals) for j in bid.indices.tolist()]
             env_draw = self.environment.draw(t) if self.environment is not None else None
             if env_draw is not None:
                 env_bids[t] = env_draw.indices
+                entries += [(j, env_priority) for j in env_draw.indices.tolist()]
+            entries.sort(reverse=True)  # one pool per round, by (index, owner priority)
             round_alloc = 0
             for n, learner in enumerate(self.learners):
-                entries = []
-                for r, bid in enumerate(proposals):
-                    if r == n:
-                        continue
-                    for idx in bid.indices:
-                        entries.append((int(idx), r))
-                if env_draw is not None:
-                    for idx in env_draw.indices:
-                        entries.append((int(idx), env_priority))
-                entries.sort(reverse=True)
-                entries = entries[: self.supply]
-                while len(entries) < self.supply:
-                    entries.append((0, PAD_PRIORITY))
-                entries.sort()
-                competing = CompetingBids(
-                    np.array([e[0] for e in entries], dtype=np.int64),
-                    self.grid,
-                    np.array([e[1] for e in entries], dtype=np.int64),
-                )
+                pool = [e for e in entries if e[1] != n][: self.supply]
+                pool += pad[len(pool):]
+                pool.reverse()  # ascending, padding first
+                idx, pri = zip(*pool)
+                competing = CompetingBids(np.array(idx, dtype=np.int64), self.grid,
+                                          np.array(pri, dtype=np.int64))
                 outcome = settle(self.valuations[n], proposals[n], competing,
                                  bidder_priority=n)
                 bids[n][t] = proposals[n].indices
@@ -348,9 +341,9 @@ def regret_report(log: RunLog, agent: int) -> RegretReport:
 def market_metrics(log: RunLog, valuations: Optional[Sequence[ValuationProfile]] = None) -> MarketMetrics:
     """Welfare, revenue, and bid-ratio series for a multi-agent log."""
     valuations = list(valuations) if valuations is not None else log.valuations
-    t_rounds, n_agents = log.allocations.shape
-    welfare = np.array([math.fsum(log.rewards[t]) for t in range(t_rounds)])
-    revenue = np.array([math.fsum(log.payments[t]) for t in range(t_rounds)])
+    t_rounds = log.rounds
+    welfare = np.array(list(map(math.fsum, log.rewards.tolist())), dtype=float)
+    revenue = np.array(list(map(math.fsum, log.payments.tolist())), dtype=float)
     total_utility = welfare - revenue
 
     pooled = np.sort(np.concatenate([v.values for v in valuations]))[::-1]
@@ -360,24 +353,28 @@ def market_metrics(log: RunLog, valuations: Optional[Sequence[ValuationProfile]]
     cum_welfare = np.cumsum(welfare) / steps
     cum_revenue = np.cumsum(revenue) / steps
 
+    # Per round over all agents: the largest and smallest winning bid and
+    # the largest losing bid. Bids are non-increasing, so per agent these are
+    # its first bid and the bids just before and at its allocation.
+    top = np.full(t_rounds, -np.inf)
+    bottom = np.full(t_rounds, np.inf)
+    worst_losing = np.full(t_rounds, -np.inf)
+    rows = np.arange(t_rounds)
+    for n, agent_bids in enumerate(log.bids):
+        x = log.allocations[:, n]
+        vals = log.grid.values[agent_bids]
+        demand = vals.shape[1]
+        won, lost = x > 0, x < demand
+        top = np.maximum(top, np.where(won, vals[:, 0], -np.inf))
+        bottom = np.minimum(bottom, np.where(won, vals[rows, np.maximum(x - 1, 0)], np.inf))
+        worst_losing = np.maximum(
+            worst_losing, np.where(lost, vals[rows, np.minimum(x, demand - 1)], -np.inf))
+    spread = (bottom > 0.0) & (bottom < np.inf)  # some bid won, at a positive price
+    gap = spread & (worst_losing > 0.0)
     win_spread = np.full(t_rounds, np.nan)
     price_gap = np.full(t_rounds, np.nan)
-    for t in range(t_rounds):
-        winning: list[float] = []
-        losing: list[float] = []
-        for n in range(n_agents):
-            x = int(log.allocations[t, n])
-            vals = log.grid.values[log.bids[n][t]]
-            winning.extend(vals[:x])
-            losing.extend(vals[x:])
-        if winning:
-            top, bottom = max(winning), min(winning)
-            if bottom > 0.0:
-                win_spread[t] = math.log2(top / bottom)
-            if losing:
-                worst_losing = max(losing)
-                if worst_losing > 0.0 and bottom > 0.0:
-                    price_gap[t] = math.log2(bottom / worst_losing)
+    win_spread[spread] = list(map(math.log2, (top[spread] / bottom[spread]).tolist()))
+    price_gap[gap] = list(map(math.log2, (bottom[gap] / worst_losing[gap]).tolist()))
     scale = max_welfare if max_welfare > 0 else 1.0
     return MarketMetrics(
         welfare=welfare,

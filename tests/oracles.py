@@ -1,0 +1,158 @@
+"""Reference forms of the settlement rules, written as plain loops.
+
+The library settles with per-slot win thresholds and pools rival bids with
+one sort of integer keys. These loops state the same rules the long way:
+entry by entry, round by round, agent by agent. Tests check the library
+against them.
+"""
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from pabid.auction import PAD_PRIORITY, BidVector, CompetingBids, TieBreak, ValuationProfile
+from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, MarketMetrics, RunLog
+
+
+def win_mask(
+    bid: BidVector,
+    competing: CompetingBids,
+    tie: TieBreak = TieBreak.BIDDER_WINS,
+    bidder_priority: Optional[int] = None,
+) -> np.ndarray:
+    """Per-slot win indicators; monotone inputs make this a prefix."""
+    m = bid.demand
+    if m > competing.supply:
+        raise ValueError("bidder demand exceeds supply of competing bids")
+    b = bid.indices
+    c = competing.indices[:m]
+    greater = b > c
+    equal = b == c
+    if competing.priorities is None:
+        tie_won = tie is TieBreak.BIDDER_WINS
+        return greater | (equal & tie_won)
+    rival_pri = competing.priorities[:m]
+    if bidder_priority is None:
+        bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
+    return greater | (equal & (bidder_priority > rival_pri))
+
+
+def allocate(
+    bid: BidVector,
+    competing: CompetingBids,
+    tie: TieBreak = TieBreak.BIDDER_WINS,
+    bidder_priority: Optional[int] = None,
+) -> int:
+    """Number of units won; equals the length of the winning prefix."""
+    return int(np.sum(win_mask(bid, competing, tie, bidder_priority)))
+
+
+def slot_reward(
+    valuation_m: float,
+    bid_value: float,
+    competing_value: float,
+    tie: TieBreak = TieBreak.BIDDER_WINS,
+) -> float:
+    """Utility from slot m alone: (v_m - b) if the bid wins the slot, else 0."""
+    if tie is TieBreak.BIDDER_WINS:
+        won = bid_value >= competing_value
+    else:
+        won = bid_value > competing_value
+    return (valuation_m - bid_value) if won else 0.0
+
+
+def merge_settle(
+    bids: Sequence[BidVector],
+    supply: int,
+) -> np.ndarray:
+    """Allocations for all bidders by the global rule: sort every submitted
+    bid descending (ties to the higher bidder index) and grant the top
+    `supply`. Slot-wise settlement must agree with it.
+    """
+    entries = []
+    for n, bid in enumerate(bids):
+        for idx in bid.indices:
+            entries.append((int(idx), n))
+    entries.sort(reverse=True)
+    alloc = np.zeros(len(bids), dtype=np.int64)
+    for _, n in entries[:supply]:
+        alloc[n] += 1
+    return alloc
+
+
+def loop_competing_history(log: RunLog, agent: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, supply) competing-bid indices and owner priorities, one round at a time."""
+    t_rounds = log.rounds
+    comp_idx = np.empty((t_rounds, log.supply), dtype=np.int64)
+    comp_pri = np.empty((t_rounds, log.supply), dtype=np.int64)
+    env_priority = ENV_WINS_PRIORITY if log.env_wins_ties else ENV_LOSES_PRIORITY
+    for t in range(t_rounds):
+        entries = []
+        for n in range(log.num_agents):
+            if n == agent:
+                continue
+            for idx in log.bids[n][t]:
+                entries.append((int(idx), n))
+        if log.env_bids is not None:
+            for idx in log.env_bids[t]:
+                entries.append((int(idx), env_priority))
+        entries.sort(reverse=True)
+        entries = entries[: log.supply]
+        while len(entries) < log.supply:
+            entries.append((0, PAD_PRIORITY))
+        entries.sort()
+        comp_idx[t] = [e[0] for e in entries]
+        comp_pri[t] = [e[1] for e in entries]
+    return comp_idx, comp_pri
+
+
+def loop_market_metrics(
+    log: RunLog, valuations: Optional[Sequence[ValuationProfile]] = None,
+) -> MarketMetrics:
+    """Welfare, revenue, and bid-ratio series, one (round, agent) at a time."""
+    valuations = list(valuations) if valuations is not None else log.valuations
+    t_rounds, n_agents = log.allocations.shape
+    welfare = np.array([math.fsum(log.rewards[t]) for t in range(t_rounds)])
+    revenue = np.array([math.fsum(log.payments[t]) for t in range(t_rounds)])
+    total_utility = welfare - revenue
+
+    pooled = np.sort(np.concatenate([v.values for v in valuations]))[::-1]
+    max_welfare = float(math.fsum(pooled[: log.supply]))
+
+    steps = np.arange(1, t_rounds + 1)
+    cum_welfare = np.cumsum(welfare) / steps
+    cum_revenue = np.cumsum(revenue) / steps
+
+    win_spread = np.full(t_rounds, np.nan)
+    price_gap = np.full(t_rounds, np.nan)
+    for t in range(t_rounds):
+        winning: list[float] = []
+        losing: list[float] = []
+        for n in range(n_agents):
+            x = int(log.allocations[t, n])
+            vals = log.grid.values[log.bids[n][t]]
+            winning.extend(vals[:x])
+            losing.extend(vals[x:])
+        if winning:
+            top, bottom = max(winning), min(winning)
+            if bottom > 0.0:
+                win_spread[t] = math.log2(top / bottom)
+            if losing:
+                worst_losing = max(losing)
+                if worst_losing > 0.0 and bottom > 0.0:
+                    price_gap[t] = math.log2(bottom / worst_losing)
+    scale = max_welfare if max_welfare > 0 else 1.0
+    return MarketMetrics(
+        welfare=welfare,
+        revenue=revenue,
+        total_utility=total_utility,
+        max_welfare=max_welfare,
+        normalized_welfare=welfare / scale,
+        normalized_revenue=revenue / scale,
+        cumulative_average_welfare=cum_welfare,
+        cumulative_average_revenue=cum_revenue,
+        log2_win_spread=win_spread,
+        log2_price_gap=price_gap,
+    )

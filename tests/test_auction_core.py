@@ -11,13 +11,12 @@ from pabid import (
     CompetingBids,
     TieBreak,
     ValuationProfile,
-    allocate,
     competing_bids,
     make_even_grid,
-    merge_settle,
     settle,
-    slot_reward,
 )
+
+from oracles import allocate, merge_settle, slot_reward, win_mask
 
 
 class TestBidGrid:
@@ -210,8 +209,6 @@ class TestSettle:
 
 class TestInvariants:
     def test_prefix_allocation(self, rng):
-        from pabid.auction import win_mask
-
         grid = make_even_grid(6)
         for _ in range(200):
             m = int(rng.integers(1, 5))

@@ -9,17 +9,16 @@ from pabid import (
     LearnerConfig,
     TieBreak,
     ValuationProfile,
-    allocate,
     bandit_update,
     compute_partial_sums,
     make_even_grid,
     sample_bid,
     slot_marginals,
-    slot_reward,
 )
 from pabid.exp_weights import EstimatedWeightTable
 
 from conftest import random_valuation, random_weight_table
+from oracles import allocate, slot_reward
 
 
 def make_estimated(table):
