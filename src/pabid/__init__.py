@@ -24,27 +24,21 @@ from .auction import (
 from .hindsight import (
     HindsightSolution,
     NodeWeightTable,
-    accumulate_weights,
     accumulate_weights_history,
-    brute_force_optimal,
     hindsight_optimal,
 )
 from .exp_weights import (
-    ContextualExpWeightsBidder,
-    EstimatedWeightTable,
     ExpWeightsBidder,
     FeedbackMode,
     LearnerConfig,
     PartialSumTable,
     SlotMarginals,
-    Trajectory,
     bandit_update,
     compute_partial_sums,
     eta_schedule,
     full_info_update,
     ix_gamma_schedule,
     path_log_probability,
-    run_ew,
     sample_bid,
     slot_marginals,
 )
@@ -56,13 +50,11 @@ from .mirror_descent import (
     omd_eta_schedule,
     project_to_Q,
     q_membership,
-    run_omd,
     sample_from_marginals,
     unconstrained_step,
     unnormalized_kl,
 )
 from .adversaries import (
-    CallbackAdversary,
     LowerBoundInstance,
     StochasticAdversary,
     lower_bound_instance,

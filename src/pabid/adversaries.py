@@ -3,17 +3,16 @@
 Three kinds ship with the library: i.i.d. stochastic distributions over a
 finite support, the two-point family used to exhibit the sqrt(T) learning
 barrier, and self-play markets where every rival is itself a learner.
-Arbitrary history-dependent behaviour plugs in through a callback.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .auction import CompetingBids, BidVector
+from .auction import CompetingBids
 from .grids import BidGrid, make_even_grid
 
 _CHUNK = 4096
@@ -62,25 +61,6 @@ class StochasticAdversary:
 
     def draw(self, t: int) -> CompetingBids:
         return self.support[self.pick(t)]
-
-
-class CallbackAdversary:
-    """Adaptive environment: competing bids as a function of the bid history.
-
-    The callback receives (t, play_history) where play_history lists the
-    learner's past bid vectors (rounds strictly before t), matching the
-    information an adaptive adversary is allowed to use.
-    """
-
-    def __init__(self, fn: Callable[[int, list[BidVector]], CompetingBids]):
-        self.fn = fn
-        self.history: list[BidVector] = []
-
-    def draw(self, t: int) -> CompetingBids:
-        return self.fn(t, self.history)
-
-    def notify(self, bid: BidVector) -> None:
-        self.history.append(bid)
 
 
 @dataclass(frozen=True)
@@ -135,14 +115,6 @@ class LowerBoundInstance:
         low, high = self.support_vectors(grid)
         p = self.low_probability
         return StochasticAdversary([low, high], [p, 1.0 - p], seed=self.seed)
-
-    def candidate_bids(self, grid: Optional[BidGrid] = None) -> tuple[BidVector, BidVector]:
-        """The two candidate optima: the all-zero and the all-price vectors."""
-        grid = grid or self.default_grid()
-        c_idx = grid.index_of(self.price)
-        all_zero = BidVector(np.zeros(self.demand, dtype=np.int64), grid)
-        all_price = BidVector(np.full(self.demand, c_idx, dtype=np.int64), grid)
-        return all_zero, all_price
 
     def expected_total_utility(self, price_slots: int, horizon: int, variant: Optional[str] = None) -> float:
         """Closed-form expected cumulative utility of a fixed bid with

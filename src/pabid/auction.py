@@ -146,17 +146,16 @@ class CompetingBids:
         return self.grid.values[self.indices]
 
 
-def trusted_bid(indices: np.ndarray, grid: BidGrid) -> BidVector:
-    """Construct a BidVector without re-validating invariants.
+def trusted(cls, indices: np.ndarray, grid: BidGrid, **fields):
+    """Construct a BidVector or CompetingBids without re-validating invariants.
 
-    Internal fast path for samplers whose output is monotone and grid-valued
-    by construction; everything else should go through the regular
-    constructor.
+    Internal fast path for the samplers and the market's per-round rival
+    pool, whose rows are sorted and grid-valued by construction; everything
+    else should go through the regular constructor.
     """
-    bid = object.__new__(BidVector)
-    object.__setattr__(bid, "indices", indices)
-    object.__setattr__(bid, "grid", grid)
-    return bid
+    obj = object.__new__(cls)
+    obj.__dict__.update(indices=indices, grid=grid, **fields)
+    return obj
 
 
 @dataclass(frozen=True)

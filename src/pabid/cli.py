@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .auction import CompetingBids, TieBreak, ValuationProfile
+from .auction import TieBreak, ValuationProfile
 from .grids import make_even_grid
 from .hindsight import accumulate_weights_history, hindsight_optimal
 from .scenario import Scenario, ScenarioError, canonical_hash, load_scenario
@@ -180,7 +180,7 @@ def cmd_hindsight(args) -> int:
         if valuation.demand > next(iter(widths)):
             print("error: valuation longer than competing-bid rows", file=sys.stderr)
             return 2
-        comp = np.array([[grid.index_of(v) for v in row] for row in rows], dtype=np.int64)
+        comp = grid.indices_of(rows)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ computing utilities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +37,21 @@ class BidGrid:
 
     def index_of(self, value: float) -> int:
         """Exact grid index of `value`; raises if not a grid point."""
-        idx = int(np.argmin(np.abs(self.values - value)))
-        if abs(self.values[idx] - value) > VALUE_EPS:
-            raise ValueError(f"{value} is not a grid value")
-        return idx
+        return int(self.indices_of([value])[0])
 
     def indices_of(self, values) -> np.ndarray:
-        return np.array([self.index_of(v) for v in np.asarray(values, dtype=float)], dtype=np.int64)
+        """Exact grid indices of an array of values; raises on the first off the grid.
+
+        Each value maps to its nearest grid point (the lower one at a
+        midpoint), which must lie within VALUE_EPS of it.
+        """
+        values = np.asarray(values, dtype=float)
+        grid = self.values
+        idx = np.searchsorted(0.5 * (grid[1:] + grid[:-1]), values)
+        off = ~(np.abs(grid[idx] - values) <= VALUE_EPS)  # NaN is off the grid
+        if off.any():
+            raise ValueError(f"{values[off][0]} is not a grid value")
+        return idx.astype(np.int64)
 
     def __len__(self) -> int:
         return self.count

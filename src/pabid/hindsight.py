@@ -5,14 +5,12 @@ the optimum is a maximum-weight monotone path through a layered graph: one
 layer per unit, one node per (unit, grid bid), with an edge from (m, b) to
 (m+1, b') whenever b' <= b and both cells are individually rational. A
 backward pass of running prefix maxima solves it in O(M D) per layer with
-O(M D) space; an exhaustive enumerator doubles as the test oracle.
+O(M D) space.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -20,9 +18,6 @@ from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, win_t
 from .grids import BidGrid
 
 NEG_INF = float("-inf")
-
-# Refuse enumeration beyond this many monotone grid vectors.
-BRUTE_FORCE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -67,35 +62,6 @@ def _win_matrix(
     return np.arange(competing.grid.count) >= thresholds[:, None]
 
 
-def _weight_table(valuation: ValuationProfile, wins: np.ndarray, grid: BidGrid) -> NodeWeightTable:
-    """W[m, j] = wins[m, j] * (v_m - B_j) from exact integer win counts."""
-    weights = wins * (valuation.values[:, None] - grid.values[None, :])
-    allowed = valuation.ir_mask(grid)
-    weights[~allowed] = 0.0
-    return NodeWeightTable(weights=weights, allowed=allowed, grid=grid, valuation=valuation)
-
-
-def accumulate_weights(
-    valuation: ValuationProfile,
-    history: Iterable[CompetingBids],
-    grid: BidGrid,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-    bidder_priority: Optional[int] = None,
-) -> NodeWeightTable:
-    """Sum per-slot rewards of every (unit, bid) cell across the history.
-
-    Wins are counted round by round and multiplied by the margin once, so
-    the table equals `accumulate_weights_history` bit for bit.
-    """
-    m = valuation.demand
-    wins = np.zeros((m, grid.count), dtype=np.int64)
-    for competing in history:
-        if competing.supply < m:
-            raise ValueError("competing bids shorter than bidder demand")
-        wins += _win_matrix(competing, m, tie, bidder_priority)
-    return _weight_table(valuation, wins, grid)
-
-
 def accumulate_weights_history(
     valuation: ValuationProfile,
     comp_indices: np.ndarray,
@@ -104,11 +70,12 @@ def accumulate_weights_history(
     tie: TieBreak = TieBreak.BIDDER_WINS,
     bidder_priority: Optional[int] = None,
 ) -> NodeWeightTable:
-    """Vectorized table build from a (T, supply) matrix of competing-bid indices.
+    """Cumulative per-slot utilities from a (T, supply) matrix of competing-bid indices.
 
-    Counting form of `accumulate_weights`: bid j wins slot m in every round
-    whose threshold is at most j, so one bincount of the slot-offset
-    thresholds and a running sum give every win count in O(T M + M D).
+    W[m, j] = (#rounds bid j wins slot m) * (v_m - B_j). Bid j wins slot m in
+    every round whose threshold is at most j, so one bincount of the
+    slot-offset thresholds and a running sum give every win count in
+    O(T M + M D).
     """
     comp_indices = np.asarray(comp_indices, dtype=np.int64)
     if comp_indices.ndim != 2:
@@ -122,7 +89,10 @@ def accumulate_weights_history(
     offsets = np.arange(m) * (d + 1)
     counts = np.bincount((thresholds + offsets).ravel(), minlength=m * (d + 1))
     wins = np.cumsum(counts.reshape(m, d + 1), axis=1)[:, :d]
-    return _weight_table(valuation, wins, grid)
+    weights = wins * (valuation.values[:, None] - grid.values[None, :])
+    allowed = valuation.ir_mask(grid)
+    weights[~allowed] = 0.0
+    return NodeWeightTable(weights=weights, allowed=allowed, grid=grid, valuation=valuation)
 
 
 def hindsight_optimal(table: NodeWeightTable) -> HindsightSolution:
@@ -131,7 +101,7 @@ def hindsight_optimal(table: NodeWeightTable) -> HindsightSolution:
     Backward pass: U_m(b) = max_{b' <= b} W_m(b') + U_{m+1}(b'), computed as a
     running prefix maximum. Forward pass re-derives the argmax chain, taking
     the smallest bid on ties so the result is the lexicographically smallest
-    optimal vector (matching `brute_force_optimal` exactly).
+    optimal vector.
     """
     m_units, d = table.weights.shape
     if not table.allowed[:, 0].all():
@@ -155,54 +125,3 @@ def hindsight_optimal(table: NodeWeightTable) -> HindsightSolution:
         indices[m] = cap
     return HindsightSolution(bid=BidVector(indices, table.grid), total_utility=total)
 
-
-def iter_monotone_indices(demand: int, grid_size: int):
-    """All non-increasing index vectors of the given length, ascending lexicographically."""
-    for combo in itertools.combinations_with_replacement(range(grid_size), demand):
-        yield np.array(combo[::-1], dtype=np.int64)
-
-
-def monotone_vector_count(demand: int, grid_size: int) -> int:
-    return math.comb(grid_size + demand - 1, demand)
-
-
-def path_utility(table: NodeWeightTable, indices: Sequence[int]) -> float:
-    """Total weight of a monotone index vector, summed deepest slot first.
-
-    The right-to-left order reproduces the DP's accumulation exactly, so
-    enumeration and DP agree bit for bit and break ties identically.
-    """
-    total = 0.0
-    for m in range(len(indices) - 1, -1, -1):
-        if not table.allowed[m, indices[m]]:
-            return NEG_INF
-        total = table.weights[m, indices[m]] + total
-    return total
-
-
-def brute_force_optimal(
-    valuation: ValuationProfile,
-    history: Iterable[CompetingBids],
-    grid: BidGrid,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-    bidder_priority: Optional[int] = None,
-    cap: int = BRUTE_FORCE_CAP,
-) -> HindsightSolution:
-    """Exhaustive maximizer over all monotone IR grid vectors (test oracle)."""
-    count = monotone_vector_count(valuation.demand, grid.count)
-    if count > cap:
-        raise ValueError(f"{count} candidate vectors exceed the enumeration cap {cap}")
-    table = accumulate_weights(valuation, history, grid, tie, bidder_priority)
-    best_idx = None
-    best_util = NEG_INF
-    for indices in iter_monotone_indices(valuation.demand, grid.count):
-        util = path_utility(table, indices)
-        if util == NEG_INF:
-            continue
-        if util > best_util or (util == best_util and best_idx is not None
-                                and tuple(indices) < tuple(best_idx)):
-            best_util = util
-            best_idx = indices
-    if best_idx is None:
-        raise ValueError("no individually rational bid vector exists")
-    return HindsightSolution(bid=BidVector(best_idx, grid), total_utility=float(best_util))

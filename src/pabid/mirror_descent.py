@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import project_dual_ascent
-from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, trusted_bid
-from .exp_weights import FeedbackMode, ix_gamma_schedule
+from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, trusted
+from .exp_weights import FeedbackMode, estimator_offsets
 from .grids import BidGrid
 from .hindsight import _win_matrix
 
@@ -165,7 +165,7 @@ def sample_from_marginals(q: np.ndarray, rng: np.random.Generator, grid: BidGrid
     cdf = np.cumsum(q, axis=1)
     threshold = rng.random() * cdf[:, -1:]
     indices = np.minimum.accumulate(np.count_nonzero(cdf <= threshold, axis=1))
-    return trusted_bid(indices, grid)
+    return trusted(BidVector, indices, grid)
 
 
 def omd_eta_schedule(mode: FeedbackMode, grid_size: int, horizon: int) -> float:
@@ -198,11 +198,8 @@ class OmdBidder:
         self.mode = mode
         self.eta = eta if eta is not None else omd_eta_schedule(mode, grid.count, horizon)
         self.allowed = np.ascontiguousarray(valuation.ir_mask(grid))
-        if mode is FeedbackMode.BANDIT_IX:
-            self.gamma = (np.full(valuation.demand, float(gamma)) if gamma is not None
-                          else ix_gamma_schedule(self.allowed, horizon, ix_delta))
-        else:
-            self.gamma = np.zeros(valuation.demand)
+        self.gamma = estimator_offsets(mode, self.allowed, horizon, gamma, ix_delta)
+        self.wants_full_info = mode is FeedbackMode.FULL_INFO
         self.projection_tol = projection_tol
         self.rng = np.random.default_rng(seed)
         # Start from the marginals of "uniform over feasible successors": slot
@@ -228,9 +225,12 @@ class OmdBidder:
 
     def reward_estimate(self, allocation: int, competing: Optional[CompetingBids],
                         tie: TieBreak, bidder_priority: Optional[int]) -> np.ndarray:
-        """Per-cell reward estimate for the round just played."""
-        m_units, d = self.q.shape
-        est = np.zeros((m_units, d))
+        """Per-cell reward estimate for the round just played.
+
+        Under bandit feedback only the played cells are nonzero: the realized
+        slot reward over max(q, Q_FLOOR) + gamma.
+        """
+        m_units = self.q.shape[0]
         v = self.valuation.values
         if self.mode is FeedbackMode.FULL_INFO:
             if competing is None:
@@ -238,13 +238,11 @@ class OmdBidder:
             won = _win_matrix(competing, m_units, tie, bidder_priority)
             margin = v[:, None] - self.grid.values[None, :]
             return np.where(won & self.allowed, margin, 0.0)
-        played = self._pending
-        for m in range(m_units):
-            j = int(played.indices[m])
-            won = m < allocation
-            w = (v[m] - self.grid.values[j]) if won else 0.0
-            denom = max(float(self.q[m, j]), Q_FLOOR) + float(self.gamma[m])
-            est[m, j] = w / denom
+        slots = np.arange(m_units)
+        j = self._pending.indices
+        w = np.where(slots < allocation, v - self.grid.values[j], 0.0)
+        est = np.zeros(self.q.shape)
+        est[slots, j] = w / (np.maximum(self.q[slots, j], Q_FLOOR) + self.gamma)
         return est
 
     def observe(self, allocation: int, competing: Optional[CompetingBids] = None,
@@ -261,38 +259,3 @@ class OmdBidder:
         self._pending = None
         self.rounds += 1
 
-
-def run_omd(
-    adversary,
-    valuation: ValuationProfile,
-    grid: BidGrid,
-    horizon: int,
-    mode: FeedbackMode = FeedbackMode.BANDIT_IX,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-    seed: int = 0,
-    eta: Optional[float] = None,
-    gamma: Optional[float] = None,
-):
-    """Run one mirror-descent learner against an adversary for `horizon` rounds."""
-    from .auction import settle
-    from .exp_weights import RoundRecord, Trajectory
-
-    bidder = OmdBidder(valuation, grid, horizon, mode=mode, eta=eta, gamma=gamma, seed=seed)
-    trajectory = Trajectory()
-    notify = getattr(adversary, "notify", None)
-    for t in range(horizon):
-        bid = bidder.propose()
-        competing = adversary.draw(t)
-        outcome = settle(valuation, bid, competing, tie)
-        bidder.observe(
-            outcome.allocation,
-            competing if mode is FeedbackMode.FULL_INFO else None,
-            tie,
-        )
-        if notify is not None:
-            notify(bid)
-        trajectory.records.append(RoundRecord(
-            bid=bid, allocation=outcome.allocation, utility=outcome.utility,
-            payment=outcome.payment, reward=outcome.reward,
-        ))
-    return trajectory

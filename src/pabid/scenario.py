@@ -3,8 +3,9 @@
 A scenario is a single JSON document describing one experiment: the bid
 grid, horizon, agents (algorithm, feedback, valuations, optional rate
 overrides), the environment, and how many seeded replications to run.
-Validation is strict: unknown keys are errors, and every complaint names
-the offending field. All randomness derives from one master seed.
+Validation is strict: unknown keys are errors, every complaint names the
+offending field, and a scenario that validates can be built and run. All
+randomness derives from one master seed.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adversaries import LowerBoundInstance, StochasticAdversary
+from .adversaries import StochasticAdversary, lower_bound_instance
 from .auction import CompetingBids, ValuationProfile
 from .exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig
 from .grids import make_even_grid
@@ -107,7 +108,7 @@ def validate_scenario(document: dict) -> Scenario:
     rounds = need("rounds", int, lambda v: v >= 0, "must be non-negative")
     supply = need("supply", int, lambda v: v >= 1, "must be positive")
     replications = document.get("replications", 1)
-    if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
+    if not _is_positive_int(replications):
         problems.append("replications: must be a positive integer")
         replications = 1
     master_seed = document.get("master_seed", 0)
@@ -135,32 +136,38 @@ def validate_scenario(document: dict) -> Scenario:
         if feedback not in _FEEDBACK:
             problems.append(f"{prefix}.feedback: must be one of {sorted(_FEEDBACK)}")
         valuation = raw.get("valuation")
+        demand = None  # units demanded, once the valuation is known to be valid
         if isinstance(valuation, list):
-            ok = (valuation and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                    and 0.0 <= v <= 1.0 for v in valuation)
-                  and all(valuation[j] >= valuation[j + 1] for j in range(len(valuation) - 1)))
-            if not ok:
+            if (valuation and all(_is_number(v) and 0.0 <= v <= 1.0 for v in valuation)
+                    and all(valuation[j] >= valuation[j + 1] for j in range(len(valuation) - 1))):
+                demand = len(valuation)
+            else:
                 problems.append(f"{prefix}.valuation: must be a non-increasing list in [0, 1]")
         elif isinstance(valuation, dict):
             if valuation.get("kind") != "uniform_sorted":
                 problems.append(f"{prefix}.valuation.kind: only 'uniform_sorted' is supported")
-            demand = valuation.get("demand")
-            if not isinstance(demand, int) or isinstance(demand, bool) or demand < 1:
+            if _is_positive_int(valuation.get("demand")):
+                demand = valuation["demand"]
+            else:
                 problems.append(f"{prefix}.valuation.demand: must be a positive integer")
             extra = set(valuation) - {"kind", "demand"}
             for key in sorted(extra):
                 problems.append(f"{prefix}.valuation.{key}: unknown key")
         else:
             problems.append(f"{prefix}.valuation: must be a list or a generator object")
-        for rate in ("eta", "gamma"):
-            if rate in raw and raw[rate] is not None:
-                value = raw[rate]
-                if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-                    problems.append(f"{prefix}.{rate}: must be a positive number")
-        agents.append(AgentSpec(
-            algorithm=algorithm, feedback=feedback, valuation=valuation,
-            eta=raw.get("eta"), gamma=raw.get("gamma"),
-        ))
+        if demand is not None and supply is not None and demand > supply:
+            problems.append(f"{prefix}.valuation: demand {demand} exceeds supply {supply}")
+        eta, gamma = raw.get("eta"), raw.get("gamma")
+        for rate, value in (("eta", eta), ("gamma", gamma)):
+            if value is not None and not (_is_number(value) and value > 0):
+                problems.append(f"{prefix}.{rate}: must be a positive number")
+        if gamma is not None and feedback != "bandit_ix":
+            problems.append(f"{prefix}.gamma: only valid with bandit_ix feedback")
+        if (algorithm == "ew" and feedback in ("bandit_ipw", "bandit_ix") and demand is not None
+                and _is_number(eta) and eta >= 1.0 / demand):
+            problems.append(f"{prefix}.eta: bandit feedback needs eta < 1/M = {1.0 / demand:.6g}")
+        agents.append(AgentSpec(algorithm=algorithm, feedback=feedback, valuation=valuation,
+                                eta=eta, gamma=gamma))
 
     raw_env = document.get("environment")
     environment = EnvironmentSpec(kind="self_play")
@@ -182,24 +189,26 @@ def validate_scenario(document: dict) -> Scenario:
             if (not isinstance(support, list) or not support
                     or not all(isinstance(row, list) and row for row in support)):
                 problems.append("environment.support: must be a non-empty list of bid rows")
+            else:
+                problems += _support_problems(support, grid_size, supply)
             if (not isinstance(probs, list) or not support or len(probs or []) != len(support or [])
-                    or not all(isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 0
-                               for p in (probs or []))
+                    or not all(_is_number(p) and p >= 0 for p in (probs or []))
                     or abs(sum(probs or [0]) - 1.0) > 1e-9):
                 problems.append("environment.probs: must be non-negative and sum to 1, one per support row")
             environment = EnvironmentSpec(kind="stochastic", support=support, probs=probs, tie=tie)
         elif kind == "lower_bound":
             demand = raw_env.get("demand")
-            if not isinstance(demand, int) or isinstance(demand, bool) or demand < 3 or demand % 3:
+            if not _is_positive_int(demand) or demand % 3:
                 problems.append("environment.demand: must be a positive multiple of 3")
+            elif supply is not None and demand != supply:
+                problems.append("environment.demand: must equal supply for the lower-bound family")
             delta = raw_env.get("delta")
-            if delta is not None and (not isinstance(delta, (int, float)) or isinstance(delta, bool)
-                                      or not (0.0 <= delta < 1.0 / 6.0)):
+            if delta is not None and not (_is_number(delta) and 0.0 <= delta < 1.0 / 6.0):
                 problems.append("environment.delta: must lie in [0, 1/6)")
             variant = raw_env.get("variant", "F")
             if variant not in ("F", "G"):
                 problems.append("environment.variant: must be 'F' or 'G'")
-            if isinstance(grid_size, int) and (grid_size - 1) % 3 != 0:
+            if grid_size is not None and (grid_size - 1) % 3 != 0:
                 problems.append("grid_size: lower-bound environments need the price 2/3 on the grid "
                                 "(grid_size must be 1 mod 3)")
             environment = EnvironmentSpec(kind="lower_bound", demand=demand, delta=delta,
@@ -217,6 +226,32 @@ def validate_scenario(document: dict) -> Scenario:
         agents=tuple(agents), environment=environment,
         replications=replications, master_seed=master_seed, raw=document,
     )
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # as JSON parses them: bool is not a number
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _support_problems(support: list, grid_size: Optional[int], supply: Optional[int]) -> list[str]:
+    """Each stochastic support row must hold `supply` grid values."""
+    grid = make_even_grid(grid_size) if grid_size is not None else None
+    problems = []
+    for r, row in enumerate(support):
+        field = f"environment.support[{r}]"
+        if supply is not None and len(row) != supply:
+            problems.append(f"{field}: has {len(row)} entries; rows must have `supply` ({supply})")
+        if not all(_is_number(v) for v in row):
+            problems.append(f"{field}: entries must be numbers")
+        elif grid is not None:
+            try:
+                grid.indices_of(row)
+            except ValueError as err:
+                problems.append(f"{field}: {err} (grid_size {grid_size})")
+    return problems
 
 
 def load_scenario(path) -> Scenario:
@@ -275,24 +310,13 @@ def build_market(scenario: Scenario, replication: int) -> tuple[SelfPlayMarket, 
     env_spec = scenario.environment
     if env_spec.kind == "stochastic":
         env_seed = int(np.random.default_rng(env_seq).integers(0, 2**63 - 1))
-        support = [
-            CompetingBids.from_values(sorted(row), grid)
-            for row in env_spec.support
-        ]
-        if any(c.supply != scenario.supply for c in support):
-            raise ScenarioError(["environment.support: rows must have `supply` entries"])
+        support = [CompetingBids.from_values(sorted(row), grid) for row in env_spec.support]
         env = StochasticAdversary(support, env_spec.probs, seed=env_seed)
         env_wins_ties = env_spec.tie == "agent_loses"
     elif env_spec.kind == "lower_bound":
         env_seed = int(np.random.default_rng(env_seq).integers(0, 2**63 - 1))
-        delta = env_spec.delta
-        instance = LowerBoundInstance(
-            demand=env_spec.demand,
-            delta=delta if delta is not None else min(1.0 / np.sqrt(max(scenario.rounds, 1)), 1 / 6 - 1e-9),
-            variant=env_spec.variant, seed=env_seed,
-        )
-        if env_spec.demand != scenario.supply:
-            raise ScenarioError(["environment.demand: must equal supply for the lower-bound family"])
+        instance = lower_bound_instance(env_spec.demand, horizon, env_spec.delta,
+                                        env_spec.variant, env_seed)
         env = instance.adversary(grid)
         env_wins_ties = env_spec.tie == "agent_loses"
 

@@ -1,10 +1,13 @@
-"""Experiment orchestration: run loops, logging, and reporting.
+"""Experiment orchestration: the run loop, logging, and reporting.
 
-A run is a sequence of synchronous rounds. Every agent proposes a bid, each
-agent is settled against the pooled rival bids (learner agents plus an
-optional exogenous environment), and feedback is dispatched according to
-each agent's mode. Everything that happened is captured in a `RunLog` that
-can be replayed, persisted, and scored for regret, welfare, and revenue.
+A run is a sequence of synchronous rounds of `SelfPlayMarket.play`, the one
+loop from a learner to a settled round; a single learner against an
+environment is a one-agent market. Every agent proposes a bid, each agent
+is settled against the pooled rival bids (learner agents plus an optional
+exogenous environment), and feedback is dispatched according to each
+agent's `wants_full_info` flag. Everything that happened is captured in a
+`RunLog` that can be replayed, persisted, and scored for regret, welfare,
+and revenue.
 
 `play` pools each round's bids with one sort of (index, owner) pairs; agent
 n's competing bids are the first `supply` of them that n does not own. After
@@ -30,6 +33,7 @@ from .auction import (
     ValuationProfile,
     pool_rival_bids,
     settle,
+    trusted,
 )
 from .grids import BidGrid
 from .hindsight import accumulate_weights_history, hindsight_optimal
@@ -153,14 +157,6 @@ class RunLog:
         return json.dumps({"seed": self.seed, "rows": rows}, sort_keys=True,
                           separators=(",", ":")) + "\n"
 
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json_text())
-
     def summary(self) -> dict:
         return {
             "library_version": _library_version,
@@ -216,7 +212,12 @@ class MarketMetrics:
 
 
 class SelfPlayMarket:
-    """Synchronous-round market over learner agents plus an optional adversary."""
+    """Synchronous-round market over learner agents plus an optional adversary.
+
+    A learner has `propose()`, `observe(allocation, competing, bidder_priority=)`
+    and a `wants_full_info` flag: full-information learners observe their
+    competing bids, the others only their allocation.
+    """
 
     def __init__(
         self,
@@ -246,7 +247,6 @@ class SelfPlayMarket:
         env_bids = (np.empty((rounds, self.supply), dtype=np.int64)
                     if self.environment is not None else None)
         env_priority = ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY
-        full_info = [_learner_wants_full_info(learner) for learner in self.learners]
 
         pad = [(0, PAD_PRIORITY)] * self.supply
         for t in range(rounds):
@@ -262,9 +262,9 @@ class SelfPlayMarket:
                 pool = [e for e in entries if e[1] != n][: self.supply]
                 pool += pad[len(pool):]
                 pool.reverse()  # ascending, padding first
-                idx, pri = zip(*pool)
-                competing = CompetingBids(np.array(idx, dtype=np.int64), self.grid,
-                                          np.array(pri, dtype=np.int64))
+                idx, pri = zip(*pool)  # sorted and on the grid by construction
+                competing = trusted(CompetingBids, np.array(idx, dtype=np.int64), self.grid,
+                                    priorities=np.array(pri, dtype=np.int64))
                 outcome = settle(self.valuations[n], proposals[n], competing,
                                  bidder_priority=n)
                 bids[n][t] = proposals[n].indices
@@ -275,31 +275,17 @@ class SelfPlayMarket:
                 round_alloc += outcome.allocation
                 learner.observe(
                     outcome.allocation,
-                    competing if full_info[n] else None,
+                    competing if learner.wants_full_info else None,
                     bidder_priority=n,
                 )
             if round_alloc > self.supply:
                 raise RuntimeError("settlement granted more units than the supply")
-            notify = getattr(self.environment, "notify", None)
-            if notify is not None and n_agents == 1:
-                notify(proposals[0])
         return RunLog(
             grid=self.grid, valuations=self.valuations, bids=bids,
             allocations=allocations, utilities=utilities, payments=payments,
             rewards=rewards, env_bids=env_bids, env_wins_ties=self.env_wins_ties,
             supply=self.supply, seed=seed, config=config or {},
         )
-
-
-def _learner_wants_full_info(learner) -> bool:
-    from .exp_weights import FeedbackMode
-    wants_full = getattr(learner, "wants_full_info", None)
-    if wants_full is not None:
-        return wants_full
-    mode = getattr(learner, "mode", None)
-    if mode is None and hasattr(learner, "config"):
-        mode = learner.config.mode
-    return mode is FeedbackMode.FULL_INFO
 
 
 def run_experiment(scenario, replication: int = 0) -> RunLog:

@@ -1,12 +1,28 @@
-"""Shared test helpers: enumeration oracles and random instance generators."""
+"""Shared test helpers: enumeration oracles, random instance generators and
+a one-learner run against an environment."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from pabid import BidGrid, NodeWeightTable, ValuationProfile, make_even_grid
-from pabid.hindsight import iter_monotone_indices
+from pabid import (
+    BidGrid,
+    NodeWeightTable,
+    SelfPlayMarket,
+    TieBreak,
+    ValuationProfile,
+    make_even_grid,
+)
 from pabid.mirror_descent import sample_from_marginals
+
+from oracles import iter_monotone_indices
+
+
+def play_against(learner, adversary, rounds: int, tie: TieBreak = TieBreak.BIDDER_WINS):
+    """RunLog of one learner against an environment, as a one-agent market."""
+    market = SelfPlayMarket([learner], [learner.valuation], learner.grid, adversary.supply,
+                            environment=adversary, env_wins_ties=tie is TieBreak.BIDDER_LOSES)
+    return market.play(rounds)
 
 
 def random_valuation(rng: np.random.Generator, demand: int) -> ValuationProfile:

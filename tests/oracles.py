@@ -1,19 +1,26 @@
-"""Reference forms of the settlement rules, written as plain loops.
+"""Reference forms of the settlement rules and the hindsight optimum.
 
-The library settles with per-slot win thresholds and pools rival bids with
-one sort of integer keys. These loops state the same rules the long way:
-entry by entry, round by round, agent by agent. Tests check the library
-against them.
+The library settles with per-slot win thresholds, pools rival bids with one
+sort of integer keys and finds the best fixed bid by dynamic programming.
+These loops state the same rules the long way: entry by entry, round by
+round, agent by agent, and the optimum by enumerating every monotone bid.
+Tests check the library against them.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from pabid.auction import PAD_PRIORITY, BidVector, CompetingBids, TieBreak, ValuationProfile
+from pabid.grids import BidGrid
+from pabid.hindsight import NEG_INF, HindsightSolution, NodeWeightTable
 from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, MarketMetrics, RunLog
+
+# Refuse enumeration beyond this many monotone grid vectors.
+BRUTE_FORCE_CAP = 2_000_000
 
 
 def win_mask(
@@ -156,3 +163,81 @@ def loop_market_metrics(
         log2_win_spread=win_spread,
         log2_price_gap=price_gap,
     )
+
+
+def accumulate_weights(
+    valuation: ValuationProfile,
+    history: Iterable[CompetingBids],
+    grid: BidGrid,
+    tie: TieBreak = TieBreak.BIDDER_WINS,
+    bidder_priority: Optional[int] = None,
+) -> NodeWeightTable:
+    """Per-slot utilities of every (unit, bid) cell summed over the history.
+
+    Wins are counted round by round with `win_mask`, column j from the
+    constant bid j, and multiplied by the margin once, so the table equals
+    `accumulate_weights_history` bit for bit.
+    """
+    m = valuation.demand
+    constant_bids = [BidVector(np.full(m, j), grid) for j in range(grid.count)]
+    wins = np.zeros((m, grid.count), dtype=np.int64)
+    for competing in history:
+        for j, bid in enumerate(constant_bids):
+            wins[:, j] += win_mask(bid, competing, tie, bidder_priority)
+    weights = wins * (valuation.values[:, None] - grid.values[None, :])
+    allowed = valuation.ir_mask(grid)
+    weights[~allowed] = 0.0
+    return NodeWeightTable(weights=weights, allowed=allowed, grid=grid, valuation=valuation)
+
+
+def iter_monotone_indices(demand: int, grid_size: int):
+    """All non-increasing index vectors of the given length, ascending lexicographically."""
+    for combo in itertools.combinations_with_replacement(range(grid_size), demand):
+        yield np.array(combo[::-1], dtype=np.int64)
+
+
+def monotone_vector_count(demand: int, grid_size: int) -> int:
+    return math.comb(grid_size + demand - 1, demand)
+
+
+def path_utility(table: NodeWeightTable, indices: Sequence[int]) -> float:
+    """Total weight of a monotone index vector, summed deepest slot first.
+
+    The right-to-left order reproduces the DP's accumulation exactly, so
+    enumeration and DP agree bit for bit and break ties identically.
+    """
+    total = 0.0
+    for m in range(len(indices) - 1, -1, -1):
+        if not table.allowed[m, indices[m]]:
+            return NEG_INF
+        total = table.weights[m, indices[m]] + total
+    return total
+
+
+def brute_force_optimal(
+    valuation: ValuationProfile,
+    history: Iterable[CompetingBids],
+    grid: BidGrid,
+    tie: TieBreak = TieBreak.BIDDER_WINS,
+    bidder_priority: Optional[int] = None,
+    cap: int = BRUTE_FORCE_CAP,
+) -> HindsightSolution:
+    """Exhaustive maximizer over all monotone IR grid vectors; ties go to the
+    lexicographically smallest, as in `hindsight_optimal`."""
+    count = monotone_vector_count(valuation.demand, grid.count)
+    if count > cap:
+        raise ValueError(f"{count} candidate vectors exceed the enumeration cap {cap}")
+    table = accumulate_weights(valuation, history, grid, tie, bidder_priority)
+    best_idx = None
+    best_util = NEG_INF
+    for indices in iter_monotone_indices(valuation.demand, grid.count):
+        util = path_utility(table, indices)
+        if util == NEG_INF:
+            continue
+        if util > best_util or (util == best_util and best_idx is not None
+                                and tuple(indices) < tuple(best_idx)):
+            best_util = util
+            best_idx = indices
+    if best_idx is None:
+        raise ValueError("no individually rational bid vector exists")
+    return HindsightSolution(bid=BidVector(best_idx, grid), total_utility=float(best_util))

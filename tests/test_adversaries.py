@@ -17,8 +17,8 @@ from pabid import (
     make_even_grid,
     settle,
 )
-from pabid.adversaries import CallbackAdversary
-from pabid.hindsight import iter_monotone_indices
+
+from oracles import iter_monotone_indices
 
 
 def benchmark_adversary(grid, seed=0):
@@ -190,18 +190,3 @@ class TestSelfPlay:
         assert np.all(log.allocations.sum(axis=1) <= 5)
         assert log.replay_matches()
 
-
-class TestCallbackAdversary:
-    def test_callback_sees_history(self):
-        grid = make_even_grid(3)
-        seen = []
-
-        def react(t, history):
-            seen.append(len(history))
-            return CompetingBids.from_values([0.5], grid)
-
-        adversary = CallbackAdversary(react)
-        from pabid import run_ew
-
-        run_ew(adversary, ValuationProfile(np.array([1.0])), grid, 5, LearnerConfig(seed=0))
-        assert seen == [0, 1, 2, 3, 4]

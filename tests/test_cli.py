@@ -115,6 +115,73 @@ class TestRun:
         assert payload["rows"]
 
 
+STOCHASTIC_ROWS = [[0.1, 0.1, 0.1], [0.3, 0.3, 1.0], [0.4, 1.0, 1.0]]
+
+
+def stochastic_environment(rows):
+    return {"kind": "stochastic", "support": rows, "probs": [0.5, 0.25, 0.25],
+            "tie": "agent_wins"}
+
+
+# Scenarios that cannot run, with the field validation must name. Each once
+# passed validation and then failed at round 0 with a runtime error (exit 1).
+UNRUNNABLE = {
+    "demand_above_supply_stochastic": (
+        {"agents": [{"algorithm": "ew", "feedback": "full", "valuation": [1.0] * 4}]},
+        "agents[0].valuation"),
+    "demand_above_supply_self_play": (
+        {"agents": [{"algorithm": "ew", "feedback": "full",
+                     "valuation": {"kind": "uniform_sorted", "demand": 4}}] * 2,
+         "environment": {"kind": "self_play"}},
+        "agents[0].valuation"),
+    "support_value_off_grid": (
+        {"environment": stochastic_environment([[0.15, 0.1, 0.1]] + STOCHASTIC_ROWS[1:])},
+        "environment.support[0]"),
+    "support_row_shorter_than_supply": (
+        {"environment": stochastic_environment([[0.1, 0.1]] + STOCHASTIC_ROWS[1:])},
+        "environment.support[0]"),
+    "lower_bound_demand_not_supply": (
+        {"grid_size": 4, "supply": 6,
+         "environment": {"kind": "lower_bound", "demand": 3}},
+        "environment.demand"),
+    "ew_bandit_eta_at_least_inverse_demand": (
+        {"agents": [{"algorithm": "ew", "feedback": "bandit_ipw", "valuation": [1.0] * 3,
+                     "eta": 0.5}]},
+        "agents[0].eta"),
+    "gamma_without_bandit_ix": (
+        {"agents": [{"algorithm": "omd", "feedback": "bandit_ipw", "valuation": [1.0] * 3,
+                     "gamma": 0.1}]},
+        "agents[0].gamma"),
+}
+
+
+class TestUnrunnableScenarios:
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+    def test_rejected_at_validation_with_exit_2(self, case, tmp_path, capsys):
+        from pabid import ScenarioError, validate_scenario
+
+        overrides, field = UNRUNNABLE[case]
+        path, document = write_scenario(tmp_path, rounds=5, replications=1, **overrides)
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(document)
+        assert any(p.startswith(field + ":") for p in excinfo.value.problems)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert f"scenario error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bundled_scenarios_still_run(self, tmp_path):
+        from pabid.cli import _resolve_scenario_path
+
+        for name in ("benchmark_stochastic", "market_n3_m5", "lower_bound_m3"):
+            with open(_resolve_scenario_path(name)) as fh:
+                document = json.load(fh)
+            document.update(rounds=20, replications=1)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(document))
+            assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+
+
 class TestHindsight:
     def test_all_ones_history_worth_nothing(self, tmp_path, capsys):
         history = tmp_path / "h.txt"

@@ -5,25 +5,29 @@ import numpy as np
 import pytest
 
 from pabid import (
+    BidVector,
     CompetingBids,
     ExpWeightsBidder,
     FeedbackMode,
     LearnerConfig,
+    NodeWeightTable,
+    OmdBidder,
     StochasticAdversary,
     TieBreak,
     ValuationProfile,
-    accumulate_weights,
     bandit_update,
     compute_partial_sums,
     eta_schedule,
     full_info_update,
     ix_gamma_schedule,
     make_even_grid,
-    run_ew,
     sample_bid,
     slot_marginals,
 )
-from pabid.exp_weights import EstimatedWeightTable
+from pabid.exp_weights import estimator_offsets
+
+from conftest import play_against
+from oracles import accumulate_weights
 
 
 class TestEtaSchedule:
@@ -52,6 +56,26 @@ class TestEtaSchedule:
         k = 7
         expect = math.sqrt((math.log(k) + math.log((k + 1) / 0.05)) / (4 * k * 100))
         assert gamma.tolist() == pytest.approx([expect, expect])
+
+
+    def test_one_estimator_offset_rule_for_both_learners(self):
+        """IX schedule or scalar override under BANDIT_IX, zeros otherwise,
+        identically in the EW and OMD learners."""
+        grid = make_even_grid(7)
+        valuation = ValuationProfile(np.array([1.0, 0.5, 0.2]))
+        allowed = valuation.ir_mask(grid)
+        schedule = ix_gamma_schedule(allowed, 100, 0.05)
+        for mode in FeedbackMode:
+            for gamma in (None, 0.125):
+                if mode is FeedbackMode.BANDIT_IX:
+                    expected = schedule if gamma is None else np.full(3, 0.125)
+                else:
+                    expected = np.zeros(3)
+                assert estimator_offsets(mode, allowed, 100, gamma).tolist() == expected.tolist()
+                ew = ExpWeightsBidder(valuation, grid, 100,
+                                      LearnerConfig(mode=mode, eta=0.1, gamma=gamma))
+                omd = OmdBidder(valuation, grid, 100, mode=mode, gamma=gamma)
+                assert ew.gamma.tolist() == omd.gamma.tolist() == expected.tolist()
 
 
 class TestFullInfoUpdate:
@@ -122,8 +146,8 @@ class TestBanditUpdate:
         for _ in range(40):
             m = int(rng.integers(1, 5))
             valuation = ValuationProfile(0.5 + 0.5 * np.sort(rng.random(m))[::-1])
-            table = EstimatedWeightTable(rng.normal(size=(m, 6)), valuation.ir_mask(grid),
-                                         grid, valuation)
+            table = NodeWeightTable(rng.normal(size=(m, 6)), valuation.ir_mask(grid),
+                                    grid, valuation)
             partial = compute_partial_sums(table, 0.1)
             marginals = slot_marginals(partial)
             played = sample_bid(partial, rng)
@@ -156,11 +180,11 @@ class TestLearnerRuns:
         valuation = ValuationProfile(np.array([0.8, 0.6]))
         adversary = StochasticAdversary(
             [CompetingBids.from_values([1.0, 1.0], grid)], [1.0], seed=0)
-        trajectory = run_ew(adversary, valuation, grid, 300,
-                            LearnerConfig(seed=4), tie=TieBreak.BIDDER_LOSES)
-        assert trajectory.cumulative_utility == 0.0
-        for record in trajectory.records:
-            record.bid.check_ir(valuation)
+        learner = ExpWeightsBidder(valuation, grid, 300, LearnerConfig(seed=4))
+        log = play_against(learner, adversary, 300, tie=TieBreak.BIDDER_LOSES)
+        assert math.fsum(log.utilities[:, 0]) == 0.0
+        for row in log.bids[0]:
+            BidVector(row, grid).check_ir(valuation)
 
     def test_deterministic_given_seed(self):
         grid = make_even_grid(9)
@@ -168,12 +192,15 @@ class TestLearnerRuns:
         adversary = StochasticAdversary(
             [CompetingBids.from_values([0.25, 0.5], grid),
              CompetingBids.from_values([0.0, 0.75], grid)], [0.5, 0.5], seed=3)
-        runs = [run_ew(adversary, valuation, grid, 100,
-                       LearnerConfig(mode=FeedbackMode.BANDIT_IX, seed=77)).bids()
-                for _ in range(2)]
+
+        def bids(seed):
+            learner = ExpWeightsBidder(valuation, grid, 100,
+                                       LearnerConfig(mode=FeedbackMode.BANDIT_IX, seed=seed))
+            return play_against(learner, adversary, 100).bids[0]
+
+        runs = [bids(77) for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
-        other = run_ew(adversary, valuation, grid, 100,
-                       LearnerConfig(mode=FeedbackMode.BANDIT_IX, seed=78)).bids()
+        other = bids(78)
         assert not np.array_equal(runs[0], other)
 
     def test_full_info_learner_table_matches_offline_accumulation(self):
@@ -198,7 +225,7 @@ class TestLearnerRuns:
         adversary = StochasticAdversary(
             [CompetingBids.from_values([0.125, 0.25, 0.375], grid)], [1.0], seed=0)
         for mode in FeedbackMode:
-            trajectory = run_ew(adversary, valuation, grid, 200,
-                                LearnerConfig(mode=mode, seed=9))
-            for record in trajectory.records:
-                assert np.all(record.bid.values <= valuation.values + 1e-12)
+            learner = ExpWeightsBidder(valuation, grid, 200, LearnerConfig(mode=mode, seed=9))
+            log = play_against(learner, adversary, 200)
+            for row in log.bids[0]:
+                assert np.all(grid.values[row] <= valuation.values + 1e-12)

@@ -3,20 +3,24 @@ import numpy as np
 import pytest
 
 from pabid import (
-    BidVector,
     CompetingBids,
     TieBreak,
     ValuationProfile,
-    accumulate_weights,
     accumulate_weights_history,
-    brute_force_optimal,
     hindsight_optimal,
     make_even_grid,
     settle,
 )
-from pabid.hindsight import monotone_vector_count, path_utility
+from pabid.hindsight import NEG_INF
 
 from conftest import random_valuation
+from oracles import (
+    accumulate_weights,
+    brute_force_optimal,
+    iter_monotone_indices,
+    monotone_vector_count,
+    path_utility,
+)
 
 
 def _random_history(rng, supply, grid_size, rounds):
@@ -140,8 +144,6 @@ class TestHindsightOptimal:
 
     def test_dp_tail_identity_by_enumeration(self, rng):
         # U_m(b) equals the enumerated best monotone tail from (m, b)
-        from pabid.hindsight import NEG_INF, iter_monotone_indices
-
         grid = make_even_grid(5)
         valuation = random_valuation(rng, 3)
         hist_idx = _random_history(rng, 3, 5, 4)
@@ -174,8 +176,6 @@ class TestHindsightOptimal:
 
 
 def _best_capped(table, cap) -> float:
-    from pabid.hindsight import NEG_INF, iter_monotone_indices
-
     best = NEG_INF
     for idx in iter_monotone_indices(table.demand, table.grid.count):
         if idx[0] > cap:

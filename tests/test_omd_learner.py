@@ -15,7 +15,6 @@ from pabid import (
     ValuationProfile,
     make_even_grid,
     omd_eta_schedule,
-    run_omd,
     sample_from_marginals,
     settle,
 )
@@ -24,6 +23,7 @@ from conftest import (
     FixedUniform,
     chain_marginals,
     enumerated_marginals,
+    play_against,
     random_q_member,
     sampler_law,
 )
@@ -121,6 +121,28 @@ class TestRounds:
         losing_tie = bidder.reward_estimate(0, competing, TieBreak.BIDDER_LOSES, None)
         assert losing_tie[:, 2].tolist() == [0.0, 0.0]
 
+    def test_bandit_estimate_is_the_per_slot_formula_bit_for_bit(self, rng):
+        """Each played cell holds w / (max(q, Q_FLOOR) + gamma), computed one
+        slot at a time here; every other cell is zero."""
+        from pabid.mirror_descent import Q_FLOOR
+
+        for trial in range(40):
+            m, d = int(rng.integers(1, 5)), int(rng.integers(2, 9))
+            grid = make_even_grid(d)
+            valuation = ValuationProfile(np.sort(rng.random(m))[::-1])
+            mode = (FeedbackMode.BANDIT_IPW, FeedbackMode.BANDIT_IX)[trial % 2]
+            bidder = OmdBidder(valuation, grid, 100, mode=mode, seed=trial)
+            bidder.q[:, 1:] *= rng.choice([1.0, 1e-14], size=(m, d - 1))  # some below the floor
+            played = bidder.propose()
+            allocation = int(rng.integers(0, m + 1))
+            expected = np.zeros((m, d))
+            for slot, j in enumerate(played.indices.tolist()):
+                w = valuation.values[slot] - grid.values[j] if slot < allocation else 0.0
+                expected[slot, j] = w / (max(float(bidder.q[slot, j]), Q_FLOOR)
+                                         + float(bidder.gamma[slot]))
+            estimate = bidder.reward_estimate(allocation, None, TieBreak.BIDDER_WINS, None)
+            assert estimate.tobytes() == expected.tobytes()
+
     def test_ir_mass_stays_zero_all_run(self):
         grid = make_even_grid(8)
         valuation = ValuationProfile(np.array([0.6, 0.3]))
@@ -212,9 +234,9 @@ class TestConvergence:
         expected = np.array([(j + 1) / d * (1.0 - grid.values[j]) for j in range(d)])
         best = float(expected.max())
         horizon = 10_000
-        trajectory = run_omd(adversary, valuation, grid, horizon,
-                             mode=FeedbackMode.BANDIT_IX, seed=21)
-        averaged = trajectory.utilities()[horizon // 2:].mean()
+        learner = OmdBidder(valuation, grid, horizon, mode=FeedbackMode.BANDIT_IX, seed=21)
+        log = play_against(learner, adversary, horizon)
+        averaged = log.utilities[horizon // 2:, 0].mean()
         assert averaged >= best - 0.05
 
     def test_deterministic_given_seed(self):
@@ -223,6 +245,6 @@ class TestConvergence:
         adversary = StochasticAdversary(
             [CompetingBids.from_values([0.2, 0.4], grid),
              CompetingBids.from_values([0.0, 0.8], grid)], [0.5, 0.5], seed=2)
-        first = run_omd(adversary, valuation, grid, 150, seed=10).bids()
-        second = run_omd(adversary, valuation, grid, 150, seed=10).bids()
+        first = play_against(OmdBidder(valuation, grid, 150, seed=10), adversary, 150).bids[0]
+        second = play_against(OmdBidder(valuation, grid, 150, seed=10), adversary, 150).bids[0]
         assert np.array_equal(first, second)

@@ -14,8 +14,7 @@ from pabid import (
     slot_marginals,
 )
 from pabid._kernels import ew_marginals, ew_tail_sums, sample_monotone
-from pabid.exp_weights import EstimatedWeightTable
-from pabid.hindsight import NodeWeightTable, monotone_vector_count
+from pabid.hindsight import NodeWeightTable
 
 from conftest import (
     enumerated_marginals,
@@ -23,6 +22,7 @@ from conftest import (
     random_weight_table,
     softmax_path_law,
 )
+from oracles import monotone_vector_count
 
 # chi-square 99th percentiles by degrees of freedom (frozen, no scipy needed)
 CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086, 6: 16.812,
@@ -176,11 +176,10 @@ def wide_spread_cases():
 EXP_RANGE_WEIGHTS = np.array([[0.0, 0.0, 2000.0, 0.0], [0.0, 0.0, 0.0, 1000.0]])
 
 
-def wide_table(weights, allowed, estimated=False):
+def wide_table(weights, allowed):
     """An all-ones-valuation weight table over an even grid."""
     m, d = weights.shape
-    kind = EstimatedWeightTable if estimated else NodeWeightTable
-    return kind(weights.copy(), allowed, make_even_grid(d), ValuationProfile(np.ones(m)))
+    return NodeWeightTable(weights.copy(), allowed, make_even_grid(d), ValuationProfile(np.ones(m)))
 
 
 def zero_table(demand, grid_size):
@@ -342,7 +341,7 @@ class TestSlotMarginals:
     def test_wide_spread_bandit_update_stays_finite(self, rng):
         cases = [(EXP_RANGE_WEIGHTS, np.ones((2, 4), bool), 1.0)] + wide_spread_cases()
         for weights, allowed, eta in cases:
-            table = wide_table(weights, allowed, estimated=True)
+            table = wide_table(weights, allowed)
             partial = compute_partial_sums(table, eta)
             marginals = slot_marginals(partial)
             for allocation in range(table.demand + 1):

@@ -9,7 +9,6 @@ from pabid import (
     CompetingBids,
     TieBreak,
     ValuationProfile,
-    accumulate_weights,
     accumulate_weights_history,
     competing_bids,
     make_even_grid,
@@ -20,7 +19,13 @@ from pabid import (
 from pabid.hindsight import _win_matrix
 from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, SelfPlayMarket
 
-from oracles import allocate, loop_competing_history, loop_market_metrics, win_mask
+from oracles import (
+    accumulate_weights,
+    allocate,
+    loop_competing_history,
+    loop_market_metrics,
+    win_mask,
+)
 
 METRIC_SERIES = ("welfare", "revenue", "total_utility", "normalized_welfare",
                  "normalized_revenue", "cumulative_average_welfare",

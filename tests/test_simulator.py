@@ -124,7 +124,8 @@ class TestRegretReport:
         from pabid import CompetingBids, StochasticAdversary, make_even_grid, settle
         from pabid import ValuationProfile
         from pabid.hindsight import accumulate_weights_history, hindsight_optimal
-        from pabid.hindsight import iter_monotone_indices
+
+        from oracles import iter_monotone_indices
 
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.ones(2))
@@ -263,22 +264,18 @@ class TestMarketMetrics:
 
 
 class TestPersistence:
-    def test_csv_round_trip_layout(self, tmp_path):
+    def test_csv_round_trip_layout(self):
         log = run_experiment(validate_scenario(benchmark_scenario(rounds=5)))
-        path = tmp_path / "log.csv"
-        log.save_csv(path)
-        lines = path.read_text().strip().splitlines()
+        lines = log.to_csv_text().strip().splitlines()
         assert lines[0] == "t,agent,bid_1,bid_2,bid_3,allocation,utility,payment"
         # agent row + environment row per round
         assert len(lines) == 1 + 5 * 2
 
-    def test_json_payload_parses(self, tmp_path):
+    def test_json_payload_parses(self):
         import json
 
         log = run_experiment(validate_scenario(benchmark_scenario(rounds=4)))
-        path = tmp_path / "log.json"
-        log.save_json(path)
-        payload = json.loads(path.read_text())
+        payload = json.loads(log.to_json_text())
         assert len(payload["rows"]) == 4 * 2
         assert payload["rows"][0]["agent"] == 0
 
