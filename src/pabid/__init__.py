@@ -16,7 +16,6 @@ from .auction import (
     CompetingBids,
     TieBreak,
     ValuationProfile,
-    competing_bids,
     pool_rival_bids,
     settle,
     win_thresholds,
@@ -38,7 +37,6 @@ from .exp_weights import (
     eta_schedule,
     full_info_update,
     ix_gamma_schedule,
-    path_log_probability,
     sample_bid,
     slot_marginals,
 )
@@ -52,7 +50,6 @@ from .mirror_descent import (
     q_membership,
     sample_from_marginals,
     unconstrained_step,
-    unnormalized_kl,
 )
 from .adversaries import (
     LowerBoundInstance,

@@ -15,7 +15,11 @@ Kernels:
     uniform per slot), and the marginals' forward recursion runs on log
     ratios, so rows spanning more than exp's range keep their mass.
   * apply_slot_rewards: the full-information weight update, one masked add
-    over a precomputed win matrix.
+    of the cells at or above each slot's win threshold.
+
+The EW kernels take slots and bids on the last two axes, so one (M, D) table
+and a (k, M, D) stack of k agents run the same code, with the same bits per
+agent as k separate calls; only the sampler loops over the agents.
 
 Mirror descent samples without a kernel: `mirror_descent.sample_from_marginals`
 inverts every slot's CDF at one shared uniform per round.
@@ -146,16 +150,18 @@ def ew_tail_sums(weights, allowed, eta):
     S[m, b'] and forbidden cells -inf. Each layer takes one
     `np.logaddexp.accumulate` into the prefix table, which is then added to
     the layer above. log P[m, cap] is the normalizer of slot m's law when the
-    previous slot bid `cap`, so the sampler reads it directly.
+    previous slot bid `cap`, so the sampler reads it directly. `eta` is a
+    scalar, or (k, 1, 1) rates for a stack.
 
     Returns (log_sums, log_prefix).
     """
     log_sums = np.where(allowed, eta * weights, _NEG_INF)
     log_prefix = np.empty_like(log_sums)
-    for m in range(weights.shape[0] - 1, 0, -1):
-        np.logaddexp.accumulate(log_sums[m], out=log_prefix[m])
-        log_sums[m - 1] += log_prefix[m]
-    np.logaddexp.accumulate(log_sums[0], out=log_prefix[0])
+    sums, prefix = log_sums.swapaxes(0, -2), log_prefix.swapaxes(0, -2)  # slot axis first
+    for m in range(sums.shape[0] - 1, 0, -1):
+        np.logaddexp.accumulate(sums[m], axis=-1, out=prefix[m])
+        sums[m - 1] += prefix[m]
+    np.logaddexp.accumulate(sums[0], axis=-1, out=prefix[0])
     return log_sums, log_prefix
 
 
@@ -167,20 +173,24 @@ def sample_monotone(log_prefix, uniforms):
     u_m times the capped total: one bisection of the row. When roundoff leaves
     no such cell (log u_m + total == total), it takes the first cell at which
     the prefix reaches its total: the last cell under the cap with mass.
-    Expects a finite cell 0 in every row.
+    Expects a finite cell 0 in every row. Bisection reads a flat memoryview,
+    so a draw converts only the cells it probes; a stack draws agent by agent.
     """
-    rows = log_prefix.tolist()
-    cap = len(rows[0]) - 1
+    m_units, d = log_prefix.shape[-2:]
+    cells = memoryview(np.ascontiguousarray(log_prefix).reshape(-1))
     picks = []
-    for row, u in zip(rows, uniforms.tolist()):
-        total = row[cap]
+    for i, u in enumerate(uniforms.reshape(-1).tolist()):
+        if i % m_units == 0:
+            cap = d - 1  # an agent's first slot may take any cell
+        lo = i * d  # row i of the flat table: agent i // M, slot i % M
+        total = cells[lo + cap]
         threshold = math.log(u) + total if u > 0.0 else _NEG_INF
-        pick = bisect.bisect_right(row, threshold, 0, cap + 1)
+        pick = bisect.bisect_right(cells, threshold, lo, lo + cap + 1) - lo
         if pick > cap:  # roundoff: fall to the last cell with mass
-            pick = bisect.bisect_left(row, total, 0, cap + 1)
+            pick = bisect.bisect_left(cells, total, lo, lo + cap + 1) - lo
         picks.append(pick)
         cap = pick
-    return np.array(picks, dtype=np.int64)
+    return np.array(picks, dtype=np.int64).reshape(uniforms.shape)
 
 
 def ew_marginals(log_sums):
@@ -192,16 +202,18 @@ def ew_marginals(log_sums):
     so rows spanning more than exp's range keep their mass. The recursion is
     linear in q, so one normalization per row at the end suffices.
     """
-    s = log_sums - log_sums.max(axis=1, keepdims=True)
-    lz = np.logaddexp.accumulate(s, axis=1)
+    s = log_sums - log_sums.max(axis=-1, keepdims=True)
+    lz = np.logaddexp.accumulate(s, axis=-1)
     log_q = s.copy()
-    for m in range(1, s.shape[0]):
-        log_q[m] += np.logaddexp.accumulate((log_q[m - 1] - lz[m])[::-1])[::-1]
-    q = np.exp(log_q - log_q.max(axis=1, keepdims=True))
-    return q / q.sum(axis=1, keepdims=True)
+    rows, lz_rows = log_q.swapaxes(0, -2), lz.swapaxes(0, -2)  # slot axis first
+    for m in range(1, rows.shape[0]):
+        tail = (rows[m - 1] - lz_rows[m])[..., ::-1]
+        rows[m] += np.logaddexp.accumulate(tail, axis=-1)[..., ::-1]
+    q = np.exp(log_q - log_q.max(axis=-1, keepdims=True))
+    return q / q.sum(axis=-1, keepdims=True)
 
 
-def apply_slot_rewards(weights, allowed, valuations, grid_values, wins):
-    """Add v_m - B_j to every feasible cell (m, j) that `wins` this round."""
-    np.add(weights, valuations[:, None] - grid_values[None, :], out=weights,
-           where=wins & allowed)
+def apply_slot_rewards(weights, allowed, valuations, grid_values, thresholds):
+    """Add v_m - B_j to every feasible cell (m, j) that wins: j >= thr_m."""
+    wins = np.arange(grid_values.size) >= thresholds[..., None]
+    np.add(weights, valuations[..., None] - grid_values, out=weights, where=wins & allowed)

@@ -16,8 +16,10 @@ that take one round or a (T, supply) history alike:
   bid the winning slots form a prefix, and `settle` counts it.
 - The pooling rule ranks every rival entry by (index, owner priority), keeps
   the top `supply` and pads with (0, PAD_PRIORITY) entries that lose every
-  tie. `pool_rival_bids` applies it to many rounds with one sort of integer
-  keys.
+  tie. Both pooling routines sort integer keys index * L + rank of the owner
+  priority: `pool_rival_bids` one bidder over many rounds in numpy, and
+  `round_thresholds` every bidder of one round from one sort of Python ints,
+  reading each bidder's thresholds straight off its pooled keys.
 
 Ties are broken by strict priority. The two-mode `TieBreak` rule covers the
 single-bidder-versus-environment case; multi-agent markets attach an owner
@@ -29,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,12 +100,6 @@ class BidVector:
     def demand(self) -> int:
         return int(self.indices.size)
 
-    def check_ir(self, valuation: ValuationProfile) -> None:
-        if self.demand != valuation.demand:
-            raise ValueError("bid and valuation lengths differ")
-        if np.any(self.values > valuation.values + VALUE_EPS):
-            raise ValueError("bid violates individual rationality")
-
 
 @dataclass(frozen=True)
 class CompetingBids:
@@ -146,15 +142,15 @@ class CompetingBids:
         return self.grid.values[self.indices]
 
 
-def trusted(cls, indices: np.ndarray, grid: BidGrid, **fields):
-    """Construct a BidVector or CompetingBids without re-validating invariants.
+def trusted(cls, indices: np.ndarray, grid: BidGrid):
+    """Construct a BidVector without re-validating invariants.
 
-    Internal fast path for the samplers and the market's per-round rival
-    pool, whose rows are sorted and grid-valued by construction; everything
-    else should go through the regular constructor.
+    Internal fast path for the samplers, whose draws are monotone and on the
+    grid by construction; everything else should go through the regular
+    constructor.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(indices=indices, grid=grid, **fields)
+    obj.__dict__.update(indices=indices, grid=grid)
     return obj
 
 
@@ -202,27 +198,6 @@ def pool_rival_bids(
     return indices, np.array(levels, dtype=np.int64)[ranks]
 
 
-def competing_bids(
-    rival_bids: Iterable[BidVector],
-    supply: int,
-    grid: BidGrid,
-    rival_priorities: Optional[Sequence[int]] = None,
-) -> CompetingBids:
-    """Collect the `supply` largest rival bids, sorted non-decreasing.
-
-    Fewer than `supply` rival bids are padded with the grid minimum at a
-    priority below every real bidder, so a padded entry can never win a tie.
-    """
-    rival_bids = list(rival_bids)
-    owners = [0 if rival_priorities is None else int(rival_priorities[r])
-              for r in range(len(rival_bids))]
-    idx, pri = pool_rival_bids(1, supply, [bid.indices[None, :] for bid in rival_bids], owners)
-    idx, pri = idx[0], pri[0]
-    if rival_priorities is None and not (pri == PAD_PRIORITY).any():
-        return CompetingBids(idx, grid)  # uniform priorities: the two-mode tie rule
-    return CompetingBids(idx, grid, pri)
-
-
 def win_thresholds(
     indices: np.ndarray,
     priorities: Optional[np.ndarray],
@@ -245,6 +220,51 @@ def win_thresholds(
     return c + (priorities[..., :demand] >= bidder_priority)
 
 
+def round_thresholds(rows: Sequence[list], owners: Sequence[int], supply: int,
+                     bidders: int) -> list[list[int]]:
+    """Per-slot win thresholds of the first `bidders` rows of one round, from one sort.
+
+    `rows[k]` is a list of bid indices owned by priority `owners[k]`, the
+    owners distinct. Every entry becomes the key index * L + rank of its
+    owner among the L levels, PAD_PRIORITY at rank 0, as in
+    `pool_rival_bids`. Bidder n's competing bids are the first `supply` keys
+    of the descending sort that it does not own, padded with key 0, and slot
+    m faces the m-th smallest. The rule of `win_thresholds` in key form: a
+    rival key c * L + r gives the threshold c + (r > rank of n), which is
+    (key + L - 1 - rank of n) // L.
+    """
+    levels = sorted({PAD_PRIORITY, *owners})
+    width = len(levels)
+    ranks = [levels.index(owner) for owner in owners]
+    keys = sorted([j * width + r for row, r in zip(rows, ranks) for j in row], reverse=True)
+    out = []
+    for row, rank in zip(rows[:bidders], ranks):
+        pool = [key for key in keys[: supply + len(row)] if key % width != rank][:supply]
+        shift = width - 1 - rank
+        ascending = [0] * (supply - len(pool)) + pool[::-1]
+        out.append([(key + shift) // width for key in ascending[: len(row)]])
+    return out
+
+
+def settle_prefix(values: list, bid: list, bid_values: list,
+                  thresholds: list) -> tuple[int, float, float, float]:
+    """(allocation, utility, payment, reward) of one bid against its slot thresholds.
+
+    Arguments are Python lists over the bidder's slots. The allocation is the
+    length of the prefix of slots with b_m >= thr_m; reward and payment are
+    `math.fsum` sums over it.
+    """
+    if any(b > v + VALUE_EPS for b, v in zip(bid_values, values)):
+        raise ValueError("bid violates individual rationality")
+    x = 0
+    for b, threshold in zip(bid, thresholds):
+        if b < threshold:
+            break  # monotone inputs: the winning slots form a prefix
+        x += 1
+    reward, payment = math.fsum(values[:x]), math.fsum(bid_values[:x])
+    return x, reward - payment, payment, reward
+
+
 def settle(
     valuation: ValuationProfile,
     bid: BidVector,
@@ -252,28 +272,14 @@ def settle(
     tie: TieBreak = TieBreak.BIDDER_WINS,
     bidder_priority: Optional[int] = None,
 ) -> AuctionOutcome:
-    """Settle one bidder: allocation, gross reward, payment, and utility.
-
-    The allocation is the length of the prefix of slots with b_m >= thr_m,
-    counted on Python lists: demand is small, and this sits on the
-    per-round hot path.
-    """
+    """Settle one bidder: allocation, gross reward, payment, and utility."""
     m = bid.indices.size
     if m != valuation.values.size:
         raise ValueError("bid and valuation lengths differ")
     if m > competing.indices.size:
         raise ValueError("bidder demand exceeds supply of competing bids")
-    values = valuation.values.tolist()
-    bid_values = bid.grid.values[bid.indices].tolist()
-    if any(b > v + VALUE_EPS for b, v in zip(bid_values, values)):
-        raise ValueError("bid violates individual rationality")
     thresholds = win_thresholds(competing.indices, competing.priorities, m, tie,
-                                bidder_priority).tolist()
-    x = 0
-    for b, threshold in zip(bid.indices.tolist(), thresholds):
-        if b < threshold:
-            break  # monotone inputs: the winning slots form a prefix
-        x += 1
-    reward = math.fsum(values[:x])
-    payment = math.fsum(bid_values[:x])
-    return AuctionOutcome(allocation=x, utility=reward - payment, payment=payment, reward=reward)
+                                bidder_priority)
+    return AuctionOutcome(*settle_prefix(valuation.values.tolist(), bid.indices.tolist(),
+                                         bid.grid.values[bid.indices].tolist(),
+                                         thresholds.tolist()))

@@ -8,10 +8,18 @@ completions; sampling slot by slot against those partial sums then draws
 whole vectors from exactly the softmax-over-paths law.
 
 Feedback modes:
-  * full information: the realized competing bids update every cell;
+  * full information: the round's per-slot win thresholds update every cell;
   * bandit: only the own allocation is observed, and cells are updated with a
     shifted inverse-probability-weighted estimator whose increments never
     exceed 1 (an implicit-exploration variant divides by q + gamma instead).
+
+`ExpWeightsBidder` is a population: k >= 1 agents of one demand and one
+feedback mode share a (k, M, D) weight table, so each round runs every
+kernel once for all of them, with eta and gamma per agent. Each agent keeps
+its own RNG stream and draws its M uniforms from it, so its bids are the
+same whichever group it is in. The functions on one `NodeWeightTable`
+(`compute_partial_sums`, `sample_bid`, `slot_marginals`, `full_info_update`,
+`bandit_update`) run the same kernels on a single (M, D) table.
 """
 from __future__ import annotations
 
@@ -23,11 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, trusted
+from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, trusted, win_thresholds
 from .grids import BidGrid
-from .hindsight import NodeWeightTable, _win_matrix
-
-LOG_ZERO = float("-inf")
+from .hindsight import NodeWeightTable
 
 
 class FeedbackMode(enum.Enum):
@@ -84,12 +90,9 @@ def eta_schedule(mode: FeedbackMode, demand: int, grid_size: int, horizon: int) 
 
 def ix_gamma_schedule(allowed: np.ndarray, horizon: int, delta: float = 0.05) -> np.ndarray:
     """Per-layer implicit-exploration offsets from the per-layer arm counts."""
-    counts = allowed.sum(axis=1)
-    gammas = np.empty(allowed.shape[0])
-    for m, k in enumerate(counts):
-        k = max(int(k), 1)
-        gammas[m] = math.sqrt((math.log(k) + math.log((k + 1) / delta)) / (4 * k * horizon))
-    return gammas
+    counts = [max(k, 1) for k in allowed.sum(axis=1).tolist()]
+    return np.array([math.sqrt((math.log(k) + math.log((k + 1) / delta)) / (4 * k * horizon))
+                     for k in counts])
 
 
 def estimator_offsets(mode: FeedbackMode, allowed: np.ndarray, horizon: int,
@@ -122,24 +125,11 @@ def sample_bid(partial: PartialSumTable, rng: np.random.Generator) -> BidVector:
 
     One uniform is consumed per slot in slot order, so a run is reproducible
     from the seed alone. The resulting law over whole vectors is the softmax
-    of the summed cell weights (see `path_log_probability`).
+    of the summed cell weights.
     """
     uniforms = rng.random(partial.demand)
     indices = _kernels.sample_monotone(partial.log_prefix, uniforms)
     return trusted(BidVector, indices, partial.grid)
-
-
-def path_log_probability(partial: PartialSumTable, indices: Sequence[int]) -> float:
-    """Exact log-probability that `sample_bid` emits this index vector."""
-    logs = partial.log_sums
-    total = 0.0
-    cap = logs.shape[1] - 1
-    for m, idx in enumerate(indices):
-        if idx > cap:
-            return LOG_ZERO
-        total += logs[m, idx] - partial.log_prefix[m, cap]
-        cap = int(idx)
-    return total
 
 
 def slot_marginals(partial: PartialSumTable) -> SlotMarginals:
@@ -160,9 +150,10 @@ def full_info_update(
     bidder_priority: Optional[int] = None,
 ) -> None:
     """Add this round's realized per-slot rewards to every feasible cell."""
-    wins = _win_matrix(competing, table.demand, tie, bidder_priority)
+    thresholds = win_thresholds(competing.indices, competing.priorities, table.demand, tie,
+                                bidder_priority)
     _kernels.apply_slot_rewards(
-        table.weights, table.allowed, table.valuation.values, table.grid.values, wins
+        table.weights, table.allowed, table.valuation.values, table.grid.values, thresholds
     )
 
 
@@ -182,73 +173,86 @@ def bandit_update(
     every played cell is feasible. Returns the per-slot increments applied to
     the played cells (useful for estimator diagnostics).
     """
-    slots = np.arange(table.demand)
-    j = played.indices
-    q = marginals.probs[slots, j]
-    if gamma is not None:
-        q = q + gamma
+    return _bandit_step(table.weights[None], table.allowed[None], marginals.probs[None],
+                        played.indices[None], np.array([allocation]),
+                        table.valuation.values[None], table.grid.values,
+                        0.0 if gamma is None else gamma)[0]
+
+
+def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values, gamma):
+    """`bandit_update` for a (k, M, D) stack: bids (k, M), allocations (k,)."""
+    agents = np.arange(bids.shape[0])[:, None]
+    slots = np.arange(bids.shape[1])
+    q = probs[agents, slots, bids] + gamma
     if (q <= 0.0).any():
         raise RuntimeError("played bid has zero sampling probability; sampler and marginals disagree")
-    won = slots < allocation  # winning slots form a prefix
-    w = np.where(won, table.valuation.values - table.grid.values[j], 0.0)
+    won = slots < allocations[:, None]  # winning slots form a prefix
+    w = np.where(won, values - grid_values[bids], 0.0)
     correction = (1.0 - w) / q
-    table.weights[...] += table.allowed  # +1 on every feasible cell
-    table.weights[slots, j] -= correction
+    weights += allowed  # +1 on every feasible cell
+    weights[agents, slots, bids] -= correction
     return 1.0 - correction
 
 
 class ExpWeightsBidder:
-    """Stateful decoupled exponential-weights learner for one run."""
+    """k >= 1 decoupled exponential-weights agents of one demand and mode, for one run.
 
-    def __init__(
-        self,
-        valuation: ValuationProfile,
-        grid: BidGrid,
-        horizon: int,
-        config: Optional[LearnerConfig] = None,
-    ):
-        self.config = config or LearnerConfig()
-        self.valuation = valuation
-        self.grid = grid
-        self.horizon = horizon
-        mode = self.config.mode
-        self.eta = self.config.eta if self.config.eta is not None else eta_schedule(
-            mode, valuation.demand, grid.count, horizon
-        )
-        if mode is not FeedbackMode.FULL_INFO and self.eta >= 1.0 / valuation.demand:
+    A group of the market: `propose` returns one bid row per agent, and
+    `observe(allocations, thresholds)` takes the agents' allocations and,
+    under full information, their (k, M) win thresholds.
+    """
+
+    def __init__(self, valuations: Sequence[ValuationProfile], grid: BidGrid, horizon: int,
+                 configs: Sequence[LearnerConfig]):
+        self.valuations, self.grid = list(valuations), grid
+        self.mode = mode = configs[0].mode
+        self.demand = demand = self.valuations[0].demand
+        if len(configs) != len(self.valuations) or any(
+                c.mode is not mode or v.demand != demand for c, v in zip(configs, self.valuations)):
+            raise ValueError("a group needs one config per agent, one mode and one demand")
+        etas = [eta_schedule(mode, demand, grid.count, horizon) if c.eta is None else c.eta
+                for c in configs]
+        if mode is not FeedbackMode.FULL_INFO and max(etas) >= 1.0 / demand:
             raise ValueError("bandit modes require eta < 1/M")
-        allowed = valuation.ir_mask(grid)
-        self.table = NodeWeightTable(np.zeros_like(allowed, dtype=float), allowed, grid, valuation)
-        self.gamma = estimator_offsets(mode, allowed, horizon, self.config.gamma,
-                                       self.config.ix_delta)
+        self.eta = np.array(etas)
+        self.values = np.array([v.values for v in self.valuations])
+        self.allowed = np.array([v.ir_mask(grid) for v in self.valuations])
+        self.weights = np.zeros(self.allowed.shape)
+        self.gamma = np.array([estimator_offsets(mode, allowed, horizon, c.gamma, c.ix_delta)
+                               for allowed, c in zip(self.allowed, configs)])
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
-        self.rng = np.random.default_rng(self.config.seed)
-        self._pending_bid: Optional[BidVector] = None
-        self._pending_marginals: Optional[SlotMarginals] = None
+        self.rngs = [np.random.default_rng(c.seed) for c in configs]
+        self._uniforms = np.empty(self.values.shape)
+        # A lone agent samples from its (M, D) table: the kernels' per-slot
+        # numpy calls cost more on (1, D) slices than on plain rows.
+        self._kernel_args = ((self.weights[0], self.allowed[0], self.eta[0]) if len(configs) == 1
+                             else (self.weights, self.allowed, self.eta[:, None, None]))
+        self._pending_bids: Optional[np.ndarray] = None
+        self._pending_marginals: Optional[np.ndarray] = None
 
-    @property
-    def demand(self) -> int:
-        return self.valuation.demand
+    def propose(self) -> np.ndarray:
+        """One monotone bid per agent: a (k, M) array of grid indices."""
+        log_sums, log_prefix = _kernels.ew_tail_sums(*self._kernel_args)
+        for rng, row in zip(self.rngs, self._uniforms):
+            rng.random(out=row)  # each agent's own stream, M uniforms per round
+        bids = _kernels.sample_monotone(log_prefix, self._uniforms.reshape(log_prefix.shape[:-1]))
+        self._pending_bids = bids.reshape(self.values.shape)
+        if not self.wants_full_info:
+            self._pending_marginals = _kernels.ew_marginals(log_sums).reshape(self.weights.shape)
+        return self._pending_bids
 
-    def propose(self) -> BidVector:
-        partial = compute_partial_sums(self.table, self.eta)
-        bid = sample_bid(partial, self.rng)
-        self._pending_bid = bid
-        if self.config.mode is not FeedbackMode.FULL_INFO:
-            self._pending_marginals = slot_marginals(partial)
-        return bid
-
-    def observe(self, allocation: int, competing: Optional[CompetingBids],
-                tie: TieBreak = TieBreak.BIDDER_WINS,
-                bidder_priority: Optional[int] = None) -> None:
-        if self._pending_bid is None:
+    def observe(self, allocations: Sequence[int],
+                thresholds: Optional[Sequence[Sequence[int]]] = None) -> None:
+        if self._pending_bids is None:
             raise RuntimeError("observe called before propose")
-        if self.config.mode is FeedbackMode.FULL_INFO:
-            if competing is None:
-                raise ValueError("full-information feedback requires the competing bids")
-            full_info_update(self.table, competing, tie, bidder_priority)
+        if self.wants_full_info:
+            if thresholds is None:
+                raise ValueError("full-information feedback requires the win thresholds")
+            _kernels.apply_slot_rewards(self.weights, self.allowed, self.values,
+                                        self.grid.values, np.array(thresholds))
         else:
-            bandit_update(self.table, self._pending_marginals, self._pending_bid,
-                          allocation, self.gamma)
-        self._pending_bid = None
+            _bandit_step(self.weights, self.allowed, self._pending_marginals,
+                         self._pending_bids, np.array(allocations), self.values,
+                         self.grid.values, self.gamma)
+        self._pending_bids = None
         self._pending_marginals = None

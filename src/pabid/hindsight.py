@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, win_thresholds
+from .auction import BidVector, TieBreak, ValuationProfile, win_thresholds
 from .grids import BidGrid
 
 NEG_INF = float("-inf")
@@ -37,29 +37,11 @@ class NodeWeightTable:
     def demand(self) -> int:
         return int(self.weights.shape[0])
 
-    def masked(self) -> np.ndarray:
-        """Weights with forbidden cells shown as -inf (for display/tests)."""
-        out = self.weights.copy()
-        out[~self.allowed] = NEG_INF
-        return out
-
 
 @dataclass(frozen=True)
 class HindsightSolution:
     bid: BidVector
     total_utility: float
-
-
-def _win_matrix(
-    competing: CompetingBids,
-    demand: int,
-    tie: TieBreak,
-    bidder_priority: Optional[int],
-) -> np.ndarray:
-    """Boolean (demand, D) matrix: does grid bid j win slot m this round."""
-    thresholds = win_thresholds(competing.indices, competing.priorities, demand, tie,
-                                bidder_priority)
-    return np.arange(competing.grid.count) >= thresholds[:, None]
 
 
 def accumulate_weights_history(

@@ -14,7 +14,9 @@ non-increasing. No transition tensor is built; the regret analysis and the
 bandit estimator read only q.
 
 RNG contract: `OmdBidder` consumes exactly one uniform per round, whatever
-the demand.
+the demand. It is a market group of one agent: `propose` returns a (1, M)
+row and `observe` takes one allocation and, under full information, one
+row of win thresholds.
 """
 from __future__ import annotations
 
@@ -24,11 +26,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import project_dual_ascent
-from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, trusted
+from .auction import BidVector, ValuationProfile, trusted
 from .exp_weights import FeedbackMode, estimator_offsets
 from .grids import BidGrid
-from .hindsight import _win_matrix
 
 # Floor applied to marginals before dividing in the bandit reward estimate.
 Q_FLOOR = 1e-12
@@ -137,18 +139,6 @@ def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: i
     return ProjectionResult(measure=measure, gap=float(gap), sweeps=int(sweeps))
 
 
-def unnormalized_kl(q: np.ndarray, q_tilde: np.ndarray) -> float:
-    """D(q || q_tilde) = sum q log(q/q_tilde) - q + q_tilde over supported cells."""
-    q = np.asarray(q, dtype=float)
-    q_tilde = np.asarray(q_tilde, dtype=float)
-    total = float(np.sum(q_tilde) - np.sum(q))
-    pos = q > 0
-    if np.any(pos & (q_tilde <= 0)):
-        return float("inf")
-    total += float(np.sum(q[pos] * np.log(q[pos] / q_tilde[pos])))
-    return total
-
-
 def sample_from_marginals(q: np.ndarray, rng: np.random.Generator, grid: BidGrid) -> BidVector:
     """Draw a bid vector whose slot-m bid has law q[m], from one uniform U.
 
@@ -193,8 +183,8 @@ class OmdBidder:
         projection_tol: float = DEFAULT_PROJECTION_TOL,
     ):
         self.valuation = valuation
+        self.valuations = [valuation]
         self.grid = grid
-        self.horizon = horizon
         self.mode = mode
         self.eta = eta if eta is not None else omd_eta_schedule(mode, grid.count, horizon)
         self.allowed = np.ascontiguousarray(valuation.ir_mask(grid))
@@ -211,46 +201,43 @@ class OmdBidder:
         for m in range(1, valuation.demand):
             spread = self.q[m - 1] / np.cumsum(feasible[m])
             self.q[m] = feasible[m] * np.cumsum(spread[::-1])[::-1]
-        self._pending: Optional[BidVector] = None
+        self._pending: Optional[np.ndarray] = None
         self.rounds = 0  # rounds observed so far; the next observe is this round index
 
-    @property
-    def demand(self) -> int:
-        return self.valuation.demand
+    def propose(self) -> np.ndarray:
+        """This round's bid, as a (1, M) array of grid indices."""
+        self._pending = sample_from_marginals(self.q, self.rng, self.grid).indices
+        return self._pending[None]
 
-    def propose(self) -> BidVector:
-        bid = sample_from_marginals(self.q, self.rng, self.grid)
-        self._pending = bid
-        return bid
-
-    def reward_estimate(self, allocation: int, competing: Optional[CompetingBids],
-                        tie: TieBreak, bidder_priority: Optional[int]) -> np.ndarray:
+    def reward_estimate(self, allocation: int, thresholds: Optional[np.ndarray],
+                        *_ignored) -> np.ndarray:
         """Per-cell reward estimate for the round just played.
 
-        Under bandit feedback only the played cells are nonzero: the realized
-        slot reward over max(q, Q_FLOOR) + gamma.
+        Under full information, the realized slot rewards: v_m - B_j on every
+        feasible cell at or above slot m's win threshold. Under bandit
+        feedback only the played cells are nonzero: the realized slot reward
+        over max(q, Q_FLOOR) + gamma. Extra arguments (the former tie rule and
+        bidder priority) are ignored.
         """
-        m_units = self.q.shape[0]
         v = self.valuation.values
-        if self.mode is FeedbackMode.FULL_INFO:
-            if competing is None:
-                raise ValueError("full-information feedback requires the competing bids")
-            won = _win_matrix(competing, m_units, tie, bidder_priority)
-            margin = v[:, None] - self.grid.values[None, :]
-            return np.where(won & self.allowed, margin, 0.0)
-        slots = np.arange(m_units)
-        j = self._pending.indices
-        w = np.where(slots < allocation, v - self.grid.values[j], 0.0)
         est = np.zeros(self.q.shape)
+        if self.mode is FeedbackMode.FULL_INFO:
+            if thresholds is None:
+                raise ValueError("full-information feedback requires the win thresholds")
+            _kernels.apply_slot_rewards(est, self.allowed, v, self.grid.values,
+                                        np.asarray(thresholds))
+            return est
+        slots = np.arange(self.q.shape[0])
+        j = self._pending
+        w = np.where(slots < allocation, v - self.grid.values[j], 0.0)
         est[slots, j] = w / (np.maximum(self.q[slots, j], Q_FLOOR) + self.gamma)
         return est
 
-    def observe(self, allocation: int, competing: Optional[CompetingBids] = None,
-                tie: TieBreak = TieBreak.BIDDER_WINS,
-                bidder_priority: Optional[int] = None) -> None:
+    def observe(self, allocations, thresholds=None) -> None:
+        """Take this agent's allocation and, under full information, its thresholds."""
         if self._pending is None:
             raise RuntimeError("observe called before propose")
-        est = self.reward_estimate(allocation, competing, tie, bidder_priority)
+        est = self.reward_estimate(allocations[0], None if thresholds is None else thresholds[0])
         q_tilde = unconstrained_step(self.q, est, self.eta)
         # project_to_Q's input checks hold by construction here, so skip them
         result = _project(q_tilde, self.allowed, self.projection_tol, DEFAULT_MAX_SWEEPS,
@@ -258,4 +245,3 @@ class OmdBidder:
         self.q = result.measure.probs
         self._pending = None
         self.rounds += 1
-

@@ -288,22 +288,27 @@ def build_market(scenario: Scenario, replication: int) -> tuple[SelfPlayMarket, 
     valuation_children = valuation_seq.spawn(len(scenario.agents))
 
     horizon = max(scenario.rounds, 1)  # schedules divide by the horizon
-    valuations = []
-    learners = []
+    valuations = [_materialize_valuation(spec.valuation, valuation_children[i])
+                  for i, spec in enumerate(scenario.agents)]
+    # EW agents of equal demand and feedback form one group; each OMD agent is its own.
+    groups: dict = {}
     for i, spec in enumerate(scenario.agents):
-        valuation = _materialize_valuation(spec.valuation, valuation_children[i])
-        valuations.append(valuation)
-        mode = _FEEDBACK[spec.feedback]
-        if spec.algorithm == "ew":
+        key = (valuations[i].demand, spec.feedback) if spec.algorithm == "ew" else i
+        groups.setdefault(key, []).append(i)
+    learners = []
+    for members in groups.values():
+        specs = [scenario.agents[i] for i in members]
+        mode = _FEEDBACK[specs[0].feedback]
+        if specs[0].algorithm == "ew":
             learners.append(ExpWeightsBidder(
-                valuation, grid, horizon,
-                LearnerConfig(mode=mode, eta=spec.eta, gamma=spec.gamma, seed=seqs[i]),
+                [valuations[i] for i in members], grid, horizon,
+                [LearnerConfig(mode=mode, eta=spec.eta, gamma=spec.gamma, seed=seqs[i])
+                 for i, spec in zip(members, specs)],
             ))
         else:
-            learners.append(OmdBidder(
-                valuation, grid, horizon, mode=mode,
-                eta=spec.eta, gamma=spec.gamma, seed=seqs[i],
-            ))
+            learners.append(OmdBidder(valuations[members[0]], grid, horizon, mode=mode,
+                                      eta=specs[0].eta, gamma=specs[0].gamma,
+                                      seed=seqs[members[0]]))
 
     env = None
     env_wins_ties = False
@@ -321,7 +326,8 @@ def build_market(scenario: Scenario, replication: int) -> tuple[SelfPlayMarket, 
         env_wins_ties = env_spec.tie == "agent_loses"
 
     market = SelfPlayMarket(learners, valuations, grid, scenario.supply,
-                            environment=env, env_wins_ties=env_wins_ties)
+                            environment=env, env_wins_ties=env_wins_ties,
+                            members=list(groups.values()))
     config = {
         "scenario": scenario.raw,
         "replication": replication,

@@ -2,19 +2,29 @@
 
 A run is a sequence of synchronous rounds of `SelfPlayMarket.play`, the one
 loop from a learner to a settled round; a single learner against an
-environment is a one-agent market. Every agent proposes a bid, each agent
-is settled against the pooled rival bids (learner agents plus an optional
-exogenous environment), and feedback is dispatched according to each
-agent's `wants_full_info` flag. Everything that happened is captured in a
+environment is a one-agent market. Everything that happened is captured in a
 `RunLog` that can be replayed, persisted, and scored for regret, welfare,
 and revenue.
 
-`play` pools each round's bids with one sort of (index, owner) pairs; agent
-n's competing bids are the first `supply` of them that n does not own. After
-the run, the log is scored over all T rounds at once: `competing_history`
-applies the same pooling rule with `pool_rival_bids`, the regret table
-counts wins from the per-slot thresholds of `win_thresholds`, and the market
-metrics read each agent's winning and losing bids as whole columns.
+Learners come in groups. A group holds k >= 1 agents of the market and has:
+
+- `propose()`: a (k, M) array of grid indices, one monotone bid row per
+  agent;
+- `observe(allocations, thresholds)`: the agents' k allocations and, when
+  the group's `wants_full_info` is set, their per-slot win thresholds (k
+  rows of M, as returned by `auction.round_thresholds`), else None.
+
+An EW group stacks agents of one demand and feedback mode into one weight
+table; an OMD agent is a group of its own. A round collects every group's
+rows, pools them with the environment's bids in one sort of integer keys
+(`round_thresholds`), settles every agent against its thresholds and hands
+each group its feedback.
+
+After the run, the log is scored over all T rounds at once:
+`competing_history` applies the same pooling rule with `pool_rival_bids`,
+the regret table counts wins from the per-slot thresholds of
+`win_thresholds`, and the market metrics read each agent's winning and
+losing bids as whole columns.
 """
 from __future__ import annotations
 
@@ -27,13 +37,13 @@ import numpy as np
 
 from . import __version__ as _library_version
 from .auction import (
-    PAD_PRIORITY,
     CompetingBids,
     BidVector,
     ValuationProfile,
     pool_rival_bids,
+    round_thresholds,
     settle,
-    trusted,
+    settle_prefix,
 )
 from .grids import BidGrid
 from .hindsight import accumulate_weights_history, hindsight_optimal
@@ -212,11 +222,12 @@ class MarketMetrics:
 
 
 class SelfPlayMarket:
-    """Synchronous-round market over learner agents plus an optional adversary.
+    """Synchronous-round market over learner groups plus an optional adversary.
 
-    A learner has `propose()`, `observe(allocation, competing, bidder_priority=)`
-    and a `wants_full_info` flag: full-information learners observe their
-    competing bids, the others only their allocation.
+    `learners` are groups (see the module docstring); `members[g]` lists the
+    market agents of group g, in the order of its rows, and defaults to one
+    agent per group. `valuations[n]` belongs to agent n, whose tie priority is
+    n; the environment's bids rank above or below every agent's.
     """
 
     def __init__(
@@ -227,64 +238,58 @@ class SelfPlayMarket:
         supply: int,
         environment=None,
         env_wins_ties: bool = False,
+        members: Optional[Sequence[Sequence[int]]] = None,
     ):
-        if len(learners) != len(valuations):
-            raise ValueError("one valuation per learner required")
         self.learners = list(learners)
         self.valuations = list(valuations)
+        self.members = [tuple(m) for m in members or [[g] for g in range(len(self.learners))]]
+        if (len(self.members) != len(self.learners)
+                or sorted(n for m in self.members for n in m) != list(range(len(valuations)))):
+            raise ValueError("every agent must belong to exactly one group")
+        if any(v.demand > supply for v in self.valuations):
+            raise ValueError("an agent's demand exceeds the supply")
         self.grid = grid
         self.supply = supply
         self.environment = environment
         self.env_wins_ties = env_wins_ties
 
     def play(self, rounds: int, config: Optional[dict] = None, seed: int = 0) -> RunLog:
-        n_agents = len(self.learners)
-        bids = [np.empty((rounds, v.demand), dtype=np.int64) for v in self.valuations]
-        allocations = np.empty((rounds, n_agents), dtype=np.int64)
-        utilities = np.empty((rounds, n_agents))
-        payments = np.empty((rounds, n_agents))
-        rewards = np.empty((rounds, n_agents))
-        env_bids = (np.empty((rounds, self.supply), dtype=np.int64)
-                    if self.environment is not None else None)
-        env_priority = ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY
-
-        pad = [(0, PAD_PRIORITY)] * self.supply
+        n_agents = len(self.valuations)
+        values = [v.values.tolist() for v in self.valuations]
+        grid_values = self.grid.values.tolist()
+        owners = list(range(n_agents))
+        widths = [v.demand for v in self.valuations]
+        if self.environment is not None:
+            owners.append(ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY)
+            widths.append(self.supply)
+        played = []    # per round: each agent's bid row, then the environment's
+        outcomes = []  # per round: (allocation, utility, payment, reward) of each agent
         for t in range(rounds):
-            proposals = [learner.propose() for learner in self.learners]
-            entries = [(j, r) for r, bid in enumerate(proposals) for j in bid.indices.tolist()]
-            env_draw = self.environment.draw(t) if self.environment is not None else None
-            if env_draw is not None:
-                env_bids[t] = env_draw.indices
-                entries += [(j, env_priority) for j in env_draw.indices.tolist()]
-            entries.sort(reverse=True)  # one pool per round, by (index, owner priority)
-            round_alloc = 0
-            for n, learner in enumerate(self.learners):
-                pool = [e for e in entries if e[1] != n][: self.supply]
-                pool += pad[len(pool):]
-                pool.reverse()  # ascending, padding first
-                idx, pri = zip(*pool)  # sorted and on the grid by construction
-                competing = trusted(CompetingBids, np.array(idx, dtype=np.int64), self.grid,
-                                    priorities=np.array(pri, dtype=np.int64))
-                outcome = settle(self.valuations[n], proposals[n], competing,
-                                 bidder_priority=n)
-                bids[n][t] = proposals[n].indices
-                allocations[t, n] = outcome.allocation
-                utilities[t, n] = outcome.utility
-                payments[t, n] = outcome.payment
-                rewards[t, n] = outcome.reward
-                round_alloc += outcome.allocation
-                learner.observe(
-                    outcome.allocation,
-                    competing if learner.wants_full_info else None,
-                    bidder_priority=n,
-                )
-            if round_alloc > self.supply:
+            rows = [None] * len(owners)
+            for group, members in zip(self.learners, self.members):
+                for n, row in zip(members, group.propose().tolist()):
+                    rows[n] = row
+            if self.environment is not None:
+                rows[-1] = self.environment.draw(t).indices.tolist()
+            thresholds = round_thresholds(rows, owners, self.supply, n_agents)
+            settled = [settle_prefix(values[n], rows[n], [grid_values[j] for j in rows[n]],
+                                     thresholds[n]) for n in range(n_agents)]
+            if sum(outcome[0] for outcome in settled) > self.supply:
                 raise RuntimeError("settlement granted more units than the supply")
+            for group, members in zip(self.learners, self.members):
+                group.observe([settled[n][0] for n in members],
+                              [thresholds[n] for n in members] if group.wants_full_info else None)
+            played.append(rows)
+            outcomes.append(settled)
+        columns = [np.array([rows[k] for rows in played], dtype=np.int64).reshape(rounds, width)
+                   for k, width in enumerate(widths)]
+        allocated, utilities, payments, rewards = np.array(outcomes, dtype=float).reshape(
+            rounds, n_agents, 4).transpose(2, 0, 1).copy()
         return RunLog(
-            grid=self.grid, valuations=self.valuations, bids=bids,
-            allocations=allocations, utilities=utilities, payments=payments,
-            rewards=rewards, env_bids=env_bids, env_wins_ties=self.env_wins_ties,
-            supply=self.supply, seed=seed, config=config or {},
+            grid=self.grid, valuations=self.valuations, bids=columns[:n_agents],
+            allocations=allocated.astype(np.int64), utilities=utilities, payments=payments,
+            rewards=rewards, env_bids=columns[n_agents] if self.environment is not None else None,
+            env_wins_ties=self.env_wins_ties, supply=self.supply, seed=seed, config=config or {},
         )
 
 

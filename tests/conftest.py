@@ -19,9 +19,10 @@ from oracles import iter_monotone_indices
 
 
 def play_against(learner, adversary, rounds: int, tie: TieBreak = TieBreak.BIDDER_WINS):
-    """RunLog of one learner against an environment, as a one-agent market."""
-    market = SelfPlayMarket([learner], [learner.valuation], learner.grid, adversary.supply,
-                            environment=adversary, env_wins_ties=tie is TieBreak.BIDDER_LOSES)
+    """RunLog of one learner group against an environment, as a market of its agents."""
+    market = SelfPlayMarket([learner], learner.valuations, learner.grid, adversary.supply,
+                            environment=adversary, env_wins_ties=tie is TieBreak.BIDDER_LOSES,
+                            members=[range(len(learner.valuations))])
     return market.play(rounds)
 
 

@@ -5,6 +5,10 @@ sort of integer keys and finds the best fixed bid by dynamic programming.
 These loops state the same rules the long way: entry by entry, round by
 round, agent by agent, and the optimum by enumerating every monotone bid.
 Tests check the library against them.
+
+`loop_round` is the market round as it was played one agent at a time: a
+list pool of (index, owner) entries, a `CompetingBids` per agent, `settle`
+and `win_thresholds`.
 """
 from __future__ import annotations
 
@@ -14,8 +18,19 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from pabid.auction import PAD_PRIORITY, BidVector, CompetingBids, TieBreak, ValuationProfile
-from pabid.grids import BidGrid
+from pabid.auction import (
+    PAD_PRIORITY,
+    AuctionOutcome,
+    BidVector,
+    CompetingBids,
+    TieBreak,
+    ValuationProfile,
+    pool_rival_bids,
+    settle,
+    win_thresholds,
+)
+from pabid.grids import VALUE_EPS, BidGrid
+from pabid.exp_weights import PartialSumTable
 from pabid.hindsight import NEG_INF, HindsightSolution, NodeWeightTable
 from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, MarketMetrics, RunLog
 
@@ -44,6 +59,73 @@ def win_mask(
     if bidder_priority is None:
         bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
     return greater | (equal & (bidder_priority > rival_pri))
+
+
+def win_matrix(
+    competing: CompetingBids,
+    demand: int,
+    tie: TieBreak = TieBreak.BIDDER_WINS,
+    bidder_priority: Optional[int] = None,
+) -> np.ndarray:
+    """Boolean (demand, D) matrix: does grid bid j win slot m this round."""
+    thresholds = win_thresholds(competing.indices, competing.priorities, demand, tie,
+                                bidder_priority)
+    return np.arange(competing.grid.count) >= thresholds[:, None]
+
+
+def competing_bids(
+    rival_bids: Iterable[BidVector],
+    supply: int,
+    grid: BidGrid,
+    rival_priorities: Optional[Sequence[int]] = None,
+) -> CompetingBids:
+    """Collect the `supply` largest rival bids, sorted non-decreasing.
+
+    Fewer than `supply` rival bids are padded with the grid minimum at a
+    priority below every real bidder, so a padded entry can never win a tie.
+    """
+    rival_bids = list(rival_bids)
+    owners = [0 if rival_priorities is None else int(rival_priorities[r])
+              for r in range(len(rival_bids))]
+    idx, pri = pool_rival_bids(1, supply, [bid.indices[None, :] for bid in rival_bids], owners)
+    idx, pri = idx[0], pri[0]
+    if rival_priorities is None and not (pri == PAD_PRIORITY).any():
+        return CompetingBids(idx, grid)  # uniform priorities: the two-mode tie rule
+    return CompetingBids(idx, grid, pri)
+
+
+def loop_round(
+    rows: Sequence[Sequence[int]],
+    valuations: Sequence[ValuationProfile],
+    grid: BidGrid,
+    supply: int,
+    env_row: Optional[Sequence[int]] = None,
+    env_wins_ties: bool = False,
+) -> list[tuple[CompetingBids, list[int], AuctionOutcome]]:
+    """One market round, agent by agent: each agent's pool, thresholds and outcome.
+
+    Agent n bids `rows[n]` at priority n; the environment's ascending row
+    ranks above or below every agent.
+    """
+    env_priority = ENV_WINS_PRIORITY if env_wins_ties else ENV_LOSES_PRIORITY
+    entries = [(int(j), r) for r, row in enumerate(rows) for j in row]
+    if env_row is not None:
+        entries += [(int(j), env_priority) for j in env_row]
+    entries.sort(reverse=True)
+    pad = [(0, PAD_PRIORITY)] * supply
+    out = []
+    for n, row in enumerate(rows):
+        pool = [e for e in entries if e[1] != n][:supply]
+        pool += pad[len(pool):]
+        pool.reverse()  # ascending, padding first
+        competing = CompetingBids(np.array([e[0] for e in pool]), grid,
+                                  np.array([e[1] for e in pool]))
+        outcome = settle(valuations[n], BidVector(np.array(row), grid), competing,
+                         bidder_priority=n)
+        thresholds = win_thresholds(competing.indices, competing.priorities, len(row),
+                                    bidder_priority=n)
+        out.append((competing, thresholds.tolist(), outcome))
+    return out
 
 
 def allocate(
@@ -241,3 +323,43 @@ def brute_force_optimal(
     if best_idx is None:
         raise ValueError("no individually rational bid vector exists")
     return HindsightSolution(bid=BidVector(best_idx, grid), total_utility=float(best_util))
+
+
+def masked(table: NodeWeightTable) -> np.ndarray:
+    """Weights with forbidden cells shown as -inf."""
+    out = table.weights.copy()
+    out[~table.allowed] = NEG_INF
+    return out
+
+
+def check_ir(bid: BidVector, valuation: ValuationProfile) -> None:
+    """Raise unless the bid has the valuation's length and never bids above it."""
+    if bid.demand != valuation.demand:
+        raise ValueError("bid and valuation lengths differ")
+    if np.any(bid.values > valuation.values + VALUE_EPS):
+        raise ValueError("bid violates individual rationality")
+
+
+def path_log_probability(partial: PartialSumTable, indices: Sequence[int]) -> float:
+    """Exact log-probability that `sample_bid` emits this index vector."""
+    logs = partial.log_sums
+    total = 0.0
+    cap = logs.shape[1] - 1
+    for m, idx in enumerate(indices):
+        if idx > cap:
+            return NEG_INF
+        total += logs[m, idx] - partial.log_prefix[m, cap]
+        cap = int(idx)
+    return total
+
+
+def unnormalized_kl(q: np.ndarray, q_tilde: np.ndarray) -> float:
+    """D(q || q_tilde) = sum q log(q/q_tilde) - q + q_tilde over supported cells."""
+    q = np.asarray(q, dtype=float)
+    q_tilde = np.asarray(q_tilde, dtype=float)
+    total = float(np.sum(q_tilde) - np.sum(q))
+    pos = q > 0
+    if np.any(pos & (q_tilde <= 0)):
+        return float("inf")
+    total += float(np.sum(q[pos] * np.log(q[pos] / q_tilde[pos])))
+    return total

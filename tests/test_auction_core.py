@@ -11,12 +11,11 @@ from pabid import (
     CompetingBids,
     TieBreak,
     ValuationProfile,
-    competing_bids,
     make_even_grid,
     settle,
 )
 
-from oracles import allocate, merge_settle, slot_reward, win_mask
+from oracles import allocate, competing_bids, merge_settle, slot_reward, win_mask
 
 
 class TestBidGrid:

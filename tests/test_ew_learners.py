@@ -12,6 +12,7 @@ from pabid import (
     LearnerConfig,
     NodeWeightTable,
     OmdBidder,
+    SelfPlayMarket,
     StochasticAdversary,
     TieBreak,
     ValuationProfile,
@@ -23,11 +24,12 @@ from pabid import (
     make_even_grid,
     sample_bid,
     slot_marginals,
+    win_thresholds,
 )
 from pabid.exp_weights import estimator_offsets
 
 from conftest import play_against
-from oracles import accumulate_weights
+from oracles import accumulate_weights, check_ir, masked
 
 
 class TestEtaSchedule:
@@ -72,10 +74,10 @@ class TestEtaSchedule:
                 else:
                     expected = np.zeros(3)
                 assert estimator_offsets(mode, allowed, 100, gamma).tolist() == expected.tolist()
-                ew = ExpWeightsBidder(valuation, grid, 100,
-                                      LearnerConfig(mode=mode, eta=0.1, gamma=gamma))
+                ew = ExpWeightsBidder([valuation], grid, 100,
+                                      [LearnerConfig(mode=mode, eta=0.1, gamma=gamma)])
                 omd = OmdBidder(valuation, grid, 100, mode=mode, gamma=gamma)
-                assert ew.gamma.tolist() == omd.gamma.tolist() == expected.tolist()
+                assert ew.gamma[0].tolist() == omd.gamma.tolist() == expected.tolist()
 
 
 class TestFullInfoUpdate:
@@ -115,7 +117,7 @@ class TestFullInfoUpdate:
         for _ in range(5):
             full_info_update(table, competing)
         assert np.all(table.weights[~table.allowed] == 0.0)
-        assert np.isneginf(table.masked()[~table.allowed]).all()
+        assert np.isneginf(masked(table)[~table.allowed]).all()
 
     def test_constant_valuation_weight_factorization(self, rng):
         """With a fixed valuation, W[m, b] = (#wins of (m, b)) * (v_m - b)."""
@@ -172,19 +174,45 @@ class TestLearnerRuns:
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.ones(4))
         with pytest.raises(ValueError):
-            ExpWeightsBidder(valuation, grid, 100,
-                             LearnerConfig(mode=FeedbackMode.BANDIT_IPW, eta=0.5))
+            ExpWeightsBidder([valuation], grid, 100,
+                             [LearnerConfig(mode=FeedbackMode.BANDIT_IPW, eta=0.5)])
+
+    def test_group_needs_one_mode_and_one_demand(self):
+        grid = make_even_grid(5)
+        with pytest.raises(ValueError, match="one mode and one demand"):
+            ExpWeightsBidder([ValuationProfile(np.ones(2)), ValuationProfile(np.ones(1))], grid, 10,
+                             [LearnerConfig(), LearnerConfig()])
+        with pytest.raises(ValueError, match="one mode and one demand"):
+            ExpWeightsBidder([ValuationProfile(np.ones(2))] * 2, grid, 10,
+                             [LearnerConfig(), LearnerConfig(mode=FeedbackMode.BANDIT_IX)])
+
+    def test_group_plays_as_its_agents_would_alone(self):
+        """One group of three agents and three one-agent groups write the same
+        log, in every mode, with a different eta per agent."""
+        grid = make_even_grid(9)
+        valuations = [ValuationProfile(np.array(v)) for v in ([1.0, 0.6], [0.8, 0.5], [0.9, 0.2])]
+        adversary = StochasticAdversary(
+            [CompetingBids.from_values([0.25, 0.5, 0.75], grid),
+             CompetingBids.from_values([0.0, 0.125, 1.0], grid)], [0.5, 0.5], seed=3)
+        for mode in FeedbackMode:
+            configs = [LearnerConfig(mode=mode, eta=0.05 * (i + 1), seed=i) for i in range(3)]
+            grouped = SelfPlayMarket([ExpWeightsBidder(valuations, grid, 80, configs)], valuations,
+                                     grid, 3, adversary, members=[[0, 1, 2]]).play(80)
+            alone = SelfPlayMarket([ExpWeightsBidder([v], grid, 80, [c])
+                                    for v, c in zip(valuations, configs)],
+                                   valuations, grid, 3, adversary).play(80)
+            assert grouped.to_csv_text() == alone.to_csv_text()
 
     def test_hopeless_market_yields_zero_utility_and_ir_bids(self):
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([0.8, 0.6]))
         adversary = StochasticAdversary(
             [CompetingBids.from_values([1.0, 1.0], grid)], [1.0], seed=0)
-        learner = ExpWeightsBidder(valuation, grid, 300, LearnerConfig(seed=4))
+        learner = ExpWeightsBidder([valuation], grid, 300, [LearnerConfig(seed=4)])
         log = play_against(learner, adversary, 300, tie=TieBreak.BIDDER_LOSES)
         assert math.fsum(log.utilities[:, 0]) == 0.0
         for row in log.bids[0]:
-            BidVector(row, grid).check_ir(valuation)
+            check_ir(BidVector(row, grid), valuation)
 
     def test_deterministic_given_seed(self):
         grid = make_even_grid(9)
@@ -194,8 +222,8 @@ class TestLearnerRuns:
              CompetingBids.from_values([0.0, 0.75], grid)], [0.5, 0.5], seed=3)
 
         def bids(seed):
-            learner = ExpWeightsBidder(valuation, grid, 100,
-                                       LearnerConfig(mode=FeedbackMode.BANDIT_IX, seed=seed))
+            learner = ExpWeightsBidder([valuation], grid, 100,
+                                       [LearnerConfig(mode=FeedbackMode.BANDIT_IX, seed=seed)])
             return play_against(learner, adversary, 100).bids[0]
 
         runs = [bids(77) for _ in range(2)]
@@ -209,15 +237,15 @@ class TestLearnerRuns:
         adversary = StochasticAdversary(
             [CompetingBids.from_values([0.2, 0.4], grid),
              CompetingBids.from_values([0.0, 1.0], grid)], [0.6, 0.4], seed=1)
-        learner = ExpWeightsBidder(valuation, grid, 50, LearnerConfig(seed=5))
+        learner = ExpWeightsBidder([valuation], grid, 50, [LearnerConfig(seed=5)])
         history = []
         for t in range(50):
             learner.propose()
             competing = adversary.draw(t)
             history.append(competing)
-            learner.observe(0, competing)
+            learner.observe([0], win_thresholds(competing.indices, None, 2)[None])
         reference = accumulate_weights(valuation, history, grid)
-        assert np.allclose(learner.table.weights, reference.weights, atol=1e-9)
+        assert np.allclose(learner.weights[0], reference.weights, atol=1e-9)
 
     def test_ir_safety_over_full_run(self):
         grid = make_even_grid(9)
@@ -225,7 +253,7 @@ class TestLearnerRuns:
         adversary = StochasticAdversary(
             [CompetingBids.from_values([0.125, 0.25, 0.375], grid)], [1.0], seed=0)
         for mode in FeedbackMode:
-            learner = ExpWeightsBidder(valuation, grid, 200, LearnerConfig(mode=mode, seed=9))
+            learner = ExpWeightsBidder([valuation], grid, 200, [LearnerConfig(mode=mode, seed=9)])
             log = play_against(learner, adversary, 200)
             for row in log.bids[0]:
                 assert np.all(grid.values[row] <= valuation.values + 1e-12)

@@ -1,5 +1,9 @@
 """Golden outputs: each bundled scenario, shortened to 300 rounds, must keep its bytes.
 
+One more scenario is written out below: a mixed market whose EW agents of
+equal demand and feedback are not adjacent, against an environment that
+wins ties, so the grouping of agents cannot change anyone's draws unseen.
+
 A performance change must leave every run log and every regret report
 bit-identical. The digests below hash the replication-0 CSV plus the repr of
 each agent's regret report, with the JSON log appended, and separately every
@@ -17,6 +21,31 @@ from pabid.cli import _resolve_scenario_path
 
 ROUNDS = 300
 
+# Agents in the order EW full, OMD bandit-IX, EW full, EW bandit-IX.
+INLINE_SCENARIOS = {
+    "mixed_groups": {
+        "name": "mixed_groups",
+        "grid_size": 11,
+        "rounds": ROUNDS,
+        "master_seed": 20230727,
+        "supply": 4,
+        "agents": [
+            {"algorithm": "ew", "feedback": "full", "valuation": [0.9, 0.6]},
+            {"algorithm": "omd", "feedback": "bandit_ix",
+             "valuation": {"kind": "uniform_sorted", "demand": 3}},
+            {"algorithm": "ew", "feedback": "full",
+             "valuation": {"kind": "uniform_sorted", "demand": 2}},
+            {"algorithm": "ew", "feedback": "bandit_ix", "valuation": [0.8]},
+        ],
+        "environment": {
+            "kind": "stochastic",
+            "support": [[0.1, 0.1, 0.2, 0.3], [0.2, 0.3, 0.5, 0.9], [0.0, 0.4, 0.7, 1.0]],
+            "probs": [0.5, 0.25, 0.25],
+            "tie": "agent_loses",
+        },
+    },
+}
+
 # scenario -> (sha256 of CSV + regret reports + JSON, sha256 of market metrics)
 GOLDEN = {
     "market_n3_m5": (
@@ -30,6 +59,10 @@ GOLDEN = {
     "lower_bound_m3": (
         "98c3f709a24447572b162cba24798022b6b738b7206d1f186342513de81eaddb",
         "a97c52add1f78c773a6c86bce15b81fd4dc001d3f69af934f8c7cc7a237d32e3",
+    ),
+    "mixed_groups": (
+        "1f5fa2813577aac4f865d180faa44f7bf957c1480d05dce9801f88c5f5ecdb8f",
+        "5dda029ce84c38fe50b6bcbf30780e3ad500e8c20052f5844b1e27cb0e08a173",
     ),
 }
 
@@ -46,8 +79,10 @@ def report_tuple(report) -> tuple:
 
 
 def golden_digests(name: str) -> tuple[str, str]:
-    with open(_resolve_scenario_path(name)) as fh:
-        document = json.load(fh)
+    document = INLINE_SCENARIOS.get(name)
+    if document is None:
+        with open(_resolve_scenario_path(name)) as fh:
+            document = json.load(fh)
     log = run_experiment(validate_scenario({**document, "rounds": ROUNDS}), replication=0)
     reports = [report_tuple(regret_report(log, n)) for n in range(log.num_agents)]
     run_digest = hashlib.sha256(log.to_csv_text().encode() + repr(reports).encode())

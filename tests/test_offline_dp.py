@@ -18,6 +18,7 @@ from oracles import (
     accumulate_weights,
     brute_force_optimal,
     iter_monotone_indices,
+    masked,
     monotone_vector_count,
     path_utility,
 )
@@ -44,7 +45,7 @@ class TestAccumulateWeights:
         table = accumulate_weights(valuation, history, grid)
         over = grid.values > 0.5 + 1e-12
         assert not table.allowed[:, over].any()
-        assert np.isneginf(table.masked()[:, over]).all()
+        assert np.isneginf(masked(table)[:, over]).all()
 
     def test_empty_history_gives_zero_table(self):
         grid = make_even_grid(5)

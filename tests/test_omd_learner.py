@@ -17,6 +17,7 @@ from pabid import (
     omd_eta_schedule,
     sample_from_marginals,
     settle,
+    win_thresholds,
 )
 
 from conftest import (
@@ -81,7 +82,7 @@ class TestRounds:
         for _ in range(10):
             bidder.propose()
             # allocation zero: all slot rewards zero
-            bidder.observe(allocation=0)
+            bidder.observe([0])
             assert np.allclose(bidder.q, start, atol=1e-9)
 
     def test_full_info_round_requires_competing_bids(self):
@@ -90,7 +91,7 @@ class TestRounds:
                            mode=FeedbackMode.FULL_INFO)
         bidder.propose()
         with pytest.raises(ValueError):
-            bidder.observe(0, None)
+            bidder.observe([0], None)
 
     def test_policy_tracks_measure(self):
         grid = make_even_grid(6)
@@ -99,10 +100,10 @@ class TestRounds:
         adversary = StochasticAdversary(
             [CompetingBids.from_values([0.2, 0.4], grid)], [1.0], seed=0)
         for t in range(30):
-            bid = bidder.propose()
+            bid = BidVector(bidder.propose()[0], grid)
             assert np.all(bidder.q[np.arange(2), bid.indices] > 0.0)
             out = settle(valuation, bid, adversary.draw(t))
-            bidder.observe(out.allocation)
+            bidder.observe([out.allocation])
             back = enumerated_marginals(sampler_law(bidder.q, grid), 2, 6)
             assert np.max(np.abs(back - bidder.q)) <= 1e-8
 
@@ -114,11 +115,13 @@ class TestRounds:
         bidder.propose()
         competing = CompetingBids(np.array([2, 2]), grid, priorities=np.array([0, 0]))
         for tie in TieBreak:
-            estimate = bidder.reward_estimate(0, competing, tie, None)
+            estimate = bidder.reward_estimate(0, win_thresholds(competing.indices,
+                                                                competing.priorities, 2, tie))
             for j in range(grid.count):
                 flat = settle(valuation, BidVector(np.full(2, j), grid), competing, tie)
                 assert estimate[:, j].sum() == pytest.approx(flat.utility), (tie, j)
-        losing_tie = bidder.reward_estimate(0, competing, TieBreak.BIDDER_LOSES, None)
+        losing_tie = bidder.reward_estimate(0, win_thresholds(
+            competing.indices, competing.priorities, 2, TieBreak.BIDDER_LOSES))
         assert losing_tie[:, 2].tolist() == [0.0, 0.0]
 
     def test_bandit_estimate_is_the_per_slot_formula_bit_for_bit(self, rng):
@@ -133,14 +136,14 @@ class TestRounds:
             mode = (FeedbackMode.BANDIT_IPW, FeedbackMode.BANDIT_IX)[trial % 2]
             bidder = OmdBidder(valuation, grid, 100, mode=mode, seed=trial)
             bidder.q[:, 1:] *= rng.choice([1.0, 1e-14], size=(m, d - 1))  # some below the floor
-            played = bidder.propose()
+            played = bidder.propose()[0]
             allocation = int(rng.integers(0, m + 1))
             expected = np.zeros((m, d))
-            for slot, j in enumerate(played.indices.tolist()):
+            for slot, j in enumerate(played.tolist()):
                 w = valuation.values[slot] - grid.values[j] if slot < allocation else 0.0
                 expected[slot, j] = w / (max(float(bidder.q[slot, j]), Q_FLOOR)
                                          + float(bidder.gamma[slot]))
-            estimate = bidder.reward_estimate(allocation, None, TieBreak.BIDDER_WINS, None)
+            estimate = bidder.reward_estimate(allocation, None)
             assert estimate.tobytes() == expected.tobytes()
 
     def test_ir_mass_stays_zero_all_run(self):
@@ -153,11 +156,12 @@ class TestRounds:
             from pabid import settle
 
             for t in range(60):
-                bid = bidder.propose()
+                bid = BidVector(bidder.propose()[0], grid)
                 assert np.all(bid.values <= valuation.values + 1e-12)
                 out = settle(valuation, bid, adversary.draw(t))
-                bidder.observe(out.allocation,
-                               adversary.draw(t) if mode is FeedbackMode.FULL_INFO else None)
+                bidder.observe([out.allocation],
+                               win_thresholds(adversary.draw(t).indices, None, 2)[None]
+                               if mode is FeedbackMode.FULL_INFO else None)
                 assert np.all(bidder.q[~bidder.allowed] == 0.0)
 
 
@@ -176,10 +180,10 @@ class TestRounds:
         bidder = OmdBidder(ValuationProfile(np.array([1.0, 0.5])), make_even_grid(5), 10, seed=4)
         for _ in range(2):
             bidder.propose()
-            bidder.observe(1)
+            bidder.observe([1])
         bidder.propose()
         with pytest.raises(ProjectionError) as excinfo:
-            bidder.observe(1)
+            bidder.observe([1])
         assert str(excinfo.value) == (
             "projection in round 2 stopped at gap 1.000e+00 after 777 sweeps (tol 1.0e-08)")
         assert (excinfo.value.sweeps, excinfo.value.gap) == (777, 1.0)
@@ -194,7 +198,7 @@ class TestRounds:
         bidder.rng = FixedUniform(0.0)  # bid 0, a margin of 1 when won
         bidder.propose()
         with pytest.raises(ProjectionError, match="round 0 stopped at gap nan"):
-            bidder.observe(1)
+            bidder.observe([1])
 
 
 class TestLinearLossIdentity:

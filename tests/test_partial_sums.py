@@ -9,11 +9,10 @@ from pabid import (
     bandit_update,
     compute_partial_sums,
     make_even_grid,
-    path_log_probability,
     sample_bid,
     slot_marginals,
 )
-from pabid._kernels import ew_marginals, ew_tail_sums, sample_monotone
+from pabid._kernels import apply_slot_rewards, ew_marginals, ew_tail_sums, sample_monotone
 from pabid.hindsight import NodeWeightTable
 
 from conftest import (
@@ -22,7 +21,7 @@ from conftest import (
     random_weight_table,
     softmax_path_law,
 )
-from oracles import monotone_vector_count
+from oracles import check_ir, monotone_vector_count, path_log_probability
 
 # chi-square 99th percentiles by degrees of freedom (frozen, no scipy needed)
 CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086, 6: 16.812,
@@ -282,7 +281,7 @@ class TestSamplerLaw:
             partial = compute_partial_sums(table, eta=0.5)
             for _ in range(50):
                 bid = sample_bid(partial, rng)
-                bid.check_ir(table.valuation)
+                check_ir(bid, table.valuation)
 
 
 class TestSlotMarginals:
@@ -424,3 +423,50 @@ class TestKernelsMatchLoops:
             picks = sample_monotone(log_prefix, rng.random(3))
             assert np.all(np.isfinite(log_sums[np.arange(3), picks]))
             assert np.all(np.diff(picks) <= 0)
+
+
+def stacked_cases(k):
+    """Each parity case as a (k, M, D) stack: agent i scales the weights and
+    eta by 1 + i/2 and keeps the case's mask cut to its own random IR caps
+    (non-increasing over slots, cell 0 always feasible)."""
+    rng = np.random.default_rng(31 + k)
+    for weights, allowed, eta in kernel_parity_cases() + wide_spread_cases():
+        m, d = weights.shape
+        caps = [np.sort(rng.integers(0, d, size=m))[::-1] if i else np.full(m, d - 1)
+                for i in range(k)]
+        stack_w = np.stack([weights * (1.0 + i / 2) for i in range(k)])
+        stack_a = np.stack([allowed & (np.arange(d) <= cap[:, None]) for cap in caps])
+        etas = np.array([eta * (1.0 + i / 2) for i in range(k)])
+        yield stack_w, stack_a, etas
+
+
+class TestBatchedKernels:
+    """A (k, M, D) stack gives every agent the bits of its own 2-D call."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stacked_calls_equal_separate_calls_bit_for_bit(self, k):
+        rng = np.random.default_rng(5)
+        top = 1.0 - 2.0**-53
+        for weights, allowed, etas in stacked_cases(k):
+            m, d = weights.shape[1:]
+            log_sums, log_prefix = ew_tail_sums(weights, allowed, etas[:, None, None])
+            marginals = ew_marginals(log_sums)
+            singles = [ew_tail_sums(weights[i], allowed[i], etas[i]) for i in range(k)]
+            for i, (sums, prefix) in enumerate(singles):
+                assert log_sums[i].tobytes() == sums.tobytes()
+                assert log_prefix[i].tobytes() == prefix.tobytes()
+                assert marginals[i].tobytes() == ew_marginals(sums).tobytes()
+            for uniforms in [np.zeros((k, m)), np.full((k, m), top), rng.random((k, m))]:
+                picks = sample_monotone(log_prefix, uniforms)
+                assert picks.shape == (k, m)
+                for i, (_, prefix) in enumerate(singles):
+                    assert picks[i].tolist() == sample_monotone(prefix, uniforms[i]).tolist()
+            values = np.sort(rng.random((k, m)), axis=1)[:, ::-1]
+            thresholds = rng.integers(0, d + 1, size=(k, m))
+            grid_values = make_even_grid(d).values
+            stacked = weights.copy()
+            apply_slot_rewards(stacked, allowed, values, grid_values, thresholds)
+            for i in range(k):
+                single = weights[i].copy()
+                apply_slot_rewards(single, allowed[i], values[i], grid_values, thresholds[i])
+                assert stacked[i].tobytes() == single.tobytes()

@@ -16,12 +16,12 @@ from pabid import (
     project_to_Q,
     q_membership,
     unconstrained_step,
-    unnormalized_kl,
 )
 from pabid._kernels import project_dual_ascent
 from pabid.mirror_descent import DEFAULT_MAX_SWEEPS, DEFAULT_PROJECTION_TOL
 
 from conftest import random_q_member
+from oracles import unnormalized_kl
 
 
 def textbook_dual_ascent(qt, allowed, tol, max_sweeps):

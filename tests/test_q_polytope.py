@@ -2,6 +2,7 @@
 import numpy as np
 
 from pabid import (
+    BidVector,
     CompetingBids,
     FeedbackMode,
     OmdBidder,
@@ -97,7 +98,8 @@ class TestInducedMarginals:
             [CompetingBids.from_values([0.0, 1 / 7, 2 / 7], grid)], [1.0], seed=0)
         measures = [bidder.q.copy()]
         for t in range(40):
-            bidder.observe(settle(valuation, bidder.propose(), adversary.draw(t)).allocation)
+            bid = BidVector(bidder.propose()[0], grid)
+            bidder.observe([settle(valuation, bid, adversary.draw(t)).allocation])
             measures.append(bidder.q.copy())
         # zero-mass cells inside the IR region, at both ends of the rows
         measures.append(np.array([[0.0, 0.3, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0],

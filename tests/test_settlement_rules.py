@@ -10,21 +10,22 @@ from pabid import (
     TieBreak,
     ValuationProfile,
     accumulate_weights_history,
-    competing_bids,
     make_even_grid,
     market_metrics,
     settle,
     win_thresholds,
 )
-from pabid.hindsight import _win_matrix
 from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, SelfPlayMarket
 
 from oracles import (
     accumulate_weights,
     allocate,
+    competing_bids,
     loop_competing_history,
     loop_market_metrics,
+    loop_round,
     win_mask,
+    win_matrix,
 )
 
 METRIC_SERIES = ("welfare", "revenue", "total_utility", "normalized_welfare",
@@ -33,7 +34,8 @@ METRIC_SERIES = ("welfare", "revenue", "total_utility", "normalized_welfare",
 
 
 class Scripted:
-    """Full-information agent that plays fixed rows and records its competing bids."""
+    """Full-information group of one agent that plays fixed rows and records
+    the win thresholds it observes."""
 
     wants_full_info = True
 
@@ -43,10 +45,10 @@ class Scripted:
         self.seen = []
 
     def propose(self):
-        return BidVector(self.rows[len(self.seen)], self.grid)
+        return self.rows[len(self.seen)][None, :]
 
-    def observe(self, allocation, competing=None, tie=None, bidder_priority=None):
-        self.seen.append(competing)
+    def observe(self, allocations, thresholds=None):
+        self.seen.append(thresholds[0])
 
 
 class Replay:
@@ -100,14 +102,26 @@ class TestPooling:
         grid, agent_rows, supply, env_rows, env_wins_ties = case
         market, log = run_market(grid, agent_rows, supply, env_rows, env_wins_ties)
         env_priority = ENV_WINS_PRIORITY if env_wins_ties else ENV_LOSES_PRIORITY
+        oracle = [loop_round([rows[t] for rows in agent_rows], market.valuations, grid, supply,
+                             None if env_rows is None else env_rows[t], env_wins_ties)
+                  for t in range(log.rounds)]
         for n, learner in enumerate(market.learners):
             ref_idx, ref_pri = loop_competing_history(log, n)
             got_idx, got_pri = log.competing_history(n)
             assert got_idx.tolist() == ref_idx.tolist()
             assert got_pri.tolist() == ref_pri.tolist()
             for t, seen in enumerate(learner.seen):
-                assert seen.indices.tolist() == ref_idx[t].tolist()
-                assert seen.priorities.tolist() == ref_pri[t].tolist()
+                competing, thresholds, outcome = oracle[t][n]
+                assert competing.indices.tolist() == ref_idx[t].tolist()
+                assert competing.priorities.tolist() == ref_pri[t].tolist()
+                # the round's thresholds and settlement equal the per-agent loop's
+                assert seen == thresholds
+                bid = BidVector(log.bids[n][t], grid)
+                assert log.allocations[t, n] == outcome.allocation == allocate(
+                    bid, competing, bidder_priority=n)
+                for got, ref in ((log.utilities, outcome.utility), (log.payments, outcome.payment),
+                                 (log.rewards, outcome.reward)):
+                    assert repr(float(got[t, n])) == repr(ref)
                 owners = [r for r in range(len(agent_rows)) if r != n]
                 rivals = [BidVector(log.bids[r][t], grid) for r in owners]
                 if env_rows is not None:
@@ -148,7 +162,7 @@ class TestWinRule:
         m = bid.demand
         outcome = settle(ValuationProfile(np.ones(m)), bid, competing, tie, bidder_priority)
         assert outcome.allocation == allocate(bid, competing, tie, bidder_priority)
-        wins = _win_matrix(competing, m, tie, bidder_priority)
+        wins = win_matrix(competing, m, tie, bidder_priority)
         for j in range(grid.count):
             constant = BidVector(np.full(m, j), grid)
             expected = win_mask(constant, competing, tie, bidder_priority)
@@ -166,7 +180,7 @@ class TestWinRule:
         competing = CompetingBids(np.array([4]), grid, priorities)
         assert win_thresholds(competing.indices, competing.priorities, 1, tie,
                               bidder_priority).tolist() == [grid.count]
-        assert not _win_matrix(competing, 1, tie, bidder_priority).any()
+        assert not win_matrix(competing, 1, tie, bidder_priority).any()
         top = BidVector(np.array([4]), grid)
         assert settle(ValuationProfile(np.ones(1)), top, competing, tie,
                       bidder_priority).allocation == 0

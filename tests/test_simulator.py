@@ -177,9 +177,9 @@ class TestMarketMetrics:
                 self.bid = BidVector(np.sort(idx)[::-1], grid)
 
             def propose(self):
-                return self.bid
+                return self.bid.indices[None]
 
-            def observe(self, allocation, competing=None, tie=None, bidder_priority=None):
+            def observe(self, allocations, thresholds=None):
                 pass
 
         valuations = [
@@ -222,9 +222,9 @@ class TestMarketMetrics:
                 self.bid = BidVector(np.array(idx), grid)
 
             def propose(self):
-                return self.bid
+                return self.bid.indices[None]
 
-            def observe(self, allocation, competing=None, tie=None, bidder_priority=None):
+            def observe(self, allocations, thresholds=None):
                 pass
 
         valuation = ValuationProfile(np.array([1.0, 1.0]))
@@ -247,9 +247,9 @@ class TestMarketMetrics:
                 self.bid = BidVector(np.array(idx), grid)
 
             def propose(self):
-                return self.bid
+                return self.bid.indices[None]
 
-            def observe(self, allocation, competing=None, tie=None, bidder_priority=None):
+            def observe(self, allocations, thresholds=None):
                 pass
 
         valuation = ValuationProfile(np.array([1.0, 1.0]))
