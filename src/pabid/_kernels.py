@@ -7,7 +7,7 @@ Kernels:
   * project_dual_ascent: unnormalized-KL projection onto the dominance
     polytope by cyclic coordinate ascent on the Lagrange dual, O(M*D) per
     sweep, certified by the max of layer-sum error, dominance violation and
-    complementary-slackness residual.
+    complementary-slackness residual; a step inside it costs one prefix table.
   * ew_tail_sums / sample_monotone / ew_marginals: decoupled exponential
     weights, all in logs. One backward pass of `np.logaddexp.accumulate`
     yields the tail sums and their running prefix sums; the prefix sums are
@@ -22,11 +22,12 @@ and a (k, M, D) stack of k agents run the same code, with the same bits per
 agent as k separate calls; only the sampler loops over the agents.
 
 Mirror descent samples without a kernel: `mirror_descent.sample_from_marginals`
-inverts every slot's CDF at one shared uniform per round.
+bisects every slot's CDF at one shared uniform per round.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 
 import numpy as np
@@ -50,8 +51,12 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     far (backward). The cell rescaling is lazy: cell k of the deep row is
     multiplied, once per pair, by exp(sum_{j >= k} delta_j) and the shallow
     row divided by it. A constraint with lambda = 0 and P <= A is skipped,
-    since its clipped update is exactly zero; lambda starts at 0 on every
-    call, so in a one-sweep call most constraints take this path.
+    since its clipped update is exactly zero. Until a pair first moves (lambda
+    is all zero), one prefix table of the normalized rows gives every P - A:
+    idle pairs (no positive or NaN difference) ahead of the first busy one are
+    skipped, and a sweep where none moves reads its certificate off the table,
+    exactly, as the passes' running sums and backward prefixes / 1.0 are the
+    table's sums bit for bit. Once a pair has moved, sweeps visit every pair.
 
     The certificate `gap` is the max of the row-sum error, the dominance
     violation and the complementary-slackness residual |lambda (A - P)|.
@@ -63,22 +68,27 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     lam = np.zeros((max(m_units - 1, 1), max(d - 1, 1)))
     nu = np.zeros(m_units)
     gap = np.inf
+    fresh = True  # no pair has moved yet, so every multiplier is still zero
     for sweep in range(max_sweeps):
         s = q.sum(axis=1)
         q /= s[:, None]
         nu -= np.log(s)
         forward = sweep % 2 == 0
-        for mi in range(m_units - 1):
-            m = mi if forward else m_units - 2 - mi
-            _balance_pair(q, lam, m, forward)
-        gap = _kkt_gap(q, lam)
+        pairs = range(m_units - 1) if forward else range(m_units - 2, -1, -1)
+        if fresh:
+            excess = _dominance_excess(q)
+            idle = (excess <= 0.0).all(axis=1).tolist()  # NaN counts as busy
+            pairs = itertools.dropwhile(idle.__getitem__, pairs)
+        for m in pairs:
+            fresh = not _balance_pair(q, lam, m, forward) and fresh
+        gap = _kkt_gap(q, excess) if fresh else _kkt_gap(q, _dominance_excess(q), lam)
         if not gap > tol:  # converged, or a NaN gap: more sweeps cannot help
             return q, lam, nu, sweep + 1, gap
     return q, lam, nu, max_sweeps, gap
 
 
 def _balance_pair(q, lam, m, forward):
-    """One pass over the d - 1 dominance constraints between rows m, m + 1."""
+    """One pass over the d - 1 dominance constraints of rows m, m + 1: did one move?"""
     n = q.shape[1] - 1
     lams = lam[m, :n].tolist()
     deltas = [0.0] * n
@@ -100,8 +110,8 @@ def _balance_pair(q, lam, m, forward):
                 shallow /= up
                 deep *= up
     else:
-        shallow_prefix = np.cumsum(q[m, :n]).tolist()
-        deep_prefix = np.cumsum(q[m + 1, :n]).tolist()
+        shallow_prefix = q[m, :n].cumsum().tolist()
+        deep_prefix = q[m + 1, :n].cumsum().tolist()
         up_so_far = 1.0  # exp of the sum of the updates applied so far
         for j in range(n - 1, -1, -1):
             shallow = shallow_prefix[j] / up_so_far
@@ -114,11 +124,13 @@ def _balance_pair(q, lam, m, forward):
                 lams[j] = lj + delta
                 deltas[j] = delta
                 up_so_far *= math.exp(delta)
-    if any(deltas):
+    moved = any(deltas)
+    if moved:
         lam[m, :n] = lams
         up = np.exp(np.cumsum(deltas[::-1])[::-1])
         q[m, :n] /= up
         q[m + 1, :n] *= up
+    return moved
 
 
 def _dominance_step(lam_j, shallow, deep):
@@ -133,13 +145,19 @@ def _dominance_step(lam_j, shallow, deep):
     return max(0.5 * (math.log(shallow) - math.log(deep)), -lam_j)
 
 
-def _kkt_gap(q, lam):
-    """Max of row-sum error, dominance violation and |lambda (A - P)|."""
-    gap = float(np.max(np.abs(q.sum(axis=1) - 1.0)))
-    if q.shape[0] > 1 and q.shape[1] > 1:
-        prefix = np.cumsum(q[:, :-1], axis=1)
-        violation = prefix[:-1] - prefix[1:]
-        gap = max(gap, float(violation.max()), float(np.max(np.abs(lam * violation))))
+def _dominance_excess(q):
+    """P - A of every constraint: row m's prefix sums minus row m + 1's."""
+    prefix = q[:, :-1].cumsum(axis=1)
+    return prefix[:-1] - prefix[1:]
+
+
+def _kkt_gap(q, excess, lam=None):
+    """Max of row-sum error, excess and |lambda (A - P)|, which is 0 without `lam`."""
+    gap = float(abs(q.sum(axis=1) - 1.0).max())
+    if excess.size:
+        gap = max(gap, float(excess.max()))
+        if lam is not None:
+            gap = max(gap, float(abs(lam * excess).max()))
     return gap
 
 

@@ -20,6 +20,7 @@ row of win thresholds.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -44,10 +45,6 @@ class OccupancyMeasure:
     """Per-slot probability vectors over the bid grid (rows index slots)."""
 
     probs: np.ndarray
-
-    @property
-    def demand(self) -> int:
-        return int(self.probs.shape[0])
 
 
 @dataclass(frozen=True)
@@ -145,17 +142,17 @@ def sample_from_marginals(q: np.ndarray, rng: np.random.Generator, grid: BidGrid
     b_m is the smallest index whose cumulative mass in row m exceeds U times
     the row total, which is always a cell of positive mass. The total is the
     cumulative sum's own last entry: U < 1 then keeps U * total below it in
-    floating point, so the index never runs past the grid. Dominance
-    (F_m <= F_{m+1}) makes the indices non-increasing; the running minimum
-    absorbs the dominance slack that the projection's tolerance leaves, and
-    changes nothing on an exact member.
+    floating point, so the index never runs past the grid. A cumulative sum
+    never decreases, so that index, the count of its entries <= U * total,
+    is one `bisect_right`. Dominance (F_m <= F_{m+1}) makes the indices
+    non-increasing; the running minimum absorbs the dominance slack that the
+    projection's tolerance leaves, and changes nothing on an exact member.
 
     Consumes exactly one uniform per call.
     """
-    cdf = np.cumsum(q, axis=1)
-    threshold = rng.random() * cdf[:, -1:]
-    indices = np.minimum.accumulate(np.count_nonzero(cdf <= threshold, axis=1))
-    return trusted(BidVector, indices, grid)
+    u = rng.random()
+    picks = [bisect.bisect_right(row, u * row[-1]) for row in q.cumsum(axis=1).tolist()]
+    return trusted(BidVector, np.minimum.accumulate(picks), grid)
 
 
 def omd_eta_schedule(mode: FeedbackMode, grid_size: int, horizon: int) -> float:

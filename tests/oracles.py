@@ -9,6 +9,11 @@ Tests check the library against them.
 `loop_round` is the market round as it was played one agent at a time: a
 list pool of (index, owner) entries, a `CompetingBids` per agent, `settle`
 and `win_thresholds`.
+
+`sweep_dual_ascent` is the KL projection kernel without its idle-pair skip:
+every sweep visits every layer pair and recomputes the certificate's prefix
+table. `count_rule_indices` is the mirror-descent sampler's index rule as a
+count over the whole CDF table. The library must match both bit for bit.
 """
 from __future__ import annotations
 
@@ -363,3 +368,103 @@ def unnormalized_kl(q: np.ndarray, q_tilde: np.ndarray) -> float:
         return float("inf")
     total += float(np.sum(q[pos] * np.log(q[pos] / q_tilde[pos])))
     return total
+
+
+def sweep_dual_ascent(qt, allowed, tol, max_sweeps):
+    """Cyclic dual coordinate ascent that visits every layer pair every sweep.
+
+    Same sweep order, pair passes and certificate as
+    `_kernels.project_dual_ascent`, without its idle-pair skip. Returns
+    (q, lam, nu, sweeps_used, gap).
+    """
+    m_units, d = qt.shape
+    q = np.where(allowed, qt, 0.0)
+    lam = np.zeros((max(m_units - 1, 1), max(d - 1, 1)))
+    nu = np.zeros(m_units)
+    gap = np.inf
+    for sweep in range(max_sweeps):
+        s = q.sum(axis=1)
+        q /= s[:, None]
+        nu -= np.log(s)
+        forward = sweep % 2 == 0
+        for mi in range(m_units - 1):
+            m = mi if forward else m_units - 2 - mi
+            _sweep_balance_pair(q, lam, m, forward)
+        gap = _sweep_kkt_gap(q, lam)
+        if not gap > tol:
+            return q, lam, nu, sweep + 1, gap
+    return q, lam, nu, max_sweeps, gap
+
+
+def _sweep_balance_pair(q, lam, m, forward):
+    """One pass over the d - 1 dominance constraints between rows m, m + 1."""
+    n = q.shape[1] - 1
+    lams = lam[m, :n].tolist()
+    deltas = [0.0] * n
+    if forward:
+        shallow_cells = q[m, :n].tolist()
+        deep_cells = q[m + 1, :n].tolist()
+        shallow = deep = 0.0
+        for j in range(n):
+            shallow += shallow_cells[j]
+            deep += deep_cells[j]
+            lj = lams[j]
+            if lj == 0.0 and shallow <= deep:
+                continue
+            delta = _sweep_dominance_step(lj, shallow, deep)
+            if delta != 0.0:
+                lams[j] = lj + delta
+                deltas[j] = delta
+                up = math.exp(delta)
+                shallow /= up
+                deep *= up
+    else:
+        shallow_prefix = np.cumsum(q[m, :n]).tolist()
+        deep_prefix = np.cumsum(q[m + 1, :n]).tolist()
+        up_so_far = 1.0
+        for j in range(n - 1, -1, -1):
+            shallow = shallow_prefix[j] / up_so_far
+            deep = deep_prefix[j] * up_so_far
+            lj = lams[j]
+            if lj == 0.0 and shallow <= deep:
+                continue
+            delta = _sweep_dominance_step(lj, shallow, deep)
+            if delta != 0.0:
+                lams[j] = lj + delta
+                deltas[j] = delta
+                up_so_far *= math.exp(delta)
+    if any(deltas):
+        lam[m, :n] = lams
+        up = np.exp(np.cumsum(deltas[::-1])[::-1])
+        q[m, :n] /= up
+        q[m + 1, :n] *= up
+
+
+def _sweep_dominance_step(lam_j, shallow, deep):
+    """Clipped dual update of one constraint: log(P/A)/2, lambda kept >= 0."""
+    if shallow <= 0.0:
+        return -lam_j
+    if deep <= 0.0:
+        return 0.0
+    return max(0.5 * (math.log(shallow) - math.log(deep)), -lam_j)
+
+
+def _sweep_kkt_gap(q, lam):
+    """Max of row-sum error, dominance violation and |lambda (A - P)|."""
+    gap = float(np.max(np.abs(q.sum(axis=1) - 1.0)))
+    if q.shape[0] > 1 and q.shape[1] > 1:
+        prefix = np.cumsum(q[:, :-1], axis=1)
+        violation = prefix[:-1] - prefix[1:]
+        gap = max(gap, float(violation.max()), float(np.max(np.abs(lam * violation))))
+    return gap
+
+
+def count_rule_indices(q: np.ndarray, u: float) -> np.ndarray:
+    """Slot indices of the quantile coupling at uniform `u`, by counting.
+
+    Slot m takes the number of CDF entries at or below u times the row total,
+    then the running minimum over slots.
+    """
+    cdf = np.cumsum(q, axis=1)
+    threshold = u * cdf[:, -1:]
+    return np.minimum.accumulate(np.count_nonzero(cdf <= threshold, axis=1))

@@ -1,8 +1,11 @@
 """Golden outputs: each bundled scenario, shortened to 300 rounds, must keep its bytes.
 
-One more scenario is written out below: a mixed market whose EW agents of
+Two more scenarios are written out below: a mixed market whose EW agents of
 equal demand and feedback are not adjacent, against an environment that
-wins ties, so the grouping of agents cannot change anyone's draws unseen.
+wins ties, so the grouping of agents cannot change anyone's draws unseen;
+and one OMD bandit agent at the `omd_bandit` benchmark shape whose
+projections often take many sweeps (64 of 300 take more than one, up to
+111), so a change to the projection cannot move its multi-sweep path unseen.
 
 A performance change must leave every run log and every regret report
 bit-identical. The digests below hash the replication-0 CSV plus the repr of
@@ -44,6 +47,20 @@ INLINE_SCENARIOS = {
             "tie": "agent_loses",
         },
     },
+    "omd_multisweep": {
+        "name": "omd_multisweep",
+        "grid_size": 21,
+        "rounds": ROUNDS,
+        "master_seed": 9,
+        "supply": 5,
+        "agents": [{"algorithm": "omd", "feedback": "bandit_ix", "valuation": [1] * 5}],
+        "environment": {
+            "kind": "stochastic",
+            "support": [[0.1] * 5, [0.3, 0.3, 0.3, 0.3, 1], [0.4, 0.4, 0.4, 1, 1]],
+            "probs": [0.5, 0.25, 0.25],
+            "tie": "agent_wins",
+        },
+    },
 }
 
 # scenario -> (sha256 of CSV + regret reports + JSON, sha256 of market metrics)
@@ -63,6 +80,10 @@ GOLDEN = {
     "mixed_groups": (
         "1f5fa2813577aac4f865d180faa44f7bf957c1480d05dce9801f88c5f5ecdb8f",
         "5dda029ce84c38fe50b6bcbf30780e3ad500e8c20052f5844b1e27cb0e08a173",
+    ),
+    "omd_multisweep": (
+        "854fbe83c5efd4af5873012c055695a8e080083408c250ee55a71a84d4584664",
+        "f2f7edf8df5260bd29828dcf48bca16cf730b8d537d0e8a5e7994b3f977d369b",
     ),
 }
 

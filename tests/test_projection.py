@@ -17,11 +17,12 @@ from pabid import (
     q_membership,
     unconstrained_step,
 )
-from pabid._kernels import project_dual_ascent
+from pabid import _kernels
+from pabid._kernels import apply_slot_rewards, project_dual_ascent
 from pabid.mirror_descent import DEFAULT_MAX_SWEEPS, DEFAULT_PROJECTION_TOL
 
 from conftest import random_q_member
-from oracles import unnormalized_kl
+from oracles import sweep_dual_ascent, unnormalized_kl
 
 
 def textbook_dual_ascent(qt, allowed, tol, max_sweeps):
@@ -256,16 +257,28 @@ class TestExactOptimum:
             assert mine <= best.fun + 1e-8
 
 
-def omd_kernel_input(seed: int, demand: int, grid_size: int, horizon: int, ir: bool):
-    """A feasible member times exp(eta * sparse bandit-IX estimate), with eta and
-    gamma from OMD's own schedules: the input OMD hands the kernel each round."""
+def omd_kernel_input(seed: int, demand: int, grid_size: int, horizon: int, ir: bool,
+                     full_info: bool = False, eta_scale: float = 1.0):
+    """A feasible member times exp(eta * reward estimate), with eta and gamma
+    from OMD's own schedules: the input OMD hands the kernel each round.
+
+    The estimate is bandit-IX's, nonzero only on a non-increasing played path,
+    or under `full_info` the slot rewards at or above random win thresholds.
+    `eta_scale` multiplies the scheduled rate, as a user-set eta would.
+    """
     rng = np.random.default_rng(seed)
     values = np.sort(rng.random(demand))[::-1] if ir else np.ones(demand)
-    allowed = ValuationProfile(values).ir_mask(make_even_grid(grid_size))
+    grid = make_even_grid(grid_size)
+    allowed = ValuationProfile(values).ir_mask(grid)
     q = member_on(rng, allowed)
-    eta = omd_eta_schedule(FeedbackMode.BANDIT_IX, grid_size, horizon)
-    gamma = ix_gamma_schedule(allowed, horizon)
     estimate = np.zeros_like(q)
+    if full_info:
+        eta = eta_scale * omd_eta_schedule(FeedbackMode.FULL_INFO, grid_size, horizon)
+        thresholds = np.sort(rng.integers(0, grid_size + 1, size=demand))
+        apply_slot_rewards(estimate, allowed, values, grid.values, thresholds)
+        return unconstrained_step(q, estimate, eta), allowed
+    eta = eta_scale * omd_eta_schedule(FeedbackMode.BANDIT_IX, grid_size, horizon)
+    gamma = ix_gamma_schedule(allowed, horizon)
     cap = grid_size - 1
     won = int(rng.integers(0, demand + 1))
     for m in range(demand):
@@ -274,6 +287,74 @@ def omd_kernel_input(seed: int, demand: int, grid_size: int, horizon: int, ir: b
         if m < won:
             estimate[m, j] = rng.uniform(0.0, 1.0) / (max(q[m, j], 1e-12) + gamma[m])
     return unconstrained_step(q, estimate, eta), allowed
+
+
+def assert_same_projection(got, want):
+    """Bit-for-bit: q, lambda and nu, the sweep count, and the gap (or both NaN)."""
+    for name, a, b in zip(("q", "lam", "nu"), got[:3], want[:3]):
+        assert np.array_equal(a, b, equal_nan=True), name
+    assert got[3] == want[3]
+    assert got[4] == want[4] or (math.isnan(got[4]) and math.isnan(want[4]))
+
+
+def one_violated_pair(m_units: int, pair: int, stuck: bool):
+    """Rows 0..pair share one law and rows pair+1.. another that dominates it
+    the wrong way, so only layer pair `pair` is violated; the rest have
+    identical rows and zero excess. When `stuck`, the deep law has no mass
+    below the shallow one's top cell, so the pair can never move and every
+    sweep, forward and backward, stays before the first move."""
+    shallow = np.array([0.5, 0.3, 0.1, 0.1, 0.0]) if stuck else np.array([0.4, 0.3, 0.2, 0.1, 0.05])
+    deep = np.array([0.0, 0.0, 0.0, 0.0, 1.0]) if stuck else np.array([0.05, 0.1, 0.2, 0.3, 0.4])
+    qt = np.vstack([shallow] * (pair + 1) + [deep] * (m_units - 1 - pair))
+    return qt, qt > 0.0 if stuck else np.ones(qt.shape, bool)
+
+
+class TestKernelMatchesSweepOracle:
+    """The idle-pair skip and the table certificate change no bit of the result."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-11])
+    def test_parity_cases(self, tol):
+        for qt, allowed in kernel_parity_cases():
+            assert_same_projection(project_dual_ascent(qt, allowed, tol, 300),
+                                   sweep_dual_ascent(qt, allowed, tol, 300))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_input(self):
+        qt, allowed = np.array([[np.inf, 1.0], [1.0, 1.0]]), np.ones((2, 2), bool)
+        assert_same_projection(project_dual_ascent(qt, allowed, 1e-8, 1000),
+                               sweep_dual_ascent(qt, allowed, 1e-8, 1000))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), demand=st.integers(1, 6),
+           grid_size=st.integers(2, 41), horizon=st.integers(1, 10_000),
+           full_info=st.booleans(), eta_scale=st.sampled_from([1.0, 10.0, 100.0]))
+    def test_omd_inputs(self, seed, demand, grid_size, horizon, full_info, eta_scale):
+        # a scaled eta makes the multi-sweep projections that the schedule rarely does
+        qt, allowed = omd_kernel_input(seed, demand, grid_size, horizon, True, full_info,
+                                       eta_scale)
+        tol = DEFAULT_PROJECTION_TOL
+        assert_same_projection(project_dual_ascent(qt, allowed, tol, 2_000),
+                               sweep_dual_ascent(qt, allowed, tol, 2_000))
+
+    @pytest.mark.parametrize("stuck", [False, True])
+    @pytest.mark.parametrize("m_units,pair", [(2, 0), (3, 0), (3, 1), (5, 0), (5, 2), (5, 3)])
+    def test_one_violated_pair(self, m_units, pair, stuck):
+        qt, allowed = one_violated_pair(m_units, pair, stuck)
+        got = project_dual_ascent(qt, allowed, 1e-10, 500)
+        assert_same_projection(got, sweep_dual_ascent(qt, allowed, 1e-10, 500))
+        assert got[3] == 500 if stuck else got[3] > 1
+
+    def test_member_takes_the_table_path(self, monkeypatch):
+        def visited(*_args):
+            raise AssertionError("a layer pair was visited")
+
+        monkeypatch.setattr(_kernels, "_balance_pair", visited)
+        rng = np.random.default_rng(5)
+        for m_units, d in ((2, 3), (5, 21), (6, 41)):
+            q = member_on(rng, np.ones((m_units, d), bool))
+            _q, _lam, _nu, sweeps, gap = project_dual_ascent(q, np.ones(q.shape, bool),
+                                                             DEFAULT_PROJECTION_TOL, 100)
+            assert sweeps == 1 and gap <= DEFAULT_PROJECTION_TOL
 
 
 class TestProjectionProperties:

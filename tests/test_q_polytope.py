@@ -15,6 +15,7 @@ from pabid import (
 )
 
 from conftest import FixedUniform, enumerated_marginals, random_q_member, sampler_law
+from oracles import count_rule_indices
 
 # The largest double below 1: the extreme uniform a generator can return.
 LAST_UNIFORM = 1.0 - 2.0**-53
@@ -124,3 +125,38 @@ class TestInducedMarginals:
         reference = np.random.default_rng(11)
         reference.random(100)
         assert first.random() == reference.random()
+
+
+class TestSamplerMatchesCountRule:
+    """Bisecting each CDF row picks the indices that counting its entries does."""
+
+    EXTREMES = (0.0, np.nextafter(1.0, 0.0))
+
+    def assert_same_picks(self, q, uniforms):
+        grid = make_even_grid(q.shape[1])
+        for u in (*self.EXTREMES, *uniforms):
+            got = sample_from_marginals(q, FixedUniform(u), grid).indices
+            assert np.array_equal(got, count_rule_indices(q, u)), (q, u)
+
+    def test_random_members(self, rng):
+        for _ in range(200):
+            q = random_q_member(rng, int(rng.integers(1, 7)), int(rng.integers(2, 22)))
+            self.assert_same_picks(q, rng.random(20))
+
+    def test_zero_mass_masked_and_tiny_cells(self, rng):
+        grid = make_even_grid(8)
+        allowed = ValuationProfile(np.array([0.6, 0.3, 0.3])).ir_mask(grid)
+        for _ in range(100):
+            q = random_q_member(rng, 3, 8) * allowed
+            q[rng.random(q.shape) < 0.3] = 0.0  # interior zero-mass cells
+            q[(rng.random(q.shape) < 0.2) & allowed] = 1e-300  # IR-masked cells stay empty
+            q[:, 0] += 1e-3  # every row keeps some mass
+            q /= q.sum(axis=1, keepdims=True)
+            self.assert_same_picks(q, rng.random(20))
+
+    def test_running_minimum_absorbs_dominance_slack(self):
+        # slot 1 alone would move up for uniforms inside the 1e-9 slack
+        slack = np.array([[0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]])
+        raw = np.count_nonzero(np.cumsum(slack, axis=1) <= 0.5 + 5e-10, axis=1)
+        assert raw.tolist() == [0, 1]
+        self.assert_same_picks(slack, [0.5 + 5e-10, 0.5 - 5e-10, 0.5, 0.25, 0.75])
