@@ -11,13 +11,10 @@ __version__ = "0.1.0"
 
 from .grids import BidGrid, make_even_grid
 from .auction import (
-    AuctionOutcome,
     BidVector,
     CompetingBids,
     TieBreak,
     ValuationProfile,
-    pool_rival_bids,
-    settle,
     win_thresholds,
 )
 from .hindsight import (

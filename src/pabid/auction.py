@@ -6,20 +6,21 @@ reduces to slot-wise comparisons against the competing bids: the `supply`
 largest rival bids, sorted non-decreasing, so that slot m faces the m-th
 smallest of them.
 
-Both settlement concepts are written once, on integer grid indices, in forms
-that take one round or a (T, supply) history alike:
+The settlement rules are written once, on integer grid indices:
 
 - The win rule is a per-slot threshold. `win_thresholds` gives the smallest
-  grid index that wins slot m: c_m when the bidder wins a tie against that
-  entry, c_m + 1 when it loses it. Bid j wins slot m iff j >= thr_m; a
-  threshold equal to the grid size means no grid bid wins. With a monotone
-  bid the winning slots form a prefix, and `settle` counts it.
+  grid index that wins slot m, for one round or a (T, supply) history: c_m
+  when the bidder wins a tie against that entry, c_m + 1 when it loses it.
+  Bid j wins slot m iff j >= thr_m; a threshold equal to the grid size means
+  no grid bid wins. With a monotone bid the winning slots form a prefix, and
+  `settle_prefix` counts it.
 - The pooling rule ranks every rival entry by (index, owner priority), keeps
   the top `supply` and pads with (0, PAD_PRIORITY) entries that lose every
-  tie. Both pooling routines sort integer keys index * L + rank of the owner
-  priority: `pool_rival_bids` one bidder over many rounds in numpy, and
-  `round_thresholds` every bidder of one round from one sort of Python ints,
-  reading each bidder's thresholds straight off its pooled keys.
+  tie. `round_thresholds` is the one routine that pools: it sorts every
+  bidder's entries of a round as integer keys index * L + rank of the owner
+  priority, once, and reads each bidder's thresholds straight off its
+  pooled keys. The run log keeps these thresholds, so nothing after the run
+  pools again.
 
 Ties are broken by strict priority. The two-mode `TieBreak` rule covers the
 single-bidder-versus-environment case; multi-agent markets attach an owner
@@ -106,7 +107,8 @@ class CompetingBids:
     """The supply's worth of largest rival bids, sorted non-decreasing.
 
     `priorities` optionally records the owner priority of each entry; when
-    absent, ties are resolved by the `TieBreak` mode passed to `settle`.
+    absent, ties are resolved by the `TieBreak` mode passed to
+    `win_thresholds`.
     """
 
     indices: np.ndarray
@@ -154,48 +156,10 @@ def trusted(cls, indices: np.ndarray, grid: BidGrid):
     return obj
 
 
-@dataclass(frozen=True)
-class AuctionOutcome:
-    """Result of settling one bidder against the competing bids."""
-
-    allocation: int
-    utility: float
-    payment: float
-    reward: float
-
-
 # Priority assigned to padded (absent) competing bids: strictly below every
 # real participant (including a BIDDER_LOSES bidder), so an absent bid can
 # never win a unit.
 PAD_PRIORITY = -(2**62)
-
-
-def pool_rival_bids(
-    rounds: int,
-    supply: int,
-    blocks: Sequence[np.ndarray],
-    owners: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The top `supply` rival entries of every round, by (index, priority), ascending.
-
-    `blocks[k]` is a (rounds, width) array of bid indices owned by priority
-    `owners[k]`. Each entry becomes one integer key, index * L + rank of its
-    priority among the L distinct ones, with PAD_PRIORITY at rank 0; `supply`
-    pad keys of 0 are appended, so one sort per row puts the pooled entries
-    in its last `supply` columns. Returns (rounds, supply) indices and
-    priorities.
-    """
-    levels = sorted({PAD_PRIORITY, *owners})
-    rank = {priority: r for r, priority in enumerate(levels)}
-    width = len(levels)
-    keys = np.concatenate(
-        [np.zeros((rounds, supply), dtype=np.int64)]
-        + [block * width + rank[owner] for block, owner in zip(blocks, owners)],
-        axis=1,
-    )
-    keys.sort(axis=1)
-    indices, ranks = np.divmod(keys[:, keys.shape[1] - supply:], width)
-    return indices, np.array(levels, dtype=np.int64)[ranks]
 
 
 def win_thresholds(
@@ -226,12 +190,11 @@ def round_thresholds(rows: Sequence[list], owners: Sequence[int], supply: int,
 
     `rows[k]` is a list of bid indices owned by priority `owners[k]`, the
     owners distinct. Every entry becomes the key index * L + rank of its
-    owner among the L levels, PAD_PRIORITY at rank 0, as in
-    `pool_rival_bids`. Bidder n's competing bids are the first `supply` keys
-    of the descending sort that it does not own, padded with key 0, and slot
-    m faces the m-th smallest. The rule of `win_thresholds` in key form: a
-    rival key c * L + r gives the threshold c + (r > rank of n), which is
-    (key + L - 1 - rank of n) // L.
+    owner among the L levels, PAD_PRIORITY at rank 0. Bidder n's competing
+    bids are the first `supply` keys of the descending sort that it does not
+    own, padded with key 0, and slot m faces the m-th smallest. The rule of
+    `win_thresholds` in key form: a rival key c * L + r gives the threshold
+    c + (r > rank of n), which is (key + L - 1 - rank of n) // L.
     """
     levels = sorted({PAD_PRIORITY, *owners})
     width = len(levels)
@@ -263,23 +226,3 @@ def settle_prefix(values: list, bid: list, bid_values: list,
         x += 1
     reward, payment = math.fsum(values[:x]), math.fsum(bid_values[:x])
     return x, reward - payment, payment, reward
-
-
-def settle(
-    valuation: ValuationProfile,
-    bid: BidVector,
-    competing: CompetingBids,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-    bidder_priority: Optional[int] = None,
-) -> AuctionOutcome:
-    """Settle one bidder: allocation, gross reward, payment, and utility."""
-    m = bid.indices.size
-    if m != valuation.values.size:
-        raise ValueError("bid and valuation lengths differ")
-    if m > competing.indices.size:
-        raise ValueError("bidder demand exceeds supply of competing bids")
-    thresholds = win_thresholds(competing.indices, competing.priorities, m, tie,
-                                bidder_priority)
-    return AuctionOutcome(*settle_prefix(valuation.values.tolist(), bid.indices.tolist(),
-                                         bid.grid.values[bid.indices].tolist(),
-                                         thresholds.tolist()))

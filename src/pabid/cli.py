@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .auction import TieBreak, ValuationProfile
+from .auction import TieBreak, ValuationProfile, win_thresholds
 from .grids import make_even_grid
 from .hindsight import accumulate_weights_history, hindsight_optimal
 from .scenario import Scenario, ScenarioError, canonical_hash, load_scenario
@@ -116,7 +116,7 @@ def cmd_run(args) -> int:
             from .scenario import validate_scenario
 
             scenario = validate_scenario(document)
-        except ScenarioError as err:  # pragma: no cover - seed is an int already
+        except ScenarioError as err:
             for problem in err.problems:
                 print(f"scenario error: {problem}", file=sys.stderr)
             return 2
@@ -185,7 +185,8 @@ def cmd_hindsight(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     tie = TieBreak.BIDDER_WINS if args.tie == "wins" else TieBreak.BIDDER_LOSES
-    table = accumulate_weights_history(valuation, comp, grid, tie=tie)
+    thresholds = win_thresholds(comp, None, valuation.demand, tie)
+    table = accumulate_weights_history(valuation, thresholds, grid)
     solution = hindsight_optimal(table)
     if args.json:
         print(json.dumps({

@@ -35,6 +35,9 @@ from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, trust
 from .grids import BidGrid
 from .hindsight import NodeWeightTable
 
+# Confidence parameter of the implicit-exploration (IX) offset schedule.
+IX_DELTA = 0.05
+
 
 class FeedbackMode(enum.Enum):
     FULL_INFO = "full_info"
@@ -74,7 +77,6 @@ class LearnerConfig:
     mode: FeedbackMode = FeedbackMode.FULL_INFO
     eta: Optional[float] = None
     gamma: Optional[float] = None  # scalar override; None = per-layer schedule (IX only)
-    ix_delta: float = 0.05
     seed: int = 0
 
 
@@ -88,15 +90,15 @@ def eta_schedule(mode: FeedbackMode, demand: int, grid_size: int, horizon: int) 
     return min(raw, 0.999 / demand)
 
 
-def ix_gamma_schedule(allowed: np.ndarray, horizon: int, delta: float = 0.05) -> np.ndarray:
+def ix_gamma_schedule(allowed: np.ndarray, horizon: int) -> np.ndarray:
     """Per-layer implicit-exploration offsets from the per-layer arm counts."""
     counts = [max(k, 1) for k in allowed.sum(axis=1).tolist()]
-    return np.array([math.sqrt((math.log(k) + math.log((k + 1) / delta)) / (4 * k * horizon))
+    return np.array([math.sqrt((math.log(k) + math.log((k + 1) / IX_DELTA)) / (4 * k * horizon))
                      for k in counts])
 
 
 def estimator_offsets(mode: FeedbackMode, allowed: np.ndarray, horizon: int,
-                      gamma: Optional[float] = None, delta: float = 0.05) -> np.ndarray:
+                      gamma: Optional[float] = None) -> np.ndarray:
     """Per-slot offsets added to the played cell's probability by the bandit estimators.
 
     Under BANDIT_IX: the scalar override `gamma` in every slot, or the IX
@@ -106,7 +108,7 @@ def estimator_offsets(mode: FeedbackMode, allowed: np.ndarray, horizon: int,
         return np.zeros(allowed.shape[0])
     if gamma is not None:
         return np.full(allowed.shape[0], float(gamma))
-    return ix_gamma_schedule(allowed, horizon, delta)
+    return ix_gamma_schedule(allowed, horizon)
 
 
 def compute_partial_sums(table: NodeWeightTable, eta: float) -> PartialSumTable:
@@ -218,7 +220,7 @@ class ExpWeightsBidder:
         self.values = np.array([v.values for v in self.valuations])
         self.allowed = np.array([v.ir_mask(grid) for v in self.valuations])
         self.weights = np.zeros(self.allowed.shape)
-        self.gamma = np.array([estimator_offsets(mode, allowed, horizon, c.gamma, c.ix_delta)
+        self.gamma = np.array([estimator_offsets(mode, allowed, horizon, c.gamma)
                                for allowed, c in zip(self.allowed, configs)])
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
         self.rngs = [np.random.default_rng(c.seed) for c in configs]

@@ -1,4 +1,4 @@
-"""Hindsight-optimal fixed bid vector over a history of competing bids.
+"""Hindsight-optimal fixed bid vector over a history of win thresholds.
 
 The cumulative utility of a fixed monotone bid decomposes slot by slot, so
 the optimum is a maximum-weight monotone path through a layered graph: one
@@ -10,11 +10,10 @@ O(M D) space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .auction import BidVector, TieBreak, ValuationProfile, win_thresholds
+from .auction import BidVector, ValuationProfile
 from .grids import BidGrid
 
 NEG_INF = float("-inf")
@@ -46,27 +45,22 @@ class HindsightSolution:
 
 def accumulate_weights_history(
     valuation: ValuationProfile,
-    comp_indices: np.ndarray,
+    thresholds: np.ndarray,
     grid: BidGrid,
-    comp_priorities: Optional[np.ndarray] = None,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-    bidder_priority: Optional[int] = None,
 ) -> NodeWeightTable:
-    """Cumulative per-slot utilities from a (T, supply) matrix of competing-bid indices.
+    """Cumulative per-slot utilities from a (T, M) matrix of per-slot win thresholds.
 
     W[m, j] = (#rounds bid j wins slot m) * (v_m - B_j). Bid j wins slot m in
     every round whose threshold is at most j, so one bincount of the
     slot-offset thresholds and a running sum give every win count in
-    O(T M + M D).
+    O(T M + M D). `auction.win_thresholds` turns competing bids into
+    thresholds; a run log keeps the ones each agent settled against.
     """
-    comp_indices = np.asarray(comp_indices, dtype=np.int64)
-    if comp_indices.ndim != 2:
-        raise ValueError("history must be a (rounds, supply) index matrix")
+    thresholds = np.asarray(thresholds, dtype=np.int64)
     m = valuation.demand
-    if comp_indices.shape[1] < m:
-        raise ValueError("competing bids shorter than bidder demand")
+    if thresholds.ndim != 2 or thresholds.shape[1] != m:
+        raise ValueError("history must be a (rounds, demand) threshold matrix")
     d = grid.count
-    thresholds = win_thresholds(comp_indices, comp_priorities, m, tie, bidder_priority)
     # thresholds lie in [0, D]; D (nothing wins) gets its own column, dropped
     offsets = np.arange(m) * (d + 1)
     counts = np.bincount((thresholds + offsets).ravel(), minlength=m * (d + 1))

@@ -175,9 +175,7 @@ class OmdBidder:
         mode: FeedbackMode = FeedbackMode.BANDIT_IX,
         eta: Optional[float] = None,
         gamma: Optional[float] = None,
-        ix_delta: float = 0.05,
         seed: int = 0,
-        projection_tol: float = DEFAULT_PROJECTION_TOL,
     ):
         self.valuation = valuation
         self.valuations = [valuation]
@@ -185,9 +183,8 @@ class OmdBidder:
         self.mode = mode
         self.eta = eta if eta is not None else omd_eta_schedule(mode, grid.count, horizon)
         self.allowed = np.ascontiguousarray(valuation.ir_mask(grid))
-        self.gamma = estimator_offsets(mode, self.allowed, horizon, gamma, ix_delta)
+        self.gamma = estimator_offsets(mode, self.allowed, horizon, gamma)
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
-        self.projection_tol = projection_tol
         self.rng = np.random.default_rng(seed)
         # Start from the marginals of "uniform over feasible successors": slot
         # 1 is uniform on its IR cells, and after bid b the next slot is
@@ -237,7 +234,7 @@ class OmdBidder:
         est = self.reward_estimate(allocations[0], None if thresholds is None else thresholds[0])
         q_tilde = unconstrained_step(self.q, est, self.eta)
         # project_to_Q's input checks hold by construction here, so skip them
-        result = _project(q_tilde, self.allowed, self.projection_tol, DEFAULT_MAX_SWEEPS,
+        result = _project(q_tilde, self.allowed, DEFAULT_PROJECTION_TOL, DEFAULT_MAX_SWEEPS,
                           f"projection in round {self.rounds}")
         self.q = result.measure.probs
         self._pending = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -112,8 +113,8 @@ def validate_scenario(document: dict) -> Scenario:
         problems.append("replications: must be a positive integer")
         replications = 1
     master_seed = document.get("master_seed", 0)
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool):
-        problems.append("master_seed: must be an integer")
+    if not isinstance(master_seed, int) or isinstance(master_seed, bool) or master_seed < 0:
+        problems.append("master_seed: must be a non-negative integer")
         master_seed = 0
 
     agents: list[AgentSpec] = []
@@ -159,8 +160,9 @@ def validate_scenario(document: dict) -> Scenario:
             problems.append(f"{prefix}.valuation: demand {demand} exceeds supply {supply}")
         eta, gamma = raw.get("eta"), raw.get("gamma")
         for rate, value in (("eta", eta), ("gamma", gamma)):
-            if value is not None and not (_is_number(value) and value > 0):
-                problems.append(f"{prefix}.{rate}: must be a positive number")
+            # the upper bound also turns away ints too large for a float
+            if value is not None and not (_is_number(value) and 0 < value <= sys.float_info.max):
+                problems.append(f"{prefix}.{rate}: must be a positive finite number")
         if gamma is not None and feedback != "bandit_ix":
             problems.append(f"{prefix}.gamma: only valid with bandit_ix feedback")
         if (algorithm == "ew" and feedback in ("bandit_ipw", "bandit_ix") and demand is not None

@@ -20,11 +20,14 @@ rows, pools them with the environment's bids in one sort of integer keys
 (`round_thresholds`), settles every agent against its thresholds and hands
 each group its feedback.
 
-After the run, the log is scored over all T rounds at once:
-`competing_history` applies the same pooling rule with `pool_rival_bids`,
-the regret table counts wins from the per-slot thresholds of
-`win_thresholds`, and the market metrics read each agent's winning and
-losing bids as whole columns.
+`round_thresholds` is the only routine that pools rival bids. The log keeps
+every agent's (T, M) win thresholds as the round settled them, so scoring
+over all T rounds at once never pools again: the regret table counts wins
+from the logged thresholds, and the market metrics read each agent's
+winning and losing bids as whole columns. `RunLog.replay_matches` checks a
+log by the paper's global rule instead, with no code shared with `play`:
+sort every cleared bid of a round in decreasing order and give the m-th
+unit to the m-th highest.
 """
 from __future__ import annotations
 
@@ -36,15 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__ as _library_version
-from .auction import (
-    CompetingBids,
-    BidVector,
-    ValuationProfile,
-    pool_rival_bids,
-    round_thresholds,
-    settle,
-    settle_prefix,
-)
+from .auction import BidVector, ValuationProfile, round_thresholds, settle_prefix
 from .grids import BidGrid
 from .hindsight import accumulate_weights_history, hindsight_optimal
 
@@ -59,14 +54,15 @@ RUNLOG_COLUMNS = ("t", "agent", "slot_bids", "allocation", "utility", "payment")
 class RunLog:
     """Complete record of one run: per-round, per-agent settlement plus context.
 
-    Environment bids (when an exogenous adversary participates) are kept
-    alongside so every agent's competing-bid history can be reconstructed
-    exactly, priorities included.
+    Each agent's per-slot win thresholds are kept as `play` settled with
+    them, and environment bids (when an exogenous adversary participates)
+    alongside, so every round can be scored or re-cleared without pooling.
     """
 
     grid: BidGrid
     valuations: list[ValuationProfile]
     bids: list[np.ndarray]          # per agent: (T, M_n) int indices
+    thresholds: list[np.ndarray]    # per agent: (T, M_n) int win thresholds
     allocations: np.ndarray         # (T, N) int
     utilities: np.ndarray           # (T, N) float
     payments: np.ndarray            # (T, N) float
@@ -85,28 +81,45 @@ class RunLog:
     def num_agents(self) -> int:
         return int(self.allocations.shape[1])
 
-    def competing_history(self, agent: int) -> tuple[np.ndarray, np.ndarray]:
-        """(T, supply) competing-bid indices and owner priorities for one agent."""
-        blocks = [self.bids[n] for n in range(self.num_agents) if n != agent]
-        owners = [n for n in range(self.num_agents) if n != agent]
-        if self.env_bids is not None:
-            blocks.append(self.env_bids)
-            owners.append(ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY)
-        return pool_rival_bids(self.rounds, self.supply, blocks, owners)
-
     def replay_matches(self) -> bool:
-        """Re-settle every logged bid and compare with the logged outcomes."""
-        for agent in range(self.num_agents):
-            comp_idx, comp_pri = self.competing_history(agent)
-            for t in range(self.rounds):
-                competing = CompetingBids(comp_idx[t], self.grid, comp_pri[t])
-                bid = BidVector(self.bids[agent][t], self.grid)
-                out = settle(self.valuations[agent], bid, competing,
-                             bidder_priority=agent)
-                if (out.allocation != self.allocations[t, agent]
-                        or out.utility != self.utilities[t, agent]
-                        or out.payment != self.payments[t, agent]):
-                    return False
+        """Re-clear every logged round by the global rule and compare with the log.
+
+        Every cleared bid of a round, the environment's included, becomes the
+        key index * L + rank of its owner's priority among the L owners. One
+        sort per round puts the top `supply` keys, the units sold, last; an
+        agent's allocation is its count among them, fewer bids than `supply`
+        all winning. Reward and payment are `math.fsum` sums over the won
+        prefix of its bid and utility is their difference, as logged. The
+        logged thresholds must give the logged allocations too.
+        """
+        owners = list(range(self.num_agents))
+        blocks = list(self.bids)
+        if self.env_bids is not None:
+            owners.append(ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY)
+            blocks.append(self.env_bids)
+        rank = {owner: r for r, owner in enumerate(sorted(owners))}
+        width = len(owners)
+        keys = np.concatenate([block * width + rank[owner]
+                               for block, owner in zip(blocks, owners)], axis=1)
+        keys.sort(axis=1)
+        sold = keys[:, max(keys.shape[1] - self.supply, 0):] % width
+        grid_values = self.grid.values.tolist()
+        for n, bids in enumerate(self.bids):
+            won = np.count_nonzero(sold == rank[n], axis=1)
+            prefix = np.logical_and.accumulate(bids >= self.thresholds[n], axis=1)
+            if not (np.array_equal(won, self.allocations[:, n])
+                    and np.array_equal(prefix.sum(axis=1), won)):
+                return False
+            values = self.valuations[n].values.tolist()
+            reward_of = [math.fsum(values[:x]) for x in range(len(values) + 1)]
+            won = won.tolist()
+            rewards = [reward_of[x] for x in won]
+            payments = [math.fsum([grid_values[j] for j in row[:x]])
+                        for row, x in zip(bids.tolist(), won)]
+            utilities = [reward - payment for reward, payment in zip(rewards, payments)]
+            if [self.rewards[:, n].tolist(), self.payments[:, n].tolist(),
+                    self.utilities[:, n].tolist()] != [rewards, payments, utilities]:
+                return False
         return True
 
     def _as_lists(self) -> tuple:
@@ -262,7 +275,7 @@ class SelfPlayMarket:
         if self.environment is not None:
             owners.append(ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY)
             widths.append(self.supply)
-        played = []    # per round: each agent's bid row, then the environment's
+        played = []    # per round: agent and environment bid rows, then agent thresholds
         outcomes = []  # per round: (allocation, utility, payment, reward) of each agent
         for t in range(rounds):
             rows = [None] * len(owners)
@@ -279,14 +292,15 @@ class SelfPlayMarket:
             for group, members in zip(self.learners, self.members):
                 group.observe([settled[n][0] for n in members],
                               [thresholds[n] for n in members] if group.wants_full_info else None)
-            played.append(rows)
+            played.append(rows + thresholds)
             outcomes.append(settled)
         columns = [np.array([rows[k] for rows in played], dtype=np.int64).reshape(rounds, width)
-                   for k, width in enumerate(widths)]
+                   for k, width in enumerate(widths + widths[:n_agents])]
         allocated, utilities, payments, rewards = np.array(outcomes, dtype=float).reshape(
             rounds, n_agents, 4).transpose(2, 0, 1).copy()
         return RunLog(
             grid=self.grid, valuations=self.valuations, bids=columns[:n_agents],
+            thresholds=columns[len(owners):],
             allocations=allocated.astype(np.int64), utilities=utilities, payments=payments,
             rewards=rewards, env_bids=columns[n_agents] if self.environment is not None else None,
             env_wins_ties=self.env_wins_ties, supply=self.supply, seed=seed, config=config or {},
@@ -303,12 +317,8 @@ def run_experiment(scenario, replication: int = 0) -> RunLog:
 
 def regret_report(log: RunLog, agent: int) -> RegretReport:
     """Score one agent against the best fixed grid bid for its realized history."""
-    comp_idx, comp_pri = log.competing_history(agent)
     valuation = log.valuations[agent]
-    table = accumulate_weights_history(
-        valuation, comp_idx, log.grid, comp_priorities=comp_pri,
-        bidder_priority=agent,
-    )
+    table = accumulate_weights_history(valuation, log.thresholds[agent], log.grid)
     best = hindsight_optimal(table)
     realized = float(math.fsum(log.utilities[:, agent]))
     discretized = best.total_utility - realized
@@ -329,15 +339,14 @@ def regret_report(log: RunLog, agent: int) -> RegretReport:
     )
 
 
-def market_metrics(log: RunLog, valuations: Optional[Sequence[ValuationProfile]] = None) -> MarketMetrics:
+def market_metrics(log: RunLog) -> MarketMetrics:
     """Welfare, revenue, and bid-ratio series for a multi-agent log."""
-    valuations = list(valuations) if valuations is not None else log.valuations
     t_rounds = log.rounds
     welfare = np.array(list(map(math.fsum, log.rewards.tolist())), dtype=float)
     revenue = np.array(list(map(math.fsum, log.payments.tolist())), dtype=float)
     total_utility = welfare - revenue
 
-    pooled = np.sort(np.concatenate([v.values for v in valuations]))[::-1]
+    pooled = np.sort(np.concatenate([v.values for v in log.valuations]))[::-1]
     max_welfare = float(math.fsum(pooled[: log.supply]))
 
     steps = np.arange(1, t_rounds + 1)

@@ -6,9 +6,10 @@ These loops state the same rules the long way: entry by entry, round by
 round, agent by agent, and the optimum by enumerating every monotone bid.
 Tests check the library against them.
 
-`loop_round` is the market round as it was played one agent at a time: a
-list pool of (index, owner) entries, a `CompetingBids` per agent, `settle`
-and `win_thresholds`.
+`settle` scores one bidder against a `CompetingBids` row through
+`win_thresholds` and `settle_prefix`. `loop_round` is the market round as it
+was played one agent at a time: a list pool of (index, owner) entries, a
+`CompetingBids` per agent, `settle` and `win_thresholds`.
 
 `sweep_dual_ascent` is the KL projection kernel without its idle-pair skip:
 every sweep visits every layer pair and recomputes the certificate's prefix
@@ -19,19 +20,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from pabid.auction import (
     PAD_PRIORITY,
-    AuctionOutcome,
     BidVector,
     CompetingBids,
     TieBreak,
     ValuationProfile,
-    pool_rival_bids,
-    settle,
+    settle_prefix,
     win_thresholds,
 )
 from pabid.grids import VALUE_EPS, BidGrid
@@ -41,6 +41,36 @@ from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, MarketMetrics
 
 # Refuse enumeration beyond this many monotone grid vectors.
 BRUTE_FORCE_CAP = 2_000_000
+
+
+@dataclass(frozen=True)
+class AuctionOutcome:
+    """Result of settling one bidder against the competing bids."""
+
+    allocation: int
+    utility: float
+    payment: float
+    reward: float
+
+
+def settle(
+    valuation: ValuationProfile,
+    bid: BidVector,
+    competing: CompetingBids,
+    tie: TieBreak = TieBreak.BIDDER_WINS,
+    bidder_priority: Optional[int] = None,
+) -> AuctionOutcome:
+    """Settle one bidder: allocation, gross reward, payment, and utility."""
+    m = bid.indices.size
+    if m != valuation.values.size:
+        raise ValueError("bid and valuation lengths differ")
+    if m > competing.indices.size:
+        raise ValueError("bidder demand exceeds supply of competing bids")
+    thresholds = win_thresholds(competing.indices, competing.priorities, m, tie,
+                                bidder_priority)
+    return AuctionOutcome(*settle_prefix(valuation.values.tolist(), bid.indices.tolist(),
+                                         bid.grid.values[bid.indices].tolist(),
+                                         thresholds.tolist()))
 
 
 def win_mask(
@@ -89,14 +119,18 @@ def competing_bids(
     Fewer than `supply` rival bids are padded with the grid minimum at a
     priority below every real bidder, so a padded entry can never win a tie.
     """
-    rival_bids = list(rival_bids)
-    owners = [0 if rival_priorities is None else int(rival_priorities[r])
-              for r in range(len(rival_bids))]
-    idx, pri = pool_rival_bids(1, supply, [bid.indices[None, :] for bid in rival_bids], owners)
-    idx, pri = idx[0], pri[0]
-    if rival_priorities is None and not (pri == PAD_PRIORITY).any():
+    entries = []
+    for r, bid in enumerate(rival_bids):
+        owner = 0 if rival_priorities is None else int(rival_priorities[r])
+        entries += [(int(j), owner) for j in bid.indices]
+    entries.sort(reverse=True)
+    entries = entries[:supply]
+    entries += [(0, PAD_PRIORITY)] * (supply - len(entries))
+    entries.reverse()  # ascending, padding first
+    idx = np.array([e[0] for e in entries], dtype=np.int64)
+    if rival_priorities is None and entries[0][1] != PAD_PRIORITY:
         return CompetingBids(idx, grid)  # uniform priorities: the two-mode tie rule
-    return CompetingBids(idx, grid, pri)
+    return CompetingBids(idx, grid, np.array([e[1] for e in entries], dtype=np.int64))
 
 
 def loop_round(
@@ -202,17 +236,14 @@ def loop_competing_history(log: RunLog, agent: int) -> tuple[np.ndarray, np.ndar
     return comp_idx, comp_pri
 
 
-def loop_market_metrics(
-    log: RunLog, valuations: Optional[Sequence[ValuationProfile]] = None,
-) -> MarketMetrics:
+def loop_market_metrics(log: RunLog) -> MarketMetrics:
     """Welfare, revenue, and bid-ratio series, one (round, agent) at a time."""
-    valuations = list(valuations) if valuations is not None else log.valuations
     t_rounds, n_agents = log.allocations.shape
     welfare = np.array([math.fsum(log.rewards[t]) for t in range(t_rounds)])
     revenue = np.array([math.fsum(log.payments[t]) for t in range(t_rounds)])
     total_utility = welfare - revenue
 
-    pooled = np.sort(np.concatenate([v.values for v in valuations]))[::-1]
+    pooled = np.sort(np.concatenate([v.values for v in log.valuations]))[::-1]
     max_welfare = float(math.fsum(pooled[: log.supply]))
 
     steps = np.arange(1, t_rounds + 1)

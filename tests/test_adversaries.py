@@ -15,10 +15,9 @@ from pabid import (
     ValuationProfile,
     lower_bound_instance,
     make_even_grid,
-    settle,
 )
 
-from oracles import iter_monotone_indices
+from oracles import iter_monotone_indices, settle
 
 
 def benchmark_adversary(grid, seed=0):

@@ -5,17 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pabid import (
-    AuctionOutcome,
     BidGrid,
     BidVector,
     CompetingBids,
     TieBreak,
     ValuationProfile,
     make_even_grid,
-    settle,
 )
 
-from oracles import allocate, competing_bids, merge_settle, slot_reward, win_mask
+from oracles import (
+    AuctionOutcome,
+    allocate,
+    competing_bids,
+    merge_settle,
+    settle,
+    slot_reward,
+    win_mask,
+)
 
 
 class TestBidGrid:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, outputs, determinism."""
 import json
+import math
 import os
 
 import pytest
@@ -83,6 +84,14 @@ class TestRun:
         assert h1 != h2
         assert (base / "runlog_r000.csv").read_bytes() != (reseeded / "runlog_r000.csv").read_bytes()
 
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        path, _ = write_scenario(tmp_path, rounds=5, replications=1)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--seed", "-5"]) == 2
+        assert "scenario error: master_seed: must be a non-negative integer" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_manifest_hash_tracks_content(self, tmp_path):
         path_a, _ = write_scenario(tmp_path, name="va", rounds=30, replications=1)
         path_b, _ = write_scenario(tmp_path, name="vb", rounds=31, replications=1)
@@ -124,7 +133,8 @@ def stochastic_environment(rows):
 
 
 # Scenarios that cannot run, with the field validation must name. Each once
-# passed validation and then failed at round 0 with a runtime error (exit 1).
+# passed validation and then failed at round 0 with a runtime error (exit 1),
+# or ran on NaN.
 UNRUNNABLE = {
     "demand_above_supply_stochastic": (
         {"agents": [{"algorithm": "ew", "feedback": "full", "valuation": [1.0] * 4}]},
@@ -151,6 +161,23 @@ UNRUNNABLE = {
     "gamma_without_bandit_ix": (
         {"agents": [{"algorithm": "omd", "feedback": "bandit_ipw", "valuation": [1.0] * 3,
                      "gamma": 0.1}]},
+        "agents[0].gamma"),
+    "negative_master_seed": ({"master_seed": -1}, "master_seed"),
+    "omd_eta_infinite": (
+        {"agents": [{"algorithm": "omd", "feedback": "bandit_ix", "valuation": [1.0] * 3,
+                     "eta": math.inf}]},
+        "agents[0].eta"),
+    "ew_full_info_eta_infinite": (
+        {"agents": [{"algorithm": "ew", "feedback": "full", "valuation": [1.0] * 3,
+                     "eta": math.inf}]},
+        "agents[0].eta"),
+    "ew_eta_beyond_float_range": (
+        {"agents": [{"algorithm": "ew", "feedback": "full", "valuation": [1.0] * 3,
+                     "eta": 10**400}]},
+        "agents[0].eta"),
+    "gamma_infinite": (
+        {"agents": [{"algorithm": "ew", "feedback": "bandit_ix", "valuation": [1.0] * 3,
+                     "gamma": math.inf}]},
         "agents[0].gamma"),
 }
 

@@ -54,7 +54,7 @@ class TestEtaSchedule:
 
     def test_ix_gamma_matches_formula(self):
         allowed = np.ones((2, 7), dtype=bool)
-        gamma = ix_gamma_schedule(allowed, horizon=100, delta=0.05)
+        gamma = ix_gamma_schedule(allowed, horizon=100)
         k = 7
         expect = math.sqrt((math.log(k) + math.log((k + 1) / 0.05)) / (4 * k * 100))
         assert gamma.tolist() == pytest.approx([expect, expect])
@@ -66,7 +66,7 @@ class TestEtaSchedule:
         grid = make_even_grid(7)
         valuation = ValuationProfile(np.array([1.0, 0.5, 0.2]))
         allowed = valuation.ir_mask(grid)
-        schedule = ix_gamma_schedule(allowed, 100, 0.05)
+        schedule = ix_gamma_schedule(allowed, 100)
         for mode in FeedbackMode:
             for gamma in (None, 0.125):
                 if mode is FeedbackMode.BANDIT_IX:

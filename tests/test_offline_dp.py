@@ -9,7 +9,7 @@ from pabid import (
     accumulate_weights_history,
     hindsight_optimal,
     make_even_grid,
-    settle,
+    win_thresholds,
 )
 from pabid.hindsight import NEG_INF
 
@@ -21,6 +21,7 @@ from oracles import (
     masked,
     monotone_vector_count,
     path_utility,
+    settle,
 )
 
 
@@ -62,7 +63,8 @@ class TestAccumulateWeights:
             history = [CompetingBids(row, grid) for row in hist_idx]
             tie = TieBreak.BIDDER_WINS if rng.random() < 0.5 else TieBreak.BIDDER_LOSES
             slow = accumulate_weights(valuation, history, grid, tie)
-            fast = accumulate_weights_history(valuation, hist_idx, grid, tie=tie)
+            thresholds = win_thresholds(hist_idx, None, m, tie)
+            fast = accumulate_weights_history(valuation, thresholds, grid)
             assert np.allclose(slow.weights, fast.weights, atol=1e-12)
             assert np.array_equal(slow.allowed, fast.allowed)
 
@@ -71,7 +73,7 @@ class TestAccumulateWeights:
         valuation = random_valuation(rng, 3)
         rounds = 7
         hist = _random_history(rng, 3, 6, rounds)
-        table = accumulate_weights_history(valuation, hist, grid)
+        table = accumulate_weights_history(valuation, win_thresholds(hist, None, 3), grid)
         assert np.all(np.abs(table.weights[table.allowed]) <= rounds)
         assert np.all(table.weights[table.allowed] >= 0.0)  # IR cells never pay above value
 

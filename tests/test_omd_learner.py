@@ -16,7 +16,6 @@ from pabid import (
     make_even_grid,
     omd_eta_schedule,
     sample_from_marginals,
-    settle,
     win_thresholds,
 )
 
@@ -28,6 +27,7 @@ from conftest import (
     random_q_member,
     sampler_law,
 )
+from oracles import settle
 
 
 def uniform_successor_chain(allowed: np.ndarray):
@@ -153,8 +153,6 @@ class TestRounds:
             [CompetingBids.from_values([0.0, 0.0], grid)], [1.0], seed=0)
         for mode in (FeedbackMode.FULL_INFO, FeedbackMode.BANDIT_IX):
             bidder = OmdBidder(valuation, grid, 60, mode=mode, seed=5)
-            from pabid import settle
-
             for t in range(60):
                 bid = BidVector(bidder.propose()[0], grid)
                 assert np.all(bid.values <= valuation.values + 1e-12)

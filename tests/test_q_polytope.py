@@ -11,11 +11,10 @@ from pabid import (
     make_even_grid,
     q_membership,
     sample_from_marginals,
-    settle,
 )
 
 from conftest import FixedUniform, enumerated_marginals, random_q_member, sampler_law
-from oracles import count_rule_indices
+from oracles import count_rule_indices, settle
 
 # The largest double below 1: the extreme uniform a generator can return.
 LAST_UNIFORM = 1.0 - 2.0**-53

@@ -12,7 +12,6 @@ from pabid import (
     accumulate_weights_history,
     make_even_grid,
     market_metrics,
-    settle,
     win_thresholds,
 )
 from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, SelfPlayMarket
@@ -24,6 +23,7 @@ from oracles import (
     loop_competing_history,
     loop_market_metrics,
     loop_round,
+    settle,
     win_mask,
     win_matrix,
 )
@@ -107,9 +107,8 @@ class TestPooling:
                   for t in range(log.rounds)]
         for n, learner in enumerate(market.learners):
             ref_idx, ref_pri = loop_competing_history(log, n)
-            got_idx, got_pri = log.competing_history(n)
-            assert got_idx.tolist() == ref_idx.tolist()
-            assert got_pri.tolist() == ref_pri.tolist()
+            # the log keeps the thresholds each agent settled against
+            assert log.thresholds[n].tolist() == [oracle[t][n][1] for t in range(log.rounds)]
             for t, seen in enumerate(learner.seen):
                 competing, thresholds, outcome = oracle[t][n]
                 assert competing.indices.tolist() == ref_idx[t].tolist()
@@ -132,6 +131,28 @@ class TestPooling:
                 assert pooled.priorities.tolist() == ref_pri[t].tolist()
                 # uniform priorities select the same indices
                 assert competing_bids(rivals, supply, grid).indices.tolist() == ref_idx[t].tolist()
+
+
+class TestReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(markets())
+    def test_replay_accepts_every_played_market_and_rejects_one_changed_cell(self, case):
+        grid, agent_rows, supply, env_rows, env_wins_ties = case
+        _, log = run_market(grid, agent_rows, supply, env_rows, env_wins_ties)
+        assert log.replay_matches()
+        for logged in (log.allocations, log.utilities, log.payments, log.rewards):
+            for cell in np.ndindex(logged.shape):
+                saved = logged[cell]
+                logged[cell] += 1
+                assert not log.replay_matches()
+                logged[cell] = saved
+        assert log.replay_matches()
+        for n, thresholds in enumerate(log.thresholds):
+            for t in np.flatnonzero(log.allocations[:, n]):
+                saved = thresholds[t].copy()
+                thresholds[t] = grid.count  # no bid wins a slot
+                assert not log.replay_matches()
+                thresholds[t] = saved
 
 
 @st.composite
@@ -215,8 +236,8 @@ class TestWeightHistory:
         history = [CompetingBids(row, grid, None if comp_pri is None else comp_pri[t])
                    for t, row in enumerate(comp_idx)]
         loop = accumulate_weights(valuation, history, grid, tie, bidder_priority)
-        fast = accumulate_weights_history(valuation, comp_idx, grid, comp_pri, tie,
-                                          bidder_priority)
+        thresholds = win_thresholds(comp_idx, comp_pri, valuation.demand, tie, bidder_priority)
+        fast = accumulate_weights_history(valuation, thresholds, grid)
         assert fast.weights.tobytes() == loop.weights.tobytes()
         assert fast.allowed.tolist() == loop.allowed.tolist()
 

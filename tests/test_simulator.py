@@ -93,25 +93,25 @@ class TestRunExperiment:
 class TestRegretReport:
     def test_hindsight_player_has_zero_regret(self):
         """An agent that plays the (known) hindsight optimum every round."""
-        from pabid import BidVector, make_even_grid
+        from pabid.auction import settle_prefix
 
         scenario = validate_scenario(benchmark_scenario(rounds=400))
         log = run_experiment(scenario)
         report = regret_report(log, 0)
-        # overwrite the log with the benchmark bid replayed every round
-        grid = log.grid
+        # overwrite the log with the benchmark bid, settled against the
+        # thresholds the agent faced, every round
         fixed = report.benchmark_bid
-        comp_idx, comp_pri = log.competing_history(0)
-        from pabid import CompetingBids, settle
-
+        values = log.valuations[0].values.tolist()
         for t in range(log.rounds):
             log.bids[0][t] = fixed.indices
-            out = settle(log.valuations[0], fixed,
-                         CompetingBids(comp_idx[t], grid, comp_pri[t]), bidder_priority=0)
-            log.allocations[t, 0] = out.allocation
-            log.utilities[t, 0] = out.utility
-            log.payments[t, 0] = out.payment
-            log.rewards[t, 0] = out.reward
+            x, utility, payment, reward = settle_prefix(
+                values, fixed.indices.tolist(), fixed.values.tolist(),
+                log.thresholds[0][t].tolist())
+            log.allocations[t, 0] = x
+            log.utilities[t, 0] = utility
+            log.payments[t, 0] = payment
+            log.rewards[t, 0] = reward
+        assert log.replay_matches()
         fresh = regret_report(log, 0)
         assert fresh.discretized_regret == pytest.approx(0.0, abs=1e-9)
         assert fresh.continuous_regret_upper == pytest.approx(
@@ -121,11 +121,11 @@ class TestRegretReport:
         """30 seeds of a uniform-random monotone bidder: mean regret >= 0."""
         import numpy as np
 
-        from pabid import CompetingBids, StochasticAdversary, make_even_grid, settle
-        from pabid import ValuationProfile
+        from pabid import CompetingBids, StochasticAdversary, make_even_grid
+        from pabid import ValuationProfile, win_thresholds
         from pabid.hindsight import accumulate_weights_history, hindsight_optimal
 
-        from oracles import iter_monotone_indices
+        from oracles import iter_monotone_indices, settle
 
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.ones(2))
@@ -146,7 +146,8 @@ class TestRegretReport:
 
                 bid = BidVector(vectors[rng.integers(0, len(vectors))], grid)
                 realized += settle(valuation, bid, competing).utility
-            best = hindsight_optimal(accumulate_weights_history(valuation, hist, grid))
+            best = hindsight_optimal(
+                accumulate_weights_history(valuation, win_thresholds(hist, None, 2), grid))
             margins.append(best.total_utility - realized)
         mean = float(np.mean(margins))
         se = float(np.std(margins, ddof=1) / math.sqrt(len(margins)))
