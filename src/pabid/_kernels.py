@@ -8,12 +8,18 @@ Kernels:
     polytope by cyclic coordinate ascent on the Lagrange dual, O(M*D) per
     sweep, certified by the max of layer-sum error, dominance violation and
     complementary-slackness residual; a step inside it costs one prefix table.
-  * ew_tail_sums / sample_monotone / ew_marginals: decoupled exponential
-    weights, all in logs. One backward pass of `np.logaddexp.accumulate`
-    yields the tail sums and their running prefix sums; the prefix sums are
-    the sampler's normalizers, so sampling is one bisection per slot (one
-    uniform per slot), and the marginals' forward recursion runs on log
-    ratios, so rows spanning more than exp's range keep their mass.
+  * ew_tail_sums / sample_monotone: decoupled exponential weights, in logs.
+    One backward pass of `np.logaddexp.accumulate` yields the tail sums and
+    their running prefix sums; the prefix sums are the sampler's
+    normalizers, so sampling is one bisection per slot (one uniform per
+    slot).
+  * ew_marginals: the sampler's slot marginals by a forward recursion that
+    conserves each row's mass, so it needs one normalization per row at the
+    end. It has two regimes, chosen per agent. When every finite cell lies
+    within log 2**960 of its row maximum, it runs in the linear domain: one
+    `exp` per table and three array operations per slot. An agent whose rows
+    span more than that runs the recursion on log ratios, so cells far below
+    the row maximum keep their mass.
   * apply_slot_rewards: the full-information weight update, one masked add
     of the cells at or above each slot's win threshold.
 
@@ -33,6 +39,8 @@ import math
 import numpy as np
 
 _NEG_INF = float("-inf")
+# Below this shifted log mass a cell sends its agent to the log-domain marginals.
+_LINEAR_FLOOR = -960.0 * math.log(2.0)
 
 
 def project_dual_ascent(qt, allowed, tol, max_sweeps):
@@ -212,15 +220,51 @@ def sample_monotone(log_prefix, uniforms):
 
 
 def ew_marginals(log_sums):
-    """Unconditional slot marginals of the sequential sampler, in logs.
+    """Unconditional slot marginals of the sequential sampler.
 
-    With s = log S minus its row maximum and lz its running log row sums,
-    log q[0] = s[0] and log q[m] = s[m] plus the reversed running log sum of
-    log q[m-1] - lz[m]. The ratio q[m-1] / z[m] never leaves the log domain,
-    so rows spanning more than exp's range keep their mass. The recursion is
-    linear in q, so one normalization per row at the end suffices.
+    With s = log S minus its row maximum and z the running row sums of
+    exp(s), q[0] = S[0] / z[0][-1] and q[m] = S[m] times the reversed running
+    sum of q[m-1] / z[m]. As z is the prefix sum of S, each step keeps the
+    row mass (sum_b q[m, b] = sum_b q[m-1, b]), so one normalization per row
+    at the end suffices. The recursion runs in the linear domain when every
+    finite s of the agent is at least log 2**-960: each S is then a normal
+    float, q / z <= 1 / S[m, 0] <= 2**960 and no suffix sum overflows. An
+    agent whose rows span more than that takes `_log_marginals`. The choice
+    is made per agent, so each agent of a (k, M, D) stack gets the bits of
+    its own (M, D) call.
     """
     s = log_sums - log_sums.max(axis=-1, keepdims=True)
+    wide = ((s < _LINEAR_FLOOR) & (s > _NEG_INF)).any(axis=(-2, -1))
+    if not wide.any():
+        return _linear_marginals(s)
+    if wide.all():
+        return _log_marginals(s)
+    q = np.empty_like(s)
+    q[~wide] = _linear_marginals(s[~wide])
+    q[wide] = _log_marginals(s[wide])
+    return q
+
+
+def _linear_marginals(s):
+    """The marginal recursion on S = exp(s); every finite s >= _LINEAR_FLOOR."""
+    q = np.exp(s)
+    z = np.add.accumulate(q, axis=-1)
+    rows, z_rows = q.swapaxes(0, -2), z.swapaxes(0, -2)  # slot axis first
+    rows[0] /= z_rows[0][..., -1:]
+    for m in range(1, rows.shape[0]):
+        ratio = rows[m - 1] / z_rows[m]
+        rows[m] *= np.add.accumulate(ratio[..., ::-1], axis=-1)[..., ::-1]
+    return q / q.sum(axis=-1, keepdims=True)
+
+
+def _log_marginals(s):
+    """The marginal recursion in logs, for rows spanning more than exp's range.
+
+    With lz the running log row sums of s, log q[0] = s[0] and log q[m] =
+    s[m] plus the reversed running log sum of log q[m-1] - lz[m]. The ratio
+    q[m-1] / z[m] never leaves the log domain, so cells far below their row
+    maximum keep their mass.
+    """
     lz = np.logaddexp.accumulate(s, axis=-1)
     log_q = s.copy()
     rows, lz_rows = log_q.swapaxes(0, -2), lz.swapaxes(0, -2)  # slot axis first

@@ -116,16 +116,6 @@ class LowerBoundInstance:
         p = self.low_probability
         return StochasticAdversary([low, high], [p, 1.0 - p], seed=self.seed)
 
-    def expected_total_utility(self, price_slots: int, horizon: int, variant: Optional[str] = None) -> float:
-        """Closed-form expected cumulative utility of a fixed bid with
-        `price_slots` entries at the price c and the rest at zero."""
-        m = price_slots
-        big_m, k = self.demand, self.demand // 3
-        v = variant or self.variant
-        p_low = 0.5 + self.delta if v == "F" else 0.5 - self.delta
-        per_round = (1.0 - self.price) * m + p_low * max(0, big_m - k - m)
-        return horizon * per_round
-
 
 def lower_bound_instance(demand: int, horizon: int, delta: Optional[float] = None,
                          variant: str = "F", seed: int = 0) -> LowerBoundInstance:

@@ -53,9 +53,6 @@ class BidGrid:
             raise ValueError(f"{values[off][0]} is not a grid value")
         return idx.astype(np.int64)
 
-    def __len__(self) -> int:
-        return self.count
-
 
 def make_even_grid(count: int) -> BidGrid:
     """Evenly spaced grid {i/(count-1)} for i = 0..count-1."""

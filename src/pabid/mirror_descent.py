@@ -38,6 +38,7 @@ Q_FLOOR = 1e-12
 
 DEFAULT_PROJECTION_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 200_000
+MAX_PLAIN_EXPONENT = 700.0  # largest unshifted exponent of a step; exp(709.8) overflows
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,9 @@ class ProjectionError(RuntimeError):
         self.gap = gap
         self.sweeps = sweeps
 
+    def __reduce__(self):  # crosses the process boundary of `pabid run --jobs`
+        return type(self), (str(self), self.best, self.gap, self.sweeps)
+
 
 def q_membership(q: np.ndarray, tol: float = 1e-8) -> list[Violation]:
     """All simplex / dominance / nonnegativity violations; empty means member."""
@@ -92,8 +96,18 @@ def q_membership(q: np.ndarray, tol: float = 1e-8) -> list[Violation]:
 
 
 def unconstrained_step(q_prev: np.ndarray, reward_estimate: np.ndarray, eta: float) -> np.ndarray:
-    """Elementwise multiplicative update q * exp(eta * reward estimate)."""
-    return q_prev * np.exp(eta * np.asarray(reward_estimate, dtype=float))
+    """Elementwise multiplicative update q * exp(eta * reward estimate), up to row scales.
+
+    Where an exponent exceeds `MAX_PLAIN_EXPONENT`, each row is exp(log q +
+    eta * estimate - its maximum) instead, which cannot overflow or vanish;
+    the projection absorbs a row's scale into nu.
+    """
+    exponent = eta * np.asarray(reward_estimate, dtype=float)
+    if exponent.max() <= MAX_PLAIN_EXPONENT:
+        return q_prev * np.exp(exponent)
+    with np.errstate(divide="ignore"):  # IR-masked cells hold q = 0
+        logs = np.log(q_prev) + exponent
+    return np.exp(logs - logs.max(axis=1, keepdims=True))
 
 
 def project_to_Q(

@@ -240,7 +240,8 @@ class SelfPlayMarket:
     `learners` are groups (see the module docstring); `members[g]` lists the
     market agents of group g, in the order of its rows, and defaults to one
     agent per group. `valuations[n]` belongs to agent n, whose tie priority is
-    n; the environment's bids rank above or below every agent's.
+    n; the environment's bids rank above or below every agent's. An error
+    raised by a group's `propose` or `observe` names its agents and the round.
     """
 
     def __init__(
@@ -279,9 +280,13 @@ class SelfPlayMarket:
         outcomes = []  # per round: (allocation, utility, payment, reward) of each agent
         for t in range(rounds):
             rows = [None] * len(owners)
-            for group, members in zip(self.learners, self.members):
-                for n, row in zip(members, group.propose().tolist()):
-                    rows[n] = row
+            try:
+                for group, members in zip(self.learners, self.members):
+                    for n, row in zip(members, group.propose().tolist()):
+                        rows[n] = row
+            except Exception as err:
+                _locate(err, members, t)
+                raise
             if self.environment is not None:
                 rows[-1] = self.environment.draw(t).indices.tolist()
             thresholds = round_thresholds(rows, owners, self.supply, n_agents)
@@ -289,9 +294,14 @@ class SelfPlayMarket:
                                      thresholds[n]) for n in range(n_agents)]
             if sum(outcome[0] for outcome in settled) > self.supply:
                 raise RuntimeError("settlement granted more units than the supply")
-            for group, members in zip(self.learners, self.members):
-                group.observe([settled[n][0] for n in members],
-                              [thresholds[n] for n in members] if group.wants_full_info else None)
+            try:
+                for group, members in zip(self.learners, self.members):
+                    group.observe([settled[n][0] for n in members],
+                                  [thresholds[n] for n in members] if group.wants_full_info
+                                  else None)
+            except Exception as err:
+                _locate(err, members, t)
+                raise
             played.append(rows + thresholds)
             outcomes.append(settled)
         columns = [np.array([rows[k] for rows in played], dtype=np.int64).reshape(rounds, width)
@@ -305,6 +315,12 @@ class SelfPlayMarket:
             rewards=rewards, env_bids=columns[n_agents] if self.environment is not None else None,
             env_wins_ties=self.env_wins_ties, supply=self.supply, seed=seed, config=config or {},
         )
+
+
+def _locate(err: Exception, members: Sequence[int], t: int) -> None:
+    """Open `err`'s message with the failing group's agents and the round; keep its type."""
+    agents = ", ".join(map(str, members))
+    err.args = (f"agent{'s' if len(members) > 1 else ''} {agents}, round {t}: {err}",)
 
 
 def run_experiment(scenario, replication: int = 0) -> RunLog:

@@ -15,6 +15,9 @@ was played one agent at a time: a list pool of (index, owner) entries, a
 every sweep visits every layer pair and recomputes the certificate's prefix
 table. `count_rule_indices` is the mirror-descent sampler's index rule as a
 count over the whole CDF table. The library must match both bit for bit.
+
+`expected_total_utility` is the closed form the lower-bound tests check
+Monte Carlo settlement against.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from pabid.auction import (
     settle_prefix,
     win_thresholds,
 )
+from pabid.adversaries import LowerBoundInstance
 from pabid.grids import VALUE_EPS, BidGrid
 from pabid.exp_weights import PartialSumTable
 from pabid.hindsight import NEG_INF, HindsightSolution, NodeWeightTable
@@ -499,3 +503,12 @@ def count_rule_indices(q: np.ndarray, u: float) -> np.ndarray:
     cdf = np.cumsum(q, axis=1)
     threshold = u * cdf[:, -1:]
     return np.minimum.accumulate(np.count_nonzero(cdf <= threshold, axis=1))
+
+
+def expected_total_utility(instance: LowerBoundInstance, price_slots: int, horizon: int) -> float:
+    """Closed-form expected cumulative utility, on the hard two-point family,
+    of a fixed bid with `price_slots` entries at the price c and the rest at
+    zero."""
+    zeros_beyond = max(0, instance.zeros - price_slots)
+    per_round = (1.0 - instance.price) * price_slots + instance.low_probability * zeros_beyond
+    return horizon * per_round

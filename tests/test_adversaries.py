@@ -17,7 +17,7 @@ from pabid import (
     make_even_grid,
 )
 
-from oracles import iter_monotone_indices, settle
+from oracles import expected_total_utility, iter_monotone_indices, settle
 
 
 def benchmark_adversary(grid, seed=0):
@@ -96,13 +96,13 @@ class TestLowerBoundInstance:
 
     def test_printed_utilities_for_delta_point_one(self):
         instance = LowerBoundInstance(demand=3, delta=0.1, variant="F")
-        assert instance.expected_total_utility(0, 1) == pytest.approx(1.2)  # (0.5+0.1)*2
-        assert instance.expected_total_utility(3, 1) == pytest.approx(1.0)  # 3*(1/3)
+        assert expected_total_utility(instance, 0, 1) == pytest.approx(1.2)  # (0.5+0.1)*2
+        assert expected_total_utility(instance, 3, 1) == pytest.approx(1.0)  # 3*(1/3)
 
     def test_delta_zero_makes_candidates_equal(self):
         instance = LowerBoundInstance(demand=3, delta=0.0, variant="F")
-        zero = instance.expected_total_utility(0, 1)
-        price = instance.expected_total_utility(3, 1)
+        zero = expected_total_utility(instance, 0, 1)
+        price = expected_total_utility(instance, 3, 1)
         assert zero == pytest.approx(price) == pytest.approx(1.0)
         f_adv = LowerBoundInstance(demand=3, delta=0.0, variant="F").adversary()
         g_adv = LowerBoundInstance(demand=3, delta=0.0, variant="G").adversary()
@@ -145,7 +145,7 @@ class TestLowerBoundInstance:
                 utilities[t] = settle(valuation, bid, adversary.draw(t),
                                       TieBreak.BIDDER_WINS).utility
             mc_total = utilities.mean() * draws
-            exact = instance.expected_total_utility(price_slots, draws)
+            exact = expected_total_utility(instance, price_slots, draws)
             sigma = utilities.std(ddof=1) / math.sqrt(draws) * draws
             assert abs(mc_total - exact) <= 3 * sigma + 1e-6
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from pabid.cli import main
@@ -207,6 +208,53 @@ class TestUnrunnableScenarios:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(document))
             assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+
+
+class TestRuntimeFailure:
+    def test_failure_names_the_agent_and_the_round(self, tmp_path, capsys, monkeypatch):
+        """EW, EW, OMD: the EW agents form group 0, so the OMD agent is
+        agent 2 of group 1. Its fifth projection is made to fail."""
+        from pabid import mirror_descent
+
+        project = mirror_descent.project_dual_ascent
+        calls = []
+
+        def fail_fifth_call(*args):
+            q, lam, nu, sweeps, gap = project(*args)
+            calls.append(sweeps)
+            return (q, lam, nu, 777, 1.0) if len(calls) == 5 else (q, lam, nu, sweeps, gap)
+
+        monkeypatch.setattr(mirror_descent, "project_dual_ascent", fail_fifth_call)
+        ew = {"algorithm": "ew", "feedback": "full", "valuation": [0.9, 0.6]}
+        omd = {"algorithm": "omd", "feedback": "bandit_ix", "valuation": [0.8, 0.5]}
+        path, _ = write_scenario(tmp_path, rounds=10, replications=1, supply=4,
+                                 agents=[ew, ew, omd], environment={"kind": "self_play"})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "runtime failure: agent 2, round 4: projection in round 4 stopped at gap "
+            "1.000e+00 after 777 sweeps (tol 1.0e-08)\n")
+
+    def test_failure_keeps_its_type_and_names_every_agent_of_the_group(self, monkeypatch):
+        from pabid import (ExpWeightsBidder, LearnerConfig, SelfPlayMarket, ValuationProfile,
+                           _kernels, make_even_grid)
+
+        grid = make_even_grid(5)
+        valuations = [ValuationProfile(np.array([1.0, 0.5]))] * 2
+        group = ExpWeightsBidder(valuations, grid, 10, [LearnerConfig(seed=s) for s in (1, 2)])
+        market = SelfPlayMarket([group], valuations, grid, supply=4, members=[[0, 1]])
+        sample = _kernels.sample_monotone
+        rounds = []
+
+        def fail_in_round_3(*args):
+            rounds.append(None)
+            if len(rounds) == 4:
+                raise FloatingPointError("sampler stopped")
+            return sample(*args)
+
+        monkeypatch.setattr(_kernels, "sample_monotone", fail_in_round_3)
+        with pytest.raises(FloatingPointError) as excinfo:
+            market.play(10)
+        assert str(excinfo.value) == "agents 0, 1, round 3: sampler stopped"
 
 
 class TestHindsight:

@@ -1,5 +1,6 @@
 """Mirror-descent bidder: initial measure, sampling, estimates, and convergence."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from pabid import (
     ValuationProfile,
     make_even_grid,
     omd_eta_schedule,
+    q_membership,
     sample_from_marginals,
+    validate_scenario,
     win_thresholds,
 )
+from pabid.scenario import build_market
 
 from conftest import (
     FixedUniform,
@@ -186,17 +190,46 @@ class TestRounds:
             "projection in round 2 stopped at gap 1.000e+00 after 777 sweeps (tol 1.0e-08)")
         assert (excinfo.value.sweeps, excinfo.value.gap) == (777, 1.0)
         assert excinfo.value.best.probs.shape == (2, 5)
+        copy = pickle.loads(pickle.dumps(excinfo.value))
+        assert type(copy) is ProjectionError and str(copy) == str(excinfo.value)
+        assert (copy.sweeps, copy.gap) == (777, 1.0)
+        assert copy.best.probs.tobytes() == excinfo.value.best.probs.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_step_raises_instead_of_returning_nan(self):
-        """gamma = 0 and a huge rate overflow exp(eta * estimate) to inf; the
-        NaN iterate that follows must fail the certificate, not pass it."""
+        """gamma = 0 and a rate near the float maximum overflow eta * estimate
+        itself to inf; the NaN iterate that follows must fail the certificate,
+        not pass it."""
         bidder = OmdBidder(ValuationProfile(np.array([1.0])), make_even_grid(5), 10,
-                           eta=1e4, gamma=0.0)
+                           eta=1e308, gamma=0.0)
         bidder.rng = FixedUniform(0.0)  # bid 0, a margin of 1 when won
         bidder.propose()
         with pytest.raises(ProjectionError, match="round 0 stopped at gap nan"):
             bidder.observe([1])
+
+
+# (feedback, eta) of OMD agents whose step exponent eta * estimate once
+# overflowed exp in round 0.
+LARGE_ETA_CASES = [("full", 1e3), ("full", 1e5), ("full", 1e10), ("full", 1e300),
+                   ("bandit_ix", 1e3), ("bandit_ix", 1e300)]
+
+
+class TestLargeRates:
+    @pytest.mark.parametrize("feedback, eta", LARGE_ETA_CASES)
+    def test_run_completes_inside_the_polytope(self, feedback, eta):
+        """Sixty rounds without a RuntimeWarning (an error in this suite), a
+        log that replays, and a final measure in the polytope."""
+        scenario = validate_scenario({
+            "name": "large_eta", "grid_size": 11, "rounds": 60, "master_seed": 99, "supply": 3,
+            "agents": [{"algorithm": "omd", "feedback": feedback,
+                        "valuation": [1.0, 0.8, 0.5], "eta": eta}],
+            "environment": {"kind": "stochastic", "support": [[0.1] * 3, [0.3, 0.3, 1.0]],
+                            "probs": [0.5, 0.5], "tie": "agent_wins"},
+        })
+        market, seed, config = build_market(scenario, 0)
+        log = market.play(scenario.rounds, config=config, seed=seed)
+        assert log.replay_matches()
+        assert q_membership(market.learners[0].q) == []
 
 
 class TestLinearLossIdentity:

@@ -3,16 +3,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pabid import (
     ValuationProfile,
+    _kernels,
     bandit_update,
     compute_partial_sums,
     make_even_grid,
+    run_experiment,
     sample_bid,
     slot_marginals,
+    validate_scenario,
 )
-from pabid._kernels import apply_slot_rewards, ew_marginals, ew_tail_sums, sample_monotone
+from pabid._kernels import (
+    _LINEAR_FLOOR,
+    _linear_marginals,
+    _log_marginals,
+    apply_slot_rewards,
+    ew_marginals,
+    ew_tail_sums,
+    sample_monotone,
+)
 from pabid.hindsight import NodeWeightTable
 
 from conftest import (
@@ -428,7 +441,10 @@ class TestKernelsMatchLoops:
 def stacked_cases(k):
     """Each parity case as a (k, M, D) stack: agent i scales the weights and
     eta by 1 + i/2 and keeps the case's mask cut to its own random IR caps
-    (non-increasing over slots, cell 0 always feasible)."""
+    (non-increasing over slots, cell 0 always feasible). Then, for k > 1, a
+    stack whose odd agents have the deep ramp's rows, wider than exp's range,
+    and whose even agents have ordinary rows, so the stack mixes the two
+    marginal regimes."""
     rng = np.random.default_rng(31 + k)
     for weights, allowed, eta in kernel_parity_cases() + wide_spread_cases():
         m, d = weights.shape
@@ -438,6 +454,11 @@ def stacked_cases(k):
         stack_a = np.stack([allowed & (np.arange(d) <= cap[:, None]) for cap in caps])
         etas = np.array([eta * (1.0 + i / 2) for i in range(k)])
         yield stack_w, stack_a, etas
+    if k > 1:
+        deep_ramp = wide_spread_cases()[0][0]
+        ordinary = rng.uniform(-5.0, 5.0, size=deep_ramp.shape)
+        yield (np.stack([deep_ramp if i % 2 else ordinary for i in range(k)]),
+               np.ones((k,) + deep_ramp.shape, bool), np.ones(k))
 
 
 class TestBatchedKernels:
@@ -470,3 +491,63 @@ class TestBatchedKernels:
                 single = weights[i].copy()
                 apply_slot_rewards(single, allowed[i], values[i], grid_values, thresholds[i])
                 assert stacked[i].tobytes() == single.tobytes()
+
+
+class TestMarginalRegimes:
+    """`ew_marginals` runs in the linear domain unless an agent's rows span
+    more than exp's range; either way it matches the cell-by-cell recursion."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 6), d=st.integers(2, 24), eta=st.sampled_from([0.01, 0.3, 2.0]),
+           seed=st.integers(0, 2**32 - 1), near_switch=st.booleans(),
+           offset=st.floats(-40.0, 40.0))
+    def test_matches_the_loop_recursion(self, m, d, eta, seed, near_switch, offset):
+        """Random tables and masks; with `near_switch`, some cells of every
+        row sit `offset` above the regime switch, log 2**-960 below the row
+        maximum, so both regimes and both sides of the switch are drawn.
+        Every cell stays within 706 of its row maximum, where the loop's own
+        exp does not underflow, so the loop is exact enough to be the oracle."""
+        rng = np.random.default_rng(seed)
+        allowed = rng.random((m, d)) < 0.7
+        allowed[:, 0] = True
+        log_sums = loop_tail_sums(rng.uniform(-5.0, 5.0, size=(m, d)), allowed, eta)
+        if near_switch:
+            top = log_sums.max(axis=1, keepdims=True)
+            moved = allowed & (rng.random((m, d)) < 0.5) & (log_sums < top)
+            log_sums = np.where(moved, top + _LINEAR_FLOOR + offset, log_sums)
+        got = ew_marginals(log_sums)
+        ref = loop_marginals(log_sums)
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_each_agent_of_a_mixed_stack_takes_its_own_regime(self):
+        weights, allowed, etas = list(stacked_cases(3))[-1]
+        log_sums, _ = ew_tail_sums(weights, allowed, etas[:, None, None])
+        marginals = ew_marginals(log_sums)
+        for i, sums in enumerate(log_sums):
+            s = sums - sums.max(axis=-1, keepdims=True)
+            regime = _log_marginals if i % 2 else _linear_marginals
+            assert (s.min() < _LINEAR_FLOOR) == bool(i % 2)
+            assert marginals[i].tobytes() == regime(s).tobytes()
+
+    def test_benchmark_shape_stays_in_the_linear_domain(self, monkeypatch):
+        """One EW bandit-IX agent at M = 20, D = 101 against a stochastic
+        environment, for 100 rounds, never takes the log recursion."""
+        calls = []
+
+        def counted(s):
+            calls.append(s.shape)
+            return _log_marginals(s)
+
+        monkeypatch.setattr(_kernels, "_log_marginals", counted)
+        supply = 20
+        scenario = validate_scenario({
+            "name": "ew_bandit_large", "grid_size": 101, "rounds": 100, "master_seed": 1,
+            "supply": supply,
+            "agents": [{"algorithm": "ew", "feedback": "bandit_ix", "valuation": [1.0] * supply}],
+            "environment": {"kind": "stochastic", "tie": "agent_wins", "probs": [0.5, 0.25, 0.25],
+                            "support": [[0.1] * supply, [0.3] * 14 + [1.0] * 6,
+                                        [0.4] * 7 + [1.0] * 13]},
+        })
+        log = run_experiment(scenario)
+        assert log.rounds == 100 and calls == []

@@ -19,7 +19,7 @@ from pabid import (
 )
 from pabid import _kernels
 from pabid._kernels import apply_slot_rewards, project_dual_ascent
-from pabid.mirror_descent import DEFAULT_MAX_SWEEPS, DEFAULT_PROJECTION_TOL
+from pabid.mirror_descent import DEFAULT_MAX_SWEEPS, DEFAULT_PROJECTION_TOL, MAX_PLAIN_EXPONENT
 
 from conftest import random_q_member
 from oracles import sweep_dual_ascent, unnormalized_kl
@@ -396,3 +396,17 @@ class TestUnconstrainedStep:
         twice = unconstrained_step(q, estimate, 0.8) / q
         assert np.allclose(twice, once**2, rtol=1e-12)
 
+    def test_exponents_up_to_the_limit_keep_the_plain_product(self):
+        q = np.array([[0.25, 0.75], [0.5, 0.5]])
+        estimate = np.array([[1.0, 0.0], [0.5, 2.0]])
+        eta = MAX_PLAIN_EXPONENT / 2
+        assert unconstrained_step(q, estimate, eta).tobytes() == (
+            q * np.exp(eta * estimate)).tobytes()
+
+    def test_larger_exponents_scale_each_row_to_a_maximum_of_one(self):
+        q = np.array([[0.25, 0.75, 0.0], [0.5, 0.25, 0.25]])
+        estimate = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 1.0]])
+        step = unconstrained_step(q, estimate, 1e3)
+        assert step[0].tolist() == [1.0, 0.0, 0.0]  # exp(-1000) underflows; masked stays 0
+        assert step[1, 1] == step[1, 2] == 1.0
+        assert step[1, 0] == pytest.approx(2 * math.exp(-500))
