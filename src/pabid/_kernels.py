@@ -8,18 +8,22 @@ Kernels:
     polytope by cyclic coordinate ascent on the Lagrange dual, O(M*D) per
     sweep, certified by the max of layer-sum error, dominance violation and
     complementary-slackness residual; a step inside it costs one prefix table.
-  * ew_tail_sums / sample_monotone: decoupled exponential weights, in logs.
-    One backward pass of `np.logaddexp.accumulate` yields the tail sums and
-    their running prefix sums; the prefix sums are the sampler's
-    normalizers, so sampling is one bisection per slot (one uniform per
-    slot).
+  * ew_tail_sums / sample_monotone: decoupled exponential weights. One
+    backward pass yields the tail sums and their running prefix sums; the
+    prefix sums are the sampler's normalizers, so sampling is one bisection
+    per slot (one uniform per slot). The pass runs in logs, one
+    `np.logaddexp.accumulate` per slot, or, on request, in the linear
+    domain: one `exp` per table, then one `np.add.accumulate` and one
+    product per slot, for every agent whose table fits a float's range;
+    the others take logs.
   * ew_marginals: the sampler's slot marginals by a forward recursion that
-    conserves each row's mass, so it needs one normalization per row at the
-    end. It has two regimes, chosen per agent. When every finite cell lies
-    within log 2**960 of its row maximum, it runs in the linear domain: one
-    `exp` per table and three array operations per slot. An agent whose rows
-    span more than that runs the recursion on log ratios, so cells far below
-    the row maximum keep their mass.
+    conserves each row's mass and ignores its scale, so it needs one
+    normalization per row at the end. On linear tables it reads the tail
+    sums and the prefix table as they are, at three array operations per
+    slot. On log tables it chooses per agent: when every finite cell lies
+    within log 2**960 of its row maximum, it runs on their `exp`; an agent
+    whose rows span more than that runs the recursion on log ratios, so
+    cells far below the row maximum keep their mass.
   * apply_slot_rewards: the full-information weight update, one masked add
     of the cells at or above each slot's win threshold.
 
@@ -39,8 +43,11 @@ import math
 import numpy as np
 
 _NEG_INF = float("-inf")
-# Below this shifted log mass a cell sends its agent to the log-domain marginals.
+# Below this shifted log mass a cell sends its agent to logs: from linear tail
+# sums to log ones, and from linear marginals on log tables to log ratios.
 _LINEAR_FLOOR = -960.0 * math.log(2.0)
+# Below this prefix sum an agent's linear tail sums give way to logs.
+_LINEAR_MIN = 2.0**-960
 
 
 def project_dual_ascent(qt, allowed, tol, max_sweeps):
@@ -169,18 +176,32 @@ def _kkt_gap(q, excess, lam=None):
     return gap
 
 
-def ew_tail_sums(weights, allowed, eta):
-    """Log tail sums and their running log prefix sums, in one backward pass.
+def ew_tail_sums(weights, allowed, eta, linear=False):
+    """Tail sums and their running prefix sums, in one backward pass.
 
-    log S[m, b] = eta W[m, b] + log P[m+1, b], with P[m, b] = sum_{b' <= b}
-    S[m, b'] and forbidden cells -inf. Each layer takes one
-    `np.logaddexp.accumulate` into the prefix table, which is then added to
-    the layer above. log P[m, cap] is the normalizer of slot m's law when the
-    previous slot bid `cap`, so the sampler reads it directly. `eta` is a
-    scalar, or (k, 1, 1) rates for a stack.
+    S[m, b] = exp(eta W[m, b]) P[m+1, b], with P[m, b] = sum_{b' <= b}
+    S[m, b'] and forbidden cells of zero mass. P[m, cap] is the normalizer of
+    slot m's law when the previous slot bid `cap`, so the sampler reads it
+    directly. `eta` is a scalar, or (k, 1, 1) rates for a stack.
 
-    Returns (log_sums, log_prefix).
+    By default the tables are in logs, one `np.logaddexp.accumulate` per
+    layer. Returns (log_sums, log_prefix).
+
+    With `linear`, the pass runs on E = exp(eta W - row max): one `exp`, then
+    one `np.add.accumulate` and one product per layer. Row scales matter
+    neither to the sampler nor to the marginals. An agent keeps these tables
+    when every feasible E >= 2**-960 and every P[m, 0] >= 2**-960 (NaN fails
+    both): no cell then loses mass to underflow, capped totals are normal
+    floats and q / P <= 2**960 in the marginal recursion. As E <= 1,
+    P[m, D-1] is at most C(M + D - 1, M), the number of monotone tails; a
+    shape where that exceeds 2**960 takes logs throughout, so only the row
+    shift can overflow, and an agent whose shift does takes logs. Agents that
+    take logs get the bits of the default call. Returns (sums, prefix,
+    linear), `linear` a (k,) bool array (k = 1 for one table) naming the
+    agents on linear tables.
     """
+    if linear:
+        return _linear_tail_sums(weights, allowed, eta)
     log_sums = np.where(allowed, eta * weights, _NEG_INF)
     log_prefix = np.empty_like(log_sums)
     sums, prefix = log_sums.swapaxes(0, -2), log_prefix.swapaxes(0, -2)  # slot axis first
@@ -191,26 +212,63 @@ def ew_tail_sums(weights, allowed, eta):
     return log_sums, log_prefix
 
 
-def sample_monotone(log_prefix, uniforms):
+def _linear_tail_sums(weights, allowed, eta):
+    """`ew_tail_sums(..., linear=True)`: the pass on exp(eta W - row max)."""
+    m_units, d = weights.shape[-2:]
+    log_tails = math.lgamma(m_units + d) - math.lgamma(m_units + 1) - math.lgamma(d)
+    if log_tails > -_LINEAR_FLOOR:
+        logs_only = np.zeros(weights.shape[:-2], bool).reshape(-1)
+        return (*ew_tail_sums(weights, allowed, eta), logs_only)
+    sums = np.where(allowed, eta * weights, _NEG_INF)
+    with np.errstate(over="ignore", invalid="ignore"):  # such a row fails the test below
+        sums -= sums.max(axis=-1, keepdims=True)
+    lowest = sums.min(axis=-1, where=allowed, initial=0.0)  # of each row's feasible cells
+    np.exp(sums, out=sums)
+    prefix = np.empty_like(sums)
+    rows, prefix_rows = sums.swapaxes(0, -2), prefix.swapaxes(0, -2)  # slot axis first
+    below = np.add.accumulate(rows[-1], axis=-1, out=prefix_rows[-1])
+    for row, out in zip(rows[-2::-1], prefix_rows[-2::-1]):
+        row *= below
+        below = np.add.accumulate(row, axis=-1, out=out)
+    linear = ((lowest >= _LINEAR_FLOOR) & (prefix[..., 0] >= _LINEAR_MIN)).all(axis=-1).reshape(-1)
+    flags = linear.tolist()
+    if not any(flags):
+        return (*ew_tail_sums(weights, allowed, eta), linear)
+    if not all(flags):
+        logs = ~linear
+        sums[logs], prefix[logs] = ew_tail_sums(weights[logs], allowed[logs],
+                                                eta if np.ndim(eta) == 0 else eta[logs])
+    return sums, prefix, linear
+
+
+def sample_monotone(prefix, uniforms, linear=None):
     """Sequential inverse-CDF sampling; slot m restricted to the previous bid.
 
-    Slot m picks the first cell whose log prefix sum exceeds log(u_m) plus the
-    prefix sum at the previous pick `cap`, i.e. whose running mass exceeds
-    u_m times the capped total: one bisection of the row. When roundoff leaves
-    no such cell (log u_m + total == total), it takes the first cell at which
-    the prefix reaches its total: the last cell under the cap with mass.
-    Expects a finite cell 0 in every row. Bisection reads a flat memoryview,
-    so a draw converts only the cells it probes; a stack draws agent by agent.
+    Slot m picks the first cell whose running mass exceeds u_m times the
+    prefix sum at the previous pick `cap`, the capped total: one bisection
+    of the row, at u_m P[cap] on a linear row and at log(u_m) + log P[cap]
+    on a log row. When roundoff leaves no such cell (the threshold equals
+    the total), it takes the first cell at which the prefix reaches its
+    total: the last cell under the cap with mass. `linear` says per agent
+    which rows are linear, as `ew_tail_sums` reports it; None means every
+    row is in logs. Expects mass in cell 0 of every row. Bisection reads a
+    flat memoryview, so a draw converts only the cells it probes; a stack
+    draws agent by agent.
     """
-    m_units, d = log_prefix.shape[-2:]
-    cells = memoryview(np.ascontiguousarray(log_prefix).reshape(-1))
+    m_units, d = prefix.shape[-2:]
+    flags = itertools.repeat(False) if linear is None else iter(linear.tolist())
+    cells = memoryview(np.ascontiguousarray(prefix).reshape(-1))
     picks = []
     for i, u in enumerate(uniforms.reshape(-1).tolist()):
         if i % m_units == 0:
             cap = d - 1  # an agent's first slot may take any cell
+            agent_linear = next(flags)
         lo = i * d  # row i of the flat table: agent i // M, slot i % M
         total = cells[lo + cap]
-        threshold = math.log(u) + total if u > 0.0 else _NEG_INF
+        if agent_linear:
+            threshold = u * total
+        else:
+            threshold = math.log(u) + total if u > 0.0 else _NEG_INF
         pick = bisect.bisect_right(cells, threshold, lo, lo + cap + 1) - lo
         if pick > cap:  # roundoff: fall to the last cell with mass
             pick = bisect.bisect_left(cells, total, lo, lo + cap + 1) - lo
@@ -219,21 +277,35 @@ def sample_monotone(log_prefix, uniforms):
     return np.array(picks, dtype=np.int64).reshape(uniforms.shape)
 
 
-def ew_marginals(log_sums):
+def ew_marginals(sums, prefix=None, linear=None):
     """Unconditional slot marginals of the sequential sampler.
 
-    With s = log S minus its row maximum and z the running row sums of
-    exp(s), q[0] = S[0] / z[0][-1] and q[m] = S[m] times the reversed running
-    sum of q[m-1] / z[m]. As z is the prefix sum of S, each step keeps the
-    row mass (sum_b q[m, b] = sum_b q[m-1, b]), so one normalization per row
-    at the end suffices. The recursion runs in the linear domain when every
-    finite s of the agent is at least log 2**-960: each S is then a normal
+    With z the running row sums of S, q[0] = S[0] / z[0][-1] and q[m] = S[m]
+    times the reversed running sum of q[m-1] / z[m]. As z is the prefix sum
+    of S, each step keeps the row mass (sum_b q[m, b] = sum_b q[m-1, b]), so
+    one normalization per row at the end suffices, and a row's scale
+    cancels.
+
+    Agents marked `linear` hold linear S and its prefix sums `prefix`, as
+    `ew_tail_sums(..., linear=True)` returns them, and the recursion runs on
+    them as they are. The others hold log tail sums (all of them when
+    `linear` is None; `prefix` is then not read), shifted here by their row
+    maxima to s. When every finite s of such an agent is at least
+    log 2**-960, the recursion runs on S = exp(s): each S is then a normal
     float, q / z <= 1 / S[m, 0] <= 2**960 and no suffix sum overflows. An
-    agent whose rows span more than that takes `_log_marginals`. The choice
-    is made per agent, so each agent of a (k, M, D) stack gets the bits of
-    its own (M, D) call.
+    agent whose rows span more than that takes `_log_marginals`. Every
+    choice is made per agent, so each agent of a (k, M, D) stack gets the
+    bits of its own (M, D) call.
     """
-    s = log_sums - log_sums.max(axis=-1, keepdims=True)
+    flags = [False] if linear is None else linear.tolist()
+    if all(flags):
+        return _prefix_marginals(sums.copy(), prefix)
+    if any(flags):
+        q = np.empty_like(sums)
+        q[linear] = _prefix_marginals(sums[linear], prefix[linear])
+        q[~linear] = ew_marginals(sums[~linear])
+        return q
+    s = sums - sums.max(axis=-1, keepdims=True)
     wide = ((s < _LINEAR_FLOOR) & (s > _NEG_INF)).any(axis=(-2, -1))
     if not wide.any():
         return _linear_marginals(s)
@@ -248,12 +320,21 @@ def ew_marginals(log_sums):
 def _linear_marginals(s):
     """The marginal recursion on S = exp(s); every finite s >= _LINEAR_FLOOR."""
     q = np.exp(s)
-    z = np.add.accumulate(q, axis=-1)
+    return _prefix_marginals(q, np.add.accumulate(q, axis=-1))
+
+
+def _prefix_marginals(q, z):
+    """The marginal recursion on linear S, held in `q` and overwritten, with z
+    its running row sums."""
     rows, z_rows = q.swapaxes(0, -2), z.swapaxes(0, -2)  # slot axis first
-    rows[0] /= z_rows[0][..., -1:]
-    for m in range(1, rows.shape[0]):
-        ratio = rows[m - 1] / z_rows[m]
-        rows[m] *= np.add.accumulate(ratio[..., ::-1], axis=-1)[..., ::-1]
+    first = rows[0]
+    first /= z_rows[0][..., -1:]
+    suffix = np.empty_like(first)
+    backward = suffix[..., ::-1]
+    for above, row, z_row in zip(rows[:-1], rows[1:], z_rows[1:]):
+        np.divide(above, z_row, out=suffix)
+        np.add.accumulate(backward, axis=-1, out=backward)  # suffix sums of the ratios
+        row *= suffix
     return q / q.sum(axis=-1, keepdims=True)
 
 

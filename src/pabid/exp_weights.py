@@ -17,9 +17,12 @@ Feedback modes:
 feedback mode share a (k, M, D) weight table, so each round runs every
 kernel once for all of them, with eta and gamma per agent. Each agent keeps
 its own RNG stream and draws its M uniforms from it, so its bids are the
-same whichever group it is in. The functions on one `NodeWeightTable`
-(`compute_partial_sums`, `sample_bid`, `slot_marginals`, `full_info_update`,
-`bandit_update`) run the same kernels on a single (M, D) table.
+same whichever group it is in. A bandit group's sampler and marginals share
+one linear table per round, except for agents whose table does not fit a
+float's range (counted in `log_rounds`); all other tail sums are in logs.
+The functions on one `NodeWeightTable` (`compute_partial_sums`,
+`sample_bid`, `slot_marginals`, `full_info_update`, `bandit_update`) run the
+same kernels on a single (M, D) table.
 """
 from __future__ import annotations
 
@@ -51,8 +54,9 @@ class PartialSumTable:
 
     S_m(b) = exp(eta * W_m(b)) * sum_{b' <= b} S_{m+1}(b'); forbidden cells
     carry log-domain zero. `log_prefix[m, b]` is log sum_{b' <= b} S_m(b'),
-    the normalizer of slot m's law when the previous slot bid b. Everything
-    stays in logs so cumulative weights of order eta * T never overflow.
+    the normalizer of slot m's law when the previous slot bid b. Both tables
+    are in logs, so cumulative weights of order eta * T never overflow. (The
+    bandit rounds of `ExpWeightsBidder` use linear tables where they fit.)
     """
 
     log_sums: np.ndarray
@@ -178,16 +182,21 @@ def bandit_update(
     return _bandit_step(table.weights[None], table.allowed[None], marginals.probs[None],
                         played.indices[None], np.array([allocation]),
                         table.valuation.values[None], table.grid.values,
-                        0.0 if gamma is None else gamma)[0]
+                        0.0 if gamma is None else gamma, linear=False)[0]
 
 
-def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values, gamma):
-    """`bandit_update` for a (k, M, D) stack: bids (k, M), allocations (k,)."""
+def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values, gamma, linear):
+    """`bandit_update` for a (k, M, D) stack: bids (k, M), allocations (k,);
+    `linear` (per agent, or one flag) marks marginals of linear tail sums."""
     agents = np.arange(bids.shape[0])[:, None]
     slots = np.arange(bids.shape[1])
     q = probs[agents, slots, bids] + gamma
-    if (q <= 0.0).any():
-        raise RuntimeError("played bid has zero sampling probability; sampler and marginals disagree")
+    zero = (q <= 0.0).any(axis=1)
+    if zero.any():
+        failing = np.broadcast_to(linear, zero.shape)[zero]
+        regimes = sorted({"linear" if lin else "log" for lin in failing})
+        raise RuntimeError(f"played bid has zero sampling probability under the marginals of the "
+                           f"{' and '.join(regimes)} tail sums; sampler and marginals disagree")
     won = slots < allocations[:, None]  # winning slots form a prefix
     w = np.where(won, values - grid_values[bids], 0.0)
     correction = (1.0 - w) / q
@@ -201,7 +210,9 @@ class ExpWeightsBidder:
 
     A group of the market: `propose` returns one bid row per agent, and
     `observe(allocations, thresholds)` takes the agents' allocations and,
-    under full information, their (k, M) win thresholds.
+    under full information, their (k, M) win thresholds. In bandit modes,
+    `log_rounds[i]` counts the rounds in which agent i's tail sums were in
+    logs rather than linear.
     """
 
     def __init__(self, valuations: Sequence[ValuationProfile], grid: BidGrid, horizon: int,
@@ -229,18 +240,27 @@ class ExpWeightsBidder:
         # numpy calls cost more on (1, D) slices than on plain rows.
         self._kernel_args = ((self.weights[0], self.allowed[0], self.eta[0]) if len(configs) == 1
                              else (self.weights, self.allowed, self.eta[:, None, None]))
+        self.log_rounds = np.zeros(len(configs), dtype=np.int64)
         self._pending_bids: Optional[np.ndarray] = None
         self._pending_marginals: Optional[np.ndarray] = None
+        self._pending_linear: Optional[np.ndarray] = None
 
     def propose(self) -> np.ndarray:
         """One monotone bid per agent: a (k, M) array of grid indices."""
-        log_sums, log_prefix = _kernels.ew_tail_sums(*self._kernel_args)
+        if self.wants_full_info:
+            sums, prefix = _kernels.ew_tail_sums(*self._kernel_args)
+            linear = None
+        else:
+            sums, prefix, linear = _kernels.ew_tail_sums(*self._kernel_args, linear=True)
         for rng, row in zip(self.rngs, self._uniforms):
             rng.random(out=row)  # each agent's own stream, M uniforms per round
-        bids = _kernels.sample_monotone(log_prefix, self._uniforms.reshape(log_prefix.shape[:-1]))
+        bids = _kernels.sample_monotone(prefix, self._uniforms.reshape(prefix.shape[:-1]), linear)
         self._pending_bids = bids.reshape(self.values.shape)
         if not self.wants_full_info:
-            self._pending_marginals = _kernels.ew_marginals(log_sums).reshape(self.weights.shape)
+            marginals = _kernels.ew_marginals(sums, prefix, linear)
+            self._pending_marginals = marginals.reshape(self.weights.shape)
+            self._pending_linear = linear
+            self.log_rounds += ~linear
         return self._pending_bids
 
     def observe(self, allocations: Sequence[int],
@@ -255,6 +275,6 @@ class ExpWeightsBidder:
         else:
             _bandit_step(self.weights, self.allowed, self._pending_marginals,
                          self._pending_bids, np.array(allocations), self.values,
-                         self.grid.values, self.gamma)
+                         self.grid.values, self.gamma, self._pending_linear)
         self._pending_bids = None
         self._pending_marginals = None

@@ -1,5 +1,6 @@
 """Tail-sum recursion, exact sampler law, and slot marginals."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pabid import (
+    ExpWeightsBidder,
+    FeedbackMode,
+    LearnerConfig,
     ValuationProfile,
     _kernels,
     bandit_update,
@@ -27,6 +31,7 @@ from pabid._kernels import (
     sample_monotone,
 )
 from pabid.hindsight import NodeWeightTable
+from pabid.scenario import build_market
 
 from conftest import (
     enumerated_marginals,
@@ -540,6 +545,14 @@ class TestMarginalRegimes:
             return _log_marginals(s)
 
         monkeypatch.setattr(_kernels, "_log_marginals", counted)
+        tail_sums = _kernels.ew_tail_sums
+        tail_calls = []
+
+        def counted_tail_sums(*args, linear=False):
+            tail_calls.append(linear)
+            return tail_sums(*args, linear=linear)
+
+        monkeypatch.setattr(_kernels, "ew_tail_sums", counted_tail_sums)
         supply = 20
         scenario = validate_scenario({
             "name": "ew_bandit_large", "grid_size": 101, "rounds": 100, "master_seed": 1,
@@ -551,3 +564,177 @@ class TestMarginalRegimes:
         })
         log = run_experiment(scenario)
         assert log.rounds == 100 and calls == []
+        assert tail_calls == [True] * 100  # no log-domain tail sums either
+
+
+def row_shifted(weights, allowed):
+    """Each row's weights minus its largest feasible weight. The sampler's law
+    depends on a row only up to a constant, as every path has one cell per
+    row; shifted rows keep the loop oracle's log sums free of cancellation."""
+    return weights - np.where(allowed, weights, -np.inf).max(axis=1, keepdims=True)
+
+
+def deep_cell_zero_case():
+    """Cell 0 of both rows sits 500 below its row maximum, within log 2**-960
+    of it, yet the all-zero path's mass P[0, 0] = e**-1000 underflows."""
+    weights = np.array([[-500.0, 0.0, 0.0], [-500.0, 0.0, 0.0]])
+    return weights, np.ones(weights.shape, bool), 1.0
+
+
+def scheduled_rate_scenario(mode, demand, grid_size):
+    """One EW bandit agent at the scheduled rates, 300 rounds against a
+    stochastic environment: every unit at the grid's first step with
+    probability 1/2, or the top third of the units at 1 and the rest at the
+    grid's midpoint."""
+    values = make_even_grid(grid_size).values.tolist()
+    third = demand // 3
+    return validate_scenario({
+        "name": "scheduled_rate", "grid_size": grid_size, "rounds": 300, "master_seed": 5,
+        "supply": demand,
+        "agents": [{"algorithm": "ew", "feedback": mode,
+                    "valuation": {"kind": "uniform_sorted", "demand": demand}}],
+        "environment": {"kind": "stochastic", "tie": "agent_wins", "probs": [0.5, 0.5],
+                        "support": [[values[1]] * demand,
+                                    [values[(grid_size - 1) // 2]] * (demand - third)
+                                    + [1.0] * third]},
+    })
+
+
+class TestLinearTables:
+    """`ew_tail_sums(..., linear=True)`: one linear table per round for the
+    sampler and the marginals, with logs for the agents that do not fit."""
+
+    def test_sampler_picks_equal_the_log_samplers(self):
+        rng = np.random.default_rng(7)
+        top = 1.0 - 2.0**-53
+        cases = kernel_parity_cases() + wide_spread_cases() + [deep_cell_zero_case()]
+        for weights, allowed, eta in cases:
+            sums, prefix, linear = ew_tail_sums(weights, allowed, eta, linear=True)
+            _, log_prefix = ew_tail_sums(weights, allowed, eta)
+            log_sums = loop_tail_sums(weights, allowed, eta)
+            m = weights.shape[0]
+            draws = [np.zeros(m), np.full(m, top)] + [rng.random(m) for _ in range(50)]
+            for uniforms in draws:
+                got = sample_monotone(prefix, uniforms, linear)
+                assert got.tolist() == sample_monotone(log_prefix, uniforms).tolist()
+                assert got.tolist() == loop_log_sample_monotone(log_sums, uniforms).tolist()
+        # U on a CDF breakpoint: cell 0 holds half the mass, which does not
+        # exceed U * total at U = 1/2, so both samplers take cell 1.
+        sums, prefix, linear = ew_tail_sums(np.zeros((1, 2)), np.ones((1, 2), bool), 1.0,
+                                            linear=True)
+        assert linear.tolist() == [True] and prefix.tolist() == [[1.0, 2.0]]
+        assert sample_monotone(prefix, np.array([0.5]), linear).tolist() == [1]
+
+    def test_parity_cases_are_linear_and_wide_rows_take_logs(self):
+        for weights, allowed, eta in kernel_parity_cases():
+            assert ew_tail_sums(weights, allowed, eta, linear=True)[2].tolist() == [True]
+        for weights, allowed, eta in wide_spread_cases() + [deep_cell_zero_case()]:
+            sums, prefix, linear = ew_tail_sums(weights, allowed, eta, linear=True)
+            log_sums, log_prefix = ew_tail_sums(weights, allowed, eta)
+            assert linear.tolist() == [False]
+            assert sums.tobytes() == log_sums.tobytes()
+            assert prefix.tobytes() == log_prefix.tobytes()
+            marginals = ew_marginals(sums, prefix, linear)
+            assert marginals.tobytes() == ew_marginals(log_sums).tobytes()
+
+    def test_shapes_with_more_tails_than_2_960_take_logs(self):
+        """M = D = 484 has C(967, 484) > 2**960 monotone tails, which could
+        overflow a linear prefix sum, so it takes logs even for all-zero
+        weights; M = D = 483 has fewer than 2**960."""
+        weights, allowed = np.zeros((484, 484)), np.ones((484, 484), bool)
+        sums, prefix, linear = ew_tail_sums(weights, allowed, 1.0, linear=True)
+        log_sums, log_prefix = ew_tail_sums(weights, allowed, 1.0)
+        assert linear.tolist() == [False]
+        assert sums.tobytes() == log_sums.tobytes() and prefix.tobytes() == log_prefix.tobytes()
+        smaller = ew_tail_sums(weights[1:, 1:], allowed[1:, 1:], 1.0, linear=True)
+        assert smaller[2].tolist() == [True]
+
+    def test_marginals_match_the_loop(self):
+        for weights, allowed, eta in kernel_parity_cases():
+            sums, prefix, linear = ew_tail_sums(weights, allowed, eta, linear=True)
+            got = ew_marginals(sums, prefix, linear)
+            ref = loop_marginals(loop_tail_sums(row_shifted(weights, allowed), allowed, eta))
+            assert np.array_equal(got == 0.0, ref == 0.0)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stacked_tables_equal_solo_calls_bit_for_bit(self, k):
+        """Includes, for k = 3, a stack whose odd agent has rows wider than
+        exp's range and so takes logs between two linear agents."""
+        rng = np.random.default_rng(6)
+        top = 1.0 - 2.0**-53
+        regimes = set()
+        for weights, allowed, etas in stacked_cases(k):
+            m = weights.shape[1]
+            sums, prefix, linear = ew_tail_sums(weights, allowed, etas[:, None, None], linear=True)
+            marginals = ew_marginals(sums, prefix, linear)
+            assert linear.shape == (k,)
+            for i in range(k):
+                solo = ew_tail_sums(weights[i], allowed[i], etas[i], linear=True)
+                assert linear[i] == solo[2][0]
+                assert sums[i].tobytes() == solo[0].tobytes()
+                assert prefix[i].tobytes() == solo[1].tobytes()
+                assert marginals[i].tobytes() == ew_marginals(*solo).tobytes()
+            for uniforms in [np.zeros((k, m)), np.full((k, m), top), rng.random((k, m))]:
+                picks = sample_monotone(prefix, uniforms, linear)
+                for i in range(k):
+                    solo = ew_tail_sums(weights[i], allowed[i], etas[i], linear=True)
+                    assert picks[i].tolist() == sample_monotone(solo[1], uniforms[i],
+                                                                solo[2]).tolist()
+            regimes.add(tuple(linear.tolist()))
+        if k == 3:
+            assert (True, False, True) in regimes
+
+    def test_a_run_crosses_regimes(self):
+        """Implicit exploration at gamma 1e-6 and a user rate near 1/M drives
+        some cells more than log 2**-960 below their row maximum, so the
+        agent takes logs in some rounds and linear tables in the others."""
+        scenario = validate_scenario({
+            "name": "crossing", "grid_size": 11, "rounds": 3000, "master_seed": 3, "supply": 3,
+            "agents": [{"algorithm": "ew", "feedback": "bandit_ix", "valuation": [1.0, 0.8, 0.5],
+                        "eta": 0.3, "gamma": 1e-6}],
+            "environment": {"kind": "stochastic", "tie": "agent_wins", "probs": [0.5, 0.5],
+                            "support": [[0.1] * 3, [0.3, 0.3, 1.0]]},
+        })
+        market, seed, config = build_market(scenario, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log = market.play(scenario.rounds, config=config, seed=seed)
+        assert log.replay_matches()
+        (group,) = market.learners
+        assert 0 < group.log_rounds[0] < scenario.rounds
+
+    @pytest.mark.parametrize("force_logs", [False, True])
+    def test_zero_probability_error_names_the_regime(self, monkeypatch, force_logs):
+        if force_logs:
+            monkeypatch.setattr(_kernels, "_LINEAR_MIN", math.inf)
+        grid = make_even_grid(5)
+        group = ExpWeightsBidder([ValuationProfile(np.array([1.0, 0.5]))], grid, 10,
+                                 [LearnerConfig(mode=FeedbackMode.BANDIT_IPW, seed=1)])
+        monkeypatch.setattr(_kernels, "ew_marginals", lambda sums, *_: np.zeros(sums.shape))
+        group.propose()
+        assert group.log_rounds.tolist() == [int(force_logs)]
+        regime = "log" if force_logs else "linear"
+        with pytest.raises(RuntimeError, match=f"under the marginals of the {regime} tail sums"):
+            group.observe([1])
+
+    @pytest.mark.parametrize("mode", ["bandit_ipw", "bandit_ix"])
+    @pytest.mark.parametrize("demand", [1, 3, 5])
+    @pytest.mark.parametrize("grid_size", [5, 11, 21])
+    def test_forcing_logs_leaves_scheduled_rate_runs_unchanged(self, monkeypatch, mode, demand,
+                                                               grid_size):
+        """At the scheduled rates the linear tables and the log ones write the
+        same log over 300 rounds."""
+        scenario = scheduled_rate_scenario(mode, demand, grid_size)
+
+        def play():
+            market, seed, config = build_market(scenario, 0)
+            return market.play(scenario.rounds, config=config, seed=seed), market.learners[0]
+
+        linear, linear_group = play()
+        monkeypatch.setattr(_kernels, "_LINEAR_MIN", math.inf)  # no agent fits
+        logs, logs_group = play()
+        assert linear_group.log_rounds.tolist() == [0]
+        assert logs_group.log_rounds.tolist() == [scenario.rounds]
+        assert linear.to_csv_text() == logs.to_csv_text()
+        assert linear.to_json_text() == logs.to_json_text()
