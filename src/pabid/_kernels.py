@@ -12,10 +12,12 @@ Kernels:
     backward pass yields the tail sums and their running prefix sums; the
     prefix sums are the sampler's normalizers, so sampling is one bisection
     per slot (one uniform per slot). The pass runs in logs, one
-    `np.logaddexp.accumulate` per slot, or, on request, in the linear
-    domain: one `exp` per table, then one `np.add.accumulate` and one
-    product per slot, for every agent whose table fits a float's range;
-    the others take logs.
+    `np.logaddexp.accumulate` per slot, or in the linear domain: one `exp`
+    per table, then one `np.add.accumulate` and one product per slot. With
+    `linear`, rows are shifted by their maxima and tested per agent, and an
+    agent whose table does not fit a float's range takes logs. With
+    `bounded`, the caller has proven the table fits (`linear_rounds`, for
+    full-information weights), so the pass runs on exp(eta W) unshifted.
   * ew_marginals: the sampler's slot marginals by a forward recursion that
     conserves each row's mass and ignores its scale, so it needs one
     normalization per row at the end. On linear tables it reads the tail
@@ -24,8 +26,9 @@ Kernels:
     within log 2**960 of its row maximum, it runs on their `exp`; an agent
     whose rows span more than that runs the recursion on log ratios, so
     cells far below the row maximum keep their mass.
-  * apply_slot_rewards: the full-information weight update, one masked add
-    of the cells at or above each slot's win threshold.
+  * slot_rewards / apply_slot_rewards: the full-information weight update.
+    The table v_m - B_j of the feasible cells is built once; each round adds
+    it to the cells at or above each slot's win threshold.
 
 The EW kernels take slots and bids on the last two axes, so one (M, D) table
 and a (k, M, D) stack of k agents run the same code, with the same bits per
@@ -48,6 +51,9 @@ _NEG_INF = float("-inf")
 _LINEAR_FLOOR = -960.0 * math.log(2.0)
 # Below this prefix sum an agent's linear tail sums give way to logs.
 _LINEAR_MIN = 2.0**-960
+# Largest log of a prefix sum that a bounded linear table may reach: below
+# log(float max) ~ 709.78, with room for the pass's roundoff.
+_LINEAR_LOG_MAX = 700.0
 
 
 def project_dual_ascent(qt, allowed, tol, max_sweeps):
@@ -176,7 +182,7 @@ def _kkt_gap(q, excess, lam=None):
     return gap
 
 
-def ew_tail_sums(weights, allowed, eta, linear=False):
+def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False):
     """Tail sums and their running prefix sums, in one backward pass.
 
     S[m, b] = exp(eta W[m, b]) P[m+1, b], with P[m, b] = sum_{b' <= b}
@@ -187,12 +193,16 @@ def ew_tail_sums(weights, allowed, eta, linear=False):
     By default the tables are in logs, one `np.logaddexp.accumulate` per
     layer. Returns (log_sums, log_prefix).
 
-    With `linear`, the pass runs on E = exp(eta W - row max): one `exp`, then
-    one `np.add.accumulate` and one product per layer. Row scales matter
-    neither to the sampler nor to the marginals. An agent keeps these tables
-    when every feasible E >= 2**-960 and every P[m, 0] >= 2**-960 (NaN fails
-    both): no cell then loses mass to underflow, capped totals are normal
-    floats and q / P <= 2**960 in the marginal recursion. As E <= 1,
+    With `bounded`, the caller vouches that every prefix sum of exp(eta W)
+    is a finite float (see `linear_rounds`), and the pass runs on exp(eta W)
+    itself: one `exp`, then one `np.add.accumulate` and one product per
+    layer, with no shift and no test. Returns (sums, prefix), both linear.
+
+    With `linear`, the pass runs on E = exp(eta W - row max). Row scales
+    matter neither to the sampler nor to the marginals. An agent keeps these
+    tables when every feasible E >= 2**-960 and every P[m, 0] >= 2**-960
+    (NaN fails both): no cell then loses mass to underflow, capped totals are
+    normal floats and q / P <= 2**960 in the marginal recursion. As E <= 1,
     P[m, D-1] is at most C(M + D - 1, M), the number of monotone tails; a
     shape where that exceeds 2**960 takes logs throughout, so only the row
     shift can overflow, and an agent whose shift does takes logs. Agents that
@@ -200,6 +210,11 @@ def ew_tail_sums(weights, allowed, eta, linear=False):
     linear), `linear` a (k,) bool array (k = 1 for one table) naming the
     agents on linear tables.
     """
+    if bounded:
+        sums = eta * weights
+        np.exp(sums, out=sums)
+        sums *= allowed
+        return sums, _linear_pass(sums)
     if linear:
         return _linear_tail_sums(weights, allowed, eta)
     log_sums = np.where(allowed, eta * weights, _NEG_INF)
@@ -212,11 +227,39 @@ def ew_tail_sums(weights, allowed, eta, linear=False):
     return log_sums, log_prefix
 
 
+def _log_tail_count(m_units, d):
+    """log C(M + D - 1, M): the log of the number of monotone tails of M slots on D bids."""
+    return math.lgamma(m_units + d) - math.lgamma(m_units + 1) - math.lgamma(d)
+
+
+def linear_rounds(m_units, d, eta_max):
+    """Rounds of full-information updates after which `bounded` tables still fit.
+
+    A full-information update adds v_m - B_j, in [-VALUE_EPS, 1], to a
+    feasible cell, so after t updates each cell's exp(eta W) lies in
+    [e**(-eta_max t VALUE_EPS), e**(eta_max t)] and every prefix sum is at
+    most C(M + D - 1, M) e**(M eta_max t). Tables fit while that stays below
+    e**700, that is for t up to the value returned, -inf for a shape with
+    more than e**700 monotone tails; no feasible cell then underflows.
+    """
+    room = _LINEAR_LOG_MAX - _log_tail_count(m_units, d)
+    return room / (m_units * eta_max) if room >= 0.0 else -math.inf
+
+
+def _linear_pass(sums):
+    """The backward pass on linear cells, in place: S[m] *= P[m + 1]; returns P."""
+    prefix = np.empty_like(sums)
+    rows, prefix_rows = sums.swapaxes(0, -2), prefix.swapaxes(0, -2)  # slot axis first
+    below = np.add.accumulate(rows[-1], axis=-1, out=prefix_rows[-1])
+    for row, out in zip(rows[-2::-1], prefix_rows[-2::-1]):
+        row *= below
+        below = np.add.accumulate(row, axis=-1, out=out)
+    return prefix
+
+
 def _linear_tail_sums(weights, allowed, eta):
     """`ew_tail_sums(..., linear=True)`: the pass on exp(eta W - row max)."""
-    m_units, d = weights.shape[-2:]
-    log_tails = math.lgamma(m_units + d) - math.lgamma(m_units + 1) - math.lgamma(d)
-    if log_tails > -_LINEAR_FLOOR:
+    if _log_tail_count(*weights.shape[-2:]) > -_LINEAR_FLOOR:
         logs_only = np.zeros(weights.shape[:-2], bool).reshape(-1)
         return (*ew_tail_sums(weights, allowed, eta), logs_only)
     sums = np.where(allowed, eta * weights, _NEG_INF)
@@ -224,12 +267,7 @@ def _linear_tail_sums(weights, allowed, eta):
         sums -= sums.max(axis=-1, keepdims=True)
     lowest = sums.min(axis=-1, where=allowed, initial=0.0)  # of each row's feasible cells
     np.exp(sums, out=sums)
-    prefix = np.empty_like(sums)
-    rows, prefix_rows = sums.swapaxes(0, -2), prefix.swapaxes(0, -2)  # slot axis first
-    below = np.add.accumulate(rows[-1], axis=-1, out=prefix_rows[-1])
-    for row, out in zip(rows[-2::-1], prefix_rows[-2::-1]):
-        row *= below
-        below = np.add.accumulate(row, axis=-1, out=out)
+    prefix = _linear_pass(sums)
     linear = ((lowest >= _LINEAR_FLOOR) & (prefix[..., 0] >= _LINEAR_MIN)).all(axis=-1).reshape(-1)
     flags = linear.tolist()
     if not any(flags):
@@ -241,7 +279,7 @@ def _linear_tail_sums(weights, allowed, eta):
     return sums, prefix, linear
 
 
-def sample_monotone(prefix, uniforms, linear=None):
+def sample_monotone(prefix, uniforms, linear=False):
     """Sequential inverse-CDF sampling; slot m restricted to the previous bid.
 
     Slot m picks the first cell whose running mass exceeds u_m times the
@@ -250,13 +288,13 @@ def sample_monotone(prefix, uniforms, linear=None):
     on a log row. When roundoff leaves no such cell (the threshold equals
     the total), it takes the first cell at which the prefix reaches its
     total: the last cell under the cap with mass. `linear` says per agent
-    which rows are linear, as `ew_tail_sums` reports it; None means every
-    row is in logs. Expects mass in cell 0 of every row. Bisection reads a
-    flat memoryview, so a draw converts only the cells it probes; a stack
-    draws agent by agent.
+    which rows are linear, as `ew_tail_sums` reports it, or is one bool for
+    every agent (by default every row is in logs). Expects mass in cell 0 of
+    every row. Bisection reads a flat memoryview, so a draw converts only
+    the cells it probes; a stack draws agent by agent.
     """
     m_units, d = prefix.shape[-2:]
-    flags = itertools.repeat(False) if linear is None else iter(linear.tolist())
+    flags = iter(linear.tolist()) if isinstance(linear, np.ndarray) else itertools.repeat(linear)
     cells = memoryview(np.ascontiguousarray(prefix).reshape(-1))
     picks = []
     for i, u in enumerate(uniforms.reshape(-1).tolist()):
@@ -356,7 +394,12 @@ def _log_marginals(s):
     return q / q.sum(axis=-1, keepdims=True)
 
 
-def apply_slot_rewards(weights, allowed, valuations, grid_values, thresholds):
-    """Add v_m - B_j to every feasible cell (m, j) that wins: j >= thr_m."""
-    wins = np.arange(grid_values.size) >= thresholds[..., None]
-    np.add(weights, valuations[..., None] - grid_values, out=weights, where=wins & allowed)
+def slot_rewards(allowed, valuations, grid_values):
+    """The full-information reward table: v_m - B_j on feasible cells, 0 elsewhere."""
+    return np.where(allowed, valuations[..., None] - grid_values, 0.0)
+
+
+def apply_slot_rewards(weights, rewards, thresholds):
+    """Add the `slot_rewards` table to every cell (m, j) that wins: j >= thr_m."""
+    wins = np.arange(rewards.shape[-1]) >= thresholds[..., None]
+    np.add(weights, rewards, out=weights, where=wins)

@@ -13,14 +13,15 @@ The settlement rules are written once, on integer grid indices:
   when the bidder wins a tie against that entry, c_m + 1 when it loses it.
   Bid j wins slot m iff j >= thr_m; a threshold equal to the grid size means
   no grid bid wins. With a monotone bid the winning slots form a prefix, and
-  `settle_prefix` counts it.
+  `settle_prefix` counts it; it reads the bidder's IR caps and reward sums
+  from tables built once per valuation (`ir_caps`, `reward_prefix`).
 - The pooling rule ranks every rival entry by (index, owner priority), keeps
   the top `supply` and pads with (0, PAD_PRIORITY) entries that lose every
   tie. `round_thresholds` is the one routine that pools: it sorts every
   bidder's entries of a round as integer keys index * L + rank of the owner
-  priority, once, and reads each bidder's thresholds straight off its
-  pooled keys. The run log keeps these thresholds, so nothing after the run
-  pools again.
+  priority (`owner_ranks`, computed once per run), once, and reads each
+  bidder's thresholds straight off its pooled keys. The run log keeps these
+  thresholds, so nothing after the run pools again.
 
 Ties are broken by strict priority. The two-mode `TieBreak` rule covers the
 single-bidder-versus-environment case; multi-agent markets attach an owner
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -69,6 +71,15 @@ class ValuationProfile:
     def ir_mask(self, grid: BidGrid) -> np.ndarray:
         """Boolean (demand, grid) mask of individually rational cells b <= v_m."""
         return grid.values[None, :] <= self.values[:, None] + VALUE_EPS
+
+    def ir_caps(self, grid: BidGrid) -> list[int]:
+        """Largest individually rational grid index of each slot: `ir_mask`'s rows are prefixes."""
+        return (self.ir_mask(grid).sum(axis=1) - 1).tolist()
+
+    def reward_prefix(self) -> list[float]:
+        """`math.fsum` of the first x valuations, for x = 0..demand."""
+        values = self.values.tolist()
+        return [math.fsum(values[:x]) for x in range(len(values) + 1)]
 
 
 @dataclass(frozen=True)
@@ -184,21 +195,27 @@ def win_thresholds(
     return c + (priorities[..., :demand] >= bidder_priority)
 
 
-def round_thresholds(rows: Sequence[list], owners: Sequence[int], supply: int,
+def owner_ranks(owners: Sequence[int]) -> list[int]:
+    """Rank of each owner priority among the levels PAD_PRIORITY (rank 0) and
+    `owners`, which are distinct and above PAD_PRIORITY: ranks 1 to len(owners)."""
+    levels = sorted({PAD_PRIORITY, *owners})
+    return [levels.index(owner) for owner in owners]
+
+
+def round_thresholds(rows: Sequence[list], ranks: Sequence[int], supply: int,
                      bidders: int) -> list[list[int]]:
     """Per-slot win thresholds of the first `bidders` rows of one round, from one sort.
 
-    `rows[k]` is a list of bid indices owned by priority `owners[k]`, the
-    owners distinct. Every entry becomes the key index * L + rank of its
-    owner among the L levels, PAD_PRIORITY at rank 0. Bidder n's competing
-    bids are the first `supply` keys of the descending sort that it does not
-    own, padded with key 0, and slot m faces the m-th smallest. The rule of
-    `win_thresholds` in key form: a rival key c * L + r gives the threshold
-    c + (r > rank of n), which is (key + L - 1 - rank of n) // L.
+    `rows[k]` is a list of bid indices owned by the priority of rank
+    `ranks[k]`, as `owner_ranks` gives it, among the L = len(ranks) + 1
+    levels. Every entry becomes the key index * L + rank of its owner. Bidder
+    n's competing bids are the first `supply` keys of the descending sort
+    that it does not own, padded with key 0, and slot m faces the m-th
+    smallest. The rule of `win_thresholds` in key form: a rival key c * L + r
+    gives the threshold c + (r > rank of n), which is (key + L - 1 - rank of
+    n) // L.
     """
-    levels = sorted({PAD_PRIORITY, *owners})
-    width = len(levels)
-    ranks = [levels.index(owner) for owner in owners]
+    width = len(ranks) + 1
     keys = sorted([j * width + r for row, r in zip(rows, ranks) for j in row], reverse=True)
     out = []
     for row, rank in zip(rows[:bidders], ranks):
@@ -209,20 +226,24 @@ def round_thresholds(rows: Sequence[list], owners: Sequence[int], supply: int,
     return out
 
 
-def settle_prefix(values: list, bid: list, bid_values: list,
-                  thresholds: list) -> tuple[int, float, float, float]:
+def settle_prefix(bid: list, thresholds: list, caps: list,
+                  rewards: list, grid_values: list) -> tuple[int, float, float, float]:
     """(allocation, utility, payment, reward) of one bid against its slot thresholds.
 
-    Arguments are Python lists over the bidder's slots. The allocation is the
-    length of the prefix of slots with b_m >= thr_m; reward and payment are
-    `math.fsum` sums over it.
+    Arguments are Python lists: the bid's grid indices and its slot
+    thresholds, the valuation's `ir_caps` and `reward_prefix`, and the grid's
+    values. A bid is individually rational when no index exceeds its slot's
+    cap. The allocation is the length of the prefix of slots with b_m >=
+    thr_m; the reward is read off `rewards` and the payment is the
+    `math.fsum` of the won bids.
     """
-    if any(b > v + VALUE_EPS for b, v in zip(bid_values, values)):
+    if any(map(operator.gt, bid, caps)):
         raise ValueError("bid violates individual rationality")
     x = 0
     for b, threshold in zip(bid, thresholds):
         if b < threshold:
             break  # monotone inputs: the winning slots form a prefix
         x += 1
-    reward, payment = math.fsum(values[:x]), math.fsum(bid_values[:x])
+    payment = math.fsum([grid_values[j] for j in bid[:x]])
+    reward = rewards[x]
     return x, reward - payment, payment, reward

@@ -16,10 +16,18 @@ Feedback modes:
 `ExpWeightsBidder` is a population: k >= 1 agents of one demand and one
 feedback mode share a (k, M, D) weight table, so each round runs every
 kernel once for all of them, with eta and gamma per agent. Each agent keeps
-its own RNG stream and draws its M uniforms from it, so its bids are the
-same whichever group it is in. A bandit group's sampler and marginals share
-one linear table per round, except for agents whose table does not fit a
-float's range (counted in `log_rounds`); all other tail sums are in logs.
+its own RNG stream and draws its M uniforms per round from it, a block of
+rounds at a time, so its bids are the same whichever group it is in.
+
+Groups sample from linear tables where these fit a float's range. A bandit
+group's sampler and marginals share one linear table per round, checked per
+agent; an agent whose table does not fit takes logs. A full-information
+group samples from exp(eta W) itself, unshifted, while the growth bound of
+`_kernels.linear_rounds` at the group's largest eta proves every prefix sum
+finite, and from logs after. `log_rounds` counts each agent's rounds in
+logs. Both domains draw the same bid except for a uniform within rounding
+of a breakpoint of the sampler's CDF.
+
 The functions on one `NodeWeightTable` (`compute_partial_sums`,
 `sample_bid`, `slot_marginals`, `full_info_update`, `bandit_update`) run the
 same kernels on a single (M, D) table.
@@ -40,6 +48,8 @@ from .hindsight import NodeWeightTable
 
 # Confidence parameter of the implicit-exploration (IX) offset schedule.
 IX_DELTA = 0.05
+# Rounds of uniforms an agent draws at once.
+UNIFORM_BLOCK_ROWS = 256
 
 
 class FeedbackMode(enum.Enum):
@@ -55,8 +65,8 @@ class PartialSumTable:
     S_m(b) = exp(eta * W_m(b)) * sum_{b' <= b} S_{m+1}(b'); forbidden cells
     carry log-domain zero. `log_prefix[m, b]` is log sum_{b' <= b} S_m(b'),
     the normalizer of slot m's law when the previous slot bid b. Both tables
-    are in logs, so cumulative weights of order eta * T never overflow. (The
-    bandit rounds of `ExpWeightsBidder` use linear tables where they fit.)
+    are in logs, so cumulative weights of order eta * T never overflow.
+    (`ExpWeightsBidder` uses linear tables where they fit.)
     """
 
     log_sums: np.ndarray
@@ -158,9 +168,8 @@ def full_info_update(
     """Add this round's realized per-slot rewards to every feasible cell."""
     thresholds = win_thresholds(competing.indices, competing.priorities, table.demand, tie,
                                 bidder_priority)
-    _kernels.apply_slot_rewards(
-        table.weights, table.allowed, table.valuation.values, table.grid.values, thresholds
-    )
+    rewards = _kernels.slot_rewards(table.allowed, table.valuation.values, table.grid.values)
+    _kernels.apply_slot_rewards(table.weights, rewards, thresholds)
 
 
 def bandit_update(
@@ -210,9 +219,9 @@ class ExpWeightsBidder:
 
     A group of the market: `propose` returns one bid row per agent, and
     `observe(allocations, thresholds)` takes the agents' allocations and,
-    under full information, their (k, M) win thresholds. In bandit modes,
-    `log_rounds[i]` counts the rounds in which agent i's tail sums were in
-    logs rather than linear.
+    under full information, their (k, M) win thresholds. `log_rounds[i]`
+    counts the rounds in which agent i's tail sums were in logs rather than
+    linear.
     """
 
     def __init__(self, valuations: Sequence[ValuationProfile], grid: BidGrid, horizon: int,
@@ -235,11 +244,16 @@ class ExpWeightsBidder:
                                for allowed, c in zip(self.allowed, configs)])
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
         self.rngs = [np.random.default_rng(c.seed) for c in configs]
-        self._uniforms = np.empty(self.values.shape)
         # A lone agent samples from its (M, D) table: the kernels' per-slot
         # numpy calls cost more on (1, D) slices than on plain rows.
         self._kernel_args = ((self.weights[0], self.allowed[0], self.eta[0]) if len(configs) == 1
                              else (self.weights, self.allowed, self.eta[:, None, None]))
+        self._rounds_left = horizon  # uniforms not yet drawn, in rounds, up to the horizon
+        self._uniforms: list = []    # the rounds of the current block still to play
+        if self.wants_full_info:
+            self._rewards: Optional[np.ndarray] = None  # built by the first observe, not at set-up
+            self._linear_rounds = _kernels.linear_rounds(demand, grid.count, max(etas))
+            self._updates = 0
         self.log_rounds = np.zeros(len(configs), dtype=np.int64)
         self._pending_bids: Optional[np.ndarray] = None
         self._pending_marginals: Optional[np.ndarray] = None
@@ -247,14 +261,17 @@ class ExpWeightsBidder:
 
     def propose(self) -> np.ndarray:
         """One monotone bid per agent: a (k, M) array of grid indices."""
+        if not self._uniforms:
+            self._draw_uniforms()
+        uniforms = self._uniforms.pop()
         if self.wants_full_info:
-            sums, prefix = _kernels.ew_tail_sums(*self._kernel_args)
-            linear = None
+            linear = self._updates <= self._linear_rounds
+            sums, prefix = _kernels.ew_tail_sums(*self._kernel_args, bounded=linear)
+            if not linear:
+                self.log_rounds += 1
         else:
             sums, prefix, linear = _kernels.ew_tail_sums(*self._kernel_args, linear=True)
-        for rng, row in zip(self.rngs, self._uniforms):
-            rng.random(out=row)  # each agent's own stream, M uniforms per round
-        bids = _kernels.sample_monotone(prefix, self._uniforms.reshape(prefix.shape[:-1]), linear)
+        bids = _kernels.sample_monotone(prefix, uniforms, linear)
         self._pending_bids = bids.reshape(self.values.shape)
         if not self.wants_full_info:
             marginals = _kernels.ew_marginals(sums, prefix, linear)
@@ -270,11 +287,25 @@ class ExpWeightsBidder:
         if self.wants_full_info:
             if thresholds is None:
                 raise ValueError("full-information feedback requires the win thresholds")
-            _kernels.apply_slot_rewards(self.weights, self.allowed, self.values,
-                                        self.grid.values, np.array(thresholds))
+            if self._rewards is None:
+                self._rewards = _kernels.slot_rewards(self.allowed, self.values, self.grid.values)
+            _kernels.apply_slot_rewards(self.weights, self._rewards, np.array(thresholds))
+            self._updates += 1
         else:
             _bandit_step(self.weights, self.allowed, self._pending_marginals,
                          self._pending_bids, np.array(allocations), self.values,
                          self.grid.values, self.gamma, self._pending_linear)
         self._pending_bids = None
         self._pending_marginals = None
+
+    def _draw_uniforms(self) -> None:
+        """Each agent's uniforms for the next block of rounds, up to the horizon.
+
+        One `rng.random((rows, M))` per agent reads the same stream as `rows`
+        draws of M, so the block size never changes a bid. Past the horizon
+        the blocks are full.
+        """
+        rows = min(UNIFORM_BLOCK_ROWS, self._rounds_left) or UNIFORM_BLOCK_ROWS
+        self._rounds_left = max(self._rounds_left - rows, 0)
+        block = np.stack([rng.random((rows, self.demand)) for rng in self.rngs], axis=1)
+        self._uniforms = list(block.reshape(rows, *self._kernel_args[0].shape[:-1])[::-1])

@@ -199,6 +199,8 @@ class OmdBidder:
         self.allowed = np.ascontiguousarray(valuation.ir_mask(grid))
         self.gamma = estimator_offsets(mode, self.allowed, horizon, gamma)
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
+        if self.wants_full_info:
+            self._rewards = _kernels.slot_rewards(self.allowed, valuation.values, grid.values)
         self.rng = np.random.default_rng(seed)
         # Start from the marginals of "uniform over feasible successors": slot
         # 1 is uniform on its IR cells, and after bid b the next slot is
@@ -232,8 +234,7 @@ class OmdBidder:
         if self.mode is FeedbackMode.FULL_INFO:
             if thresholds is None:
                 raise ValueError("full-information feedback requires the win thresholds")
-            _kernels.apply_slot_rewards(est, self.allowed, v, self.grid.values,
-                                        np.asarray(thresholds))
+            _kernels.apply_slot_rewards(est, self._rewards, np.asarray(thresholds))
             return est
         slots = np.arange(self.q.shape[0])
         j = self._pending

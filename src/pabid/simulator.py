@@ -18,7 +18,9 @@ An EW group stacks agents of one demand and feedback mode into one weight
 table; an OMD agent is a group of its own. A round collects every group's
 rows, pools them with the environment's bids in one sort of integer keys
 (`round_thresholds`), settles every agent against its thresholds and hands
-each group its feedback.
+each group its feedback. Settlement reads tables `play` builds once per run
+(the owners' ranks, each agent's IR caps and reward sums); a bid above its
+IR cap stops the run with an error that names the agent and the round.
 
 `round_thresholds` is the only routine that pools rival bids. The log keeps
 every agent's (T, M) win thresholds as the round settled them, so scoring
@@ -39,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__ as _library_version
-from .auction import BidVector, ValuationProfile, round_thresholds, settle_prefix
+from .auction import BidVector, ValuationProfile, owner_ranks, round_thresholds, settle_prefix
 from .grids import BidGrid
 from .hindsight import accumulate_weights_history, hindsight_optimal
 
@@ -269,13 +271,15 @@ class SelfPlayMarket:
 
     def play(self, rounds: int, config: Optional[dict] = None, seed: int = 0) -> RunLog:
         n_agents = len(self.valuations)
-        values = [v.values.tolist() for v in self.valuations]
+        caps = [v.ir_caps(self.grid) for v in self.valuations]
+        rewards = [v.reward_prefix() for v in self.valuations]
         grid_values = self.grid.values.tolist()
         owners = list(range(n_agents))
         widths = [v.demand for v in self.valuations]
         if self.environment is not None:
             owners.append(ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY)
             widths.append(self.supply)
+        ranks = owner_ranks(owners)
         played = []    # per round: agent and environment bid rows, then agent thresholds
         outcomes = []  # per round: (allocation, utility, payment, reward) of each agent
         for t in range(rounds):
@@ -289,9 +293,15 @@ class SelfPlayMarket:
                 raise
             if self.environment is not None:
                 rows[-1] = self.environment.draw(t).indices.tolist()
-            thresholds = round_thresholds(rows, owners, self.supply, n_agents)
-            settled = [settle_prefix(values[n], rows[n], [grid_values[j] for j in rows[n]],
-                                     thresholds[n]) for n in range(n_agents)]
+            thresholds = round_thresholds(rows, ranks, self.supply, n_agents)
+            settled = []
+            try:
+                for n in range(n_agents):
+                    settled.append(settle_prefix(rows[n], thresholds[n], caps[n], rewards[n],
+                                                 grid_values))
+            except ValueError as err:  # an IR violation
+                _locate(err, (n,), t)
+                raise
             if sum(outcome[0] for outcome in settled) > self.supply:
                 raise RuntimeError("settlement granted more units than the supply")
             try:

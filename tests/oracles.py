@@ -16,6 +16,10 @@ every sweep visits every layer pair and recomputes the certificate's prefix
 table. `count_rule_indices` is the mirror-descent sampler's index rule as a
 count over the whole CDF table. The library must match both bit for bit.
 
+`PerRoundDrawBidder` is the EW group with each agent's uniforms drawn one
+round at a time, as `rng.random(M)`; the library draws them in blocks of
+rounds and must bid the same.
+
 `expected_total_utility` is the closed form the lower-bound tests check
 Monte Carlo settlement against.
 """
@@ -39,7 +43,7 @@ from pabid.auction import (
 )
 from pabid.adversaries import LowerBoundInstance
 from pabid.grids import VALUE_EPS, BidGrid
-from pabid.exp_weights import PartialSumTable
+from pabid.exp_weights import ExpWeightsBidder, PartialSumTable
 from pabid.hindsight import NEG_INF, HindsightSolution, NodeWeightTable
 from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, MarketMetrics, RunLog
 
@@ -72,9 +76,9 @@ def settle(
         raise ValueError("bidder demand exceeds supply of competing bids")
     thresholds = win_thresholds(competing.indices, competing.priorities, m, tie,
                                 bidder_priority)
-    return AuctionOutcome(*settle_prefix(valuation.values.tolist(), bid.indices.tolist(),
-                                         bid.grid.values[bid.indices].tolist(),
-                                         thresholds.tolist()))
+    return AuctionOutcome(*settle_prefix(bid.indices.tolist(), thresholds.tolist(),
+                                         valuation.ir_caps(bid.grid), valuation.reward_prefix(),
+                                         bid.grid.values.tolist()))
 
 
 def win_mask(
@@ -310,6 +314,14 @@ def accumulate_weights(
     allowed = valuation.ir_mask(grid)
     weights[~allowed] = 0.0
     return NodeWeightTable(weights=weights, allowed=allowed, grid=grid, valuation=valuation)
+
+
+class PerRoundDrawBidder(ExpWeightsBidder):
+    """`ExpWeightsBidder` whose agents draw their M uniforms round by round."""
+
+    def _draw_uniforms(self) -> None:
+        draws = np.array([rng.random(self.demand) for rng in self.rngs])
+        self._uniforms = [draws.reshape(self._kernel_args[0].shape[:-1])]
 
 
 def iter_monotone_indices(demand: int, grid_size: int):

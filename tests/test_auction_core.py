@@ -12,6 +12,7 @@ from pabid import (
     ValuationProfile,
     make_even_grid,
 )
+from pabid.grids import VALUE_EPS
 
 from oracles import (
     AuctionOutcome,
@@ -70,6 +71,27 @@ class TestVectors:
         competing = CompetingBids.from_values([0.0, 0.0], grid)
         with pytest.raises(ValueError):
             settle(valuation, bid, competing)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 41), data=st.data())
+    def test_ir_caps_are_the_value_rule(self, d, data):
+        """Settlement refuses a bid exactly when some b_m > v_m + VALUE_EPS,
+        valuations on, just off and between grid points included."""
+        grid = make_even_grid(d)
+        near = st.builds(lambda j, off: min(max(grid.values[j] + off, 0.0), 1.0),
+                         st.integers(0, d - 1), st.sampled_from([0.0, -2e-12, -5e-13, 5e-13]))
+        values = data.draw(st.lists(st.one_of(near, st.floats(0.0, 1.0)), min_size=1, max_size=5))
+        valuation = ValuationProfile(np.sort(values)[::-1])
+        m = valuation.demand
+        bid = sorted(data.draw(st.lists(st.integers(0, d - 1), min_size=m, max_size=m)),
+                     reverse=True)
+        above = any(grid.values[j] > v + VALUE_EPS for j, v in zip(bid, valuation.values))
+        competing = CompetingBids(np.zeros(m, dtype=np.int64), grid)
+        if above:
+            with pytest.raises(ValueError, match="individual rationality"):
+                settle(valuation, BidVector(np.array(bid), grid), competing)
+        else:
+            assert settle(valuation, BidVector(np.array(bid), grid), competing).allocation == m
 
     def test_competing_bids_must_be_non_decreasing(self):
         grid = make_even_grid(11)

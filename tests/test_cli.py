@@ -234,6 +234,30 @@ class TestRuntimeFailure:
             "runtime failure: agent 2, round 4: projection in round 4 stopped at gap "
             "1.000e+00 after 777 sweeps (tol 1.0e-08)\n")
 
+    def test_ir_violation_names_the_agent_and_the_round(self, tmp_path, capsys, monkeypatch):
+        """The EW group of agents 0 and 1 is made to bid 1.0 on both slots
+        for agent 1 in round 3, above its valuation [0.9, 0.6]."""
+        from pabid import ExpWeightsBidder
+
+        propose = ExpWeightsBidder.propose
+        calls = []
+
+        def overbid_in_round_3(self):
+            bids = propose(self)
+            calls.append(None)
+            if len(calls) == 4:
+                bids[1] = self.grid.count - 1
+            return bids
+
+        monkeypatch.setattr(ExpWeightsBidder, "propose", overbid_in_round_3)
+        ew = {"algorithm": "ew", "feedback": "full", "valuation": [0.9, 0.6]}
+        omd = {"algorithm": "omd", "feedback": "bandit_ix", "valuation": [0.8, 0.5]}
+        path, _ = write_scenario(tmp_path, rounds=10, replications=1, supply=4,
+                                 agents=[ew, ew, omd], environment={"kind": "self_play"})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "runtime failure: agent 1, round 3: bid violates individual rationality\n")
+
     def test_failure_keeps_its_type_and_names_every_agent_of_the_group(self, monkeypatch):
         from pabid import (ExpWeightsBidder, LearnerConfig, SelfPlayMarket, ValuationProfile,
                            _kernels, make_even_grid)

@@ -1,8 +1,11 @@
 """Exponential-weights learners: schedules, updates, and full runs."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pabid import (
     BidVector,
@@ -24,12 +27,15 @@ from pabid import (
     make_even_grid,
     sample_bid,
     slot_marginals,
+    validate_scenario,
     win_thresholds,
 )
-from pabid.exp_weights import estimator_offsets
+from pabid import _kernels
+from pabid.exp_weights import UNIFORM_BLOCK_ROWS, estimator_offsets
+from pabid.scenario import build_market
 
 from conftest import play_against
-from oracles import accumulate_weights, check_ir, masked
+from oracles import PerRoundDrawBidder, accumulate_weights, check_ir, masked
 
 
 class TestEtaSchedule:
@@ -257,3 +263,84 @@ class TestLearnerRuns:
             log = play_against(learner, adversary, 200)
             for row in log.bids[0]:
                 assert np.all(grid.values[row] <= valuation.values + 1e-12)
+
+
+def full_info_document(agents, grid_size, supply, rounds, seed, tie="agent_wins"):
+    """A scenario of EW full-information `agents` against a stochastic
+    environment of two support rows drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    values = make_even_grid(grid_size).values
+    support = [sorted(values[rng.integers(0, grid_size, size=supply)].tolist()) for _ in range(2)]
+    return {"name": "full_info", "grid_size": grid_size, "rounds": rounds, "master_seed": seed,
+            "supply": supply, "agents": agents,
+            "environment": {"kind": "stochastic", "support": support, "probs": [0.5, 0.5],
+                            "tie": tie}}
+
+
+def play_scenario(document):
+    """Replication 0 of a scenario document: its log and its market."""
+    market, seed, config = build_market(validate_scenario(document), 0)
+    return market.play(document["rounds"], config=config, seed=seed), market
+
+
+class TestFullInfoTables:
+    """Full-information groups sample from exp(eta W) itself while the range
+    bound holds, and from log tail sums after."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([1, 3]), m=st.integers(1, 6), d=st.integers(2, 41),
+           agent_loses=st.booleans(), eta=st.one_of(st.none(), st.floats(0.01, 3.0)),
+           seed=st.integers(0, 2**16))
+    def test_linear_tables_write_the_bytes_of_log_tables(self, k, m, d, agent_loses, eta, seed):
+        agent = {"algorithm": "ew", "feedback": "full",
+                 "valuation": {"kind": "uniform_sorted", "demand": m}}
+        if eta is not None:
+            agent["eta"] = eta
+        rounds = 150
+        document = full_info_document([agent] * k, d, m + 1, rounds, seed,
+                                      "agent_loses" if agent_loses else "agent_wins")
+        linear, market = play_scenario(document)
+        (group,) = market.learners
+        crossing = max(math.floor(_kernels.linear_rounds(m, d, group.eta.max())) + 1, 0)
+        assert group.log_rounds.tolist() == [max(rounds - crossing, 0)] * k
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_LINEAR_LOG_MAX", -math.inf)  # no round fits
+            logs, market = play_scenario(document)
+        assert market.learners[0].log_rounds.tolist() == [rounds] * k
+        assert linear.to_csv_text() == logs.to_csv_text()
+        assert linear.to_json_text() == logs.to_json_text()
+
+    def test_a_run_crosses_the_bound(self):
+        """eta 2 at M = 3, D = 11: (700 - log C(13, 3)) / (3 * 2) = 115.7, so
+        rounds 0 to 115 sample from linear tables and the 184 after from logs."""
+        agent = {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 0.8, 0.5], "eta": 2}
+        document = full_info_document([agent], 11, 3, 300, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log, market = play_scenario(document)
+        assert log.replay_matches()
+        assert math.floor(_kernels.linear_rounds(3, 11, 2.0)) + 1 == 116
+        assert market.learners[0].log_rounds.tolist() == [300 - 116]
+
+
+class TestUniformBlocks:
+    """Each agent draws its uniforms a block of rounds at a time; the bids
+    equal those of one draw per round."""
+
+    @pytest.mark.parametrize("mode", [FeedbackMode.FULL_INFO, FeedbackMode.BANDIT_IX])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_blocks_bid_as_per_round_draws(self, mode, k):
+        grid = make_even_grid(9)
+        rows = ([1.0, 0.6], [0.8, 0.5], [0.9, 0.2])[:k]
+        valuations = [ValuationProfile(np.array(v)) for v in rows]
+        adversary = StochasticAdversary(
+            [CompetingBids.from_values([0.25, 0.5, 0.75], grid),
+             CompetingBids.from_values([0.0, 0.125, 1.0], grid)], [0.5, 0.5], seed=3)
+        edge = UNIFORM_BLOCK_ROWS
+        # T = 1, a block edge, one past it, and play beyond a horizon of 5
+        for horizon, rounds in ((1, 1), (edge, edge), (edge + 1, edge + 1), (5, edge + 20)):
+            configs = [LearnerConfig(mode=mode, seed=i) for i in range(k)]
+            logs = [SelfPlayMarket([kind(valuations, grid, horizon, configs)], valuations, grid, 3,
+                                   adversary, members=[range(k)]).play(rounds).to_csv_text()
+                    for kind in (ExpWeightsBidder, PerRoundDrawBidder)]
+            assert logs[0] == logs[1]

@@ -1,11 +1,14 @@
 """Golden outputs: each bundled scenario, shortened to 300 rounds, must keep its bytes.
 
-Two more scenarios are written out below: a mixed market whose EW agents of
-equal demand and feedback are not adjacent, against an environment that
+Three more scenarios are written out below: a mixed market whose EW agents
+of equal demand and feedback are not adjacent, against an environment that
 wins ties, so the grouping of agents cannot change anyone's draws unseen;
-and one OMD bandit agent at the `omd_bandit` benchmark shape whose
-projections often take many sweeps (64 of 300 take more than one, up to
-111), so a change to the projection cannot move its multi-sweep path unseen.
+one OMD bandit agent at the `omd_bandit` benchmark shape whose projections
+often take many sweeps (64 of 300 take more than one, up to 111), so a
+change to the projection cannot move its multi-sweep path unseen; and a
+group of two EW full-information agents whose user-set rates (the larger
+is 2) carry their tables past the linear range bound at round 116, so the
+switch from linear tail sums to logs cannot move a bid unseen.
 
 A performance change must leave every run log and every regret report
 bit-identical. The digests below hash the replication-0 CSV plus the repr of
@@ -61,6 +64,24 @@ INLINE_SCENARIOS = {
             "tie": "agent_wins",
         },
     },
+    "full_info_crossing": {
+        "name": "full_info_crossing",
+        "grid_size": 11,
+        "rounds": ROUNDS,
+        "master_seed": 116,
+        "supply": 3,
+        "agents": [
+            {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 0.8, 0.5], "eta": 2},
+            {"algorithm": "ew", "feedback": "full",
+             "valuation": {"kind": "uniform_sorted", "demand": 3}, "eta": 0.5},
+        ],
+        "environment": {
+            "kind": "stochastic",
+            "support": [[0.1, 0.1, 0.1], [0.3, 0.3, 1.0], [0.2, 0.6, 0.9]],
+            "probs": [0.5, 0.25, 0.25],
+            "tie": "agent_wins",
+        },
+    },
 }
 
 # scenario -> (sha256 of CSV + regret reports + JSON, sha256 of market metrics)
@@ -76,6 +97,10 @@ GOLDEN = {
     "lower_bound_m3": (
         "98c3f709a24447572b162cba24798022b6b738b7206d1f186342513de81eaddb",
         "a97c52add1f78c773a6c86bce15b81fd4dc001d3f69af934f8c7cc7a237d32e3",
+    ),
+    "full_info_crossing": (
+        "bd6e42b636c1249377b90fb747c35a902044856977258c380f58877d1864b46b",
+        "a7c354cec51d6f475d11a205329d93ec9bdb6396396ae0e782ea84b0d09fd95d",
     ),
     "mixed_groups": (
         "1f5fa2813577aac4f865d180faa44f7bf957c1480d05dce9801f88c5f5ecdb8f",

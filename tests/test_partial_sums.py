@@ -28,7 +28,9 @@ from pabid._kernels import (
     apply_slot_rewards,
     ew_marginals,
     ew_tail_sums,
+    linear_rounds,
     sample_monotone,
+    slot_rewards,
 )
 from pabid.hindsight import NodeWeightTable
 from pabid.scenario import build_market
@@ -491,10 +493,11 @@ class TestBatchedKernels:
             thresholds = rng.integers(0, d + 1, size=(k, m))
             grid_values = make_even_grid(d).values
             stacked = weights.copy()
-            apply_slot_rewards(stacked, allowed, values, grid_values, thresholds)
+            apply_slot_rewards(stacked, slot_rewards(allowed, values, grid_values), thresholds)
             for i in range(k):
                 single = weights[i].copy()
-                apply_slot_rewards(single, allowed[i], values[i], grid_values, thresholds[i])
+                apply_slot_rewards(single, slot_rewards(allowed[i], values[i], grid_values),
+                                   thresholds[i])
                 assert stacked[i].tobytes() == single.tobytes()
 
 
@@ -636,6 +639,27 @@ class TestLinearTables:
             assert prefix.tobytes() == log_prefix.tobytes()
             marginals = ew_marginals(sums, prefix, linear)
             assert marginals.tobytes() == ew_marginals(log_sums).tobytes()
+
+    def test_bounded_tables_hold_the_largest_growth(self):
+        """W = t on every cell, more than t full-information updates can add:
+        the total prefix sum is C(M + D - 1, M) e**(M eta t), which stays a
+        finite float up to `linear_rounds` and reaches e**695.7 there."""
+        m, d, eta = 3, 11, 2.0
+        t = math.floor(linear_rounds(m, d, eta))
+        weights, allowed = np.full((m, d), float(t)), np.ones((m, d), bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sums, prefix = ew_tail_sums(weights, allowed, eta, bounded=True)
+        _, log_prefix = ew_tail_sums(weights, allowed, eta)
+        assert t == 115 and 695.0 < math.log(prefix[0, -1]) <= 700.0
+        assert np.allclose(np.log(prefix), log_prefix, rtol=1e-13, atol=0.0)
+
+    def test_shapes_with_more_tails_than_e_700_never_take_bounded_tables(self):
+        """C(M + D - 1, M) is e**699.9 at M = D = 508 and e**701.2 at 509: no
+        round of the larger shape fits, even at an eta whose M eta overflows."""
+        assert 0.0 < linear_rounds(508, 508, 1e-3) < 1.0
+        assert linear_rounds(508, 508, 1e308) == 0.0
+        assert linear_rounds(509, 509, 1e-3) == linear_rounds(509, 509, 1e308) == -math.inf
 
     def test_shapes_with_more_tails_than_2_960_take_logs(self):
         """M = D = 484 has C(967, 484) > 2**960 monotone tails, which could

@@ -18,7 +18,7 @@ from pabid import (
     unconstrained_step,
 )
 from pabid import _kernels
-from pabid._kernels import apply_slot_rewards, project_dual_ascent
+from pabid._kernels import apply_slot_rewards, project_dual_ascent, slot_rewards
 from pabid.mirror_descent import DEFAULT_MAX_SWEEPS, DEFAULT_PROJECTION_TOL, MAX_PLAIN_EXPONENT
 
 from conftest import random_q_member
@@ -275,7 +275,7 @@ def omd_kernel_input(seed: int, demand: int, grid_size: int, horizon: int, ir: b
     if full_info:
         eta = eta_scale * omd_eta_schedule(FeedbackMode.FULL_INFO, grid_size, horizon)
         thresholds = np.sort(rng.integers(0, grid_size + 1, size=demand))
-        apply_slot_rewards(estimate, allowed, values, grid.values, thresholds)
+        apply_slot_rewards(estimate, slot_rewards(allowed, values, grid.values), thresholds)
         return unconstrained_step(q, estimate, eta), allowed
     eta = eta_scale * omd_eta_schedule(FeedbackMode.BANDIT_IX, grid_size, horizon)
     gamma = ix_gamma_schedule(allowed, horizon)

@@ -101,12 +101,13 @@ class TestRegretReport:
         # overwrite the log with the benchmark bid, settled against the
         # thresholds the agent faced, every round
         fixed = report.benchmark_bid
-        values = log.valuations[0].values.tolist()
+        valuation = log.valuations[0]
+        caps, rewards = valuation.ir_caps(log.grid), valuation.reward_prefix()
         for t in range(log.rounds):
             log.bids[0][t] = fixed.indices
             x, utility, payment, reward = settle_prefix(
-                values, fixed.indices.tolist(), fixed.values.tolist(),
-                log.thresholds[0][t].tolist())
+                fixed.indices.tolist(), log.thresholds[0][t].tolist(), caps, rewards,
+                log.grid.values.tolist())
             log.allocations[t, 0] = x
             log.utilities[t, 0] = utility
             log.payments[t, 0] = payment
