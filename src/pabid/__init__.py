@@ -27,23 +27,13 @@ from .exp_weights import (
     ExpWeightsBidder,
     FeedbackMode,
     LearnerConfig,
-    PartialSumTable,
-    SlotMarginals,
-    bandit_update,
-    compute_partial_sums,
     eta_schedule,
-    full_info_update,
     ix_gamma_schedule,
-    sample_bid,
-    slot_marginals,
 )
 from .mirror_descent import (
-    OccupancyMeasure,
     OmdBidder,
     ProjectionError,
-    ProjectionResult,
     omd_eta_schedule,
-    project_to_Q,
     q_membership,
     sample_from_marginals,
     unconstrained_step,

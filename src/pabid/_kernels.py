@@ -1,7 +1,8 @@
 """Hot per-round numerical kernels.
 
-One implementation per kernel, over float64 arrays. The public modules wrap
-these in the typed API.
+One implementation per kernel, over float64 arrays. The learner groups
+(`exp_weights.ExpWeightsBidder`, `mirror_descent.OmdBidder`) call them
+directly; there is no second interface.
 
 Kernels:
   * project_dual_ascent: unnormalized-KL projection onto the dominance

@@ -8,25 +8,26 @@ smallest of them.
 
 The settlement rules are written once, on integer grid indices:
 
-- The win rule is a per-slot threshold. `win_thresholds` gives the smallest
-  grid index that wins slot m, for one round or a (T, supply) history: c_m
-  when the bidder wins a tie against that entry, c_m + 1 when it loses it.
-  Bid j wins slot m iff j >= thr_m; a threshold equal to the grid size means
-  no grid bid wins. With a monotone bid the winning slots form a prefix, and
-  `settle_prefix` counts it; it reads the bidder's IR caps and reward sums
-  from tables built once per valuation (`ir_caps`, `reward_prefix`).
-- The pooling rule ranks every rival entry by (index, owner priority), keeps
-  the top `supply` and pads with (0, PAD_PRIORITY) entries that lose every
-  tie. `round_thresholds` is the one routine that pools: it sorts every
-  bidder's entries of a round as integer keys index * L + rank of the owner
-  priority (`owner_ranks`, computed once per run), once, and reads each
-  bidder's thresholds straight off its pooled keys. The run log keeps these
-  thresholds, so nothing after the run pools again.
-
-Ties are broken by strict priority. The two-mode `TieBreak` rule covers the
-single-bidder-versus-environment case; multi-agent markets attach an owner
-priority to every competing bid entry, which reduces to the two-mode rule
-pairwise.
+- The win rule is a per-slot threshold: the smallest grid index that wins
+  slot m, c_m when the bidder wins a tie against that entry and c_m + 1
+  when it loses it. Bid j wins slot m iff j >= thr_m; a threshold equal to
+  the grid size means no grid bid wins. With a monotone bid the winning
+  slots form a prefix, and `settle_prefix` counts it; it reads the bidder's
+  IR caps and reward sums from tables built once per valuation (`ir_caps`,
+  `reward_prefix`).
+- Ties are broken by strict priority. In a market every entry carries its
+  owner's priority (agent n bids at priority n; the environment ranks above
+  or below every agent), and the pooling rule ranks every rival entry by
+  (index, owner priority), keeps the top `supply` and pads with (0,
+  PAD_PRIORITY) entries that lose every tie. `round_thresholds` is the one
+  routine that pools: it sorts every bidder's entries of a round as integer
+  keys index * L + rank of the owner priority (`owner_ranks`, computed once
+  per run), once, and reads each bidder's thresholds straight off its
+  pooled keys. The run log keeps these thresholds, so nothing after the run
+  pools again.
+- One bidder against rows of competing bids with no owners, as `pabid
+  hindsight` scores a history, has a single tie mode (`TieBreak`), and
+  `win_thresholds` turns the rows into thresholds.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,31 +101,17 @@ class BidVector:
         if any(a < b for a, b in zip(entries, entries[1:])):
             raise ValueError("bids must be non-increasing")
 
-    @classmethod
-    def from_values(cls, values, grid: BidGrid) -> "BidVector":
-        return cls(grid.indices_of(values), grid)
-
     @property
     def values(self) -> np.ndarray:
         return self.grid.values[self.indices]
 
-    @property
-    def demand(self) -> int:
-        return int(self.indices.size)
-
 
 @dataclass(frozen=True)
 class CompetingBids:
-    """The supply's worth of largest rival bids, sorted non-decreasing.
-
-    `priorities` optionally records the owner priority of each entry; when
-    absent, ties are resolved by the `TieBreak` mode passed to
-    `win_thresholds`.
-    """
+    """The supply's worth of largest rival bids, sorted non-decreasing."""
 
     indices: np.ndarray
     grid: BidGrid
-    priorities: Optional[np.ndarray] = None
 
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=np.int64)
@@ -136,35 +123,14 @@ class CompetingBids:
             raise ValueError("competing bid index outside grid")
         if any(a > b for a, b in zip(entries, entries[1:])):
             raise ValueError("competing bids must be non-decreasing")
-        if self.priorities is not None:
-            pri = np.asarray(self.priorities, dtype=np.int64)
-            object.__setattr__(self, "priorities", pri)
-            if pri.shape != indices.shape:
-                raise ValueError("priorities must match competing bids in shape")
 
     @classmethod
-    def from_values(cls, values, grid: BidGrid, priorities=None) -> "CompetingBids":
-        return cls(grid.indices_of(values), grid, priorities)
+    def from_values(cls, values, grid: BidGrid) -> "CompetingBids":
+        return cls(grid.indices_of(values), grid)
 
     @property
     def supply(self) -> int:
         return int(self.indices.size)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.grid.values[self.indices]
-
-
-def trusted(cls, indices: np.ndarray, grid: BidGrid):
-    """Construct a BidVector without re-validating invariants.
-
-    Internal fast path for the samplers, whose draws are monotone and on the
-    grid by construction; everything else should go through the regular
-    constructor.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(indices=indices, grid=grid)
-    return obj
 
 
 # Priority assigned to padded (absent) competing bids: strictly below every
@@ -173,26 +139,15 @@ def trusted(cls, indices: np.ndarray, grid: BidGrid):
 PAD_PRIORITY = -(2**62)
 
 
-def win_thresholds(
-    indices: np.ndarray,
-    priorities: Optional[np.ndarray],
-    demand: int,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-    bidder_priority: Optional[int] = None,
-) -> np.ndarray:
+def win_thresholds(indices: np.ndarray, demand: int,
+                   tie: TieBreak = TieBreak.BIDDER_WINS) -> np.ndarray:
     """Smallest winning grid index of each of the first `demand` slots.
 
-    `indices` and `priorities` hold competing bids along their last axis: one
-    round, or a (rounds, supply) history. The bidder wins a tie against a
-    rival entry of lower priority, or, without priorities, under
-    BIDDER_WINS. A threshold equal to the grid size means no grid bid wins.
+    `indices` holds competing bids along its last axis: one round, or a
+    (rounds, supply) history. A threshold equal to the grid size means no
+    grid bid wins.
     """
-    c = indices[..., :demand]
-    if priorities is None:
-        return c + (tie is TieBreak.BIDDER_LOSES)
-    if bidder_priority is None:
-        bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
-    return c + (priorities[..., :demand] >= bidder_priority)
+    return indices[..., :demand] + (tie is TieBreak.BIDDER_LOSES)
 
 
 def owner_ranks(owners: Sequence[int]) -> list[int]:

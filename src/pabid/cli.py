@@ -185,7 +185,7 @@ def cmd_hindsight(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     tie = TieBreak.BIDDER_WINS if args.tie == "wins" else TieBreak.BIDDER_LOSES
-    thresholds = win_thresholds(comp, None, valuation.demand, tie)
+    thresholds = win_thresholds(comp, valuation.demand, tie)
     table = accumulate_weights_history(valuation, thresholds, grid)
     solution = hindsight_optimal(table)
     if args.json:

@@ -28,9 +28,8 @@ finite, and from logs after. `log_rounds` counts each agent's rounds in
 logs. Both domains draw the same bid except for a uniform within rounding
 of a breakpoint of the sampler's CDF.
 
-The functions on one `NodeWeightTable` (`compute_partial_sums`,
-`sample_bid`, `slot_marginals`, `full_info_update`, `bandit_update`) run the
-same kernels on a single (M, D) table.
+The group is the only interface to the EW kernels: a single agent is a
+group of one.
 """
 from __future__ import annotations
 
@@ -42,9 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .auction import CompetingBids, BidVector, TieBreak, ValuationProfile, trusted, win_thresholds
+from .auction import ValuationProfile
 from .grids import BidGrid
-from .hindsight import NodeWeightTable
 
 # Confidence parameter of the implicit-exploration (IX) offset schedule.
 IX_DELTA = 0.05
@@ -56,34 +54,6 @@ class FeedbackMode(enum.Enum):
     FULL_INFO = "full_info"
     BANDIT_IPW = "bandit_ipw"
     BANDIT_IX = "bandit_ix"
-
-
-@dataclass(frozen=True)
-class PartialSumTable:
-    """log S[m, b]: exponentially weighted mass of monotone tails from (m, b).
-
-    S_m(b) = exp(eta * W_m(b)) * sum_{b' <= b} S_{m+1}(b'); forbidden cells
-    carry log-domain zero. `log_prefix[m, b]` is log sum_{b' <= b} S_m(b'),
-    the normalizer of slot m's law when the previous slot bid b. Both tables
-    are in logs, so cumulative weights of order eta * T never overflow.
-    (`ExpWeightsBidder` uses linear tables where they fit.)
-    """
-
-    log_sums: np.ndarray
-    log_prefix: np.ndarray
-    allowed: np.ndarray
-    grid: BidGrid
-
-    @property
-    def demand(self) -> int:
-        return int(self.log_sums.shape[0])
-
-
-@dataclass(frozen=True)
-class SlotMarginals:
-    """q[m, b]: unconditional probability that the sampled vector bids b at slot m."""
-
-    probs: np.ndarray
 
 
 @dataclass
@@ -125,85 +95,22 @@ def estimator_offsets(mode: FeedbackMode, allowed: np.ndarray, horizon: int,
     return ix_gamma_schedule(allowed, horizon)
 
 
-def compute_partial_sums(table: NodeWeightTable, eta: float) -> PartialSumTable:
-    """Backward pass of the log-domain tail-sum recursion, O(M D)."""
-    if not table.allowed[:, 0].all():
-        raise ValueError("no individually rational bid exists in some layer")
-    log_sums, log_prefix = _kernels.ew_tail_sums(
-        np.ascontiguousarray(table.weights), np.ascontiguousarray(table.allowed), float(eta)
-    )
-    return PartialSumTable(log_sums=log_sums, log_prefix=log_prefix, allowed=table.allowed,
-                           grid=table.grid)
-
-
-def sample_bid(partial: PartialSumTable, rng: np.random.Generator) -> BidVector:
-    """Draw a monotone bid: slot m restricted to bids at most the previous slot.
-
-    One uniform is consumed per slot in slot order, so a run is reproducible
-    from the seed alone. The resulting law over whole vectors is the softmax
-    of the summed cell weights.
-    """
-    uniforms = rng.random(partial.demand)
-    indices = _kernels.sample_monotone(partial.log_prefix, uniforms)
-    return trusted(BidVector, indices, partial.grid)
-
-
-def slot_marginals(partial: PartialSumTable) -> SlotMarginals:
-    """Unconditional per-slot bid probabilities of the sampler's law.
-
-    q_1 is the softmax of the first layer's tail sums; deeper layers average
-    the conditional law S_m(b) / sum_{b'' <= prev} S_m(b'') over the previous
-    slot's marginal. (The conditional support given the previous bid b' is
-    {b <= b'}, so the normalizer sums over b'' <= b'.)
-    """
-    return SlotMarginals(probs=_kernels.ew_marginals(partial.log_sums))
-
-
-def full_info_update(
-    table: NodeWeightTable,
-    competing: CompetingBids,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
-    bidder_priority: Optional[int] = None,
-) -> None:
-    """Add this round's realized per-slot rewards to every feasible cell."""
-    thresholds = win_thresholds(competing.indices, competing.priorities, table.demand, tie,
-                                bidder_priority)
-    rewards = _kernels.slot_rewards(table.allowed, table.valuation.values, table.grid.values)
-    _kernels.apply_slot_rewards(table.weights, rewards, thresholds)
-
-
-def bandit_update(
-    table: NodeWeightTable,
-    marginals: SlotMarginals,
-    played: BidVector,
-    allocation: int,
-    gamma: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Shifted IPW update from own allocation only.
+def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values, gamma, linear):
+    """Shifted IPW update of a (k, M, D) stack from each agent's own allocation.
 
     Every feasible cell gains 1; the played cell additionally loses
     (1 - realized slot reward) / (q + gamma). The net played-cell increment
     1 - (1 - w)/(q + gamma) is at most 1, which is what permits learning
-    rates up to 1/M. The played bid comes from the table's own sampler, so
-    every played cell is feasible. Returns the per-slot increments applied to
-    the played cells (useful for estimator diagnostics).
+    rates up to 1/M. Bids are (k, M), allocations (k,), and `linear` (k,)
+    marks the agents whose marginals came from linear tail sums. Returns the
+    (k, M) increments applied to the played cells.
     """
-    return _bandit_step(table.weights[None], table.allowed[None], marginals.probs[None],
-                        played.indices[None], np.array([allocation]),
-                        table.valuation.values[None], table.grid.values,
-                        0.0 if gamma is None else gamma, linear=False)[0]
-
-
-def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values, gamma, linear):
-    """`bandit_update` for a (k, M, D) stack: bids (k, M), allocations (k,);
-    `linear` (per agent, or one flag) marks marginals of linear tail sums."""
     agents = np.arange(bids.shape[0])[:, None]
     slots = np.arange(bids.shape[1])
     q = probs[agents, slots, bids] + gamma
     zero = (q <= 0.0).any(axis=1)
     if zero.any():
-        failing = np.broadcast_to(linear, zero.shape)[zero]
-        regimes = sorted({"linear" if lin else "log" for lin in failing})
+        regimes = sorted({"linear" if lin else "log" for lin in linear[zero]})
         raise RuntimeError(f"played bid has zero sampling probability under the marginals of the "
                            f"{' and '.join(regimes)} tail sums; sampler and marginals disagree")
     won = slots < allocations[:, None]  # winning slots form a prefix

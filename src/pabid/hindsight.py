@@ -32,10 +32,6 @@ class NodeWeightTable:
     grid: BidGrid
     valuation: ValuationProfile
 
-    @property
-    def demand(self) -> int:
-        return int(self.weights.shape[0])
-
 
 @dataclass(frozen=True)
 class HindsightSolution:

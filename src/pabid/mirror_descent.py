@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import project_dual_ascent
-from .auction import BidVector, ValuationProfile, trusted
+from .auction import ValuationProfile
 from .exp_weights import FeedbackMode, estimator_offsets
 from .grids import BidGrid
 
@@ -42,13 +42,6 @@ MAX_PLAIN_EXPONENT = 700.0  # largest unshifted exponent of a step; exp(709.8) o
 
 
 @dataclass(frozen=True)
-class OccupancyMeasure:
-    """Per-slot probability vectors over the bid grid (rows index slots)."""
-
-    probs: np.ndarray
-
-
-@dataclass(frozen=True)
 class Violation:
     kind: str  # "row_sum" | "dominance" | "negative"
     layer: int
@@ -56,17 +49,11 @@ class Violation:
     magnitude: float
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    measure: OccupancyMeasure
-    gap: float
-    sweeps: int
-
-
 class ProjectionError(RuntimeError):
-    """The projection stopped with its certificate above tolerance (or NaN)."""
+    """The projection stopped with its certificate above tolerance (or NaN);
+    `best` is the (M, D) iterate it stopped at."""
 
-    def __init__(self, message: str, best: OccupancyMeasure, gap: float, sweeps: int):
+    def __init__(self, message: str, best: np.ndarray, gap: float, sweeps: int):
         super().__init__(message)
         self.best = best
         self.gap = gap
@@ -110,48 +97,31 @@ def unconstrained_step(q_prev: np.ndarray, reward_estimate: np.ndarray, eta: flo
     return np.exp(logs - logs.max(axis=1, keepdims=True))
 
 
-def project_to_Q(
-    q_tilde: np.ndarray,
-    allowed: Optional[np.ndarray] = None,
-    tol: float = DEFAULT_PROJECTION_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> ProjectionResult:
-    """Unnormalized-KL projection onto the occupancy polytope.
-
-    The returned certificate `gap` bounds the KKT residuals: layer-sum error,
-    dominance violation, and complementary slackness of the dominance
-    multipliers. Stationarity is exact by construction (the iterate is the
-    dual-feasible exponential reweighting of the input).
-    """
-    q_tilde = np.asarray(q_tilde, dtype=float)
-    if allowed is None:
-        allowed = np.ones(q_tilde.shape, dtype=bool)
-    if np.any(q_tilde[allowed] <= 0.0) or not np.all(np.isfinite(q_tilde[allowed])):
-        raise ValueError("projection input must be finite and positive on feasible cells")
-    if not np.all(allowed[:, 0]):
-        raise ValueError("grid minimum must be feasible in every layer")
-    return _project(q_tilde, allowed, tol, max_sweeps, "projection")
-
-
 def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: int,
-             label: str) -> ProjectionResult:
-    """Run the kernel and check its certificate; `label` opens the error message.
+             label: str) -> np.ndarray:
+    """Unnormalized-KL projection onto the occupancy polytope, certified.
+
+    The kernel's `gap` bounds the KKT residuals: layer-sum error, dominance
+    violation, and complementary slackness of the dominance multipliers.
+    Stationarity is exact by construction (the iterate is the dual-feasible
+    exponential reweighting of the input). Returns the (M, D) iterate, or
+    raises `ProjectionError` when the gap exceeds `tol`; `label` opens its
+    message.
 
     The kernel is looked up as this module's global at call time, so a
     wrapper installed there (a tracer, a test) sees every projection.
     """
     q, _lam, _nu, sweeps, gap = project_dual_ascent(q_tilde, allowed, tol, max_sweeps)
-    measure = OccupancyMeasure(q)
     if not gap <= tol:
         raise ProjectionError(
             f"{label} stopped at gap {gap:.3e} after {sweeps} sweeps (tol {tol:.1e})",
-            best=measure, gap=float(gap), sweeps=int(sweeps),
+            best=q, gap=float(gap), sweeps=int(sweeps),
         )
-    return ProjectionResult(measure=measure, gap=float(gap), sweeps=int(sweeps))
+    return q
 
 
-def sample_from_marginals(q: np.ndarray, rng: np.random.Generator, grid: BidGrid) -> BidVector:
-    """Draw a bid vector whose slot-m bid has law q[m], from one uniform U.
+def sample_from_marginals(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Grid indices of a bid vector whose slot-m bid has law q[m], from one uniform U.
 
     b_m is the smallest index whose cumulative mass in row m exceeds U times
     the row total, which is always a cell of positive mass. The total is the
@@ -166,7 +136,7 @@ def sample_from_marginals(q: np.ndarray, rng: np.random.Generator, grid: BidGrid
     """
     u = rng.random()
     picks = [bisect.bisect_right(row, u * row[-1]) for row in q.cumsum(axis=1).tolist()]
-    return trusted(BidVector, np.minimum.accumulate(picks), grid)
+    return np.minimum.accumulate(picks)
 
 
 def omd_eta_schedule(mode: FeedbackMode, grid_size: int, horizon: int) -> float:
@@ -216,7 +186,7 @@ class OmdBidder:
 
     def propose(self) -> np.ndarray:
         """This round's bid, as a (1, M) array of grid indices."""
-        self._pending = sample_from_marginals(self.q, self.rng, self.grid).indices
+        self._pending = sample_from_marginals(self.q, self.rng)
         return self._pending[None]
 
     def reward_estimate(self, allocation: int, thresholds: Optional[np.ndarray],
@@ -248,9 +218,7 @@ class OmdBidder:
             raise RuntimeError("observe called before propose")
         est = self.reward_estimate(allocations[0], None if thresholds is None else thresholds[0])
         q_tilde = unconstrained_step(self.q, est, self.eta)
-        # project_to_Q's input checks hold by construction here, so skip them
-        result = _project(q_tilde, self.allowed, DEFAULT_PROJECTION_TOL, DEFAULT_MAX_SWEEPS,
+        self.q = _project(q_tilde, self.allowed, DEFAULT_PROJECTION_TOL, DEFAULT_MAX_SWEEPS,
                           f"projection in round {self.rounds}")
-        self.q = result.measure.probs
         self._pending = None
         self.rounds += 1

@@ -168,6 +168,11 @@ def validate_scenario(document: dict) -> Scenario:
         if (algorithm == "ew" and feedback in ("bandit_ipw", "bandit_ix") and demand is not None
                 and _is_number(eta) and eta >= 1.0 / demand):
             problems.append(f"{prefix}.eta: bandit feedback needs eta < 1/M = {1.0 / demand:.6g}")
+        # every log tail sum is at most eta * M * T + log C(M + D - 1, M)
+        if (algorithm == "ew" and feedback == "full" and demand is not None and rounds is not None
+                and _is_number(eta) and eta * demand * max(rounds, 1) > sys.float_info.max / 2):
+            problems.append(f"{prefix}.eta: full information needs eta * M * rounds <= "
+                            f"{sys.float_info.max / 2:.6g}, or the weights overflow")
         agents.append(AgentSpec(algorithm=algorithm, feedback=feedback, valuation=valuation,
                                 eta=eta, gamma=gamma))
 

@@ -7,12 +7,14 @@ import pytest
 
 from pabid import (
     BidGrid,
+    BidVector,
     NodeWeightTable,
     SelfPlayMarket,
     TieBreak,
     ValuationProfile,
     make_even_grid,
 )
+from pabid._kernels import sample_monotone
 from pabid.mirror_descent import sample_from_marginals
 
 from oracles import iter_monotone_indices
@@ -48,10 +50,15 @@ def random_weight_table(
     return NodeWeightTable(weights=weights, allowed=allowed, grid=grid, valuation=valuation)
 
 
+def draw_bid(log_prefix: np.ndarray, rng: np.random.Generator, grid: BidGrid) -> BidVector:
+    """One draw of the EW sampler from a log prefix table, one uniform per slot."""
+    return BidVector(sample_monotone(log_prefix, rng.random(log_prefix.shape[0])), grid)
+
+
 def feasible_vectors(table: NodeWeightTable) -> list[tuple[int, ...]]:
     """All monotone index vectors whose cells are all individually rational."""
     out = []
-    for idx in iter_monotone_indices(table.demand, table.grid.count):
+    for idx in iter_monotone_indices(*table.weights.shape):
         if all(table.allowed[m, j] for m, j in enumerate(idx)):
             out.append(tuple(int(j) for j in idx))
     return out
@@ -113,7 +120,7 @@ class FixedUniform:
         return self.u
 
 
-def sampler_law(q: np.ndarray, grid: BidGrid) -> dict[tuple[int, ...], float]:
+def sampler_law(q: np.ndarray) -> dict[tuple[int, ...], float]:
     """Exact law of `sample_from_marginals` on q.
 
     The draw is a step function of its one uniform, constant between
@@ -124,8 +131,7 @@ def sampler_law(q: np.ndarray, grid: BidGrid) -> dict[tuple[int, ...], float]:
     cuts = np.unique(np.concatenate([[0.0, 1.0], np.clip(cdf / cdf[:, -1:], 0.0, 1.0).ravel()]))
     law: dict[tuple[int, ...], float] = {}
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        bid = sample_from_marginals(q, FixedUniform(0.5 * (lo + hi)), grid)
-        key = tuple(int(j) for j in bid.indices)
+        key = tuple(int(j) for j in sample_from_marginals(q, FixedUniform(0.5 * (lo + hi))))
         law[key] = law.get(key, 0.0) + float(hi - lo)
     return law
 

@@ -6,10 +6,14 @@ These loops state the same rules the long way: entry by entry, round by
 round, agent by agent, and the optimum by enumerating every monotone bid.
 Tests check the library against them.
 
-`settle` scores one bidder against a `CompetingBids` row through
-`win_thresholds` and `settle_prefix`. `loop_round` is the market round as it
-was played one agent at a time: a list pool of (index, owner) entries, a
-`CompetingBids` per agent, `settle` and `win_thresholds`.
+The owner-priority tie rule lives here, as the reference that
+`auction.round_thresholds` is checked against: `PooledBids` is a
+`CompetingBids` row with the owner priority of each entry, and
+`priority_thresholds` is the win rule over such rows (the library's
+`win_thresholds` knows only the two-mode `TieBreak`). `settle` scores one
+bidder against a row through them and `settle_prefix`. `loop_round` is the
+market round as it was played one agent at a time: a list pool of (index,
+owner) entries, a `PooledBids` per agent and `settle`.
 
 `sweep_dual_ascent` is the KL projection kernel without its idle-pair skip:
 every sweep visits every layer pair and recomputes the certificate's prefix
@@ -18,7 +22,9 @@ count over the whole CDF table. The library must match both bit for bit.
 
 `PerRoundDrawBidder` is the EW group with each agent's uniforms drawn one
 round at a time, as `rng.random(M)`; the library draws them in blocks of
-rounds and must bid the same.
+rounds and must bid the same. `bandit_step` is the group's bandit update on
+one agent's `NodeWeightTable`, and `path_log_probability` the exact law of
+the EW sampler on log tail sums.
 
 `expected_total_utility` is the closed form the lower-bound tests check
 Monte Carlo settlement against.
@@ -43,12 +49,45 @@ from pabid.auction import (
 )
 from pabid.adversaries import LowerBoundInstance
 from pabid.grids import VALUE_EPS, BidGrid
-from pabid.exp_weights import ExpWeightsBidder, PartialSumTable
+from pabid.exp_weights import ExpWeightsBidder, _bandit_step
 from pabid.hindsight import NEG_INF, HindsightSolution, NodeWeightTable
 from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, MarketMetrics, RunLog
 
 # Refuse enumeration beyond this many monotone grid vectors.
 BRUTE_FORCE_CAP = 2_000_000
+
+
+@dataclass(frozen=True)
+class PooledBids(CompetingBids):
+    """Competing bids with the owner priority of each entry; a bidder wins a
+    tie against an entry of lower priority."""
+
+    priorities: Optional[np.ndarray] = None
+
+
+def priority_thresholds(
+    indices: np.ndarray,
+    priorities: Optional[np.ndarray],
+    demand: int,
+    tie: TieBreak = TieBreak.BIDDER_WINS,
+    bidder_priority: Optional[int] = None,
+) -> np.ndarray:
+    """`win_thresholds` with owner priorities along the last axis: the bidder
+    wins a tie against a rival entry of lower priority. Without priorities, or
+    without its own, the bidder's tie mode decides."""
+    if priorities is None:
+        return win_thresholds(indices, demand, tie)
+    if bidder_priority is None:
+        bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
+    return indices[..., :demand] + (np.asarray(priorities)[..., :demand] >= bidder_priority)
+
+
+def competing_thresholds(competing: CompetingBids, demand: int,
+                         tie: TieBreak = TieBreak.BIDDER_WINS,
+                         bidder_priority: Optional[int] = None) -> np.ndarray:
+    """`priority_thresholds` of one row, by its owners' priorities when it has them."""
+    return priority_thresholds(competing.indices, getattr(competing, "priorities", None), demand,
+                               tie, bidder_priority)
 
 
 @dataclass(frozen=True)
@@ -74,8 +113,7 @@ def settle(
         raise ValueError("bid and valuation lengths differ")
     if m > competing.indices.size:
         raise ValueError("bidder demand exceeds supply of competing bids")
-    thresholds = win_thresholds(competing.indices, competing.priorities, m, tie,
-                                bidder_priority)
+    thresholds = competing_thresholds(competing, m, tie, bidder_priority)
     return AuctionOutcome(*settle_prefix(bid.indices.tolist(), thresholds.tolist(),
                                          valuation.ir_caps(bid.grid), valuation.reward_prefix(),
                                          bid.grid.values.tolist()))
@@ -88,17 +126,18 @@ def win_mask(
     bidder_priority: Optional[int] = None,
 ) -> np.ndarray:
     """Per-slot win indicators; monotone inputs make this a prefix."""
-    m = bid.demand
+    m = bid.indices.size
     if m > competing.supply:
         raise ValueError("bidder demand exceeds supply of competing bids")
     b = bid.indices
     c = competing.indices[:m]
     greater = b > c
     equal = b == c
-    if competing.priorities is None:
+    priorities = getattr(competing, "priorities", None)
+    if priorities is None:
         tie_won = tie is TieBreak.BIDDER_WINS
         return greater | (equal & tie_won)
-    rival_pri = competing.priorities[:m]
+    rival_pri = np.asarray(priorities)[:m]
     if bidder_priority is None:
         bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
     return greater | (equal & (bidder_priority > rival_pri))
@@ -111,8 +150,7 @@ def win_matrix(
     bidder_priority: Optional[int] = None,
 ) -> np.ndarray:
     """Boolean (demand, D) matrix: does grid bid j win slot m this round."""
-    thresholds = win_thresholds(competing.indices, competing.priorities, demand, tie,
-                                bidder_priority)
+    thresholds = competing_thresholds(competing, demand, tie, bidder_priority)
     return np.arange(competing.grid.count) >= thresholds[:, None]
 
 
@@ -138,7 +176,7 @@ def competing_bids(
     idx = np.array([e[0] for e in entries], dtype=np.int64)
     if rival_priorities is None and entries[0][1] != PAD_PRIORITY:
         return CompetingBids(idx, grid)  # uniform priorities: the two-mode tie rule
-    return CompetingBids(idx, grid, np.array([e[1] for e in entries], dtype=np.int64))
+    return PooledBids(idx, grid, np.array([e[1] for e in entries], dtype=np.int64))
 
 
 def loop_round(
@@ -148,7 +186,7 @@ def loop_round(
     supply: int,
     env_row: Optional[Sequence[int]] = None,
     env_wins_ties: bool = False,
-) -> list[tuple[CompetingBids, list[int], AuctionOutcome]]:
+) -> list[tuple[PooledBids, list[int], AuctionOutcome]]:
     """One market round, agent by agent: each agent's pool, thresholds and outcome.
 
     Agent n bids `rows[n]` at priority n; the environment's ascending row
@@ -165,12 +203,11 @@ def loop_round(
         pool = [e for e in entries if e[1] != n][:supply]
         pool += pad[len(pool):]
         pool.reverse()  # ascending, padding first
-        competing = CompetingBids(np.array([e[0] for e in pool]), grid,
-                                  np.array([e[1] for e in pool]))
+        competing = PooledBids(np.array([e[0] for e in pool]), grid,
+                               np.array([e[1] for e in pool]))
         outcome = settle(valuations[n], BidVector(np.array(row), grid), competing,
                          bidder_priority=n)
-        thresholds = win_thresholds(competing.indices, competing.priorities, len(row),
-                                    bidder_priority=n)
+        thresholds = competing_thresholds(competing, len(row), bidder_priority=n)
         out.append((competing, thresholds.tolist(), outcome))
     return out
 
@@ -386,23 +423,34 @@ def masked(table: NodeWeightTable) -> np.ndarray:
 
 def check_ir(bid: BidVector, valuation: ValuationProfile) -> None:
     """Raise unless the bid has the valuation's length and never bids above it."""
-    if bid.demand != valuation.demand:
+    if bid.indices.size != valuation.demand:
         raise ValueError("bid and valuation lengths differ")
     if np.any(bid.values > valuation.values + VALUE_EPS):
         raise ValueError("bid violates individual rationality")
 
 
-def path_log_probability(partial: PartialSumTable, indices: Sequence[int]) -> float:
-    """Exact log-probability that `sample_bid` emits this index vector."""
-    logs = partial.log_sums
+def path_log_probability(log_sums: np.ndarray, log_prefix: np.ndarray,
+                         indices: Sequence[int]) -> float:
+    """Exact log-probability that the EW sampler emits this index vector from
+    the log tail sums and prefix table of `_kernels.ew_tail_sums`."""
     total = 0.0
-    cap = logs.shape[1] - 1
+    cap = log_sums.shape[1] - 1
     for m, idx in enumerate(indices):
         if idx > cap:
             return NEG_INF
-        total += logs[m, idx] - partial.log_prefix[m, cap]
+        total += log_sums[m, idx] - log_prefix[m, cap]
         cap = int(idx)
     return total
+
+
+def bandit_step(table: NodeWeightTable, probs: np.ndarray, played: BidVector, allocation: int,
+                gamma: Optional[np.ndarray] = None) -> np.ndarray:
+    """`ExpWeightsBidder`'s bandit update of one agent's table, in place, from
+    marginals `probs` of log tail sums; returns the played cells' increments."""
+    return _bandit_step(table.weights[None], table.allowed[None], probs[None],
+                        played.indices[None], np.array([allocation]),
+                        table.valuation.values[None], table.grid.values,
+                        0.0 if gamma is None else gamma, np.array([False]))[0]
 
 
 def unnormalized_kl(q: np.ndarray, q_tilde: np.ndarray) -> float:

@@ -91,8 +91,8 @@ class TestLowerBoundInstance:
         grid = instance.default_grid()
         low, high = instance.support_vectors(grid)
         # M - k = 2 zeros then k = 1 price entries, as the closed forms require
-        assert low.values.tolist() == pytest.approx([0.0, 0.0, 2 / 3])
-        assert high.values.tolist() == pytest.approx([2 / 3, 2 / 3, 2 / 3])
+        assert grid.values[low.indices].tolist() == pytest.approx([0.0, 0.0, 2 / 3])
+        assert grid.values[high.indices].tolist() == pytest.approx([2 / 3, 2 / 3, 2 / 3])
 
     def test_printed_utilities_for_delta_point_one(self):
         instance = LowerBoundInstance(demand=3, delta=0.1, variant="F")

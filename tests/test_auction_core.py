@@ -62,12 +62,12 @@ class TestVectors:
     def test_bids_must_be_monotone(self):
         grid = make_even_grid(11)
         with pytest.raises(ValueError):
-            BidVector.from_values([0.1, 0.4], grid)
+            BidVector(grid.indices_of([0.1, 0.4]), grid)
 
     def test_individual_rationality_enforced_at_settlement(self):
         grid = make_even_grid(11)
         valuation = ValuationProfile(np.array([0.5, 0.2]))
-        bid = BidVector.from_values([0.6, 0.2], grid)
+        bid = BidVector(grid.indices_of([0.6, 0.2]), grid)
         competing = CompetingBids.from_values([0.0, 0.0], grid)
         with pytest.raises(ValueError):
             settle(valuation, bid, competing)
@@ -109,41 +109,40 @@ class TestVectors:
         with pytest.raises(ValueError, match=message):
             BidVector(np.array(indices, dtype=np.int64), make_even_grid(5))
 
-    @pytest.mark.parametrize("indices, priorities, message", [
-        ([], None, "non-empty vector"),
-        ([[1, 2]], None, "non-empty vector"),
-        ([-1, 2], None, "outside grid"),
-        ([0, 5], None, "outside grid"),
-        ([2, 1], None, "non-decreasing"),
-        ([1, 2], [0], "priorities must match"),
-        ([1, 2], [[0, 1]], "priorities must match"),
+    @pytest.mark.parametrize("indices, message", [
+        ([], "non-empty vector"),
+        ([[1, 2]], "non-empty vector"),
+        ([-1, 2], "outside grid"),
+        ([0, 5], "outside grid"),
+        ([2, 1], "non-decreasing"),
     ])
-    def test_competing_bids_reject(self, indices, priorities, message):
+    def test_competing_bids_reject(self, indices, message):
         with pytest.raises(ValueError, match=message):
-            CompetingBids(np.array(indices, dtype=np.int64), make_even_grid(5), priorities)
+            CompetingBids(np.array(indices, dtype=np.int64), make_even_grid(5))
 
 
 class TestCompetingBids:
     def test_two_rivals_sort_and_take(self):
         grid = make_even_grid(11)
-        rivals = [BidVector.from_values([0.5, 0.2], grid), BidVector.from_values([0.4, 0.1], grid)]
+        rivals = [BidVector(grid.indices_of([0.5, 0.2]), grid),
+                  BidVector(grid.indices_of([0.4, 0.1]), grid)]
         merged = competing_bids(rivals, supply=2, grid=grid)
-        assert merged.values.tolist() == [0.4, 0.5]
+        assert grid.values[merged.indices].tolist() == [0.4, 0.5]
 
     def test_empty_market_pads_with_zeros(self):
         grid = make_even_grid(11)
         merged = competing_bids([], supply=3, grid=grid)
-        assert merged.values.tolist() == [0.0, 0.0, 0.0]
+        assert grid.values[merged.indices].tolist() == [0.0, 0.0, 0.0]
 
     def test_identical_bids_truncated(self):
         grid = make_even_grid(11)
-        merged = competing_bids([BidVector.from_values([1, 1, 1], grid)], supply=2, grid=grid)
-        assert merged.values.tolist() == [1.0, 1.0]
+        merged = competing_bids([BidVector(grid.indices_of([1, 1, 1]), grid)], supply=2, grid=grid)
+        assert grid.values[merged.indices].tolist() == [1.0, 1.0]
 
     def test_padded_entries_lose_ties(self):
         grid = make_even_grid(11)
         merged = competing_bids([], supply=1, grid=grid)
-        bid = BidVector.from_values([0.0], grid)
+        bid = BidVector(grid.indices_of([0.0]), grid)
         # zero bid against a padded (absent) zero wins even under BIDDER_LOSES
         assert allocate(bid, merged, TieBreak.BIDDER_LOSES) == 1
 
@@ -151,26 +150,26 @@ class TestCompetingBids:
 class TestAllocate:
     def test_benchmark_tie_instance(self):
         grid = make_even_grid(11)
-        bid = BidVector.from_values([0.4, 0.3, 0.1], grid)
+        bid = BidVector(grid.indices_of([0.4, 0.3, 0.1]), grid)
         competing = CompetingBids.from_values([0.3, 0.3, 1.0], grid)
         assert allocate(bid, competing, TieBreak.BIDDER_WINS) == 2
 
     def test_equal_zero_bids_lose_under_strict_rule(self):
         grid = make_even_grid(11)
-        bid = BidVector.from_values([0, 0, 0], grid)
+        bid = BidVector(grid.indices_of([0, 0, 0]), grid)
         competing = CompetingBids.from_values([0, 0, 0], grid)
         assert allocate(bid, competing, TieBreak.BIDDER_LOSES) == 0
 
     def test_dominant_bid_wins_all_units(self):
         grid = make_even_grid(11)
-        bid = BidVector.from_values([1, 1], grid)
+        bid = BidVector(grid.indices_of([1, 1]), grid)
         competing = CompetingBids.from_values([0, 0], grid)
         for tie in TieBreak:
             assert allocate(bid, competing, tie) == 2
 
     def test_demand_beyond_supply_rejected(self):
         grid = make_even_grid(11)
-        bid = BidVector.from_values([1, 1, 1], grid)
+        bid = BidVector(grid.indices_of([1, 1, 1]), grid)
         competing = CompetingBids.from_values([0, 0], grid)
         with pytest.raises(ValueError):
             allocate(bid, competing)
@@ -191,7 +190,7 @@ class TestSettle:
     def test_sweep_all_three_units(self):
         grid = make_even_grid(11)
         valuation = ValuationProfile(np.array([1.0, 1.0, 1.0]))
-        bid = BidVector.from_values([0.4, 0.3, 0.1], grid)
+        bid = BidVector(grid.indices_of([0.4, 0.3, 0.1]), grid)
         competing = CompetingBids.from_values([0.1, 0.1, 0.1], grid)
         out = settle(valuation, bid, competing, TieBreak.BIDDER_WINS)
         assert out.allocation == 3
@@ -201,7 +200,7 @@ class TestSettle:
     def test_tie_at_top_slot_won(self):
         grid = make_even_grid(11)
         valuation = ValuationProfile(np.array([1.0, 1.0, 1.0]))
-        bid = BidVector.from_values([0.4, 0.3, 0.1], grid)
+        bid = BidVector(grid.indices_of([0.4, 0.3, 0.1]), grid)
         competing = CompetingBids.from_values([0.4, 1.0, 1.0], grid)
         out = settle(valuation, bid, competing, TieBreak.BIDDER_WINS)
         assert out.allocation == 1
@@ -210,7 +209,7 @@ class TestSettle:
     def test_blocked_market_yields_nothing(self):
         grid = make_even_grid(11)
         valuation = ValuationProfile(np.array([0.8, 0.6]))
-        bid = BidVector.from_values([0.8, 0.6], grid)
+        bid = BidVector(grid.indices_of([0.8, 0.6]), grid)
         competing = CompetingBids.from_values([1.0, 1.0], grid)
         out = settle(valuation, bid, competing, TieBreak.BIDDER_LOSES)
         assert out == AuctionOutcome(allocation=0, utility=0.0, payment=0.0, reward=0.0)
@@ -228,7 +227,8 @@ class TestSettle:
             tie = TieBreak.BIDDER_WINS if rng.random() < 0.5 else TieBreak.BIDDER_LOSES
             out = settle(valuation, bid, competing, tie)
             per_slot = sum(
-                slot_reward(valuation.values[k], bid.values[k], competing.values[k], tie)
+                slot_reward(valuation.values[k], bid.values[k],
+                            grid.values[competing.indices[k]], tie)
                 for k in range(m)
             )
             assert out.utility == pytest.approx(per_slot)

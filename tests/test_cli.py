@@ -210,6 +210,34 @@ class TestUnrunnableScenarios:
             assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
 
 
+def huge_eta_scenario(tmp_path, eta):
+    """One EW full-information agent at a user-set eta, 50 rounds."""
+    agent = {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 0.8, 0.5], "eta": eta}
+    environment = {"kind": "stochastic", "support": [[0.1] * 3, [0.3, 0.3, 1.0]],
+                   "probs": [0.5, 0.5], "tie": "agent_wins"}
+    path, _ = write_scenario(tmp_path, rounds=50, replications=1, master_seed=1,
+                             agents=[agent], environment=environment)
+    return path
+
+
+class TestFullInfoEtaRange:
+    """Every log tail sum of a full-information EW agent is at most
+    eta * M * T + log C(M + D - 1, M), so validation bounds eta * M * T."""
+
+    def test_eta_whose_weights_overflow_exits_2(self, tmp_path, capsys):
+        # eta * W overflows from round 1 on, and the tables fill with inf and NaN
+        out = tmp_path / "out"
+        assert main(["run", str(huge_eta_scenario(tmp_path, 1e308)), "--out", str(out)]) == 2
+        assert "scenario error: agents[0].eta:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eta_inside_the_bound_still_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(huge_eta_scenario(tmp_path, 1e300)), "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["replications"][0]["regret"][0]["realized_utility"] == pytest.approx(68.6)
+
+
 class TestRuntimeFailure:
     def test_failure_names_the_agent_and_the_round(self, tmp_path, capsys, monkeypatch):
         """EW, EW, OMD: the EW agents form group 0, so the OMD agent is
@@ -318,6 +346,18 @@ class TestHindsight:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_utility"] == pytest.approx(report.benchmark_utility)
         assert payload["bid"] == pytest.approx(list(report.benchmark_bid.values))
+
+    @pytest.mark.parametrize("tie, bid, total", [("wins", 0.4, 1.8), ("loses", 0.5, 1.5)])
+    def test_tie_rule_moves_the_optimal_bid(self, tmp_path, capsys, tie, bid, total):
+        """Rivals all at 0.4: winning ties, bidding 0.4 wins every unit;
+        losing them, the best bid is the next grid point."""
+        history = tmp_path / "h.txt"
+        history.write_text("0.4 0.4 0.4\n")
+        assert main(["hindsight", str(history), "--valuation", "1,1,1", "--grid-size", "11",
+                     "--tie", tie, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["bid"] == pytest.approx([bid] * 3)
+        assert payload["total_utility"] == pytest.approx(total)
 
     def test_shape_errors_exit_2(self, tmp_path, capsys):
         history = tmp_path / "h.txt"

@@ -3,19 +3,17 @@ import numpy as np
 import pytest
 
 from pabid import (
+    BidVector,
     CompetingBids,
     NodeWeightTable,
     TieBreak,
     ValuationProfile,
-    bandit_update,
-    compute_partial_sums,
     make_even_grid,
-    sample_bid,
-    slot_marginals,
 )
+from pabid._kernels import ew_marginals, ew_tail_sums
 
-from conftest import random_weight_table
-from oracles import allocate, slot_reward
+from conftest import draw_bid, random_weight_table
+from oracles import allocate, bandit_step, slot_reward
 
 
 def copy_table(table):
@@ -24,13 +22,13 @@ def copy_table(table):
 
 def one_round_increments(table, competing, rng, eta=0.4, gamma=None):
     """Sample once, settle, apply the bandit update; return per-cell increments."""
-    partial = compute_partial_sums(table, eta)
-    marginals = slot_marginals(partial)
-    played = sample_bid(partial, rng)
+    log_sums, log_prefix = ew_tail_sums(table.weights, table.allowed, eta)
+    marginals = ew_marginals(log_sums)
+    played = draw_bid(log_prefix, rng, table.grid)
     x = allocate(played, competing, TieBreak.BIDDER_WINS)
     est = copy_table(table)
     before = est.weights.copy()
-    bandit_update(est, marginals, played, x, gamma)
+    bandit_step(est, marginals, played, x, gamma)
     return est.weights - before, played, marginals
 
 
@@ -53,12 +51,12 @@ class TestBanditUpdate:
         valuation = ValuationProfile(np.array([0.0]))
         table = random_weight_table(np.random.default_rng(0), 1, 2)
         table = NodeWeightTable(np.zeros((1, 2)), valuation.ir_mask(grid), grid, valuation)
-        partial = compute_partial_sums(table, 0.5)
-        marginals = slot_marginals(partial)
-        played = sample_bid(partial, np.random.default_rng(1))
+        log_sums, log_prefix = ew_tail_sums(table.weights, table.allowed, 0.5)
+        marginals = ew_marginals(log_sums)
+        played = draw_bid(log_prefix, np.random.default_rng(1), grid)
         assert played.indices[0] == 0
         before = table.weights.copy()
-        bandit_update(table, marginals, played, allocation=0)
+        bandit_step(table, marginals, played, allocation=0)
         delta = table.weights - before
         assert delta[0, 0] == pytest.approx(0.0)
 
@@ -70,19 +68,19 @@ class TestBanditUpdate:
         table = random_weight_table(rng, 2, 5, magnitude=1.5)
         competing = CompetingBids(np.array([1, 3]), grid)
         eta = 0.6
-        partial = compute_partial_sums(table, eta)
-        marginals = slot_marginals(partial)
-        q_probs = marginals.probs
+        log_sums, log_prefix = ew_tail_sums(table.weights, table.allowed, eta)
+        marginals = ew_marginals(log_sums)
+        q_probs = marginals
         draws = 100_000
         sums = np.zeros_like(table.weights)
         sq_sums = np.zeros_like(table.weights)
         base = copy_table(table)
         scratch = copy_table(base)
         for _ in range(draws):
-            played = sample_bid(partial, rng)
+            played = draw_bid(log_prefix, rng, grid)
             x = allocate(played, competing, TieBreak.BIDDER_WINS)
             scratch.weights[...] = base.weights
-            bandit_update(scratch, marginals, played, x)
+            bandit_step(scratch, marginals, played, x)
             delta = scratch.weights - base.weights
             sums += delta
             sq_sums += delta**2
@@ -91,7 +89,7 @@ class TestBanditUpdate:
                 if not table.allowed[m, j]:
                     continue
                 true_w = slot_reward(table.valuation.values[m], grid.values[j],
-                                     competing.values[m], TieBreak.BIDDER_WINS)
+                                     grid.values[competing.indices[m]], TieBreak.BIDDER_WINS)
                 q = q_probs[m, j]
                 mean = sums[m, j] / draws
                 mean_sq = sq_sums[m, j] / draws
@@ -112,27 +110,26 @@ class TestBanditUpdate:
         grid = make_even_grid(3)
         valuation = ValuationProfile(np.array([1.0]))
         table = NodeWeightTable(np.zeros((1, 3)), valuation.ir_mask(grid), grid, valuation)
-        marginals = slot_marginals(compute_partial_sums(table, 1.0))
-        marginals.probs[0, 1] = 0.0
-        from pabid import BidVector
+        marginals = ew_marginals(ew_tail_sums(table.weights, table.allowed, 1.0)[0])
+        marginals[0, 1] = 0.0
 
         with pytest.raises(RuntimeError):
-            bandit_update(table, marginals, BidVector(np.array([1]), grid), 1)
+            bandit_step(table, marginals, BidVector(np.array([1]), grid), 1)
 
     def test_ix_offset_shrinks_corrections(self, rng):
         grid = make_even_grid(4)
         valuation = ValuationProfile(np.ones(2))
         base = NodeWeightTable(np.zeros((2, 4)), valuation.ir_mask(grid), grid, valuation)
-        partial = compute_partial_sums(base, 0.5)
-        marginals = slot_marginals(partial)
-        played = sample_bid(partial, np.random.default_rng(3))
+        log_sums, log_prefix = ew_tail_sums(base.weights, base.allowed, 0.5)
+        marginals = ew_marginals(log_sums)
+        played = draw_bid(log_prefix, np.random.default_rng(3), grid)
         competing = CompetingBids(np.array([1, 2]), grid)
         x = allocate(played, competing, TieBreak.BIDDER_WINS)
 
         plain = copy_table(base)
-        bandit_update(plain, marginals, played, x)
+        bandit_step(plain, marginals, played, x)
         shifted = copy_table(base)
-        bandit_update(shifted, marginals, played, x, gamma=np.full(2, 0.5))
+        bandit_step(shifted, marginals, played, x, gamma=np.full(2, 0.5))
         for m in range(2):
             j = played.indices[m]
             # IX divides by q + gamma: correction is smaller, increment larger

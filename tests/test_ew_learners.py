@@ -19,14 +19,9 @@ from pabid import (
     StochasticAdversary,
     TieBreak,
     ValuationProfile,
-    bandit_update,
-    compute_partial_sums,
     eta_schedule,
-    full_info_update,
     ix_gamma_schedule,
     make_even_grid,
-    sample_bid,
-    slot_marginals,
     validate_scenario,
     win_thresholds,
 )
@@ -34,8 +29,16 @@ from pabid import _kernels
 from pabid.exp_weights import UNIFORM_BLOCK_ROWS, estimator_offsets
 from pabid.scenario import build_market
 
-from conftest import play_against
-from oracles import PerRoundDrawBidder, accumulate_weights, check_ir, masked
+from conftest import draw_bid, play_against
+from oracles import (
+    PerRoundDrawBidder,
+    PooledBids,
+    accumulate_weights,
+    bandit_step,
+    check_ir,
+    competing_thresholds,
+    masked,
+)
 
 
 class TestEtaSchedule:
@@ -86,14 +89,24 @@ class TestEtaSchedule:
                 assert ew.gamma[0].tolist() == omd.gamma.tolist() == expected.tolist()
 
 
+def observed_table(valuation, grid, threshold_rows):
+    """The weight table of a one-agent full-information group after it
+    observes each row of win thresholds, one round per row."""
+    group = ExpWeightsBidder([valuation], grid, max(len(threshold_rows), 1), [LearnerConfig()])
+    for row in threshold_rows:
+        group.propose()
+        group.observe([0], [row])
+    return NodeWeightTable(group.weights[0], group.allowed[0], grid, valuation)
+
+
 class TestFullInfoUpdate:
     def test_unbeatable_competitors_leave_table_unchanged(self):
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.array([0.75, 0.5]))
-        table = accumulate_weights(valuation, [], grid)
-        before = table.weights.copy()
+        before = accumulate_weights(valuation, [], grid).weights
         competing = CompetingBids.from_values([1.0, 1.0], grid)
-        full_info_update(table, competing, TieBreak.BIDDER_LOSES)
+        table = observed_table(valuation, grid,
+                               [win_thresholds(competing.indices, 2, TieBreak.BIDDER_LOSES)])
         assert np.array_equal(table.weights, before)
 
     def test_single_update_equals_singleton_accumulation(self, rng):
@@ -107,21 +120,19 @@ class TestFullInfoUpdate:
                     supply = m + int(rng.integers(0, 2))
                     valuation = ValuationProfile(np.sort(rng.random(m))[::-1])
                     priorities = rng.integers(0, 3, size=supply) if rival_priorities else None
-                    competing = CompetingBids(np.sort(rng.integers(0, 7, size=supply)), grid,
-                                              priorities)
+                    competing = PooledBids(np.sort(rng.integers(0, 7, size=supply)), grid,
+                                           priorities)
                     own = None if rng.random() < 0.5 else int(rng.integers(0, 3))
-                    incremental = accumulate_weights(valuation, [], grid)
-                    full_info_update(incremental, competing, tie, own)
+                    incremental = observed_table(valuation, grid,
+                                                 [competing_thresholds(competing, m, tie, own)])
                     reference = accumulate_weights(valuation, [competing], grid, tie, own)
                     assert np.array_equal(incremental.weights, reference.weights)
 
     def test_forbidden_cells_stay_forbidden(self):
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.array([0.5]))
-        table = accumulate_weights(valuation, [], grid)
         competing = CompetingBids.from_values([0.0], grid)
-        for _ in range(5):
-            full_info_update(table, competing)
+        table = observed_table(valuation, grid, [win_thresholds(competing.indices, 1)] * 5)
         assert np.all(table.weights[~table.allowed] == 0.0)
         assert np.isneginf(masked(table)[~table.allowed]).all()
 
@@ -129,12 +140,8 @@ class TestFullInfoUpdate:
         """With a fixed valuation, W[m, b] = (#wins of (m, b)) * (v_m - b)."""
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([0.9, 0.7, 0.4]))
-        table = accumulate_weights(valuation, [], grid)
-        history = []
-        for _ in range(25):
-            competing = CompetingBids(np.sort(rng.integers(0, 6, size=3)), grid)
-            history.append(competing)
-            full_info_update(table, competing)
+        history = [CompetingBids(np.sort(rng.integers(0, 6, size=3)), grid) for _ in range(25)]
+        table = observed_table(valuation, grid, [win_thresholds(c.indices, 3) for c in history])
         margin = valuation.values[:, None] - grid.values[None, :]
         wins = np.zeros((3, 6))
         for competing in history:
@@ -156,17 +163,17 @@ class TestBanditUpdate:
             valuation = ValuationProfile(0.5 + 0.5 * np.sort(rng.random(m))[::-1])
             table = NodeWeightTable(rng.normal(size=(m, 6)), valuation.ir_mask(grid),
                                     grid, valuation)
-            partial = compute_partial_sums(table, 0.1)
-            marginals = slot_marginals(partial)
-            played = sample_bid(partial, rng)
+            log_sums, log_prefix = _kernels.ew_tail_sums(table.weights, table.allowed, 0.1)
+            marginals = _kernels.ew_marginals(log_sums)
+            played = draw_bid(log_prefix, rng, grid)
             allocation = int(rng.integers(0, m + 1))
             gamma = rng.uniform(0.0, 0.2, size=m) if rng.random() < 0.5 else None
             before = table.weights.copy()
-            applied = bandit_update(table, marginals, played, allocation, gamma)
+            applied = bandit_step(table, marginals, played, allocation, gamma)
             offset = np.zeros(m) if gamma is None else gamma
             for slot, j in enumerate(played.indices):
                 w = valuation.values[slot] - grid.values[j] if slot < allocation else 0.0
-                assert applied[slot] == 1.0 - (1.0 - w) / (marginals.probs[slot, j] + offset[slot])
+                assert applied[slot] == 1.0 - (1.0 - w) / (marginals[slot, j] + offset[slot])
             delta = table.weights - before
             is_played = np.zeros((m, 6), bool)
             is_played[np.arange(m), played.indices] = True
@@ -249,7 +256,7 @@ class TestLearnerRuns:
             learner.propose()
             competing = adversary.draw(t)
             history.append(competing)
-            learner.observe([0], win_thresholds(competing.indices, None, 2)[None])
+            learner.observe([0], win_thresholds(competing.indices, 2)[None])
         reference = accumulate_weights(valuation, history, grid)
         assert np.allclose(learner.weights[0], reference.weights, atol=1e-9)
 

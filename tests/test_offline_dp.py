@@ -63,7 +63,7 @@ class TestAccumulateWeights:
             history = [CompetingBids(row, grid) for row in hist_idx]
             tie = TieBreak.BIDDER_WINS if rng.random() < 0.5 else TieBreak.BIDDER_LOSES
             slow = accumulate_weights(valuation, history, grid, tie)
-            thresholds = win_thresholds(hist_idx, None, m, tie)
+            thresholds = win_thresholds(hist_idx, m, tie)
             fast = accumulate_weights_history(valuation, thresholds, grid)
             assert np.allclose(slow.weights, fast.weights, atol=1e-12)
             assert np.array_equal(slow.allowed, fast.allowed)
@@ -73,7 +73,7 @@ class TestAccumulateWeights:
         valuation = random_valuation(rng, 3)
         rounds = 7
         hist = _random_history(rng, 3, 6, rounds)
-        table = accumulate_weights_history(valuation, win_thresholds(hist, None, 3), grid)
+        table = accumulate_weights_history(valuation, win_thresholds(hist, 3), grid)
         assert np.all(np.abs(table.weights[table.allowed]) <= rounds)
         assert np.all(table.weights[table.allowed] >= 0.0)  # IR cells never pay above value
 
@@ -180,7 +180,7 @@ class TestHindsightOptimal:
 
 def _best_capped(table, cap) -> float:
     best = NEG_INF
-    for idx in iter_monotone_indices(table.demand, table.grid.count):
+    for idx in iter_monotone_indices(*table.weights.shape):
         if idx[0] > cap:
             continue
         val = path_utility(table, idx)

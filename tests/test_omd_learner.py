@@ -31,7 +31,7 @@ from conftest import (
     random_q_member,
     sampler_law,
 )
-from oracles import settle
+from oracles import PooledBids, priority_thresholds, settle
 
 
 def uniform_successor_chain(allowed: np.ndarray):
@@ -108,7 +108,7 @@ class TestRounds:
             assert np.all(bidder.q[np.arange(2), bid.indices] > 0.0)
             out = settle(valuation, bid, adversary.draw(t))
             bidder.observe([out.allocation])
-            back = enumerated_marginals(sampler_law(bidder.q, grid), 2, 6)
+            back = enumerated_marginals(sampler_law(bidder.q), 2, 6)
             assert np.max(np.abs(back - bidder.q)) <= 1e-8
 
     def test_full_info_estimate_follows_the_settlement_tie_rule(self):
@@ -117,14 +117,14 @@ class TestRounds:
         valuation = ValuationProfile(np.array([1.0, 1.0]))
         bidder = OmdBidder(valuation, grid, 10, mode=FeedbackMode.FULL_INFO)
         bidder.propose()
-        competing = CompetingBids(np.array([2, 2]), grid, priorities=np.array([0, 0]))
+        competing = PooledBids(np.array([2, 2]), grid, priorities=np.array([0, 0]))
         for tie in TieBreak:
-            estimate = bidder.reward_estimate(0, win_thresholds(competing.indices,
-                                                                competing.priorities, 2, tie))
+            estimate = bidder.reward_estimate(0, priority_thresholds(competing.indices,
+                                                                     competing.priorities, 2, tie))
             for j in range(grid.count):
                 flat = settle(valuation, BidVector(np.full(2, j), grid), competing, tie)
                 assert estimate[:, j].sum() == pytest.approx(flat.utility), (tie, j)
-        losing_tie = bidder.reward_estimate(0, win_thresholds(
+        losing_tie = bidder.reward_estimate(0, priority_thresholds(
             competing.indices, competing.priorities, 2, TieBreak.BIDDER_LOSES))
         assert losing_tie[:, 2].tolist() == [0.0, 0.0]
 
@@ -162,7 +162,7 @@ class TestRounds:
                 assert np.all(bid.values <= valuation.values + 1e-12)
                 out = settle(valuation, bid, adversary.draw(t))
                 bidder.observe([out.allocation],
-                               win_thresholds(adversary.draw(t).indices, None, 2)[None]
+                               win_thresholds(adversary.draw(t).indices, 2)[None]
                                if mode is FeedbackMode.FULL_INFO else None)
                 assert np.all(bidder.q[~bidder.allowed] == 0.0)
 
@@ -189,11 +189,11 @@ class TestRounds:
         assert str(excinfo.value) == (
             "projection in round 2 stopped at gap 1.000e+00 after 777 sweeps (tol 1.0e-08)")
         assert (excinfo.value.sweeps, excinfo.value.gap) == (777, 1.0)
-        assert excinfo.value.best.probs.shape == (2, 5)
+        assert excinfo.value.best.shape == (2, 5)
         copy = pickle.loads(pickle.dumps(excinfo.value))
         assert type(copy) is ProjectionError and str(copy) == str(excinfo.value)
         assert (copy.sweeps, copy.gap) == (777, 1.0)
-        assert copy.best.probs.tobytes() == excinfo.value.best.probs.tobytes()
+        assert copy.best.tobytes() == excinfo.value.best.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_step_raises_instead_of_returning_nan(self):
@@ -248,7 +248,7 @@ class TestLinearLossIdentity:
         draws = 200_000
         total = 0.0
         for _ in range(draws):
-            bid = sample_from_marginals(q, rng, grid)
+            bid = BidVector(sample_from_marginals(q, rng), grid)
             total += settle(valuation, bid, competing).utility
         mc = total / draws
         sigma = 3.0 / math.sqrt(draws)  # utilities bounded by 3

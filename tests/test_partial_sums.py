@@ -13,12 +13,8 @@ from pabid import (
     LearnerConfig,
     ValuationProfile,
     _kernels,
-    bandit_update,
-    compute_partial_sums,
     make_even_grid,
     run_experiment,
-    sample_bid,
-    slot_marginals,
     validate_scenario,
 )
 from pabid._kernels import (
@@ -36,12 +32,13 @@ from pabid.hindsight import NodeWeightTable
 from pabid.scenario import build_market
 
 from conftest import (
+    draw_bid,
     enumerated_marginals,
     feasible_vectors,
     random_weight_table,
     softmax_path_law,
 )
-from oracles import check_ir, monotone_vector_count, path_log_probability
+from oracles import bandit_step, check_ir, monotone_vector_count, path_log_probability
 
 # chi-square 99th percentiles by degrees of freedom (frozen, no scipy needed)
 CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086, 6: 16.812,
@@ -152,7 +149,7 @@ def loop_log_sample_monotone(log_sums, uniforms):
 def kernel_parity_cases():
     """(weights, allowed, eta): random, random-masked, IR-masked, M = 1, D = 2,
     single feasible cell and 5e5-weight inputs. Cell 0 is feasible in every
-    row, as `compute_partial_sums` requires."""
+    row, as individual rationality makes it."""
     rng = np.random.default_rng(2024)
     cases = []
     for _ in range(20):
@@ -201,6 +198,11 @@ def wide_table(weights, allowed):
     return NodeWeightTable(weights.copy(), allowed, make_even_grid(d), ValuationProfile(np.ones(m)))
 
 
+def log_tables(table, eta):
+    """(log tail sums, log prefix table) of one agent's weight table."""
+    return ew_tail_sums(table.weights, table.allowed, eta)
+
+
 def zero_table(demand, grid_size):
     grid = make_even_grid(grid_size)
     valuation = ValuationProfile(np.ones(demand))
@@ -215,34 +217,34 @@ def zero_table(demand, grid_size):
 class TestPartialSums:
     def test_zero_weights_count_monotone_tails(self):
         table = zero_table(2, 3)
-        partial = compute_partial_sums(table, eta=0.7)
+        log_sums, _ = log_tables(table, eta=0.7)
         # S_1 summed over the first layer counts all monotone vectors: C(4, 2) = 6
-        total = np.exp(partial.log_sums[0]).sum()
+        total = np.exp(log_sums[0]).sum()
         assert total == pytest.approx(6.0)
         assert monotone_vector_count(2, 3) == 6
         # S_m(b) counts monotone tails from (m, b): bottom layer is all ones
-        assert np.exp(partial.log_sums[1]).tolist() == pytest.approx([1.0, 1.0, 1.0])
-        assert np.exp(partial.log_sums[0]).tolist() == pytest.approx([1.0, 2.0, 3.0])
+        assert np.exp(log_sums[1]).tolist() == pytest.approx([1.0, 1.0, 1.0])
+        assert np.exp(log_sums[0]).tolist() == pytest.approx([1.0, 2.0, 3.0])
 
     def test_single_unit_reduces_to_exponentiated_weights(self, rng):
         table = random_weight_table(rng, 1, 6)
-        partial = compute_partial_sums(table, eta=0.9)
+        log_sums, _ = log_tables(table, eta=0.9)
         expect = np.where(table.allowed[0], 0.9 * table.weights[0], -np.inf)
-        assert np.allclose(partial.log_sums[0], expect)
+        assert np.allclose(log_sums[0], expect)
 
     def test_eta_zero_ignores_weights(self, rng):
         table = random_weight_table(rng, 3, 4)
-        with_weights = compute_partial_sums(table, eta=0.0)
+        with_weights, _ = log_tables(table, eta=0.0)
         zeros = NodeWeightTable(np.zeros_like(table.weights), table.allowed,
                                 table.grid, table.valuation)
-        without = compute_partial_sums(zeros, eta=1.0)
-        assert np.allclose(with_weights.log_sums, without.log_sums, atol=1e-12)
+        without, _ = log_tables(zeros, eta=1.0)
+        assert np.allclose(with_weights, without, atol=1e-12)
 
     def test_large_weights_stay_finite(self):
         table = zero_table(3, 5)
         table.weights[...] = 5e5  # eta * W ~ 5e5: must not overflow in logs
-        partial = compute_partial_sums(table, eta=1.0)
-        assert np.all(np.isfinite(partial.log_sums[table.allowed]))
+        log_sums, _ = log_tables(table, eta=1.0)
+        assert np.all(np.isfinite(log_sums[table.allowed]))
 
 
 class TestSamplerLaw:
@@ -252,19 +254,19 @@ class TestSamplerLaw:
             grid_size = int(rng.integers(2, 6))
             eta = float(rng.choice([0.1, 1.0]))
             table = random_weight_table(rng, demand, grid_size)
-            partial = compute_partial_sums(table, eta)
+            log_sums, log_prefix = log_tables(table, eta)
             law = softmax_path_law(table, eta)
             for idx, expected in law.items():
-                got = math.exp(path_log_probability(partial, idx))
+                got = math.exp(path_log_probability(log_sums, log_prefix, idx))
                 assert got == pytest.approx(expected, rel=1e-9)
 
     def test_uniform_law_chi_square(self, rng):
         table = zero_table(2, 3)
-        partial = compute_partial_sums(table, eta=1.0)
+        _, log_prefix = log_tables(table, eta=1.0)
         draws = 60_000
         counts: dict = {}
         for _ in range(draws):
-            bid = sample_bid(partial, rng)
+            bid = draw_bid(log_prefix, rng, table.grid)
             key = tuple(bid.indices.tolist())
             counts[key] = counts.get(key, 0) + 1
         vectors = feasible_vectors(table)
@@ -276,31 +278,31 @@ class TestSamplerLaw:
     def test_dominant_cell_attracts_the_path(self, rng):
         table = zero_table(2, 4)
         table.weights[1, 2] = 40.0  # overwhelming at eta = 1
-        partial = compute_partial_sums(table, eta=1.0)
+        _, log_prefix = log_tables(table, eta=1.0)
         hits = sum(
-            int(sample_bid(partial, rng).indices[1] == 2) for _ in range(2000)
+            int(draw_bid(log_prefix, rng, table.grid).indices[1] == 2) for _ in range(2000)
         )
         assert hits > 1980
 
     def test_single_unit_matches_softmax_in_total_variation(self, rng):
         table = random_weight_table(rng, 1, 5, magnitude=2.0)
-        partial = compute_partial_sums(table, eta=1.0)
+        _, log_prefix = log_tables(table, eta=1.0)
         logits = np.where(table.allowed[0], table.weights[0], -np.inf)
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         draws = 100_000
         counts = np.zeros(5)
         for _ in range(draws):
-            counts[sample_bid(partial, rng).indices[0]] += 1
+            counts[draw_bid(log_prefix, rng, table.grid).indices[0]] += 1
         tv = 0.5 * np.abs(counts / draws - probs).sum()
         assert tv < 0.01
 
     def test_sampled_bids_respect_ir(self, rng):
         for _ in range(20):
             table = random_weight_table(rng, 3, 6)
-            partial = compute_partial_sums(table, eta=0.5)
+            _, log_prefix = log_tables(table, eta=0.5)
             for _ in range(50):
-                bid = sample_bid(partial, rng)
+                bid = draw_bid(log_prefix, rng, table.grid)
                 check_ir(bid, table.valuation)
 
 
@@ -308,14 +310,13 @@ class TestSlotMarginals:
     def test_two_layer_uniform_example(self):
         # grid {0, 1}: monotone vectors (1,1), (1,0), (0,0) uniform
         table = zero_table(2, 2)
-        q = slot_marginals(compute_partial_sums(table, eta=1.0)).probs
+        q = ew_marginals(log_tables(table, eta=1.0)[0])
         assert q[0].tolist() == pytest.approx([1 / 3, 2 / 3])
         assert q[1].tolist() == pytest.approx([2 / 3, 1 / 3])
 
     def test_single_unit_is_softmax(self, rng):
         table = random_weight_table(rng, 1, 6)
-        partial = compute_partial_sums(table, eta=0.8)
-        q = slot_marginals(partial).probs
+        q = ew_marginals(log_tables(table, eta=0.8)[0])
         logits = np.where(table.allowed[0], 0.8 * table.weights[0], -np.inf)
         probs = np.exp(logits - logits[np.isfinite(logits)].max())
         probs[~np.isfinite(logits)] = 0.0
@@ -328,21 +329,20 @@ class TestSlotMarginals:
             grid_size = int(rng.integers(2, 6))
             eta = float(rng.choice([0.1, 1.0]))
             table = random_weight_table(rng, demand, grid_size)
-            partial = compute_partial_sums(table, eta)
             law = softmax_path_law(table, eta)
             expected = enumerated_marginals(law, demand, grid_size)
-            got = slot_marginals(partial).probs
+            got = ew_marginals(log_tables(table, eta)[0])
             assert np.allclose(got, expected, atol=1e-9, rtol=1e-9)
 
     def test_rows_are_probability_vectors(self, rng):
         table = random_weight_table(rng, 4, 7)
-        q = slot_marginals(compute_partial_sums(table, 0.3)).probs
+        q = ew_marginals(log_tables(table, 0.3)[0])
         assert np.allclose(q.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(q >= 0.0)
 
     def test_row_spanning_more_than_exp_range(self):
         table = wide_table(EXP_RANGE_WEIGHTS, np.ones((2, 4), bool))
-        q = slot_marginals(compute_partial_sums(table, eta=1.0)).probs
+        q = ew_marginals(log_tables(table, eta=1.0)[0])
         assert q[0].tolist() == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-15)
         assert q[1].tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.0], abs=1e-15)
 
@@ -350,21 +350,21 @@ class TestSlotMarginals:
         for weights, allowed, eta in wide_spread_cases():
             table = wide_table(weights, allowed)
             law = softmax_path_law(table, eta)
-            expected = enumerated_marginals(law, table.demand, table.grid.count)
-            got = slot_marginals(compute_partial_sums(table, eta)).probs
+            expected = enumerated_marginals(law, *table.weights.shape)
+            got = ew_marginals(log_tables(table, eta)[0])
             assert np.allclose(got, expected, atol=1e-9, rtol=1e-9)
         prefers_one = wide_table(*wide_spread_cases()[1][:2])
-        q = slot_marginals(compute_partial_sums(prefers_one, 1.0)).probs
+        q = ew_marginals(log_tables(prefers_one, 1.0)[0])
         assert q[1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_wide_spread_bandit_update_stays_finite(self, rng):
         cases = [(EXP_RANGE_WEIGHTS, np.ones((2, 4), bool), 1.0)] + wide_spread_cases()
         for weights, allowed, eta in cases:
             table = wide_table(weights, allowed)
-            partial = compute_partial_sums(table, eta)
-            marginals = slot_marginals(partial)
-            for allocation in range(table.demand + 1):
-                bandit_update(table, marginals, sample_bid(partial, rng), allocation)
+            log_sums, log_prefix = log_tables(table, eta)
+            marginals = ew_marginals(log_sums)
+            for allocation in range(table.valuation.demand + 1):
+                bandit_step(table, marginals, draw_bid(log_prefix, rng, table.grid), allocation)
                 assert np.all(np.isfinite(table.weights))
 
 

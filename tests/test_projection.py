@@ -13,13 +13,17 @@ from pabid import (
     ix_gamma_schedule,
     make_even_grid,
     omd_eta_schedule,
-    project_to_Q,
     q_membership,
     unconstrained_step,
 )
 from pabid import _kernels
 from pabid._kernels import apply_slot_rewards, project_dual_ascent, slot_rewards
-from pabid.mirror_descent import DEFAULT_MAX_SWEEPS, DEFAULT_PROJECTION_TOL, MAX_PLAIN_EXPONENT
+from pabid.mirror_descent import (
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_PROJECTION_TOL,
+    MAX_PLAIN_EXPONENT,
+    _project,
+)
 
 from conftest import random_q_member
 from oracles import sweep_dual_ascent, unnormalized_kl
@@ -131,42 +135,49 @@ def best_on_grid_d2(raw: np.ndarray, step: float = 1e-3):
     return float(value[i, j]), best
 
 
+def project(raw, allowed=None, tol=DEFAULT_PROJECTION_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):
+    """`OmdBidder`'s certified projection of `raw` and the kernel's gap there."""
+    allowed = np.ones(raw.shape, bool) if allowed is None else allowed
+    q = _project(raw, allowed, tol, max_sweeps, "projection")
+    return q, project_dual_ascent(raw, allowed, tol, max_sweeps)[4]
+
+
 class TestProjectToQ:
     def test_member_is_fixed_point(self, rng):
         for _ in range(20):
             q = random_q_member(rng, 3, 5)
-            result = project_to_Q(q.copy())
-            assert np.allclose(result.measure.probs, q, atol=1e-12)
-            assert result.gap <= 1e-8
+            projected, gap = project(q.copy())
+            assert np.allclose(projected, q, atol=1e-12)
+            assert gap <= 1e-8
 
     def test_single_layer_is_normalization(self, rng):
         raw = rng.uniform(0.2, 2.0, size=(1, 6))
-        result = project_to_Q(raw)
-        assert np.allclose(result.measure.probs, raw / raw.sum(), atol=1e-12)
+        projected, _ = project(raw)
+        assert np.allclose(projected, raw / raw.sum(), atol=1e-12)
 
     def test_output_is_member_and_kkt_certified(self, rng):
         for _ in range(50):
             m = int(rng.integers(1, 5))
             d = int(rng.integers(2, 8))
             raw = rng.uniform(0.01, 2.0, size=(m, d))
-            result = project_to_Q(raw, tol=1e-10)
-            assert result.gap <= 1e-10
-            assert q_membership(result.measure.probs, tol=1e-8) == []
+            projected, gap = project(raw, tol=1e-10)
+            assert gap <= 1e-10
+            assert q_membership(projected, tol=1e-8) == []
 
     def test_matches_exhaustive_grid_search_d2(self, rng):
         for _ in range(10):
             raw = rng.uniform(0.05, 2.0, size=(2, 2))
-            result = project_to_Q(raw, tol=1e-12)
-            mine = unnormalized_kl(result.measure.probs, raw)
+            projected, _ = project(raw, tol=1e-12)
+            mine = unnormalized_kl(projected, raw)
             best_value, best = best_on_grid_d2(raw, 1e-3)
             assert mine <= best_value + 1e-9
-            assert np.max(np.abs(result.measure.probs - best)) <= 5e-3
+            assert np.max(np.abs(projected - best)) <= 5e-3
 
     def test_beats_random_feasible_points(self, rng):
         for _ in range(10):
             raw = rng.uniform(0.02, 1.5, size=(3, 5))
-            result = project_to_Q(raw, tol=1e-11)
-            mine = unnormalized_kl(result.measure.probs, raw)
+            projected, _ = project(raw, tol=1e-11)
+            mine = unnormalized_kl(projected, raw)
             for _ in range(300):
                 other = random_q_member(rng, 3, 5)
                 assert unnormalized_kl(other, raw) >= mine - 1e-9
@@ -177,19 +188,15 @@ class TestProjectToQ:
             [True, True, False, False],
         ])
         raw = rng.uniform(0.1, 1.0, size=(2, 4))
-        result = project_to_Q(raw, allowed=allowed)
-        assert np.all(result.measure.probs[~allowed] == 0.0)
-        assert q_membership(result.measure.probs, tol=1e-8) == []
-
-    def test_rejects_nonpositive_input(self):
-        with pytest.raises(ValueError):
-            project_to_Q(np.array([[0.0, 1.0], [0.5, 0.5]]))
+        projected, _ = project(raw, allowed=allowed)
+        assert np.all(projected[~allowed] == 0.0)
+        assert q_membership(projected, tol=1e-8) == []
 
     def test_nonconvergence_carries_best_iterate(self):
         raw = np.array([[0.9, 0.1], [0.1, 0.9]])
         with pytest.raises(ProjectionError) as excinfo:
-            project_to_Q(raw, tol=1e-12, max_sweeps=1)
-        assert excinfo.value.best.probs.shape == raw.shape
+            project(raw, tol=1e-12, max_sweeps=1)
+        assert excinfo.value.best.shape == raw.shape
         assert excinfo.value.gap > 1e-12
         assert excinfo.value.sweeps == 1
         assert str(excinfo.value) == (
@@ -228,9 +235,9 @@ class TestExactOptimum:
             # reversed row trends make the dominance constraints bind
             raw = rng.uniform(0.05, 2.0, size=(m_units, d)) * np.linspace(0.2, 2.0, d)
             raw[1:] = raw[1:, ::-1]
-            result = project_to_Q(raw, tol=1e-11)
-            mine = unnormalized_kl(result.measure.probs, raw)
-            assert q_membership(result.measure.probs, tol=1e-8) == []
+            projected, _ = project(raw, tol=1e-11)
+            mine = unnormalized_kl(projected, raw)
+            assert q_membership(projected, tol=1e-8) == []
 
             flat_raw = raw.ravel()
 

@@ -53,7 +53,7 @@ class TestPolicyRoundTrip:
             demand = int(rng.integers(1, 5))
             grid_size = int(rng.integers(2, 9))
             q = random_q_member(rng, demand, grid_size)
-            law = sampler_law(q, make_even_grid(grid_size))
+            law = sampler_law(q)
             back = enumerated_marginals(law, demand, grid_size)
             assert np.max(np.abs(back - q)) <= 1e-12
 
@@ -61,34 +61,30 @@ class TestPolicyRoundTrip:
 class TestInducedMarginals:
     def test_monte_carlo_marginals_match_q(self, rng):
         for demand, grid_size in ((3, 4), (2, 6), (4, 3), (1, 5)):
-            grid = make_even_grid(grid_size)
             q = random_q_member(rng, demand, grid_size)
             draws = 50_000
             counts = np.zeros((demand, grid_size))
             for _ in range(draws):
-                bid = sample_from_marginals(q, rng, grid)
-                counts[np.arange(demand), bid.indices] += 1
+                counts[np.arange(demand), sample_from_marginals(q, rng)] += 1
             freq = counts / draws
             sigma = np.sqrt(np.maximum(q * (1 - q), 1e-12) / draws)
             assert np.all(np.abs(freq - q) <= 3 * sigma + 5e-4), (demand, grid_size)
 
     def test_deterministic_chain(self):
-        grid = make_even_grid(3)
         q = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         for u in (0.0, 0.3, LAST_UNIFORM):
-            assert sample_from_marginals(q, FixedUniform(u), grid).indices.tolist() == [2, 1]
+            assert sample_from_marginals(q, FixedUniform(u)).tolist() == [2, 1]
 
     def test_sampled_vectors_are_monotone(self, rng):
-        grid = make_even_grid(5)
         q = random_q_member(rng, 4, 5)
         for _ in range(200):
-            bid = sample_from_marginals(q, rng, grid)
-            assert np.all(np.diff(bid.indices) <= 0)
+            bid = sample_from_marginals(q, rng)
+            assert np.all(np.diff(bid) <= 0)
         # dominance met only to a 1e-9 slack: slot 1 alone would move up for
         # uniforms inside the slack, and the running minimum holds it down
         slack = np.array([[0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]])
-        bid = sample_from_marginals(slack, FixedUniform(0.5 + 5e-10), make_even_grid(2))
-        assert bid.indices.tolist() == [0, 0]
+        bid = sample_from_marginals(slack, FixedUniform(0.5 + 5e-10))
+        assert bid.tolist() == [0, 0]
 
     def test_draws_avoid_zero_mass_and_ir_masked_cells(self):
         grid = make_even_grid(8)
@@ -106,20 +102,19 @@ class TestInducedMarginals:
                                   [0.0, 0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0],
                                   [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
         for q in measures:
-            law = sampler_law(q, grid)
-            extremes = [sample_from_marginals(q, FixedUniform(u), grid) for u in (0.0, LAST_UNIFORM)]
-            for indices in list(law) + [tuple(b.indices) for b in extremes]:
+            law = sampler_law(q)
+            extremes = [sample_from_marginals(q, FixedUniform(u)) for u in (0.0, LAST_UNIFORM)]
+            for indices in list(law) + [tuple(b) for b in extremes]:
                 cells = (np.arange(3), np.array(indices))
                 assert np.all(q[cells] > 0.0) and np.all(bidder.allowed[cells]), indices
         # the extreme uniforms reach the first and last cells of positive mass
-        assert [b.indices.tolist() for b in extremes] == [[1, 1, 1], [3, 2, 1]]
+        assert [b.tolist() for b in extremes] == [[1, 1, 1], [3, 2, 1]]
 
     def test_same_seed_same_draws_one_uniform_each(self, rng):
-        grid = make_even_grid(6)
         q = random_q_member(rng, 4, 6)
         first, second = np.random.default_rng(11), np.random.default_rng(11)
-        a = [sample_from_marginals(q, first, grid).indices.tolist() for _ in range(100)]
-        b = [sample_from_marginals(q, second, grid).indices.tolist() for _ in range(100)]
+        a = [sample_from_marginals(q, first).tolist() for _ in range(100)]
+        b = [sample_from_marginals(q, second).tolist() for _ in range(100)]
         assert a == b
         reference = np.random.default_rng(11)
         reference.random(100)
@@ -132,9 +127,8 @@ class TestSamplerMatchesCountRule:
     EXTREMES = (0.0, np.nextafter(1.0, 0.0))
 
     def assert_same_picks(self, q, uniforms):
-        grid = make_even_grid(q.shape[1])
         for u in (*self.EXTREMES, *uniforms):
-            got = sample_from_marginals(q, FixedUniform(u), grid).indices
+            got = sample_from_marginals(q, FixedUniform(u))
             assert np.array_equal(got, count_rule_indices(q, u)), (q, u)
 
     def test_random_members(self, rng):

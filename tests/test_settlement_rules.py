@@ -12,17 +12,18 @@ from pabid import (
     accumulate_weights_history,
     make_even_grid,
     market_metrics,
-    win_thresholds,
 )
 from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, SelfPlayMarket
 
 from oracles import (
+    PooledBids,
     accumulate_weights,
     allocate,
     competing_bids,
     loop_competing_history,
     loop_market_metrics,
     loop_round,
+    priority_thresholds,
     settle,
     win_mask,
     win_matrix,
@@ -166,8 +167,8 @@ def settlements(draw):
         # pooled entries come sorted by (index, priority)
         entries = sorted(draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(-2, 3)),
                                        min_size=supply, max_size=supply)))
-        competing = CompetingBids(np.array([e[0] for e in entries]), grid,
-                                  np.array([e[1] for e in entries]))
+        competing = PooledBids(np.array([e[0] for e in entries]), grid,
+                               np.array([e[1] for e in entries]))
     else:
         competing = CompetingBids(sorted_rows(draw, 1, supply, d, False)[0], grid)
     tie = draw(st.sampled_from(list(TieBreak)))
@@ -180,7 +181,7 @@ class TestWinRule:
     @given(settlements())
     def test_settle_and_win_matrix_match_win_mask(self, case):
         grid, bid, competing, tie, bidder_priority = case
-        m = bid.demand
+        m = bid.indices.size
         outcome = settle(ValuationProfile(np.ones(m)), bid, competing, tie, bidder_priority)
         assert outcome.allocation == allocate(bid, competing, tie, bidder_priority)
         wins = win_matrix(competing, m, tie, bidder_priority)
@@ -198,9 +199,9 @@ class TestWinRule:
     def test_rival_at_top_index_that_wins_the_tie_blocks_every_bid(
             self, tie, priorities, bidder_priority):
         grid = make_even_grid(5)
-        competing = CompetingBids(np.array([4]), grid, priorities)
-        assert win_thresholds(competing.indices, competing.priorities, 1, tie,
-                              bidder_priority).tolist() == [grid.count]
+        competing = PooledBids(np.array([4]), grid, priorities)
+        assert priority_thresholds(competing.indices, competing.priorities, 1, tie,
+                                   bidder_priority).tolist() == [grid.count]
         assert not win_matrix(competing, 1, tie, bidder_priority).any()
         top = BidVector(np.array([4]), grid)
         assert settle(ValuationProfile(np.ones(1)), top, competing, tie,
@@ -233,10 +234,11 @@ class TestWeightHistory:
     @given(histories())
     def test_history_table_equals_per_round_table_bit_for_bit(self, case):
         grid, valuation, comp_idx, comp_pri, tie, bidder_priority = case
-        history = [CompetingBids(row, grid, None if comp_pri is None else comp_pri[t])
+        history = [PooledBids(row, grid, None if comp_pri is None else comp_pri[t])
                    for t, row in enumerate(comp_idx)]
         loop = accumulate_weights(valuation, history, grid, tie, bidder_priority)
-        thresholds = win_thresholds(comp_idx, comp_pri, valuation.demand, tie, bidder_priority)
+        thresholds = priority_thresholds(comp_idx, comp_pri, valuation.demand, tie,
+                                         bidder_priority)
         fast = accumulate_weights_history(valuation, thresholds, grid)
         assert fast.weights.tobytes() == loop.weights.tobytes()
         assert fast.allowed.tolist() == loop.allowed.tolist()

@@ -148,7 +148,7 @@ class TestRegretReport:
                 bid = BidVector(vectors[rng.integers(0, len(vectors))], grid)
                 realized += settle(valuation, bid, competing).utility
             best = hindsight_optimal(
-                accumulate_weights_history(valuation, win_thresholds(hist, None, 2), grid))
+                accumulate_weights_history(valuation, win_thresholds(hist, 2), grid))
             margins.append(best.total_utility - realized)
         mean = float(np.mean(margins))
         se = float(np.std(margins, ddof=1) / math.sqrt(len(margins)))
