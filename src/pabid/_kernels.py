@@ -8,7 +8,9 @@ Kernels:
   * project_dual_ascent: unnormalized-KL projection onto the dominance
     polytope by cyclic coordinate ascent on the Lagrange dual, O(M*D) per
     sweep, certified by the max of layer-sum error, dominance violation and
-    complementary-slackness residual; a step inside it costs one prefix table.
+    complementary-slackness residual. Until a pair moves, a sweep costs one
+    prefix table and its row maxima, which name the idle pairs and give the
+    certificate.
   * ew_tail_sums / sample_monotone: decoupled exponential weights. One
     backward pass yields the tail sums and their running prefix sums; the
     prefix sums are the sampler's normalizers, so sampling is one bisection
@@ -74,11 +76,14 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     multiplied, once per pair, by exp(sum_{j >= k} delta_j) and the shallow
     row divided by it. A constraint with lambda = 0 and P <= A is skipped,
     since its clipped update is exactly zero. Until a pair first moves (lambda
-    is all zero), one prefix table of the normalized rows gives every P - A:
-    idle pairs (no positive or NaN difference) ahead of the first busy one are
-    skipped, and a sweep where none moves reads its certificate off the table,
-    exactly, as the passes' running sums and backward prefixes / 1.0 are the
-    table's sums bit for bit. Once a pair has moved, sweeps visit every pair.
+    is all zero), one prefix table of the normalized rows gives every P - A,
+    and one row maximum per layer pair serves twice: idle pairs (maximum <= 0,
+    so no positive or NaN difference) ahead of the first busy one are skipped,
+    and a sweep where none moves takes the largest maximum as its dominance
+    violation. That certificate is exact, as the passes' running sums and
+    backward prefixes / 1.0 are the table's sums bit for bit, and it is read
+    as Python floats: the <= M row-sum errors and the maxima, NaN kept as
+    numpy's max keeps it. Once a pair has moved, sweeps visit every pair.
 
     The certificate `gap` is the max of the row-sum error, the dominance
     violation and the complementary-slackness residual |lambda (A - P)|.
@@ -98,12 +103,16 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
         forward = sweep % 2 == 0
         pairs = range(m_units - 1) if forward else range(m_units - 2, -1, -1)
         if fresh:
-            excess = _dominance_excess(q)
-            idle = (excess <= 0.0).all(axis=1).tolist()  # NaN counts as busy
+            tops = _dominance_excess(q).max(axis=1, initial=_NEG_INF).tolist()
+            idle = [top <= 0.0 for top in tops]  # NaN counts as busy
             pairs = itertools.dropwhile(idle.__getitem__, pairs)
         for m in pairs:
             fresh = not _balance_pair(q, lam, m, forward) and fresh
-        gap = _kkt_gap(q, excess) if fresh else _kkt_gap(q, _dominance_excess(q), lam)
+        if fresh:  # q is the table's: lambda is zero, so the gap is the larger of two maxima
+            errors = [abs(total - 1.0) for total in q.sum(axis=1).tolist()]
+            gap = max(_nan_max(errors), _nan_max(tops))
+        else:
+            gap = _kkt_gap(q, _dominance_excess(q), lam)
         if not gap > tol:  # converged, or a NaN gap: more sweeps cannot help
             return q, lam, nu, sweep + 1, gap
     return q, lam, nu, max_sweeps, gap
@@ -173,14 +182,17 @@ def _dominance_excess(q):
     return prefix[:-1] - prefix[1:]
 
 
-def _kkt_gap(q, excess, lam=None):
-    """Max of row-sum error, excess and |lambda (A - P)|, which is 0 without `lam`."""
+def _kkt_gap(q, excess, lam):
+    """Max of row-sum error, excess and |lambda (A - P)|."""
     gap = float(abs(q.sum(axis=1) - 1.0).max())
     if excess.size:
-        gap = max(gap, float(excess.max()))
-        if lam is not None:
-            gap = max(gap, float(abs(lam * excess).max()))
+        gap = max(gap, float(excess.max()), float(abs(lam * excess).max()))
     return gap
+
+
+def _nan_max(values):
+    """numpy's max of a list of floats: NaN when one is NaN, -inf when it is empty."""
+    return math.nan if any(map(math.isnan, values)) else max(values, default=_NEG_INF)
 
 
 def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False):

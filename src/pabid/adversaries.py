@@ -3,6 +3,11 @@
 Three kinds ship with the library: i.i.d. stochastic distributions over a
 finite support, the two-point family used to exhibit the sqrt(T) learning
 barrier, and self-play markets where every rival is itself a learner.
+
+The stochastic environments are oblivious: the bids of round t are a pure
+function of (seed, t). `SelfPlayMarket.play` therefore reads them a block
+of rounds at a time (`StochasticAdversary.draws`), as one (rounds, supply)
+array of grid indices; `draw(t)` gives one round as `CompetingBids`.
 """
 from __future__ import annotations
 
@@ -23,7 +28,8 @@ class StochasticAdversary:
 
     `draw(t)` is a pure function of (seed, t): draws are generated in fixed
     chunks keyed by (seed, chunk index), so any round can be queried in any
-    order with identical results.
+    order with identical results. `draws(t0, t1)` reads rounds t0..t1-1 from
+    the same chunks at once.
     """
 
     def __init__(self, support: Sequence[CompetingBids], probabilities: Sequence[float], seed: int = 0):
@@ -39,6 +45,7 @@ class StochasticAdversary:
         self.probabilities = probs
         self.seed = seed
         self._cum = np.cumsum(probs)
+        self._indices = np.stack([c.indices for c in self.support])  # (S, supply)
         self._chunks: dict[int, np.ndarray] = {}
 
     @property
@@ -61,6 +68,15 @@ class StochasticAdversary:
 
     def draw(self, t: int) -> CompetingBids:
         return self.support[self.pick(t)]
+
+    def draws(self, t0: int, t1: int) -> np.ndarray:
+        """Grid indices of the bids of rounds t0..t1-1: a (t1 - t0, supply) int64 block.
+
+        Row i is `draw(t0 + i).indices`; an empty range gives no rows.
+        """
+        chunks = range(t0 // _CHUNK, (t1 - 1) // _CHUNK + 1) if t1 > t0 else ()
+        picks = [self._chunk(c)[max(t0 - c * _CHUNK, 0):t1 - c * _CHUNK] for c in chunks]
+        return self._indices[np.concatenate(picks) if picks else []]
 
 
 @dataclass(frozen=True)

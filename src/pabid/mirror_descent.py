@@ -181,6 +181,10 @@ class OmdBidder:
         for m in range(1, valuation.demand):
             spread = self.q[m - 1] / np.cumsum(feasible[m])
             self.q[m] = feasible[m] * np.cumsum(spread[::-1])[::-1]
+        self._slots = np.arange(valuation.demand)
+        self._values = valuation.values.tolist()
+        self._bid_values = grid.values.tolist()
+        self._offsets = self.gamma.tolist()
         self._pending: Optional[np.ndarray] = None
         self.rounds = 0  # rounds observed so far; the next observe is this round index
 
@@ -195,30 +199,59 @@ class OmdBidder:
 
         Under full information, the realized slot rewards: v_m - B_j on every
         feasible cell at or above slot m's win threshold. Under bandit
-        feedback only the played cells are nonzero: the realized slot reward
-        over max(q, Q_FLOOR) + gamma. Extra arguments (the former tie rule and
-        bidder priority) are ignored.
+        feedback only the played cells are nonzero (`_played_cells`). Extra
+        arguments (the former tie rule and bidder priority) are ignored.
         """
-        v = self.valuation.values
         est = np.zeros(self.q.shape)
         if self.mode is FeedbackMode.FULL_INFO:
             if thresholds is None:
                 raise ValueError("full-information feedback requires the win thresholds")
             _kernels.apply_slot_rewards(est, self._rewards, np.asarray(thresholds))
             return est
-        slots = np.arange(self.q.shape[0])
-        j = self._pending
-        w = np.where(slots < allocation, v - self.grid.values[j], 0.0)
-        est[slots, j] = w / (np.maximum(self.q[slots, j], Q_FLOOR) + self.gamma)
+        est[self._slots, self._pending] = self._played_cells(allocation)[1]
         return est
+
+    def _played_cells(self, allocation: int) -> tuple[list, list]:
+        """q at the M played cells and their bandit estimates, as Python floats.
+
+        A won slot's estimate is its realized reward v_m - B_j over
+        max(q, Q_FLOOR) + gamma, a lost slot's is 0; Python's float arithmetic
+        gives the bits numpy's elementwise arithmetic would.
+        """
+        played = self.q[self._slots, self._pending].tolist()
+        estimates = [(value - self._bid_values[j] if m < allocation else 0.0)
+                     / (max(q, Q_FLOOR) + gamma)
+                     for m, (value, j, q, gamma) in enumerate(
+                         zip(self._values, self._pending.tolist(), played, self._offsets))]
+        return played, estimates
 
     def observe(self, allocations, thresholds=None) -> None:
         """Take this agent's allocation and, under full information, its thresholds."""
         if self._pending is None:
             raise RuntimeError("observe called before propose")
-        est = self.reward_estimate(allocations[0], None if thresholds is None else thresholds[0])
-        q_tilde = unconstrained_step(self.q, est, self.eta)
+        if self.wants_full_info:
+            est = self.reward_estimate(allocations[0], None if thresholds is None else thresholds[0])
+            q_tilde = unconstrained_step(self.q, est, self.eta)
+        else:
+            q_tilde = self._bandit_step(allocations[0])
         self.q = _project(q_tilde, self.allowed, DEFAULT_PROJECTION_TOL, DEFAULT_MAX_SWEEPS,
                           f"projection in round {self.rounds}")
         self._pending = None
         self.rounds += 1
+
+    def _bandit_step(self, allocation: int) -> np.ndarray:
+        """`unconstrained_step` on the bandit estimate, exponentiating the M played cells only.
+
+        Every other cell has estimate 0, so its factor is exp(0) = 1 exactly:
+        multiplying the played cells of a copy of q gives the dense step's
+        bits, as the exponents go through the same `np.exp`. A step that
+        needs the shift (or meets a NaN) is the dense one.
+        """
+        played, estimates = self._played_cells(allocation)
+        exponents = [self.eta * est for est in estimates]
+        if not all(x <= MAX_PLAIN_EXPONENT for x in exponents):
+            return unconstrained_step(self.q, self.reward_estimate(allocation, None), self.eta)
+        q_tilde = self.q.copy()
+        q_tilde[self._slots, self._pending] = [
+            q * factor for q, factor in zip(played, np.exp(exponents).tolist())]
+        return q_tilde

@@ -19,9 +19,9 @@ import numpy as np
 
 from .adversaries import StochasticAdversary, lower_bound_instance
 from .auction import CompetingBids, ValuationProfile
-from .exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig
+from .exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig, estimator_offsets
 from .grids import make_even_grid
-from .mirror_descent import OmdBidder
+from .mirror_descent import Q_FLOOR, OmdBidder
 from .simulator import SelfPlayMarket
 
 _FEEDBACK = {
@@ -160,8 +160,7 @@ def validate_scenario(document: dict) -> Scenario:
             problems.append(f"{prefix}.valuation: demand {demand} exceeds supply {supply}")
         eta, gamma = raw.get("eta"), raw.get("gamma")
         for rate, value in (("eta", eta), ("gamma", gamma)):
-            # the upper bound also turns away ints too large for a float
-            if value is not None and not (_is_number(value) and 0 < value <= sys.float_info.max):
+            if value is not None and not _is_rate(value):
                 problems.append(f"{prefix}.{rate}: must be a positive finite number")
         if gamma is not None and feedback != "bandit_ix":
             problems.append(f"{prefix}.gamma: only valid with bandit_ix feedback")
@@ -173,6 +172,18 @@ def validate_scenario(document: dict) -> Scenario:
                 and _is_number(eta) and eta * demand * max(rounds, 1) > sys.float_info.max / 2):
             problems.append(f"{prefix}.eta: full information needs eta * M * rounds <= "
                             f"{sys.float_info.max / 2:.6g}, or the weights overflow")
+        # an OMD step exponentiates eta times a reward estimate of at most 1 under
+        # full information and 1 / (Q_FLOOR + gamma) under bandit feedback, gamma the
+        # smallest offset: 0 for IPW, and the IX schedule's is that of a full grid row
+        if (algorithm == "omd" and feedback in _FEEDBACK and grid_size is not None
+                and rounds is not None and _is_rate(eta) and (gamma is None or _is_rate(gamma))):
+            offset = estimator_offsets(_FEEDBACK[feedback], np.ones((1, grid_size), bool),
+                                       max(rounds, 1), gamma)[0]
+            largest = 1.0 if feedback == "full" else 1.0 / (Q_FLOOR + float(offset))
+            if eta * largest >= sys.float_info.max / 2:
+                problems.append(f"{prefix}.eta: mirror descent needs eta * {largest:.6g} (the "
+                                f"largest estimate) < {sys.float_info.max / 2:.6g}, or the step "
+                                f"overflows")
         agents.append(AgentSpec(algorithm=algorithm, feedback=feedback, valuation=valuation,
                                 eta=eta, gamma=gamma))
 
@@ -237,6 +248,11 @@ def validate_scenario(document: dict) -> Scenario:
 
 def _is_number(value) -> bool:
     return type(value) in (int, float)  # as JSON parses them: bool is not a number
+
+
+def _is_rate(value) -> bool:
+    """A positive finite number; the upper bound also turns away ints too large for a float."""
+    return _is_number(value) and 0 < value <= sys.float_info.max
 
 
 def _is_positive_int(value) -> bool:

@@ -22,6 +22,13 @@ each group its feedback. Settlement reads tables `play` builds once per run
 (the owners' ranks, each agent's IR caps and reward sums); a bid above its
 IR cap stops the run with an error that names the agent and the round.
 
+The environment is oblivious, so `play` reads its bids `ENV_BLOCK` rounds
+at a time (`draws`), and the log keeps those blocks. A market of one agent
+has nothing to pool: its rivals are the environment's row, and its
+thresholds for a block are one `auction.win_thresholds` call on that block,
+the rule `round_thresholds` applies once an agent's own keys are left out.
+The agent's learner still proposes and observes once per round.
+
 `round_thresholds` is the only routine that pools rival bids. The log keeps
 every agent's (T, M) win thresholds as the round settled them, so scoring
 over all T rounds at once never pools again: the regret table counts wins
@@ -41,15 +48,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__ as _library_version
-from .auction import BidVector, ValuationProfile, owner_ranks, round_thresholds, settle_prefix
+from .auction import (BidVector, TieBreak, ValuationProfile, owner_ranks, round_thresholds,
+                      settle_prefix, win_thresholds)
 from .grids import BidGrid
 from .hindsight import accumulate_weights_history, hindsight_optimal
 
 # Priority assigned to exogenous environment bids relative to agents 0..N-1.
 ENV_WINS_PRIORITY = 2**30
 ENV_LOSES_PRIORITY = -(2**30)
-
-RUNLOG_COLUMNS = ("t", "agent", "slot_bids", "allocation", "utility", "payment")
+# Most rounds of environment bids `play` reads at once.
+ENV_BLOCK = 4096
 
 
 @dataclass
@@ -242,8 +250,10 @@ class SelfPlayMarket:
     `learners` are groups (see the module docstring); `members[g]` lists the
     market agents of group g, in the order of its rows, and defaults to one
     agent per group. `valuations[n]` belongs to agent n, whose tie priority is
-    n; the environment's bids rank above or below every agent's. An error
-    raised by a group's `propose` or `observe` names its agents and the round.
+    n; the environment's bids rank above or below every agent's. The
+    environment gives the bids of rounds t0..t1-1 as `draws(t0, t1)`, a
+    (rounds, supply) array of non-decreasing grid-index rows. An error raised
+    by a group's `propose` or `observe` names its agents and the round.
     """
 
     def __init__(
@@ -276,53 +286,74 @@ class SelfPlayMarket:
         grid_values = self.grid.values.tolist()
         owners = list(range(n_agents))
         widths = [v.demand for v in self.valuations]
-        if self.environment is not None:
+        env = self.environment
+        if env is not None:
             owners.append(ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY)
-            widths.append(self.supply)
         ranks = owner_ranks(owners)
-        played = []    # per round: agent and environment bid rows, then agent thresholds
+        # A lone agent's rivals are the environment's row, so its thresholds
+        # are the one-bidder rule on that row, a block of rounds at a time.
+        solo = env is not None and n_agents == 1
+        tie = TieBreak.BIDDER_LOSES if self.env_wins_ties else TieBreak.BIDDER_WINS
+        env_blocks, solo_blocks = [], []  # (rounds, supply) bids, (rounds, M) thresholds
+        played = []    # per round: agent (and environment) bid rows, then agent thresholds
         outcomes = []  # per round: (allocation, utility, payment, reward) of each agent
-        for t in range(rounds):
-            rows = [None] * len(owners)
-            try:
-                for group, members in zip(self.learners, self.members):
-                    for n, row in zip(members, group.propose().tolist()):
-                        rows[n] = row
-            except Exception as err:
-                _locate(err, members, t)
-                raise
-            if self.environment is not None:
-                rows[-1] = self.environment.draw(t).indices.tolist()
-            thresholds = round_thresholds(rows, ranks, self.supply, n_agents)
-            settled = []
-            try:
-                for n in range(n_agents):
-                    settled.append(settle_prefix(rows[n], thresholds[n], caps[n], rewards[n],
-                                                 grid_values))
-            except ValueError as err:  # an IR violation
-                _locate(err, (n,), t)
-                raise
-            if sum(outcome[0] for outcome in settled) > self.supply:
-                raise RuntimeError("settlement granted more units than the supply")
-            try:
-                for group, members in zip(self.learners, self.members):
-                    group.observe([settled[n][0] for n in members],
-                                  [thresholds[n] for n in members] if group.wants_full_info
-                                  else None)
-            except Exception as err:
-                _locate(err, members, t)
-                raise
-            played.append(rows + thresholds)
-            outcomes.append(settled)
-        columns = [np.array([rows[k] for rows in played], dtype=np.int64).reshape(rounds, width)
-                   for k, width in enumerate(widths + widths[:n_agents])]
+        for start in range(0, rounds, ENV_BLOCK):
+            stop = min(start + ENV_BLOCK, rounds)
+            if env is not None:
+                env_blocks.append(env.draws(start, stop))
+                env_rows = env_blocks[-1].tolist()
+            if solo:
+                solo_blocks.append(win_thresholds(env_blocks[-1], widths[0], tie))
+                solo_rows = solo_blocks[-1].tolist()
+            for t in range(start, stop):
+                rows = [None] * len(owners)
+                try:
+                    for group, members in zip(self.learners, self.members):
+                        for n, row in zip(members, group.propose().tolist()):
+                            rows[n] = row
+                except Exception as err:
+                    _locate(err, members, t)
+                    raise
+                if env is not None:
+                    rows[-1] = env_rows[t - start]
+                thresholds = ([solo_rows[t - start]] if solo
+                              else round_thresholds(rows, ranks, self.supply, n_agents))
+                settled = []
+                try:
+                    for n in range(n_agents):
+                        settled.append(settle_prefix(rows[n], thresholds[n], caps[n], rewards[n],
+                                                     grid_values))
+                except ValueError as err:  # an IR violation
+                    _locate(err, (n,), t)
+                    raise
+                if sum(outcome[0] for outcome in settled) > self.supply:
+                    raise RuntimeError("settlement granted more units than the supply")
+                try:
+                    for group, members in zip(self.learners, self.members):
+                        group.observe([settled[n][0] for n in members],
+                                      [thresholds[n] for n in members] if group.wants_full_info
+                                      else None)
+                except Exception as err:
+                    _locate(err, members, t)
+                    raise
+                played.append(rows + thresholds)
+                outcomes.append(settled)
+
+        def column(k, width):
+            return np.array([rows[k] for rows in played], dtype=np.int64).reshape(rounds, width)
+
+        def stacked(blocks, width):
+            return np.concatenate(blocks) if blocks else np.empty((0, width), dtype=np.int64)
+
         allocated, utilities, payments, rewards = np.array(outcomes, dtype=float).reshape(
             rounds, n_agents, 4).transpose(2, 0, 1).copy()
         return RunLog(
-            grid=self.grid, valuations=self.valuations, bids=columns[:n_agents],
-            thresholds=columns[len(owners):],
+            grid=self.grid, valuations=self.valuations,
+            bids=[column(n, width) for n, width in enumerate(widths)],
+            thresholds=([stacked(solo_blocks, widths[0])] if solo else
+                        [column(len(owners) + n, width) for n, width in enumerate(widths)]),
             allocations=allocated.astype(np.int64), utilities=utilities, payments=payments,
-            rewards=rewards, env_bids=columns[n_agents] if self.environment is not None else None,
+            rewards=rewards, env_bids=stacked(env_blocks, self.supply) if env is not None else None,
             env_wins_ties=self.env_wins_ties, supply=self.supply, seed=seed, config=config or {},
         )
 

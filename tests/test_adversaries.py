@@ -47,6 +47,18 @@ class TestStochasticAdversary:
         assert any(benchmark_adversary(grid, seed=10).pick(t) != one.pick(t)
                    for t in range(200))
 
+    @pytest.mark.parametrize("t0, t1", [(0, 0), (5000, 5000), (0, 37), (100, 900),
+                                        (1000, 4096), (4000, 4196), (4095, 8193)])
+    def test_draws_stack_the_rounds_draws(self, t0, t1):
+        """An empty range, a range inside one chunk, one starting mid-chunk and
+        ranges across the 4,096-round chunk edges."""
+        grid = make_even_grid(11)
+        block = benchmark_adversary(grid, seed=9).draws(t0, t1)
+        fresh = benchmark_adversary(grid, seed=9)
+        rows = [fresh.draw(t).indices for t in range(t0, t1)]
+        assert block.dtype == np.int64 and block.shape == (t1 - t0, 3)
+        assert block.tolist() == np.array(rows, dtype=np.int64).reshape(t1 - t0, 3).tolist()
+
     def test_empirical_frequencies_within_3_sigma(self):
         grid = make_even_grid(11)
         adversary = benchmark_adversary(grid, seed=4)

@@ -4,13 +4,18 @@ The benchmark's kernel scaling block skips a block whose function a later
 commit removed, but only on an `AttributeError`; an `ImportError` or a
 `TypeError` from a changed signature would stop a traced run
 (`bench/run.py --trace 1`). Its tracer patches functions by module and name.
+A short untraced run of every workload must pass the benchmark's correctness
+gate: replay, the welfare identity, IR and OMD marginal membership.
 """
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pabid
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
 import scaling  # noqa: E402  (bench-local modules)
 import tracing  # noqa: E402
 
@@ -39,3 +44,12 @@ def test_tracer_patches_every_present_span_and_restores_it():
         assert pabid.mirror_descent.project_dual_ascent is not originals[1]
     assert tracer.absent == ABSENT_SPANS
     assert (pabid._kernels.ew_tail_sums, pabid.mirror_descent.project_dual_ascent) == originals
+
+
+def test_every_workload_passes_the_correctness_gate():
+    run = subprocess.run([sys.executable, "bench/run.py", "--workload", "all", "--seconds", "0.5",
+                          "--trace", "0"], cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), result
+    assert result["attempted"] > 0

@@ -220,6 +220,48 @@ def huge_eta_scenario(tmp_path, eta):
     return path
 
 
+class TestOmdEtaRange:
+    """An OMD step exponentiates eta times an estimate of at most 1 under full
+    information and 1 / (Q_FLOOR + gamma) under bandit feedback, so validation
+    bounds their product; gamma is 0 under IPW and about 0.04 on the IX
+    schedule here (11 grid points, 50 rounds)."""
+
+    @staticmethod
+    def scenario(tmp_path, feedback, eta, **extra):
+        agent = {"algorithm": "omd", "feedback": feedback, "valuation": [1.0, 0.8, 0.5],
+                 "eta": eta, **extra}
+        environment = {"kind": "stochastic", "support": [[0.1] * 3, [0.3, 0.3, 1.0]],
+                       "probs": [0.5, 0.5], "tie": "agent_wins"}
+        path, _ = write_scenario(tmp_path, rounds=50, replications=1, master_seed=99,
+                                 agents=[agent], environment=environment)
+        return path
+
+    def test_bandit_eta_whose_step_overflows_exits_2(self, tmp_path, capsys):
+        # eta * estimate is inf, and the shifted step would give inf - inf = NaN in round 0
+        out = tmp_path / "out"
+        assert main(["run", str(self.scenario(tmp_path, "bandit_ipw", 1e308)),
+                     "--out", str(out)]) == 2
+        assert "scenario error: agents[0].eta:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("feedback, eta, gamma, rejected", [
+        ("bandit_ipw", 8.99e295, None, True), ("bandit_ipw", 8.98e295, None, False),
+        ("bandit_ix", 8.99e295, 1e-300, True), ("bandit_ix", 8.98e295, 1e-300, False),
+        ("bandit_ix", 1e307, None, True), ("bandit_ix", 1e300, None, False),
+        ("full", 8.99e307, None, True), ("full", 8.98e307, None, False)])
+    def test_bound_is_eta_times_the_largest_estimate(self, tmp_path, feedback, eta, gamma,
+                                                     rejected):
+        from pabid import ScenarioError, validate_scenario
+
+        extra = {} if gamma is None else {"gamma": gamma}
+        document = json.loads(self.scenario(tmp_path, feedback, eta, **extra).read_text())
+        if rejected:
+            with pytest.raises(ScenarioError, match=r"agents\[0\]\.eta: mirror descent"):
+                validate_scenario(document)
+        else:
+            validate_scenario(document)
+
+
 class TestFullInfoEtaRange:
     """Every log tail sum of a full-information EW agent is at most
     eta * M * T + log C(M + D - 1, M), so validation bounds eta * M * T."""

@@ -1,14 +1,17 @@
 """Golden outputs: each bundled scenario, shortened to 300 rounds, must keep its bytes.
 
-Three more scenarios are written out below: a mixed market whose EW agents
+Four more scenarios are written out below: a mixed market whose EW agents
 of equal demand and feedback are not adjacent, against an environment that
 wins ties, so the grouping of agents cannot change anyone's draws unseen;
 one OMD bandit agent at the `omd_bandit` benchmark shape whose projections
 often take many sweeps (64 of 300 take more than one, up to 111), so a
-change to the projection cannot move its multi-sweep path unseen; and a
+change to the projection cannot move its multi-sweep path unseen; a
 group of two EW full-information agents whose user-set rates (the larger
 is 2) carry their tables past the linear range bound at round 116, so the
-switch from linear tail sums to logs cannot move a bid unseen.
+switch from linear tail sums to logs cannot move a bid unseen; and one EW
+bandit-IX agent of demand 2 against a supply of 3 that wins ties, so a
+lone agent's thresholds, read from the environment's rows alone, cannot
+drop the tie rule or the rows' unsold tail unseen.
 
 A performance change must leave every run log and every regret report
 bit-identical. The digests below hash the replication-0 CSV plus the repr of
@@ -82,6 +85,20 @@ INLINE_SCENARIOS = {
             "tie": "agent_wins",
         },
     },
+    "ew_bandit_short_demand": {
+        "name": "ew_bandit_short_demand",
+        "grid_size": 11,
+        "rounds": ROUNDS,
+        "master_seed": 2307,
+        "supply": 3,
+        "agents": [{"algorithm": "ew", "feedback": "bandit_ix", "valuation": [0.9, 0.7]}],
+        "environment": {
+            "kind": "stochastic",
+            "support": [[0.1, 0.2, 0.3], [0.3, 0.5, 0.8], [0.0, 0.6, 0.6]],
+            "probs": [0.5, 0.25, 0.25],
+            "tie": "agent_loses",
+        },
+    },
 }
 
 # scenario -> (sha256 of CSV + regret reports + JSON, sha256 of market metrics)
@@ -109,6 +126,10 @@ GOLDEN = {
     "omd_multisweep": (
         "854fbe83c5efd4af5873012c055695a8e080083408c250ee55a71a84d4584664",
         "f2f7edf8df5260bd29828dcf48bca16cf730b8d537d0e8a5e7994b3f977d369b",
+    ),
+    "ew_bandit_short_demand": (
+        "e557652fef49af1e16bab4e8bdc400ad7e6890e713e11c4a2e8788ec9ea8e301",
+        "484d9437db68933d9109bba3f94f0701e1bb9938f37052f4c454ec26ea71e2fc",
     ),
 }
 

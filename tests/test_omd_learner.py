@@ -150,6 +150,24 @@ class TestRounds:
             estimate = bidder.reward_estimate(allocation, None)
             assert estimate.tobytes() == expected.tobytes()
 
+    def test_bandit_step_has_the_dense_steps_bits(self, rng):
+        """Exponentiating only the played cells gives `unconstrained_step` on the
+        full estimate bit for bit, on both sides of the shift threshold."""
+        from pabid.mirror_descent import unconstrained_step
+
+        for trial in range(60):
+            m, d = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+            grid = make_even_grid(d)
+            valuation = ValuationProfile(np.sort(rng.random(m))[::-1])
+            mode = (FeedbackMode.BANDIT_IPW, FeedbackMode.BANDIT_IX)[trial % 2]
+            eta = (0.05, 3.0, 40.0, 5e3)[trial % 4]
+            bidder = OmdBidder(valuation, grid, 100, mode=mode, eta=eta, seed=trial)
+            bidder.q[:, 1:] *= rng.choice([1.0, 1e-3, 1e-14], size=(m, d - 1))
+            bidder.propose()
+            allocation = int(rng.integers(0, m + 1))
+            dense = unconstrained_step(bidder.q, bidder.reward_estimate(allocation, None), eta)
+            assert bidder._bandit_step(allocation).tobytes() == dense.tobytes()
+
     def test_ir_mass_stays_zero_all_run(self):
         grid = make_even_grid(8)
         valuation = ValuationProfile(np.array([0.6, 0.3]))

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from pabid import (
     BidVector,
     CompetingBids,
+    StochasticAdversary,
     TieBreak,
     ValuationProfile,
     accumulate_weights_history,
     make_even_grid,
     market_metrics,
 )
-from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, SelfPlayMarket
+from pabid.auction import owner_ranks, round_thresholds, settle_prefix
+from pabid.simulator import (ENV_BLOCK, ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, RunLog,
+                             SelfPlayMarket)
 
 from oracles import (
     PooledBids,
@@ -61,6 +64,9 @@ class Replay:
 
     def draw(self, t):
         return CompetingBids(self.rows[t], self.grid)
+
+    def draws(self, t0, t1):
+        return np.array(self.rows[t0:t1], dtype=np.int64)
 
 
 def run_market(grid, agent_rows, supply, env_rows=None, env_wins_ties=False):
@@ -154,6 +160,64 @@ class TestReplay:
                 thresholds[t] = grid.count  # no bid wins a slot
                 assert not log.replay_matches()
                 thresholds[t] = saved
+
+
+class Spy(StochasticAdversary):
+    """Stochastic environment that records the blocks of rounds `play` reads."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.blocks = []
+
+    def draws(self, t0, t1):
+        self.blocks.append((t0, t1))
+        return super().draws(t0, t1)
+
+
+class TestLoneAgent:
+    """A one-agent market reads its thresholds off the environment's blocks; the
+    log must equal the per-round pooling of `round_thresholds` byte for byte."""
+
+    @pytest.mark.parametrize("env_wins_ties", [False, True])
+    @pytest.mark.parametrize("demand, supply", [(2, 3), (3, 3)])
+    def test_log_equals_per_round_pooling(self, env_wins_ties, demand, supply):
+        rounds, grid = ENV_BLOCK + 200, make_even_grid(6)
+        rng = np.random.default_rng(demand + 10 * supply + 100 * env_wins_ties)
+        support = [CompetingBids(np.sort(rng.integers(0, 6, supply)), grid) for _ in range(4)]
+        environment = Spy(support, [0.4, 0.3, 0.2, 0.1], seed=7)
+        rows = np.sort(rng.integers(0, 6, (rounds, demand)), axis=1)[:, ::-1]
+        agent = Scripted(rows, grid)
+        valuation = ValuationProfile(np.ones(demand))
+        market = SelfPlayMarket([agent], [valuation], grid, supply, environment, env_wins_ties)
+        log = market.play(rounds, seed=3)
+        assert environment.blocks == [(0, ENV_BLOCK), (ENV_BLOCK, rounds)]
+
+        ranks = owner_ranks([0, ENV_WINS_PRIORITY if env_wins_ties else ENV_LOSES_PRIORITY])
+        env_rows = [environment.draw(t).indices.tolist() for t in range(rounds)]
+        thresholds = [round_thresholds([row, env_row], ranks, supply, 1)[0]
+                      for row, env_row in zip(rows.tolist(), env_rows)]
+        settled = [settle_prefix(row, thr, valuation.ir_caps(grid), valuation.reward_prefix(),
+                                 grid.values.tolist())
+                   for row, thr in zip(rows.tolist(), thresholds)]
+        allocated, utilities, payments, rewards = np.array(settled, dtype=float).T[:, :, None]
+        reference = RunLog(
+            grid=grid, valuations=[valuation], bids=[rows],
+            thresholds=[np.array(thresholds, dtype=np.int64)],
+            allocations=allocated.astype(np.int64), utilities=utilities, payments=payments,
+            rewards=rewards, env_bids=np.array(env_rows, dtype=np.int64),
+            env_wins_ties=env_wins_ties, supply=supply, seed=3)
+
+        def arrays(run):
+            return [run.thresholds[0], run.bids[0], run.allocations, run.utilities, run.payments,
+                    run.rewards, run.env_bids]
+
+        for got, want in zip(arrays(log), arrays(reference)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert log.to_csv_text() == reference.to_csv_text()
+        assert log.to_json_text() == reference.to_json_text()
+        assert [list(seen) for seen in agent.seen] == thresholds
+        assert 0 < log.allocations.sum() < rounds * demand
+        assert log.replay_matches()
 
 
 @st.composite
