@@ -12,9 +12,13 @@ The settlement rules are written once, on integer grid indices:
   slot m, c_m when the bidder wins a tie against that entry and c_m + 1
   when it loses it. Bid j wins slot m iff j >= thr_m; a threshold equal to
   the grid size means no grid bid wins. With a monotone bid the winning
-  slots form a prefix, and `settle_prefix` counts it; it reads the bidder's
-  IR caps and reward sums from tables built once per valuation (`ir_caps`,
-  `reward_prefix`).
+  slots form a prefix, and the allocation is its length.
+- Settlement runs once per run, on columns: `settle_columns` takes one
+  bidder's (T, M) bids and thresholds, as the run log keeps them, and
+  gives every round's allocation, reward (read off the valuation's
+  `reward_prefix` table) and payment (a `math.fsum` of the won bids, once
+  per distinct won prefix). The round loop checks each bid against the
+  valuation's `ir_caps` before any learner observes the round.
 - Ties are broken by strict priority. In a market every entry carries its
   owner's priority (agent n bids at priority n; the environment ranks above
   or below every agent), and the pooling rule ranks every rival entry by
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -181,24 +184,26 @@ def round_thresholds(rows: Sequence[list], ranks: Sequence[int], supply: int,
     return out
 
 
-def settle_prefix(bid: list, thresholds: list, caps: list,
-                  rewards: list, grid_values: list) -> tuple[int, float, float, float]:
-    """(allocation, utility, payment, reward) of one bid against its slot thresholds.
+def settle_columns(bids: np.ndarray, thresholds: np.ndarray, reward_prefix: Sequence[float],
+                   grid_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Allocations, rewards and payments of one bidder in every round of a run.
 
-    Arguments are Python lists: the bid's grid indices and its slot
-    thresholds, the valuation's `ir_caps` and `reward_prefix`, and the grid's
-    values. A bid is individually rational when no index exceeds its slot's
-    cap. The allocation is the length of the prefix of slots with b_m >=
-    thr_m; the reward is read off `rewards` and the payment is the
-    `math.fsum` of the won bids.
+    `bids` and `thresholds` are the bidder's (T, M) grid indices and slot
+    thresholds, `reward_prefix` its valuation's `reward_prefix` and
+    `grid_values` the grid's values as floats. The allocation is the length
+    of the prefix of slots with b_m >= thr_m, the reward is read off
+    `reward_prefix`, and the payment is the `math.fsum` of the won bids'
+    values, summed once per distinct won prefix. A lost slot reads an extra
+    grid value 0.0, which leaves an exact sum as it is.
     """
-    if any(map(operator.gt, bid, caps)):
-        raise ValueError("bid violates individual rationality")
-    x = 0
-    for b, threshold in zip(bid, thresholds):
-        if b < threshold:
-            break  # monotone inputs: the winning slots form a prefix
-        x += 1
-    payment = math.fsum([grid_values[j] for j in bid[:x]])
-    reward = rewards[x]
-    return x, reward - payment, payment, reward
+    won = np.logical_and.accumulate(bids >= thresholds, axis=1)
+    allocations = won.sum(axis=1)
+    rewards = np.array(reward_prefix, dtype=float)[allocations]
+    prefixes = np.where(won, bids, len(grid_values))
+    # each row as one opaque byte key: grouping needs equality only, and
+    # `np.unique(axis=0)`, which compares column by column, is several times slower
+    row = np.dtype((np.void, prefixes.itemsize * prefixes.shape[1]))
+    keys, inverse = np.unique(prefixes.view(row).reshape(-1), return_inverse=True)
+    won_values = np.array([*grid_values, 0.0])[keys.view(prefixes.dtype).reshape(-1, bids.shape[1])]
+    totals = np.array(list(map(math.fsum, won_values.tolist())), dtype=float)
+    return allocations, rewards, totals[inverse.reshape(-1)]

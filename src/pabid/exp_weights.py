@@ -187,7 +187,7 @@ class ExpWeightsBidder:
             self.log_rounds += ~linear
         return self._pending_bids
 
-    def observe(self, allocations: Sequence[int],
+    def observe(self, allocations: Optional[Sequence[int]],
                 thresholds: Optional[Sequence[Sequence[int]]] = None) -> None:
         if self._pending_bids is None:
             raise RuntimeError("observe called before propose")

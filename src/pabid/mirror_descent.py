@@ -193,7 +193,7 @@ class OmdBidder:
         self._pending = sample_from_marginals(self.q, self.rng)
         return self._pending[None]
 
-    def reward_estimate(self, allocation: int, thresholds: Optional[np.ndarray],
+    def reward_estimate(self, allocation: Optional[int], thresholds: Optional[np.ndarray],
                         *_ignored) -> np.ndarray:
         """Per-cell reward estimate for the round just played.
 
@@ -226,11 +226,11 @@ class OmdBidder:
         return played, estimates
 
     def observe(self, allocations, thresholds=None) -> None:
-        """Take this agent's allocation and, under full information, its thresholds."""
+        """Take this agent's allocation, or under full information its thresholds."""
         if self._pending is None:
             raise RuntimeError("observe called before propose")
         if self.wants_full_info:
-            est = self.reward_estimate(allocations[0], None if thresholds is None else thresholds[0])
+            est = self.reward_estimate(None, None if thresholds is None else thresholds[0])
             q_tilde = unconstrained_step(self.q, est, self.eta)
         else:
             q_tilde = self._bandit_step(allocations[0])

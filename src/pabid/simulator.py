@@ -10,17 +10,23 @@ Learners come in groups. A group holds k >= 1 agents of the market and has:
 
 - `propose()`: a (k, M) array of grid indices, one monotone bid row per
   agent;
-- `observe(allocations, thresholds)`: the agents' k allocations and, when
-  the group's `wants_full_info` is set, their per-slot win thresholds (k
-  rows of M, as returned by `auction.round_thresholds`), else None.
+- `observe(allocations, thresholds)`: a bandit group gets its agents' k
+  allocations and None; a group whose `wants_full_info` is set gets None
+  and its agents' per-slot win thresholds (k rows of M, as returned by
+  `auction.round_thresholds`).
 
 An EW group stacks agents of one demand and feedback mode into one weight
-table; an OMD agent is a group of its own. A round collects every group's
-rows, pools them with the environment's bids in one sort of integer keys
-(`round_thresholds`), settles every agent against its thresholds and hands
-each group its feedback. Settlement reads tables `play` builds once per run
-(the owners' ranks, each agent's IR caps and reward sums); a bid above its
-IR cap stops the run with an error that names the agent and the round.
+table; an OMD agent is a group of its own. A round keeps only what the
+learners read: it pools every group's rows with the environment's bids in
+one sort of integer keys (`round_thresholds`), stops the run at a bid above
+its IR cap (naming the agent and the round) before any learner observes,
+counts each bandit agent's won prefix and hands each group its feedback.
+Rows and thresholds fill (T, M) arrays a block at a time.
+
+Settlement runs once per run, after the last round, on those columns:
+`auction.settle_columns` gives each agent's allocations, rewards and
+payments for all T rounds, and utility is reward minus payment. A round
+that granted more units than the supply is then named with its agents.
 
 The environment is oblivious, so `play` reads its bids `ENV_BLOCK` rounds
 at a time (`draws`), and the log keeps those blocks. A market of one agent
@@ -30,7 +36,7 @@ the rule `round_thresholds` applies once an agent's own keys are left out.
 The agent's learner still proposes and observes once per round.
 
 `round_thresholds` is the only routine that pools rival bids. The log keeps
-every agent's (T, M) win thresholds as the round settled them, so scoring
+every agent's (T, M) win thresholds as its rounds pooled them, so scoring
 over all T rounds at once never pools again: the regret table counts wins
 from the logged thresholds, and the market metrics read each agent's
 winning and losing bids as whole columns. `RunLog.replay_matches` checks a
@@ -42,14 +48,16 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__ as _library_version
 from .auction import (BidVector, TieBreak, ValuationProfile, owner_ranks, round_thresholds,
-                      settle_prefix, win_thresholds)
+                      settle_columns, win_thresholds)
 from .grids import BidGrid
 from .hindsight import accumulate_weights_history, hindsight_optimal
 
@@ -64,9 +72,13 @@ ENV_BLOCK = 4096
 class RunLog:
     """Complete record of one run: per-round, per-agent settlement plus context.
 
-    Each agent's per-slot win thresholds are kept as `play` settled with
+    Each agent's bids and per-slot win thresholds are kept as `play` pooled
     them, and environment bids (when an exogenous adversary participates)
     alongside, so every round can be scored or re-cleared without pooling.
+    The settlement columns (allocations, utilities, payments, rewards) come
+    from one `auction.settle_columns` pass per agent after the run's last
+    round. The serializers build their text from these arrays on each call:
+    every distinct float is formatted once and each line is one format call.
     """
 
     grid: BidGrid
@@ -132,15 +144,6 @@ class RunLog:
                 return False
         return True
 
-    def _as_lists(self) -> tuple:
-        """Bids, allocations, utilities, payments and environment bids as Python lists.
-
-        Serializers read these once per call instead of indexing numpy per cell.
-        """
-        env_rows = self.env_bids.tolist() if self.env_bids is not None else None
-        return ([rows.tolist() for rows in self.bids], self.allocations.tolist(),
-                self.utilities.tolist(), self.payments.tolist(), env_rows)
-
     def to_csv_text(self) -> str:
         """Fixed column order: t, agent, bid_1..bid_Mmax, allocation, utility, payment.
 
@@ -148,47 +151,58 @@ class RunLog:
         zero allocation and payments. Floats use shortest round-trip repr, so
         identical runs serialize byte-identically.
         """
-        max_m = max(v.demand for v in self.valuations)
+        width = max(v.demand for v in self.valuations)
         if self.env_bids is not None:
-            max_m = max(max_m, self.supply)
-        lines = ["t,agent," + ",".join(f"bid_{m+1}" for m in range(max_m))
-                 + ",allocation,utility,payment"]
-        reprs = [repr(v) for v in self.grid.values.tolist()]
-        blanks = [","] * max_m
-        bids, allocations, utilities, payments, env_rows = self._as_lists()
-        for t in range(self.rounds):
-            for n, agent_bids in enumerate(bids):
-                row = agent_bids[t]
-                lines.append(f"{t},{n}," + ",".join([reprs[j] for j in row])
-                             + "".join(blanks[len(row):])
-                             + f",{allocations[t][n]},{utilities[t][n]!r},{payments[t][n]!r}")
-            if env_rows is not None:
-                row = env_rows[t][::-1]  # report non-increasing
-                lines.append(f"{t},-1," + ",".join([reprs[j] for j in row])
-                             + "".join(blanks[len(row):]) + ",0,0.0,0.0")
-        return "\n".join(lines) + "\n"
+            width = max(width, self.supply)
+        header = ("t,agent," + ",".join(f"bid_{m + 1}" for m in range(width))
+                  + ",allocation,utility,payment")
+        lines = self._lines(repr, lambda agent, demand: (
+            "{0}," + str(agent) + ",{1}" + "," * (width - demand) + ",{2},{3},{4}"))
+        return "\n".join([header, *lines]) + "\n"
 
     def to_json_text(self) -> str:
-        values = self.grid.values.tolist()
-        bids, allocations, utilities, payments, env_rows = self._as_lists()
-        rows = []
-        for t in range(self.rounds):
-            for n, agent_bids in enumerate(bids):
-                rows.append({
-                    "t": t, "agent": n,
-                    "bids": [values[j] for j in agent_bids[t]],
-                    "allocation": allocations[t][n],
-                    "utility": utilities[t][n],
-                    "payment": payments[t][n],
-                })
-            if env_rows is not None:
-                rows.append({
-                    "t": t, "agent": -1,
-                    "bids": [values[j] for j in env_rows[t][::-1]],
-                    "allocation": 0, "utility": 0.0, "payment": 0.0,
-                })
-        return json.dumps({"seed": self.seed, "rows": rows}, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        """`{"rows": [...], "seed": seed}` with the rows of `to_csv_text`, keys sorted."""
+        lines = self._lines(json.dumps, lambda agent, demand: (
+            '{{"agent":' + str(agent) + ',"allocation":{2},"bids":[{1}],"payment":{4},"t":{0},'
+            '"utility":{3}}}'))
+        return '{"rows":[' + ",".join(lines) + '],"seed":' + json.dumps(self.seed) + "}\n"
+
+    def _lines(self, number: Callable[[float], str],
+               template: Callable[[int, int], str]) -> list[str]:
+        """Every agent's line of each round, then the environment's, from cached strings.
+
+        `number` writes a float; each grid value, each distinct float (by its
+        bits) of the utilities and payments and each distinct allocation is
+        written once per call, and every cell is looked up in those strings.
+        `template(agent, demand)` is the format string of one writer's lines,
+        with fields t, bids, allocation, utility and payment; the environment
+        is agent -1, with its bids non-increasing and zero allocation, utility
+        and payment.
+        """
+        def written(values, write):
+            """`write` of every entry of `values`, called once per distinct bit pattern."""
+            distinct, inverse = np.unique(values.view(f"u{values.itemsize}").reshape(-1),
+                                          return_inverse=True)
+            return np.array(list(map(write, distinct.view(values.dtype).tolist())),
+                            dtype=object)[inverse.reshape(values.shape)]
+
+        def joined(rows):
+            return list(map(",".join, cells[rows].tolist()))
+
+        cells = np.array([number(v) for v in self.grid.values.tolist()], dtype=object)
+        utilities, payments = written(np.stack([self.utilities, self.payments]), number)
+        allocations = written(self.allocations, str)
+        steps = list(map(str, range(self.rounds)))
+        writers = [map(template(n, bids.shape[1]).format, steps, joined(bids),
+                       allocations[:, n].tolist(), utilities[:, n].tolist(),
+                       payments[:, n].tolist())
+                   for n, bids in enumerate(self.bids)]
+        if self.env_bids is not None:
+            zero = number(0.0)
+            writers.append(map(template(-1, self.env_bids.shape[1]).format, steps,
+                               joined(self.env_bids[:, ::-1]), repeat("0"), repeat(zero),
+                               repeat(zero)))
+        return [line for lines in zip(*writers) for line in lines]
 
     def summary(self) -> dict:
         return {
@@ -282,8 +296,6 @@ class SelfPlayMarket:
     def play(self, rounds: int, config: Optional[dict] = None, seed: int = 0) -> RunLog:
         n_agents = len(self.valuations)
         caps = [v.ir_caps(self.grid) for v in self.valuations]
-        rewards = [v.reward_prefix() for v in self.valuations]
-        grid_values = self.grid.values.tolist()
         owners = list(range(n_agents))
         widths = [v.demand for v in self.valuations]
         env = self.environment
@@ -294,17 +306,19 @@ class SelfPlayMarket:
         # are the one-bidder rule on that row, a block of rounds at a time.
         solo = env is not None and n_agents == 1
         tie = TieBreak.BIDDER_LOSES if self.env_wins_ties else TieBreak.BIDDER_WINS
-        env_blocks, solo_blocks = [], []  # (rounds, supply) bids, (rounds, M) thresholds
-        played = []    # per round: agent (and environment) bid rows, then agent thresholds
-        outcomes = []  # per round: (allocation, utility, payment, reward) of each agent
+        full_info = [group.wants_full_info for group in self.learners]
+        bids = [np.empty((rounds, width), dtype=np.int64) for width in widths]
+        thresholds = [np.empty((rounds, width), dtype=np.int64) for width in widths]
+        env_bids = np.empty((rounds, self.supply), dtype=np.int64) if env is not None else None
         for start in range(0, rounds, ENV_BLOCK):
             stop = min(start + ENV_BLOCK, rounds)
             if env is not None:
-                env_blocks.append(env.draws(start, stop))
-                env_rows = env_blocks[-1].tolist()
+                env_bids[start:stop] = env.draws(start, stop)
+                env_rows = env_bids[start:stop].tolist()
             if solo:
-                solo_blocks.append(win_thresholds(env_blocks[-1], widths[0], tie))
-                solo_rows = solo_blocks[-1].tolist()
+                thresholds[0][start:stop] = win_thresholds(env_bids[start:stop], widths[0], tie)
+                solo_rows = thresholds[0][start:stop].tolist()
+            played = []  # per round: the agents' bid rows, then their thresholds
             for t in range(start, stop):
                 rows = [None] * len(owners)
                 try:
@@ -316,46 +330,56 @@ class SelfPlayMarket:
                     raise
                 if env is not None:
                     rows[-1] = env_rows[t - start]
-                thresholds = ([solo_rows[t - start]] if solo
-                              else round_thresholds(rows, ranks, self.supply, n_agents))
-                settled = []
+                pooled = ([solo_rows[t - start]] if solo
+                          else round_thresholds(rows, ranks, self.supply, n_agents))
+                for n in range(n_agents):
+                    if any(map(operator.gt, rows[n], caps[n])):
+                        err = ValueError("bid violates individual rationality")
+                        _locate(err, (n,), t)
+                        raise err
                 try:
-                    for n in range(n_agents):
-                        settled.append(settle_prefix(rows[n], thresholds[n], caps[n], rewards[n],
-                                                     grid_values))
-                except ValueError as err:  # an IR violation
-                    _locate(err, (n,), t)
-                    raise
-                if sum(outcome[0] for outcome in settled) > self.supply:
-                    raise RuntimeError("settlement granted more units than the supply")
-                try:
-                    for group, members in zip(self.learners, self.members):
-                        group.observe([settled[n][0] for n in members],
-                                      [thresholds[n] for n in members] if group.wants_full_info
-                                      else None)
+                    for group, members, full in zip(self.learners, self.members, full_info):
+                        if full:
+                            group.observe(None, [pooled[n] for n in members])
+                        else:
+                            group.observe([_won(rows[n], pooled[n]) for n in members], None)
                 except Exception as err:
                     _locate(err, members, t)
                     raise
-                played.append(rows + thresholds)
-                outcomes.append(settled)
+                played.append(rows[:n_agents] + pooled)
+            for n in range(n_agents):
+                bids[n][start:stop] = [rows[n] for rows in played]
+                if not solo:
+                    thresholds[n][start:stop] = [rows[n_agents + n] for rows in played]
 
-        def column(k, width):
-            return np.array([rows[k] for rows in played], dtype=np.int64).reshape(rounds, width)
-
-        def stacked(blocks, width):
-            return np.concatenate(blocks) if blocks else np.empty((0, width), dtype=np.int64)
-
-        allocated, utilities, payments, rewards = np.array(outcomes, dtype=float).reshape(
-            rounds, n_agents, 4).transpose(2, 0, 1).copy()
+        allocations = np.empty((rounds, n_agents), dtype=np.int64)
+        rewards, payments = np.empty((rounds, n_agents)), np.empty((rounds, n_agents))
+        grid_values = self.grid.values.tolist()
+        for n, valuation in enumerate(self.valuations):
+            allocations[:, n], rewards[:, n], payments[:, n] = settle_columns(
+                bids[n], thresholds[n], valuation.reward_prefix(), grid_values)
+        over = np.flatnonzero(allocations.sum(axis=1) > self.supply)
+        if over.size:
+            t = int(over[0])
+            err = RuntimeError("settlement granted more units than the supply")
+            _locate(err, np.flatnonzero(allocations[t]).tolist(), t)
+            raise err
         return RunLog(
-            grid=self.grid, valuations=self.valuations,
-            bids=[column(n, width) for n, width in enumerate(widths)],
-            thresholds=([stacked(solo_blocks, widths[0])] if solo else
-                        [column(len(owners) + n, width) for n, width in enumerate(widths)]),
-            allocations=allocated.astype(np.int64), utilities=utilities, payments=payments,
-            rewards=rewards, env_bids=stacked(env_blocks, self.supply) if env is not None else None,
-            env_wins_ties=self.env_wins_ties, supply=self.supply, seed=seed, config=config or {},
+            grid=self.grid, valuations=self.valuations, bids=bids, thresholds=thresholds,
+            allocations=allocations, utilities=rewards - payments, payments=payments,
+            rewards=rewards, env_bids=env_bids, env_wins_ties=self.env_wins_ties,
+            supply=self.supply, seed=seed, config=config or {},
         )
+
+
+def _won(bid: list, thresholds: list) -> int:
+    """Slots a monotone bid wins: the length of its prefix with b_m >= thr_m."""
+    x = 0
+    for b, threshold in zip(bid, thresholds):
+        if b < threshold:
+            break
+        x += 1
+    return x
 
 
 def _locate(err: Exception, members: Sequence[int], t: int) -> None:

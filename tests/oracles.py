@@ -10,10 +10,17 @@ The owner-priority tie rule lives here, as the reference that
 `auction.round_thresholds` is checked against: `PooledBids` is a
 `CompetingBids` row with the owner priority of each entry, and
 `priority_thresholds` is the win rule over such rows (the library's
-`win_thresholds` knows only the two-mode `TieBreak`). `settle` scores one
-bidder against a row through them and `settle_prefix`. `loop_round` is the
-market round as it was played one agent at a time: a list pool of (index,
-owner) entries, a `PooledBids` per agent and `settle`.
+`win_thresholds` knows only the two-mode `TieBreak`). `settle_prefix` is
+settlement as the round loop once did it, one bid against its slot
+thresholds; `auction.settle_columns` must give its numbers for every round
+of a column at once. `settle` scores one bidder against a row through
+`priority_thresholds` and `settle_prefix`. `loop_round` is the market round
+as it was played one agent at a time: a list pool of (index, owner)
+entries, a `PooledBids` per agent and `settle`.
+
+`csv_text` and `json_text` are the run-log serializers written cell by
+cell, formatting every float where it appears; `RunLog.to_csv_text` and
+`to_json_text` must give their bytes.
 
 `sweep_dual_ascent` is the KL projection kernel without its idle-pair skip:
 every sweep visits every layer pair and recomputes the certificate's prefix
@@ -32,7 +39,9 @@ Monte Carlo settlement against.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -44,7 +53,6 @@ from pabid.auction import (
     CompetingBids,
     TieBreak,
     ValuationProfile,
-    settle_prefix,
     win_thresholds,
 )
 from pabid.adversaries import LowerBoundInstance
@@ -88,6 +96,29 @@ def competing_thresholds(competing: CompetingBids, demand: int,
     """`priority_thresholds` of one row, by its owners' priorities when it has them."""
     return priority_thresholds(competing.indices, getattr(competing, "priorities", None), demand,
                                tie, bidder_priority)
+
+
+def settle_prefix(bid: list, thresholds: list, caps: list,
+                  rewards: list, grid_values: list) -> tuple[int, float, float, float]:
+    """(allocation, utility, payment, reward) of one bid against its slot thresholds.
+
+    Arguments are Python lists: the bid's grid indices and its slot
+    thresholds, the valuation's `ir_caps` and `reward_prefix`, and the grid's
+    values. A bid is individually rational when no index exceeds its slot's
+    cap. The allocation is the length of the prefix of slots with b_m >=
+    thr_m; the reward is read off `rewards` and the payment is the
+    `math.fsum` of the won bids.
+    """
+    if any(map(operator.gt, bid, caps)):
+        raise ValueError("bid violates individual rationality")
+    x = 0
+    for b, threshold in zip(bid, thresholds):
+        if b < threshold:
+            break  # monotone inputs: the winning slots form a prefix
+        x += 1
+    payment = math.fsum([grid_values[j] for j in bid[:x]])
+    reward = rewards[x]
+    return x, reward - payment, payment, reward
 
 
 @dataclass(frozen=True)
@@ -326,6 +357,59 @@ def loop_market_metrics(log: RunLog) -> MarketMetrics:
         log2_win_spread=win_spread,
         log2_price_gap=price_gap,
     )
+
+
+def _log_lists(log: RunLog) -> tuple:
+    env_rows = log.env_bids.tolist() if log.env_bids is not None else None
+    return ([rows.tolist() for rows in log.bids], log.allocations.tolist(),
+            log.utilities.tolist(), log.payments.tolist(), env_rows)
+
+
+def csv_text(log: RunLog) -> str:
+    """`RunLog.to_csv_text`, one cell at a time."""
+    max_m = max(v.demand for v in log.valuations)
+    if log.env_bids is not None:
+        max_m = max(max_m, log.supply)
+    lines = ["t,agent," + ",".join(f"bid_{m+1}" for m in range(max_m))
+             + ",allocation,utility,payment"]
+    reprs = [repr(v) for v in log.grid.values.tolist()]
+    blanks = [","] * max_m
+    bids, allocations, utilities, payments, env_rows = _log_lists(log)
+    for t in range(log.rounds):
+        for n, agent_bids in enumerate(bids):
+            row = agent_bids[t]
+            lines.append(f"{t},{n}," + ",".join([reprs[j] for j in row])
+                         + "".join(blanks[len(row):])
+                         + f",{allocations[t][n]},{utilities[t][n]!r},{payments[t][n]!r}")
+        if env_rows is not None:
+            row = env_rows[t][::-1]  # report non-increasing
+            lines.append(f"{t},-1," + ",".join([reprs[j] for j in row])
+                         + "".join(blanks[len(row):]) + ",0,0.0,0.0")
+    return "\n".join(lines) + "\n"
+
+
+def json_text(log: RunLog) -> str:
+    """`RunLog.to_json_text`, one row dict at a time through `json.dumps`."""
+    values = log.grid.values.tolist()
+    bids, allocations, utilities, payments, env_rows = _log_lists(log)
+    rows = []
+    for t in range(log.rounds):
+        for n, agent_bids in enumerate(bids):
+            rows.append({
+                "t": t, "agent": n,
+                "bids": [values[j] for j in agent_bids[t]],
+                "allocation": allocations[t][n],
+                "utility": utilities[t][n],
+                "payment": payments[t][n],
+            })
+        if env_rows is not None:
+            rows.append({
+                "t": t, "agent": -1,
+                "bids": [values[j] for j in env_rows[t][::-1]],
+                "allocation": 0, "utility": 0.0, "payment": 0.0,
+            })
+    return json.dumps({"seed": log.seed, "rows": rows}, sort_keys=True,
+                      separators=(",", ":")) + "\n"
 
 
 def accumulate_weights(

@@ -14,7 +14,7 @@ from pabid import (
     make_even_grid,
     market_metrics,
 )
-from pabid.auction import owner_ranks, round_thresholds, settle_prefix
+from pabid.auction import owner_ranks, round_thresholds, settle_columns
 from pabid.simulator import (ENV_BLOCK, ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, RunLog,
                              SelfPlayMarket)
 
@@ -28,6 +28,7 @@ from oracles import (
     loop_round,
     priority_thresholds,
     settle,
+    settle_prefix,
     win_mask,
     win_matrix,
 )
@@ -196,14 +197,12 @@ class TestLoneAgent:
         env_rows = [environment.draw(t).indices.tolist() for t in range(rounds)]
         thresholds = [round_thresholds([row, env_row], ranks, supply, 1)[0]
                       for row, env_row in zip(rows.tolist(), env_rows)]
-        settled = [settle_prefix(row, thr, valuation.ir_caps(grid), valuation.reward_prefix(),
-                                 grid.values.tolist())
-                   for row, thr in zip(rows.tolist(), thresholds)]
-        allocated, utilities, payments, rewards = np.array(settled, dtype=float).T[:, :, None]
+        pooled = np.array(thresholds, dtype=np.int64)
+        allocated, rewards, payments = (column[:, None] for column in settle_columns(
+            rows, pooled, valuation.reward_prefix(), grid.values.tolist()))
         reference = RunLog(
-            grid=grid, valuations=[valuation], bids=[rows],
-            thresholds=[np.array(thresholds, dtype=np.int64)],
-            allocations=allocated.astype(np.int64), utilities=utilities, payments=payments,
+            grid=grid, valuations=[valuation], bids=[rows], thresholds=[pooled],
+            allocations=allocated, utilities=rewards - payments, payments=payments,
             rewards=rewards, env_bids=np.array(env_rows, dtype=np.int64),
             env_wins_ties=env_wins_ties, supply=supply, seed=3)
 
@@ -218,6 +217,45 @@ class TestLoneAgent:
         assert [list(seen) for seen in agent.seen] == thresholds
         assert 0 < log.allocations.sum() < rounds * demand
         assert log.replay_matches()
+
+
+@st.composite
+def settlement_columns(draw):
+    """One bidder's (T, M) bids within its IR caps and slot thresholds, T from 0
+    to across `ENV_BLOCK`. A round's thresholds are random up to the grid size
+    (no bid wins), all the grid size (nobody wins) or all 0 (every unit won)."""
+    d = draw(st.integers(2, 6), label="grid size")
+    grid = make_even_grid(d)
+    m = draw(st.integers(1, 4), label="demand")
+    rounds = draw(st.one_of(st.integers(0, 12), st.integers(ENV_BLOCK - 2, ENV_BLOCK + 2)),
+                  label="rounds")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    valuation = ValuationProfile(np.sort(rng.random(m))[::-1])
+    bids = np.minimum(np.sort(rng.integers(0, d, (rounds, m)), axis=1)[:, ::-1],
+                      valuation.ir_caps(grid))
+    thresholds = rng.integers(0, d + 1, (rounds, m))
+    kind = rng.integers(0, 3, rounds)
+    thresholds[kind == 1] = d
+    thresholds[kind == 2] = 0
+    return grid, valuation, bids, thresholds
+
+
+class TestSettleColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(settlement_columns())
+    def test_columns_equal_per_round_settlement(self, case):
+        grid, valuation, bids, thresholds = case
+        allocations, rewards, payments = settle_columns(bids, thresholds, valuation.reward_prefix(),
+                                                        grid.values.tolist())
+        settled = [settle_prefix(row, thr, valuation.ir_caps(grid), valuation.reward_prefix(),
+                                 grid.values.tolist())
+                   for row, thr in zip(bids.tolist(), thresholds.tolist())]
+        assert allocations.dtype == np.int64 and allocations.shape == (len(bids),)
+        assert allocations.tolist() == [x for x, _, _, _ in settled]
+        for got, want in ((rewards, [r for _, _, _, r in settled]),
+                          (payments, [p for _, _, p, _ in settled]),
+                          (rewards - payments, [u for _, u, _, _ in settled])):
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 @st.composite

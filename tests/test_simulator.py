@@ -3,15 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pabid import (
     Scenario,
     ScenarioError,
     market_metrics,
+    make_even_grid,
     regret_report,
     run_experiment,
     validate_scenario,
 )
+from pabid.auction import ValuationProfile
+from pabid.simulator import RunLog
+
+from oracles import csv_text, json_text
 
 
 def benchmark_scenario(rounds=300, replications=1, seed=7, feedback="full", algorithm="ew"):
@@ -93,7 +100,7 @@ class TestRunExperiment:
 class TestRegretReport:
     def test_hindsight_player_has_zero_regret(self):
         """An agent that plays the (known) hindsight optimum every round."""
-        from pabid.auction import settle_prefix
+        from pabid.auction import settle_columns
 
         scenario = validate_scenario(benchmark_scenario(rounds=400))
         log = run_experiment(scenario)
@@ -102,16 +109,13 @@ class TestRegretReport:
         # thresholds the agent faced, every round
         fixed = report.benchmark_bid
         valuation = log.valuations[0]
-        caps, rewards = valuation.ir_caps(log.grid), valuation.reward_prefix()
-        for t in range(log.rounds):
-            log.bids[0][t] = fixed.indices
-            x, utility, payment, reward = settle_prefix(
-                fixed.indices.tolist(), log.thresholds[0][t].tolist(), caps, rewards,
-                log.grid.values.tolist())
-            log.allocations[t, 0] = x
-            log.utilities[t, 0] = utility
-            log.payments[t, 0] = payment
-            log.rewards[t, 0] = reward
+        log.bids[0][:] = fixed.indices
+        x, rewards, payments = settle_columns(log.bids[0], log.thresholds[0],
+                                              valuation.reward_prefix(), log.grid.values.tolist())
+        log.allocations[:, 0] = x
+        log.utilities[:, 0] = rewards - payments
+        log.payments[:, 0] = payments
+        log.rewards[:, 0] = rewards
         assert log.replay_matches()
         fresh = regret_report(log, 0)
         assert fresh.discretized_regret == pytest.approx(0.0, abs=1e-9)
@@ -265,7 +269,81 @@ class TestMarketMetrics:
         assert np.allclose(metrics.log2_price_gap, 0.0)
 
 
+@st.composite
+def run_logs(draw):
+    """Logs of 1-3 agents of mixed demands, with or without an environment,
+    a supply that often exceeds every demand (blank bid cells), 0-6 rounds,
+    and utilities and payments drawn from a few floats of any kind (so that
+    values repeat; NaN and infinities included) and the two zeros, which
+    compare equal but print apart."""
+    d = draw(st.integers(2, 6), label="grid size")
+    demands = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="demands")
+    supply = draw(st.integers(max(demands), max(demands) + 2), label="supply")
+    rounds = draw(st.integers(0, 6), label="rounds")
+    floats = draw(st.lists(st.floats(), max_size=4), label="floats") + [0.0, -0.0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def cells():
+        return np.array(floats)[rng.integers(0, len(floats), (rounds, len(demands)))]
+
+    env_bids = (np.sort(rng.integers(0, d, (rounds, supply)), axis=1)
+                if draw(st.booleans(), label="environment") else None)
+    return RunLog(
+        grid=make_even_grid(d), valuations=[ValuationProfile(np.ones(m)) for m in demands],
+        bids=[np.sort(rng.integers(0, d, (rounds, m)), axis=1)[:, ::-1] for m in demands],
+        thresholds=[np.zeros((rounds, m), dtype=np.int64) for m in demands],
+        allocations=rng.integers(0, max(demands) + 1, (rounds, len(demands))),
+        utilities=cells(), payments=cells(), rewards=cells(), env_bids=env_bids,
+        env_wins_ties=draw(st.booleans()), supply=supply,
+        seed=draw(st.integers(0, 2**63 - 1), label="log seed"))
+
+
+class TestSupplyCheck:
+    def test_oversold_round_names_the_first_round_and_its_agents(self, monkeypatch):
+        """Agent 0 is handed zero thresholds in rounds 3 and 5, so it wins both
+        units beside agent 1, which wins both ties; agent 2 wins nothing."""
+        from pabid import simulator
+
+        class Fixed:
+            wants_full_info = False
+
+            def __init__(self, idx):
+                self.bid = np.array([idx])
+
+            def propose(self):
+                return self.bid
+
+            def observe(self, allocations, thresholds=None):
+                pass
+
+        pool = simulator.round_thresholds
+        calls = []
+
+        def oversell_rounds_3_and_5(rows, *args):
+            thresholds = pool(rows, *args)
+            calls.append(None)
+            if len(calls) in (4, 6):
+                thresholds[0] = [0] * len(thresholds[0])
+            return thresholds
+
+        monkeypatch.setattr(simulator, "round_thresholds", oversell_rounds_3_and_5)
+        grid = make_even_grid(5)
+        market = simulator.SelfPlayMarket(
+            [Fixed([2, 2]), Fixed([2, 2]), Fixed([1])],
+            [ValuationProfile(np.ones(2))] * 2 + [ValuationProfile(np.ones(1))], grid, supply=2)
+        with pytest.raises(RuntimeError) as excinfo:
+            market.play(8)
+        assert str(excinfo.value) == (
+            "agents 0, 1, round 3: settlement granted more units than the supply")
+
+
 class TestPersistence:
+    @settings(max_examples=300, deadline=None)
+    @given(run_logs())
+    def test_serializers_equal_cell_by_cell_references(self, log):
+        assert log.to_csv_text() == csv_text(log)
+        assert log.to_json_text() == json_text(log)
+
     def test_csv_round_trip_layout(self):
         log = run_experiment(validate_scenario(benchmark_scenario(rounds=5)))
         lines = log.to_csv_text().strip().splitlines()
