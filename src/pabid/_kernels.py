@@ -84,6 +84,9 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     backward prefixes / 1.0 are the table's sums bit for bit, and it is read
     as Python floats: the <= M row-sum errors and the maxima, NaN kept as
     numpy's max keeps it. Once a pair has moved, sweeps visit every pair.
+    The usual bandit step leaves every pair idle: then the first sweep
+    returns as soon as it certifies, and the zero multipliers are allocated
+    only for the return.
 
     The certificate `gap` is the max of the row-sum error, the dominance
     violation and the complementary-slackness residual |lambda (A - P)|.
@@ -92,18 +95,31 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     """
     m_units, d = qt.shape
     q = np.where(allowed, qt, 0.0)
-    lam = np.zeros((max(m_units - 1, 1), max(d - 1, 1)))
-    nu = np.zeros(m_units)
-    gap = np.inf
+    lam_shape = (max(m_units - 1, 1), max(d - 1, 1))
+    if max_sweeps < 1:
+        return q, np.zeros(lam_shape), np.zeros(m_units), 0, np.inf
+    s = q.sum(axis=1)
+    q /= s[:, None]
+    nu = 0.0 - np.log(s)
+    tops = _dominance_excess(q).max(axis=1, initial=_NEG_INF).tolist()
+    top = _nan_max(tops)
+    if top <= 0.0:  # the first sweep moves no pair (a NaN top is busy)
+        errors = [abs(total - 1.0) for total in q.sum(axis=1).tolist()]
+        gap = max(_nan_max(errors), top)
+        if not gap > tol:
+            return q, np.zeros(lam_shape), nu, 1, gap
+    lam = np.zeros(lam_shape)
     fresh = True  # no pair has moved yet, so every multiplier is still zero
     for sweep in range(max_sweeps):
-        s = q.sum(axis=1)
-        q /= s[:, None]
-        nu -= np.log(s)
+        if sweep:  # the first sweep's normalization and tops are done above
+            s = q.sum(axis=1)
+            q /= s[:, None]
+            nu -= np.log(s)
+            if fresh:
+                tops = _dominance_excess(q).max(axis=1, initial=_NEG_INF).tolist()
         forward = sweep % 2 == 0
         pairs = range(m_units - 1) if forward else range(m_units - 2, -1, -1)
         if fresh:
-            tops = _dominance_excess(q).max(axis=1, initial=_NEG_INF).tolist()
             idle = [top <= 0.0 for top in tops]  # NaN counts as busy
             pairs = itertools.dropwhile(idle.__getitem__, pairs)
         for m in pairs:

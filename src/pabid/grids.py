@@ -7,6 +7,7 @@ computing utilities.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,15 @@ class BidGrid:
         return idx.astype(np.int64)
 
 
+@functools.cache
 def make_even_grid(count: int) -> BidGrid:
-    """Evenly spaced grid {i/(count-1)} for i = 0..count-1."""
+    """Evenly spaced grid {i/(count-1)} for i = 0..count-1.
+
+    Memoized on `count`: every caller in a process shares one grid per size,
+    and its `values` are read-only so no caller can change another's grid.
+    """
     if count < 2:
         raise ValueError("grid size must be at least 2")
-    return BidGrid(np.linspace(0.0, 1.0, count))
+    values = np.linspace(0.0, 1.0, count)
+    values.flags.writeable = False
+    return BidGrid(values)

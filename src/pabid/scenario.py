@@ -4,8 +4,14 @@ A scenario is a single JSON document describing one experiment: the bid
 grid, horizon, agents (algorithm, feedback, valuations, optional rate
 overrides), the environment, and how many seeded replications to run.
 Validation is strict: unknown keys are errors, every complaint names the
-offending field, and a scenario that validates can be built and run. All
-randomness derives from one master seed.
+offending field, and a scenario that validates can be built and run.
+
+All randomness derives from one master seed. Replication r draws from the
+sequence with spawn key (r,) under that seed, built directly in O(1) whatever
+the replication count: NumPy defines it as `SeedSequence(master_seed).spawn(R)[r]`
+for every R > r. Its children seed the agents, the environment and the
+valuations. The bid grid comes from `make_even_grid`, which shares one
+read-only grid per size, so validation and every replication read the same one.
 """
 from __future__ import annotations
 
@@ -287,9 +293,13 @@ def load_scenario(path) -> Scenario:
 
 
 def replication_seeds(scenario: Scenario, replication: int) -> list[np.random.SeedSequence]:
-    """Per-agent (then environment, then valuation) seed sequences for one replication."""
-    root = np.random.SeedSequence(scenario.master_seed)
-    rep_seq = root.spawn(scenario.replications)[replication]
+    """Per-agent (then environment, then valuation) seed sequences for one replication.
+
+    The replication's sequence is built from its spawn key in O(1): it equals
+    `SeedSequence(master_seed).spawn(scenario.replications)[replication]`
+    without spawning the other replications' sequences.
+    """
+    rep_seq = np.random.SeedSequence(scenario.master_seed, spawn_key=(replication,))
     return rep_seq.spawn(len(scenario.agents) + 2)
 
 

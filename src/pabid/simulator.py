@@ -214,9 +214,9 @@ class RunLog:
                 {
                     "id": n,
                     "demand": self.valuations[n].demand,
-                    "cumulative_utility": float(math.fsum(self.utilities[:, n])),
-                    "cumulative_payment": float(math.fsum(self.payments[:, n])),
-                    "cumulative_reward": float(math.fsum(self.rewards[:, n])),
+                    "cumulative_utility": math.fsum(self.utilities[:, n].tolist()),
+                    "cumulative_payment": math.fsum(self.payments[:, n].tolist()),
+                    "cumulative_reward": math.fsum(self.rewards[:, n].tolist()),
                 }
                 for n in range(self.num_agents)
             ],
@@ -401,7 +401,7 @@ def regret_report(log: RunLog, agent: int) -> RegretReport:
     valuation = log.valuations[agent]
     table = accumulate_weights_history(valuation, log.thresholds[agent], log.grid)
     best = hindsight_optimal(table)
-    realized = float(math.fsum(log.utilities[:, agent]))
+    realized = math.fsum(log.utilities[:, agent].tolist())
     discretized = best.total_utility - realized
     # Rounding each slot of the continuous optimum up to the next grid point,
     # or down to the largest IR grid point when up would break IR, keeps the

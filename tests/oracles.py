@@ -33,6 +33,11 @@ rounds and must bid the same. `bandit_step` is the group's bandit update on
 one agent's `NodeWeightTable`, and `path_log_probability` the exact law of
 the EW sampler on log tail sums.
 
+`spawn_all_replication_seeds` is the seeding of one replication as it was
+once derived: spawn every replication's sequence from the master seed, keep
+one, then spawn its children. `scenario.replication_seeds` builds the kept
+sequence from its spawn key and must give the same sequences.
+
 `expected_total_utility` is the closed form the lower-bound tests check
 Monte Carlo settlement against.
 """
@@ -647,6 +652,14 @@ def count_rule_indices(q: np.ndarray, u: float) -> np.ndarray:
     cdf = np.cumsum(q, axis=1)
     threshold = u * cdf[:, -1:]
     return np.minimum.accumulate(np.count_nonzero(cdf <= threshold, axis=1))
+
+
+def spawn_all_replication_seeds(master_seed: int, replications: int, replication: int,
+                                agents: int) -> list[np.random.SeedSequence]:
+    """Per-agent, environment and valuation sequences of one replication, by
+    spawning all `replications` sequences of the master seed."""
+    root = np.random.SeedSequence(master_seed)
+    return root.spawn(replications)[replication].spawn(agents + 2)
 
 
 def expected_total_utility(instance: LowerBoundInstance, price_slots: int, horizon: int) -> float:

@@ -45,6 +45,28 @@ class TestBidGrid:
         with pytest.raises(ValueError):
             make_even_grid(bad)
 
+    def test_even_grids_are_shared_per_size(self):
+        assert make_even_grid(21) is make_even_grid(21)
+        assert make_even_grid(11) is not make_even_grid(21)
+        assert make_even_grid(11).count == 11
+
+    def test_shared_grid_values_are_read_only(self):
+        grid = make_even_grid(21)
+        with pytest.raises(ValueError):
+            grid.values[0] = 0.5
+        assert grid.values[0] == 0.0
+
+    def test_too_small_grid_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                make_even_grid(1)
+
+    def test_direct_grid_keeps_writeable_values(self):
+        grid = BidGrid(np.linspace(0.0, 1.0, 5))
+        assert grid.values.flags.writeable
+        grid.values[1] = 0.2
+        assert grid.values[1] == 0.2
+
     def test_grid_must_span_unit_interval(self):
         with pytest.raises(ValueError):
             BidGrid(np.array([0.0, 0.5]))

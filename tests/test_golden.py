@@ -17,7 +17,9 @@ A performance change must leave every run log and every regret report
 bit-identical. The digests below hash the replication-0 CSV plus the repr of
 each agent's regret report, with the JSON log appended, and separately every
 market-metrics series. A change that moves one must say why and record the
-new digest.
+new digest. Those pin replication 0 only, so one more digest hashes the same
+run bytes of replications 0-4 of `benchmark_stochastic` at 50 rounds: a
+replication past 0 cannot change its seeds unseen.
 """
 import hashlib
 import json
@@ -133,6 +135,12 @@ GOLDEN = {
     ),
 }
 
+# sha256 of CSV + regret reports + JSON for each of replications 0-4 in turn
+REPLICATIONS_SCENARIO = "benchmark_stochastic"
+REPLICATIONS = 5
+REPLICATION_ROUNDS = 50
+REPLICATIONS_DIGEST = "9f9ecd59e4008998dce6d986142dc58c76742e5c5eb4cdd99b24d9cd36cec171"
+
 
 def report_tuple(report) -> tuple:
     return (
@@ -145,15 +153,25 @@ def report_tuple(report) -> tuple:
     )
 
 
-def golden_digests(name: str) -> tuple[str, str]:
+def load_document(name: str) -> dict:
     document = INLINE_SCENARIOS.get(name)
     if document is None:
         with open(_resolve_scenario_path(name)) as fh:
             document = json.load(fh)
-    log = run_experiment(validate_scenario({**document, "rounds": ROUNDS}), replication=0)
+    return document
+
+
+def update_run_digest(digest, log) -> None:
     reports = [report_tuple(regret_report(log, n)) for n in range(log.num_agents)]
-    run_digest = hashlib.sha256(log.to_csv_text().encode() + repr(reports).encode())
-    run_digest.update(log.to_json_text().encode())
+    digest.update(log.to_csv_text().encode() + repr(reports).encode())
+    digest.update(log.to_json_text().encode())
+
+
+def golden_digests(name: str) -> tuple[str, str]:
+    log = run_experiment(validate_scenario({**load_document(name), "rounds": ROUNDS}),
+                         replication=0)
+    run_digest = hashlib.sha256()
+    update_run_digest(run_digest, log)
     metrics = market_metrics(log)
     metrics_digest = hashlib.sha256(repr(metrics.max_welfare).encode())
     for series in (metrics.welfare, metrics.revenue, metrics.total_utility,
@@ -167,3 +185,12 @@ def golden_digests(name: str) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_scenario_outputs_are_byte_identical(name):
     assert golden_digests(name) == GOLDEN[name]
+
+
+def test_replications_past_zero_are_byte_identical():
+    scenario = validate_scenario({**load_document(REPLICATIONS_SCENARIO),
+                                  "rounds": REPLICATION_ROUNDS, "replications": REPLICATIONS})
+    digest = hashlib.sha256()
+    for replication in range(REPLICATIONS):
+        update_run_digest(digest, run_experiment(scenario, replication=replication))
+    assert digest.hexdigest() == REPLICATIONS_DIGEST

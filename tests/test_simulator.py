@@ -16,9 +16,10 @@ from pabid import (
     validate_scenario,
 )
 from pabid.auction import ValuationProfile
+from pabid.scenario import build_market, replication_seeds
 from pabid.simulator import RunLog
 
-from oracles import csv_text, json_text
+from oracles import csv_text, json_text, spawn_all_replication_seeds
 
 
 def benchmark_scenario(rounds=300, replications=1, seed=7, feedback="full", algorithm="ew"):
@@ -95,6 +96,41 @@ class TestRunExperiment:
         with pytest.raises(ScenarioError) as excinfo:
             validate_scenario(document)
         assert any("plot" in p for p in excinfo.value.problems)
+
+
+class TestReplicationSeeds:
+    """A replication's seeds come from its spawn key, equal to spawning them all."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(master_seed=st.one_of(st.just(0), st.integers(1, 1_000), st.integers(2**64, 2**160)),
+           replications=st.integers(1, 5_000), agents=st.integers(1, 4), data=st.data())
+    def test_equal_to_spawning_every_replication(self, master_seed, replications, agents, data):
+        replication = data.draw(st.one_of(st.just(0), st.just(replications - 1),
+                                          st.integers(0, replications - 1)))
+        document = benchmark_scenario(replications=replications, seed=master_seed)
+        document["agents"] *= agents
+        got = replication_seeds(validate_scenario(document), replication)
+        want = spawn_all_replication_seeds(master_seed, replications, replication, agents)
+        assert len(got) == len(want) == agents + 2
+        for a, b in zip(got, want):
+            assert a.entropy == b.entropy
+            assert a.spawn_key == b.spawn_key
+            assert a.generate_state(8).tolist() == b.generate_state(8).tolist()
+
+    @pytest.mark.parametrize("document", [benchmark_scenario, market_scenario])
+    def test_build_market_spawns_only_its_own_children(self, monkeypatch, document):
+        counts = []
+
+        class Recording(np.random.SeedSequence):
+            def spawn(self, n_children):
+                counts.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Recording)
+        scenario = validate_scenario(document(replications=10_000))
+        for replication in (0, 9_999):
+            build_market(scenario, replication)
+        assert counts and max(counts) <= len(scenario.agents) + 2
 
 
 class TestRegretReport:
