@@ -38,11 +38,7 @@ from .mirror_descent import (
     sample_from_marginals,
     unconstrained_step,
 )
-from .adversaries import (
-    LowerBoundInstance,
-    StochasticAdversary,
-    lower_bound_instance,
-)
+from .adversaries import StochasticAdversary, lower_bound_rows
 from .simulator import (
     MarketMetrics,
     RegretReport,

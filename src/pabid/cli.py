@@ -25,7 +25,7 @@ from . import __version__
 from .auction import TieBreak, ValuationProfile, win_thresholds
 from .grids import make_even_grid
 from .hindsight import accumulate_weights_history, hindsight_optimal
-from .scenario import Scenario, ScenarioError, canonical_hash, load_scenario
+from .scenario import ScenarioError, canonical_hash, read_document, validate_scenario
 from .simulator import market_metrics, regret_report, run_experiment
 
 
@@ -52,10 +52,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _run_single_replication(args: tuple) -> dict:
-    scenario_dict, replication, out_dir, fmt = args
-    from .scenario import validate_scenario
-
-    scenario = validate_scenario(scenario_dict)
+    scenario, replication, out_dir, fmt = args
     log = run_experiment(scenario, replication)
     stem = os.path.join(out_dir, f"runlog_r{replication:03d}")
     if fmt == "csv":
@@ -102,30 +99,15 @@ def cmd_run(args) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    try:
-        scenario = load_scenario(path)
-    except ScenarioError as err:
-        for problem in err.problems:
-            print(f"scenario error: {problem}", file=sys.stderr)
-        return 2
-
-    document = dict(scenario.raw)
-    if args.seed is not None:
+    document = read_document(path)
+    if args.seed is not None and isinstance(document, dict):
         document["master_seed"] = args.seed
-        try:
-            from .scenario import validate_scenario
-
-            scenario = validate_scenario(document)
-        except ScenarioError as err:
-            for problem in err.problems:
-                print(f"scenario error: {problem}", file=sys.stderr)
-            return 2
+    scenario = validate_scenario(document)
 
     out_dir = args.out or os.path.join("out", scenario.name)
     os.makedirs(out_dir, exist_ok=True)
 
-    tasks = [(document if args.seed is not None else scenario.raw, r, out_dir, args.format)
-             for r in range(scenario.replications)]
+    tasks = [(scenario, r, out_dir, args.format) for r in range(scenario.replications)]
     try:
         if args.jobs > 1 and scenario.replications > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -146,7 +128,7 @@ def cmd_run(args) -> int:
                   json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n")
     manifest = {
         "scenario": scenario.name,
-        "config_hash": canonical_hash(scenario.raw if args.seed is None else document),
+        "config_hash": canonical_hash(scenario.raw),
         "master_seed": scenario.master_seed,
         "replications": scenario.replications,
         "format": args.format,

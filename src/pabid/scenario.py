@@ -6,6 +6,11 @@ overrides), the environment, and how many seeded replications to run.
 Validation is strict: unknown keys are errors, every complaint names the
 offending field, and a scenario that validates can be built and run.
 
+Every exogenous environment is a `StochasticAdversary` over a table of
+competing-bid rows: a stochastic environment's support, each row sorted and
+mapped to grid indices, or the lower-bound family's two rows
+(`lower_bound_rows`). A self-play market has none.
+
 All randomness derives from one master seed. Replication r draws from the
 sequence with spawn key (r,) under that seed, built directly in O(1) whatever
 the replication count: NumPy defines it as `SeedSequence(master_seed).spawn(R)[r]`
@@ -23,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .adversaries import StochasticAdversary, lower_bound_instance
-from .auction import CompetingBids, ValuationProfile
+from .adversaries import StochasticAdversary, lower_bound_rows
+from .auction import ValuationProfile
 from .exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig, estimator_offsets
 from .grids import make_even_grid
 from .mirror_descent import Q_FLOOR, OmdBidder
@@ -283,13 +288,17 @@ def _support_problems(support: list, grid_size: Optional[int], supply: Optional[
     return problems
 
 
-def load_scenario(path) -> Scenario:
+def read_document(path) -> dict:
+    """The JSON document of a scenario file, not yet validated."""
     with open(path) as fh:
         try:
-            document = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as err:
             raise ScenarioError([f"file: not valid JSON ({err})"]) from err
-    return validate_scenario(document)
+
+
+def load_scenario(path) -> Scenario:
+    return validate_scenario(read_document(path))
 
 
 def replication_seeds(scenario: Scenario, replication: int) -> list[np.random.SeedSequence]:
@@ -344,22 +353,19 @@ def build_market(scenario: Scenario, replication: int) -> tuple[SelfPlayMarket, 
                                       seed=seqs[members[0]]))
 
     env = None
-    env_wins_ties = False
     env_spec = scenario.environment
-    if env_spec.kind == "stochastic":
+    if env_spec.kind != "self_play":
+        if env_spec.kind == "stochastic":
+            rows = grid.indices_of(np.sort(env_spec.support, axis=1))
+            probs = env_spec.probs
+        else:
+            rows, probs = lower_bound_rows(env_spec.demand, grid, horizon, env_spec.delta,
+                                           env_spec.variant)
         env_seed = int(np.random.default_rng(env_seq).integers(0, 2**63 - 1))
-        support = [CompetingBids.from_values(sorted(row), grid) for row in env_spec.support]
-        env = StochasticAdversary(support, env_spec.probs, seed=env_seed)
-        env_wins_ties = env_spec.tie == "agent_loses"
-    elif env_spec.kind == "lower_bound":
-        env_seed = int(np.random.default_rng(env_seq).integers(0, 2**63 - 1))
-        instance = lower_bound_instance(env_spec.demand, horizon, env_spec.delta,
-                                        env_spec.variant, env_seed)
-        env = instance.adversary(grid)
-        env_wins_ties = env_spec.tie == "agent_loses"
+        env = StochasticAdversary(rows, probs, seed=env_seed)
 
-    market = SelfPlayMarket(learners, valuations, grid, scenario.supply,
-                            environment=env, env_wins_ties=env_wins_ties,
+    market = SelfPlayMarket(learners, valuations, grid, scenario.supply, environment=env,
+                            env_wins_ties=env is not None and env_spec.tie == "agent_loses",
                             members=list(groups.values()))
     config = {
         "scenario": scenario.raw,

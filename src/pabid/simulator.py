@@ -28,12 +28,15 @@ Settlement runs once per run, after the last round, on those columns:
 payments for all T rounds, and utility is reward minus payment. A round
 that granted more units than the supply is then named with its agents.
 
-The environment is oblivious, so `play` reads its bids `ENV_BLOCK` rounds
-at a time (`draws`), and the log keeps those blocks. A market of one agent
-has nothing to pool: its rivals are the environment's row, and its
-thresholds for a block are one `auction.win_thresholds` call on that block,
-the rule `round_thresholds` applies once an agent's own keys are left out.
-The agent's learner still proposes and observes once per round.
+The environment is oblivious, so `play` reads its bids a block of
+`adversaries.ENV_BLOCK` rounds at a time (`draws`), the chunk in which a
+`StochasticAdversary` draws them, and the log keeps those blocks. A block
+holding an index outside the grid stops the run, naming its first such
+round. A market of one agent has nothing to pool: its rivals are the
+environment's row, and its thresholds for a block are one
+`auction.win_thresholds` call on that block, the rule `round_thresholds`
+applies once an agent's own keys are left out. The agent's learner still
+proposes and observes once per round.
 
 `round_thresholds` is the only routine that pools rival bids. The log keeps
 every agent's (T, M) win thresholds as its rounds pooled them, so scoring
@@ -56,6 +59,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__ as _library_version
+from .adversaries import ENV_BLOCK
 from .auction import (BidVector, TieBreak, ValuationProfile, owner_ranks, round_thresholds,
                       settle_columns, win_thresholds)
 from .grids import BidGrid
@@ -64,8 +68,6 @@ from .hindsight import accumulate_weights_history, hindsight_optimal
 # Priority assigned to exogenous environment bids relative to agents 0..N-1.
 ENV_WINS_PRIORITY = 2**30
 ENV_LOSES_PRIORITY = -(2**30)
-# Most rounds of environment bids `play` reads at once.
-ENV_BLOCK = 4096
 
 
 @dataclass
@@ -266,8 +268,9 @@ class SelfPlayMarket:
     agent per group. `valuations[n]` belongs to agent n, whose tie priority is
     n; the environment's bids rank above or below every agent's. The
     environment gives the bids of rounds t0..t1-1 as `draws(t0, t1)`, a
-    (rounds, supply) array of non-decreasing grid-index rows. An error raised
-    by a group's `propose` or `observe` names its agents and the round.
+    (rounds, supply) array of non-decreasing grid-index rows; `play` checks
+    that every index lies on the grid. An error raised by a group's
+    `propose` or `observe` names its agents and the round.
     """
 
     def __init__(
@@ -313,10 +316,16 @@ class SelfPlayMarket:
         for start in range(0, rounds, ENV_BLOCK):
             stop = min(start + ENV_BLOCK, rounds)
             if env is not None:
-                env_bids[start:stop] = env.draws(start, stop)
-                env_rows = env_bids[start:stop].tolist()
+                block = env_bids[start:stop]
+                block[:] = env.draws(start, stop)
+                outside = np.flatnonzero(((block < 0) | (block >= self.grid.count)).any(axis=1))
+                if outside.size:
+                    t = start + int(outside[0])
+                    raise ValueError(f"round {t}: environment bids {env_bids[t].tolist()} leave "
+                                     f"the grid of {self.grid.count} values")
+                env_rows = block.tolist()
             if solo:
-                thresholds[0][start:stop] = win_thresholds(env_bids[start:stop], widths[0], tie)
+                thresholds[0][start:stop] = win_thresholds(block, widths[0], tie)
                 solo_rows = thresholds[0][start:stop].tolist()
             played = []  # per round: the agents' bid rows, then their thresholds
             for t in range(start, stop):

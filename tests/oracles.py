@@ -38,8 +38,10 @@ once derived: spawn every replication's sequence from the master seed, keep
 one, then spawn its children. `scenario.replication_seeds` builds the kept
 sequence from its spawn key and must give the same sequences.
 
-`expected_total_utility` is the closed form the lower-bound tests check
-Monte Carlo settlement against.
+`drawn_row` is one round of a stochastic environment derived on its own
+from the round's chunk seed; `StochasticAdversary.draws` must give its rows
+for every range of rounds. `expected_total_utility` is the closed form the
+lower-bound tests check Monte Carlo settlement against.
 """
 from __future__ import annotations
 
@@ -60,7 +62,6 @@ from pabid.auction import (
     ValuationProfile,
     win_thresholds,
 )
-from pabid.adversaries import LowerBoundInstance
 from pabid.grids import VALUE_EPS, BidGrid
 from pabid.exp_weights import ExpWeightsBidder, _bandit_step
 from pabid.hindsight import NEG_INF, HindsightSolution, NodeWeightTable
@@ -662,10 +663,30 @@ def spawn_all_replication_seeds(master_seed: int, replications: int, replication
     return root.spawn(replications)[replication].spawn(agents + 2)
 
 
-def expected_total_utility(instance: LowerBoundInstance, price_slots: int, horizon: int) -> float:
-    """Closed-form expected cumulative utility, on the hard two-point family,
-    of a fixed bid with `price_slots` entries at the price c and the rest at
-    zero."""
-    zeros_beyond = max(0, instance.zeros - price_slots)
-    per_round = (1.0 - instance.price) * price_slots + instance.low_probability * zeros_beyond
+def drawn_row(rows: Sequence, probabilities: Sequence[float], seed: int, t: int):
+    """Round t's row of `StochasticAdversary(rows, probabilities, seed)`, alone.
+
+    Round t reads uniform t % 4096 of the stream seeded by
+    `SeedSequence((seed, t // 4096))` and takes the first row whose running
+    probability total exceeds it, or the last row when roundoff leaves the
+    total at or below it.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, t // 4096)))
+    u = rng.random(4096)[t % 4096]
+    total = 0.0
+    for row, p in zip(rows, probabilities):
+        total += p
+        if u < total:
+            return row
+    return rows[-1]
+
+
+def expected_total_utility(demand: int, low_probability: float, price_slots: int,
+                           horizon: int) -> float:
+    """Closed-form expected cumulative utility, on the hard two-point family
+    whose low row (M - M/3 zeros, then the price c = 2/3) has probability
+    `low_probability`, of a fixed bid with `price_slots` entries at c and the
+    rest at zero."""
+    zeros_beyond = max(0, demand - demand // 3 - price_slots)
+    per_round = (1.0 - 2.0 / 3.0) * price_slots + low_probability * zeros_beyond
     return horizon * per_round

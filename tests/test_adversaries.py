@@ -8,33 +8,29 @@ from pabid import (
     CompetingBids,
     ExpWeightsBidder,
     LearnerConfig,
-    LowerBoundInstance,
     SelfPlayMarket,
     StochasticAdversary,
     TieBreak,
     ValuationProfile,
-    lower_bound_instance,
+    lower_bound_rows,
     make_even_grid,
 )
 
-from oracles import expected_total_utility, iter_monotone_indices, settle
+from oracles import drawn_row, expected_total_utility, iter_monotone_indices, settle
+
+BENCHMARK_ROWS = [[0.1, 0.1, 0.1], [0.3, 0.3, 1.0], [0.4, 1.0, 1.0]]
+BENCHMARK_PROBS = [0.5, 0.25, 0.25]
 
 
 def benchmark_adversary(grid, seed=0):
-    support = [
-        CompetingBids.from_values([0.1, 0.1, 0.1], grid),
-        CompetingBids.from_values([0.3, 0.3, 1.0], grid),
-        CompetingBids.from_values([0.4, 1.0, 1.0], grid),
-    ]
-    return StochasticAdversary(support, [0.5, 0.25, 0.25], seed=seed)
+    return StochasticAdversary(grid.indices_of(BENCHMARK_ROWS), BENCHMARK_PROBS, seed=seed)
 
 
 class TestStochasticAdversary:
     def test_degenerate_distribution_is_constant(self):
         grid = make_even_grid(5)
-        adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.25, 0.75], grid)], [1.0], seed=1)
-        draws = {tuple(adversary.draw(t).indices.tolist()) for t in range(50)}
+        adversary = StochasticAdversary(grid.indices_of([[0.25, 0.75]]), [1.0], seed=1)
+        draws = {tuple(row) for row in adversary.draws(0, 50).tolist()}
         assert draws == {(1, 3)}
 
     def test_draw_is_pure_in_seed_and_round(self):
@@ -42,20 +38,22 @@ class TestStochasticAdversary:
         one = benchmark_adversary(grid, seed=9)
         two = benchmark_adversary(grid, seed=9)
         order = [5000, 3, 9999, 3, 0]
-        assert [one.pick(t) for t in order] == [two.pick(t) for t in order]
-        assert one.pick(3) == one.pick(3)
-        assert any(benchmark_adversary(grid, seed=10).pick(t) != one.pick(t)
-                   for t in range(200))
+        assert [one.draws(t, t + 1).tolist() for t in order] == [
+            two.draws(t, t + 1).tolist() for t in order]
+        assert one.draws(3, 4).tolist() == one.draws(3, 4).tolist()
+        other = benchmark_adversary(grid, seed=10).draws(0, 200)
+        assert any(row != mine for row, mine in zip(other.tolist(), one.draws(0, 200).tolist()))
 
     @pytest.mark.parametrize("t0, t1", [(0, 0), (5000, 5000), (0, 37), (100, 900),
                                         (1000, 4096), (4000, 4196), (4095, 8193)])
     def test_draws_stack_the_rounds_draws(self, t0, t1):
         """An empty range, a range inside one chunk, one starting mid-chunk and
-        ranges across the 4,096-round chunk edges."""
+        ranges across the 4,096-round chunk edges, against each round's row
+        derived alone."""
         grid = make_even_grid(11)
         block = benchmark_adversary(grid, seed=9).draws(t0, t1)
-        fresh = benchmark_adversary(grid, seed=9)
-        rows = [fresh.draw(t).indices for t in range(t0, t1)]
+        support = grid.indices_of(BENCHMARK_ROWS)
+        rows = [drawn_row(support, BENCHMARK_PROBS, 9, t) for t in range(t0, t1)]
         assert block.dtype == np.int64 and block.shape == (t1 - t0, 3)
         assert block.tolist() == np.array(rows, dtype=np.int64).reshape(t1 - t0, 3).tolist()
 
@@ -63,17 +61,31 @@ class TestStochasticAdversary:
         grid = make_even_grid(11)
         adversary = benchmark_adversary(grid, seed=4)
         draws = 100_000
-        counts = np.zeros(3)
-        for t in range(draws):
-            counts[adversary.pick(t)] += 1
-        probs = np.array([0.5, 0.25, 0.25])
+        block = adversary.draws(0, draws)
+        counts = np.array([np.all(block == row, axis=1).sum() for row in adversary.rows])
+        probs = np.array(BENCHMARK_PROBS)
         sigma = np.sqrt(probs * (1 - probs) / draws)
         assert np.all(np.abs(counts / draws - probs) <= 3 * sigma)
 
     def test_probabilities_must_sum_to_one(self):
         grid = make_even_grid(3)
         with pytest.raises(ValueError):
-            StochasticAdversary([CompetingBids.from_values([0.5], grid)], [0.7])
+            StochasticAdversary(grid.indices_of([[0.5]]), [0.7])
+
+    @pytest.mark.parametrize("rows, probs", [
+        ([[0, 1], [1, 2]], [1.0]),         # one probability for two rows
+        ([[0, 1]], [0.5, 0.5]),            # two probabilities for one row
+        ([[0, 1], [1, 2]], [[0.5, 0.5]]),  # probabilities not a vector
+        ([[0, 1], [1]], [0.5, 0.5]),       # ragged rows
+        (np.zeros((0, 2)), []),            # no rows
+        (np.zeros((2, 0)), [0.5, 0.5]),    # rows of no bids
+        ([0, 1], [0.5, 0.5]),              # a vector, not a table
+        ([[0, 1], [-1, 2]], [0.5, 0.5]),   # a negative index
+        ([[0, 1], [2, 1]], [0.5, 0.5]),    # a decreasing row
+    ])
+    def test_malformed_table_rejected(self, rows, probs):
+        with pytest.raises(ValueError):
+            StochasticAdversary(rows, probs)
 
     def test_benchmark_mix_maximizer_confirmed_by_brute_force(self):
         """Under probabilities (1/2, 1/4, 1/4), [0.4, 0.3, 0.1] is the exact
@@ -99,51 +111,56 @@ class TestStochasticAdversary:
 
 class TestLowerBoundInstance:
     def test_structure_matches_closed_forms(self):
-        instance = LowerBoundInstance(demand=3, delta=0.1, variant="F")
-        grid = instance.default_grid()
-        low, high = instance.support_vectors(grid)
+        grid = make_even_grid(4)  # {0, 1/3, 2/3, 1} contains the price 2/3
+        (low, high), _ = lower_bound_rows(3, grid, 1, delta=0.1, variant="F")
         # M - k = 2 zeros then k = 1 price entries, as the closed forms require
-        assert grid.values[low.indices].tolist() == pytest.approx([0.0, 0.0, 2 / 3])
-        assert grid.values[high.indices].tolist() == pytest.approx([2 / 3, 2 / 3, 2 / 3])
+        assert grid.values[low].tolist() == pytest.approx([0.0, 0.0, 2 / 3])
+        assert grid.values[high].tolist() == pytest.approx([2 / 3, 2 / 3, 2 / 3])
 
     def test_printed_utilities_for_delta_point_one(self):
-        instance = LowerBoundInstance(demand=3, delta=0.1, variant="F")
-        assert expected_total_utility(instance, 0, 1) == pytest.approx(1.2)  # (0.5+0.1)*2
-        assert expected_total_utility(instance, 3, 1) == pytest.approx(1.0)  # 3*(1/3)
+        _, (low, _) = lower_bound_rows(3, make_even_grid(4), 1, delta=0.1, variant="F")
+        assert expected_total_utility(3, low, 0, 1) == pytest.approx(1.2)  # (0.5+0.1)*2
+        assert expected_total_utility(3, low, 3, 1) == pytest.approx(1.0)  # 3*(1/3)
 
     def test_delta_zero_makes_candidates_equal(self):
-        instance = LowerBoundInstance(demand=3, delta=0.0, variant="F")
-        zero = expected_total_utility(instance, 0, 1)
-        price = expected_total_utility(instance, 3, 1)
+        grid = make_even_grid(4)
+        _, (low, _) = lower_bound_rows(3, grid, 1, delta=0.0, variant="F")
+        zero = expected_total_utility(3, low, 0, 1)
+        price = expected_total_utility(3, low, 3, 1)
         assert zero == pytest.approx(price) == pytest.approx(1.0)
-        f_adv = LowerBoundInstance(demand=3, delta=0.0, variant="F").adversary()
-        g_adv = LowerBoundInstance(demand=3, delta=0.0, variant="G").adversary()
-        assert np.array_equal(f_adv.probabilities, g_adv.probabilities)
+        _, f_probs = lower_bound_rows(3, grid, 1, delta=0.0, variant="F")
+        _, g_probs = lower_bound_rows(3, grid, 1, delta=0.0, variant="G")
+        assert np.array_equal(f_probs, g_probs)
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            LowerBoundInstance(demand=4, delta=0.1, variant="F")
-        with pytest.raises(ValueError):
-            LowerBoundInstance(demand=3, delta=0.2, variant="F")
-        with pytest.raises(ValueError):
-            LowerBoundInstance(demand=3, delta=0.1, variant="H")
+        cases = [(4, 0.1, "F"), (0, 0.1, "F"), (-3, 0.1, "F"),  # demand
+                 (3, 0.2, "F"), (3, 1 / 6, "F"), (3, -0.01, "F"), (3, math.nan, "F"),  # delta
+                 (3, 0.1, "H")]  # variant
+        for demand, delta, variant in cases:
+            with pytest.raises(ValueError):
+                lower_bound_rows(demand, make_even_grid(4), 100, delta, variant)
+
+    def test_price_must_lie_on_the_grid(self):
+        with pytest.raises(ValueError, match="not a grid value"):
+            lower_bound_rows(3, make_even_grid(5), 100)
 
     def test_default_delta_scales_with_horizon(self):
-        instance = lower_bound_instance(3, horizon=400)
-        assert instance.delta == pytest.approx(1 / 20)
+        _, probs = lower_bound_rows(3, make_even_grid(4), horizon=400)
+        assert probs.tolist() == pytest.approx([0.5 + 1 / 20, 0.5 - 1 / 20])
+        _, probs = lower_bound_rows(3, make_even_grid(4), horizon=1)
+        assert probs[0] == pytest.approx(0.5 + 1 / 6)  # capped just below 1/6
 
     def test_closed_forms_match_monte_carlo_settlement(self, rng):
         for _ in range(8):
             demand = int(rng.choice([3, 6]))
             delta = float(rng.uniform(0.0, 1 / 6 - 1e-6))
             variant = str(rng.choice(["F", "G"]))
-            instance = LowerBoundInstance(demand=demand, delta=delta, variant=variant,
-                                          seed=int(rng.integers(1 << 30)))
-            grid = instance.default_grid()
-            adversary = instance.adversary(grid)
+            grid = make_even_grid(4)
+            rows, probs = lower_bound_rows(demand, grid, 1, delta, variant)
+            adversary = StochasticAdversary(rows, probs, seed=int(rng.integers(1 << 30)))
             valuation = ValuationProfile(np.ones(demand))
             price_slots = int(rng.integers(0, demand + 1))
-            c_idx = grid.index_of(instance.price)
+            c_idx = grid.index_of(2 / 3)
             idx = np.concatenate([
                 np.full(price_slots, c_idx, dtype=np.int64),
                 np.zeros(demand - price_slots, dtype=np.int64),
@@ -153,11 +170,11 @@ class TestLowerBoundInstance:
             bid = BidVector(idx, grid)
             draws = 20_000
             utilities = np.empty(draws)
-            for t in range(draws):
-                utilities[t] = settle(valuation, bid, adversary.draw(t),
+            for t, row in enumerate(adversary.draws(0, draws)):
+                utilities[t] = settle(valuation, bid, CompetingBids(row, grid),
                                       TieBreak.BIDDER_WINS).utility
             mc_total = utilities.mean() * draws
-            exact = expected_total_utility(instance, price_slots, draws)
+            exact = expected_total_utility(demand, probs[0], price_slots, draws)
             sigma = utilities.std(ddof=1) / math.sqrt(draws) * draws
             assert abs(mc_total - exact) <= 3 * sigma + 1e-6
 

@@ -24,7 +24,8 @@ RETIRED = ("compute_partial_sums", "sample_bid", "slot_marginals", "full_info_up
            "project_to_Q", "recover_policy")
 # Spans whose functions the library no longer has.
 ABSENT_SPANS = {"simulator.RunLog.competing_history", "mirror_descent.recover_policy",
-                "kernels.transport_plan", "kernels.sample_chain", "auction.settle"}
+                "kernels.transport_plan", "kernels.sample_chain", "auction.settle",
+                "adversaries.StochasticAdversary.draw"}
 
 
 def test_scaling_block_runs_and_names_only_retired_functions():

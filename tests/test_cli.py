@@ -57,6 +57,28 @@ class TestRun:
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
+    def test_non_object_document_with_seed_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert main(["run", str(bad), "--out", str(tmp_path / "nope"), "--seed", "3"]) == 2
+        assert "scenario error: scenario: document must be a JSON object" in (
+            capsys.readouterr().err)
+
+    def test_scenario_is_validated_once_with_the_seed_applied(self, tmp_path, monkeypatch):
+        from pabid import cli
+
+        seen = []
+
+        def counting(document):
+            seen.append(document["master_seed"])
+            return validate(document)
+
+        validate = cli.validate_scenario
+        monkeypatch.setattr(cli, "validate_scenario", counting)
+        path, _ = write_scenario(tmp_path, rounds=5, replications=3)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "5"]) == 0
+        assert seen == [5]
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         path, _ = write_scenario(tmp_path, rounds=40, replications=3)
         out1 = tmp_path / "subdir1"

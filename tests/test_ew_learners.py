@@ -205,8 +205,7 @@ class TestLearnerRuns:
         grid = make_even_grid(9)
         valuations = [ValuationProfile(np.array(v)) for v in ([1.0, 0.6], [0.8, 0.5], [0.9, 0.2])]
         adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.25, 0.5, 0.75], grid),
-             CompetingBids.from_values([0.0, 0.125, 1.0], grid)], [0.5, 0.5], seed=3)
+            grid.indices_of([[0.25, 0.5, 0.75], [0.0, 0.125, 1.0]]), [0.5, 0.5], seed=3)
         for mode in FeedbackMode:
             configs = [LearnerConfig(mode=mode, eta=0.05 * (i + 1), seed=i) for i in range(3)]
             grouped = SelfPlayMarket([ExpWeightsBidder(valuations, grid, 80, configs)], valuations,
@@ -219,8 +218,7 @@ class TestLearnerRuns:
     def test_hopeless_market_yields_zero_utility_and_ir_bids(self):
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([0.8, 0.6]))
-        adversary = StochasticAdversary(
-            [CompetingBids.from_values([1.0, 1.0], grid)], [1.0], seed=0)
+        adversary = StochasticAdversary(grid.indices_of([[1.0, 1.0]]), [1.0], seed=0)
         learner = ExpWeightsBidder([valuation], grid, 300, [LearnerConfig(seed=4)])
         log = play_against(learner, adversary, 300, tie=TieBreak.BIDDER_LOSES)
         assert math.fsum(log.utilities[:, 0]) == 0.0
@@ -231,8 +229,7 @@ class TestLearnerRuns:
         grid = make_even_grid(9)
         valuation = ValuationProfile(np.array([1.0, 0.9]))
         adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.25, 0.5], grid),
-             CompetingBids.from_values([0.0, 0.75], grid)], [0.5, 0.5], seed=3)
+            grid.indices_of([[0.25, 0.5], [0.0, 0.75]]), [0.5, 0.5], seed=3)
 
         def bids(seed):
             learner = ExpWeightsBidder([valuation], grid, 100,
@@ -248,13 +245,12 @@ class TestLearnerRuns:
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([1.0, 0.5]))
         adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.2, 0.4], grid),
-             CompetingBids.from_values([0.0, 1.0], grid)], [0.6, 0.4], seed=1)
+            grid.indices_of([[0.2, 0.4], [0.0, 1.0]]), [0.6, 0.4], seed=1)
         learner = ExpWeightsBidder([valuation], grid, 50, [LearnerConfig(seed=5)])
         history = []
-        for t in range(50):
+        for row in adversary.draws(0, 50):
             learner.propose()
-            competing = adversary.draw(t)
+            competing = CompetingBids(row, grid)
             history.append(competing)
             learner.observe([0], win_thresholds(competing.indices, 2)[None])
         reference = accumulate_weights(valuation, history, grid)
@@ -263,8 +259,7 @@ class TestLearnerRuns:
     def test_ir_safety_over_full_run(self):
         grid = make_even_grid(9)
         valuation = ValuationProfile(np.array([0.7, 0.45, 0.2]))
-        adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.125, 0.25, 0.375], grid)], [1.0], seed=0)
+        adversary = StochasticAdversary(grid.indices_of([[0.125, 0.25, 0.375]]), [1.0], seed=0)
         for mode in FeedbackMode:
             learner = ExpWeightsBidder([valuation], grid, 200, [LearnerConfig(mode=mode, seed=9)])
             log = play_against(learner, adversary, 200)
@@ -341,8 +336,7 @@ class TestUniformBlocks:
         rows = ([1.0, 0.6], [0.8, 0.5], [0.9, 0.2])[:k]
         valuations = [ValuationProfile(np.array(v)) for v in rows]
         adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.25, 0.5, 0.75], grid),
-             CompetingBids.from_values([0.0, 0.125, 1.0], grid)], [0.5, 0.5], seed=3)
+            grid.indices_of([[0.25, 0.5, 0.75], [0.0, 0.125, 1.0]]), [0.5, 0.5], seed=3)
         edge = UNIFORM_BLOCK_ROWS
         # T = 1, a block edge, one past it, and play beyond a horizon of 5
         for horizon, rounds in ((1, 1), (edge, edge), (edge + 1, edge + 1), (5, edge + 20)):

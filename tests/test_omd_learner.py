@@ -101,12 +101,11 @@ class TestRounds:
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([1.0, 0.8]))
         bidder = OmdBidder(valuation, grid, 100, mode=FeedbackMode.BANDIT_IX, seed=3)
-        adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.2, 0.4], grid)], [1.0], seed=0)
-        for t in range(30):
+        adversary = StochasticAdversary(grid.indices_of([[0.2, 0.4]]), [1.0], seed=0)
+        for row in adversary.draws(0, 30):
             bid = BidVector(bidder.propose()[0], grid)
             assert np.all(bidder.q[np.arange(2), bid.indices] > 0.0)
-            out = settle(valuation, bid, adversary.draw(t))
+            out = settle(valuation, bid, CompetingBids(row, grid))
             bidder.observe([out.allocation])
             back = enumerated_marginals(sampler_law(bidder.q), 2, 6)
             assert np.max(np.abs(back - bidder.q)) <= 1e-8
@@ -171,16 +170,15 @@ class TestRounds:
     def test_ir_mass_stays_zero_all_run(self):
         grid = make_even_grid(8)
         valuation = ValuationProfile(np.array([0.6, 0.3]))
-        adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.0, 0.0], grid)], [1.0], seed=0)
+        adversary = StochasticAdversary(grid.indices_of([[0.0, 0.0]]), [1.0], seed=0)
         for mode in (FeedbackMode.FULL_INFO, FeedbackMode.BANDIT_IX):
             bidder = OmdBidder(valuation, grid, 60, mode=mode, seed=5)
-            for t in range(60):
+            for row in adversary.draws(0, 60):
                 bid = BidVector(bidder.propose()[0], grid)
                 assert np.all(bid.values <= valuation.values + 1e-12)
-                out = settle(valuation, bid, adversary.draw(t))
+                out = settle(valuation, bid, CompetingBids(row, grid))
                 bidder.observe([out.allocation],
-                               win_thresholds(adversary.draw(t).indices, 2)[None]
+                               win_thresholds(row, 2)[None]
                                if mode is FeedbackMode.FULL_INFO else None)
                 assert np.all(bidder.q[~bidder.allowed] == 0.0)
 
@@ -280,7 +278,7 @@ class TestConvergence:
         d = 11
         grid = make_even_grid(d)
         valuation = ValuationProfile(np.array([1.0]))
-        support = [CompetingBids(np.array([j]), grid) for j in range(d)]
+        support = np.arange(d)[:, None]
         probs = [1.0 / d] * d
         adversary = StochasticAdversary(support, probs, seed=8)
         # exact expected utility per bid index (bidder wins ties)
@@ -296,8 +294,7 @@ class TestConvergence:
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([1.0, 0.6]))
         adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.2, 0.4], grid),
-             CompetingBids.from_values([0.0, 0.8], grid)], [0.5, 0.5], seed=2)
+            grid.indices_of([[0.2, 0.4], [0.0, 0.8]]), [0.5, 0.5], seed=2)
         first = play_against(OmdBidder(valuation, grid, 150, seed=10), adversary, 150).bids[0]
         second = play_against(OmdBidder(valuation, grid, 150, seed=10), adversary, 150).bids[0]
         assert np.array_equal(first, second)

@@ -90,12 +90,11 @@ class TestInducedMarginals:
         grid = make_even_grid(8)
         valuation = ValuationProfile(np.array([0.6, 0.3, 0.3]))
         bidder = OmdBidder(valuation, grid, 200, mode=FeedbackMode.BANDIT_IX, seed=4)
-        adversary = StochasticAdversary(
-            [CompetingBids.from_values([0.0, 1 / 7, 2 / 7], grid)], [1.0], seed=0)
+        adversary = StochasticAdversary(grid.indices_of([[0.0, 1 / 7, 2 / 7]]), [1.0], seed=0)
         measures = [bidder.q.copy()]
-        for t in range(40):
+        for row in adversary.draws(0, 40):
             bid = BidVector(bidder.propose()[0], grid)
-            bidder.observe([settle(valuation, bid, adversary.draw(t)).allocation])
+            bidder.observe([settle(valuation, bid, CompetingBids(row, grid)).allocation])
             measures.append(bidder.q.copy())
         # zero-mass cells inside the IR region, at both ends of the rows
         measures.append(np.array([[0.0, 0.3, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0],

@@ -23,6 +23,7 @@ from oracles import (
     accumulate_weights,
     allocate,
     competing_bids,
+    drawn_row,
     loop_competing_history,
     loop_market_metrics,
     loop_round,
@@ -59,12 +60,8 @@ class Scripted:
 class Replay:
     """Environment that draws fixed ascending rows."""
 
-    def __init__(self, rows, grid):
+    def __init__(self, rows):
         self.rows = rows
-        self.grid = grid
-
-    def draw(self, t):
-        return CompetingBids(self.rows[t], self.grid)
 
     def draws(self, t0, t1):
         return np.array(self.rows[t0:t1], dtype=np.int64)
@@ -74,7 +71,7 @@ def run_market(grid, agent_rows, supply, env_rows=None, env_wins_ties=False):
     """Play scripted agents (valuation 1 on every unit) against an optional environment."""
     learners = [Scripted(rows, grid) for rows in agent_rows]
     valuations = [ValuationProfile(np.ones(len(rows[0]))) for rows in agent_rows]
-    environment = Replay(env_rows, grid) if env_rows is not None else None
+    environment = Replay(env_rows) if env_rows is not None else None
     market = SelfPlayMarket(learners, valuations, grid, supply, environment, env_wins_ties)
     return market, market.play(len(agent_rows[0]))
 
@@ -184,7 +181,7 @@ class TestLoneAgent:
     def test_log_equals_per_round_pooling(self, env_wins_ties, demand, supply):
         rounds, grid = ENV_BLOCK + 200, make_even_grid(6)
         rng = np.random.default_rng(demand + 10 * supply + 100 * env_wins_ties)
-        support = [CompetingBids(np.sort(rng.integers(0, 6, supply)), grid) for _ in range(4)]
+        support = [np.sort(rng.integers(0, 6, supply)) for _ in range(4)]
         environment = Spy(support, [0.4, 0.3, 0.2, 0.1], seed=7)
         rows = np.sort(rng.integers(0, 6, (rounds, demand)), axis=1)[:, ::-1]
         agent = Scripted(rows, grid)
@@ -194,7 +191,8 @@ class TestLoneAgent:
         assert environment.blocks == [(0, ENV_BLOCK), (ENV_BLOCK, rounds)]
 
         ranks = owner_ranks([0, ENV_WINS_PRIORITY if env_wins_ties else ENV_LOSES_PRIORITY])
-        env_rows = [environment.draw(t).indices.tolist() for t in range(rounds)]
+        env_rows = [drawn_row(support, [0.4, 0.3, 0.2, 0.1], 7, t).tolist()
+                    for t in range(rounds)]
         thresholds = [round_thresholds([row, env_row], ranks, supply, 1)[0]
                       for row, env_row in zip(rows.tolist(), env_rows)]
         pooled = np.array(thresholds, dtype=np.int64)
@@ -217,6 +215,18 @@ class TestLoneAgent:
         assert [list(seen) for seen in agent.seen] == thresholds
         assert 0 < log.allocations.sum() < rounds * demand
         assert log.replay_matches()
+
+    @pytest.mark.parametrize("agents", [1, 2])
+    @pytest.mark.parametrize("bad_round", [3, ENV_BLOCK + 3])
+    @pytest.mark.parametrize("bad_index", [-1, 6])
+    def test_environment_index_outside_the_grid_names_the_round(self, agents, bad_round,
+                                                                 bad_index):
+        rounds, grid = ENV_BLOCK + 10, make_even_grid(6)
+        env_rows = [[0, 1]] * rounds
+        env_rows[bad_round] = [0, bad_index] if bad_index > 0 else [bad_index, 1]
+        agent_rows = [np.zeros((rounds, 1), dtype=np.int64)] * agents
+        with pytest.raises(ValueError, match=f"^round {bad_round}: environment bids"):
+            run_market(grid, agent_rows, 2, env_rows)
 
 
 @st.composite

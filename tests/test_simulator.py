@@ -175,14 +175,12 @@ class TestRegretReport:
         margins = []
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            support = [CompetingBids(np.sort(rng.integers(0, 6, size=2)), grid)
-                       for _ in range(3)]
+            support = [np.sort(rng.integers(0, 6, size=2)) for _ in range(3)]
             adversary = StochasticAdversary(support, [1 / 3] * 3, seed=seed)
-            hist = np.empty((rounds, 2), dtype=np.int64)
+            hist = adversary.draws(0, rounds)
             realized = 0.0
             for t in range(rounds):
-                competing = adversary.draw(t)
-                hist[t] = competing.indices
+                competing = CompetingBids(hist[t], grid)
                 from pabid import BidVector
 
                 bid = BidVector(vectors[rng.integers(0, len(vectors))], grid)
