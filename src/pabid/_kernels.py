@@ -8,9 +8,9 @@ Kernels:
   * project_dual_ascent: unnormalized-KL projection onto the dominance
     polytope by cyclic coordinate ascent on the Lagrange dual, O(M*D) per
     sweep, certified by the max of layer-sum error, dominance violation and
-    complementary-slackness residual. Until a pair moves, a sweep costs one
-    prefix table and its row maxima, which name the idle pairs and give the
-    certificate.
+    complementary-slackness residual. The first sweep returns on one prefix
+    table's maxima when no pair would move; otherwise every sweep visits
+    every pair.
   * ew_tail_sums / sample_monotone: decoupled exponential weights. One
     backward pass yields the tail sums and their running prefix sums; the
     prefix sums are the sampler's normalizers, so sampling is one bisection
@@ -75,18 +75,15 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     far (backward). The cell rescaling is lazy: cell k of the deep row is
     multiplied, once per pair, by exp(sum_{j >= k} delta_j) and the shallow
     row divided by it. A constraint with lambda = 0 and P <= A is skipped,
-    since its clipped update is exactly zero. Until a pair first moves (lambda
-    is all zero), one prefix table of the normalized rows gives every P - A,
-    and one row maximum per layer pair serves twice: idle pairs (maximum <= 0,
-    so no positive or NaN difference) ahead of the first busy one are skipped,
-    and a sweep where none moves takes the largest maximum as its dominance
-    violation. That certificate is exact, as the passes' running sums and
-    backward prefixes / 1.0 are the table's sums bit for bit, and it is read
-    as Python floats: the <= M row-sum errors and the maxima, NaN kept as
-    numpy's max keeps it. Once a pair has moved, sweeps visit every pair.
-    The usual bandit step leaves every pair idle: then the first sweep
-    returns as soon as it certifies, and the zero multipliers are allocated
-    only for the return.
+    since its clipped update is exactly zero.
+
+    The usual bandit step leaves every pair idle, so the first sweep checks
+    that on one prefix table of the normalized rows: when no P - A is
+    positive (NaN counts as positive), nothing moves and it returns if the
+    larger of the row-sum error and the largest P - A certifies. That
+    certificate is exact, as the passes' running sums and backward prefixes
+    / 1.0 are the table's sums bit for bit. Otherwise one loop runs the
+    sweeps, each visiting every pair and ending on the KKT gap.
 
     The certificate `gap` is the max of the row-sum error, the dominance
     violation and the complementary-slackness residual |lambda (A - P)|.
@@ -101,41 +98,29 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     s = q.sum(axis=1)
     q /= s[:, None]
     nu = 0.0 - np.log(s)
-    tops = _dominance_excess(q).max(axis=1, initial=_NEG_INF).tolist()
-    top = _nan_max(tops)
+    top = _nan_max(_dominance_excess(q).max(axis=1, initial=_NEG_INF).tolist())
     if top <= 0.0:  # the first sweep moves no pair (a NaN top is busy)
         errors = [abs(total - 1.0) for total in q.sum(axis=1).tolist()]
         gap = max(_nan_max(errors), top)
         if not gap > tol:
             return q, np.zeros(lam_shape), nu, 1, gap
     lam = np.zeros(lam_shape)
-    fresh = True  # no pair has moved yet, so every multiplier is still zero
     for sweep in range(max_sweeps):
-        if sweep:  # the first sweep's normalization and tops are done above
+        if sweep:  # the first sweep's normalization is done above
             s = q.sum(axis=1)
             q /= s[:, None]
             nu -= np.log(s)
-            if fresh:
-                tops = _dominance_excess(q).max(axis=1, initial=_NEG_INF).tolist()
         forward = sweep % 2 == 0
-        pairs = range(m_units - 1) if forward else range(m_units - 2, -1, -1)
-        if fresh:
-            idle = [top <= 0.0 for top in tops]  # NaN counts as busy
-            pairs = itertools.dropwhile(idle.__getitem__, pairs)
-        for m in pairs:
-            fresh = not _balance_pair(q, lam, m, forward) and fresh
-        if fresh:  # q is the table's: lambda is zero, so the gap is the larger of two maxima
-            errors = [abs(total - 1.0) for total in q.sum(axis=1).tolist()]
-            gap = max(_nan_max(errors), _nan_max(tops))
-        else:
-            gap = _kkt_gap(q, _dominance_excess(q), lam)
+        for m in range(m_units - 1) if forward else range(m_units - 2, -1, -1):
+            _balance_pair(q, lam, m, forward)
+        gap = _kkt_gap(q, _dominance_excess(q), lam)
         if not gap > tol:  # converged, or a NaN gap: more sweeps cannot help
             return q, lam, nu, sweep + 1, gap
     return q, lam, nu, max_sweeps, gap
 
 
 def _balance_pair(q, lam, m, forward):
-    """One pass over the d - 1 dominance constraints of rows m, m + 1: did one move?"""
+    """One pass over the d - 1 dominance constraints of rows m, m + 1."""
     n = q.shape[1] - 1
     lams = lam[m, :n].tolist()
     deltas = [0.0] * n
@@ -171,13 +156,11 @@ def _balance_pair(q, lam, m, forward):
                 lams[j] = lj + delta
                 deltas[j] = delta
                 up_so_far *= math.exp(delta)
-    moved = any(deltas)
-    if moved:
+    if any(deltas):
         lam[m, :n] = lams
         up = np.exp(np.cumsum(deltas[::-1])[::-1])
         q[m, :n] /= up
         q[m + 1, :n] *= up
-    return moved
 
 
 def _dominance_step(lam_j, shallow, deep):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import slot_rewards
 from .auction import BidVector, ValuationProfile
 from .grids import BidGrid
 
@@ -61,9 +62,8 @@ def accumulate_weights_history(
     offsets = np.arange(m) * (d + 1)
     counts = np.bincount((thresholds + offsets).ravel(), minlength=m * (d + 1))
     wins = np.cumsum(counts.reshape(m, d + 1), axis=1)[:, :d]
-    weights = wins * (valuation.values[:, None] - grid.values[None, :])
     allowed = valuation.ir_mask(grid)
-    weights[~allowed] = 0.0
+    weights = wins * slot_rewards(allowed, valuation.values, grid.values)
     return NodeWeightTable(weights=weights, allowed=allowed, grid=grid, valuation=valuation)
 
 
@@ -71,29 +71,25 @@ def hindsight_optimal(table: NodeWeightTable) -> HindsightSolution:
     """Exact maximizer of the summed node weights over monotone IR bids.
 
     Backward pass: U_m(b) = max_{b' <= b} W_m(b') + U_{m+1}(b'), computed as a
-    running prefix maximum. Forward pass re-derives the argmax chain, taking
-    the smallest bid on ties so the result is the lexicographically smallest
-    optimal vector.
+    running prefix maximum of each slot's candidate row. The forward pass
+    reads those candidate rows back: slot m takes the argmax of its row up to
+    the previous slot's bid, the smallest bid on ties, so the result is the
+    lexicographically smallest optimal vector.
     """
     m_units, d = table.weights.shape
     if not table.allowed[:, 0].all():
         raise ValueError("grid minimum must be individually rational in every layer")
-    # u_next[b] = U_{m+1}(b); candidates c[b'] = W_m(b') + U_{m+1}(b')
-    u_levels = np.zeros((m_units + 1, d))
+    # cand[m, b'] = W_m(b') + U_{m+1}(b'); u_next[b] = U_{m+1}(b)
+    cand = np.empty((m_units, d))
+    u_next = np.zeros(d)
     for m in range(m_units - 1, -1, -1):
-        cand = np.where(table.allowed[m], table.weights[m] + u_levels[m + 1], NEG_INF)
-        u_levels[m] = np.maximum.accumulate(cand)
-    total = float(u_levels[0, d - 1])
+        cand[m] = np.where(table.allowed[m], table.weights[m] + u_next, NEG_INF)
+        u_next = np.maximum.accumulate(cand[m])
+    total = float(u_next[d - 1])
 
     indices = np.empty(m_units, dtype=np.int64)
     cap = d - 1
     for m in range(m_units):
-        cand = np.where(
-            table.allowed[m, : cap + 1],
-            table.weights[m, : cap + 1] + u_levels[m + 1, : cap + 1],
-            NEG_INF,
-        )
-        cap = int(np.argmax(cand))  # first occurrence = smallest bid on ties
+        cap = int(np.argmax(cand[m, : cap + 1]))  # first occurrence = smallest bid on ties
         indices[m] = cap
     return HindsightSolution(bid=BidVector(indices, table.grid), total_utility=total)
-

@@ -9,7 +9,12 @@ offending field, and a scenario that validates can be built and run.
 Every exogenous environment is a `StochasticAdversary` over a table of
 competing-bid rows: a stochastic environment's support, each row sorted and
 mapped to grid indices, or the lower-bound family's two rows
-(`lower_bound_rows`). A self-play market has none.
+(`lower_bound_rows`). A self-play market has none. Each environment kind
+accepts only the keys it reads, besides `kind`:
+  * self_play: none;
+  * stochastic: support, probs, tie;
+  * lower_bound: demand, delta, variant, tie.
+A key of another kind is "not valid for" this one; any other is unknown.
 
 All randomness derives from one master seed. Replication r draws from the
 sequence with spawn key (r,) under that seed, built directly in O(1) whatever
@@ -42,7 +47,12 @@ _FEEDBACK = {
 }
 
 _AGENT_KEYS = {"algorithm", "feedback", "valuation", "eta", "gamma"}
-_ENV_KEYS = {"kind", "support", "probs", "supply", "tie", "demand", "delta", "variant"}
+# the keys each environment kind reads
+_ENV_KEYS = {
+    "self_play": {"kind"},
+    "stochastic": {"kind", "support", "probs", "tie"},
+    "lower_bound": {"kind", "demand", "delta", "variant", "tie"},
+}
 _TOP_KEYS = {"name", "grid_size", "rounds", "replications", "master_seed",
              "supply", "agents", "environment"}
 
@@ -203,14 +213,18 @@ def validate_scenario(document: dict) -> Scenario:
     if not isinstance(raw_env, dict):
         problems.append("environment: must be an object")
     else:
-        for key in raw_env:
-            if key not in _ENV_KEYS:
-                problems.append(f"environment.{key}: unknown key")
         kind = raw_env.get("kind")
-        if kind not in ("self_play", "stochastic", "lower_bound"):
+        keys = _ENV_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None:
             problems.append("environment.kind: must be 'self_play', 'stochastic', or 'lower_bound'")
+        else:
+            for key in raw_env:
+                if key not in keys:
+                    foreign = any(key in other for other in _ENV_KEYS.values())
+                    problems.append(f"environment.{key}: "
+                                    + (f"not valid for {kind}" if foreign else "unknown key"))
         tie = raw_env.get("tie", "agent_wins")
-        if tie not in ("agent_wins", "agent_loses"):
+        if keys and "tie" in keys and tie not in ("agent_wins", "agent_loses"):
             problems.append("environment.tie: must be 'agent_wins' or 'agent_loses'")
         if kind == "stochastic":
             support = raw_env.get("support")
@@ -242,11 +256,6 @@ def validate_scenario(document: dict) -> Scenario:
                                 "(grid_size must be 1 mod 3)")
             environment = EnvironmentSpec(kind="lower_bound", demand=demand, delta=delta,
                                           variant=variant, tie=tie)
-        elif kind == "self_play":
-            for key in ("support", "probs", "demand", "delta"):
-                if key in raw_env:
-                    problems.append(f"environment.{key}: not valid for self_play")
-            environment = EnvironmentSpec(kind="self_play", tie=tie)
 
     if problems:
         raise ScenarioError(problems)

@@ -22,9 +22,9 @@ entries, a `PooledBids` per agent and `settle`.
 cell, formatting every float where it appears; `RunLog.to_csv_text` and
 `to_json_text` must give their bytes.
 
-`sweep_dual_ascent` is the KL projection kernel without its idle-pair skip:
-every sweep visits every layer pair and recomputes the certificate's prefix
-table. `count_rule_indices` is the mirror-descent sampler's index rule as a
+`sweep_dual_ascent` is the KL projection kernel without its first-sweep
+return: every sweep, the first too, visits every layer pair and ends on the
+KKT gap. `count_rule_indices` is the mirror-descent sampler's index rule as a
 count over the whole CDF table. The library must match both bit for bit.
 
 `PerRoundDrawBidder` is the EW group with each agent's uniforms drawn one
@@ -559,7 +559,7 @@ def sweep_dual_ascent(qt, allowed, tol, max_sweeps):
     """Cyclic dual coordinate ascent that visits every layer pair every sweep.
 
     Same sweep order, pair passes and certificate as
-    `_kernels.project_dual_ascent`, without its idle-pair skip. Returns
+    `_kernels.project_dual_ascent`, without its first-sweep return. Returns
     (q, lam, nu, sweeps_used, gap).
     """
     m_units, d = qt.shape

@@ -232,6 +232,59 @@ class TestUnrunnableScenarios:
             assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
 
 
+# Each environment kind with every key it reads; grid_size 10 puts 2/3 on the grid.
+ENVIRONMENTS = {
+    "self_play": ({"kind": "self_play"}, {}),
+    "stochastic": (stochastic_environment(STOCHASTIC_ROWS), {}),
+    "lower_bound": ({"kind": "lower_bound", "demand": 3, "delta": 0.1, "variant": "G",
+                     "tie": "agent_loses"}, {"grid_size": 10}),
+}
+ENV_VALUES = {**ENVIRONMENTS["stochastic"][0], **ENVIRONMENTS["lower_bound"][0]}
+FOREIGN_KEYS = [(kind, key) for kind, (env, _) in sorted(ENVIRONMENTS.items())
+                for key in sorted(ENV_VALUES) if key not in env]
+
+
+class TestEnvironmentKeys:
+    """Each environment kind accepts only the keys it reads."""
+
+    @staticmethod
+    def rejected(tmp_path, capsys, kind, extra):
+        from pabid import ScenarioError, validate_scenario
+
+        env, overrides = ENVIRONMENTS[kind]
+        path, document = write_scenario(tmp_path, rounds=5, replications=1,
+                                        environment={**env, **extra}, **overrides)
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(document)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "scenario error:" in capsys.readouterr().err
+        return excinfo.value.problems
+
+    @pytest.mark.parametrize("kind", sorted(ENVIRONMENTS))
+    def test_every_key_of_the_kind_is_accepted(self, tmp_path, kind):
+        env, overrides = ENVIRONMENTS[kind]
+        path, _ = write_scenario(tmp_path, rounds=5, replications=1, environment=env,
+                                 **overrides)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("kind,key", FOREIGN_KEYS)
+    def test_key_of_another_kind_exits_2(self, tmp_path, capsys, kind, key):
+        problems = self.rejected(tmp_path, capsys, kind, {key: ENV_VALUES[key]})
+        assert problems == [f"environment.{key}: not valid for {kind}"]
+
+    @pytest.mark.parametrize("kind", sorted(ENVIRONMENTS))
+    def test_supply_is_an_unknown_key(self, tmp_path, capsys, kind):
+        problems = self.rejected(tmp_path, capsys, kind, {"supply": 3})
+        assert problems == ["environment.supply: unknown key"]
+
+    @pytest.mark.parametrize("kind", ["adversarial", None, ["stochastic"]])
+    def test_invalid_kind_reports_only_the_kind(self, tmp_path, capsys, kind):
+        extra = {"kind": kind, "supply": 3, "tie": "sometimes", "variant": "H"}
+        problems = self.rejected(tmp_path, capsys, "stochastic", extra)
+        assert problems == ["environment.kind: must be 'self_play', 'stochastic', or "
+                            "'lower_bound'"]
+
+
 def huge_eta_scenario(tmp_path, eta):
     """One EW full-information agent at a user-set eta, 50 rounds."""
     agent = {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 0.8, 0.5], "eta": eta}

@@ -19,7 +19,11 @@ each agent's regret report, with the JSON log appended, and separately every
 market-metrics series. A change that moves one must say why and record the
 new digest. Those pin replication 0 only, so one more digest hashes the same
 run bytes of replications 0-4 of `benchmark_stochastic` at 50 rounds: a
-replication past 0 cannot change its seeds unseen.
+replication past 0 cannot change its seeds unseen. The run digests pin only
+the q of each projection that reaches the bids, so a last digest hashes
+every output of every projection (q, lambda, nu, sweeps and gap) in
+replication 0 of `omd_multisweep` and `mixed_groups`, whose IR-masked OMD
+agent sends roundoff-busy layer pairs through the sweep loop.
 """
 import hashlib
 import json
@@ -27,7 +31,7 @@ import json
 import numpy as np
 import pytest
 
-from pabid import market_metrics, regret_report, run_experiment, validate_scenario
+from pabid import market_metrics, mirror_descent, regret_report, run_experiment, validate_scenario
 from pabid.cli import _resolve_scenario_path
 
 ROUNDS = 300
@@ -141,6 +145,10 @@ REPLICATIONS = 5
 REPLICATION_ROUNDS = 50
 REPLICATIONS_DIGEST = "9f9ecd59e4008998dce6d986142dc58c76742e5c5eb4cdd99b24d9cd36cec171"
 
+# sha256 of the bytes of (q, lambda, nu, sweeps, gap) of every projection, in call order
+PROJECTION_SCENARIOS = ("omd_multisweep", "mixed_groups")
+PROJECTION_DIGEST = "127beb8582512469d268fb61f8973f19ffcc97d028d4c079ae9b190e22f9d805"
+
 
 def report_tuple(report) -> tuple:
     return (
@@ -194,3 +202,20 @@ def test_replications_past_zero_are_byte_identical():
     for replication in range(REPLICATIONS):
         update_run_digest(digest, run_experiment(scenario, replication=replication))
     assert digest.hexdigest() == REPLICATIONS_DIGEST
+
+
+def test_projections_are_byte_identical(monkeypatch):
+    project = mirror_descent.project_dual_ascent
+    digest = hashlib.sha256()
+
+    def recorded(*args):
+        q, lam, nu, sweeps, gap = result = project(*args)
+        for array in (q, lam, nu, np.array([sweeps, gap], dtype=float)):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        return result
+
+    monkeypatch.setattr(mirror_descent, "project_dual_ascent", recorded)
+    for name in PROJECTION_SCENARIOS:
+        run_experiment(validate_scenario({**load_document(name), "rounds": ROUNDS}),
+                       replication=0)
+    assert digest.hexdigest() == PROJECTION_DIGEST

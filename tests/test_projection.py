@@ -309,7 +309,7 @@ def one_violated_pair(m_units: int, pair: int, stuck: bool):
     the wrong way, so only layer pair `pair` is violated; the rest have
     identical rows and zero excess. When `stuck`, the deep law has no mass
     below the shallow one's top cell, so the pair can never move and every
-    sweep, forward and backward, stays before the first move."""
+    sweep, forward and backward, leaves the multipliers at zero."""
     shallow = np.array([0.5, 0.3, 0.1, 0.1, 0.0]) if stuck else np.array([0.4, 0.3, 0.2, 0.1, 0.05])
     deep = np.array([0.0, 0.0, 0.0, 0.0, 1.0]) if stuck else np.array([0.05, 0.1, 0.2, 0.3, 0.4])
     qt = np.vstack([shallow] * (pair + 1) + [deep] * (m_units - 1 - pair))
@@ -317,7 +317,7 @@ def one_violated_pair(m_units: int, pair: int, stuck: bool):
 
 
 class TestKernelMatchesSweepOracle:
-    """The idle-pair skip and the table certificate change no bit of the result."""
+    """The first-sweep return and its table certificate change no bit of the result."""
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-11])
     def test_parity_cases(self, tol):
