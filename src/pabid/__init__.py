@@ -46,6 +46,5 @@ from .simulator import (
     SelfPlayMarket,
     market_metrics,
     regret_report,
-    run_experiment,
 )
-from .scenario import Scenario, ScenarioError, canonical_hash, load_scenario, validate_scenario
+from .scenario import Scenario, ScenarioError, canonical_hash, run_experiment, validate_scenario

@@ -40,7 +40,7 @@ class StochasticAdversary:
         probs = np.asarray(probabilities, dtype=float)
         if rows.ndim != 2 or rows.size == 0 or probs.shape != (len(rows),):
             raise ValueError("rows must be a non-empty (S, supply) table, one probability per row")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("probabilities must be non-negative and sum to 1")
         if rows.min() < 0 or np.any(rows[:, 1:] < rows[:, :-1]):
             raise ValueError("rows must hold non-negative, non-decreasing grid indices")

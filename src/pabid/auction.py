@@ -19,16 +19,15 @@ The settlement rules are written once, on integer grid indices:
   `reward_prefix` table) and payment (a `math.fsum` of the won bids, once
   per distinct won prefix). The round loop checks each bid against the
   valuation's `ir_caps` before any learner observes the round.
-- Ties are broken by strict priority. In a market every entry carries its
-  owner's priority (agent n bids at priority n; the environment ranks above
-  or below every agent), and the pooling rule ranks every rival entry by
-  (index, owner priority), keeps the top `supply` and pads with (0,
-  PAD_PRIORITY) entries that lose every tie. `round_thresholds` is the one
-  routine that pools: it sorts every bidder's entries of a round as integer
-  keys index * L + rank of the owner priority (`owner_ranks`, computed once
-  per run), once, and reads each bidder's thresholds straight off its
-  pooled keys. The run log keeps these thresholds, so nothing after the run
-  pools again.
+- Ties are broken by rank. In a market every entry carries its owner's
+  rank, and of two entries at one index the higher rank wins. Rank 0 pads,
+  so a padding entry (index 0) never wins a unit. Agent n has rank n + 1,
+  or n + 2 when the environment loses ties and so takes rank 1; an
+  environment that wins ties takes rank N + 1. `round_thresholds` is the
+  one routine that pools: it sorts every bidder's entries of a round as
+  integer keys index * L + rank, L the number of ranks, once, and reads
+  each bidder's thresholds straight off its pooled keys. The run log keeps
+  these thresholds, so nothing after the run pools again.
 - One bidder against rows of competing bids with no owners, as `pabid
   hindsight` scores a history, has a single tie mode (`TieBreak`), and
   `win_thresholds` turns the rows into thresholds.
@@ -63,9 +62,9 @@ class ValuationProfile:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("valuation profile must be a non-empty vector")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("valuations must lie in [0, 1]")
-        if np.any(np.diff(values) > VALUE_EPS):
+        if not np.all(np.diff(values) <= VALUE_EPS):
             raise ValueError("valuations must be non-increasing")
 
     @property
@@ -136,12 +135,6 @@ class CompetingBids:
         return int(self.indices.size)
 
 
-# Priority assigned to padded (absent) competing bids: strictly below every
-# real participant (including a BIDDER_LOSES bidder), so an absent bid can
-# never win a unit.
-PAD_PRIORITY = -(2**62)
-
-
 def win_thresholds(indices: np.ndarray, demand: int,
                    tie: TieBreak = TieBreak.BIDDER_WINS) -> np.ndarray:
     """Smallest winning grid index of each of the first `demand` slots.
@@ -153,25 +146,18 @@ def win_thresholds(indices: np.ndarray, demand: int,
     return indices[..., :demand] + (tie is TieBreak.BIDDER_LOSES)
 
 
-def owner_ranks(owners: Sequence[int]) -> list[int]:
-    """Rank of each owner priority among the levels PAD_PRIORITY (rank 0) and
-    `owners`, which are distinct and above PAD_PRIORITY: ranks 1 to len(owners)."""
-    levels = sorted({PAD_PRIORITY, *owners})
-    return [levels.index(owner) for owner in owners]
-
-
 def round_thresholds(rows: Sequence[list], ranks: Sequence[int], supply: int,
                      bidders: int) -> list[list[int]]:
     """Per-slot win thresholds of the first `bidders` rows of one round, from one sort.
 
-    `rows[k]` is a list of bid indices owned by the priority of rank
-    `ranks[k]`, as `owner_ranks` gives it, among the L = len(ranks) + 1
-    levels. Every entry becomes the key index * L + rank of its owner. Bidder
-    n's competing bids are the first `supply` keys of the descending sort
-    that it does not own, padded with key 0, and slot m faces the m-th
-    smallest. The rule of `win_thresholds` in key form: a rival key c * L + r
-    gives the threshold c + (r > rank of n), which is (key + L - 1 - rank of
-    n) // L.
+    `rows[k]` is a list of bid indices of the owner of rank `ranks[k]`, one
+    of 1 to len(ranks) as the module docstring lays them out; rank 0 pads,
+    so there are L = len(ranks) + 1 levels. Every entry becomes the key
+    index * L + rank of its owner. Bidder n's competing bids are the first
+    `supply` keys of the descending sort that it does not own, padded with
+    key 0, and slot m faces the m-th smallest. The rule of `win_thresholds`
+    in key form: a rival key c * L + r gives the threshold c + (r > rank of
+    n), which is (key + L - 1 - rank of n) // L.
     """
     width = len(ranks) + 1
     keys = sorted([j * width + r for row, r in zip(rows, ranks) for j in row], reverse=True)

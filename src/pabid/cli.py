@@ -25,8 +25,8 @@ from . import __version__
 from .auction import TieBreak, ValuationProfile, win_thresholds
 from .grids import make_even_grid
 from .hindsight import accumulate_weights_history, hindsight_optimal
-from .scenario import ScenarioError, canonical_hash, read_document, validate_scenario
-from .simulator import market_metrics, regret_report, run_experiment
+from .scenario import ScenarioError, read_document, run_experiment, validate_scenario
+from .simulator import market_metrics, regret_report
 
 
 def _resolve_scenario_path(name: str) -> str:
@@ -128,7 +128,7 @@ def cmd_run(args) -> int:
                   json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n")
     manifest = {
         "scenario": scenario.name,
-        "config_hash": canonical_hash(scenario.raw),
+        "config_hash": scenario.config_hash,
         "master_seed": scenario.master_seed,
         "replications": scenario.replications,
         "format": args.format,

@@ -141,7 +141,7 @@ class ExpWeightsBidder:
             raise ValueError("a group needs one config per agent, one mode and one demand")
         etas = [eta_schedule(mode, demand, grid.count, horizon) if c.eta is None else c.eta
                 for c in configs]
-        if mode is not FeedbackMode.FULL_INFO and max(etas) >= 1.0 / demand:
+        if mode is not FeedbackMode.FULL_INFO and not all(eta < 1.0 / demand for eta in etas):
             raise ValueError("bandit modes require eta < 1/M")
         self.eta = np.array(etas)
         self.values = np.array([v.values for v in self.valuations])

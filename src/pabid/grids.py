@@ -27,7 +27,7 @@ class BidGrid:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size < 2:
             raise ValueError("bid grid needs at least two values")
-        if np.any(np.diff(values) <= 0):
+        if not np.all(np.diff(values) > 0):
             raise ValueError("bid grid values must be strictly increasing")
         if values[0] != 0.0 or values[-1] != 1.0:
             raise ValueError("bid grid must start at 0 and end at 1")

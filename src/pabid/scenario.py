@@ -6,15 +6,22 @@ overrides), the environment, and how many seeded replications to run.
 Validation is strict: unknown keys are errors, every complaint names the
 offending field, and a scenario that validates can be built and run.
 
-Every exogenous environment is a `StochasticAdversary` over a table of
-competing-bid rows: a stochastic environment's support, each row sorted and
-mapped to grid indices, or the lower-bound family's two rows
-(`lower_bound_rows`). A self-play market has none. Each environment kind
-accepts only the keys it reads, besides `kind`:
+Validation builds, once per scenario, everything the replications share:
+each agent's `FeedbackMode`; the learner groups, in which EW agents of equal
+demand and feedback share a group and each OMD agent is its own; the
+environment's table of competing-bid rows in grid indices with their
+probabilities, and its tie rule; and the hash of the document. A stochastic
+environment's table is its support, each row sorted; the lower-bound
+family's is its two rows (`lower_bound_rows`) at the horizon; a self-play
+market has none. Each environment kind accepts only the keys it reads,
+besides `kind`:
   * self_play: none;
   * stochastic: support, probs, tie;
   * lower_bound: demand, delta, variant, tie.
 A key of another kind is "not valid for" this one; any other is unknown.
+
+A replication (`build_market`) builds only what its seeds decide: the drawn
+valuations, the learners, and a `StochasticAdversary` over the shared table.
 
 All randomness derives from one master seed. Replication r draws from the
 sequence with spawn key (r,) under that seed, built directly in O(1) whatever
@@ -38,7 +45,7 @@ from .auction import ValuationProfile
 from .exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig, estimator_offsets
 from .grids import make_even_grid
 from .mirror_descent import Q_FLOOR, OmdBidder
-from .simulator import SelfPlayMarket
+from .simulator import RunLog, SelfPlayMarket
 
 _FEEDBACK = {
     "full": FeedbackMode.FULL_INFO,
@@ -68,31 +75,34 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class AgentSpec:
     algorithm: str                       # "ew" | "omd"
-    feedback: str                        # "full" | "bandit_ipw" | "bandit_ix"
+    mode: FeedbackMode
     valuation: object                    # list of floats | {"kind": "uniform_sorted", "demand": M}
     eta: Optional[float] = None
     gamma: Optional[float] = None
 
 
 @dataclass(frozen=True)
-class EnvironmentSpec:
-    kind: str                            # "self_play" | "stochastic" | "lower_bound"
-    support: Optional[list] = None
-    probs: Optional[list] = None
-    tie: str = "agent_wins"
-    demand: Optional[int] = None
-    delta: Optional[float] = None
-    variant: str = "F"
-
-
-@dataclass(frozen=True)
 class Scenario:
+    """A validated scenario and what its replications share, built once by
+    `validate_scenario`.
+
+    `groups` lists each learner group's agents, in the order of its rows.
+    `env_table` is the environment's (rows, probabilities), the rows as
+    read-only grid indices, or None for self-play; `env_wins_ties` is its tie
+    rule. `config_hash` is `canonical_hash` of `raw`, the document. Each
+    replication's `build_market` adds only what its seeds decide: the drawn
+    valuations, the learners and the environment's seed.
+    """
+
     name: str
     grid_size: int
     rounds: int
     supply: int
     agents: tuple[AgentSpec, ...]
-    environment: EnvironmentSpec
+    groups: tuple[tuple[int, ...], ...]
+    env_table: Optional[tuple[np.ndarray, np.ndarray]] = field(compare=False)
+    env_wins_ties: bool
+    config_hash: str
     replications: int = 1
     master_seed: int = 0
     raw: dict = field(default_factory=dict, compare=False)
@@ -139,6 +149,7 @@ def validate_scenario(document: dict) -> Scenario:
         master_seed = 0
 
     agents: list[AgentSpec] = []
+    groups: dict = {}  # EW agents of equal demand and feedback share a group
     raw_agents = document.get("agents")
     if not isinstance(raw_agents, list) or not raw_agents:
         problems.append("agents: must be a non-empty list")
@@ -205,11 +216,12 @@ def validate_scenario(document: dict) -> Scenario:
                 problems.append(f"{prefix}.eta: mirror descent needs eta * {largest:.6g} (the "
                                 f"largest estimate) < {sys.float_info.max / 2:.6g}, or the step "
                                 f"overflows")
-        agents.append(AgentSpec(algorithm=algorithm, feedback=feedback, valuation=valuation,
-                                eta=eta, gamma=gamma))
+        agents.append(AgentSpec(algorithm=algorithm, mode=_FEEDBACK.get(feedback),
+                                valuation=valuation, eta=eta, gamma=gamma))
+        groups.setdefault((demand, feedback) if algorithm == "ew" else i, []).append(i)
 
     raw_env = document.get("environment")
-    environment = EnvironmentSpec(kind="self_play")
+    kind = None
     if not isinstance(raw_env, dict):
         problems.append("environment: must be an object")
     else:
@@ -238,7 +250,6 @@ def validate_scenario(document: dict) -> Scenario:
                     or not all(_is_number(p) and p >= 0 for p in (probs or []))
                     or abs(sum(probs or [0]) - 1.0) > 1e-9):
                 problems.append("environment.probs: must be non-negative and sum to 1, one per support row")
-            environment = EnvironmentSpec(kind="stochastic", support=support, probs=probs, tie=tie)
         elif kind == "lower_bound":
             demand = raw_env.get("demand")
             if not _is_positive_int(demand) or demand % 3:
@@ -254,15 +265,24 @@ def validate_scenario(document: dict) -> Scenario:
             if grid_size is not None and (grid_size - 1) % 3 != 0:
                 problems.append("grid_size: lower-bound environments need the price 2/3 on the grid "
                                 "(grid_size must be 1 mod 3)")
-            environment = EnvironmentSpec(kind="lower_bound", demand=demand, delta=delta,
-                                          variant=variant, tie=tie)
 
     if problems:
         raise ScenarioError(problems)
+    env_table = None
+    if kind == "stochastic":
+        env_table = (make_even_grid(grid_size).indices_of(np.sort(support, axis=1)),
+                     np.array(probs, dtype=float))
+    elif kind == "lower_bound":
+        env_table = lower_bound_rows(demand, make_even_grid(grid_size), max(rounds, 1), delta,
+                                     variant)
+    for table in env_table or ():
+        table.flags.writeable = False
     return Scenario(
-        name=name, grid_size=grid_size, rounds=rounds, supply=supply,
-        agents=tuple(agents), environment=environment,
-        replications=replications, master_seed=master_seed, raw=document,
+        name=name, grid_size=grid_size, rounds=rounds, supply=supply, agents=tuple(agents),
+        groups=tuple(map(tuple, groups.values())), env_table=env_table,
+        env_wins_ties=env_table is not None and tie == "agent_loses",
+        config_hash=canonical_hash(document), replications=replications,
+        master_seed=master_seed, raw=document,
     )
 
 
@@ -306,10 +326,6 @@ def read_document(path) -> dict:
             raise ScenarioError([f"file: not valid JSON ({err})"]) from err
 
 
-def load_scenario(path) -> Scenario:
-    return validate_scenario(read_document(path))
-
-
 def replication_seeds(scenario: Scenario, replication: int) -> list[np.random.SeedSequence]:
     """Per-agent (then environment, then valuation) seed sequences for one replication.
 
@@ -335,50 +351,40 @@ def build_market(scenario: Scenario, replication: int) -> tuple[SelfPlayMarket, 
         raise ValueError("replication index out of range")
     grid = make_even_grid(scenario.grid_size)
     seqs = replication_seeds(scenario, replication)
-    env_seq, valuation_seq = seqs[-2], seqs[-1]
-    valuation_children = valuation_seq.spawn(len(scenario.agents))
+    valuation_children = seqs[-1].spawn(len(scenario.agents))
 
     horizon = max(scenario.rounds, 1)  # schedules divide by the horizon
     valuations = [_materialize_valuation(spec.valuation, valuation_children[i])
                   for i, spec in enumerate(scenario.agents)]
-    # EW agents of equal demand and feedback form one group; each OMD agent is its own.
-    groups: dict = {}
-    for i, spec in enumerate(scenario.agents):
-        key = (valuations[i].demand, spec.feedback) if spec.algorithm == "ew" else i
-        groups.setdefault(key, []).append(i)
     learners = []
-    for members in groups.values():
-        specs = [scenario.agents[i] for i in members]
-        mode = _FEEDBACK[specs[0].feedback]
-        if specs[0].algorithm == "ew":
+    for members in scenario.groups:
+        first = scenario.agents[members[0]]
+        if first.algorithm == "ew":
             learners.append(ExpWeightsBidder(
                 [valuations[i] for i in members], grid, horizon,
-                [LearnerConfig(mode=mode, eta=spec.eta, gamma=spec.gamma, seed=seqs[i])
-                 for i, spec in zip(members, specs)],
+                [LearnerConfig(mode=first.mode, eta=scenario.agents[i].eta,
+                               gamma=scenario.agents[i].gamma, seed=seqs[i]) for i in members],
             ))
         else:
-            learners.append(OmdBidder(valuations[members[0]], grid, horizon, mode=mode,
-                                      eta=specs[0].eta, gamma=specs[0].gamma,
-                                      seed=seqs[members[0]]))
+            learners.append(OmdBidder(valuations[members[0]], grid, horizon, mode=first.mode,
+                                      eta=first.eta, gamma=first.gamma, seed=seqs[members[0]]))
 
     env = None
-    env_spec = scenario.environment
-    if env_spec.kind != "self_play":
-        if env_spec.kind == "stochastic":
-            rows = grid.indices_of(np.sort(env_spec.support, axis=1))
-            probs = env_spec.probs
-        else:
-            rows, probs = lower_bound_rows(env_spec.demand, grid, horizon, env_spec.delta,
-                                           env_spec.variant)
-        env_seed = int(np.random.default_rng(env_seq).integers(0, 2**63 - 1))
-        env = StochasticAdversary(rows, probs, seed=env_seed)
+    if scenario.env_table is not None:
+        env_seed = int(np.random.default_rng(seqs[-2]).integers(0, 2**63 - 1))
+        env = StochasticAdversary(*scenario.env_table, seed=env_seed)
 
     market = SelfPlayMarket(learners, valuations, grid, scenario.supply, environment=env,
-                            env_wins_ties=env is not None and env_spec.tie == "agent_loses",
-                            members=list(groups.values()))
+                            env_wins_ties=scenario.env_wins_ties, members=scenario.groups)
     config = {
         "scenario": scenario.raw,
         "replication": replication,
-        "config_hash": canonical_hash(scenario.raw),
+        "config_hash": scenario.config_hash,
     }
     return market, replication, config
+
+
+def run_experiment(scenario: Scenario, replication: int = 0) -> RunLog:
+    """Materialize one replication of a validated scenario into a RunLog."""
+    market, seed, config = build_market(scenario, replication)
+    return market.play(scenario.rounds, config=config, seed=seed)

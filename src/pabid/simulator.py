@@ -38,14 +38,19 @@ environment's row, and its thresholds for a block are one
 applies once an agent's own keys are left out. The agent's learner still
 proposes and observes once per round.
 
-`round_thresholds` is the only routine that pools rival bids. The log keeps
-every agent's (T, M) win thresholds as its rounds pooled them, so scoring
-over all T rounds at once never pools again: the regret table counts wins
-from the logged thresholds, and the market metrics read each agent's
-winning and losing bids as whole columns. `RunLog.replay_matches` checks a
-log by the paper's global rule instead, with no code shared with `play`:
-sort every cleared bid of a round in decreasing order and give the m-th
-unit to the m-th highest.
+Ties go by rank: of two bids at one index, the higher rank wins. `play`
+hands `round_thresholds` the layout of `auction`: with N agents, rank 0
+pads, agent n has rank n + 1 + loses, where loses is 1 when the environment
+loses ties, and the environment has rank 1 when it loses ties and N + 1
+when it wins them. `round_thresholds` is the only routine that pools rival
+bids. The log keeps every agent's (T, M) win thresholds as its rounds
+pooled them, so scoring over all T rounds at once never pools again: the
+regret table counts wins from the logged thresholds, and the market
+metrics read each agent's winning and losing bids as whole columns.
+`RunLog.replay_matches` checks a log by the paper's global rule instead,
+with no code shared with `play`: sort every cleared bid of a round in
+decreasing order and give the m-th unit to the m-th highest, numbering the
+owners as `play` does less one, as it has no padding level.
 """
 from __future__ import annotations
 
@@ -60,14 +65,10 @@ import numpy as np
 
 from . import __version__ as _library_version
 from .adversaries import ENV_BLOCK
-from .auction import (BidVector, TieBreak, ValuationProfile, owner_ranks, round_thresholds,
-                      settle_columns, win_thresholds)
+from .auction import (BidVector, TieBreak, ValuationProfile, round_thresholds, settle_columns,
+                      win_thresholds)
 from .grids import BidGrid
 from .hindsight import accumulate_weights_history, hindsight_optimal
-
-# Priority assigned to exogenous environment bids relative to agents 0..N-1.
-ENV_WINS_PRIORITY = 2**30
-ENV_LOSES_PRIORITY = -(2**30)
 
 
 @dataclass
@@ -109,27 +110,28 @@ class RunLog:
         """Re-clear every logged round by the global rule and compare with the log.
 
         Every cleared bid of a round, the environment's included, becomes the
-        key index * L + rank of its owner's priority among the L owners. One
-        sort per round puts the top `supply` keys, the units sold, last; an
-        agent's allocation is its count among them, fewer bids than `supply`
-        all winning. Reward and payment are `math.fsum` sums over the won
+        key index * L + rank of its owner among the L owners: agent n has rank
+        n + loses and the environment rank 0 when it loses ties, N when it
+        wins them. One sort per round puts the top `supply` keys, the units
+        sold, last; an agent's allocation is its count among them, fewer bids
+        than `supply` all winning. Reward and payment are `math.fsum` sums over the won
         prefix of its bid and utility is their difference, as logged. The
         logged thresholds must give the logged allocations too.
         """
-        owners = list(range(self.num_agents))
+        loses = self.env_bids is not None and not self.env_wins_ties
+        ranks = [n + loses for n in range(self.num_agents)]
         blocks = list(self.bids)
         if self.env_bids is not None:
-            owners.append(ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY)
+            ranks.append(0 if loses else self.num_agents)
             blocks.append(self.env_bids)
-        rank = {owner: r for r, owner in enumerate(sorted(owners))}
-        width = len(owners)
-        keys = np.concatenate([block * width + rank[owner]
-                               for block, owner in zip(blocks, owners)], axis=1)
+        width = len(ranks)
+        keys = np.concatenate([block * width + rank for block, rank in zip(blocks, ranks)],
+                              axis=1)
         keys.sort(axis=1)
         sold = keys[:, max(keys.shape[1] - self.supply, 0):] % width
         grid_values = self.grid.values.tolist()
         for n, bids in enumerate(self.bids):
-            won = np.count_nonzero(sold == rank[n], axis=1)
+            won = np.count_nonzero(sold == ranks[n], axis=1)
             prefix = np.logical_and.accumulate(bids >= self.thresholds[n], axis=1)
             if not (np.array_equal(won, self.allocations[:, n])
                     and np.array_equal(prefix.sum(axis=1), won)):
@@ -265,12 +267,13 @@ class SelfPlayMarket:
 
     `learners` are groups (see the module docstring); `members[g]` lists the
     market agents of group g, in the order of its rows, and defaults to one
-    agent per group. `valuations[n]` belongs to agent n, whose tie priority is
-    n; the environment's bids rank above or below every agent's. The
-    environment gives the bids of rounds t0..t1-1 as `draws(t0, t1)`, a
-    (rounds, supply) array of non-decreasing grid-index rows; `play` checks
-    that every index lies on the grid. An error raised by a group's
-    `propose` or `observe` names its agents and the round.
+    agent per group. `valuations[n]` belongs to agent n, who wins ties
+    against agents 0..n-1; the environment's bids rank above or below every
+    agent's (module docstring). The environment gives the bids of rounds
+    t0..t1-1 as `draws(t0, t1)`, a (rounds, supply) array of non-decreasing
+    grid-index rows; `play` checks that every index lies on the grid. An
+    error raised by a group's `propose` or `observe` names its agents and
+    the round.
     """
 
     def __init__(
@@ -299,12 +302,12 @@ class SelfPlayMarket:
     def play(self, rounds: int, config: Optional[dict] = None, seed: int = 0) -> RunLog:
         n_agents = len(self.valuations)
         caps = [v.ir_caps(self.grid) for v in self.valuations]
-        owners = list(range(n_agents))
         widths = [v.demand for v in self.valuations]
         env = self.environment
+        loses = env is not None and not self.env_wins_ties
+        ranks = [n + 1 + loses for n in range(n_agents)]
         if env is not None:
-            owners.append(ENV_WINS_PRIORITY if self.env_wins_ties else ENV_LOSES_PRIORITY)
-        ranks = owner_ranks(owners)
+            ranks.append(1 if loses else n_agents + 1)
         # A lone agent's rivals are the environment's row, so its thresholds
         # are the one-bidder rule on that row, a block of rounds at a time.
         solo = env is not None and n_agents == 1
@@ -329,7 +332,7 @@ class SelfPlayMarket:
                 solo_rows = thresholds[0][start:stop].tolist()
             played = []  # per round: the agents' bid rows, then their thresholds
             for t in range(start, stop):
-                rows = [None] * len(owners)
+                rows = [None] * len(ranks)
                 try:
                     for group, members in zip(self.learners, self.members):
                         for n, row in zip(members, group.propose().tolist()):
@@ -395,14 +398,6 @@ def _locate(err: Exception, members: Sequence[int], t: int) -> None:
     """Open `err`'s message with the failing group's agents and the round; keep its type."""
     agents = ", ".join(map(str, members))
     err.args = (f"agent{'s' if len(members) > 1 else ''} {agents}, round {t}: {err}",)
-
-
-def run_experiment(scenario, replication: int = 0) -> RunLog:
-    """Materialize one replication of a validated scenario into a RunLog."""
-    from .scenario import build_market  # deferred: scenario imports this module
-
-    market, seed, config = build_market(scenario, replication)
-    return market.play(scenario.rounds, config=config, seed=seed)
 
 
 def regret_report(log: RunLog, agent: int) -> RegretReport:

@@ -7,7 +7,10 @@ round, agent by agent, and the optimum by enumerating every monotone bid.
 Tests check the library against them.
 
 The owner-priority tie rule lives here, as the reference that
-`auction.round_thresholds` is checked against: `PooledBids` is a
+`auction.round_thresholds` is checked against. Agent n bids at priority n,
+the environment at ENV_WINS_PRIORITY or ENV_LOSES_PRIORITY, above or below
+every agent, and padding at PAD_PRIORITY, below every real bidder; the
+library orders the same owners by rank. `PooledBids` is a
 `CompetingBids` row with the owner priority of each entry, and
 `priority_thresholds` is the win rule over such rows (the library's
 `win_thresholds` knows only the two-mode `TieBreak`). `settle_prefix` is
@@ -55,7 +58,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from pabid.auction import (
-    PAD_PRIORITY,
     BidVector,
     CompetingBids,
     TieBreak,
@@ -65,10 +67,17 @@ from pabid.auction import (
 from pabid.grids import VALUE_EPS, BidGrid
 from pabid.exp_weights import ExpWeightsBidder, _bandit_step
 from pabid.hindsight import NEG_INF, HindsightSolution, NodeWeightTable
-from pabid.simulator import ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, MarketMetrics, RunLog
+from pabid.simulator import MarketMetrics, RunLog
 
 # Refuse enumeration beyond this many monotone grid vectors.
 BRUTE_FORCE_CAP = 2_000_000
+
+# Owner priorities of the environment's bids, relative to agents 0..N-1.
+ENV_WINS_PRIORITY = 2**30
+ENV_LOSES_PRIORITY = -(2**30)
+# Priority of padded (absent) competing bids: strictly below every real
+# participant, so an absent bid can never win a unit.
+PAD_PRIORITY = -(2**62)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,10 @@ class TestStochasticAdversary:
         with pytest.raises(ValueError):
             StochasticAdversary(grid.indices_of([[0.5]]), [0.7])
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            StochasticAdversary([[0, 1], [1, 2]], [0.5, np.nan])
+
     @pytest.mark.parametrize("rows, probs", [
         ([[0, 1], [1, 2]], [1.0]),         # one probability for two rows
         ([[0, 1]], [0.5, 0.5]),            # two probabilities for one row

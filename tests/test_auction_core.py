@@ -75,11 +75,20 @@ class TestBidGrid:
         with pytest.raises(ValueError):
             BidGrid(np.array([0.0, 0.5, 0.5, 1.0]))
 
+    def test_nan_grid_value_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            BidGrid(np.array([0.0, np.nan, 1.0]))
+
 
 class TestVectors:
     def test_valuations_must_be_non_increasing(self):
         with pytest.raises(ValueError):
             ValuationProfile(np.array([0.4, 0.6]))
+
+    @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan]])
+    def test_nan_valuation_rejected(self, values):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            ValuationProfile(np.array(values))
 
     def test_bids_must_be_monotone(self):
         grid = make_even_grid(11)

@@ -79,6 +79,27 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "5"]) == 0
         assert seen == [5]
 
+    @pytest.mark.parametrize("environment, overrides", [
+        ({"kind": "lower_bound", "demand": 3, "variant": "G"}, {"grid_size": 10}),
+        ({"kind": "stochastic", "support": [[0.1] * 3, [0.3, 0.3, 1.0]], "probs": [0.5, 0.5]}, {}),
+    ], ids=["lower_bound", "stochastic"])
+    def test_set_up_happens_once_per_run(self, tmp_path, monkeypatch, environment, overrides):
+        from pabid import scenario
+
+        calls = []
+
+        def counting(name):
+            call = getattr(scenario, name)
+            return lambda *args: calls.append(name) or call(*args)
+
+        for name in ("canonical_hash", "lower_bound_rows"):
+            monkeypatch.setattr(scenario, name, counting(name))
+        path, _ = write_scenario(tmp_path, rounds=5, replications=3, environment=environment,
+                                 **overrides)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls.count("canonical_hash") == 1
+        assert calls.count("lower_bound_rows") <= 1
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         path, _ = write_scenario(tmp_path, rounds=40, replications=3)
         out1 = tmp_path / "subdir1"
@@ -133,10 +154,10 @@ class TestRun:
 
     def test_bundled_scenarios_resolve_and_validate(self):
         from pabid.cli import _resolve_scenario_path
-        from pabid.scenario import load_scenario
+        from pabid.scenario import read_document, validate_scenario
 
         for name in ("benchmark_stochastic", "market_n3_m5", "lower_bound_m3"):
-            scenario = load_scenario(_resolve_scenario_path(name))
+            scenario = validate_scenario(read_document(_resolve_scenario_path(name)))
             assert scenario.name == name
 
     def test_json_format_output(self, tmp_path):
@@ -481,6 +502,14 @@ class TestHindsight:
         history.write_text("0.5 0.5\n0.5\n")
         assert main(["hindsight", str(history), "--valuation", "1,1",
                      "--grid-size", "11"]) == 2
+
+    @pytest.mark.parametrize("valuation", ["nan", "1,nan"])
+    def test_nan_valuation_exits_2(self, tmp_path, capsys, valuation):
+        history = tmp_path / "h.txt"
+        history.write_text("0.5 0.5\n")
+        assert main(["hindsight", str(history), "--valuation", valuation,
+                     "--grid-size", "11"]) == 2
+        assert "valuations must lie in [0, 1]" in capsys.readouterr().err
 
 
 class TestGridAdvice:

@@ -190,6 +190,14 @@ class TestLearnerRuns:
             ExpWeightsBidder([valuation], grid, 100,
                              [LearnerConfig(mode=FeedbackMode.BANDIT_IPW, eta=0.5)])
 
+    def test_bandit_rejects_nan_eta(self):
+        grid = make_even_grid(5)
+        valuations = [ValuationProfile(np.ones(2))] * 2
+        with pytest.raises(ValueError, match="eta < 1/M"):
+            ExpWeightsBidder(valuations, grid, 100,
+                             [LearnerConfig(mode=FeedbackMode.BANDIT_IX, eta=0.1),
+                              LearnerConfig(mode=FeedbackMode.BANDIT_IX, eta=float("nan"))])
+
     def test_group_needs_one_mode_and_one_demand(self):
         grid = make_even_grid(5)
         with pytest.raises(ValueError, match="one mode and one demand"):

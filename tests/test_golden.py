@@ -13,6 +13,12 @@ bandit-IX agent of demand 2 against a supply of 3 that wins ties, so a
 lone agent's thresholds, read from the environment's rows alone, cannot
 drop the tie rule or the rows' unsold tail unseen.
 
+A last run pins a bandit agent's rounds in logs, which no run above
+reaches: one EW bandit-IX agent whose tables leave the linear range, so
+676 of its 1,600 rounds sample from log tail sums, and 99 of those (rounds
+1,477-1,585) take the marginals' `_linear_marginals` regime, the rest
+`_log_marginals`.
+
 A performance change must leave every run log and every regret report
 bit-identical. The digests below hash the replication-0 CSV plus the repr of
 each agent's regret report, with the JSON log appended, and separately every
@@ -31,8 +37,10 @@ import json
 import numpy as np
 import pytest
 
-from pabid import market_metrics, mirror_descent, regret_report, run_experiment, validate_scenario
+from pabid import (_kernels, market_metrics, mirror_descent, regret_report, run_experiment,
+                   validate_scenario)
 from pabid.cli import _resolve_scenario_path
+from pabid.scenario import build_market
 
 ROUNDS = 300
 
@@ -149,6 +157,20 @@ REPLICATIONS_DIGEST = "9f9ecd59e4008998dce6d986142dc58c76742e5c5eb4cdd99b24d9cd3
 PROJECTION_SCENARIOS = ("omd_multisweep", "mixed_groups")
 PROJECTION_DIGEST = "127beb8582512469d268fb61f8973f19ffcc97d028d4c079ae9b190e22f9d805"
 
+# sha256 of CSV + regret reports + JSON of a bandit agent with rounds in logs
+LOG_ROUNDS_SCENARIO = {
+    "name": "ew_bandit_log_rounds",
+    "grid_size": 11,
+    "rounds": 1600,
+    "master_seed": 3,
+    "supply": 3,
+    "agents": [{"algorithm": "ew", "feedback": "bandit_ix", "valuation": [1.0, 0.8, 0.5],
+                "eta": 0.33, "gamma": 1e-4}],
+    "environment": {"kind": "stochastic", "support": [[0.1] * 3, [0.3, 0.3, 1.0]],
+                    "probs": [0.5, 0.5], "tie": "agent_wins"},
+}
+LOG_ROUNDS_DIGEST = "9accffe3433af49348cf5eccd63da4d111f67a16027e53f83ff9d87499592928"
+
 
 def report_tuple(report) -> tuple:
     return (
@@ -219,3 +241,22 @@ def test_projections_are_byte_identical(monkeypatch):
         run_experiment(validate_scenario({**load_document(name), "rounds": ROUNDS}),
                        replication=0)
     assert digest.hexdigest() == PROJECTION_DIGEST
+
+
+def test_bandit_log_rounds_are_byte_identical(monkeypatch):
+    linear = _kernels._linear_marginals
+    calls = []
+
+    def counted(s):
+        calls.append(s.shape)
+        return linear(s)
+
+    monkeypatch.setattr(_kernels, "_linear_marginals", counted)
+    scenario = validate_scenario(LOG_ROUNDS_SCENARIO)
+    market, seed, config = build_market(scenario, 0)
+    log = market.play(scenario.rounds, config=config, seed=seed)
+    digest = hashlib.sha256()
+    update_run_digest(digest, log)
+    assert market.learners[0].log_rounds.tolist() == [676]
+    assert len(calls) == 99
+    assert digest.hexdigest() == LOG_ROUNDS_DIGEST

@@ -14,11 +14,12 @@ from pabid import (
     make_even_grid,
     market_metrics,
 )
-from pabid.auction import owner_ranks, round_thresholds, settle_columns
-from pabid.simulator import (ENV_BLOCK, ENV_LOSES_PRIORITY, ENV_WINS_PRIORITY, RunLog,
-                             SelfPlayMarket)
+from pabid.auction import round_thresholds, settle_columns
+from pabid.simulator import ENV_BLOCK, RunLog, SelfPlayMarket
 
 from oracles import (
+    ENV_LOSES_PRIORITY,
+    ENV_WINS_PRIORITY,
     PooledBids,
     accumulate_weights,
     allocate,
@@ -190,7 +191,7 @@ class TestLoneAgent:
         log = market.play(rounds, seed=3)
         assert environment.blocks == [(0, ENV_BLOCK), (ENV_BLOCK, rounds)]
 
-        ranks = owner_ranks([0, ENV_WINS_PRIORITY if env_wins_ties else ENV_LOSES_PRIORITY])
+        ranks = [1, 2] if env_wins_ties else [2, 1]  # the agent's, then the environment's
         env_rows = [drawn_row(support, [0.4, 0.3, 0.2, 0.1], 7, t).tolist()
                     for t in range(rounds)]
         thresholds = [round_thresholds([row, env_row], ranks, supply, 1)[0]
