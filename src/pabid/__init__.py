@@ -13,7 +13,6 @@ from .grids import BidGrid, make_even_grid
 from .auction import (
     BidVector,
     CompetingBids,
-    TieBreak,
     ValuationProfile,
     win_thresholds,
 )

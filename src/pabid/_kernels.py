@@ -88,13 +88,11 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     The certificate `gap` is the max of the row-sum error, the dominance
     violation and the complementary-slackness residual |lambda (A - P)|.
 
-    Returns (q, lam, nu, sweeps_used, gap).
+    `max_sweeps` must be at least 1. Returns (q, lam, nu, sweeps_used, gap).
     """
     m_units, d = qt.shape
     q = np.where(allowed, qt, 0.0)
     lam_shape = (max(m_units - 1, 1), max(d - 1, 1))
-    if max_sweeps < 1:
-        return q, np.zeros(lam_shape), np.zeros(m_units), 0, np.inf
     s = q.sum(axis=1)
     q /= s[:, None]
     nu = 0.0 - np.log(s)

@@ -19,22 +19,24 @@ The settlement rules are written once, on integer grid indices:
   `reward_prefix` table) and payment (a `math.fsum` of the won bids, once
   per distinct won prefix). The round loop checks each bid against the
   valuation's `ir_caps` before any learner observes the round.
-- Ties are broken by rank. In a market every entry carries its owner's
-  rank, and of two entries at one index the higher rank wins. Rank 0 pads,
-  so a padding entry (index 0) never wins a unit. Agent n has rank n + 1,
-  or n + 2 when the environment loses ties and so takes rank 1; an
-  environment that wins ties takes rank N + 1. `round_thresholds` is the
-  one routine that pools: it sorts every bidder's entries of a round as
-  integer keys index * L + rank, L the number of ranks, once, and reads
-  each bidder's thresholds straight off its pooled keys. The run log keeps
-  these thresholds, so nothing after the run pools again.
-- One bidder against rows of competing bids with no owners, as `pabid
-  hindsight` scores a history, has a single tie mode (`TieBreak`), and
-  `win_thresholds` turns the rows into thresholds.
+- Ties are broken by rank, and the environment either outranks every
+  agent or none: the one bool `env_wins_ties`. In a market every entry
+  carries its owner's rank, and of two entries at one index the higher
+  rank wins. Rank 0 pads, so a padding entry (index 0) never wins a unit.
+  Agent n has rank n + 1, or n + 2 when the environment loses ties and so
+  takes rank 1; an environment that wins ties takes rank N + 1.
+  `round_thresholds` is the one routine that pools: it sorts every
+  bidder's entries of a round as integer keys index * L + rank, L the
+  number of ranks, once, and reads each bidder's thresholds straight off
+  its pooled keys. The run log keeps these thresholds, so nothing after
+  the run pools again.
+- One bidder against rows of competing bids with no owners, as a lone
+  agent faces the environment and as `pabid hindsight` scores a history,
+  needs only that bool: `win_thresholds(rows, demand, rivals_win_ties)`
+  adds it to the rival index.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,13 +44,6 @@ from typing import Sequence
 import numpy as np
 
 from .grids import VALUE_EPS, BidGrid
-
-
-class TieBreak(enum.Enum):
-    """Deterministic tie handling for bid-versus-competing-bid comparisons."""
-
-    BIDDER_WINS = "bidder_wins"
-    BIDDER_LOSES = "bidder_loses"
 
 
 @dataclass(frozen=True)
@@ -135,15 +130,15 @@ class CompetingBids:
         return int(self.indices.size)
 
 
-def win_thresholds(indices: np.ndarray, demand: int,
-                   tie: TieBreak = TieBreak.BIDDER_WINS) -> np.ndarray:
+def win_thresholds(indices: np.ndarray, demand: int, rivals_win_ties: bool = False) -> np.ndarray:
     """Smallest winning grid index of each of the first `demand` slots.
 
     `indices` holds competing bids along its last axis: one round, or a
-    (rounds, supply) history. A threshold equal to the grid size means no
-    grid bid wins.
+    (rounds, supply) history. When the rivals win ties, bidding a rival's
+    index loses, so each threshold is one higher. A threshold equal to the
+    grid size means no grid bid wins.
     """
-    return indices[..., :demand] + (tie is TieBreak.BIDDER_LOSES)
+    return indices[..., :demand] + rivals_win_ties
 
 
 def round_thresholds(rows: Sequence[list], ranks: Sequence[int], supply: int,
@@ -151,8 +146,8 @@ def round_thresholds(rows: Sequence[list], ranks: Sequence[int], supply: int,
     """Per-slot win thresholds of the first `bidders` rows of one round, from one sort.
 
     `rows[k]` is a list of bid indices of the owner of rank `ranks[k]`, one
-    of 1 to len(ranks) as the module docstring lays them out; rank 0 pads,
-    so there are L = len(ranks) + 1 levels. Every entry becomes the key
+    of 1 to len(ranks) as the module docstring lays them out, so there are
+    L = len(ranks) + 1 levels with padding. Every entry becomes the key
     index * L + rank of its owner. Bidder n's competing bids are the first
     `supply` keys of the descending sort that it does not own, padded with
     key 0, and slot m faces the m-th smallest. The rule of `win_thresholds`

@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .auction import TieBreak, ValuationProfile, win_thresholds
+from .auction import ValuationProfile, win_thresholds
 from .grids import make_even_grid
 from .hindsight import accumulate_weights_history, hindsight_optimal
 from .scenario import ScenarioError, read_document, run_experiment, validate_scenario
@@ -166,8 +166,7 @@ def cmd_hindsight(args) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    tie = TieBreak.BIDDER_WINS if args.tie == "wins" else TieBreak.BIDDER_LOSES
-    thresholds = win_thresholds(comp, valuation.demand, tie)
+    thresholds = win_thresholds(comp, valuation.demand, args.tie == "loses")
     table = accumulate_weights_history(valuation, thresholds, grid)
     solution = hindsight_optimal(table)
     if args.json:

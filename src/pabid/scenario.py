@@ -89,7 +89,7 @@ class Scenario:
     `groups` lists each learner group's agents, in the order of its rows.
     `env_table` is the environment's (rows, probabilities), the rows as
     read-only grid indices, or None for self-play; `env_wins_ties` is its tie
-    rule. `config_hash` is `canonical_hash` of `raw`, the document. Each
+    rule. `config_hash` is `canonical_hash` of the document. Each
     replication's `build_market` adds only what its seeds decide: the drawn
     valuations, the learners and the environment's seed.
     """
@@ -105,7 +105,6 @@ class Scenario:
     config_hash: str
     replications: int = 1
     master_seed: int = 0
-    raw: dict = field(default_factory=dict, compare=False)
 
 
 def canonical_hash(document: dict) -> str:
@@ -282,7 +281,7 @@ def validate_scenario(document: dict) -> Scenario:
         groups=tuple(map(tuple, groups.values())), env_table=env_table,
         env_wins_ties=env_table is not None and tie == "agent_loses",
         config_hash=canonical_hash(document), replications=replications,
-        master_seed=master_seed, raw=document,
+        master_seed=master_seed,
     )
 
 
@@ -376,12 +375,7 @@ def build_market(scenario: Scenario, replication: int) -> tuple[SelfPlayMarket, 
 
     market = SelfPlayMarket(learners, valuations, grid, scenario.supply, environment=env,
                             env_wins_ties=scenario.env_wins_ties, members=scenario.groups)
-    config = {
-        "scenario": scenario.raw,
-        "replication": replication,
-        "config_hash": scenario.config_hash,
-    }
-    return market, replication, config
+    return market, replication, {"replication": replication, "config_hash": scenario.config_hash}
 
 
 def run_experiment(scenario: Scenario, replication: int = 0) -> RunLog:

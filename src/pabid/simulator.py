@@ -38,12 +38,9 @@ environment's row, and its thresholds for a block are one
 applies once an agent's own keys are left out. The agent's learner still
 proposes and observes once per round.
 
-Ties go by rank: of two bids at one index, the higher rank wins. `play`
-hands `round_thresholds` the layout of `auction`: with N agents, rank 0
-pads, agent n has rank n + 1 + loses, where loses is 1 when the environment
-loses ties, and the environment has rank 1 when it loses ties and N + 1
-when it wins them. `round_thresholds` is the only routine that pools rival
-bids. The log keeps every agent's (T, M) win thresholds as its rounds
+Ties go by rank, laid out once in the `auction` module docstring from the
+market's `env_wins_ties`; `round_thresholds` is the only routine that pools
+rival bids. The log keeps every agent's (T, M) win thresholds as its rounds
 pooled them, so scoring over all T rounds at once never pools again: the
 regret table counts wins from the logged thresholds, and the market
 metrics read each agent's winning and losing bids as whole columns.
@@ -65,8 +62,7 @@ import numpy as np
 
 from . import __version__ as _library_version
 from .adversaries import ENV_BLOCK
-from .auction import (BidVector, TieBreak, ValuationProfile, round_thresholds, settle_columns,
-                      win_thresholds)
+from .auction import BidVector, ValuationProfile, round_thresholds, settle_columns, win_thresholds
 from .grids import BidGrid
 from .hindsight import accumulate_weights_history, hindsight_optimal
 
@@ -110,13 +106,14 @@ class RunLog:
         """Re-clear every logged round by the global rule and compare with the log.
 
         Every cleared bid of a round, the environment's included, becomes the
-        key index * L + rank of its owner among the L owners: agent n has rank
-        n + loses and the environment rank 0 when it loses ties, N when it
-        wins them. One sort per round puts the top `supply` keys, the units
-        sold, last; an agent's allocation is its count among them, fewer bids
-        than `supply` all winning. Reward and payment are `math.fsum` sums over the won
-        prefix of its bid and utility is their difference, as logged. The
-        logged thresholds must give the logged allocations too.
+        key index * L + rank of its owner among the L owners: the ranks of
+        the `auction` module docstring less its padding level, numbered here
+        on their own. One sort per round puts the top `supply` keys, the
+        units sold, last; an agent's allocation is its count among them,
+        fewer bids than `supply` all winning. Reward and payment are
+        `math.fsum` sums over the won prefix of its bid and utility is their
+        difference, as logged. The logged thresholds must give the logged
+        allocations too.
         """
         loses = self.env_bids is not None and not self.env_wins_ties
         ranks = [n + loses for n in range(self.num_agents)]
@@ -267,13 +264,12 @@ class SelfPlayMarket:
 
     `learners` are groups (see the module docstring); `members[g]` lists the
     market agents of group g, in the order of its rows, and defaults to one
-    agent per group. `valuations[n]` belongs to agent n, who wins ties
-    against agents 0..n-1; the environment's bids rank above or below every
-    agent's (module docstring). The environment gives the bids of rounds
-    t0..t1-1 as `draws(t0, t1)`, a (rounds, supply) array of non-decreasing
-    grid-index rows; `play` checks that every index lies on the grid. An
-    error raised by a group's `propose` or `observe` names its agents and
-    the round.
+    agent per group. `valuations[n]` belongs to agent n; ties go by the
+    ranks of the `auction` module docstring. The environment gives the bids
+    of rounds t0..t1-1 as `draws(t0, t1)`, a (rounds, supply) array of
+    non-decreasing grid-index rows; `play` checks that every index lies on
+    the grid. An error raised by a group's `propose` or `observe` names its
+    agents and the round.
     """
 
     def __init__(
@@ -311,7 +307,6 @@ class SelfPlayMarket:
         # A lone agent's rivals are the environment's row, so its thresholds
         # are the one-bidder rule on that row, a block of rounds at a time.
         solo = env is not None and n_agents == 1
-        tie = TieBreak.BIDDER_LOSES if self.env_wins_ties else TieBreak.BIDDER_WINS
         full_info = [group.wants_full_info for group in self.learners]
         bids = [np.empty((rounds, width), dtype=np.int64) for width in widths]
         thresholds = [np.empty((rounds, width), dtype=np.int64) for width in widths]
@@ -328,7 +323,7 @@ class SelfPlayMarket:
                                      f"the grid of {self.grid.count} values")
                 env_rows = block.tolist()
             if solo:
-                thresholds[0][start:stop] = win_thresholds(block, widths[0], tie)
+                thresholds[0][start:stop] = win_thresholds(block, widths[0], self.env_wins_ties)
                 solo_rows = thresholds[0][start:stop].tolist()
             played = []  # per round: the agents' bid rows, then their thresholds
             for t in range(start, stop):

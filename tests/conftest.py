@@ -10,7 +10,6 @@ from pabid import (
     BidVector,
     NodeWeightTable,
     SelfPlayMarket,
-    TieBreak,
     ValuationProfile,
     make_even_grid,
 )
@@ -20,10 +19,10 @@ from pabid.mirror_descent import sample_from_marginals
 from oracles import iter_monotone_indices
 
 
-def play_against(learner, adversary, rounds: int, tie: TieBreak = TieBreak.BIDDER_WINS):
+def play_against(learner, adversary, rounds: int, tie: bool = False):
     """RunLog of one learner group against an environment, as a market of its agents."""
     market = SelfPlayMarket([learner], learner.valuations, learner.grid, adversary.supply,
-                            environment=adversary, env_wins_ties=tie is TieBreak.BIDDER_LOSES,
+                            environment=adversary, env_wins_ties=tie,
                             members=[range(len(learner.valuations))])
     return market.play(rounds)
 

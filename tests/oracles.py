@@ -13,7 +13,9 @@ every agent, and padding at PAD_PRIORITY, below every real bidder; the
 library orders the same owners by rank. `PooledBids` is a
 `CompetingBids` row with the owner priority of each entry, and
 `priority_thresholds` is the win rule over such rows (the library's
-`win_thresholds` knows only the two-mode `TieBreak`). `settle_prefix` is
+`win_thresholds` knows only whether the rivals win ties). Every `tie`
+argument here is that bool: True when the rivals win ties, as in a
+market whose environment has `env_wins_ties`. `settle_prefix` is
 settlement as the round loop once did it, one bid against its slot
 thresholds; `auction.settle_columns` must give its numbers for every round
 of a column at once. `settle` scores one bidder against a row through
@@ -60,7 +62,6 @@ import numpy as np
 from pabid.auction import (
     BidVector,
     CompetingBids,
-    TieBreak,
     ValuationProfile,
     win_thresholds,
 )
@@ -92,7 +93,7 @@ def priority_thresholds(
     indices: np.ndarray,
     priorities: Optional[np.ndarray],
     demand: int,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
+    tie: bool = False,
     bidder_priority: Optional[int] = None,
 ) -> np.ndarray:
     """`win_thresholds` with owner priorities along the last axis: the bidder
@@ -101,12 +102,12 @@ def priority_thresholds(
     if priorities is None:
         return win_thresholds(indices, demand, tie)
     if bidder_priority is None:
-        bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
+        bidder_priority = -(2**31) if tie else 2**31
     return indices[..., :demand] + (np.asarray(priorities)[..., :demand] >= bidder_priority)
 
 
 def competing_thresholds(competing: CompetingBids, demand: int,
-                         tie: TieBreak = TieBreak.BIDDER_WINS,
+                         tie: bool = False,
                          bidder_priority: Optional[int] = None) -> np.ndarray:
     """`priority_thresholds` of one row, by its owners' priorities when it has them."""
     return priority_thresholds(competing.indices, getattr(competing, "priorities", None), demand,
@@ -150,7 +151,7 @@ def settle(
     valuation: ValuationProfile,
     bid: BidVector,
     competing: CompetingBids,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
+    tie: bool = False,
     bidder_priority: Optional[int] = None,
 ) -> AuctionOutcome:
     """Settle one bidder: allocation, gross reward, payment, and utility."""
@@ -168,7 +169,7 @@ def settle(
 def win_mask(
     bid: BidVector,
     competing: CompetingBids,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
+    tie: bool = False,
     bidder_priority: Optional[int] = None,
 ) -> np.ndarray:
     """Per-slot win indicators; monotone inputs make this a prefix."""
@@ -181,18 +182,17 @@ def win_mask(
     equal = b == c
     priorities = getattr(competing, "priorities", None)
     if priorities is None:
-        tie_won = tie is TieBreak.BIDDER_WINS
-        return greater | (equal & tie_won)
+        return greater | (equal & (not tie))
     rival_pri = np.asarray(priorities)[:m]
     if bidder_priority is None:
-        bidder_priority = 2**31 if tie is TieBreak.BIDDER_WINS else -(2**31)
+        bidder_priority = -(2**31) if tie else 2**31
     return greater | (equal & (bidder_priority > rival_pri))
 
 
 def win_matrix(
     competing: CompetingBids,
     demand: int,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
+    tie: bool = False,
     bidder_priority: Optional[int] = None,
 ) -> np.ndarray:
     """Boolean (demand, D) matrix: does grid bid j win slot m this round."""
@@ -261,7 +261,7 @@ def loop_round(
 def allocate(
     bid: BidVector,
     competing: CompetingBids,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
+    tie: bool = False,
     bidder_priority: Optional[int] = None,
 ) -> int:
     """Number of units won; equals the length of the winning prefix."""
@@ -272,13 +272,10 @@ def slot_reward(
     valuation_m: float,
     bid_value: float,
     competing_value: float,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
+    tie: bool = False,
 ) -> float:
     """Utility from slot m alone: (v_m - b) if the bid wins the slot, else 0."""
-    if tie is TieBreak.BIDDER_WINS:
-        won = bid_value >= competing_value
-    else:
-        won = bid_value > competing_value
+    won = bid_value > competing_value if tie else bid_value >= competing_value
     return (valuation_m - bid_value) if won else 0.0
 
 
@@ -431,7 +428,7 @@ def accumulate_weights(
     valuation: ValuationProfile,
     history: Iterable[CompetingBids],
     grid: BidGrid,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
+    tie: bool = False,
     bidder_priority: Optional[int] = None,
 ) -> NodeWeightTable:
     """Per-slot utilities of every (unit, bid) cell summed over the history.
@@ -488,7 +485,7 @@ def brute_force_optimal(
     valuation: ValuationProfile,
     history: Iterable[CompetingBids],
     grid: BidGrid,
-    tie: TieBreak = TieBreak.BIDDER_WINS,
+    tie: bool = False,
     bidder_priority: Optional[int] = None,
     cap: int = BRUTE_FORCE_CAP,
 ) -> HindsightSolution:

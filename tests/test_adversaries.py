@@ -10,7 +10,6 @@ from pabid import (
     LearnerConfig,
     SelfPlayMarket,
     StochasticAdversary,
-    TieBreak,
     ValuationProfile,
     lower_bound_rows,
     make_even_grid,
@@ -176,7 +175,7 @@ class TestLowerBoundInstance:
             utilities = np.empty(draws)
             for t, row in enumerate(adversary.draws(0, draws)):
                 utilities[t] = settle(valuation, bid, CompetingBids(row, grid),
-                                      TieBreak.BIDDER_WINS).utility
+                                      False).utility
             mc_total = utilities.mean() * draws
             exact = expected_total_utility(demand, probs[0], price_slots, draws)
             sigma = utilities.std(ddof=1) / math.sqrt(draws) * draws

@@ -8,7 +8,6 @@ from pabid import (
     BidGrid,
     BidVector,
     CompetingBids,
-    TieBreak,
     ValuationProfile,
     make_even_grid,
 )
@@ -79,11 +78,20 @@ class TestBidGrid:
         with pytest.raises(ValueError, match="strictly increasing"):
             BidGrid(np.array([0.0, np.nan, 1.0]))
 
+    def test_one_value_grid_rejected(self):
+        with pytest.raises(ValueError, match="at least two values"):
+            BidGrid(np.array([0.0]))
+
 
 class TestVectors:
     def test_valuations_must_be_non_increasing(self):
         with pytest.raises(ValueError):
             ValuationProfile(np.array([0.4, 0.6]))
+
+    @pytest.mark.parametrize("values", [[], [[1.0]]])
+    def test_empty_valuation_rejected(self, values):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            ValuationProfile(np.array(values))
 
     @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan]])
     def test_nan_valuation_rejected(self, values):
@@ -174,8 +182,8 @@ class TestCompetingBids:
         grid = make_even_grid(11)
         merged = competing_bids([], supply=1, grid=grid)
         bid = BidVector(grid.indices_of([0.0]), grid)
-        # zero bid against a padded (absent) zero wins even under BIDDER_LOSES
-        assert allocate(bid, merged, TieBreak.BIDDER_LOSES) == 1
+        # zero bid against a padded (absent) zero wins even when rivals win ties
+        assert allocate(bid, merged, True) == 1
 
 
 class TestAllocate:
@@ -183,19 +191,19 @@ class TestAllocate:
         grid = make_even_grid(11)
         bid = BidVector(grid.indices_of([0.4, 0.3, 0.1]), grid)
         competing = CompetingBids.from_values([0.3, 0.3, 1.0], grid)
-        assert allocate(bid, competing, TieBreak.BIDDER_WINS) == 2
+        assert allocate(bid, competing, False) == 2
 
     def test_equal_zero_bids_lose_under_strict_rule(self):
         grid = make_even_grid(11)
         bid = BidVector(grid.indices_of([0, 0, 0]), grid)
         competing = CompetingBids.from_values([0, 0, 0], grid)
-        assert allocate(bid, competing, TieBreak.BIDDER_LOSES) == 0
+        assert allocate(bid, competing, True) == 0
 
     def test_dominant_bid_wins_all_units(self):
         grid = make_even_grid(11)
         bid = BidVector(grid.indices_of([1, 1]), grid)
         competing = CompetingBids.from_values([0, 0], grid)
-        for tie in TieBreak:
+        for tie in (False, True):
             assert allocate(bid, competing, tie) == 2
 
     def test_demand_beyond_supply_rejected(self):
@@ -214,7 +222,7 @@ class TestSlotReward:
         assert slot_reward(0.5, 0.5, 0.9) == 0.0
 
     def test_winning_tie_at_value_zero_margin(self):
-        assert slot_reward(0.7, 0.7, 0.7, TieBreak.BIDDER_WINS) == pytest.approx(0.0)
+        assert slot_reward(0.7, 0.7, 0.7, False) == pytest.approx(0.0)
 
 
 class TestSettle:
@@ -223,7 +231,7 @@ class TestSettle:
         valuation = ValuationProfile(np.array([1.0, 1.0, 1.0]))
         bid = BidVector(grid.indices_of([0.4, 0.3, 0.1]), grid)
         competing = CompetingBids.from_values([0.1, 0.1, 0.1], grid)
-        out = settle(valuation, bid, competing, TieBreak.BIDDER_WINS)
+        out = settle(valuation, bid, competing, False)
         assert out.allocation == 3
         assert out.utility == pytest.approx(2.2)
         assert out.reward - out.payment == pytest.approx(out.utility)
@@ -233,7 +241,7 @@ class TestSettle:
         valuation = ValuationProfile(np.array([1.0, 1.0, 1.0]))
         bid = BidVector(grid.indices_of([0.4, 0.3, 0.1]), grid)
         competing = CompetingBids.from_values([0.4, 1.0, 1.0], grid)
-        out = settle(valuation, bid, competing, TieBreak.BIDDER_WINS)
+        out = settle(valuation, bid, competing, False)
         assert out.allocation == 1
         assert out.utility == pytest.approx(0.6)
 
@@ -242,7 +250,7 @@ class TestSettle:
         valuation = ValuationProfile(np.array([0.8, 0.6]))
         bid = BidVector(grid.indices_of([0.8, 0.6]), grid)
         competing = CompetingBids.from_values([1.0, 1.0], grid)
-        out = settle(valuation, bid, competing, TieBreak.BIDDER_LOSES)
+        out = settle(valuation, bid, competing, True)
         assert out == AuctionOutcome(allocation=0, utility=0.0, payment=0.0, reward=0.0)
 
     def test_settlement_equals_slotwise_sum(self, rng):
@@ -255,7 +263,7 @@ class TestSettle:
             idx = np.minimum.accumulate(idx)
             bid = BidVector(idx, grid)
             competing = CompetingBids(np.sort(rng.integers(0, 6, size=m)), grid)
-            tie = TieBreak.BIDDER_WINS if rng.random() < 0.5 else TieBreak.BIDDER_LOSES
+            tie = rng.random() >= 0.5
             out = settle(valuation, bid, competing, tie)
             per_slot = sum(
                 slot_reward(valuation.values[k], bid.values[k],
@@ -273,7 +281,7 @@ class TestInvariants:
             idx = np.sort(rng.integers(0, 6, size=m))[::-1]
             bid = BidVector(idx, grid)
             competing = CompetingBids(np.sort(rng.integers(0, 6, size=m)), grid)
-            for tie in TieBreak:
+            for tie in (False, True):
                 mask = win_mask(bid, competing, tie)
                 assert np.all(np.diff(mask.astype(int)) <= 0), "wins must form a prefix"
 
@@ -290,7 +298,7 @@ class TestInvariants:
                 continue  # raise would break bid monotonicity
             bid = BidVector(idx, grid)
             competing = CompetingBids(np.sort(rng.integers(0, 6, size=m)), grid)
-            for tie in TieBreak:
+            for tie in (False, True):
                 assert allocate(BidVector(raised, grid), competing, tie) >= allocate(bid, competing, tie)
             checked += 1
 
@@ -301,8 +309,7 @@ class TestInvariants:
             idx = np.sort(rng.integers(0, 5, size=m))[::-1]
             bid = BidVector(idx, grid)
             competing = CompetingBids(np.sort(rng.integers(0, 5, size=m)), grid)
-            assert (allocate(bid, competing, TieBreak.BIDDER_WINS)
-                    >= allocate(bid, competing, TieBreak.BIDDER_LOSES))
+            assert allocate(bid, competing, False) >= allocate(bid, competing, True)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -253,6 +253,91 @@ class TestUnrunnableScenarios:
             assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
 
 
+AGENT = {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 1.0, 1.0]}
+LOWER_BOUND = {"kind": "lower_bound", "demand": 3}
+
+
+def agent_with(**keys):
+    return {"agents": [{**AGENT, **keys}]}
+
+
+# Overrides of `write_scenario`'s document, and the exact problems validation lists.
+REJECTIONS = {
+    "bool_for_an_int": ({"rounds": True}, ["rounds: expected int"]),
+    "zero_replications": ({"replications": 0}, ["replications: must be a positive integer"]),
+    "agent_not_an_object": ({"agents": [5]}, ["agents[0]: must be an object"]),
+    "unknown_agent_key": (agent_with(plot=1), ["agents[0].plot: unknown key"]),
+    "unknown_feedback": (agent_with(feedback="partial"), [
+        "agents[0].feedback: must be one of ['bandit_ipw', 'bandit_ix', 'full']"]),
+    "increasing_valuation": (agent_with(valuation=[0.5, 0.9]), [
+        "agents[0].valuation: must be a non-increasing list in [0, 1]"]),
+    "valuation_kind": (agent_with(valuation={"kind": "normal", "demand": 2}), [
+        "agents[0].valuation.kind: only 'uniform_sorted' is supported"]),
+    "valuation_demand": (agent_with(valuation={"kind": "uniform_sorted", "demand": 0}), [
+        "agents[0].valuation.demand: must be a positive integer"]),
+    "valuation_key": (agent_with(valuation={"kind": "uniform_sorted", "demand": 2, "seed": 1}), [
+        "agents[0].valuation.seed: unknown key"]),
+    "valuation_string": (agent_with(valuation="high"), [
+        "agents[0].valuation: must be a list or a generator object"]),
+    "tie": ({"environment": {**stochastic_environment(STOCHASTIC_ROWS), "tie": "sometimes"}}, [
+        "environment.tie: must be 'agent_wins' or 'agent_loses'"]),
+    "empty_support_row": ({"environment": stochastic_environment(
+        [STOCHASTIC_ROWS[0], [], STOCHASTIC_ROWS[2]])}, [
+        "environment.support: must be a non-empty list of bid rows"]),
+    "support_entry_not_a_number": ({"environment": stochastic_environment(
+        [[0.1, "0.1", 0.1]] + STOCHASTIC_ROWS[1:])}, [
+        "environment.support[0]: entries must be numbers"]),
+    "probs": ({"environment": {**stochastic_environment(STOCHASTIC_ROWS), "probs": [0.5] * 3}}, [
+        "environment.probs: must be non-negative and sum to 1, one per support row"]),
+    "lower_bound_demand": ({"grid_size": 10, "environment": {**LOWER_BOUND, "demand": 4}}, [
+        "environment.demand: must be a positive multiple of 3"]),
+    "lower_bound_delta": ({"grid_size": 10, "environment": {**LOWER_BOUND, "delta": 0.5}}, [
+        "environment.delta: must lie in [0, 1/6)"]),
+    "lower_bound_variant": ({"grid_size": 10, "environment": {**LOWER_BOUND, "variant": "H"}}, [
+        "environment.variant: must be 'F' or 'G'"]),
+    "lower_bound_grid_size": ({"environment": LOWER_BOUND}, [
+        "grid_size: lower-bound environments need the price 2/3 on the grid (grid_size must be "
+        "1 mod 3)"]),
+}
+
+
+class TestValidationProblems:
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_problems_are_listed_exactly(self, tmp_path, case):
+        from pabid import ScenarioError, validate_scenario
+
+        overrides, problems = REJECTIONS[case]
+        _, document = write_scenario(tmp_path, **{"rounds": 5, "replications": 1, **overrides})
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(document)
+        assert excinfo.value.problems == problems
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        from pabid import ScenarioError
+        from pabid.scenario import read_document
+
+        path = tmp_path / "broken.json"
+        path.write_text('{"name": "broken",')
+        with pytest.raises(json.JSONDecodeError) as parse:
+            json.loads(path.read_text())
+        with pytest.raises(ScenarioError) as excinfo:
+            read_document(path)
+        assert excinfo.value.problems == [f"file: not valid JSON ({parse.value})"]
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "scenario error: file: not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("replication", [-1, 2])
+    def test_build_market_rejects_a_replication_out_of_range(self, tmp_path, replication):
+        from pabid import validate_scenario
+        from pabid.scenario import build_market
+
+        _, document = write_scenario(tmp_path, rounds=5, replications=2)
+        with pytest.raises(ValueError, match="replication index out of range"):
+            build_market(validate_scenario(document), replication)
+
+
 # Each environment kind with every key it reads; grid_size 10 puts 2/3 on the grid.
 ENVIRONMENTS = {
     "self_play": ({"kind": "self_play"}, {}),
@@ -503,6 +588,19 @@ class TestHindsight:
         assert main(["hindsight", str(history), "--valuation", "1,1",
                      "--grid-size", "11"]) == 2
 
+    def test_comment_only_history_exits_2(self, tmp_path, capsys):
+        history = tmp_path / "h.txt"
+        history.write_text("# rounds to come\n\n#\n")
+        assert main(["hindsight", str(history), "--valuation", "1", "--grid-size", "11"]) == 2
+        assert "history file contains no rows" in capsys.readouterr().err
+
+    def test_valuation_longer_than_the_rows_exits_2(self, tmp_path, capsys):
+        history = tmp_path / "h.txt"
+        history.write_text("0.1 0.5\n0.2 0.3\n")
+        assert main(["hindsight", str(history), "--valuation", "1,1,1",
+                     "--grid-size", "11"]) == 2
+        assert "valuation longer than competing-bid rows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("valuation", ["nan", "1,nan"])
     def test_nan_valuation_exits_2(self, tmp_path, capsys, valuation):
         history = tmp_path / "h.txt"
@@ -522,6 +620,18 @@ class TestGridAdvice:
     def test_omd_cube_root(self, capsys):
         assert main(["grid-advice", "--mode", "omd-bandit", "--m", "3", "--t", "1000"]) == 0
         assert "suggested grid size: 10" in capsys.readouterr().out
+
+    def test_ew_bandit_rate(self, capsys):
+        """ceil(M^(-1/3) T^(1/3)) = ceil(7.94) at M = 2, T = 1000."""
+        assert main(["grid-advice", "--mode", "ew-bandit", "--m", "2", "--t", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "suggested grid size: 8" in out
+        assert "285.714" in out  # M*T/(D-1) = 2*1000/7
+
+    @pytest.mark.parametrize("m, t", [(0, 100), (2, 0), (-1, 5)])
+    def test_non_positive_demand_or_horizon_exits_2(self, capsys, m, t):
+        assert main(["grid-advice", "--mode", "full", "--m", str(m), "--t", str(t)]) == 2
+        assert "--t and --m must be positive" in capsys.readouterr().err
 
     def test_floor_at_two(self, capsys):
         assert main(["grid-advice", "--mode", "full", "--m", "1", "--t", "1"]) == 0

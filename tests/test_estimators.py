@@ -6,7 +6,6 @@ from pabid import (
     BidVector,
     CompetingBids,
     NodeWeightTable,
-    TieBreak,
     ValuationProfile,
     make_even_grid,
 )
@@ -25,7 +24,7 @@ def one_round_increments(table, competing, rng, eta=0.4, gamma=None):
     log_sums, log_prefix = ew_tail_sums(table.weights, table.allowed, eta)
     marginals = ew_marginals(log_sums)
     played = draw_bid(log_prefix, rng, table.grid)
-    x = allocate(played, competing, TieBreak.BIDDER_WINS)
+    x = allocate(played, competing, False)
     est = copy_table(table)
     before = est.weights.copy()
     bandit_step(est, marginals, played, x, gamma)
@@ -78,7 +77,7 @@ class TestBanditUpdate:
         scratch = copy_table(base)
         for _ in range(draws):
             played = draw_bid(log_prefix, rng, grid)
-            x = allocate(played, competing, TieBreak.BIDDER_WINS)
+            x = allocate(played, competing, False)
             scratch.weights[...] = base.weights
             bandit_step(scratch, marginals, played, x)
             delta = scratch.weights - base.weights
@@ -89,7 +88,7 @@ class TestBanditUpdate:
                 if not table.allowed[m, j]:
                     continue
                 true_w = slot_reward(table.valuation.values[m], grid.values[j],
-                                     grid.values[competing.indices[m]], TieBreak.BIDDER_WINS)
+                                     grid.values[competing.indices[m]], False)
                 q = q_probs[m, j]
                 mean = sums[m, j] / draws
                 mean_sq = sq_sums[m, j] / draws
@@ -124,7 +123,7 @@ class TestBanditUpdate:
         marginals = ew_marginals(log_sums)
         played = draw_bid(log_prefix, np.random.default_rng(3), grid)
         competing = CompetingBids(np.array([1, 2]), grid)
-        x = allocate(played, competing, TieBreak.BIDDER_WINS)
+        x = allocate(played, competing, False)
 
         plain = copy_table(base)
         bandit_step(plain, marginals, played, x)

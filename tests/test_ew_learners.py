@@ -17,7 +17,6 @@ from pabid import (
     OmdBidder,
     SelfPlayMarket,
     StochasticAdversary,
-    TieBreak,
     ValuationProfile,
     eta_schedule,
     ix_gamma_schedule,
@@ -106,14 +105,14 @@ class TestFullInfoUpdate:
         before = accumulate_weights(valuation, [], grid).weights
         competing = CompetingBids.from_values([1.0, 1.0], grid)
         table = observed_table(valuation, grid,
-                               [win_thresholds(competing.indices, 2, TieBreak.BIDDER_LOSES)])
+                               [win_thresholds(competing.indices, 2, True)])
         assert np.array_equal(table.weights, before)
 
     def test_single_update_equals_singleton_accumulation(self, rng):
         """One update adds exactly the singleton history's table, under both
         tie modes, with and without rival and own priorities."""
         grid = make_even_grid(7)
-        for tie in TieBreak:
+        for tie in (False, True):
             for rival_priorities in (False, True):
                 for _ in range(30):
                     m = int(rng.integers(1, 4))
@@ -207,6 +206,19 @@ class TestLearnerRuns:
             ExpWeightsBidder([ValuationProfile(np.ones(2))] * 2, grid, 10,
                              [LearnerConfig(), LearnerConfig(mode=FeedbackMode.BANDIT_IX)])
 
+    def test_observe_before_propose_rejected(self):
+        learner = ExpWeightsBidder([ValuationProfile(np.ones(2))], make_even_grid(5), 10,
+                                   [LearnerConfig()])
+        with pytest.raises(RuntimeError, match="observe called before propose"):
+            learner.observe(None, [[0, 0]])
+
+    def test_full_info_round_requires_thresholds(self):
+        learner = ExpWeightsBidder([ValuationProfile(np.ones(2))], make_even_grid(5), 10,
+                                   [LearnerConfig()])
+        learner.propose()
+        with pytest.raises(ValueError, match="requires the win thresholds"):
+            learner.observe(None, None)
+
     def test_group_plays_as_its_agents_would_alone(self):
         """One group of three agents and three one-agent groups write the same
         log, in every mode, with a different eta per agent."""
@@ -228,7 +240,7 @@ class TestLearnerRuns:
         valuation = ValuationProfile(np.array([0.8, 0.6]))
         adversary = StochasticAdversary(grid.indices_of([[1.0, 1.0]]), [1.0], seed=0)
         learner = ExpWeightsBidder([valuation], grid, 300, [LearnerConfig(seed=4)])
-        log = play_against(learner, adversary, 300, tie=TieBreak.BIDDER_LOSES)
+        log = play_against(learner, adversary, 300, tie=True)
         assert math.fsum(log.utilities[:, 0]) == 0.0
         for row in log.bids[0]:
             check_ir(BidVector(row, grid), valuation)

@@ -30,6 +30,11 @@ the q of each projection that reaches the bids, so a last digest hashes
 every output of every projection (q, lambda, nu, sweeps and gap) in
 replication 0 of `omd_multisweep` and `mixed_groups`, whose IR-masked OMD
 agent sends roundoff-busy layer pairs through the sweep loop.
+
+The projection digest and the bandit agent's log rounds depend on the bits
+of numpy's `exp` and `log`, which its SIMD dispatch chooses per host, so
+every digest assertion names the target the digests were recorded on and
+this run's.
 """
 import hashlib
 import json
@@ -41,6 +46,16 @@ from pabid import (_kernels, market_metrics, mirror_descent, regret_report, run_
                    validate_scenario)
 from pabid.cli import _resolve_scenario_path
 from pabid.scenario import build_market
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+RECORDED_TARGET = "numpy 2.4.6, dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+RUN_TARGET = (f"numpy {np.__version__}, dispatch "
+              + " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name)))
+TARGETS = f"recorded on {RECORDED_TARGET}; this run: {RUN_TARGET}"
 
 ROUNDS = 300
 
@@ -214,7 +229,7 @@ def golden_digests(name: str) -> tuple[str, str]:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_scenario_outputs_are_byte_identical(name):
-    assert golden_digests(name) == GOLDEN[name]
+    assert golden_digests(name) == GOLDEN[name], TARGETS
 
 
 def test_replications_past_zero_are_byte_identical():
@@ -223,7 +238,7 @@ def test_replications_past_zero_are_byte_identical():
     digest = hashlib.sha256()
     for replication in range(REPLICATIONS):
         update_run_digest(digest, run_experiment(scenario, replication=replication))
-    assert digest.hexdigest() == REPLICATIONS_DIGEST
+    assert digest.hexdigest() == REPLICATIONS_DIGEST, TARGETS
 
 
 def test_projections_are_byte_identical(monkeypatch):
@@ -240,7 +255,7 @@ def test_projections_are_byte_identical(monkeypatch):
     for name in PROJECTION_SCENARIOS:
         run_experiment(validate_scenario({**load_document(name), "rounds": ROUNDS}),
                        replication=0)
-    assert digest.hexdigest() == PROJECTION_DIGEST
+    assert digest.hexdigest() == PROJECTION_DIGEST, TARGETS
 
 
 def test_bandit_log_rounds_are_byte_identical(monkeypatch):
@@ -257,6 +272,6 @@ def test_bandit_log_rounds_are_byte_identical(monkeypatch):
     log = market.play(scenario.rounds, config=config, seed=seed)
     digest = hashlib.sha256()
     update_run_digest(digest, log)
-    assert market.learners[0].log_rounds.tolist() == [676]
-    assert len(calls) == 99
-    assert digest.hexdigest() == LOG_ROUNDS_DIGEST
+    assert market.learners[0].log_rounds.tolist() == [676], TARGETS
+    assert len(calls) == 99, TARGETS
+    assert digest.hexdigest() == LOG_ROUNDS_DIGEST, TARGETS

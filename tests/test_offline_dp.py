@@ -4,7 +4,6 @@ import pytest
 
 from pabid import (
     CompetingBids,
-    TieBreak,
     ValuationProfile,
     accumulate_weights_history,
     hindsight_optimal,
@@ -30,11 +29,18 @@ def _random_history(rng, supply, grid_size, rounds):
 
 
 class TestAccumulateWeights:
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3), (2, 3, 2)])
+    def test_history_of_the_wrong_shape_rejected(self, shape):
+        valuation = ValuationProfile(np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"\(rounds, demand\) threshold matrix"):
+            accumulate_weights_history(valuation, np.zeros(shape, dtype=np.int64),
+                                       make_even_grid(5))
+
     def test_single_round_hand_computation(self):
         grid = make_even_grid(11)
         valuation = ValuationProfile(np.array([1.0]))
         history = [CompetingBids.from_values([0.3], grid)]
-        table = accumulate_weights(valuation, history, grid, TieBreak.BIDDER_WINS)
+        table = accumulate_weights(valuation, history, grid, False)
         assert table.weights[0, grid.index_of(0.3)] == pytest.approx(0.7)
         assert table.weights[0, grid.index_of(0.2)] == 0.0
         assert table.weights[0, grid.index_of(1.0)] == 0.0
@@ -61,7 +67,7 @@ class TestAccumulateWeights:
             valuation = random_valuation(rng, m)
             hist_idx = _random_history(rng, m, 7, int(rng.integers(0, 6)))
             history = [CompetingBids(row, grid) for row in hist_idx]
-            tie = TieBreak.BIDDER_WINS if rng.random() < 0.5 else TieBreak.BIDDER_LOSES
+            tie = rng.random() >= 0.5
             slow = accumulate_weights(valuation, history, grid, tie)
             thresholds = win_thresholds(hist_idx, m, tie)
             fast = accumulate_weights_history(valuation, thresholds, grid)
@@ -83,7 +89,7 @@ class TestHindsightOptimal:
         grid = make_even_grid(11)
         valuation = ValuationProfile(np.array([0.9, 0.9, 0.9]))
         history = [CompetingBids.from_values([1.0, 1.0, 1.0], grid)] * 4
-        table = accumulate_weights(valuation, history, grid, TieBreak.BIDDER_WINS)
+        table = accumulate_weights(valuation, history, grid, False)
         solution = hindsight_optimal(table)
         assert solution.total_utility == 0.0
         assert solution.bid.values.tolist() == [0.0, 0.0, 0.0]
@@ -96,9 +102,9 @@ class TestHindsightOptimal:
             + [CompetingBids.from_values([0.3, 0.3, 1.0], grid)]
             + [CompetingBids.from_values([0.4, 1.0, 1.0], grid)]
         )
-        table = accumulate_weights(valuation, history, grid, TieBreak.BIDDER_WINS)
+        table = accumulate_weights(valuation, history, grid, False)
         solution = hindsight_optimal(table)
-        oracle = brute_force_optimal(valuation, history, grid, TieBreak.BIDDER_WINS)
+        oracle = brute_force_optimal(valuation, history, grid, False)
         assert np.array_equal(solution.bid.indices, oracle.bid.indices)
         assert solution.total_utility == oracle.total_utility
         assert solution.bid.values.tolist() == pytest.approx([0.4, 0.3, 0.1])
@@ -116,7 +122,7 @@ class TestHindsightOptimal:
             valuation = random_valuation(rng, m)
             hist_idx = _random_history(rng, m, d, t)
             history = [CompetingBids(row, grid) for row in hist_idx]
-            tie = TieBreak.BIDDER_WINS if rng.random() < 0.5 else TieBreak.BIDDER_LOSES
+            tie = rng.random() >= 0.5
             dp = hindsight_optimal(accumulate_weights(valuation, history, grid, tie))
             bf = brute_force_optimal(valuation, history, grid, tie)
             assert dp.total_utility == bf.total_utility

@@ -12,7 +12,6 @@ from pabid import (
     OmdBidder,
     ProjectionError,
     StochasticAdversary,
-    TieBreak,
     ValuationProfile,
     make_even_grid,
     omd_eta_schedule,
@@ -97,6 +96,12 @@ class TestRounds:
         with pytest.raises(ValueError):
             bidder.observe([0], None)
 
+    @pytest.mark.parametrize("mode", [FeedbackMode.FULL_INFO, FeedbackMode.BANDIT_IX])
+    def test_observe_before_propose_rejected(self, mode):
+        bidder = OmdBidder(ValuationProfile(np.array([1.0])), make_even_grid(4), 10, mode=mode)
+        with pytest.raises(RuntimeError, match="observe called before propose"):
+            bidder.observe([0], [[0]])
+
     def test_policy_tracks_measure(self):
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([1.0, 0.8]))
@@ -117,14 +122,14 @@ class TestRounds:
         bidder = OmdBidder(valuation, grid, 10, mode=FeedbackMode.FULL_INFO)
         bidder.propose()
         competing = PooledBids(np.array([2, 2]), grid, priorities=np.array([0, 0]))
-        for tie in TieBreak:
+        for tie in (False, True):
             estimate = bidder.reward_estimate(0, priority_thresholds(competing.indices,
                                                                      competing.priorities, 2, tie))
             for j in range(grid.count):
                 flat = settle(valuation, BidVector(np.full(2, j), grid), competing, tie)
                 assert estimate[:, j].sum() == pytest.approx(flat.utility), (tie, j)
         losing_tie = bidder.reward_estimate(0, priority_thresholds(
-            competing.indices, competing.priorities, 2, TieBreak.BIDDER_LOSES))
+            competing.indices, competing.priorities, 2, True))
         assert losing_tie[:, 2].tolist() == [0.0, 0.0]
 
     def test_bandit_estimate_is_the_per_slot_formula_bit_for_bit(self, rng):

@@ -8,7 +8,6 @@ from pabid import (
     BidVector,
     CompetingBids,
     StochasticAdversary,
-    TieBreak,
     ValuationProfile,
     accumulate_weights_history,
     make_even_grid,
@@ -284,7 +283,7 @@ def settlements(draw):
                                np.array([e[1] for e in entries]))
     else:
         competing = CompetingBids(sorted_rows(draw, 1, supply, d, False)[0], grid)
-    tie = draw(st.sampled_from(list(TieBreak)))
+    tie = draw(st.booleans())
     bidder_priority = draw(st.one_of(st.none(), st.integers(-2, 3)))
     return grid, bid, competing, tie, bidder_priority
 
@@ -304,10 +303,10 @@ class TestWinRule:
             assert wins[:, j].tolist() == expected.tolist()
 
     @pytest.mark.parametrize("tie, priorities, bidder_priority", [
-        (TieBreak.BIDDER_LOSES, None, None),
-        (TieBreak.BIDDER_WINS, [2], 1),
-        (TieBreak.BIDDER_WINS, [1], 1),
-        (TieBreak.BIDDER_LOSES, [0], None),
+        (True, None, None),
+        (False, [2], 1),
+        (False, [1], 1),
+        (True, [0], None),
     ])
     def test_rival_at_top_index_that_wins_the_tie_blocks_every_bid(
             self, tie, priorities, bidder_priority):
@@ -337,7 +336,7 @@ def histories(draw):
                                           max_size=rounds * supply)),
                             dtype=np.int64).reshape(rounds, supply)
     values = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)), reverse=True)
-    tie = draw(st.sampled_from(list(TieBreak)))
+    tie = draw(st.booleans())
     bidder_priority = draw(st.one_of(st.none(), st.integers(-2, 3)))
     return grid, ValuationProfile(np.array(values)), comp_idx, comp_pri, tie, bidder_priority
 

@@ -17,7 +17,7 @@ from pabid import (
 )
 from pabid.auction import ValuationProfile
 from pabid.scenario import build_market, replication_seeds
-from pabid.simulator import RunLog
+from pabid.simulator import RunLog, SelfPlayMarket
 
 from oracles import csv_text, json_text, spawn_all_replication_seeds
 
@@ -369,6 +369,28 @@ class TestSupplyCheck:
             market.play(8)
         assert str(excinfo.value) == (
             "agents 0, 1, round 3: settlement granted more units than the supply")
+
+
+class TestMarketChecks:
+    class Idle:
+        wants_full_info = False
+
+    @pytest.mark.parametrize("learners, members", [
+        (2, [[0], [0]]),      # agent 1 in no group, agent 0 in two
+        (2, [[0, 1]]),        # fewer member lists than groups
+        (1, [[0, 1, 2]]),     # an agent the market does not have
+        (2, None),            # one agent per group, but three agents
+    ])
+    def test_members_must_partition_the_agents(self, learners, members):
+        valuations = [ValuationProfile(np.ones(1))] * (3 if members is None else 2)
+        with pytest.raises(ValueError, match="exactly one group"):
+            SelfPlayMarket([self.Idle()] * learners, valuations, make_even_grid(5), 3,
+                           members=members)
+
+    def test_demand_above_the_supply_rejected(self):
+        valuations = [ValuationProfile(np.ones(1)), ValuationProfile(np.ones(3))]
+        with pytest.raises(ValueError, match="demand exceeds the supply"):
+            SelfPlayMarket([self.Idle(), self.Idle()], valuations, make_even_grid(5), 2)
 
 
 class TestPersistence:
