@@ -33,9 +33,11 @@ Kernels:
     The table v_m - B_j of the feasible cells is built once; each round adds
     it to the cells at or above each slot's win threshold.
 
-The EW kernels take slots and bids on the last two axes, so one (M, D) table
-and a (k, M, D) stack of k agents run the same code, with the same bits per
-agent as k separate calls; only the sampler loops over the agents.
+The EW kernels take the slot axis first and bids last: one (M, D) table, or
+an (M, k, D) stack of k agents whose slot m is one contiguous (k, D) block.
+Both run the same code, one numpy call per slot for all agents, with the same
+bits per agent as k separate calls, since every operation is elementwise or
+runs along the bid axis; only the sampler loops over the agents.
 
 Mirror descent samples without a kernel: `mirror_descent.sample_from_marginals`
 bisects every slot's CDF at one shared uniform per round.
@@ -198,7 +200,7 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False):
     S[m, b] = exp(eta W[m, b]) P[m+1, b], with P[m, b] = sum_{b' <= b}
     S[m, b'] and forbidden cells of zero mass. P[m, cap] is the normalizer of
     slot m's law when the previous slot bid `cap`, so the sampler reads it
-    directly. `eta` is a scalar, or (k, 1, 1) rates for a stack.
+    directly. `eta` is a scalar, or (k, 1) rates for an (M, k, D) stack.
 
     By default the tables are in logs, one `np.logaddexp.accumulate` per
     layer. Returns (log_sums, log_prefix).
@@ -207,6 +209,8 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False):
     is a finite float (see `linear_rounds`), and the pass runs on exp(eta W)
     itself: one `exp`, then one `np.add.accumulate` and one product per
     layer, with no shift and no test. Returns (sums, prefix), both linear.
+    `bounded` may also be (k,) bools: the agents marked take this pass, the
+    others logs, and the sampler takes the bools as its `linear`.
 
     With `linear`, the pass runs on E = exp(eta W - row max). Row scales
     matter neither to the sampler nor to the marginals. An agent keeps these
@@ -220,6 +224,11 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False):
     linear), `linear` a (k,) bool array (k = 1 for one table) naming the
     agents on linear tables.
     """
+    if isinstance(bounded, np.ndarray):  # per agent; the unmarked take logs
+        sums, prefix = ew_tail_sums(weights, allowed, eta)
+        sums[:, bounded], prefix[:, bounded] = ew_tail_sums(
+            weights[:, bounded], allowed[:, bounded], eta[bounded], bounded=True)
+        return sums, prefix
     if bounded:
         sums = eta * weights
         np.exp(sums, out=sums)
@@ -229,11 +238,10 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False):
         return _linear_tail_sums(weights, allowed, eta)
     log_sums = np.where(allowed, eta * weights, _NEG_INF)
     log_prefix = np.empty_like(log_sums)
-    sums, prefix = log_sums.swapaxes(0, -2), log_prefix.swapaxes(0, -2)  # slot axis first
-    for m in range(sums.shape[0] - 1, 0, -1):
-        np.logaddexp.accumulate(sums[m], axis=-1, out=prefix[m])
-        sums[m - 1] += prefix[m]
-    np.logaddexp.accumulate(sums[0], axis=-1, out=prefix[0])
+    for m in range(log_sums.shape[0] - 1, 0, -1):
+        np.logaddexp.accumulate(log_sums[m], axis=-1, out=log_prefix[m])
+        log_sums[m - 1] += log_prefix[m]
+    np.logaddexp.accumulate(log_sums[0], axis=-1, out=log_prefix[0])
     return log_sums, log_prefix
 
 
@@ -259,9 +267,8 @@ def linear_rounds(m_units, d, eta_max):
 def _linear_pass(sums):
     """The backward pass on linear cells, in place: S[m] *= P[m + 1]; returns P."""
     prefix = np.empty_like(sums)
-    rows, prefix_rows = sums.swapaxes(0, -2), prefix.swapaxes(0, -2)  # slot axis first
-    below = np.add.accumulate(rows[-1], axis=-1, out=prefix_rows[-1])
-    for row, out in zip(rows[-2::-1], prefix_rows[-2::-1]):
+    below = np.add.accumulate(sums[-1], axis=-1, out=prefix[-1])
+    for row, out in zip(sums[-2::-1], prefix[-2::-1]):
         row *= below
         below = np.add.accumulate(row, axis=-1, out=out)
     return prefix
@@ -269,8 +276,8 @@ def _linear_pass(sums):
 
 def _linear_tail_sums(weights, allowed, eta):
     """`ew_tail_sums(..., linear=True)`: the pass on exp(eta W - row max)."""
-    if _log_tail_count(*weights.shape[-2:]) > -_LINEAR_FLOOR:
-        logs_only = np.zeros(weights.shape[:-2], bool).reshape(-1)
+    if _log_tail_count(weights.shape[0], weights.shape[-1]) > -_LINEAR_FLOOR:
+        logs_only = np.zeros(weights.shape[1:-1], bool).reshape(-1)
         return (*ew_tail_sums(weights, allowed, eta), logs_only)
     sums = np.where(allowed, eta * weights, _NEG_INF)
     with np.errstate(over="ignore", invalid="ignore"):  # such a row fails the test below
@@ -278,14 +285,14 @@ def _linear_tail_sums(weights, allowed, eta):
     lowest = sums.min(axis=-1, where=allowed, initial=0.0)  # of each row's feasible cells
     np.exp(sums, out=sums)
     prefix = _linear_pass(sums)
-    linear = ((lowest >= _LINEAR_FLOOR) & (prefix[..., 0] >= _LINEAR_MIN)).all(axis=-1).reshape(-1)
+    linear = ((lowest >= _LINEAR_FLOOR) & (prefix[..., 0] >= _LINEAR_MIN)).all(axis=0).reshape(-1)
     flags = linear.tolist()
     if not any(flags):
         return (*ew_tail_sums(weights, allowed, eta), linear)
     if not all(flags):
         logs = ~linear
-        sums[logs], prefix[logs] = ew_tail_sums(weights[logs], allowed[logs],
-                                                eta if np.ndim(eta) == 0 else eta[logs])
+        sums[:, logs], prefix[:, logs] = ew_tail_sums(weights[:, logs], allowed[:, logs],
+                                                      eta if np.ndim(eta) == 0 else eta[logs])
     return sums, prefix, linear
 
 
@@ -300,28 +307,31 @@ def sample_monotone(prefix, uniforms, linear=False):
     total: the last cell under the cap with mass. `linear` says per agent
     which rows are linear, as `ew_tail_sums` reports it, or is one bool for
     every agent (by default every row is in logs). Expects mass in cell 0 of
-    every row. Bisection reads a flat memoryview, so a draw converts only
-    the cells it probes; a stack draws agent by agent.
+    every row. `uniforms` are (M,) for one table, or (k, M) in agent order
+    for an (M, k, D) stack, and the picks take their shape. Bisection reads a
+    flat memoryview, so a draw converts only the cells it probes; a stack
+    draws agent by agent.
     """
-    m_units, d = prefix.shape[-2:]
-    flags = iter(linear.tolist()) if isinstance(linear, np.ndarray) else itertools.repeat(linear)
+    m_units, d = prefix.shape[0], prefix.shape[-1]
+    step = prefix.size // m_units  # k * D: from an agent's row of slot m to slot m + 1
+    flags = linear.tolist() if isinstance(linear, np.ndarray) else itertools.repeat(linear)
     cells = memoryview(np.ascontiguousarray(prefix).reshape(-1))
     picks = []
-    for i, u in enumerate(uniforms.reshape(-1).tolist()):
-        if i % m_units == 0:
-            cap = d - 1  # an agent's first slot may take any cell
-            agent_linear = next(flags)
-        lo = i * d  # row i of the flat table: agent i // M, slot i % M
-        total = cells[lo + cap]
-        if agent_linear:
-            threshold = u * total
-        else:
-            threshold = math.log(u) + total if u > 0.0 else _NEG_INF
-        pick = bisect.bisect_right(cells, threshold, lo, lo + cap + 1) - lo
-        if pick > cap:  # roundoff: fall to the last cell with mass
-            pick = bisect.bisect_left(cells, total, lo, lo + cap + 1) - lo
-        picks.append(pick)
-        cap = pick
+    for agent, (row, agent_linear) in enumerate(zip(uniforms.reshape(-1, m_units).tolist(), flags)):
+        cap = d - 1  # an agent's first slot may take any cell
+        lo = agent * d  # slot 0 of the agent; slot m starts at (m * k + agent) * D
+        for u in row:
+            total = cells[lo + cap]
+            if agent_linear:
+                threshold = u * total
+            else:
+                threshold = math.log(u) + total if u > 0.0 else _NEG_INF
+            pick = bisect.bisect_right(cells, threshold, lo, lo + cap + 1) - lo
+            if pick > cap:  # roundoff: fall to the last cell with mass
+                pick = bisect.bisect_left(cells, total, lo, lo + cap + 1) - lo
+            picks.append(pick)
+            cap = pick
+            lo += step
     return np.array(picks, dtype=np.int64).reshape(uniforms.shape)
 
 
@@ -342,26 +352,26 @@ def ew_marginals(sums, prefix=None, linear=None):
     log 2**-960, the recursion runs on S = exp(s): each S is then a normal
     float, q / z <= 1 / S[m, 0] <= 2**960 and no suffix sum overflows. An
     agent whose rows span more than that takes `_log_marginals`. Every
-    choice is made per agent, so each agent of a (k, M, D) stack gets the
-    bits of its own (M, D) call.
+    choice is made per agent, so each agent of an (M, k, D) stack gets the
+    bits of its own (M, D) call; the marginals take the tables' shape.
     """
     flags = [False] if linear is None else linear.tolist()
     if all(flags):
         return _prefix_marginals(sums.copy(), prefix)
     if any(flags):
         q = np.empty_like(sums)
-        q[linear] = _prefix_marginals(sums[linear], prefix[linear])
-        q[~linear] = ew_marginals(sums[~linear])
+        q[:, linear] = _prefix_marginals(sums[:, linear], prefix[:, linear])
+        q[:, ~linear] = ew_marginals(sums[:, ~linear])
         return q
     s = sums - sums.max(axis=-1, keepdims=True)
-    wide = ((s < _LINEAR_FLOOR) & (s > _NEG_INF)).any(axis=(-2, -1))
+    wide = ((s < _LINEAR_FLOOR) & (s > _NEG_INF)).any(axis=(0, -1))
     if not wide.any():
         return _linear_marginals(s)
     if wide.all():
         return _log_marginals(s)
     q = np.empty_like(s)
-    q[~wide] = _linear_marginals(s[~wide])
-    q[wide] = _log_marginals(s[wide])
+    q[:, ~wide] = _linear_marginals(s[:, ~wide])
+    q[:, wide] = _log_marginals(s[:, wide])
     return q
 
 
@@ -374,12 +384,11 @@ def _linear_marginals(s):
 def _prefix_marginals(q, z):
     """The marginal recursion on linear S, held in `q` and overwritten, with z
     its running row sums."""
-    rows, z_rows = q.swapaxes(0, -2), z.swapaxes(0, -2)  # slot axis first
-    first = rows[0]
-    first /= z_rows[0][..., -1:]
+    first = q[0]
+    first /= z[0][..., -1:]
     suffix = np.empty_like(first)
     backward = suffix[..., ::-1]
-    for above, row, z_row in zip(rows[:-1], rows[1:], z_rows[1:]):
+    for above, row, z_row in zip(q[:-1], q[1:], z[1:]):
         np.divide(above, z_row, out=suffix)
         np.add.accumulate(backward, axis=-1, out=backward)  # suffix sums of the ratios
         row *= suffix
@@ -396,10 +405,9 @@ def _log_marginals(s):
     """
     lz = np.logaddexp.accumulate(s, axis=-1)
     log_q = s.copy()
-    rows, lz_rows = log_q.swapaxes(0, -2), lz.swapaxes(0, -2)  # slot axis first
-    for m in range(1, rows.shape[0]):
-        tail = (rows[m - 1] - lz_rows[m])[..., ::-1]
-        rows[m] += np.logaddexp.accumulate(tail, axis=-1)[..., ::-1]
+    for m in range(1, log_q.shape[0]):
+        tail = (log_q[m - 1] - lz[m])[..., ::-1]
+        log_q[m] += np.logaddexp.accumulate(tail, axis=-1)[..., ::-1]
     q = np.exp(log_q - log_q.max(axis=-1, keepdims=True))
     return q / q.sum(axis=-1, keepdims=True)
 
@@ -410,6 +418,7 @@ def slot_rewards(allowed, valuations, grid_values):
 
 
 def apply_slot_rewards(weights, rewards, thresholds):
-    """Add the `slot_rewards` table to every cell (m, j) that wins: j >= thr_m."""
-    wins = np.arange(rewards.shape[-1]) >= thresholds[..., None]
+    """Add the `slot_rewards` table to every cell (m, j) that wins: j >= thr_m.
+    `thresholds` are (M,), or (k, M) in agent order for an (M, k, D) stack."""
+    wins = np.arange(rewards.shape[-1]) >= thresholds.T[..., None]
     np.add(weights, rewards, out=weights, where=wins)

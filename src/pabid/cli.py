@@ -93,6 +93,14 @@ def _nan_median_abs(series: np.ndarray):
     return float(np.median(np.abs(finite)))
 
 
+def numpy_build() -> dict:
+    """numpy's version and the SIMD targets its dispatch enables on this host,
+    which choose the bits of its `exp` and `log`."""
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath  # numpy 2 or 1
+    return {"version": np.__version__, "dispatch": [
+        name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]}
+
+
 def cmd_run(args) -> int:
     try:
         path = _resolve_scenario_path(args.scenario)
@@ -133,6 +141,7 @@ def cmd_run(args) -> int:
         "replications": scenario.replications,
         "format": args.format,
         "library_version": __version__,
+        "numpy": numpy_build(),
     }
     _atomic_write(os.path.join(out_dir, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -181,19 +190,28 @@ def cmd_hindsight(args) -> int:
     return 0
 
 
+def suggested_grid_size(mode: str, demand: int, horizon: int) -> int:
+    """The rate-optimal grid size: the smallest k >= 2 with k**2 M >= T (`full`),
+    k**3 M >= T (`ew-bandit`) or k**3 >= T (`omd-bandit`), decided in integers
+    so that an exact root is never rounded up."""
+    target = horizon if mode == "omd-bandit" else -(-horizon // demand)  # k**p >= target
+    if mode == "full":
+        return max(math.isqrt(target - 1) + 1, 2)
+    k = max(round(target ** (1.0 / 3.0)), 2)
+    while k**3 < target:
+        k += 1
+    while k > 2 and (k - 1) ** 3 >= target:
+        k -= 1
+    return k
+
+
 def cmd_grid_advice(args) -> int:
     horizon = args.t
     demand = args.m
     if horizon < 1 or demand < 1:
         print("error: --t and --m must be positive", file=sys.stderr)
         return 2
-    if args.mode == "full":
-        suggestion = math.ceil(math.sqrt(horizon / demand))
-    elif args.mode == "ew-bandit":
-        suggestion = math.ceil(demand ** (-1.0 / 3.0) * horizon ** (1.0 / 3.0))
-    else:  # omd-bandit
-        suggestion = math.ceil(horizon ** (1.0 / 3.0))
-    suggestion = max(suggestion, 2)
+    suggestion = suggested_grid_size(args.mode, demand, horizon)
     bound = demand * horizon / (suggestion - 1)  # even-grid spacing is 1/(D-1)
     print(f"suggested grid size: {suggestion}")
     print(f"discretization error bound (M*T/(D-1)): {bound:g}")

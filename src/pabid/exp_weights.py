@@ -14,19 +14,21 @@ Feedback modes:
     exceed 1 (an implicit-exploration variant divides by q + gamma instead).
 
 `ExpWeightsBidder` is a population: k >= 1 agents of one demand and one
-feedback mode share a (k, M, D) weight table, so each round runs every
-kernel once for all of them, with eta and gamma per agent. Each agent keeps
-its own RNG stream and draws its M uniforms per round from it, a block of
-rounds at a time, so its bids are the same whichever group it is in.
+feedback mode share an (M, k, D) weight table, slot-major, so each round
+runs every kernel once for all of them, with eta and gamma per agent, and
+each per-slot step reads one contiguous (k, D) block. Each agent keeps its
+own RNG stream and draws its M uniforms per round from it, a block of rounds
+at a time.
 
-Groups sample from linear tables where these fit a float's range. A bandit
+Agents sample from linear tables where these fit a float's range. A bandit
 group's sampler and marginals share one linear table per round, checked per
 agent; an agent whose table does not fit takes logs. A full-information
-group samples from exp(eta W) itself, unshifted, while the growth bound of
-`_kernels.linear_rounds` at the group's largest eta proves every prefix sum
-finite, and from logs after. `log_rounds` counts each agent's rounds in
-logs. Both domains draw the same bid except for a uniform within rounding
-of a breakpoint of the sampler's CDF.
+agent samples from exp(eta W) itself, unshifted, while the growth bound of
+`_kernels.linear_rounds` at its own eta proves every prefix sum finite, and
+from logs after. `log_rounds` counts each agent's rounds in logs. Both
+domains draw the same bid except for a uniform within rounding of a
+breakpoint of the sampler's CDF. Every choice is per agent, so an agent's
+bids and `log_rounds` are the same whichever group it is in.
 
 The group is the only interface to the EW kernels: a single agent is a
 group of one.
@@ -96,7 +98,7 @@ def estimator_offsets(mode: FeedbackMode, allowed: np.ndarray, horizon: int,
 
 
 def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values, gamma, linear):
-    """Shifted IPW update of a (k, M, D) stack from each agent's own allocation.
+    """Shifted IPW update of an (M, k, D) stack from each agent's own allocation.
 
     Every feasible cell gains 1; the played cell additionally loses
     (1 - realized slot reward) / (q + gamma). The net played-cell increment
@@ -107,7 +109,7 @@ def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values
     """
     agents = np.arange(bids.shape[0])[:, None]
     slots = np.arange(bids.shape[1])
-    q = probs[agents, slots, bids] + gamma
+    q = probs[slots, agents, bids] + gamma
     zero = (q <= 0.0).any(axis=1)
     if zero.any():
         regimes = sorted({"linear" if lin else "log" for lin in linear[zero]})
@@ -117,7 +119,7 @@ def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values
     w = np.where(won, values - grid_values[bids], 0.0)
     correction = (1.0 - w) / q
     weights += allowed  # +1 on every feasible cell
-    weights[agents, slots, bids] -= correction
+    weights[slots, agents, bids] -= correction
     return 1.0 - correction
 
 
@@ -126,9 +128,10 @@ class ExpWeightsBidder:
 
     A group of the market: `propose` returns one bid row per agent, and
     `observe(allocations, thresholds)` takes the agents' allocations and,
-    under full information, their (k, M) win thresholds. `log_rounds[i]`
-    counts the rounds in which agent i's tail sums were in logs rather than
-    linear.
+    under full information, their (k, M) win thresholds. The tables
+    (`weights`, `allowed`) are (M, k, D), slot-major: `weights[:, i]` is agent
+    i's (M, D) table. `log_rounds[i]` counts the rounds in which agent i's
+    tail sums were in logs rather than linear.
     """
 
     def __init__(self, valuations: Sequence[ValuationProfile], grid: BidGrid, horizon: int,
@@ -145,21 +148,23 @@ class ExpWeightsBidder:
             raise ValueError("bandit modes require eta < 1/M")
         self.eta = np.array(etas)
         self.values = np.array([v.values for v in self.valuations])
-        self.allowed = np.array([v.ir_mask(grid) for v in self.valuations])
+        masks = [v.ir_mask(grid) for v in self.valuations]
+        self.allowed = np.stack(masks, axis=1)
         self.weights = np.zeros(self.allowed.shape)
         self.gamma = np.array([estimator_offsets(mode, allowed, horizon, c.gamma)
-                               for allowed, c in zip(self.allowed, configs)])
+                               for allowed, c in zip(masks, configs)])
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
         self.rngs = [np.random.default_rng(c.seed) for c in configs]
         # A lone agent samples from its (M, D) table: the kernels' per-slot
         # numpy calls cost more on (1, D) slices than on plain rows.
-        self._kernel_args = ((self.weights[0], self.allowed[0], self.eta[0]) if len(configs) == 1
-                             else (self.weights, self.allowed, self.eta[:, None, None]))
+        self._kernel_args = ((self.weights[:, 0], self.allowed[:, 0], self.eta[0])
+                             if len(configs) == 1 else (self.weights, self.allowed, self.eta[:, None]))
         self._rounds_left = horizon  # uniforms not yet drawn, in rounds, up to the horizon
         self._uniforms: list = []    # the rounds of the current block still to play
         if self.wants_full_info:
             self._rewards: Optional[np.ndarray] = None  # built by the first observe, not at set-up
-            self._linear_rounds = _kernels.linear_rounds(demand, grid.count, max(etas))
+            bounds = [_kernels.linear_rounds(demand, grid.count, eta) for eta in etas]
+            self._linear_rounds, self._bound_range = np.array(bounds), (min(bounds), max(bounds))
             self._updates = 0
         self.log_rounds = np.zeros(len(configs), dtype=np.int64)
         self._pending_bids: Optional[np.ndarray] = None
@@ -172,14 +177,18 @@ class ExpWeightsBidder:
             self._draw_uniforms()
         uniforms = self._uniforms.pop()
         if self.wants_full_info:
-            linear = self._updates <= self._linear_rounds
+            low, high = self._bound_range
+            if low < self._updates <= high:  # between the agents' bounds: each by its own
+                linear = self._updates <= self._linear_rounds
+                self.log_rounds += ~linear
+            else:  # every agent on the same side of its bound
+                linear = self._updates <= low
+                if not linear:
+                    self.log_rounds += 1
             sums, prefix = _kernels.ew_tail_sums(*self._kernel_args, bounded=linear)
-            if not linear:
-                self.log_rounds += 1
         else:
             sums, prefix, linear = _kernels.ew_tail_sums(*self._kernel_args, linear=True)
-        bids = _kernels.sample_monotone(prefix, uniforms, linear)
-        self._pending_bids = bids.reshape(self.values.shape)
+        self._pending_bids = _kernels.sample_monotone(prefix, uniforms, linear)
         if not self.wants_full_info:
             marginals = _kernels.ew_marginals(sums, prefix, linear)
             self._pending_marginals = marginals.reshape(self.weights.shape)
@@ -195,7 +204,7 @@ class ExpWeightsBidder:
             if thresholds is None:
                 raise ValueError("full-information feedback requires the win thresholds")
             if self._rewards is None:
-                self._rewards = _kernels.slot_rewards(self.allowed, self.values, self.grid.values)
+                self._rewards = _kernels.slot_rewards(self.allowed, self.values.T, self.grid.values)
             _kernels.apply_slot_rewards(self.weights, self._rewards, np.array(thresholds))
             self._updates += 1
         else:
@@ -210,9 +219,10 @@ class ExpWeightsBidder:
 
         One `rng.random((rows, M))` per agent reads the same stream as `rows`
         draws of M, so the block size never changes a bid. Past the horizon
-        the blocks are full.
+        the blocks are full. A round's uniforms are (k, M), in agent order,
+        whatever the layout of the tables.
         """
         rows = min(UNIFORM_BLOCK_ROWS, self._rounds_left) or UNIFORM_BLOCK_ROWS
         self._rounds_left = max(self._rounds_left - rows, 0)
         block = np.stack([rng.random((rows, self.demand)) for rng in self.rngs], axis=1)
-        self._uniforms = list(block.reshape(rows, *self._kernel_args[0].shape[:-1])[::-1])
+        self._uniforms = list(block[::-1])

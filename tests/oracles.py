@@ -453,8 +453,7 @@ class PerRoundDrawBidder(ExpWeightsBidder):
     """`ExpWeightsBidder` whose agents draw their M uniforms round by round."""
 
     def _draw_uniforms(self) -> None:
-        draws = np.array([rng.random(self.demand) for rng in self.rngs])
-        self._uniforms = [draws.reshape(self._kernel_args[0].shape[:-1])]
+        self._uniforms = [np.array([rng.random(self.demand) for rng in self.rngs])]
 
 
 def iter_monotone_indices(demand: int, grid_size: int):
@@ -543,7 +542,7 @@ def bandit_step(table: NodeWeightTable, probs: np.ndarray, played: BidVector, al
                 gamma: Optional[np.ndarray] = None) -> np.ndarray:
     """`ExpWeightsBidder`'s bandit update of one agent's table, in place, from
     marginals `probs` of log tail sums; returns the played cells' increments."""
-    return _bandit_step(table.weights[None], table.allowed[None], probs[None],
+    return _bandit_step(table.weights[:, None], table.allowed[:, None], probs[:, None],
                         played.indices[None], np.array([allocation]),
                         table.valuation.values[None], table.grid.values,
                         0.0 if gamma is None else gamma, np.array([False]))[0]

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from pabid.cli import main
+from pabid.cli import main, numpy_build, suggested_grid_size
 
 
 def write_scenario(tmp_path, name="tiny", rounds=60, replications=2, **overrides):
@@ -44,6 +44,8 @@ class TestRun:
         assert len(metrics["replications"]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert {"config_hash", "master_seed", "library_version"} <= set(manifest)
+        assert manifest["numpy"] == numpy_build()
+        assert manifest["numpy"]["version"] == np.__version__
 
     def test_malformed_file_exits_2_without_outputs(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -636,3 +638,21 @@ class TestGridAdvice:
     def test_floor_at_two(self, capsys):
         assert main(["grid-advice", "--mode", "full", "--m", "1", "--t", "1"]) == 0
         assert "suggested grid size: 2" in capsys.readouterr().out
+
+    def test_an_exact_cube_root_is_not_rounded_up(self, capsys):
+        """(T/M)^(1/3) = 3 at M = 19, T = 513, where the float product
+        19**(-1/3) * 513**(1/3) reads 3.0000000000000004."""
+        assert main(["grid-advice", "--mode", "ew-bandit", "--m", "19", "--t", "513"]) == 0
+        assert "suggested grid size: 3\n" in capsys.readouterr().out
+
+    def test_every_mode_matches_an_integer_reference(self):
+        """The smallest k >= 2 with k**2 M >= T, k**3 M >= T or k**3 >= T, found
+        by counting up, for every M < 30 and T < 3,000."""
+        powers = {"full": (2, True), "ew-bandit": (3, True), "omd-bandit": (3, False)}
+        for mode, (power, per_unit) in powers.items():
+            for m in range(1, 30):
+                k = 2
+                for t in range(1, 3000):
+                    while k**power * (m if per_unit else 1) < t:
+                        k += 1
+                    assert suggested_grid_size(mode, m, t) == k, (mode, m, t)

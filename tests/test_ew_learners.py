@@ -95,7 +95,7 @@ def observed_table(valuation, grid, threshold_rows):
     for row in threshold_rows:
         group.propose()
         group.observe([0], [row])
-    return NodeWeightTable(group.weights[0], group.allowed[0], grid, valuation)
+    return NodeWeightTable(group.weights[:, 0], group.allowed[:, 0], grid, valuation)
 
 
 class TestFullInfoUpdate:
@@ -181,6 +181,29 @@ class TestBanditUpdate:
             assert np.all(delta[~table.allowed] == 0.0)
 
 
+def crossing_valuations():
+    return [ValuationProfile(np.array(v)) for v in ([1.0, 0.8, 0.5], [0.9, 0.7, 0.7],
+                                                    [1.0, 0.6, 0.2])]
+
+
+def crossing_adversary(grid):
+    return StochasticAdversary(grid.indices_of([[0.1] * 3, [0.3, 0.3, 1.0]]), [0.5, 0.5], seed=4)
+
+
+def grouped_and_alone(grid, configs, rounds):
+    """(CSV text, log_rounds) of three agents of demand 3 against a supply of
+    3 and a stochastic environment, played as one group and as three
+    one-agent groups."""
+    valuations, adversary = crossing_valuations(), crossing_adversary(grid)
+    group = ExpWeightsBidder(valuations, grid, rounds, configs)
+    grouped = SelfPlayMarket([group], valuations, grid, 3, adversary,
+                             members=[[0, 1, 2]]).play(rounds)
+    solos = [ExpWeightsBidder([v], grid, rounds, [c]) for v, c in zip(valuations, configs)]
+    alone = SelfPlayMarket(solos, valuations, grid, 3, adversary).play(rounds)
+    return ((grouped.to_csv_text(), group.log_rounds.tolist()),
+            (alone.to_csv_text(), [int(solo.log_rounds[0]) for solo in solos]))
+
+
 class TestLearnerRuns:
     def test_bandit_requires_small_eta(self):
         grid = make_even_grid(5)
@@ -235,6 +258,46 @@ class TestLearnerRuns:
                                    valuations, grid, 3, adversary).play(80)
             assert grouped.to_csv_text() == alone.to_csv_text()
 
+    def test_a_full_information_group_crosses_each_agents_bound_as_it_would_alone(self):
+        """Rates 2, 1 and 0.5 at M = 3, D = 11 leave linear tables after 116,
+        232 and 463 rounds (`linear_rounds`), so 300 rounds take the group
+        through rounds where every agent, some agents and no agent sample
+        from logs."""
+        grid = make_even_grid(11)
+        configs = [LearnerConfig(eta=eta, seed=i) for i, eta in enumerate((2.0, 1.0, 0.5))]
+        grouped, alone = grouped_and_alone(grid, configs, 300)
+        assert grouped == alone
+        assert grouped[1] == [184, 68, 0]
+
+    def test_a_bandit_group_mixing_linear_and_log_tables_plays_as_alone(self):
+        """Agents 0 and 2 explore at gamma 1e-6 and rate 0.3; in 208 rounds
+        agent 2's tables leave the linear range while the others' stay
+        linear, so the stack samples and updates from mixed tables."""
+        grid = make_even_grid(11)
+        configs = [LearnerConfig(mode=FeedbackMode.BANDIT_IX, eta=0.3, gamma=1e-6, seed=0),
+                   LearnerConfig(mode=FeedbackMode.BANDIT_IX, seed=1),
+                   LearnerConfig(mode=FeedbackMode.BANDIT_IX, eta=0.3, gamma=1e-6, seed=2)]
+        grouped, alone = grouped_and_alone(grid, configs, 600)
+        assert grouped == alone
+        assert grouped[1] == [0, 0, 208]
+
+    def test_the_tables_are_slot_major(self):
+        """`weights` and `allowed` are C-contiguous (M, k, D) arrays, and
+        `weights[:, i]` is the table agent i would hold alone."""
+        grid = make_even_grid(11)
+        configs = [LearnerConfig(eta=eta, seed=i) for i, eta in enumerate((2.0, 0.5))]
+        valuations = crossing_valuations()[:2]
+        adversary = crossing_adversary(grid)
+        group = ExpWeightsBidder(valuations, grid, 50, configs)
+        SelfPlayMarket([group], valuations, grid, 3, adversary, members=[[0, 1]]).play(50)
+        assert group.weights.shape == group.allowed.shape == (3, 2, 11)
+        assert group.weights.flags.c_contiguous and group.allowed.flags.c_contiguous
+        solos = [ExpWeightsBidder([v], grid, 50, [c]) for v, c in zip(valuations, configs)]
+        SelfPlayMarket(solos, valuations, grid, 3, adversary).play(50)
+        for i, (solo, valuation) in enumerate(zip(solos, valuations)):
+            assert group.weights[:, i].tobytes() == solo.weights[:, 0].tobytes()
+            assert group.allowed[:, i].tolist() == valuation.ir_mask(grid).tolist()
+
     def test_hopeless_market_yields_zero_utility_and_ir_bids(self):
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([0.8, 0.6]))
@@ -274,7 +337,7 @@ class TestLearnerRuns:
             history.append(competing)
             learner.observe([0], win_thresholds(competing.indices, 2)[None])
         reference = accumulate_weights(valuation, history, grid)
-        assert np.allclose(learner.weights[0], reference.weights, atol=1e-9)
+        assert np.allclose(learner.weights[:, 0], reference.weights, atol=1e-9)
 
     def test_ir_safety_over_full_run(self):
         grid = make_even_grid(9)

@@ -44,17 +44,12 @@ import pytest
 
 from pabid import (_kernels, market_metrics, mirror_descent, regret_report, run_experiment,
                    validate_scenario)
-from pabid.cli import _resolve_scenario_path
+from pabid.cli import _resolve_scenario_path, numpy_build
 from pabid.scenario import build_market
 
-try:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
 RECORDED_TARGET = "numpy 2.4.6, dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
-RUN_TARGET = (f"numpy {np.__version__}, dispatch "
-              + " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name)))
+BUILD = numpy_build()
+RUN_TARGET = f"numpy {BUILD['version']}, dispatch {' '.join(BUILD['dispatch'])}"
 TARGETS = f"recorded on {RECORDED_TARGET}; this run: {RUN_TARGET}"
 
 ROUNDS = 300

@@ -446,7 +446,7 @@ class TestKernelsMatchLoops:
 
 
 def stacked_cases(k):
-    """Each parity case as a (k, M, D) stack: agent i scales the weights and
+    """Each parity case as an (M, k, D) stack: agent i scales the weights and
     eta by 1 + i/2 and keeps the case's mask cut to its own random IR caps
     (non-increasing over slots, cell 0 always feasible). Then, for k > 1, a
     stack whose odd agents have the deep ramp's rows, wider than exp's range,
@@ -457,33 +457,33 @@ def stacked_cases(k):
         m, d = weights.shape
         caps = [np.sort(rng.integers(0, d, size=m))[::-1] if i else np.full(m, d - 1)
                 for i in range(k)]
-        stack_w = np.stack([weights * (1.0 + i / 2) for i in range(k)])
-        stack_a = np.stack([allowed & (np.arange(d) <= cap[:, None]) for cap in caps])
+        stack_w = np.stack([weights * (1.0 + i / 2) for i in range(k)], axis=1)
+        stack_a = np.stack([allowed & (np.arange(d) <= cap[:, None]) for cap in caps], axis=1)
         etas = np.array([eta * (1.0 + i / 2) for i in range(k)])
         yield stack_w, stack_a, etas
     if k > 1:
         deep_ramp = wide_spread_cases()[0][0]
         ordinary = rng.uniform(-5.0, 5.0, size=deep_ramp.shape)
-        yield (np.stack([deep_ramp if i % 2 else ordinary for i in range(k)]),
-               np.ones((k,) + deep_ramp.shape, bool), np.ones(k))
+        yield (np.stack([deep_ramp if i % 2 else ordinary for i in range(k)], axis=1),
+               np.ones((deep_ramp.shape[0], k, deep_ramp.shape[1]), bool), np.ones(k))
 
 
 class TestBatchedKernels:
-    """A (k, M, D) stack gives every agent the bits of its own 2-D call."""
+    """An (M, k, D) stack gives every agent the bits of its own 2-D call."""
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_stacked_calls_equal_separate_calls_bit_for_bit(self, k):
         rng = np.random.default_rng(5)
         top = 1.0 - 2.0**-53
         for weights, allowed, etas in stacked_cases(k):
-            m, d = weights.shape[1:]
-            log_sums, log_prefix = ew_tail_sums(weights, allowed, etas[:, None, None])
+            m, _, d = weights.shape
+            log_sums, log_prefix = ew_tail_sums(weights, allowed, etas[:, None])
             marginals = ew_marginals(log_sums)
-            singles = [ew_tail_sums(weights[i], allowed[i], etas[i]) for i in range(k)]
+            singles = [ew_tail_sums(weights[:, i], allowed[:, i], etas[i]) for i in range(k)]
             for i, (sums, prefix) in enumerate(singles):
-                assert log_sums[i].tobytes() == sums.tobytes()
-                assert log_prefix[i].tobytes() == prefix.tobytes()
-                assert marginals[i].tobytes() == ew_marginals(sums).tobytes()
+                assert log_sums[:, i].tobytes() == sums.tobytes()
+                assert log_prefix[:, i].tobytes() == prefix.tobytes()
+                assert marginals[:, i].tobytes() == ew_marginals(sums).tobytes()
             for uniforms in [np.zeros((k, m)), np.full((k, m), top), rng.random((k, m))]:
                 picks = sample_monotone(log_prefix, uniforms)
                 assert picks.shape == (k, m)
@@ -493,12 +493,12 @@ class TestBatchedKernels:
             thresholds = rng.integers(0, d + 1, size=(k, m))
             grid_values = make_even_grid(d).values
             stacked = weights.copy()
-            apply_slot_rewards(stacked, slot_rewards(allowed, values, grid_values), thresholds)
+            apply_slot_rewards(stacked, slot_rewards(allowed, values.T, grid_values), thresholds)
             for i in range(k):
-                single = weights[i].copy()
-                apply_slot_rewards(single, slot_rewards(allowed[i], values[i], grid_values),
+                single = weights[:, i].copy()
+                apply_slot_rewards(single, slot_rewards(allowed[:, i], values[i], grid_values),
                                    thresholds[i])
-                assert stacked[i].tobytes() == single.tobytes()
+                assert stacked[:, i].tobytes() == single.tobytes()
 
 
 class TestMarginalRegimes:
@@ -530,13 +530,13 @@ class TestMarginalRegimes:
 
     def test_each_agent_of_a_mixed_stack_takes_its_own_regime(self):
         weights, allowed, etas = list(stacked_cases(3))[-1]
-        log_sums, _ = ew_tail_sums(weights, allowed, etas[:, None, None])
+        log_sums, _ = ew_tail_sums(weights, allowed, etas[:, None])
         marginals = ew_marginals(log_sums)
-        for i, sums in enumerate(log_sums):
+        for i, sums in enumerate(log_sums.swapaxes(0, 1)):
             s = sums - sums.max(axis=-1, keepdims=True)
             regime = _log_marginals if i % 2 else _linear_marginals
             assert (s.min() < _LINEAR_FLOOR) == bool(i % 2)
-            assert marginals[i].tobytes() == regime(s).tobytes()
+            assert marginals[:, i].tobytes() == regime(s).tobytes()
 
     def test_benchmark_shape_stays_in_the_linear_domain(self, monkeypatch):
         """One EW bandit-IX agent at M = 20, D = 101 against a stochastic
@@ -689,20 +689,20 @@ class TestLinearTables:
         top = 1.0 - 2.0**-53
         regimes = set()
         for weights, allowed, etas in stacked_cases(k):
-            m = weights.shape[1]
-            sums, prefix, linear = ew_tail_sums(weights, allowed, etas[:, None, None], linear=True)
+            m = weights.shape[0]
+            sums, prefix, linear = ew_tail_sums(weights, allowed, etas[:, None], linear=True)
             marginals = ew_marginals(sums, prefix, linear)
             assert linear.shape == (k,)
             for i in range(k):
-                solo = ew_tail_sums(weights[i], allowed[i], etas[i], linear=True)
+                solo = ew_tail_sums(weights[:, i], allowed[:, i], etas[i], linear=True)
                 assert linear[i] == solo[2][0]
-                assert sums[i].tobytes() == solo[0].tobytes()
-                assert prefix[i].tobytes() == solo[1].tobytes()
-                assert marginals[i].tobytes() == ew_marginals(*solo).tobytes()
+                assert sums[:, i].tobytes() == solo[0].tobytes()
+                assert prefix[:, i].tobytes() == solo[1].tobytes()
+                assert marginals[:, i].tobytes() == ew_marginals(*solo).tobytes()
             for uniforms in [np.zeros((k, m)), np.full((k, m), top), rng.random((k, m))]:
                 picks = sample_monotone(prefix, uniforms, linear)
                 for i in range(k):
-                    solo = ew_tail_sums(weights[i], allowed[i], etas[i], linear=True)
+                    solo = ew_tail_sums(weights[:, i], allowed[:, i], etas[i], linear=True)
                     assert picks[i].tolist() == sample_monotone(solo[1], uniforms[i],
                                                                 solo[2]).tolist()
             regimes.add(tuple(linear.tolist()))
