@@ -357,10 +357,10 @@ def ew_marginals(sums, prefix=None, linear=None):
     """
     flags = [False] if linear is None else linear.tolist()
     if all(flags):
-        return _prefix_marginals(sums.copy(), prefix)
+        return _normalized(marginal_recursion(sums.copy(), prefix))
     if any(flags):
         q = np.empty_like(sums)
-        q[:, linear] = _prefix_marginals(sums[:, linear], prefix[:, linear])
+        q[:, linear] = _normalized(marginal_recursion(sums[:, linear], prefix[:, linear]))
         q[:, ~linear] = ew_marginals(sums[:, ~linear])
         return q
     s = sums - sums.max(axis=-1, keepdims=True)
@@ -378,12 +378,12 @@ def ew_marginals(sums, prefix=None, linear=None):
 def _linear_marginals(s):
     """The marginal recursion on S = exp(s); every finite s >= _LINEAR_FLOOR."""
     q = np.exp(s)
-    return _prefix_marginals(q, np.add.accumulate(q, axis=-1))
+    return _normalized(marginal_recursion(q, np.add.accumulate(q, axis=-1)))
 
 
-def _prefix_marginals(q, z):
+def marginal_recursion(q, z):
     """The marginal recursion on linear S, held in `q` and overwritten, with z
-    its running row sums."""
+    its running row sums; returns `q`, its rows of mass 1 up to roundoff."""
     first = q[0]
     first /= z[0][..., -1:]
     suffix = np.empty_like(first)
@@ -392,7 +392,7 @@ def _prefix_marginals(q, z):
         np.divide(above, z_row, out=suffix)
         np.add.accumulate(backward, axis=-1, out=backward)  # suffix sums of the ratios
         row *= suffix
-    return q / q.sum(axis=-1, keepdims=True)
+    return q
 
 
 def _log_marginals(s):
@@ -408,7 +408,11 @@ def _log_marginals(s):
     for m in range(1, log_q.shape[0]):
         tail = (log_q[m - 1] - lz[m])[..., ::-1]
         log_q[m] += np.logaddexp.accumulate(tail, axis=-1)[..., ::-1]
-    q = np.exp(log_q - log_q.max(axis=-1, keepdims=True))
+    return _normalized(np.exp(log_q - log_q.max(axis=-1, keepdims=True)))
+
+
+def _normalized(q):
+    """`q` with every row divided by its sum."""
     return q / q.sum(axis=-1, keepdims=True)
 
 

@@ -116,15 +116,11 @@ def cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     tasks = [(scenario, r, out_dir, args.format) for r in range(scenario.replications)]
-    try:
-        if args.jobs > 1 and scenario.replications > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                entries = list(pool.map(_run_single_replication, tasks))
-        else:
-            entries = [_run_single_replication(task) for task in tasks]
-    except Exception as err:
-        print(f"runtime failure: {err}", file=sys.stderr)
-        return 1
+    if args.jobs > 1 and scenario.replications > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            entries = list(pool.map(_run_single_replication, tasks))
+    else:
+        entries = [_run_single_replication(task) for task in tasks]
 
     entries.sort(key=lambda e: e["replication"])
     metrics_doc = {

@@ -53,14 +53,15 @@ UNIFORM_BLOCK_ROWS = 256
 
 
 class FeedbackMode(enum.Enum):
-    FULL_INFO = "full_info"
+    """The feedback an agent learns from; the values are the scenario spellings."""
+    FULL_INFO = "full"
     BANDIT_IPW = "bandit_ipw"
     BANDIT_IX = "bandit_ix"
 
 
 @dataclass
 class LearnerConfig:
-    mode: FeedbackMode = FeedbackMode.FULL_INFO
+    """What differs between the agents of a group; the mode is the group's."""
     eta: Optional[float] = None
     gamma: Optional[float] = None  # scalar override; None = per-layer schedule (IX only)
     seed: int = 0
@@ -126,7 +127,8 @@ def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values
 class ExpWeightsBidder:
     """k >= 1 decoupled exponential-weights agents of one demand and mode, for one run.
 
-    A group of the market: `propose` returns one bid row per agent, and
+    `mode` is the group's; `configs` hold each agent's eta, gamma and seed. A
+    group of the market: `propose` returns one bid row per agent, and
     `observe(allocations, thresholds)` takes the agents' allocations and,
     under full information, their (k, M) win thresholds. The tables
     (`weights`, `allowed`) are (M, k, D), slot-major: `weights[:, i]` is agent
@@ -135,12 +137,10 @@ class ExpWeightsBidder:
     """
 
     def __init__(self, valuations: Sequence[ValuationProfile], grid: BidGrid, horizon: int,
-                 configs: Sequence[LearnerConfig]):
-        self.valuations, self.grid = list(valuations), grid
-        self.mode = mode = configs[0].mode
+                 configs: Sequence[LearnerConfig], mode: FeedbackMode = FeedbackMode.FULL_INFO):
+        self.valuations, self.grid, self.mode = list(valuations), grid, mode
         self.demand = demand = self.valuations[0].demand
-        if len(configs) != len(self.valuations) or any(
-                c.mode is not mode or v.demand != demand for c, v in zip(configs, self.valuations)):
+        if len(configs) != len(self.valuations) or any(v.demand != demand for v in self.valuations):
             raise ValueError("a group needs one config per agent, one mode and one demand")
         etas = [eta_schedule(mode, demand, grid.count, horizon) if c.eta is None else c.eta
                 for c in configs]

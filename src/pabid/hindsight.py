@@ -58,6 +58,10 @@ def accumulate_weights_history(
     if thresholds.ndim != 2 or thresholds.shape[1] != m:
         raise ValueError("history must be a (rounds, demand) threshold matrix")
     d = grid.count
+    if thresholds.size and not (0 <= thresholds.min() and thresholds.max() <= d):
+        t, slot = np.argwhere((thresholds < 0) | (thresholds > d))[0].tolist()
+        raise ValueError(f"round {t}, slot {slot}: threshold {thresholds[t, slot]} lies "
+                         f"outside [0, {d}]")
     # thresholds lie in [0, D]; D (nothing wins) gets its own column, dropped
     offsets = np.arange(m) * (d + 1)
     counts = np.bincount((thresholds + offsets).ravel(), minlength=m * (d + 1))

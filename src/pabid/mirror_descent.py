@@ -149,7 +149,10 @@ def omd_eta_schedule(mode: FeedbackMode, grid_size: int, horizon: int) -> float:
 
 
 class OmdBidder:
-    """Stateful mirror-descent learner for one run."""
+    """Stateful mirror-descent learner for one run. It starts from "uniform
+    over feasible successors" (slot 1 uniform on its IR cells, each later slot
+    uniform on its IR cells at or below the previous bid), whose marginals are
+    EW's sampler's on the IR mask: `_kernels.marginal_recursion`."""
 
     def __init__(
         self,
@@ -161,26 +164,18 @@ class OmdBidder:
         gamma: Optional[float] = None,
         seed: int = 0,
     ):
-        self.valuation = valuation
         self.valuations = [valuation]
         self.grid = grid
         self.mode = mode
         self.eta = eta if eta is not None else omd_eta_schedule(mode, grid.count, horizon)
-        self.allowed = np.ascontiguousarray(valuation.ir_mask(grid))
+        self.allowed = valuation.ir_mask(grid)
         self.gamma = estimator_offsets(mode, self.allowed, horizon, gamma)
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
         if self.wants_full_info:
             self._rewards = _kernels.slot_rewards(self.allowed, valuation.values, grid.values)
         self.rng = np.random.default_rng(seed)
-        # Start from the marginals of "uniform over feasible successors": slot
-        # 1 is uniform on its IR cells, and after bid b the next slot is
-        # uniform on its IR cells at or below b (cumsum[b] of them).
         feasible = self.allowed.astype(float)
-        self.q = np.empty_like(feasible)
-        self.q[0] = feasible[0] / feasible[0].sum()
-        for m in range(1, valuation.demand):
-            spread = self.q[m - 1] / np.cumsum(feasible[m])
-            self.q[m] = feasible[m] * np.cumsum(spread[::-1])[::-1]
+        self.q = _kernels.marginal_recursion(feasible, np.cumsum(feasible, axis=1))
         self._slots = np.arange(valuation.demand)
         self._values = valuation.values.tolist()
         self._bid_values = grid.values.tolist()
@@ -203,7 +198,7 @@ class OmdBidder:
         arguments (the former tie rule and bidder priority) are ignored.
         """
         est = np.zeros(self.q.shape)
-        if self.mode is FeedbackMode.FULL_INFO:
+        if self.wants_full_info:
             if thresholds is None:
                 raise ValueError("full-information feedback requires the win thresholds")
             _kernels.apply_slot_rewards(est, self._rewards, np.asarray(thresholds))

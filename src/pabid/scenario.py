@@ -47,12 +47,6 @@ from .grids import make_even_grid
 from .mirror_descent import Q_FLOOR, OmdBidder
 from .simulator import RunLog, SelfPlayMarket
 
-_FEEDBACK = {
-    "full": FeedbackMode.FULL_INFO,
-    "bandit_ipw": FeedbackMode.BANDIT_IPW,
-    "bandit_ix": FeedbackMode.BANDIT_IX,
-}
-
 _AGENT_KEYS = {"algorithm", "feedback", "valuation", "eta", "gamma"}
 # the keys each environment kind reads
 _ENV_KEYS = {
@@ -164,9 +158,10 @@ def validate_scenario(document: dict) -> Scenario:
         algorithm = raw.get("algorithm")
         if algorithm not in ("ew", "omd"):
             problems.append(f"{prefix}.algorithm: must be 'ew' or 'omd'")
-        feedback = raw.get("feedback")
-        if feedback not in _FEEDBACK:
-            problems.append(f"{prefix}.feedback: must be one of {sorted(_FEEDBACK)}")
+        mode = next((m for m in FeedbackMode if m.value == raw.get("feedback")), None)
+        if mode is None:  # compared by ==, so any JSON value is safe to look up
+            problems.append(f"{prefix}.feedback: must be one of "
+                            f"{sorted(m.value for m in FeedbackMode)}")
         valuation = raw.get("valuation")
         demand = None  # units demanded, once the valuation is known to be valid
         if isinstance(valuation, list):
@@ -193,31 +188,32 @@ def validate_scenario(document: dict) -> Scenario:
         for rate, value in (("eta", eta), ("gamma", gamma)):
             if value is not None and not _is_rate(value):
                 problems.append(f"{prefix}.{rate}: must be a positive finite number")
-        if gamma is not None and feedback != "bandit_ix":
+        if gamma is not None and mode is not FeedbackMode.BANDIT_IX:
             problems.append(f"{prefix}.gamma: only valid with bandit_ix feedback")
-        if (algorithm == "ew" and feedback in ("bandit_ipw", "bandit_ix") and demand is not None
+        if (algorithm == "ew" and mode not in (None, FeedbackMode.FULL_INFO) and demand is not None
                 and _is_number(eta) and eta >= 1.0 / demand):
             problems.append(f"{prefix}.eta: bandit feedback needs eta < 1/M = {1.0 / demand:.6g}")
         # every log tail sum is at most eta * M * T + log C(M + D - 1, M)
-        if (algorithm == "ew" and feedback == "full" and demand is not None and rounds is not None
-                and _is_number(eta) and eta * demand * max(rounds, 1) > sys.float_info.max / 2):
+        if (algorithm == "ew" and mode is FeedbackMode.FULL_INFO and demand is not None
+                and rounds is not None and _is_number(eta)
+                and eta * demand * max(rounds, 1) > sys.float_info.max / 2):
             problems.append(f"{prefix}.eta: full information needs eta * M * rounds <= "
                             f"{sys.float_info.max / 2:.6g}, or the weights overflow")
         # an OMD step exponentiates eta times a reward estimate of at most 1 under
         # full information and 1 / (Q_FLOOR + gamma) under bandit feedback, gamma the
         # smallest offset: 0 for IPW, and the IX schedule's is that of a full grid row
-        if (algorithm == "omd" and feedback in _FEEDBACK and grid_size is not None
+        if (algorithm == "omd" and mode is not None and grid_size is not None
                 and rounds is not None and _is_rate(eta) and (gamma is None or _is_rate(gamma))):
-            offset = estimator_offsets(_FEEDBACK[feedback], np.ones((1, grid_size), bool),
-                                       max(rounds, 1), gamma)[0]
-            largest = 1.0 if feedback == "full" else 1.0 / (Q_FLOOR + float(offset))
+            offset = estimator_offsets(mode, np.ones((1, grid_size), bool), max(rounds, 1),
+                                       gamma)[0]
+            largest = 1.0 if mode is FeedbackMode.FULL_INFO else 1.0 / (Q_FLOOR + float(offset))
             if eta * largest >= sys.float_info.max / 2:
                 problems.append(f"{prefix}.eta: mirror descent needs eta * {largest:.6g} (the "
                                 f"largest estimate) < {sys.float_info.max / 2:.6g}, or the step "
                                 f"overflows")
-        agents.append(AgentSpec(algorithm=algorithm, mode=_FEEDBACK.get(feedback),
-                                valuation=valuation, eta=eta, gamma=gamma))
-        groups.setdefault((demand, feedback) if algorithm == "ew" else i, []).append(i)
+        agents.append(AgentSpec(algorithm=algorithm, mode=mode, valuation=valuation, eta=eta,
+                                gamma=gamma))
+        groups.setdefault((demand, mode) if algorithm == "ew" else i, []).append(i)
 
     raw_env = document.get("environment")
     kind = None
@@ -240,14 +236,14 @@ def validate_scenario(document: dict) -> Scenario:
         if kind == "stochastic":
             support = raw_env.get("support")
             probs = raw_env.get("probs")
-            if (not isinstance(support, list) or not support
-                    or not all(isinstance(row, list) and row for row in support)):
+            rows = support if isinstance(support, list) else []
+            if not rows or not all(isinstance(row, list) and row for row in rows):
                 problems.append("environment.support: must be a non-empty list of bid rows")
             else:
-                problems += _support_problems(support, grid_size, supply)
-            if (not isinstance(probs, list) or not support or len(probs or []) != len(support or [])
-                    or not all(_is_number(p) and p >= 0 for p in (probs or []))
-                    or abs(sum(probs or [0]) - 1.0) > 1e-9):
+                problems += _support_problems(rows, grid_size, supply)
+            if (not isinstance(probs, list) or not rows or len(probs) != len(rows)
+                    or not all(_is_number(p) and p >= 0 for p in probs)
+                    or abs(sum(probs) - 1.0) > 1e-9):
                 problems.append("environment.probs: must be non-negative and sum to 1, one per support row")
         elif kind == "lower_bound":
             demand = raw_env.get("demand")
@@ -361,9 +357,8 @@ def build_market(scenario: Scenario, replication: int) -> tuple[SelfPlayMarket, 
         if first.algorithm == "ew":
             learners.append(ExpWeightsBidder(
                 [valuations[i] for i in members], grid, horizon,
-                [LearnerConfig(mode=first.mode, eta=scenario.agents[i].eta,
-                               gamma=scenario.agents[i].gamma, seed=seqs[i]) for i in members],
-            ))
+                [LearnerConfig(eta=scenario.agents[i].eta, gamma=scenario.agents[i].gamma,
+                               seed=seqs[i]) for i in members], mode=first.mode))
         else:
             learners.append(OmdBidder(valuations[members[0]], grid, horizon, mode=first.mode,
                                       eta=first.eta, gamma=first.gamma, seed=seqs[members[0]]))

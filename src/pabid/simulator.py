@@ -157,52 +157,53 @@ class RunLog:
             width = max(width, self.supply)
         header = ("t,agent," + ",".join(f"bid_{m + 1}" for m in range(width))
                   + ",allocation,utility,payment")
-        lines = self._lines(repr, lambda agent, demand: (
+        lines = self._lines(lambda agent, demand: (
             "{0}," + str(agent) + ",{1}" + "," * (width - demand) + ",{2},{3},{4}"))
         return "\n".join([header, *lines]) + "\n"
 
     def to_json_text(self) -> str:
-        """`{"rows": [...], "seed": seed}` with the rows of `to_csv_text`, keys sorted."""
-        lines = self._lines(json.dumps, lambda agent, demand: (
+        """`{"rows": [...], "seed": seed}` with the rows of `to_csv_text`, keys sorted.
+        A utility or payment that is not finite, which JSON cannot spell, raises ValueError."""
+        if not (np.isfinite(self.utilities).all() and np.isfinite(self.payments).all()):
+            raise ValueError("a JSON log holds only finite utilities and payments")
+        lines = self._lines(lambda agent, demand: (
             '{{"agent":' + str(agent) + ',"allocation":{2},"bids":[{1}],"payment":{4},"t":{0},'
             '"utility":{3}}}'))
         return '{"rows":[' + ",".join(lines) + '],"seed":' + json.dumps(self.seed) + "}\n"
 
-    def _lines(self, number: Callable[[float], str],
-               template: Callable[[int, int], str]) -> list[str]:
+    def _lines(self, template: Callable[[int, int], str]) -> list[str]:
         """Every agent's line of each round, then the environment's, from cached strings.
 
-        `number` writes a float; each grid value, each distinct float (by its
-        bits) of the utilities and payments and each distinct allocation is
-        written once per call, and every cell is looked up in those strings.
-        `template(agent, demand)` is the format string of one writer's lines,
-        with fields t, bids, allocation, utility and payment; the environment
-        is agent -1, with its bids non-increasing and zero allocation, utility
-        and payment.
+        Each grid value, each distinct float (by its bits) of the utilities and
+        payments and each distinct allocation is written once per call, floats
+        by `repr`, which is a finite float's JSON text too, and every cell is
+        looked up in those strings. `template(agent, demand)` is the format
+        string of one writer's lines, with fields t, bids, allocation, utility
+        and payment; the environment is agent -1, with its bids non-increasing
+        and zero allocation, utility and payment.
         """
-        def written(values, write):
-            """`write` of every entry of `values`, called once per distinct bit pattern."""
+        def written(values):
+            """`repr` of every entry of `values`, called once per distinct bit pattern."""
             distinct, inverse = np.unique(values.view(f"u{values.itemsize}").reshape(-1),
                                           return_inverse=True)
-            return np.array(list(map(write, distinct.view(values.dtype).tolist())),
+            return np.array(list(map(repr, distinct.view(values.dtype).tolist())),
                             dtype=object)[inverse.reshape(values.shape)]
 
         def joined(rows):
             return list(map(",".join, cells[rows].tolist()))
 
-        cells = np.array([number(v) for v in self.grid.values.tolist()], dtype=object)
-        utilities, payments = written(np.stack([self.utilities, self.payments]), number)
-        allocations = written(self.allocations, str)
+        cells = np.array(list(map(repr, self.grid.values.tolist())), dtype=object)
+        utilities, payments = written(np.stack([self.utilities, self.payments]))
+        allocations = written(self.allocations)
         steps = list(map(str, range(self.rounds)))
         writers = [map(template(n, bids.shape[1]).format, steps, joined(bids),
                        allocations[:, n].tolist(), utilities[:, n].tolist(),
                        payments[:, n].tolist())
                    for n, bids in enumerate(self.bids)]
         if self.env_bids is not None:
-            zero = number(0.0)
             writers.append(map(template(-1, self.env_bids.shape[1]).format, steps,
-                               joined(self.env_bids[:, ::-1]), repeat("0"), repeat(zero),
-                               repeat(zero)))
+                               joined(self.env_bids[:, ::-1]), repeat("0"), repeat("0.0"),
+                               repeat("0.0")))
         return [line for lines in zip(*writers) for line in lines]
 
     def summary(self) -> dict:
@@ -314,8 +315,12 @@ class SelfPlayMarket:
         for start in range(0, rounds, ENV_BLOCK):
             stop = min(start + ENV_BLOCK, rounds)
             if env is not None:
-                block = env_bids[start:stop]
-                block[:] = env.draws(start, stop)
+                block, drawn = env_bids[start:stop], env.draws(start, stop)
+                if np.shape(drawn) != block.shape:
+                    raise ValueError(f"round {start}: the environment drew bids of shape "
+                                     f"{np.shape(drawn)}; rounds {start}-{stop - 1} at supply "
+                                     f"{self.supply} need {block.shape}")
+                block[:] = drawn
                 outside = np.flatnonzero(((block < 0) | (block >= self.grid.count)).any(axis=1))
                 if outside.size:
                     t = start + int(outside[0])
@@ -330,7 +335,11 @@ class SelfPlayMarket:
                 rows = [None] * len(ranks)
                 try:
                     for group, members in zip(self.learners, self.members):
-                        for n, row in zip(members, group.propose().tolist()):
+                        proposal = group.propose().tolist()
+                        if len(proposal) != len(members):
+                            raise ValueError(f"proposed {len(proposal)} bid rows for a group "
+                                             f"of {len(members)}")
+                        for n, row in zip(members, proposal):
                             rows[n] = row
                 except Exception as err:
                     _locate(err, members, t)

@@ -393,6 +393,80 @@ class TestEnvironmentKeys:
                             "'lower_bound'"]
 
 
+# Values of every JSON type, each put in place of one field of a valid document.
+JUNK = [[], {}, ["x"], {"a": 1}, None, True, -1, 0, 1.5, "x"]
+# Valid documents that between them hold every top-level, agent, valuation and
+# environment field, with the paths of the fields to replace.
+JUNK_BASES = {
+    "stochastic": {
+        "name": "junk", "grid_size": 11, "rounds": 5, "replications": 1, "master_seed": 1,
+        "supply": 3,
+        "agents": [{"algorithm": "omd", "feedback": "bandit_ix", "valuation": [1.0, 0.5],
+                    "eta": 0.1, "gamma": 0.1}],
+        "environment": stochastic_environment(STOCHASTIC_ROWS)},
+    "lower_bound": {
+        "name": "junk", "grid_size": 10, "rounds": 5, "supply": 3,
+        "agents": [{"algorithm": "ew", "feedback": "bandit_ipw", "eta": 0.1,
+                    "valuation": {"kind": "uniform_sorted", "demand": 3}}],
+        "environment": {"kind": "lower_bound", "demand": 3, "delta": 0.1, "variant": "G",
+                        "tie": "agent_loses"}},
+    "self_play": {
+        "name": "junk", "grid_size": 11, "rounds": 5, "supply": 3,
+        "agents": [{"algorithm": "ew", "feedback": "full", "valuation": [0.9, 0.6]}] * 2,
+        "environment": {"kind": "self_play"}},
+}
+
+
+def junk_paths(value, path=()):
+    """The path of every field below `value`: dict keys and list entries, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from junk_paths(child, path + (key,))
+
+
+JUNK_FIELDS = [(base, path) for base in sorted(JUNK_BASES)
+               for path in junk_paths(JUNK_BASES[base])]
+
+
+class TestJunkValues:
+    """`validate_scenario` answers any JSON document with a Scenario or a ScenarioError."""
+
+    def test_the_bases_are_valid(self):
+        from pabid import validate_scenario
+
+        for document in JUNK_BASES.values():
+            validate_scenario(document)
+
+    @pytest.mark.parametrize("base,path", JUNK_FIELDS,
+                             ids=[f"{base}-{'.'.join(map(str, path))}"
+                                  for base, path in JUNK_FIELDS])
+    def test_every_value_in_the_field_validates_or_is_rejected(self, base, path):
+        from pabid import ScenarioError, validate_scenario
+
+        for junk in JUNK:
+            document = json.loads(json.dumps(JUNK_BASES[base]))
+            parent = document
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = junk
+            try:
+                validate_scenario(document)  # a Scenario, or
+            except ScenarioError:            # a rejection; anything else fails the test
+                pass
+
+    @pytest.mark.parametrize("agent, support, field", [
+        ({**AGENT, "feedback": ["full"]}, STOCHASTIC_ROWS, "agents[0].feedback"),
+        (AGENT, 5, "environment.support"),
+    ])
+    def test_run_exits_2(self, tmp_path, capsys, agent, support, field):
+        path, _ = write_scenario(tmp_path, rounds=5, replications=1, agents=[agent],
+                                 environment=stochastic_environment(support))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"scenario error: {field}:" in capsys.readouterr().err
+
+
 def huge_eta_scenario(tmp_path, eta):
     """One EW full-information agent at a user-set eta, 50 rounds."""
     agent = {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 0.8, 0.5], "eta": eta}

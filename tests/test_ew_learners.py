@@ -83,7 +83,7 @@ class TestEtaSchedule:
                     expected = np.zeros(3)
                 assert estimator_offsets(mode, allowed, 100, gamma).tolist() == expected.tolist()
                 ew = ExpWeightsBidder([valuation], grid, 100,
-                                      [LearnerConfig(mode=mode, eta=0.1, gamma=gamma)])
+                                      [LearnerConfig(eta=0.1, gamma=gamma)], mode=mode)
                 omd = OmdBidder(valuation, grid, 100, mode=mode, gamma=gamma)
                 assert ew.gamma[0].tolist() == omd.gamma.tolist() == expected.tolist()
 
@@ -190,15 +190,16 @@ def crossing_adversary(grid):
     return StochasticAdversary(grid.indices_of([[0.1] * 3, [0.3, 0.3, 1.0]]), [0.5, 0.5], seed=4)
 
 
-def grouped_and_alone(grid, configs, rounds):
+def grouped_and_alone(grid, configs, rounds, mode=FeedbackMode.FULL_INFO):
     """(CSV text, log_rounds) of three agents of demand 3 against a supply of
     3 and a stochastic environment, played as one group and as three
     one-agent groups."""
     valuations, adversary = crossing_valuations(), crossing_adversary(grid)
-    group = ExpWeightsBidder(valuations, grid, rounds, configs)
+    group = ExpWeightsBidder(valuations, grid, rounds, configs, mode=mode)
     grouped = SelfPlayMarket([group], valuations, grid, 3, adversary,
                              members=[[0, 1, 2]]).play(rounds)
-    solos = [ExpWeightsBidder([v], grid, rounds, [c]) for v, c in zip(valuations, configs)]
+    solos = [ExpWeightsBidder([v], grid, rounds, [c], mode=mode)
+             for v, c in zip(valuations, configs)]
     alone = SelfPlayMarket(solos, valuations, grid, 3, adversary).play(rounds)
     return ((grouped.to_csv_text(), group.log_rounds.tolist()),
             (alone.to_csv_text(), [int(solo.log_rounds[0]) for solo in solos]))
@@ -209,25 +210,22 @@ class TestLearnerRuns:
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.ones(4))
         with pytest.raises(ValueError):
-            ExpWeightsBidder([valuation], grid, 100,
-                             [LearnerConfig(mode=FeedbackMode.BANDIT_IPW, eta=0.5)])
+            ExpWeightsBidder([valuation], grid, 100, [LearnerConfig(eta=0.5)],
+                             mode=FeedbackMode.BANDIT_IPW)
 
     def test_bandit_rejects_nan_eta(self):
         grid = make_even_grid(5)
         valuations = [ValuationProfile(np.ones(2))] * 2
         with pytest.raises(ValueError, match="eta < 1/M"):
             ExpWeightsBidder(valuations, grid, 100,
-                             [LearnerConfig(mode=FeedbackMode.BANDIT_IX, eta=0.1),
-                              LearnerConfig(mode=FeedbackMode.BANDIT_IX, eta=float("nan"))])
+                             [LearnerConfig(eta=0.1), LearnerConfig(eta=float("nan"))],
+                             mode=FeedbackMode.BANDIT_IX)
 
     def test_group_needs_one_mode_and_one_demand(self):
         grid = make_even_grid(5)
         with pytest.raises(ValueError, match="one mode and one demand"):
             ExpWeightsBidder([ValuationProfile(np.ones(2)), ValuationProfile(np.ones(1))], grid, 10,
                              [LearnerConfig(), LearnerConfig()])
-        with pytest.raises(ValueError, match="one mode and one demand"):
-            ExpWeightsBidder([ValuationProfile(np.ones(2))] * 2, grid, 10,
-                             [LearnerConfig(), LearnerConfig(mode=FeedbackMode.BANDIT_IX)])
 
     def test_observe_before_propose_rejected(self):
         learner = ExpWeightsBidder([ValuationProfile(np.ones(2))], make_even_grid(5), 10,
@@ -250,10 +248,10 @@ class TestLearnerRuns:
         adversary = StochasticAdversary(
             grid.indices_of([[0.25, 0.5, 0.75], [0.0, 0.125, 1.0]]), [0.5, 0.5], seed=3)
         for mode in FeedbackMode:
-            configs = [LearnerConfig(mode=mode, eta=0.05 * (i + 1), seed=i) for i in range(3)]
-            grouped = SelfPlayMarket([ExpWeightsBidder(valuations, grid, 80, configs)], valuations,
-                                     grid, 3, adversary, members=[[0, 1, 2]]).play(80)
-            alone = SelfPlayMarket([ExpWeightsBidder([v], grid, 80, [c])
+            configs = [LearnerConfig(eta=0.05 * (i + 1), seed=i) for i in range(3)]
+            grouped = SelfPlayMarket([ExpWeightsBidder(valuations, grid, 80, configs, mode=mode)],
+                                     valuations, grid, 3, adversary, members=[[0, 1, 2]]).play(80)
+            alone = SelfPlayMarket([ExpWeightsBidder([v], grid, 80, [c], mode=mode)
                                     for v, c in zip(valuations, configs)],
                                    valuations, grid, 3, adversary).play(80)
             assert grouped.to_csv_text() == alone.to_csv_text()
@@ -274,10 +272,9 @@ class TestLearnerRuns:
         agent 2's tables leave the linear range while the others' stay
         linear, so the stack samples and updates from mixed tables."""
         grid = make_even_grid(11)
-        configs = [LearnerConfig(mode=FeedbackMode.BANDIT_IX, eta=0.3, gamma=1e-6, seed=0),
-                   LearnerConfig(mode=FeedbackMode.BANDIT_IX, seed=1),
-                   LearnerConfig(mode=FeedbackMode.BANDIT_IX, eta=0.3, gamma=1e-6, seed=2)]
-        grouped, alone = grouped_and_alone(grid, configs, 600)
+        configs = [LearnerConfig(eta=0.3, gamma=1e-6, seed=0), LearnerConfig(seed=1),
+                   LearnerConfig(eta=0.3, gamma=1e-6, seed=2)]
+        grouped, alone = grouped_and_alone(grid, configs, 600, FeedbackMode.BANDIT_IX)
         assert grouped == alone
         assert grouped[1] == [0, 0, 208]
 
@@ -315,8 +312,8 @@ class TestLearnerRuns:
             grid.indices_of([[0.25, 0.5], [0.0, 0.75]]), [0.5, 0.5], seed=3)
 
         def bids(seed):
-            learner = ExpWeightsBidder([valuation], grid, 100,
-                                       [LearnerConfig(mode=FeedbackMode.BANDIT_IX, seed=seed)])
+            learner = ExpWeightsBidder([valuation], grid, 100, [LearnerConfig(seed=seed)],
+                                       mode=FeedbackMode.BANDIT_IX)
             return play_against(learner, adversary, 100).bids[0]
 
         runs = [bids(77) for _ in range(2)]
@@ -344,7 +341,7 @@ class TestLearnerRuns:
         valuation = ValuationProfile(np.array([0.7, 0.45, 0.2]))
         adversary = StochasticAdversary(grid.indices_of([[0.125, 0.25, 0.375]]), [1.0], seed=0)
         for mode in FeedbackMode:
-            learner = ExpWeightsBidder([valuation], grid, 200, [LearnerConfig(mode=mode, seed=9)])
+            learner = ExpWeightsBidder([valuation], grid, 200, [LearnerConfig(seed=9)], mode=mode)
             log = play_against(learner, adversary, 200)
             for row in log.bids[0]:
                 assert np.all(grid.values[row] <= valuation.values + 1e-12)
@@ -423,8 +420,9 @@ class TestUniformBlocks:
         edge = UNIFORM_BLOCK_ROWS
         # T = 1, a block edge, one past it, and play beyond a horizon of 5
         for horizon, rounds in ((1, 1), (edge, edge), (edge + 1, edge + 1), (5, edge + 20)):
-            configs = [LearnerConfig(mode=mode, seed=i) for i in range(k)]
-            logs = [SelfPlayMarket([kind(valuations, grid, horizon, configs)], valuations, grid, 3,
-                                   adversary, members=[range(k)]).play(rounds).to_csv_text()
+            configs = [LearnerConfig(seed=i) for i in range(k)]
+            logs = [SelfPlayMarket([kind(valuations, grid, horizon, configs, mode=mode)],
+                                   valuations, grid, 3, adversary,
+                                   members=[range(k)]).play(rounds).to_csv_text()
                     for kind in (ExpWeightsBidder, PerRoundDrawBidder)]
             assert logs[0] == logs[1]

@@ -36,6 +36,18 @@ class TestAccumulateWeights:
             accumulate_weights_history(valuation, np.zeros(shape, dtype=np.int64),
                                        make_even_grid(5))
 
+    @pytest.mark.parametrize("history, where", [
+        ([[4, 3]], "round 0, slot 0: threshold 4"),    # not a slot-1 win at bid 0
+        ([[3, 3], [2, 4]], "round 1, slot 1: threshold 4"),
+        ([[0, 0], [1, -1]], "round 1, slot 1: threshold -1"),
+    ])
+    def test_thresholds_outside_the_grid_rejected(self, history, where):
+        """Thresholds lie in [0, D]: D = 3 means no bid wins the slot."""
+        valuation = ValuationProfile(np.array([1.0, 0.5]))
+        with pytest.raises(ValueError) as excinfo:
+            accumulate_weights_history(valuation, np.array(history), make_even_grid(3))
+        assert str(excinfo.value) == f"{where} lies outside [0, 3]"
+
     def test_single_round_hand_computation(self):
         grid = make_even_grid(11)
         valuation = ValuationProfile(np.array([1.0]))

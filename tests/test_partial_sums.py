@@ -734,7 +734,7 @@ class TestLinearTables:
             monkeypatch.setattr(_kernels, "_LINEAR_MIN", math.inf)
         grid = make_even_grid(5)
         group = ExpWeightsBidder([ValuationProfile(np.array([1.0, 0.5]))], grid, 10,
-                                 [LearnerConfig(mode=FeedbackMode.BANDIT_IPW, seed=1)])
+                                 [LearnerConfig(seed=1)], mode=FeedbackMode.BANDIT_IPW)
         monkeypatch.setattr(_kernels, "ew_marginals", lambda sums, *_: np.zeros(sums.shape))
         group.propose()
         assert group.log_rounds.tolist() == [int(force_logs)]

@@ -15,7 +15,9 @@ from pabid import (
     run_experiment,
     validate_scenario,
 )
+from pabid.adversaries import StochasticAdversary
 from pabid.auction import ValuationProfile
+from pabid.exp_weights import ExpWeightsBidder, LearnerConfig
 from pabid.scenario import build_market, replication_seeds
 from pabid.simulator import RunLog, SelfPlayMarket
 
@@ -392,13 +394,42 @@ class TestMarketChecks:
         with pytest.raises(ValueError, match="demand exceeds the supply"):
             SelfPlayMarket([self.Idle(), self.Idle()], valuations, make_even_grid(5), 2)
 
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_environment_rows_must_be_as_wide_as_the_supply(self, width):
+        """A narrower block must not be broadcast into equal bids, nor a wider
+        one fail inside numpy: either stops the run, naming both widths."""
+        grid = make_even_grid(5)
+        valuation = ValuationProfile(np.ones(2))
+        env = StochasticAdversary(np.zeros((1, width), dtype=np.int64), [1.0], seed=0)
+        market = SelfPlayMarket([ExpWeightsBidder([valuation], grid, 10, [LearnerConfig()])],
+                                [valuation], grid, 2, env)
+        with pytest.raises(ValueError) as excinfo:
+            market.play(10)
+        assert str(excinfo.value) == (f"round 0: the environment drew bids of shape (10, {width}); "
+                                      f"rounds 0-9 at supply 2 need (10, 2)")
+
+    def test_a_group_proposes_one_row_per_member(self):
+        """A two-agent group listed with one member stops the run: its second
+        agent would learn from the first one's thresholds."""
+        grid = make_even_grid(5)
+        valuation = ValuationProfile(np.ones(2))
+        group = ExpWeightsBidder([valuation] * 2, grid, 10, [LearnerConfig(seed=s) for s in (1, 2)])
+        market = SelfPlayMarket([group], [valuation], grid, 2, members=[[0]])
+        with pytest.raises(ValueError) as excinfo:
+            market.play(10)
+        assert str(excinfo.value) == "agent 0, round 0: proposed 2 bid rows for a group of 1"
+
 
 class TestPersistence:
     @settings(max_examples=300, deadline=None)
     @given(run_logs())
     def test_serializers_equal_cell_by_cell_references(self, log):
         assert log.to_csv_text() == csv_text(log)
-        assert log.to_json_text() == json_text(log)
+        if np.isfinite(log.utilities).all() and np.isfinite(log.payments).all():
+            assert log.to_json_text() == json_text(log)
+        else:  # JSON has no spelling for them
+            with pytest.raises(ValueError, match="only finite utilities and payments"):
+                log.to_json_text()
 
     def test_csv_round_trip_layout(self):
         log = run_experiment(validate_scenario(benchmark_scenario(rounds=5)))
