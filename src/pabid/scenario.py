@@ -56,6 +56,11 @@ _ENV_KEYS = {
 }
 _TOP_KEYS = {"name", "grid_size", "rounds", "replications", "master_seed",
              "supply", "agents", "environment"}
+# The most entries an array of a run may hold (512 MiB of float64): each agent's
+# (demand, grid_size) learner tables and the log's (rounds, supply) columns. Larger
+# sizes would fail in numpy or out of memory only once the run starts, and
+# validation builds the grid itself.
+MAX_CELLS = 2**26
 
 
 class ScenarioError(ValueError):
@@ -129,9 +134,15 @@ def validate_scenario(document: dict) -> Scenario:
         return value
 
     name = need("name", str, lambda s: len(s) > 0, "must be non-empty")
-    grid_size = need("grid_size", int, lambda v: v >= 2, "must be at least 2")
-    rounds = need("rounds", int, lambda v: v >= 0, "must be non-negative")
-    supply = need("supply", int, lambda v: v >= 1, "must be positive")
+    grid_size = need("grid_size", int, lambda v: 2 <= v <= MAX_CELLS,
+                     f"must be at least 2 and at most {MAX_CELLS}")
+    rounds = need("rounds", int, lambda v: 0 <= v <= MAX_CELLS,
+                  f"must be non-negative and at most {MAX_CELLS}")
+    supply = need("supply", int, lambda v: 1 <= v <= MAX_CELLS,
+                  f"must be positive and at most {MAX_CELLS}")
+    if rounds is not None and supply is not None and max(rounds, 1) * supply > MAX_CELLS:
+        problems.append(f"rounds: the log's (rounds, supply) columns of {rounds} x {supply} "
+                        f"entries exceed {MAX_CELLS}")
     replications = document.get("replications", 1)
     if not _is_positive_int(replications):
         problems.append("replications: must be a positive integer")
@@ -184,6 +195,11 @@ def validate_scenario(document: dict) -> Scenario:
             problems.append(f"{prefix}.valuation: must be a list or a generator object")
         if demand is not None and supply is not None and demand > supply:
             problems.append(f"{prefix}.valuation: demand {demand} exceeds supply {supply}")
+            demand = None
+        elif demand is not None and demand * (grid_size or 2) > MAX_CELLS:
+            problems.append(f"{prefix}.valuation: the (demand, grid_size) learner tables of "
+                            f"{demand} x {grid_size or 2} entries exceed {MAX_CELLS}")
+            demand = None
         eta, gamma = raw.get("eta"), raw.get("gamma")
         for rate, value in (("eta", eta), ("gamma", gamma)):
             if value is not None and not _is_rate(value):
@@ -282,7 +298,8 @@ def validate_scenario(document: dict) -> Scenario:
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)  # as JSON parses them: bool is not a number
+    """An int or float as JSON parses them (bool is not a number) that a float can hold."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def _is_rate(value) -> bool:

@@ -56,6 +56,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import repeat
+from string import Formatter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,7 +78,7 @@ class RunLog:
     The settlement columns (allocations, utilities, payments, rewards) come
     from one `auction.settle_columns` pass per agent after the run's last
     round. The serializers build their text from these arrays on each call:
-    every distinct float is formatted once and each line is one format call.
+    each column is rendered once and each line is one `str.join` over them.
     """
 
     grid: BidGrid
@@ -156,31 +157,37 @@ class RunLog:
         if self.env_bids is not None:
             width = max(width, self.supply)
         header = ("t,agent," + ",".join(f"bid_{m + 1}" for m in range(width))
-                  + ",allocation,utility,payment")
+                  + ",allocation,utility,payment\n")
         lines = self._lines(lambda agent, demand: (
-            "{0}," + str(agent) + ",{1}" + "," * (width - demand) + ",{2},{3},{4}"))
-        return "\n".join([header, *lines]) + "\n"
+            "{t}," + str(agent) + ",{bids}" + "," * (width - demand)
+            + ",{allocation},{utility},{payment}\n"))
+        return "".join([header, *lines])
 
     def to_json_text(self) -> str:
         """`{"rows": [...], "seed": seed}` with the rows of `to_csv_text`, keys sorted.
         A utility or payment that is not finite, which JSON cannot spell, raises ValueError."""
         if not (np.isfinite(self.utilities).all() and np.isfinite(self.payments).all()):
             raise ValueError("a JSON log holds only finite utilities and payments")
-        lines = self._lines(lambda agent, demand: (
-            '{{"agent":' + str(agent) + ',"allocation":{2},"bids":[{1}],"payment":{4},"t":{0},'
-            '"utility":{3}}}'))
-        return '{"rows":[' + ",".join(lines) + '],"seed":' + json.dumps(self.seed) + "}\n"
+        rows = self._lines(lambda agent, demand: (
+            ',{{"agent":' + str(agent) + ',"allocation":{allocation},"bids":[{bids}],'
+            '"payment":{payment},"t":{t},"utility":{utility}}}'))
+        if rows:  # each row is led by its separator, which the first row drops
+            rows[0] = rows[0][1:]
+        return "".join(['{"rows":[', *rows, '],"seed":', json.dumps(self.seed), "}\n"])
 
     def _lines(self, template: Callable[[int, int], str]) -> list[str]:
-        """Every agent's line of each round, then the environment's, from cached strings.
+        """Every agent's line of each round, then the environment's, each one `str.join`.
 
-        Each grid value, each distinct float (by its bits) of the utilities and
-        payments and each distinct allocation is written once per call, floats
-        by `repr`, which is a finite float's JSON text too, and every cell is
-        looked up in those strings. `template(agent, demand)` is the format
-        string of one writer's lines, with fields t, bids, allocation, utility
-        and payment; the environment is agent -1, with its bids non-increasing
-        and zero allocation, utility and payment.
+        Each column is rendered once per call: the steps; each agent's bid
+        text, its grid cells joined by commas, each grid value written once;
+        its allocations; and its utilities and payments, every distinct float
+        (by its bits) written once by `repr`, which is a finite float's JSON
+        text too. `template(agent, demand)` is the format string of one
+        writer's lines, with fields t, bids, allocation, utility and payment.
+        It is parsed once per agent, and a line joins its literal text,
+        repeated, with that round's entry of each column. The environment is
+        agent -1, with its bids non-increasing and zero allocation, utility
+        and payment.
         """
         def written(values):
             """`repr` of every entry of `values`, called once per distinct bit pattern."""
@@ -196,14 +203,21 @@ class RunLog:
         utilities, payments = written(np.stack([self.utilities, self.payments]))
         allocations = written(self.allocations)
         steps = list(map(str, range(self.rounds)))
-        writers = [map(template(n, bids.shape[1]).format, steps, joined(bids),
-                       allocations[:, n].tolist(), utilities[:, n].tolist(),
-                       payments[:, n].tolist())
-                   for n, bids in enumerate(self.bids)]
+        owners = [(n, bids, allocations[:, n].tolist(), utilities[:, n].tolist(),
+                   payments[:, n].tolist()) for n, bids in enumerate(self.bids)]
         if self.env_bids is not None:
-            writers.append(map(template(-1, self.env_bids.shape[1]).format, steps,
-                               joined(self.env_bids[:, ::-1]), repeat("0"), repeat("0.0"),
-                               repeat("0.0")))
+            owners.append((-1, self.env_bids[:, ::-1], repeat("0"), repeat("0.0"), repeat("0.0")))
+        writers = []
+        for agent, bids, *settled in owners:
+            columns = dict(zip(("t", "bids", "allocation", "utility", "payment"),
+                               (steps, joined(bids), *settled)))
+            fields, text = [], ""  # text: the literal since the last field
+            for literal, name, _, _ in Formatter().parse(template(agent, bids.shape[1])):
+                text += literal
+                if name is not None:
+                    fields += [repeat(text), columns[name]] if text else [columns[name]]
+                    text = ""
+            writers.append(map("".join, zip(*fields, repeat(text))))
         return [line for lines in zip(*writers) for line in lines]
 
     def summary(self) -> dict:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pabid.cli import main, numpy_build, suggested_grid_size
+from pabid.scenario import MAX_CELLS
 
 
 def write_scenario(tmp_path, name="tiny", rounds=60, replications=2, **overrides):
@@ -225,6 +226,15 @@ UNRUNNABLE = {
         {"agents": [{"algorithm": "ew", "feedback": "bandit_ix", "valuation": [1.0] * 3,
                      "gamma": math.inf}]},
         "agents[0].gamma"),
+    "support_entry_beyond_float_range": (
+        {"environment": stochastic_environment([[0.1, 0.1, 10**400]] + STOCHASTIC_ROWS[1:])},
+        "environment.support[0]"),
+    "demand_beyond_float_range": (
+        {"agents": [{"algorithm": "ew", "feedback": "bandit_ix", "eta": 0.1,
+                     "valuation": {"kind": "uniform_sorted", "demand": 10**400}}]},
+        "agents[0].valuation"),
+    "grid_size_beyond_numpy": ({"grid_size": 10**30}, "grid_size"),
+    "grid_size_beyond_numpy_index": ({"grid_size": 2**63}, "grid_size"),
 }
 
 
@@ -394,7 +404,7 @@ class TestEnvironmentKeys:
 
 
 # Values of every JSON type, each put in place of one field of a valid document.
-JUNK = [[], {}, ["x"], {"a": 1}, None, True, -1, 0, 1.5, "x"]
+JUNK = [[], {}, ["x"], {"a": 1}, None, True, -1, 0, 1.5, "x", 10**400, -10**400]
 # Valid documents that between them hold every top-level, agent, valuation and
 # environment field, with the paths of the fields to replace.
 JUNK_BASES = {
@@ -465,6 +475,56 @@ class TestJunkValues:
                                  environment=stochastic_environment(support))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"scenario error: {field}:" in capsys.readouterr().err
+
+
+class TestArraySizeBounds:
+    """`grid_size`, `rounds` and `supply` size arrays: each agent's (demand, grid_size)
+    learner tables and the log's (rounds, supply) columns, at most `MAX_CELLS` entries
+    each. Sizes at the bound are only validated, never run: a run there allocates
+    gigabytes. The documents are self-play, whose validation builds no grid."""
+
+    @staticmethod
+    def document(grid_size=11, rounds=5, supply=1, demand=1):
+        return {"name": "sizes", "grid_size": grid_size, "rounds": rounds, "supply": supply,
+                "agents": [{"algorithm": "ew", "feedback": "full",
+                            "valuation": {"kind": "uniform_sorted", "demand": demand}}],
+                "environment": {"kind": "self_play"}}
+
+    @staticmethod
+    def rejected(tmp_path, capsys, document, field):
+        from pabid import ScenarioError, validate_scenario
+
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(document)
+        assert [p for p in excinfo.value.problems if p.startswith(field + ":")]
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"scenario error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", [
+        {"grid_size": MAX_CELLS},
+        {"grid_size": MAX_CELLS // 4, "supply": 4, "demand": 4},
+        {"rounds": MAX_CELLS},
+        {"rounds": MAX_CELLS // 4, "supply": 4},
+    ], ids=["grid", "table", "rounds", "log"])
+    def test_sizes_at_the_bound_validate(self, sizes):
+        from pabid import validate_scenario
+
+        validate_scenario(self.document(**sizes))
+
+    @pytest.mark.parametrize("sizes, field", [
+        ({"grid_size": MAX_CELLS + 1}, "grid_size"),
+        ({"grid_size": 10**30}, "grid_size"),
+        ({"grid_size": 2**63}, "grid_size"),
+        ({"grid_size": MAX_CELLS // 4 + 1, "supply": 4, "demand": 4}, "agents[0].valuation"),
+        ({"rounds": MAX_CELLS + 1}, "rounds"),
+        ({"rounds": 10**30}, "rounds"),
+        ({"rounds": MAX_CELLS // 4 + 1, "supply": 4}, "rounds"),
+        ({"supply": MAX_CELLS + 1}, "supply"),
+    ], ids=["grid", "grid_1e30", "grid_2p63", "table", "rounds", "rounds_1e30", "log", "supply"])
+    def test_sizes_above_the_bound_exit_2(self, tmp_path, capsys, sizes, field):
+        self.rejected(tmp_path, capsys, self.document(**sizes), field)
 
 
 def huge_eta_scenario(tmp_path, eta):

@@ -431,6 +431,16 @@ class TestPersistence:
             with pytest.raises(ValueError, match="only finite utilities and payments"):
                 log.to_json_text()
 
+    @pytest.mark.parametrize("document", [
+        market_scenario(rounds=750),  # 3 agents in self-play, as in the benchmark
+        {**benchmark_scenario(rounds=400),  # the environment's rows are wider than the bids
+         "agents": [{"algorithm": "ew", "feedback": "bandit_ix", "valuation": [1.0, 0.6]}]},
+    ], ids=["self_play", "supply_above_demand"])
+    def test_long_logs_equal_cell_by_cell_references(self, document):
+        log = run_experiment(validate_scenario(document))
+        assert log.to_csv_text() == csv_text(log)
+        assert log.to_json_text() == json_text(log)
+
     def test_csv_round_trip_layout(self):
         log = run_experiment(validate_scenario(benchmark_scenario(rounds=5)))
         lines = log.to_csv_text().strip().splitlines()
