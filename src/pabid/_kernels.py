@@ -11,17 +11,22 @@ Kernels:
     complementary-slackness residual. The first sweep returns on one prefix
     table's maxima when no pair would move; otherwise every sweep visits
     every pair.
-  * ew_tail_sums / sample_monotone: decoupled exponential weights. One
+  * backward_pass / forward_pass: the layered graph's two passes (Takimoto &
+    Warmuth 2003), one accumulate and one elementwise step per slot, in the
+    caller's semiring. Backward: EW's tail sums, (add, multiply) or in logs
+    (logaddexp, add), and the hindsight DP in max-plus (maximum, add).
+    Forward: EW's marginals, (add, divide, multiply) or in logs (logaddexp,
+    subtract, add), and OMD's start on its IR mask.
+  * ew_tail_sums / sample_monotone: decoupled exponential weights. The
     backward pass yields the tail sums and their running prefix sums; the
     prefix sums are the sampler's normalizers, so sampling is one bisection
-    per slot (one uniform per slot). The pass runs in logs, one
-    `np.logaddexp.accumulate` per slot, or in the linear domain: one `exp`
-    per table, then one `np.add.accumulate` and one product per slot. With
-    `linear`, rows are shifted by their maxima and tested per agent, and an
-    agent whose table does not fit a float's range takes logs. With
-    `bounded`, the caller has proven the table fits (`linear_rounds`, for
-    full-information weights), so the pass runs on exp(eta W) unshifted.
-  * ew_marginals: the sampler's slot marginals by a forward recursion that
+    per slot (one uniform per slot). The pass runs in logs, or on one `exp`
+    per table. With `linear`, rows are shifted by their maxima and tested
+    per agent, and an agent whose table does not fit a float's range takes
+    logs. With `bounded`, the caller has proven the table fits
+    (`linear_rounds`, for full-information weights), so the pass runs on
+    exp(eta W) unshifted.
+  * ew_marginals: the sampler's slot marginals by the forward pass, which
     conserves each row's mass and ignores its scale, so it needs one
     normalization per row at the end. On linear tables it reads the tail
     sums and the prefix table as they are, at three array operations per
@@ -233,16 +238,11 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False):
         sums = eta * weights
         np.exp(sums, out=sums)
         sums *= allowed
-        return sums, _linear_pass(sums)
+        return sums, backward_pass(sums, np.add.accumulate, np.multiply)
     if linear:
         return _linear_tail_sums(weights, allowed, eta)
     log_sums = np.where(allowed, eta * weights, _NEG_INF)
-    log_prefix = np.empty_like(log_sums)
-    for m in range(log_sums.shape[0] - 1, 0, -1):
-        np.logaddexp.accumulate(log_sums[m], axis=-1, out=log_prefix[m])
-        log_sums[m - 1] += log_prefix[m]
-    np.logaddexp.accumulate(log_sums[0], axis=-1, out=log_prefix[0])
-    return log_sums, log_prefix
+    return log_sums, backward_pass(log_sums, np.logaddexp.accumulate, np.add)
 
 
 def _log_tail_count(m_units, d):
@@ -264,14 +264,29 @@ def linear_rounds(m_units, d, eta_max):
     return room / (m_units * eta_max) if room >= 0.0 else -math.inf
 
 
-def _linear_pass(sums):
-    """The backward pass on linear cells, in place: S[m] *= P[m + 1]; returns P."""
+def backward_pass(sums, accumulate, combine):
+    """The layered graph's backward pass on an (M, D) table or (M, k, D) stack,
+    in place: from the last slot up, P[m] = accumulate(S[m]) along the bids and
+    S[m - 1] = combine(S[m - 1], P[m]). Returns P."""
     prefix = np.empty_like(sums)
-    below = np.add.accumulate(sums[-1], axis=-1, out=prefix[-1])
+    below = accumulate(sums[-1], axis=-1, out=prefix[-1])
     for row, out in zip(sums[-2::-1], prefix[-2::-1]):
-        row *= below
-        below = np.add.accumulate(row, axis=-1, out=out)
+        combine(row, below, out=row)
+        below = accumulate(row, axis=-1, out=out)
     return prefix
+
+
+def forward_pass(q, z, accumulate, ratio, combine):
+    """The layered graph's forward pass on (M, D) tables or (M, k, D) stacks, in
+    place: from slot 1 down, q[m] = combine(q[m], the suffix accumulate of
+    ratio(q[m - 1], z[m])) along the bids. Returns `q`."""
+    suffix = np.empty_like(q[0])
+    backward = suffix[..., ::-1]
+    for above, row, z_row in zip(q[:-1], q[1:], z[1:]):
+        ratio(above, z_row, out=suffix)
+        accumulate(backward, axis=-1, out=backward)  # suffix sums of the ratios
+        combine(row, suffix, out=row)
+    return q
 
 
 def _linear_tail_sums(weights, allowed, eta):
@@ -284,7 +299,7 @@ def _linear_tail_sums(weights, allowed, eta):
         sums -= sums.max(axis=-1, keepdims=True)
     lowest = sums.min(axis=-1, where=allowed, initial=0.0)  # of each row's feasible cells
     np.exp(sums, out=sums)
-    prefix = _linear_pass(sums)
+    prefix = backward_pass(sums, np.add.accumulate, np.multiply)
     linear = ((lowest >= _LINEAR_FLOOR) & (prefix[..., 0] >= _LINEAR_MIN)).all(axis=0).reshape(-1)
     flags = linear.tolist()
     if not any(flags):
@@ -384,30 +399,17 @@ def _linear_marginals(s):
 def marginal_recursion(q, z):
     """The marginal recursion on linear S, held in `q` and overwritten, with z
     its running row sums; returns `q`, its rows of mass 1 up to roundoff."""
-    first = q[0]
-    first /= z[0][..., -1:]
-    suffix = np.empty_like(first)
-    backward = suffix[..., ::-1]
-    for above, row, z_row in zip(q[:-1], q[1:], z[1:]):
-        np.divide(above, z_row, out=suffix)
-        np.add.accumulate(backward, axis=-1, out=backward)  # suffix sums of the ratios
-        row *= suffix
-    return q
+    q[0] /= z[0][..., -1:]
+    return forward_pass(q, z, np.add.accumulate, np.divide, np.multiply)
 
 
 def _log_marginals(s):
-    """The marginal recursion in logs, for rows spanning more than exp's range.
-
-    With lz the running log row sums of s, log q[0] = s[0] and log q[m] =
-    s[m] plus the reversed running log sum of log q[m-1] - lz[m]. The ratio
-    q[m-1] / z[m] never leaves the log domain, so cells far below their row
-    maximum keep their mass.
-    """
+    """The marginal recursion in logs, for rows spanning more than exp's range:
+    the forward pass on log q = s with lz the running log row sums of s. The
+    ratio q[m-1] / z[m] never leaves the log domain, so cells far below their
+    row maximum keep their mass."""
     lz = np.logaddexp.accumulate(s, axis=-1)
-    log_q = s.copy()
-    for m in range(1, log_q.shape[0]):
-        tail = (log_q[m - 1] - lz[m])[..., ::-1]
-        log_q[m] += np.logaddexp.accumulate(tail, axis=-1)[..., ::-1]
+    log_q = forward_pass(s.copy(), lz, np.logaddexp.accumulate, np.subtract, np.add)
     return _normalized(np.exp(log_q - log_q.max(axis=-1, keepdims=True)))
 
 

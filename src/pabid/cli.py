@@ -25,7 +25,7 @@ from . import __version__
 from .auction import ValuationProfile, win_thresholds
 from .grids import make_even_grid
 from .hindsight import accumulate_weights_history, hindsight_optimal
-from .scenario import ScenarioError, read_document, run_experiment, validate_scenario
+from .scenario import MAX_CELLS, ScenarioError, read_document, run_experiment, validate_scenario
 from .simulator import market_metrics, regret_report
 
 
@@ -162,6 +162,8 @@ def cmd_hindsight(args) -> int:
         if len(widths) != 1:
             print("error: history rows have inconsistent lengths", file=sys.stderr)
             return 2
+        if args.grid_size > MAX_CELLS:  # `pabid run`'s bound, checked before any allocation
+            raise ValueError(f"--grid-size must be at most {MAX_CELLS}")
         grid = make_even_grid(args.grid_size)
         valuation = ValuationProfile(np.array([float(x) for x in args.valuation.split(",")]))
         if valuation.demand > next(iter(widths)):

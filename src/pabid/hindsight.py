@@ -3,9 +3,9 @@
 The cumulative utility of a fixed monotone bid decomposes slot by slot, so
 the optimum is a maximum-weight monotone path through a layered graph: one
 layer per unit, one node per (unit, grid bid), with an edge from (m, b) to
-(m+1, b') whenever b' <= b and both cells are individually rational. A
-backward pass of running prefix maxima solves it in O(M D) per layer with
-O(M D) space.
+(m+1, b') whenever b' <= b and both cells are individually rational. The
+max-plus `_kernels.backward_pass` solves it in O(M D) time and space: the pass
+that gives exponential weights its tail sums in the sum-product semiring.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import slot_rewards
+from ._kernels import backward_pass, slot_rewards
 from .auction import BidVector, ValuationProfile
 from .grids import BidGrid
 
@@ -83,13 +83,11 @@ def hindsight_optimal(table: NodeWeightTable) -> HindsightSolution:
     m_units, d = table.weights.shape
     if not table.allowed[:, 0].all():
         raise ValueError("grid minimum must be individually rational in every layer")
-    # cand[m, b'] = W_m(b') + U_{m+1}(b'); u_next[b] = U_{m+1}(b)
-    cand = np.empty((m_units, d))
-    u_next = np.zeros(d)
-    for m in range(m_units - 1, -1, -1):
-        cand[m] = np.where(table.allowed[m], table.weights[m] + u_next, NEG_INF)
-        u_next = np.maximum.accumulate(cand[m])
-    total = float(u_next[d - 1])
+    # cand[m, b'] = W_m(b') + U_{m+1}(b') and best[m, b] = U_m(b). + 0.0 makes a -0.0
+    # weight (0 wins of a cell whose v_m - B_j rounds below 0) +0.0: no total is -0.0.
+    cand = np.where(table.allowed, table.weights + 0.0, NEG_INF)
+    best = backward_pass(cand, np.maximum.accumulate, np.add)
+    total = float(best[0, d - 1])
 
     indices = np.empty(m_units, dtype=np.int64)
     cap = d - 1

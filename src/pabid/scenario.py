@@ -193,12 +193,13 @@ def validate_scenario(document: dict) -> Scenario:
                 problems.append(f"{prefix}.valuation.{key}: unknown key")
         else:
             problems.append(f"{prefix}.valuation: must be a list or a generator object")
+        shown = demand if demand is None or demand <= MAX_CELLS else f"over {MAX_CELLS}"
         if demand is not None and supply is not None and demand > supply:
-            problems.append(f"{prefix}.valuation: demand {demand} exceeds supply {supply}")
+            problems.append(f"{prefix}.valuation: demand {shown} exceeds supply {supply}")
             demand = None
         elif demand is not None and demand * (grid_size or 2) > MAX_CELLS:
             problems.append(f"{prefix}.valuation: the (demand, grid_size) learner tables of "
-                            f"{demand} x {grid_size or 2} entries exceed {MAX_CELLS}")
+                            f"{shown} x {grid_size or 2} entries exceed {MAX_CELLS}")
             demand = None
         eta, gamma = raw.get("eta"), raw.get("gamma")
         for rate, value in (("eta", eta), ("gamma", gamma)):
@@ -334,7 +335,7 @@ def read_document(path) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # not JSON, or an int with more digits than Python converts
             raise ScenarioError([f"file: not valid JSON ({err})"]) from err
 
 

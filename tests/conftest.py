@@ -5,19 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pabid import (
-    BidGrid,
-    BidVector,
-    NodeWeightTable,
-    SelfPlayMarket,
-    ValuationProfile,
-    make_even_grid,
-)
 from pabid._kernels import sample_monotone
+from pabid.auction import BidVector, ValuationProfile
+from pabid.cli import numpy_build
+from pabid.grids import BidGrid, make_even_grid
+from pabid.hindsight import NodeWeightTable
 from pabid.mirror_descent import sample_from_marginals
+from pabid.simulator import SelfPlayMarket
 
 from oracles import iter_monotone_indices
 
+# numpy's version and dispatch targets choose the bits of its `exp` and `log`, so an
+# expectation that depends on them names the build it was recorded on and this run's.
+RECORDED_TARGET = "numpy 2.4.6, dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+BUILD = numpy_build()
+TARGETS = (f"recorded on {RECORDED_TARGET}; this run: numpy {BUILD['version']}, "
+           f"dispatch {' '.join(BUILD['dispatch'])}")
 
 def play_against(learner, adversary, rounds: int, tie: bool = False):
     """RunLog of one learner group against an environment, as a market of its agents."""

@@ -4,16 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from pabid import (
-    CompetingBids,
-    ExpWeightsBidder,
-    LearnerConfig,
-    SelfPlayMarket,
-    StochasticAdversary,
-    ValuationProfile,
-    lower_bound_rows,
-    make_even_grid,
-)
+from pabid.adversaries import StochasticAdversary, lower_bound_rows
+from pabid.auction import CompetingBids, ValuationProfile
+from pabid.exp_weights import ExpWeightsBidder, LearnerConfig
+from pabid.grids import make_even_grid
+from pabid.simulator import SelfPlayMarket
 
 from oracles import drawn_row, expected_total_utility, iter_monotone_indices, settle
 
@@ -168,7 +163,7 @@ class TestLowerBoundInstance:
                 np.full(price_slots, c_idx, dtype=np.int64),
                 np.zeros(demand - price_slots, dtype=np.int64),
             ])
-            from pabid import BidVector
+            from pabid.auction import BidVector
 
             bid = BidVector(idx, grid)
             draws = 20_000

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabid import (
-    BidGrid,
-    BidVector,
-    CompetingBids,
-    ValuationProfile,
-    make_even_grid,
-)
-from pabid.grids import VALUE_EPS
+from pabid.auction import BidVector, CompetingBids, ValuationProfile
+from pabid.grids import VALUE_EPS, BidGrid, make_even_grid
 
 from oracles import (
     AuctionOutcome,

@@ -10,9 +10,11 @@ gate: replay, the welfare identity, IR and OMD marginal membership.
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
-import pabid
+import pabid._kernels
+import pabid.mirror_descent
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -35,6 +37,14 @@ def test_scaling_block_runs_and_names_only_retired_functions():
         assert module in ("exp_weights", "mirror_descent"), entry
         assert error.startswith(f"module 'pabid.{module}' has no attribute "), entry
         assert error.split()[-1].strip("'") in RETIRED, entry
+
+
+def test_the_package_binds_only_its_version_and_submodules():
+    """Every name is imported from its module; `pabid` re-exports none."""
+    public = {name: value for name, value in vars(pabid).items() if not name.startswith("_")}
+    assert all(isinstance(value, types.ModuleType) and value.__name__ == f"pabid.{name}"
+               for name, value in public.items()), sorted(public)
+    assert isinstance(pabid.__version__, str)
 
 
 def test_tracer_patches_every_present_span_and_restores_it():

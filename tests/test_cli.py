@@ -149,7 +149,7 @@ class TestRun:
         hash_b = json.loads((out_b / "manifest.json").read_text())["config_hash"]
         assert hash_a != hash_b
         # identical content (even reordered keys) hashes identically
-        from pabid import canonical_hash
+        from pabid.scenario import canonical_hash
 
         doc = json.loads(path_a.read_text())
         reordered = dict(reversed(list(doc.items())))
@@ -241,7 +241,7 @@ UNRUNNABLE = {
 class TestUnrunnableScenarios:
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
     def test_rejected_at_validation_with_exit_2(self, case, tmp_path, capsys):
-        from pabid import ScenarioError, validate_scenario
+        from pabid.scenario import ScenarioError, validate_scenario
 
         overrides, field = UNRUNNABLE[case]
         path, document = write_scenario(tmp_path, rounds=5, replications=1, **overrides)
@@ -316,7 +316,7 @@ REJECTIONS = {
 class TestValidationProblems:
     @pytest.mark.parametrize("case", sorted(REJECTIONS))
     def test_problems_are_listed_exactly(self, tmp_path, case):
-        from pabid import ScenarioError, validate_scenario
+        from pabid.scenario import ScenarioError, validate_scenario
 
         overrides, problems = REJECTIONS[case]
         _, document = write_scenario(tmp_path, **{"rounds": 5, "replications": 1, **overrides})
@@ -325,8 +325,7 @@ class TestValidationProblems:
         assert excinfo.value.problems == problems
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
-        from pabid import ScenarioError
-        from pabid.scenario import read_document
+        from pabid.scenario import ScenarioError, read_document
 
         path = tmp_path / "broken.json"
         path.write_text('{"name": "broken",')
@@ -340,10 +339,15 @@ class TestValidationProblems:
         assert "scenario error: file: not valid JSON" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "scenario error: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("replication", [-1, 2])
     def test_build_market_rejects_a_replication_out_of_range(self, tmp_path, replication):
-        from pabid import validate_scenario
-        from pabid.scenario import build_market
+        from pabid.scenario import build_market, validate_scenario
 
         _, document = write_scenario(tmp_path, rounds=5, replications=2)
         with pytest.raises(ValueError, match="replication index out of range"):
@@ -367,7 +371,7 @@ class TestEnvironmentKeys:
 
     @staticmethod
     def rejected(tmp_path, capsys, kind, extra):
-        from pabid import ScenarioError, validate_scenario
+        from pabid.scenario import ScenarioError, validate_scenario
 
         env, overrides = ENVIRONMENTS[kind]
         path, document = write_scenario(tmp_path, rounds=5, replications=1,
@@ -444,7 +448,7 @@ class TestJunkValues:
     """`validate_scenario` answers any JSON document with a Scenario or a ScenarioError."""
 
     def test_the_bases_are_valid(self):
-        from pabid import validate_scenario
+        from pabid.scenario import validate_scenario
 
         for document in JUNK_BASES.values():
             validate_scenario(document)
@@ -453,7 +457,7 @@ class TestJunkValues:
                              ids=[f"{base}-{'.'.join(map(str, path))}"
                                   for base, path in JUNK_FIELDS])
     def test_every_value_in_the_field_validates_or_is_rejected(self, base, path):
-        from pabid import ScenarioError, validate_scenario
+        from pabid.scenario import ScenarioError, validate_scenario
 
         for junk in JUNK:
             document = json.loads(json.dumps(JUNK_BASES[base]))
@@ -492,7 +496,7 @@ class TestArraySizeBounds:
 
     @staticmethod
     def rejected(tmp_path, capsys, document, field):
-        from pabid import ScenarioError, validate_scenario
+        from pabid.scenario import ScenarioError, validate_scenario
 
         with pytest.raises(ScenarioError) as excinfo:
             validate_scenario(document)
@@ -509,7 +513,7 @@ class TestArraySizeBounds:
         {"rounds": MAX_CELLS // 4, "supply": 4},
     ], ids=["grid", "table", "rounds", "log"])
     def test_sizes_at_the_bound_validate(self, sizes):
-        from pabid import validate_scenario
+        from pabid.scenario import validate_scenario
 
         validate_scenario(self.document(**sizes))
 
@@ -525,6 +529,31 @@ class TestArraySizeBounds:
     ], ids=["grid", "grid_1e30", "grid_2p63", "table", "rounds", "rounds_1e30", "log", "supply"])
     def test_sizes_above_the_bound_exit_2(self, tmp_path, capsys, sizes, field):
         self.rejected(tmp_path, capsys, self.document(**sizes), field)
+
+    @pytest.mark.parametrize("supply, demand, problem", [
+        (3, 4, "demand 4 exceeds supply 3"),
+        (3, 10**400, f"demand over {MAX_CELLS} exceeds supply 3"),
+        (3, 10**5000, f"demand over {MAX_CELLS} exceeds supply 3"),
+        (0, MAX_CELLS, f"the (demand, grid_size) learner tables of {MAX_CELLS} x 11 entries "
+                       f"exceed {MAX_CELLS}"),
+        (0, 10**5000, f"the (demand, grid_size) learner tables of over {MAX_CELLS} x 11 "
+                      f"entries exceed {MAX_CELLS}"),
+    ], ids=["ordinary", "1e400", "1e5000", "table", "table_1e5000"])
+    def test_a_demand_above_the_bound_is_not_printed(self, supply, demand, problem):
+        """Python converts no int of more than 4,300 digits to a string."""
+        from pabid.scenario import ScenarioError, validate_scenario
+
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(self.document(supply=supply, demand=demand))
+        assert f"agents[0].valuation: {problem}" in excinfo.value.problems
+
+    @pytest.mark.parametrize("size", ["rounds", "demand"])
+    def test_a_file_with_an_integer_too_long_to_read_exits_2(self, tmp_path, capsys, size):
+        path = tmp_path / "long.json"
+        text = json.dumps(self.document(**{size: 987654321}))
+        path.write_text(text.replace("987654321", "1" + "0" * 5000))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "scenario error: file: not valid JSON (" in capsys.readouterr().err
 
 
 def huge_eta_scenario(tmp_path, eta):
@@ -568,7 +597,7 @@ class TestOmdEtaRange:
         ("full", 8.99e307, None, True), ("full", 8.98e307, None, False)])
     def test_bound_is_eta_times_the_largest_estimate(self, tmp_path, feedback, eta, gamma,
                                                      rejected):
-        from pabid import ScenarioError, validate_scenario
+        from pabid.scenario import ScenarioError, validate_scenario
 
         extra = {} if gamma is None else {"gamma": gamma}
         document = json.loads(self.scenario(tmp_path, feedback, eta, **extra).read_text())
@@ -624,7 +653,7 @@ class TestRuntimeFailure:
     def test_ir_violation_names_the_agent_and_the_round(self, tmp_path, capsys, monkeypatch):
         """The EW group of agents 0 and 1 is made to bid 1.0 on both slots
         for agent 1 in round 3, above its valuation [0.9, 0.6]."""
-        from pabid import ExpWeightsBidder
+        from pabid.exp_weights import ExpWeightsBidder
 
         propose = ExpWeightsBidder.propose
         calls = []
@@ -646,8 +675,11 @@ class TestRuntimeFailure:
             "runtime failure: agent 1, round 3: bid violates individual rationality\n")
 
     def test_failure_keeps_its_type_and_names_every_agent_of_the_group(self, monkeypatch):
-        from pabid import (ExpWeightsBidder, LearnerConfig, SelfPlayMarket, ValuationProfile,
-                           _kernels, make_even_grid)
+        from pabid import _kernels
+        from pabid.auction import ValuationProfile
+        from pabid.exp_weights import ExpWeightsBidder, LearnerConfig
+        from pabid.grids import make_even_grid
+        from pabid.simulator import SelfPlayMarket
 
         grid = make_even_grid(5)
         valuations = [ValuationProfile(np.array([1.0, 0.5]))] * 2
@@ -677,6 +709,25 @@ class TestHindsight:
         out = capsys.readouterr().out
         assert "total utility: 0" in out
 
+    def test_a_total_of_zero_prints_without_a_sign(self, tmp_path, capsys):
+        """Valuation 0.3 lies just below its grid value 0.30000000000000004,
+        and with ties lost no bid wins a 1.0 row."""
+        history = tmp_path / "never.txt"
+        history.write_text("1.0\n1.0\n")
+        args = ["hindsight", str(history), "--valuation", "0.3", "--grid-size", "11", "--tie", "loses"]
+        assert main(args + ["--json"]) == 0
+        assert '"total_utility": 0.0' in capsys.readouterr().out
+        assert main(args) == 0
+        assert "total utility: 0\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("size", [MAX_CELLS + 1, 10**11])
+    def test_grid_size_above_the_scenario_bound_exits_2(self, tmp_path, capsys, size):
+        history = tmp_path / "h.txt"
+        history.write_text("1.0\n")
+        assert main(["hindsight", str(history), "--valuation", "0.3",
+                     "--grid-size", str(size)]) == 2
+        assert f"--grid-size must be at most {MAX_CELLS}" in capsys.readouterr().err
+
     def test_benchmark_history_json(self, tmp_path, capsys):
         history = tmp_path / "h.txt"
         history.write_text("0.1 0.1 0.1\n0.1 0.1 0.1\n0.3 0.3 1.0\n0.4 1.0 1.0\n")
@@ -688,7 +739,8 @@ class TestHindsight:
 
     def test_cli_matches_in_process_regret_benchmark(self, tmp_path, capsys):
         """Round-trip: run a scenario, feed the env rows of its log back."""
-        from pabid import regret_report, run_experiment, validate_scenario
+        from pabid.scenario import run_experiment, validate_scenario
+        from pabid.simulator import regret_report
 
         path, document = write_scenario(tmp_path, rounds=80, replications=1)
         scenario = validate_scenario(document)

@@ -2,14 +2,10 @@
 import numpy as np
 import pytest
 
-from pabid import (
-    BidVector,
-    CompetingBids,
-    NodeWeightTable,
-    ValuationProfile,
-    make_even_grid,
-)
 from pabid._kernels import ew_marginals, ew_tail_sums
+from pabid.auction import BidVector, CompetingBids, ValuationProfile
+from pabid.grids import make_even_grid
+from pabid.hindsight import NodeWeightTable
 
 from conftest import draw_bid, random_weight_table
 from oracles import allocate, bandit_step, slot_reward

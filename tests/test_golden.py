@@ -42,15 +42,12 @@ import json
 import numpy as np
 import pytest
 
-from pabid import (_kernels, market_metrics, mirror_descent, regret_report, run_experiment,
-                   validate_scenario)
-from pabid.cli import _resolve_scenario_path, numpy_build
-from pabid.scenario import build_market
+from pabid import _kernels, mirror_descent
+from pabid.cli import _resolve_scenario_path
+from pabid.scenario import build_market, run_experiment, validate_scenario
+from pabid.simulator import market_metrics, regret_report
 
-RECORDED_TARGET = "numpy 2.4.6, dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
-BUILD = numpy_build()
-RUN_TARGET = f"numpy {BUILD['version']}, dispatch {' '.join(BUILD['dispatch'])}"
-TARGETS = f"recorded on {RECORDED_TARGET}; this run: {RUN_TARGET}"
+from conftest import TARGETS
 
 ROUNDS = 300
 

@@ -1,16 +1,12 @@
 """Hindsight DP: weight accumulation, optimality, and the enumeration oracle."""
+import math
+
 import numpy as np
 import pytest
 
-from pabid import (
-    CompetingBids,
-    ValuationProfile,
-    accumulate_weights_history,
-    hindsight_optimal,
-    make_even_grid,
-    win_thresholds,
-)
-from pabid.hindsight import NEG_INF
+from pabid.auction import CompetingBids, ValuationProfile, win_thresholds
+from pabid.grids import make_even_grid
+from pabid.hindsight import NEG_INF, accumulate_weights_history, hindsight_optimal
 
 from conftest import random_valuation
 from oracles import (
@@ -105,6 +101,18 @@ class TestHindsightOptimal:
         solution = hindsight_optimal(table)
         assert solution.total_utility == 0.0
         assert solution.bid.values.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("values", [[0.3], [0.6, 0.3, 0.3], [0.7], [0.6, 0.6]])
+    @pytest.mark.parametrize("rounds", [0, 5])
+    def test_a_total_of_zero_is_positive_zero(self, values, rounds):
+        """0.3 lies 5.6e-17 below the grid's 0.30000000000000004 (0.6 and 0.7
+        likewise), so that IR cell's reward is negative and 0 wins of it is
+        -0.0; with every threshold D nothing wins, and the optimum is +0.0."""
+        grid = make_even_grid(11)
+        valuation = ValuationProfile(np.array(values))
+        table = accumulate_weights_history(valuation, np.full((rounds, len(values)), 11), grid)
+        total = hindsight_optimal(table).total_utility
+        assert total == 0.0 and math.copysign(1.0, total) == 1.0
 
     def test_four_round_benchmark_history(self):
         grid = make_even_grid(11)

@@ -5,22 +5,18 @@ import pickle
 import numpy as np
 import pytest
 
-from pabid import (
-    BidVector,
-    CompetingBids,
-    FeedbackMode,
+from pabid.adversaries import StochasticAdversary
+from pabid.auction import BidVector, CompetingBids, ValuationProfile, win_thresholds
+from pabid.exp_weights import FeedbackMode
+from pabid.grids import make_even_grid
+from pabid.mirror_descent import (
     OmdBidder,
     ProjectionError,
-    StochasticAdversary,
-    ValuationProfile,
-    make_even_grid,
     omd_eta_schedule,
     q_membership,
     sample_from_marginals,
-    validate_scenario,
-    win_thresholds,
 )
-from pabid.scenario import build_market
+from pabid.scenario import build_market, validate_scenario
 
 from conftest import (
     FixedUniform,
@@ -69,7 +65,7 @@ class TestSchedulesAndInit:
         grid = make_even_grid(7)
         valuation = ValuationProfile(np.array([0.9, 0.6, 0.3]))
         bidder = OmdBidder(valuation, grid, 100)
-        from pabid import q_membership
+        from pabid.mirror_descent import q_membership
 
         assert q_membership(bidder.q, tol=1e-8) == []
         assert np.all(bidder.q[~bidder.allowed] == 0.0)

@@ -7,16 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabid import (
-    ExpWeightsBidder,
-    FeedbackMode,
-    LearnerConfig,
-    ValuationProfile,
-    _kernels,
-    make_even_grid,
-    run_experiment,
-    validate_scenario,
-)
+from pabid import _kernels
 from pabid._kernels import (
     _LINEAR_FLOOR,
     _linear_marginals,
@@ -28,8 +19,11 @@ from pabid._kernels import (
     sample_monotone,
     slot_rewards,
 )
+from pabid.auction import ValuationProfile
+from pabid.exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig
+from pabid.grids import make_even_grid
 from pabid.hindsight import NodeWeightTable
-from pabid.scenario import build_market
+from pabid.scenario import build_market, run_experiment, validate_scenario
 
 from conftest import (
     draw_bid,
@@ -443,6 +437,89 @@ class TestKernelsMatchLoops:
             picks = sample_monotone(log_prefix, rng.random(3))
             assert np.all(np.isfinite(log_sums[np.arange(3), picks]))
             assert np.all(np.diff(picks) <= 0)
+
+
+def loop_backward(sums, plus, times):
+    """The backward pass cell by cell, in the semiring (plus, times): S[m, b] =
+    S[m, b] times P[m + 1, b], then P[m, b] = S[m, 0] plus ... plus S[m, b]."""
+    s = sums.reshape(sums.shape[0], -1, sums.shape[-1]).copy()  # (M, k, D)
+    p = np.empty_like(s)
+    m_units, k, d = s.shape
+    for agent in range(k):
+        for m in range(m_units - 1, -1, -1):
+            for b in range(d):
+                if m < m_units - 1:
+                    s[m, agent, b] = times(s[m, agent, b], p[m + 1, agent, b])
+                cell = s[m, agent, b]
+                p[m, agent, b] = cell if b == 0 else plus(p[m, agent, b - 1], cell)
+    return s.reshape(sums.shape), p.reshape(sums.shape)
+
+
+def loop_forward(q, z, plus, ratio, times):
+    """The forward pass cell by cell: q[m, b] = q[m, b] times (r[D-1] plus ...
+    plus r[b]), summed from the last bid, with r = ratio(q[m - 1], z[m])."""
+    shape = q.shape
+    q = q.reshape(shape[0], -1, shape[-1]).copy()  # (M, k, D)
+    z = z.reshape(q.shape)
+    m_units, k, d = q.shape
+    for agent in range(k):
+        for m in range(1, m_units):
+            for b in range(d - 1, -1, -1):
+                r = ratio(q[m - 1, agent, b], z[m, agent, b])
+                running = r if b == d - 1 else plus(running, r)
+                q[m, agent, b] = times(q[m, agent, b], running)
+    return q.reshape(shape)
+
+
+PASS_SHAPES = [(1, 2), (1, 2, 2), (2, 2), (4, 7), (3, 3, 5), (5, 1, 9), (4, 2, 2)]
+
+
+def pass_cells(rng, shape, zero):
+    """Random cells with about a fifth set to `zero` (the semiring's) and a
+    fifth to 0.0, cell 0 of every row kept nonzero."""
+    cells = rng.normal(size=shape) if zero == -np.inf else rng.random(shape)
+    pick = rng.random(shape)
+    cells[pick < 0.2] = zero
+    cells[(pick >= 0.2) & (pick < 0.4)] = 0.0
+    cells[..., 0] = rng.random(shape[:-1]) + 0.5
+    return cells
+
+
+class TestLayeredPasses:
+    """`backward_pass` and `forward_pass` against their cell-by-cell loops, bit
+    for bit, in every semiring the library runs them in."""
+
+    @pytest.mark.parametrize("shape", PASS_SHAPES)
+    @pytest.mark.parametrize("semiring, zero", [
+        ((np.add, np.multiply), 0.0),          # EW's linear tail sums
+        ((np.logaddexp, np.add), -np.inf),     # EW's log tail sums
+        ((np.maximum, np.add), -np.inf),       # the hindsight DP
+    ], ids=["sum_product", "log_sum_product", "max_plus"])
+    def test_backward_pass(self, shape, semiring, zero):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        plus, times = semiring
+        for _ in range(5):
+            sums = pass_cells(rng, shape, zero)
+            ref_sums, ref_prefix = loop_backward(sums, plus, times)
+            prefix = _kernels.backward_pass(sums, plus.accumulate, times)
+            assert sums.tobytes() == ref_sums.tobytes()
+            assert prefix.tobytes() == ref_prefix.tobytes()
+
+    @pytest.mark.parametrize("shape", PASS_SHAPES)
+    @pytest.mark.parametrize("semiring, zero", [
+        ((np.add, np.divide, np.multiply), 0.0),       # EW's linear marginals, OMD's start
+        ((np.logaddexp, np.subtract, np.add), -np.inf),  # EW's log marginals
+    ], ids=["linear", "log"])
+    def test_forward_pass(self, shape, semiring, zero):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        plus, ratio, times = semiring
+        for _ in range(5):
+            q = pass_cells(rng, shape, zero)
+            z = plus.accumulate(pass_cells(rng, shape, zero), axis=-1)
+            ref = loop_forward(q, z, plus, ratio, times)
+            got = _kernels.forward_pass(q, z, plus.accumulate, ratio, times)
+            assert got is q
+            assert got.tobytes() == ref.tobytes()
 
 
 def stacked_cases(k):

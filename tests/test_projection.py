@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabid import (
-    FeedbackMode,
-    ProjectionError,
-    ValuationProfile,
-    ix_gamma_schedule,
-    make_even_grid,
-    omd_eta_schedule,
-    q_membership,
-    unconstrained_step,
-)
 from pabid import _kernels
 from pabid._kernels import apply_slot_rewards, project_dual_ascent, slot_rewards
+from pabid.auction import ValuationProfile
+from pabid.exp_weights import FeedbackMode, ix_gamma_schedule
+from pabid.grids import make_even_grid
 from pabid.mirror_descent import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_PROJECTION_TOL,
     MAX_PLAIN_EXPONENT,
+    ProjectionError,
     _project,
+    omd_eta_schedule,
+    q_membership,
+    unconstrained_step,
 )
 
 from conftest import random_q_member

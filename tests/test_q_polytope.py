@@ -1,17 +1,11 @@
 """Occupancy polytope: membership, and sampling bids straight from the marginals."""
 import numpy as np
 
-from pabid import (
-    BidVector,
-    CompetingBids,
-    FeedbackMode,
-    OmdBidder,
-    StochasticAdversary,
-    ValuationProfile,
-    make_even_grid,
-    q_membership,
-    sample_from_marginals,
-)
+from pabid.adversaries import StochasticAdversary
+from pabid.auction import BidVector, CompetingBids, ValuationProfile
+from pabid.exp_weights import FeedbackMode
+from pabid.grids import make_even_grid
+from pabid.mirror_descent import OmdBidder, q_membership, sample_from_marginals
 
 from conftest import FixedUniform, enumerated_marginals, random_q_member, sampler_law
 from oracles import count_rule_indices, settle

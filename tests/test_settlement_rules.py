@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabid import (
+from pabid.adversaries import StochasticAdversary
+from pabid.auction import (
     BidVector,
     CompetingBids,
-    StochasticAdversary,
     ValuationProfile,
-    accumulate_weights_history,
-    make_even_grid,
-    market_metrics,
+    round_thresholds,
+    settle_columns,
 )
-from pabid.auction import round_thresholds, settle_columns
-from pabid.simulator import ENV_BLOCK, RunLog, SelfPlayMarket
+from pabid.grids import make_even_grid
+from pabid.hindsight import accumulate_weights_history
+from pabid.simulator import ENV_BLOCK, RunLog, SelfPlayMarket, market_metrics
 
 from oracles import (
     ENV_LOSES_PRIORITY,

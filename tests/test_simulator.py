@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabid import (
-    Scenario,
-    ScenarioError,
-    market_metrics,
-    make_even_grid,
-    regret_report,
-    run_experiment,
-    validate_scenario,
-)
 from pabid.adversaries import StochasticAdversary
 from pabid.auction import ValuationProfile
 from pabid.exp_weights import ExpWeightsBidder, LearnerConfig
-from pabid.scenario import build_market, replication_seeds
-from pabid.simulator import RunLog, SelfPlayMarket
+from pabid.grids import make_even_grid
+from pabid.scenario import (
+    Scenario,
+    ScenarioError,
+    build_market,
+    replication_seeds,
+    run_experiment,
+    validate_scenario,
+)
+from pabid.simulator import RunLog, SelfPlayMarket, market_metrics, regret_report
 
 from oracles import csv_text, json_text, spawn_all_replication_seeds
 
@@ -164,8 +163,10 @@ class TestRegretReport:
         """30 seeds of a uniform-random monotone bidder: mean regret >= 0."""
         import numpy as np
 
-        from pabid import CompetingBids, StochasticAdversary, make_even_grid
-        from pabid import ValuationProfile, win_thresholds
+        from pabid.adversaries import StochasticAdversary
+        from pabid.auction import CompetingBids
+        from pabid.grids import make_even_grid
+        from pabid.auction import ValuationProfile, win_thresholds
         from pabid.hindsight import accumulate_weights_history, hindsight_optimal
 
         from oracles import iter_monotone_indices, settle
@@ -183,7 +184,7 @@ class TestRegretReport:
             realized = 0.0
             for t in range(rounds):
                 competing = CompetingBids(hist[t], grid)
-                from pabid import BidVector
+                from pabid.auction import BidVector
 
                 bid = BidVector(vectors[rng.integers(0, len(vectors))], grid)
                 realized += settle(valuation, bid, competing).utility
@@ -206,7 +207,8 @@ class TestMarketMetrics:
     def test_truthful_bidders_achieve_max_welfare(self):
         """All agents bid their valuations (grid-rounded down): welfare equals
         the best allocation of the supply to the pooled (rounded) values."""
-        from pabid import BidVector, ValuationProfile, make_even_grid
+        from pabid.auction import BidVector, ValuationProfile
+        from pabid.grids import make_even_grid
         from pabid.simulator import SelfPlayMarket
 
         grid = make_even_grid(21)
@@ -252,7 +254,8 @@ class TestMarketMetrics:
         assert np.max(np.abs(per_agent - metrics.total_utility)) <= 1e-9
 
     def test_ratio_entries_absent_without_winners_or_losers(self):
-        from pabid import BidVector, ValuationProfile, make_even_grid
+        from pabid.auction import BidVector, ValuationProfile
+        from pabid.grids import make_even_grid
         from pabid.simulator import SelfPlayMarket
 
         grid = make_even_grid(5)
@@ -277,7 +280,8 @@ class TestMarketMetrics:
         assert np.all(np.isnan(metrics.log2_price_gap))  # no losing bids
 
     def test_uniform_converged_bids_have_zero_log_ratios(self):
-        from pabid import BidVector, ValuationProfile, make_even_grid
+        from pabid.auction import BidVector, ValuationProfile
+        from pabid.grids import make_even_grid
         from pabid.simulator import SelfPlayMarket
 
         grid = make_even_grid(5)
