@@ -42,7 +42,10 @@ The EW kernels take the slot axis first and bids last: one (M, D) table, or
 an (M, k, D) stack of k agents whose slot m is one contiguous (k, D) block.
 Both run the same code, one numpy call per slot for all agents, with the same
 bits per agent as k separate calls, since every operation is elementwise or
-runs along the bid axis; only the sampler loops over the agents.
+runs along the bid axis; only the sampler loops over the agents. An EW group
+keeps one `Workspace`: `ew_tail_sums` given it writes its S and P through its
+per-slot row views, and `ew_marginals` reads them and writes its q. What they
+return aliases it until the group's next `propose`; other callers get new arrays.
 
 Mirror descent samples without a kernel: `mirror_descent.sample_from_marginals`
 bisects every slot's CDF at one shared uniform per round.
@@ -50,6 +53,7 @@ bisects every slot's CDF at one shared uniform per round.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 
@@ -199,7 +203,7 @@ def _nan_max(values):
     return math.nan if any(map(math.isnan, values)) else max(values, default=_NEG_INF)
 
 
-def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False):
+def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False, work=None):
     """Tail sums and their running prefix sums, in one backward pass.
 
     S[m, b] = exp(eta W[m, b]) P[m+1, b], with P[m, b] = sum_{b' <= b}
@@ -227,22 +231,25 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False):
     shift can overflow, and an agent whose shift does takes logs. Agents that
     take logs get the bits of the default call. Returns (sums, prefix,
     linear), `linear` a (k,) bool array (k = 1 for one table) naming the
-    agents on linear tables.
+    agents on linear tables. The tables are `work`'s (a `Workspace`) or new.
     """
+    work = work or Workspace(weights.shape)
     if isinstance(bounded, np.ndarray):  # per agent; the unmarked take logs
-        sums, prefix = ew_tail_sums(weights, allowed, eta)
+        sums, prefix = ew_tail_sums(weights, allowed, eta, work=work)
         sums[:, bounded], prefix[:, bounded] = ew_tail_sums(
             weights[:, bounded], allowed[:, bounded], eta[bounded], bounded=True)
         return sums, prefix
+    sums = np.multiply(eta, weights, work.sums)
     if bounded:
-        sums = eta * weights
-        np.exp(sums, out=sums)
+        np.exp(sums, sums)
         sums *= allowed
-        return sums, backward_pass(sums, np.add.accumulate, np.multiply)
+        backward_pass(work.backward, np.add.accumulate, np.multiply)
+        return sums, work.prefix
+    np.putmask(sums, ~allowed, _NEG_INF)
     if linear:
-        return _linear_tail_sums(weights, allowed, eta)
-    log_sums = np.where(allowed, eta * weights, _NEG_INF)
-    return log_sums, backward_pass(log_sums, np.logaddexp.accumulate, np.add)
+        return _linear_tail_sums(weights, allowed, eta, work)
+    backward_pass(work.backward, np.logaddexp.accumulate, np.add)
+    return sums, work.prefix
 
 
 def _log_tail_count(m_units, d):
@@ -264,46 +271,63 @@ def linear_rounds(m_units, d, eta_max):
     return room / (m_units * eta_max) if room >= 0.0 else -math.inf
 
 
-def backward_pass(sums, accumulate, combine):
-    """The layered graph's backward pass on an (M, D) table or (M, k, D) stack,
-    in place: from the last slot up, P[m] = accumulate(S[m]) along the bids and
-    S[m - 1] = combine(S[m - 1], P[m]). Returns P."""
-    prefix = np.empty_like(sums)
-    below = accumulate(sums[-1], axis=-1, out=prefix[-1])
-    for row, out in zip(sums[-2::-1], prefix[-2::-1]):
-        combine(row, below, out=row)
-        below = accumulate(row, axis=-1, out=out)
-    return prefix
+class Workspace:
+    """An EW group's per-round tables in its stack's shape: S, P and the backward pass's rows."""
+
+    def __init__(self, shape):
+        self.sums, self.prefix = np.empty((2, *shape))
+        self.backward = list(zip(self.sums[::-1], self.prefix[::-1]))
+
+    @functools.cached_property
+    def marginals(self):
+        """q, a buffer of one cell per row and q's forward rows, built at first use."""
+        q = np.empty_like(self.sums)
+        return q, np.empty((*q.shape[:-1], 1)), list(forward_rows(q, self.prefix))
 
 
-def forward_pass(q, z, accumulate, ratio, combine):
-    """The layered graph's forward pass on (M, D) tables or (M, k, D) stacks, in
-    place: from slot 1 down, q[m] = combine(q[m], the suffix accumulate of
-    ratio(q[m - 1], z[m])) along the bids. Returns `q`."""
+def backward_pass(rows, accumulate, combine):
+    """The layered graph's backward pass on an (M, D) table or (M, k, D) stack, in
+    place, over the pairs `zip(S[::-1], P[::-1])`: from the last slot up, P[m] =
+    accumulate(S[m]) along the bids and S[m - 1] = combine(S[m - 1], P[m])."""
+    rows = iter(rows)
+    row, below = next(rows)
+    accumulate(row, -1, None, below)
+    for row, out in rows:
+        combine(row, below, row)
+        below = accumulate(row, -1, None, out)
+
+
+def forward_rows(q, z):
+    """The rows (q[m - 1], q[m], z[m]) from slot 1 down, with a suffix buffer."""
     suffix = np.empty_like(q[0])
-    backward = suffix[..., ::-1]
-    for above, row, z_row in zip(q[:-1], q[1:], z[1:]):
-        ratio(above, z_row, out=suffix)
-        accumulate(backward, axis=-1, out=backward)  # suffix sums of the ratios
-        combine(row, suffix, out=row)
-    return q
+    return zip(q[:-1], q[1:], z[1:], itertools.repeat(suffix), itertools.repeat(suffix[..., ::-1]))
 
 
-def _linear_tail_sums(weights, allowed, eta):
-    """`ew_tail_sums(..., linear=True)`: the pass on exp(eta W - row max)."""
+def forward_pass(rows, accumulate, ratio, combine):
+    """The layered graph's forward pass on (M, D) tables or (M, k, D) stacks, in
+    place, over their `forward_rows`: from slot 1 down, q[m] = combine(q[m],
+    the suffix accumulate of ratio(q[m - 1], z[m])) along the bids."""
+    for above, row, z_row, suffix, backward in rows:
+        ratio(above, z_row, suffix)
+        accumulate(backward, -1, None, backward)  # suffix sums of the ratios
+        combine(row, suffix, row)
+
+
+def _linear_tail_sums(weights, allowed, eta, work):
+    """`ew_tail_sums(..., linear=True)` from its masked eta W: the pass on exp(eta W - row max)."""
     if _log_tail_count(weights.shape[0], weights.shape[-1]) > -_LINEAR_FLOOR:
         logs_only = np.zeros(weights.shape[1:-1], bool).reshape(-1)
-        return (*ew_tail_sums(weights, allowed, eta), logs_only)
-    sums = np.where(allowed, eta * weights, _NEG_INF)
+        return (*ew_tail_sums(weights, allowed, eta, work=work), logs_only)
+    sums, prefix = work.sums, work.prefix
     with np.errstate(over="ignore", invalid="ignore"):  # such a row fails the test below
         sums -= sums.max(axis=-1, keepdims=True)
     lowest = sums.min(axis=-1, where=allowed, initial=0.0)  # of each row's feasible cells
-    np.exp(sums, out=sums)
-    prefix = backward_pass(sums, np.add.accumulate, np.multiply)
+    np.exp(sums, sums)
+    backward_pass(work.backward, np.add.accumulate, np.multiply)
     linear = ((lowest >= _LINEAR_FLOOR) & (prefix[..., 0] >= _LINEAR_MIN)).all(axis=0).reshape(-1)
     flags = linear.tolist()
     if not any(flags):
-        return (*ew_tail_sums(weights, allowed, eta), linear)
+        return (*ew_tail_sums(weights, allowed, eta, work=work), linear)
     if not all(flags):
         logs = ~linear
         sums[:, logs], prefix[:, logs] = ew_tail_sums(weights[:, logs], allowed[:, logs],
@@ -368,9 +392,15 @@ def ew_marginals(sums, prefix=None, linear=None):
     float, q / z <= 1 / S[m, 0] <= 2**960 and no suffix sum overflows. An
     agent whose rows span more than that takes `_log_marginals`. Every
     choice is made per agent, so each agent of an (M, k, D) stack gets the
-    bits of its own (M, D) call; the marginals take the tables' shape.
+    bits of its own (M, D) call; the marginals take the tables' shape. For
+    `sums` a `Workspace`, its S and P are read and linear marginals are its q.
     """
     flags = [False] if linear is None else linear.tolist()
+    if isinstance(sums, Workspace):
+        sums, prefix, (q, total, rows) = sums.sums, sums.prefix, sums.marginals
+        if all(flags):
+            np.copyto(q, sums)
+            return _normalized(marginal_recursion(q, prefix, rows), total)
     if all(flags):
         return _normalized(marginal_recursion(sums.copy(), prefix))
     if any(flags):
@@ -396,26 +426,27 @@ def _linear_marginals(s):
     return _normalized(marginal_recursion(q, np.add.accumulate(q, axis=-1)))
 
 
-def marginal_recursion(q, z):
-    """The marginal recursion on linear S, held in `q` and overwritten, with z
-    its running row sums; returns `q`, its rows of mass 1 up to roundoff."""
+def marginal_recursion(q, z, rows=None):
+    """The marginal recursion on linear S in `q`, overwritten, with z its running row
+    sums (`rows`: their `forward_rows`); returns `q`, rows of mass 1 up to roundoff."""
     q[0] /= z[0][..., -1:]
-    return forward_pass(q, z, np.add.accumulate, np.divide, np.multiply)
+    forward_pass(rows or forward_rows(q, z), np.add.accumulate, np.divide, np.multiply)
+    return q
 
 
 def _log_marginals(s):
     """The marginal recursion in logs, for rows spanning more than exp's range:
-    the forward pass on log q = s with lz the running log row sums of s. The
+    the forward pass on log q = s, in place, with lz the running log row sums. The
     ratio q[m-1] / z[m] never leaves the log domain, so cells far below their
     row maximum keep their mass."""
     lz = np.logaddexp.accumulate(s, axis=-1)
-    log_q = forward_pass(s.copy(), lz, np.logaddexp.accumulate, np.subtract, np.add)
-    return _normalized(np.exp(log_q - log_q.max(axis=-1, keepdims=True)))
+    forward_pass(forward_rows(s, lz), np.logaddexp.accumulate, np.subtract, np.add)
+    return _normalized(np.exp(s - s.max(axis=-1, keepdims=True)))
 
 
-def _normalized(q):
-    """`q` with every row divided by its sum."""
-    return q / q.sum(axis=-1, keepdims=True)
+def _normalized(q, total=None):
+    """`q` with every row divided by its sum, in place; `total` takes the sums."""
+    return np.divide(q, q.sum(axis=-1, keepdims=True, out=total), q)
 
 
 def slot_rewards(allowed, valuations, grid_values):

@@ -102,6 +102,9 @@ def numpy_build() -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
     try:
         path = _resolve_scenario_path(args.scenario)
     except FileNotFoundError as err:
@@ -116,8 +119,9 @@ def cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     tasks = [(scenario, r, out_dir, args.format) for r in range(scenario.replications)]
-    if args.jobs > 1 and scenario.replications > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, scenario.replications, os.cpu_count() or 1)  # a pool forks all at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_run_single_replication, tasks))
     else:
         entries = [_run_single_replication(task) for task in tasks]
@@ -192,15 +196,14 @@ def suggested_grid_size(mode: str, demand: int, horizon: int) -> int:
     """The rate-optimal grid size: the smallest k >= 2 with k**2 M >= T (`full`),
     k**3 M >= T (`ew-bandit`) or k**3 >= T (`omd-bandit`), decided in integers
     so that an exact root is never rounded up."""
-    target = horizon if mode == "omd-bandit" else -(-horizon // demand)  # k**p >= target
+    # k**p >= target exactly when k exceeds the integer p-th root of n = target - 1
+    n = (horizon if mode == "omd-bandit" else -(-horizon // demand)) - 1
     if mode == "full":
-        return max(math.isqrt(target - 1) + 1, 2)
-    k = max(round(target ** (1.0 / 3.0)), 2)
-    while k**3 < target:
-        k += 1
-    while k > 2 and (k - 1) ** 3 >= target:
-        k -= 1
-    return k
+        return max(math.isqrt(n) + 1, 2)
+    k = 1 << -(-n.bit_length() // 3)  # at least the cube root of n; Newton's steps descend to it
+    while k > 1 and (step := (2 * k + n // (k * k)) // 3) < k:
+        k = step
+    return max(k + 1, 2)
 
 
 def cmd_grid_advice(args) -> int:

@@ -16,9 +16,10 @@ Feedback modes:
 `ExpWeightsBidder` is a population: k >= 1 agents of one demand and one
 feedback mode share an (M, k, D) weight table, slot-major, so each round
 runs every kernel once for all of them, with eta and gamma per agent, and
-each per-slot step reads one contiguous (k, D) block. Each agent keeps its
-own RNG stream and draws its M uniforms per round from it, a block of rounds
-at a time.
+each per-slot step reads one contiguous (k, D) block. The round's tables are
+one `_kernels.Workspace`, built at the first `propose`; what the kernels
+return aliases it, valid until the next `propose`. Each agent keeps its own
+RNG stream and draws its M uniforms per round from it, a block of rounds at a time.
 
 Agents sample from linear tables where these fit a float's range. A bandit
 group's sampler and marginals share one linear table per round, checked per
@@ -167,6 +168,7 @@ class ExpWeightsBidder:
             self._linear_rounds, self._bound_range = np.array(bounds), (min(bounds), max(bounds))
             self._updates = 0
         self.log_rounds = np.zeros(len(configs), dtype=np.int64)
+        self._work: Optional[_kernels.Workspace] = None  # built by the first propose, not at set-up
         self._pending_bids: Optional[np.ndarray] = None
         self._pending_marginals: Optional[np.ndarray] = None
         self._pending_linear: Optional[np.ndarray] = None
@@ -176,6 +178,7 @@ class ExpWeightsBidder:
         if not self._uniforms:
             self._draw_uniforms()
         uniforms = self._uniforms.pop()
+        work = self._work = self._work or _kernels.Workspace(self._kernel_args[0].shape)
         if self.wants_full_info:
             low, high = self._bound_range
             if low < self._updates <= high:  # between the agents' bounds: each by its own
@@ -185,12 +188,12 @@ class ExpWeightsBidder:
                 linear = self._updates <= low
                 if not linear:
                     self.log_rounds += 1
-            sums, prefix = _kernels.ew_tail_sums(*self._kernel_args, bounded=linear)
+            _kernels.ew_tail_sums(*self._kernel_args, bounded=linear, work=work)
         else:
-            sums, prefix, linear = _kernels.ew_tail_sums(*self._kernel_args, linear=True)
-        self._pending_bids = _kernels.sample_monotone(prefix, uniforms, linear)
+            linear = _kernels.ew_tail_sums(*self._kernel_args, linear=True, work=work)[2]
+        self._pending_bids = _kernels.sample_monotone(work.prefix, uniforms, linear)
         if not self.wants_full_info:
-            marginals = _kernels.ew_marginals(sums, prefix, linear)
+            marginals = _kernels.ew_marginals(work, linear=linear)
             self._pending_marginals = marginals.reshape(self.weights.shape)
             self._pending_linear = linear
             self.log_rounds += ~linear

@@ -86,7 +86,8 @@ def hindsight_optimal(table: NodeWeightTable) -> HindsightSolution:
     # cand[m, b'] = W_m(b') + U_{m+1}(b') and best[m, b] = U_m(b). + 0.0 makes a -0.0
     # weight (0 wins of a cell whose v_m - B_j rounds below 0) +0.0: no total is -0.0.
     cand = np.where(table.allowed, table.weights + 0.0, NEG_INF)
-    best = backward_pass(cand, np.maximum.accumulate, np.add)
+    best = np.empty_like(cand)
+    backward_pass(zip(cand[::-1], best[::-1]), np.maximum.accumulate, np.add)
     total = float(best[0, d - 1])
 
     indices = np.empty(m_units, dtype=np.int64)

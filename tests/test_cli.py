@@ -113,6 +113,45 @@ class TestRun:
             name = f"runlog_r{r:03d}.csv"
             assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        path, _ = write_scenario(tmp_path, rounds=5)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 2
+        assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs, replications, cpus, workers", [
+        (8, 3, 2, 2), (8, 3, 64, 3), (2, 5, 64, 2), (1, 3, 64, None), (8, 1, 64, None),
+        (8, 3, None, None),
+    ])
+    def test_the_pool_is_no_larger_than_the_replications_or_the_cpus(
+            self, tmp_path, monkeypatch, jobs, replications, cpus, workers):
+        """The pool is a stand-in that runs the replications in this process
+        and records its size; no worker process starts."""
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordedPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        path, _ = write_scenario(tmp_path, rounds=5, replications=replications)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 0
+        assert sizes == ([] if workers is None else [workers])
+        assert len(list((tmp_path / "out").glob("runlog_r*.csv"))) == replications
+
     def test_repeat_runs_identical(self, tmp_path):
         path, _ = write_scenario(tmp_path, rounds=30, replications=1)
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -830,6 +869,19 @@ class TestGridAdvice:
         19**(-1/3) * 513**(1/3) reads 3.0000000000000004."""
         assert main(["grid-advice", "--mode", "ew-bandit", "--m", "19", "--t", "513"]) == 0
         assert "suggested grid size: 3\n" in capsys.readouterr().out
+
+    def test_huge_horizons_give_the_exact_smallest_root(self):
+        """Exact roots, and one past them, at horizons whose float cube root
+        is off by far more than 1: at T = 10**100 it reads 9.1e18 below the
+        integer root."""
+        assert suggested_grid_size("omd-bandit", 1, 10**99) == 10**33
+        assert suggested_grid_size("omd-bandit", 1, 10**99 + 1) == 10**33 + 1
+        assert suggested_grid_size("ew-bandit", 8, 8 * 10**99) == 10**33
+        assert suggested_grid_size("full", 1, 10**100) == 10**50
+        assert suggested_grid_size("full", 3, 3 * 10**100 + 1) == 10**50 + 1
+        k = suggested_grid_size("omd-bandit", 1, 10**100)
+        assert k == 2154434690031883721759293566519351
+        assert (k - 1) ** 3 < 10**100 <= k**3
 
     def test_every_mode_matches_an_integer_reference(self):
         """The smallest k >= 2 with k**2 M >= T, k**3 M >= T or k**3 >= T, found

@@ -1,5 +1,6 @@
 """Exponential-weights learners: schedules, updates, and full runs."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,30 @@ class TestLearnerRuns:
             assert group.weights[:, i].tobytes() == solo.weights[:, 0].tobytes()
             assert group.allowed[:, i].tolist() == valuation.ir_mask(grid).tolist()
 
+    @pytest.mark.parametrize("agents", [1, 2])
+    def test_the_workspace_is_built_at_the_first_propose_and_reused(self, monkeypatch, agents):
+        """A group builds its per-round tables lazily, once, in the shape its
+        kernels read: (M, D) for a lone agent, (M, k, D) for a stack."""
+        built = []
+
+        class Counted(_kernels.Workspace):
+            def __init__(self, shape):
+                built.append(shape)
+                super().__init__(shape)
+
+        monkeypatch.setattr(_kernels, "Workspace", Counted)
+        grid = make_even_grid(11)
+        valuations = crossing_valuations()[:agents]
+        group = ExpWeightsBidder(valuations, grid, 40, [LearnerConfig(seed=s) for s in range(agents)],
+                                 mode=FeedbackMode.BANDIT_IX)
+        assert built == []
+        SelfPlayMarket([group], valuations, grid, 3, crossing_adversary(grid),
+                       members=[range(agents)]).play(40)
+        assert built == [(3, 11) if agents == 1 else (3, 2, 11)]
+        group.propose()
+        assert np.shares_memory(group._pending_marginals, group._work.marginals[0])
+        assert len(built) == 1
+
     def test_hopeless_market_yields_zero_utility_and_ir_bids(self):
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([0.8, 0.6]))
@@ -400,6 +425,43 @@ class TestFullInfoTables:
         assert log.replay_matches()
         assert math.floor(_kernels.linear_rounds(3, 11, 2.0)) + 1 == 116
         assert market.learners[0].log_rounds.tolist() == [300 - 116]
+
+    @pytest.mark.parametrize("algorithm", ["ew", "omd"])
+    def test_a_large_grid_plays(self, algorithm):
+        """A valid scenario at grid size 2**16 (demand x grid size well inside
+        `MAX_CELLS`) plays its rounds: an update costs memory in M k D."""
+        agent = {"algorithm": algorithm, "feedback": "full",
+                 "valuation": {"kind": "uniform_sorted", "demand": 2}}
+        log, market = play_scenario(full_info_document([agent] * 2, 2**16, 3, 3, 7))
+        assert log.rounds == 3 and log.replay_matches()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_an_update_allocates_in_proportion_to_the_tables(self, k):
+        """At D = 4,097 + k, two full-information rounds after the first `propose`
+        allocate at most a few (M, k, D) tables at once, not a (D + 1, D) mask."""
+        grid = make_even_grid(4097 + k)
+        valuations = [ValuationProfile(np.array([1.0, 0.6]))] * k
+        group = ExpWeightsBidder(valuations, grid, 10, [LearnerConfig(seed=s) for s in range(k)])
+        thresholds = [[2000, 3000]] * k
+        group.propose()
+        tracemalloc.start()
+        try:
+            group.observe(None, thresholds)
+            group.propose()
+            group.observe(None, thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * group.weights.nbytes
+
+    def test_a_full_information_workspace_builds_no_marginals(self):
+        """The workspace builds q, its forward rows and its row buffer at first
+        use; a full-information group, on bounded and then log tables, uses none."""
+        agent = {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 0.8, 0.5], "eta": 2}
+        _, market = play_scenario(full_info_document([agent] * 2, 11, 3, 150, 4))
+        (group,) = market.learners
+        assert group.log_rounds.tolist() == [150 - 116] * 2
+        assert sorted(vars(group._work)) == ["backward", "prefix", "sums"]
 
 
 class TestUniformBlocks:

@@ -1,6 +1,6 @@
 """Golden outputs: each bundled scenario, shortened to 300 rounds, must keep its bytes.
 
-Four more scenarios are written out below: a mixed market whose EW agents
+Five more scenarios are written out below: a mixed market whose EW agents
 of equal demand and feedback are not adjacent, against an environment that
 wins ties, so the grouping of agents cannot change anyone's draws unseen;
 one OMD bandit agent at the `omd_bandit` benchmark shape whose projections
@@ -11,7 +11,10 @@ is 2) carry their tables past the linear range bound at round 116, so the
 switch from linear tail sums to logs cannot move a bid unseen; and one EW
 bandit-IX agent of demand 2 against a supply of 3 that wins ties, so a
 lone agent's thresholds, read from the environment's rows alone, cannot
-drop the tie rule or the rows' unsold tail unseen.
+drop the tie rule or the rows' unsold tail unseen; and a self-play market of
+one EW bandit-IX and one EW bandit-IPW agent of demand 3, two groups whose
+tables have the same shape, so groups that shared per-round tables would
+update from each other's marginals, and not unseen.
 
 A last run pins a bandit agent's rounds in logs, which no run above
 reaches: one EW bandit-IX agent whose tables leave the linear range, so
@@ -120,6 +123,18 @@ INLINE_SCENARIOS = {
             "tie": "agent_loses",
         },
     },
+    "ew_bandit_two_groups": {
+        "name": "ew_bandit_two_groups",
+        "grid_size": 11,
+        "rounds": ROUNDS,
+        "master_seed": 2607,
+        "supply": 4,
+        "agents": [
+            {"algorithm": "ew", "feedback": "bandit_ix", "valuation": [0.9, 0.6, 0.4]},
+            {"algorithm": "ew", "feedback": "bandit_ipw", "valuation": [0.8, 0.7, 0.3]},
+        ],
+        "environment": {"kind": "self_play"},
+    },
 }
 
 # scenario -> (sha256 of CSV + regret reports + JSON, sha256 of market metrics)
@@ -151,6 +166,10 @@ GOLDEN = {
     "ew_bandit_short_demand": (
         "e557652fef49af1e16bab4e8bdc400ad7e6890e713e11c4a2e8788ec9ea8e301",
         "484d9437db68933d9109bba3f94f0701e1bb9938f37052f4c454ec26ea71e2fc",
+    ),
+    "ew_bandit_two_groups": (
+        "5b68b48f95066ee427b5ba05c38dc18183ca4f6447ab37c6633ac5839ca41b07",
+        "11ecda56f3caeabf18867bf5b843578ffdcc7488256357ce738e1442e84d9da7",
     ),
 }
 

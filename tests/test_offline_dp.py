@@ -6,7 +6,7 @@ import pytest
 
 from pabid.auction import CompetingBids, ValuationProfile, win_thresholds
 from pabid.grids import make_even_grid
-from pabid.hindsight import NEG_INF, accumulate_weights_history, hindsight_optimal
+from pabid.hindsight import NEG_INF, NodeWeightTable, accumulate_weights_history, hindsight_optimal
 
 from conftest import random_valuation
 from oracles import (
@@ -101,6 +101,16 @@ class TestHindsightOptimal:
         solution = hindsight_optimal(table)
         assert solution.total_utility == 0.0
         assert solution.bid.values.tolist() == [0.0, 0.0, 0.0]
+
+    def test_a_table_whose_grid_minimum_is_not_feasible_is_rejected(self):
+        grid = make_even_grid(5)
+        valuation = ValuationProfile(np.array([0.9, 0.5]))
+        allowed = valuation.ir_mask(grid)
+        allowed[1, 0] = False
+        table = NodeWeightTable(np.zeros(allowed.shape), allowed, grid, valuation)
+        with pytest.raises(ValueError,
+                           match="^grid minimum must be individually rational in every layer$"):
+            hindsight_optimal(table)
 
     @pytest.mark.parametrize("values", [[0.3], [0.6, 0.3, 0.3], [0.7], [0.6, 0.6]])
     @pytest.mark.parametrize("rounds", [0, 5])

@@ -49,6 +49,11 @@ class TestSchedulesAndInit:
         assert omd_eta_schedule(FeedbackMode.BANDIT_IX, 20, 400) == pytest.approx(
             math.sqrt(math.log(20) / (20 * 400)))
 
+    @pytest.mark.parametrize("grid_size, horizon", [(1, 400), (20, 0)])
+    def test_eta_schedule_rejects_a_grid_of_one_bid_or_no_rounds(self, grid_size, horizon):
+        with pytest.raises(ValueError, match="^grid size and horizon must be positive$"):
+            omd_eta_schedule(FeedbackMode.BANDIT_IX, grid_size, horizon)
+
     def test_uniform_policy_rows(self):
         # grid {0, 1/3, 2/3, 1}: slot 1 bids anything, IR cuts slot 2 at 2/3
         bidder = OmdBidder(ValuationProfile(np.array([1.0, 0.7])), make_even_grid(4), 100)

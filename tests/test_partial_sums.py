@@ -501,7 +501,8 @@ class TestLayeredPasses:
         for _ in range(5):
             sums = pass_cells(rng, shape, zero)
             ref_sums, ref_prefix = loop_backward(sums, plus, times)
-            prefix = _kernels.backward_pass(sums, plus.accumulate, times)
+            prefix = np.empty_like(sums)
+            _kernels.backward_pass(zip(sums[::-1], prefix[::-1]), plus.accumulate, times)
             assert sums.tobytes() == ref_sums.tobytes()
             assert prefix.tobytes() == ref_prefix.tobytes()
 
@@ -517,9 +518,8 @@ class TestLayeredPasses:
             q = pass_cells(rng, shape, zero)
             z = plus.accumulate(pass_cells(rng, shape, zero), axis=-1)
             ref = loop_forward(q, z, plus, ratio, times)
-            got = _kernels.forward_pass(q, z, plus.accumulate, ratio, times)
-            assert got is q
-            assert got.tobytes() == ref.tobytes()
+            _kernels.forward_pass(_kernels.forward_rows(q, z), plus.accumulate, ratio, times)
+            assert q.tobytes() == ref.tobytes()
 
 
 def stacked_cases(k):
@@ -578,6 +578,52 @@ class TestBatchedKernels:
                 assert stacked[:, i].tobytes() == single.tobytes()
 
 
+class TestWorkspace:
+    """One `Workspace`, reused round after round, gives the bytes of fresh
+    one-shot kernel calls in every regime of the tail sums."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_reused_tables_equal_one_shot_calls(self, k):
+        """50 rounds of new weights through one workspace: log, linear and
+        bounded tables and, for a stack, a bounded mix that passes the even
+        agents to bounded tables and the others to logs. In odd rounds the
+        stack's agent 1 has rows wider than exp's range, so its linear tables
+        fall to logs between two linear agents."""
+        rng = np.random.default_rng(26)
+        m, d, stack = 4, 9, k > 1
+        caps = np.sort(rng.integers(0, d, size=(k, m)), axis=1)[:, ::-1]
+        allowed = np.arange(d) <= caps.T[..., None]  # (M, k, D), cell 0 always feasible
+        etas = 0.5 + rng.random(k)
+        even = np.arange(k) % 2 == 0
+        work = _kernels.Workspace((m, k, d) if stack else (m, d))
+        regimes = set()
+        for t in range(50):
+            weights = rng.uniform(-5.0, 5.0, size=(m, k, d))
+            wide = stack and t % 2 == 1
+            if wide:
+                weights[:, 1] *= 400.0
+            args = ((weights, allowed, etas[:, None]) if stack
+                    else (weights[:, 0], allowed[:, 0], etas[0]))
+            calls = [({}, False), ({"linear": True}, None)]
+            calls += [({"bounded": even}, even)] if stack else []
+            calls += [] if wide else [({"bounded": True}, True)]
+            for kwargs, flags in calls:
+                got = ew_tail_sums(*args, **kwargs, work=work)
+                ref = ew_tail_sums(*args, **kwargs)
+                assert got[0] is work.sums and got[1] is work.prefix
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+                flags = got[2] if flags is None else flags
+                uniforms = rng.random((k, m) if stack else m)
+                assert (sample_monotone(got[1], uniforms, flags).tolist()
+                        == sample_monotone(ref[1], uniforms, flags).tolist())
+                if "linear" in kwargs:
+                    marginals = ew_marginals(work, linear=flags)
+                    assert marginals.tobytes() == ew_marginals(*ref).tobytes()
+                    assert np.shares_memory(marginals, work.marginals[0]) == all(flags)
+                    regimes.add(tuple(flags.tolist()))
+        assert regimes == ({(True, True, True), (True, False, True)} if stack else {(True,)})
+
+
 class TestMarginalRegimes:
     """`ew_marginals` runs in the linear domain unless an agent's rows span
     more than exp's range; either way it matches the cell-by-cell recursion."""
@@ -628,9 +674,9 @@ class TestMarginalRegimes:
         tail_sums = _kernels.ew_tail_sums
         tail_calls = []
 
-        def counted_tail_sums(*args, linear=False):
+        def counted_tail_sums(*args, linear=False, **kwargs):
             tail_calls.append(linear)
-            return tail_sums(*args, linear=linear)
+            return tail_sums(*args, linear=linear, **kwargs)
 
         monkeypatch.setattr(_kernels, "ew_tail_sums", counted_tail_sums)
         supply = 20
@@ -812,7 +858,7 @@ class TestLinearTables:
         grid = make_even_grid(5)
         group = ExpWeightsBidder([ValuationProfile(np.array([1.0, 0.5]))], grid, 10,
                                  [LearnerConfig(seed=1)], mode=FeedbackMode.BANDIT_IPW)
-        monkeypatch.setattr(_kernels, "ew_marginals", lambda sums, *_: np.zeros(sums.shape))
+        monkeypatch.setattr(_kernels, "ew_marginals", lambda work, linear: np.zeros(work.sums.shape))
         group.propose()
         assert group.log_rounds.tolist() == [int(force_logs)]
         regime = "log" if force_logs else "linear"

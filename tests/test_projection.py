@@ -216,6 +216,12 @@ class TestKernelMatchesDefinition:
         _q, _lam, _nu, sweeps, gap = project_dual_ascent(qt, np.ones((2, 2), bool), 1e-8, 1000)
         assert sweeps == 1 and math.isnan(gap)
 
+    def test_an_empty_shallow_prefix_releases_the_multiplier(self):
+        """P = 0: no log(P/A) exists, and the update sets lambda back to 0."""
+        assert _kernels._dominance_step(0.75, 0.0, 0.5) == -0.75
+        assert _kernels._dominance_step(0.75, 0.0, 0.0) == -0.75
+        assert _kernels._dominance_step(0.0, 0.0, 0.5) == 0.0
+
     def test_input_is_not_modified(self, rng):
         qt = rng.uniform(0.1, 1.0, size=(3, 5))
         before = qt.copy()
