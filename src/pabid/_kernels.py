@@ -89,9 +89,9 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     since its clipped update is exactly zero.
 
     The usual bandit step leaves every pair idle, so the first sweep checks
-    that on one prefix table of the normalized rows: when no P - A is
-    positive (NaN counts as positive), nothing moves and it returns if the
-    larger of the row-sum error and the largest P - A certifies. That
+    that on one prefix table of the normalized rows: when its largest P - A,
+    one NaN-propagating max, is not positive, nothing moves, and it returns
+    if the larger of that and the largest row-sum error certifies. That
     certificate is exact, as the passes' running sums and backward prefixes
     / 1.0 are the table's sums bit for bit. Otherwise one loop runs the
     sweeps, each visiting every pair and ending on the KKT gap.
@@ -107,10 +107,9 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     s = q.sum(axis=1)
     q /= s[:, None]
     nu = 0.0 - np.log(s)
-    top = _nan_max(_dominance_excess(q).max(axis=1, initial=_NEG_INF).tolist())
+    top = float(_dominance_excess(q).max(initial=_NEG_INF))
     if top <= 0.0:  # the first sweep moves no pair (a NaN top is busy)
-        errors = [abs(total - 1.0) for total in q.sum(axis=1).tolist()]
-        gap = max(_nan_max(errors), top)
+        gap = max(float(abs(q.sum(axis=1) - 1.0).max()), top)
         if not gap > tol:
             return q, np.zeros(lam_shape), nu, 1, gap
     lam = np.zeros(lam_shape)
@@ -196,11 +195,6 @@ def _kkt_gap(q, excess, lam):
     if excess.size:
         gap = max(gap, float(excess.max()), float(abs(lam * excess).max()))
     return gap
-
-
-def _nan_max(values):
-    """numpy's max of a list of floats: NaN when one is NaN, -inf when it is empty."""
-    return math.nan if any(map(math.isnan, values)) else max(values, default=_NEG_INF)
 
 
 def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False, work=None):

@@ -213,7 +213,11 @@ def cmd_grid_advice(args) -> int:
         print("error: --t and --m must be positive", file=sys.stderr)
         return 2
     suggestion = suggested_grid_size(args.mode, demand, horizon)
-    bound = demand * horizon / (suggestion - 1)  # even-grid spacing is 1/(D-1)
+    try:
+        bound = demand * horizon / (suggestion - 1)  # even-grid spacing is 1/(D-1)
+    except OverflowError:
+        print(f"error: M*T/(D-1) exceeds the largest float, {sys.float_info.max:g}", file=sys.stderr)
+        return 2
     print(f"suggested grid size: {suggestion}")
     print(f"discretization error bound (M*T/(D-1)): {bound:g}")
     return 0

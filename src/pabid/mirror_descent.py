@@ -10,8 +10,8 @@ reward estimates and project back onto the polytope in unnormalized KL.
 Bids are drawn straight from the marginals by the quantile (comonotone)
 coupling: one uniform U per round, and b_m = F_m^{-1}(U) in every slot m.
 Each slot's bid then has law q[m] exactly, and dominance makes the vector
-non-increasing. No transition tensor is built; the regret analysis and the
-bandit estimator read only q.
+non-increasing. No transition tensor is built. A bandit round converts to
+Python floats only the cells it probes or plays; whole tables stay in numpy.
 
 RNG contract: `OmdBidder` consumes exactly one uniform per round, whatever
 the demand. It is a market group of one agent: `propose` returns a (1, M)
@@ -98,23 +98,24 @@ def unconstrained_step(q_prev: np.ndarray, reward_estimate: np.ndarray, eta: flo
 
 
 def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: int,
-             label: str) -> np.ndarray:
+             round_index: Optional[int] = None) -> np.ndarray:
     """Unnormalized-KL projection onto the occupancy polytope, certified.
 
     The kernel's `gap` bounds the KKT residuals: layer-sum error, dominance
     violation, and complementary slackness of the dominance multipliers.
     Stationarity is exact by construction (the iterate is the dual-feasible
     exponential reweighting of the input). Returns the (M, D) iterate, or
-    raises `ProjectionError` when the gap exceeds `tol`; `label` opens its
-    message.
+    raises `ProjectionError` when the gap exceeds `tol`, its message naming
+    `round_index` when given.
 
     The kernel is looked up as this module's global at call time, so a
     wrapper installed there (a tracer, a test) sees every projection.
     """
     q, _lam, _nu, sweeps, gap = project_dual_ascent(q_tilde, allowed, tol, max_sweeps)
     if not gap <= tol:
+        where = "" if round_index is None else f" in round {round_index}"
         raise ProjectionError(
-            f"{label} stopped at gap {gap:.3e} after {sweeps} sweeps (tol {tol:.1e})",
+            f"projection{where} stopped at gap {gap:.3e} after {sweeps} sweeps (tol {tol:.1e})",
             best=q, gap=float(gap), sweeps=int(sweeps),
         )
     return q
@@ -127,16 +128,21 @@ def sample_from_marginals(q: np.ndarray, rng: np.random.Generator) -> np.ndarray
     the row total, which is always a cell of positive mass. The total is the
     cumulative sum's own last entry: U < 1 then keeps U * total below it in
     floating point, so the index never runs past the grid. A cumulative sum
-    never decreases, so that index, the count of its entries <= U * total,
-    is one `bisect_right`. Dominance (F_m <= F_{m+1}) makes the indices
-    non-increasing; the running minimum absorbs the dominance slack that the
+    never decreases, so that index is one `bisect_right` of the row, through
+    a flat memoryview that converts only the cells it probes. Dominance makes
+    the indices non-increasing; bisecting each row below the previous pick
+    takes their running minimum, which absorbs the dominance slack that the
     projection's tolerance leaves, and changes nothing on an exact member.
 
     Consumes exactly one uniform per call.
     """
-    u = rng.random()
-    picks = [bisect.bisect_right(row, u * row[-1]) for row in q.cumsum(axis=1).tolist()]
-    return np.minimum.accumulate(picks)
+    u, d = rng.random(), q.shape[1]
+    cells = np.add.accumulate(q, axis=1).reshape(-1).data
+    picks, pick = [], d
+    for start in range(0, len(cells), d):
+        pick = bisect.bisect_right(cells, u * cells[start + d - 1], start, start + pick) - start
+        picks.append(pick)
+    return np.array(picks)
 
 
 def omd_eta_schedule(mode: FeedbackMode, grid_size: int, horizon: int) -> float:
@@ -168,6 +174,8 @@ class OmdBidder:
         self.grid = grid
         self.mode = mode
         self.eta = eta if eta is not None else omd_eta_schedule(mode, grid.count, horizon)
+        if not math.isfinite(self.eta):  # the bandit step's lost slots need eta * 0.0 == 0.0
+            raise ValueError(f"eta must be finite, not {self.eta}")
         self.allowed = valuation.ir_mask(grid)
         self.gamma = estimator_offsets(mode, self.allowed, horizon, gamma)
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
@@ -176,7 +184,6 @@ class OmdBidder:
         self.rng = np.random.default_rng(seed)
         feasible = self.allowed.astype(float)
         self.q = _kernels.marginal_recursion(feasible, np.cumsum(feasible, axis=1))
-        self._slots = np.arange(valuation.demand)
         self._values = valuation.values.tolist()
         self._bid_values = grid.values.tolist()
         self._offsets = self.gamma.tolist()
@@ -194,7 +201,7 @@ class OmdBidder:
 
         Under full information, the realized slot rewards: v_m - B_j on every
         feasible cell at or above slot m's win threshold. Under bandit
-        feedback only the played cells are nonzero (`_played_cells`). Extra
+        feedback only the won slots' played cells are nonzero (`_won_cells`). Extra
         arguments (the former tie rule and bidder priority) are ignored.
         """
         est = np.zeros(self.q.shape)
@@ -203,22 +210,21 @@ class OmdBidder:
                 raise ValueError("full-information feedback requires the win thresholds")
             _kernels.apply_slot_rewards(est, self._rewards, np.asarray(thresholds))
             return est
-        est[self._slots, self._pending] = self._played_cells(allocation)[1]
+        est[range(allocation), self._pending[:allocation]] = self._won_cells(allocation)[2]
         return est
 
-    def _played_cells(self, allocation: int) -> tuple[list, list]:
-        """q at the M played cells and their bandit estimates, as Python floats.
+    def _won_cells(self, allocation: int) -> tuple[list, list, list]:
+        """The won slots' played columns, q there and their bandit estimates, as Python values.
 
-        A won slot's estimate is its realized reward v_m - B_j over
-        max(q, Q_FLOOR) + gamma, a lost slot's is 0; Python's float arithmetic
-        gives the bits numpy's elementwise arithmetic would.
+        Slot m < allocation won, and its estimate is its realized reward v_m - B_j
+        over max(q, Q_FLOOR) + gamma (a lost slot's is 0); Python's float
+        arithmetic gives the bits numpy's elementwise arithmetic would.
         """
-        played = self.q[self._slots, self._pending].tolist()
-        estimates = [(value - self._bid_values[j] if m < allocation else 0.0)
-                     / (max(q, Q_FLOOR) + gamma)
-                     for m, (value, j, q, gamma) in enumerate(
-                         zip(self._values, self._pending.tolist(), played, self._offsets))]
-        return played, estimates
+        columns = self._pending[:allocation].tolist()
+        played = [self.q.item(m, j) for m, j in enumerate(columns)]
+        estimates = [(value - self._bid_values[j]) / (max(q, Q_FLOOR) + gamma)
+                     for value, j, q, gamma in zip(self._values, columns, played, self._offsets)]
+        return columns, played, estimates
 
     def observe(self, allocations, thresholds=None) -> None:
         """Take this agent's allocation, or under full information its thresholds."""
@@ -230,23 +236,25 @@ class OmdBidder:
         else:
             q_tilde = self._bandit_step(allocations[0])
         self.q = _project(q_tilde, self.allowed, DEFAULT_PROJECTION_TOL, DEFAULT_MAX_SWEEPS,
-                          f"projection in round {self.rounds}")
+                          self.rounds)
         self._pending = None
         self.rounds += 1
 
     def _bandit_step(self, allocation: int) -> np.ndarray:
-        """`unconstrained_step` on the bandit estimate, exponentiating the M played cells only.
+        """`unconstrained_step` on the bandit estimate, exponentiating the won cells only.
 
-        Every other cell has estimate 0, so its factor is exp(0) = 1 exactly:
-        multiplying the played cells of a copy of q gives the dense step's
-        bits, as the exponents go through the same `np.exp`. A step that
-        needs the shift (or meets a NaN) is the dense one.
+        Every other cell has estimate 0 and eta is finite, so its factor is
+        exp(0) = 1 exactly: multiplying the won cells of a copy of q by their
+        `np.exp` gives the dense step's bits, and nothing won is a plain copy.
+        A step that needs the shift (or meets a NaN) is the dense one.
         """
-        played, estimates = self._played_cells(allocation)
+        if not allocation:
+            return self.q.copy()
+        columns, played, estimates = self._won_cells(allocation)
         exponents = [self.eta * est for est in estimates]
         if not all(x <= MAX_PLAIN_EXPONENT for x in exponents):
             return unconstrained_step(self.q, self.reward_estimate(allocation, None), self.eta)
         q_tilde = self.q.copy()
-        q_tilde[self._slots, self._pending] = [
-            q * factor for q, factor in zip(played, np.exp(exponents).tolist())]
+        for m, (j, q, factor) in enumerate(zip(columns, played, np.exp(exponents).tolist())):
+            q_tilde[m, j] = q * factor
         return q_tilde

@@ -61,6 +61,7 @@ _TOP_KEYS = {"name", "grid_size", "rounds", "replications", "master_seed",
 # sizes would fail in numpy or out of memory only once the run starts, and
 # validation builds the grid itself.
 MAX_CELLS = 2**26
+MAX_REPLICATIONS = 2**14  # `pabid run` holds a task and a metrics.json entry of each
 
 
 class ScenarioError(ValueError):
@@ -146,11 +147,13 @@ def validate_scenario(document: dict) -> Scenario:
     replications = document.get("replications", 1)
     if not _is_positive_int(replications):
         problems.append("replications: must be a positive integer")
-        replications = 1
+    elif replications > MAX_REPLICATIONS:
+        problems.append(f"replications: must be at most {MAX_REPLICATIONS}")
     master_seed = document.get("master_seed", 0)
     if not isinstance(master_seed, int) or isinstance(master_seed, bool) or master_seed < 0:
         problems.append("master_seed: must be a non-negative integer")
-        master_seed = 0
+    elif master_seed >= 2**128:
+        problems.append("master_seed: must be below 2**128")
 
     agents: list[AgentSpec] = []
     groups: dict = {}  # EW agents of equal demand and feedback share a group

@@ -112,6 +112,25 @@ def random_q_member(rng: np.random.Generator, demand: int, grid_size: int) -> np
     return chain_marginals(*random_policy(rng, demand, grid_size))
 
 
+def member_on(rng: np.random.Generator, allowed: np.ndarray) -> np.ndarray:
+    """A random polytope member supported on `allowed` (an IR staircase):
+    slot 1 Dirichlet on its feasible cells, then from bid b a Dirichlet
+    over the next slot's feasible cells at or below b."""
+    m_units, d = allowed.shape
+    q = np.zeros((m_units, d))
+    first = rng.dirichlet(np.ones(d)) * allowed[0]
+    q[0] = first / first.sum()
+    for m in range(1, m_units):
+        for b in range(d):
+            row = rng.dirichlet(np.ones(b + 1)) * allowed[m, : b + 1]
+            q[m, : b + 1] += q[m - 1, b] * row / row.sum()
+    return q
+
+
+# The largest double below 1: the extreme uniform a generator can return.
+LAST_UNIFORM = 1.0 - 2.0**-53
+
+
 class FixedUniform:
     """Stand-in generator whose every uniform is `u`."""
 

@@ -32,6 +32,15 @@ return: every sweep, the first too, visits every layer pair and ends on the
 KKT gap. `count_rule_indices` is the mirror-descent sampler's index rule as a
 count over the whole CDF table. The library must match both bit for bit.
 
+A mirror-descent bandit round once converted or rebuilt whole (M, D) tables;
+the library touches only the cells it plays. Its former forms stay here:
+`list_sample_from_marginals`, the sampler on the CDF table's `tolist()` with
+the running minimum by `np.minimum.accumulate`; `all_slot_bandit_step`, the
+bandit step that exponentiates all M played cells, the lost ones too; and
+`row_list_dual_ascent`, the projection whose first-sweep certificate takes
+each row's largest excess and row-sum error as Python floats. The library
+must give their bits.
+
 `PerRoundDrawBidder` is the EW group with each agent's uniforms drawn one
 round at a time, as `rng.random(M)`; the library draws them in blocks of
 rounds and must bid the same. `bandit_step` is the group's bandit update on
@@ -50,6 +59,7 @@ lower-bound tests check Monte Carlo settlement against.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -68,6 +78,7 @@ from pabid.auction import (
 from pabid.grids import VALUE_EPS, BidGrid
 from pabid.exp_weights import ExpWeightsBidder, _bandit_step
 from pabid.hindsight import NEG_INF, HindsightSolution, NodeWeightTable
+from pabid.mirror_descent import MAX_PLAIN_EXPONENT, Q_FLOOR, unconstrained_step
 from pabid.simulator import MarketMetrics, RunLog
 
 # Refuse enumeration beyond this many monotone grid vectors.
@@ -658,6 +669,66 @@ def count_rule_indices(q: np.ndarray, u: float) -> np.ndarray:
     cdf = np.cumsum(q, axis=1)
     threshold = u * cdf[:, -1:]
     return np.minimum.accumulate(np.count_nonzero(cdf <= threshold, axis=1))
+
+
+def list_sample_from_marginals(q: np.ndarray, rng) -> np.ndarray:
+    """`mirror_descent.sample_from_marginals` on lists: one `bisect_right` per row
+    of the CDF table's `tolist()`, then the running minimum over slots."""
+    u = rng.random()
+    picks = [bisect.bisect_right(row, u * row[-1]) for row in q.cumsum(axis=1).tolist()]
+    return np.minimum.accumulate(picks)
+
+
+def all_slot_bandit_step(q: np.ndarray, bid: np.ndarray, allocation: int, values: np.ndarray,
+                         grid_values: np.ndarray, gamma: np.ndarray, eta: float) -> np.ndarray:
+    """`OmdBidder`'s bandit step over all M played cells of `bid`.
+
+    Slot m's estimate is (v_m - B_j if m < allocation else 0) over max(q,
+    Q_FLOOR) + gamma_m, in Python floats. When every eta times an estimate is
+    at most `MAX_PLAIN_EXPONENT`, the played cells of a copy of q are
+    multiplied by their `np.exp`; otherwise (a NaN too) it is
+    `unconstrained_step` on the dense estimate table.
+    """
+    slots = np.arange(len(bid))
+    played = q[slots, bid].tolist()
+    estimates = [(v - grid_values[j] if m < allocation else 0.0) / (max(qm, Q_FLOOR) + g)
+                 for m, (v, j, qm, g) in enumerate(zip(values.tolist(), bid.tolist(), played,
+                                                       gamma.tolist()))]
+    exponents = [eta * est for est in estimates]
+    if not all(x <= MAX_PLAIN_EXPONENT for x in exponents):
+        dense = np.zeros(q.shape)
+        dense[slots, bid] = estimates
+        return unconstrained_step(q, dense, eta)
+    q_tilde = q.copy()
+    q_tilde[slots, bid] = [qm * f for qm, f in zip(played, np.exp(exponents).tolist())]
+    return q_tilde
+
+
+def row_list_dual_ascent(qt, allowed, tol, max_sweeps):
+    """`_kernels.project_dual_ascent` with its first-sweep certificate taken row by row.
+
+    After one normalization, each row's largest dominance excess P - A and
+    each row's |sum - 1| become Python floats, and their maxima are NaN when
+    one is NaN (`_list_max`). When no excess is positive and the larger of
+    the two maxima certifies, that is the result; otherwise
+    `sweep_dual_ascent` from the start. Returns (q, lam, nu, sweeps_used, gap).
+    """
+    m_units, d = qt.shape
+    q = np.where(allowed, qt, 0.0)
+    s = q.sum(axis=1)
+    q /= s[:, None]
+    prefix = q[:, :-1].cumsum(axis=1)
+    top = _list_max((prefix[:-1] - prefix[1:]).max(axis=1, initial=-math.inf).tolist())
+    if top <= 0.0:
+        gap = max(_list_max([abs(total - 1.0) for total in q.sum(axis=1).tolist()]), top)
+        if not gap > tol:
+            return q, np.zeros((max(m_units - 1, 1), max(d - 1, 1))), 0.0 - np.log(s), 1, gap
+    return sweep_dual_ascent(qt, allowed, tol, max_sweeps)
+
+
+def _list_max(values: list) -> float:
+    """numpy's max of a list of floats: NaN when one is NaN, -inf when it is empty."""
+    return math.nan if any(map(math.isnan, values)) else max(values, default=-math.inf)
 
 
 def spawn_all_replication_seeds(master_seed: int, replications: int, replication: int,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pabid.cli import main, numpy_build, suggested_grid_size
-from pabid.scenario import MAX_CELLS
+from pabid.scenario import MAX_CELLS, MAX_REPLICATIONS
 
 
 def write_scenario(tmp_path, name="tiny", rounds=60, replications=2, **overrides):
@@ -249,6 +249,7 @@ UNRUNNABLE = {
                      "gamma": 0.1}]},
         "agents[0].gamma"),
     "negative_master_seed": ({"master_seed": -1}, "master_seed"),
+    "master_seed_of_2p128": ({"master_seed": 2**128}, "master_seed"),
     "omd_eta_infinite": (
         {"agents": [{"algorithm": "omd", "feedback": "bandit_ix", "valuation": [1.0] * 3,
                      "eta": math.inf}]},
@@ -595,6 +596,51 @@ class TestArraySizeBounds:
         assert "scenario error: file: not valid JSON (" in capsys.readouterr().err
 
 
+class TestSeedAndReplicationBounds:
+    """`master_seed` lies below 2**128, and `replications` is at most
+    `MAX_REPLICATIONS`, so `pabid run` can hold a task and a metrics.json entry
+    per replication. A rejection prints the bound, never the value."""
+
+    @staticmethod
+    def problems(**fields):
+        from pabid.scenario import ScenarioError, validate_scenario
+
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario({**TestArraySizeBounds.document(), **fields})
+        return excinfo.value.problems
+
+    @pytest.mark.parametrize("seed", [2**128, 10**400, 10**5000], ids=["2p128", "1e400", "1e5000"])
+    def test_a_seed_of_2p128_or_more_is_rejected(self, seed):
+        assert self.problems(master_seed=seed) == ["master_seed: must be below 2**128"]
+
+    @pytest.mark.parametrize("replications", [MAX_REPLICATIONS + 1, 10**400, 10**5000],
+                             ids=["bound", "1e400", "1e5000"])
+    def test_replications_above_the_bound_are_rejected(self, replications):
+        assert self.problems(replications=replications) == [
+            f"replications: must be at most {MAX_REPLICATIONS}"]
+
+    def test_the_largest_seed_and_replications_validate(self):
+        from pabid.scenario import validate_scenario
+
+        scenario = validate_scenario({**TestArraySizeBounds.document(),
+                                      "master_seed": 2**128 - 1,
+                                      "replications": MAX_REPLICATIONS})
+        assert (scenario.master_seed, scenario.replications) == (2**128 - 1, MAX_REPLICATIONS)
+
+
+class TestAtomicWrite:
+    def test_a_failed_write_raises_and_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        from pabid import cli
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(PermissionError, match="cannot replace"):
+            cli._atomic_write(str(tmp_path / "metrics.json"), "{}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 def huge_eta_scenario(tmp_path, eta):
     """One EW full-information agent at a user-set eta, 50 rounds."""
     agent = {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 0.8, 0.5], "eta": eta}
@@ -859,6 +905,14 @@ class TestGridAdvice:
     def test_non_positive_demand_or_horizon_exits_2(self, capsys, m, t):
         assert main(["grid-advice", "--mode", "full", "--m", str(m), "--t", str(t)]) == 2
         assert "--t and --m must be positive" in capsys.readouterr().err
+
+    def test_a_bound_past_float_range_exits_2(self, capsys):
+        """M*T/(D-1) at T = 10**1000 is about 10**667, past the largest float."""
+        assert main(["grid-advice", "--mode", "omd-bandit", "--m", "1", "--t", str(10**1000)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: M*T/(D-1) exceeds the largest float, "
+                                "1.79769e+308\n")
 
     def test_floor_at_two(self, capsys):
         assert main(["grid-advice", "--mode", "full", "--m", "1", "--t", "1"]) == 0

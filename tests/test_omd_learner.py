@@ -1,15 +1,22 @@
 """Mirror-descent bidder: initial measure, sampling, estimates, and convergence."""
 import math
 import pickle
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pabid._kernels import project_dual_ascent
 from pabid.adversaries import StochasticAdversary
 from pabid.auction import BidVector, CompetingBids, ValuationProfile, win_thresholds
-from pabid.exp_weights import FeedbackMode
+from pabid.exp_weights import FeedbackMode, estimator_offsets
 from pabid.grids import make_even_grid
 from pabid.mirror_descent import (
+    DEFAULT_PROJECTION_TOL,
+    Q_FLOOR,
     OmdBidder,
     ProjectionError,
     omd_eta_schedule,
@@ -19,14 +26,23 @@ from pabid.mirror_descent import (
 from pabid.scenario import build_market, validate_scenario
 
 from conftest import (
+    LAST_UNIFORM,
     FixedUniform,
     chain_marginals,
     enumerated_marginals,
+    member_on,
     play_against,
     random_q_member,
     sampler_law,
 )
-from oracles import PooledBids, priority_thresholds, settle
+from oracles import (
+    PooledBids,
+    all_slot_bandit_step,
+    list_sample_from_marginals,
+    priority_thresholds,
+    row_list_dual_ascent,
+    settle,
+)
 
 
 def uniform_successor_chain(allowed: np.ndarray):
@@ -304,3 +320,73 @@ class TestConvergence:
         first = play_against(OmdBidder(valuation, grid, 150, seed=10), adversary, 150).bids[0]
         second = play_against(OmdBidder(valuation, grid, 150, seed=10), adversary, 150).bids[0]
         assert np.array_equal(first, second)
+
+
+def validator_eta_bound(mode: FeedbackMode, grid_size: int, horizon: int) -> float:
+    """The largest OMD eta `validate_scenario` accepts: eta times the largest
+    bandit estimate, 1 / (Q_FLOOR + the smallest IX offset), below half the
+    largest float."""
+    offset = float(estimator_offsets(mode, np.ones((1, grid_size), bool), horizon, None)[0])
+    return float(np.nextafter(sys.float_info.max / 2 * (Q_FLOOR + offset), 0.0))
+
+
+def same_projection_bytes(got, want) -> bool:
+    """q, lambda, nu, the sweep count and the gap, compared as bytes."""
+    return ([np.asarray(a).tobytes() for a in got[:3]] + [got[3], struct.pack("d", got[4])]
+            == [np.asarray(a).tobytes() for a in want[:3]] + [want[3], struct.pack("d", want[4])])
+
+
+class TestBanditRoundMatchesItsOracles:
+    """A bandit round touches only the cells it plays: the sampler bisects the
+    CDF table in place, the step exponentiates the won cells, and the
+    projection certifies from whole-table maxima. Each gives the bits of its
+    former form in `oracles`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), demand=st.integers(1, 5), grid_size=st.integers(2, 12),
+           ipw=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_sampler_step_and_certificate(self, data, demand, grid_size, ipw, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_even_grid(grid_size)
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=demand, max_size=demand))
+        valuation = ValuationProfile(np.sort(values)[::-1])  # IR masks rows with low values
+        mode = FeedbackMode.BANDIT_IPW if ipw else FeedbackMode.BANDIT_IX
+        horizon = 100
+        eta = data.draw(st.one_of(st.none(), st.floats(1e-3, 10.0), st.floats(
+            10.0, validator_eta_bound(mode, grid_size, horizon))))
+        bidder = OmdBidder(valuation, grid, horizon, mode=mode, eta=eta, seed=seed)
+        bidder.q = member_on(rng, bidder.allowed)
+        if data.draw(st.booleans()):  # off the polytope: cells below the floor, dominance broken
+            bidder.q[:, 1:] *= rng.choice([1.0, 1e-3, 1e-14], size=(demand, grid_size - 1))
+
+        # uniforms at the rows' normalized CDF breakpoints, one ulp either side and the ends
+        cdf = np.cumsum(bidder.q, axis=1)
+        cuts = (cdf / cdf[:, -1:]).ravel()
+        for u in [0.0, LAST_UNIFORM, *cuts, *np.nextafter(cuts, 0.0), *np.nextafter(cuts, 1.0)]:
+            u = min(float(u), LAST_UNIFORM)
+            got = sample_from_marginals(bidder.q, FixedUniform(u))
+            want = list_sample_from_marginals(bidder.q, FixedUniform(u))
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), u
+
+        bid = bidder.propose()[0]
+        allocation = data.draw(st.integers(0, demand))
+        q_tilde = bidder._bandit_step(allocation)
+        assert q_tilde.tobytes() == all_slot_bandit_step(
+            bidder.q, bid, allocation, valuation.values, grid.values, bidder.gamma,
+            bidder.eta).tobytes()
+
+        tol = DEFAULT_PROJECTION_TOL
+        assert same_projection_bytes(project_dual_ascent(q_tilde, bidder.allowed, tol, 50),
+                                     row_list_dual_ascent(q_tilde, bidder.allowed, tol, 50))
+        # a NaN in a row's last column reaches only its row sum, which must not certify
+        row = data.draw(st.integers(0, demand - 1))
+        q_tilde[row, -1] = math.nan
+        allowed = np.ones(q_tilde.shape, bool)
+        got = project_dual_ascent(q_tilde, allowed, tol, 50)
+        assert same_projection_bytes(got, row_list_dual_ascent(q_tilde, allowed, tol, 50))
+        assert math.isnan(got[4])
+
+    def test_eta_must_be_finite(self):
+        for eta in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^eta must be finite"):
+                OmdBidder(ValuationProfile(np.array([1.0])), make_even_grid(3), 10, eta=eta)

@@ -22,7 +22,7 @@ from pabid.mirror_descent import (
     unconstrained_step,
 )
 
-from conftest import random_q_member
+from conftest import member_on, random_q_member
 from oracles import sweep_dual_ascent, unnormalized_kl
 
 
@@ -67,21 +67,6 @@ def textbook_dual_ascent(qt, allowed, tol, max_sweeps):
         if gap <= tol:
             return q, lam, nu, sweep + 1, gap
     return q, lam, nu, max_sweeps, gap
-
-
-def member_on(rng: np.random.Generator, allowed: np.ndarray) -> np.ndarray:
-    """A random polytope member supported on `allowed` (an IR staircase):
-    slot 1 Dirichlet on its feasible cells, then from bid b a Dirichlet
-    over the next slot's feasible cells at or below b."""
-    m_units, d = allowed.shape
-    q = np.zeros((m_units, d))
-    first = rng.dirichlet(np.ones(d)) * allowed[0]
-    q[0] = first / first.sum()
-    for m in range(1, m_units):
-        for b in range(d):
-            row = rng.dirichlet(np.ones(b + 1)) * allowed[m, : b + 1]
-            q[m, : b + 1] += q[m - 1, b] * row / row.sum()
-    return q
 
 
 def kernel_parity_cases():
@@ -135,7 +120,7 @@ def best_on_grid_d2(raw: np.ndarray, step: float = 1e-3):
 def project(raw, allowed=None, tol=DEFAULT_PROJECTION_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):
     """`OmdBidder`'s certified projection of `raw` and the kernel's gap there."""
     allowed = np.ones(raw.shape, bool) if allowed is None else allowed
-    q = _project(raw, allowed, tol, max_sweeps, "projection")
+    q = _project(raw, allowed, tol, max_sweeps)
     return q, project_dual_ascent(raw, allowed, tol, max_sweeps)[4]
 
 

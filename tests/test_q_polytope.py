@@ -7,11 +7,14 @@ from pabid.exp_weights import FeedbackMode
 from pabid.grids import make_even_grid
 from pabid.mirror_descent import OmdBidder, q_membership, sample_from_marginals
 
-from conftest import FixedUniform, enumerated_marginals, random_q_member, sampler_law
+from conftest import (
+    LAST_UNIFORM,
+    FixedUniform,
+    enumerated_marginals,
+    random_q_member,
+    sampler_law,
+)
 from oracles import count_rule_indices, settle
-
-# The largest double below 1: the extreme uniform a generator can return.
-LAST_UNIFORM = 1.0 - 2.0**-53
 
 
 class TestMembership:
