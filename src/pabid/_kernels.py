@@ -44,8 +44,9 @@ Both run the same code, one numpy call per slot for all agents, with the same
 bits per agent as k separate calls, since every operation is elementwise or
 runs along the bid axis; only the sampler loops over the agents. An EW group
 keeps one `Workspace`: `ew_tail_sums` given it writes its S and P through its
-per-slot row views, and `ew_marginals` reads them and writes its q. What they
-return aliases it until the group's next `propose`; other callers get new arrays.
+per-slot row views, `ew_marginals` reads them and writes its q, and
+`apply_slot_rewards(..., work=)` its win mask. What they return aliases it
+until the group's next `propose`; other callers get new arrays.
 
 Mirror descent samples without a kernel: `mirror_descent.sample_from_marginals`
 bisects every slot's CDF at one shared uniform per round.
@@ -203,7 +204,7 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False, work=None):
     S[m, b] = exp(eta W[m, b]) P[m+1, b], with P[m, b] = sum_{b' <= b}
     S[m, b'] and forbidden cells of zero mass. P[m, cap] is the normalizer of
     slot m's law when the previous slot bid `cap`, so the sampler reads it
-    directly. `eta` is a scalar, or (k, 1) rates for an (M, k, D) stack.
+    directly. `eta` is a scalar, or an (M, k, D) stack's rates, (k, 1) or in its shape.
 
     By default the tables are in logs, one `np.logaddexp.accumulate` per
     layer. Returns (log_sums, log_prefix).
@@ -231,7 +232,7 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False, work=None):
     if isinstance(bounded, np.ndarray):  # per agent; the unmarked take logs
         sums, prefix = ew_tail_sums(weights, allowed, eta, work=work)
         sums[:, bounded], prefix[:, bounded] = ew_tail_sums(
-            weights[:, bounded], allowed[:, bounded], eta[bounded], bounded=True)
+            weights[:, bounded], allowed[:, bounded], eta[..., bounded, :], bounded=True)
         return sums, prefix
     sums = np.multiply(eta, weights, work.sums)
     if bounded:
@@ -239,7 +240,7 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False, work=None):
         sums *= allowed
         backward_pass(work.backward, np.add.accumulate, np.multiply)
         return sums, work.prefix
-    np.putmask(sums, ~allowed, _NEG_INF)
+    np.putmask(sums, np.logical_not(allowed), _NEG_INF)
     if linear:
         return _linear_tail_sums(weights, allowed, eta, work)
     backward_pass(work.backward, np.logaddexp.accumulate, np.add)
@@ -266,11 +267,13 @@ def linear_rounds(m_units, d, eta_max):
 
 
 class Workspace:
-    """An EW group's per-round tables in its stack's shape: S, P and the backward pass's rows."""
+    """An EW group's per-round tables in its stack's shape: S, P, the backward pass's rows,
+    and the bid index and win mask of `apply_slot_rewards`."""
 
     def __init__(self, shape):
         self.sums, self.prefix = np.empty((2, *shape))
         self.backward = list(zip(self.sums[::-1], self.prefix[::-1]))
+        self.win_index = np.arange(shape[-1]), np.empty(shape, bool)
 
     @functools.cached_property
     def marginals(self):
@@ -324,8 +327,8 @@ def _linear_tail_sums(weights, allowed, eta, work):
         return (*ew_tail_sums(weights, allowed, eta, work=work), linear)
     if not all(flags):
         logs = ~linear
-        sums[:, logs], prefix[:, logs] = ew_tail_sums(weights[:, logs], allowed[:, logs],
-                                                      eta if np.ndim(eta) == 0 else eta[logs])
+        rates = eta if np.ndim(eta) == 0 else eta[..., logs, :]
+        sums[:, logs], prefix[:, logs] = ew_tail_sums(weights[:, logs], allowed[:, logs], rates)
     return sums, prefix, linear
 
 
@@ -448,8 +451,10 @@ def slot_rewards(allowed, valuations, grid_values):
     return np.where(allowed, valuations[..., None] - grid_values, 0.0)
 
 
-def apply_slot_rewards(weights, rewards, thresholds):
+def apply_slot_rewards(weights, rewards, thresholds, work=None):
     """Add the `slot_rewards` table to every cell (m, j) that wins: j >= thr_m.
-    `thresholds` are (M,), or (k, M) in agent order for an (M, k, D) stack."""
-    wins = np.arange(rewards.shape[-1]) >= thresholds.T[..., None]
+    `thresholds` are (M,), or (k, M) in agent order for an (M, k, D) stack;
+    `work`, a `Workspace` of the tables' shape, lends its bid index and win mask."""
+    index, wins = work.win_index if work else (np.arange(rewards.shape[-1]), None)
+    wins = np.greater_equal(index, thresholds.T[..., None], out=wins)
     np.add(weights, rewards, out=weights, where=wins)

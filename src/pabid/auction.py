@@ -27,9 +27,9 @@ The settlement rules are written once, on integer grid indices:
   takes rank 1; an environment that wins ties takes rank N + 1.
   `round_thresholds` is the one routine that pools: it sorts every
   bidder's entries of a round as integer keys index * L + rank, L the
-  number of ranks, once, and reads each bidder's thresholds straight off
-  its pooled keys. The run log keeps these thresholds, so nothing after
-  the run pools again.
+  number of ranks, once; one pass over the sort's head skips a bidder's own
+  keys and turns the rest into its thresholds, padded with 0. The run log
+  keeps these thresholds, so nothing after the run pools again.
 - One bidder against rows of competing bids with no owners, as a lone
   agent faces the environment and as `pabid hindsight` scores a history,
   needs only that bool: `win_thresholds(rows, demand, rivals_win_ties)`
@@ -152,16 +152,17 @@ def round_thresholds(rows: Sequence[list], ranks: Sequence[int], supply: int,
     `supply` keys of the descending sort that it does not own, padded with
     key 0, and slot m faces the m-th smallest. The rule of `win_thresholds`
     in key form: a rival key c * L + r gives the threshold c + (r > rank of
-    n), which is (key + L - 1 - rank of n) // L.
+    n), which is (key + L - 1 - rank of n) // L. One pass over the first
+    `supply` + len(row) keys skips n's own and converts the rest; the first
+    `supply`, reversed and front-padded with 0 (key 0's threshold), lead n's row.
     """
     width = len(ranks) + 1
     keys = sorted([j * width + r for row, r in zip(rows, ranks) for j in row], reverse=True)
     out = []
     for row, rank in zip(rows[:bidders], ranks):
-        pool = [key for key in keys[: supply + len(row)] if key % width != rank][:supply]
         shift = width - 1 - rank
-        ascending = [0] * (supply - len(pool)) + pool[::-1]
-        out.append([(key + shift) // width for key in ascending[: len(row)]])
+        pool = [(key + shift) // width for key in keys[: supply + len(row)] if key % width != rank]
+        out.append(([0] * (supply - len(pool)) + pool[supply - 1::-1])[: len(row)])
     return out
 
 

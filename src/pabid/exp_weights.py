@@ -17,9 +17,9 @@ Feedback modes:
 feedback mode share an (M, k, D) weight table, slot-major, so each round
 runs every kernel once for all of them, with eta and gamma per agent, and
 each per-slot step reads one contiguous (k, D) block. The round's tables are
-one `_kernels.Workspace`, built at the first `propose`; what the kernels
-return aliases it, valid until the next `propose`. Each agent keeps its own
-RNG stream and draws its M uniforms per round from it, a block of rounds at a time.
+one `_kernels.Workspace`, built with the kernels' arguments by the first
+`propose`; what the kernels return aliases it until the next `propose`. Each
+agent keeps its own RNG stream and draws its M uniforms per round, a block of rounds at a time.
 
 Agents sample from linear tables where these fit a float's range. A bandit
 group's sampler and marginals share one linear table per round, checked per
@@ -99,29 +99,29 @@ def estimator_offsets(mode: FeedbackMode, allowed: np.ndarray, horizon: int,
     return ix_gamma_schedule(allowed, horizon)
 
 
-def _bandit_step(weights, allowed, probs, bids, allocations, values, grid_values, gamma, linear):
+def _bandit_step(weights, offsets, allowed, probs, bids, allocations, values, grid_values, gamma,
+                 linear):
     """Shifted IPW update of an (M, k, D) stack from each agent's own allocation.
 
-    Every feasible cell gains 1; the played cell additionally loses
-    (1 - realized slot reward) / (q + gamma). The net played-cell increment
-    1 - (1 - w)/(q + gamma) is at most 1, which is what permits learning
-    rates up to 1/M. Bids are (k, M), allocations (k,), and `linear` (k,)
-    marks the agents whose marginals came from linear tail sums. Returns the
-    (k, M) increments applied to the played cells.
+    Every feasible cell gains 1 (`allowed`, as floats); the played cell
+    additionally loses (1 - realized slot reward) / (q + gamma). The net
+    played-cell increment 1 - (1 - w)/(q + gamma) is at most 1, which is what
+    permits learning rates up to 1/M. Bids and `offsets`, the flat index of each
+    agent's slot row, are (k, M), allocations (k,), and `linear` (k,) marks the
+    agents whose marginals came from linear tail sums. Returns the (k, M) increments.
     """
-    agents = np.arange(bids.shape[0])[:, None]
-    slots = np.arange(bids.shape[1])
-    q = probs[slots, agents, bids] + gamma
+    cells = offsets + bids
+    q = probs.take(cells) + gamma
     zero = (q <= 0.0).any(axis=1)
     if zero.any():
         regimes = sorted({"linear" if lin else "log" for lin in linear[zero]})
         raise RuntimeError(f"played bid has zero sampling probability under the marginals of the "
                            f"{' and '.join(regimes)} tail sums; sampler and marginals disagree")
-    won = slots < allocations[:, None]  # winning slots form a prefix
+    won = np.arange(bids.shape[1]) < allocations[:, None]  # winning slots form a prefix
     w = np.where(won, values - grid_values[bids], 0.0)
     correction = (1.0 - w) / q
     weights += allowed  # +1 on every feasible cell
-    weights[slots, agents, bids] -= correction
+    weights.reshape(-1)[cells] -= correction
     return 1.0 - correction
 
 
@@ -156,10 +156,6 @@ class ExpWeightsBidder:
                                for allowed, c in zip(masks, configs)])
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
         self.rngs = [np.random.default_rng(c.seed) for c in configs]
-        # A lone agent samples from its (M, D) table: the kernels' per-slot
-        # numpy calls cost more on (1, D) slices than on plain rows.
-        self._kernel_args = ((self.weights[:, 0], self.allowed[:, 0], self.eta[0])
-                             if len(configs) == 1 else (self.weights, self.allowed, self.eta[:, None]))
         self._rounds_left = horizon  # uniforms not yet drawn, in rounds, up to the horizon
         self._uniforms: list = []    # the rounds of the current block still to play
         if self.wants_full_info:
@@ -178,7 +174,18 @@ class ExpWeightsBidder:
         if not self._uniforms:
             self._draw_uniforms()
         uniforms = self._uniforms.pop()
-        work = self._work = self._work or _kernels.Workspace(self._kernel_args[0].shape)
+        if self._work is None:  # the kernels' tables and arguments, built at the first round
+            # A lone agent samples from its (M, D) table: the kernels' per-slot
+            # numpy calls cost more on (1, D) slices than on plain rows. Same-shape
+            # float tables multiply fastest: a stack's rates fill its shape, and full
+            # information and the bandit step mask with `allowed` as floats.
+            floats, k = self.allowed * 1.0, self.weights.shape[1]
+            mask = floats if self.wants_full_info else self.allowed
+            self._kernel_args = ((self.weights, mask, np.full(mask.shape, self.eta[:, None]))
+                                 if k > 1 else (self.weights[:, 0], mask[:, 0], self.eta[0]))
+            self._cells = np.arange(0, self.weights.size, self.grid.count).reshape(-1, k).T, floats
+            self._work = _kernels.Workspace(self._kernel_args[0].shape)
+        work = self._work
         if self.wants_full_info:
             low, high = self._bound_range
             if low < self._updates <= high:  # between the agents' bounds: each by its own
@@ -206,16 +213,18 @@ class ExpWeightsBidder:
         if self.wants_full_info:
             if thresholds is None:
                 raise ValueError("full-information feedback requires the win thresholds")
+            weights = self._kernel_args[0]  # a lone agent's (M, D) view takes its one row
             if self._rewards is None:
-                self._rewards = _kernels.slot_rewards(self.allowed, self.values.T, self.grid.values)
-            _kernels.apply_slot_rewards(self.weights, self._rewards, np.array(thresholds))
+                self._rewards = _kernels.slot_rewards(
+                    self.allowed, self.values.T, self.grid.values).reshape(weights.shape)
+            _kernels.apply_slot_rewards(weights, self._rewards, np.array(
+                thresholds[0] if weights.ndim == 2 else thresholds), work=self._work)
             self._updates += 1
         else:
-            _bandit_step(self.weights, self.allowed, self._pending_marginals,
-                         self._pending_bids, np.array(allocations), self.values,
-                         self.grid.values, self.gamma, self._pending_linear)
-        self._pending_bids = None
-        self._pending_marginals = None
+            _bandit_step(self.weights, *self._cells, self._pending_marginals, self._pending_bids,
+                         np.array(allocations), self.values, self.grid.values, self.gamma,
+                         self._pending_linear)
+        self._pending_bids = self._pending_marginals = None
 
     def _draw_uniforms(self) -> None:
         """Each agent's uniforms for the next block of rounds, up to the horizon.

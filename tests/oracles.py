@@ -553,7 +553,9 @@ def bandit_step(table: NodeWeightTable, probs: np.ndarray, played: BidVector, al
                 gamma: Optional[np.ndarray] = None) -> np.ndarray:
     """`ExpWeightsBidder`'s bandit update of one agent's table, in place, from
     marginals `probs` of log tail sums; returns the played cells' increments."""
-    return _bandit_step(table.weights[:, None], table.allowed[:, None], probs[:, None],
+    m_units, d = table.weights.shape
+    return _bandit_step(table.weights[:, None], np.arange(m_units)[None] * d,
+                        table.allowed[:, None].astype(float), probs[:, None],
                         played.indices[None], np.array([allocation]),
                         table.valuation.values[None], table.grid.values,
                         0.0 if gamma is None else gamma, np.array([False]))[0]

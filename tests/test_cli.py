@@ -2,10 +2,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pabid
 from pabid.cli import main, numpy_build, suggested_grid_size
 from pabid.scenario import MAX_CELLS, MAX_REPLICATIONS
 
@@ -884,6 +888,20 @@ class TestHindsight:
 
 
 class TestGridAdvice:
+    def test_the_module_entry_point_exits_with_mains_status(self):
+        """`python -m pabid.cli` passes `main`'s status to the shell: 0 with the
+        suggestion printed, and 2 from argparse on an unknown flag."""
+        env = dict(os.environ, PYTHONPATH=str(Path(pabid.__file__).resolve().parents[1]))
+        command = [sys.executable, "-m", "pabid.cli", "grid-advice", "--mode", "full",
+                   "--m", "3", "--t", "100"]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert f"suggested grid size: {suggested_grid_size('full', 3, 100)}\n" in done.stdout
+        done = subprocess.run(command + ["--no-such-flag"], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 2
+        assert "unrecognized arguments: --no-such-flag" in done.stderr
+
     def test_full_info_example(self, capsys):
         assert main(["grid-advice", "--mode", "full", "--m", "4", "--t", "10000"]) == 0
         out = capsys.readouterr().out

@@ -456,12 +456,13 @@ class TestFullInfoTables:
 
     def test_a_full_information_workspace_builds_no_marginals(self):
         """The workspace builds q, its forward rows and its row buffer at first
-        use; a full-information group, on bounded and then log tables, uses none."""
+        use; a full-information group, on bounded and then log tables, uses none
+        of them, only the win index of its slot rewards."""
         agent = {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 0.8, 0.5], "eta": 2}
         _, market = play_scenario(full_info_document([agent] * 2, 11, 3, 150, 4))
         (group,) = market.learners
         assert group.log_rounds.tolist() == [150 - 116] * 2
-        assert sorted(vars(group._work)) == ["backward", "prefix", "sums"]
+        assert sorted(vars(group._work)) == ["backward", "prefix", "sums", "win_index"]
 
 
 class TestUniformBlocks:

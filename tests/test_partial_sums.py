@@ -1,5 +1,6 @@
 """Tail-sum recursion, exact sampler law, and slot marginals."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -622,6 +623,91 @@ class TestWorkspace:
                     assert np.shares_memory(marginals, work.marginals[0]) == all(flags)
                     regimes.add(tuple(flags.tolist()))
         assert regimes == ({(True, True, True), (True, False, True)} if stack else {(True,)})
+
+
+class TestKernelArgumentForms:
+    """The forms an EW group passes: a stack's rates in its shape, and for
+    full information `allowed` as floats, give the bits of (k, 1) rates and a
+    bool mask in every regime of the tail sums."""
+
+    def test_full_shape_rates_and_a_float_mask_match(self):
+        rng = np.random.default_rng(28)
+        m, k, d = 4, 3, 9
+        caps = np.sort(rng.integers(0, d, size=(k, m)), axis=1)[:, ::-1]
+        allowed = np.arange(d) <= caps.T[..., None]
+        etas = 0.5 + rng.random(k)
+        rates = np.full((m, k, d), etas[:, None])
+        even = np.arange(k) % 2 == 0
+        for wide in (False, True):
+            weights = rng.uniform(-5.0, 5.0, size=(m, k, d))
+            if wide:  # agent 1's rows span more than exp's range: linear falls to logs
+                weights[:, 1] *= 400.0
+            calls = [{}, {"bounded": even}] + ([] if wide else [{"bounded": True}])
+            for kwargs in calls:
+                ref = ew_tail_sums(weights, allowed, etas[:, None], **kwargs)
+                got = ew_tail_sums(weights, allowed * 1.0, rates, **kwargs)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+            ref = ew_tail_sums(weights, allowed, etas[:, None], linear=True)
+            got = ew_tail_sums(weights, allowed, rates, linear=True)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+            assert got[2].tolist() == [True, not wide, True]
+
+
+class TestSlotRewards:
+    """`apply_slot_rewards` adds the reward table where a fresh mask of the
+    thresholds says, with a workspace's kept bid index and mask or without."""
+
+    @staticmethod
+    def masked_add(weights, rewards, thresholds):
+        """The one-shot form: a new bid index and win mask for every call."""
+        wins = np.arange(rewards.shape[-1]) >= thresholds.T[..., None]
+        np.add(weights, rewards, out=weights, where=wins)
+
+    @pytest.mark.parametrize("shape", [(4, 9), (4, 1, 9), (4, 3, 9)])
+    def test_every_threshold_with_and_without_work(self, shape):
+        """D + 1 rounds in which slot m of agent i has threshold
+        (t + m + i) mod (D + 1), so every slot sees every threshold 0..D."""
+        rng = np.random.default_rng(28)
+        m, d = shape[0], shape[-1]
+        agents = np.arange(shape[1])[:, None] if len(shape) == 3 else 0
+        allowed = rng.random(shape) < 0.8
+        values = np.sort(rng.random(shape[:-1]), axis=0)[::-1]
+        rewards = slot_rewards(allowed, values, make_even_grid(d).values)
+        start = rng.uniform(-3.0, 3.0, size=shape)
+        ref, fresh, kept = start.copy(), start.copy(), start.copy()
+        work = _kernels.Workspace(shape)
+        for t in range(d + 1):
+            thresholds = (t + np.arange(m) + agents) % (d + 1)
+            self.masked_add(ref, rewards, thresholds)
+            apply_slot_rewards(fresh, rewards, thresholds)
+            apply_slot_rewards(kept, rewards, thresholds, work=work)
+            assert fresh.tobytes() == ref.tobytes()
+            assert kept.tobytes() == ref.tobytes()
+        assert not np.array_equal(ref, start)
+
+    def test_the_kept_index_is_one_row_and_one_table_sized_mask(self):
+        """At D = 4,097 the workspace's bid index has D cells and its mask the
+        table's M k D, and a call through it allocates no mask: far less than
+        the M k D bytes of the one-shot call's."""
+        m, k, d = 3, 2, 4097
+        rng = np.random.default_rng(29)
+        weights = np.zeros((m, k, d))
+        rewards = slot_rewards(np.ones((m, k, d), bool), np.full((m, k), 0.5),
+                               make_even_grid(d).values)
+        thresholds = rng.integers(0, d + 1, size=(k, m))
+        work = _kernels.Workspace((m, k, d))
+        index, wins = work.win_index
+        assert index.tolist() == list(range(d))
+        assert wins.shape == (m, k, d) and wins.dtype == bool
+        peaks = []
+        for kept in (work, None):
+            tracemalloc.start()
+            try:
+                apply_slot_rewards(weights, rewards, thresholds, work=kept)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < m * k * d // 8 and peaks[1] >= m * k * d
 
 
 class TestMarginalRegimes:

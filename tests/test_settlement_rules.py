@@ -100,42 +100,68 @@ def markets(draw):
     return make_even_grid(d), agent_rows, supply, env_rows, draw(st.booleans())
 
 
+@st.composite
+def selfplay_shape_rows(draw, env):
+    """Rows of `market_selfplay`'s shape: grid 21, supply 5 and 3 agents of
+    demand 5, with or without an environment row."""
+    rounds = draw(st.integers(1, 4), label="rounds")
+    agent_rows = [sorted_rows(draw, rounds, 5, 21, True) for _ in range(3)]
+    return agent_rows, sorted_rows(draw, rounds, 5, 21, False) if env else None
+
+
 class TestPooling:
     @settings(max_examples=300, deadline=None)
     @given(markets())
     def test_play_history_and_competing_bids_match_loop_pool(self, case):
-        grid, agent_rows, supply, env_rows, env_wins_ties = case
-        market, log = run_market(grid, agent_rows, supply, env_rows, env_wins_ties)
-        env_priority = ENV_WINS_PRIORITY if env_wins_ties else ENV_LOSES_PRIORITY
-        oracle = [loop_round([rows[t] for rows in agent_rows], market.valuations, grid, supply,
-                             None if env_rows is None else env_rows[t], env_wins_ties)
-                  for t in range(log.rounds)]
-        for n, learner in enumerate(market.learners):
-            ref_idx, ref_pri = loop_competing_history(log, n)
-            # the log keeps the thresholds each agent settled against
-            assert log.thresholds[n].tolist() == [oracle[t][n][1] for t in range(log.rounds)]
-            for t, seen in enumerate(learner.seen):
-                competing, thresholds, outcome = oracle[t][n]
-                assert competing.indices.tolist() == ref_idx[t].tolist()
-                assert competing.priorities.tolist() == ref_pri[t].tolist()
-                # the round's thresholds and settlement equal the per-agent loop's
-                assert seen == thresholds
-                bid = BidVector(log.bids[n][t], grid)
-                assert log.allocations[t, n] == outcome.allocation == allocate(
-                    bid, competing, bidder_priority=n)
-                for got, ref in ((log.utilities, outcome.utility), (log.payments, outcome.payment),
-                                 (log.rewards, outcome.reward)):
-                    assert repr(float(got[t, n])) == repr(ref)
-                owners = [r for r in range(len(agent_rows)) if r != n]
-                rivals = [BidVector(log.bids[r][t], grid) for r in owners]
-                if env_rows is not None:
-                    rivals.append(BidVector(env_rows[t][::-1], grid))
-                    owners.append(env_priority)
-                pooled = competing_bids(rivals, supply, grid, rival_priorities=owners)
-                assert pooled.indices.tolist() == ref_idx[t].tolist()
-                assert pooled.priorities.tolist() == ref_pri[t].tolist()
-                # uniform priorities select the same indices
-                assert competing_bids(rivals, supply, grid).indices.tolist() == ref_idx[t].tolist()
+        assert_pooled_like_loop(case)
+
+    @pytest.mark.parametrize("env", [False, True])
+    @pytest.mark.parametrize("env_wins_ties", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_the_selfplay_shape_matches_loop_pool(self, env, env_wins_ties, data):
+        """The self-play benchmark's shape: each agent has twice the supply in
+        rival bids, and the first supply + 5 keys of the sort hold at least
+        the supply of them."""
+        agent_rows, env_rows = data.draw(selfplay_shape_rows(env))
+        assert_pooled_like_loop((make_even_grid(21), agent_rows, 5, env_rows, env_wins_ties))
+
+
+def assert_pooled_like_loop(case):
+    """`play`'s logged and observed thresholds, settlement and competing bids
+    equal the agent-by-agent loop's, and `competing_bids` pools the same."""
+    grid, agent_rows, supply, env_rows, env_wins_ties = case
+    market, log = run_market(grid, agent_rows, supply, env_rows, env_wins_ties)
+    env_priority = ENV_WINS_PRIORITY if env_wins_ties else ENV_LOSES_PRIORITY
+    oracle = [loop_round([rows[t] for rows in agent_rows], market.valuations, grid, supply,
+                         None if env_rows is None else env_rows[t], env_wins_ties)
+              for t in range(log.rounds)]
+    for n, learner in enumerate(market.learners):
+        ref_idx, ref_pri = loop_competing_history(log, n)
+        # the log keeps the thresholds each agent settled against
+        assert log.thresholds[n].tolist() == [oracle[t][n][1] for t in range(log.rounds)]
+        for t, seen in enumerate(learner.seen):
+            competing, thresholds, outcome = oracle[t][n]
+            assert competing.indices.tolist() == ref_idx[t].tolist()
+            assert competing.priorities.tolist() == ref_pri[t].tolist()
+            # the round's thresholds and settlement equal the per-agent loop's
+            assert seen == thresholds
+            bid = BidVector(log.bids[n][t], grid)
+            assert log.allocations[t, n] == outcome.allocation == allocate(
+                bid, competing, bidder_priority=n)
+            for got, ref in ((log.utilities, outcome.utility), (log.payments, outcome.payment),
+                             (log.rewards, outcome.reward)):
+                assert repr(float(got[t, n])) == repr(ref)
+            owners = [r for r in range(len(agent_rows)) if r != n]
+            rivals = [BidVector(log.bids[r][t], grid) for r in owners]
+            if env_rows is not None:
+                rivals.append(BidVector(env_rows[t][::-1], grid))
+                owners.append(env_priority)
+            pooled = competing_bids(rivals, supply, grid, rival_priorities=owners)
+            assert pooled.indices.tolist() == ref_idx[t].tolist()
+            assert pooled.priorities.tolist() == ref_pri[t].tolist()
+            # uniform priorities select the same indices
+            assert competing_bids(rivals, supply, grid).indices.tolist() == ref_idx[t].tolist()
 
 
 class TestReplay:
