@@ -34,9 +34,9 @@ Kernels:
     within log 2**960 of its row maximum, it runs on their `exp`; an agent
     whose rows span more than that runs the recursion on log ratios, so
     cells far below the row maximum keep their mass.
-  * slot_rewards / apply_slot_rewards: the full-information weight update.
-    The table v_m - B_j of the feasible cells is built once; each round adds
-    it to the cells at or above each slot's win threshold.
+  * slot_rewards / apply_slot_rewards: full-information tables are win counts
+    times v_m - B_j, as in the hindsight DP; each round adds one win to every
+    cell at or above its slot's threshold, and EW's rates carry v_m - B_j.
 
 The EW kernels take the slot axis first and bids last: one (M, D) table, or
 an (M, k, D) stack of k agents whose slot m is one contiguous (k, D) block.
@@ -204,7 +204,7 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False, work=None):
     S[m, b] = exp(eta W[m, b]) P[m+1, b], with P[m, b] = sum_{b' <= b}
     S[m, b'] and forbidden cells of zero mass. P[m, cap] is the normalizer of
     slot m's law when the previous slot bid `cap`, so the sampler reads it
-    directly. `eta` is a scalar, or an (M, k, D) stack's rates, (k, 1) or in its shape.
+    directly. `eta` is a scalar, a stack's (k, 1) rates, or a rate per cell.
 
     By default the tables are in logs, one `np.logaddexp.accumulate` per
     layer. Returns (log_sums, log_prefix).
@@ -255,10 +255,10 @@ def _log_tail_count(m_units, d):
 def linear_rounds(m_units, d, eta_max):
     """Rounds of full-information updates after which `bounded` tables still fit.
 
-    A full-information update adds v_m - B_j, in [-VALUE_EPS, 1], to a
-    feasible cell, so after t updates each cell's exp(eta W) lies in
-    [e**(-eta_max t VALUE_EPS), e**(eta_max t)] and every prefix sum is at
-    most C(M + D - 1, M) e**(M eta_max t). Tables fit while that stays below
+    After t updates a feasible cell's eta W is a win count of at most t times
+    a rate eta (v_m - B_j) in [-eta_max VALUE_EPS, eta_max], so its exp(eta W)
+    lies in [e**(-eta_max t VALUE_EPS), e**(eta_max t)] and every prefix sum is
+    at most C(M + D - 1, M) e**(M eta_max t). Tables fit while that stays below
     e**700, that is for t up to the value returned, -inf for a shape with
     more than e**700 monotone tails; no feasible cell then underflows.
     """
@@ -447,14 +447,14 @@ def _normalized(q, total=None):
 
 
 def slot_rewards(allowed, valuations, grid_values):
-    """The full-information reward table: v_m - B_j on feasible cells, 0 elsewhere."""
+    """The full-information reward of one win: v_m - B_j on feasible cells, 0 elsewhere."""
     return np.where(allowed, valuations[..., None] - grid_values, 0.0)
 
 
-def apply_slot_rewards(weights, rewards, thresholds, work=None):
-    """Add the `slot_rewards` table to every cell (m, j) that wins: j >= thr_m.
-    `thresholds` are (M,), or (k, M) in agent order for an (M, k, D) stack;
-    `work`, a `Workspace` of the tables' shape, lends its bid index and win mask."""
-    index, wins = work.win_index if work else (np.arange(rewards.shape[-1]), None)
+def apply_slot_rewards(counts, thresholds, work=None):
+    """Count a win in every cell (m, j) with j >= thr_m (masked: a bool add casts
+    through a buffer). `thresholds` are (M,), or (k, M) in agent order for an (M, k, D)
+    stack; `work`, a `Workspace` of the counts' shape, lends its index and win mask."""
+    index, wins = work.win_index if work else (np.arange(counts.shape[-1]), None)
     wins = np.greater_equal(index, thresholds.T[..., None], out=wins)
-    np.add(weights, rewards, out=weights, where=wins)
+    np.add(counts, 1.0, out=counts, where=wins)

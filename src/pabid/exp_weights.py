@@ -8,7 +8,8 @@ completions; sampling slot by slot against those partial sums then draws
 whole vectors from exactly the softmax-over-paths law.
 
 Feedback modes:
-  * full information: the round's per-slot win thresholds update every cell;
+  * full information: each cell counts the rounds its bid won its slot, and the
+    rates carry v_m - B_j, so eta W is eta times the hindsight DP's table;
   * bandit: only the own allocation is observed, and cells are updated with a
     shifted inverse-probability-weighted estimator whose increments never
     exceed 1 (an implicit-exploration variant divides by q + gamma instead).
@@ -133,8 +134,8 @@ class ExpWeightsBidder:
     `observe(allocations, thresholds)` takes the agents' allocations and,
     under full information, their (k, M) win thresholds. The tables
     (`weights`, `allowed`) are (M, k, D), slot-major: `weights[:, i]` is agent
-    i's (M, D) table. `log_rounds[i]` counts the rounds in which agent i's
-    tail sums were in logs rather than linear.
+    i's (M, D) table, under full information its win counts. `log_rounds[i]`
+    counts the rounds in which agent i's tail sums were in logs rather than linear.
     """
 
     def __init__(self, valuations: Sequence[ValuationProfile], grid: BidGrid, horizon: int,
@@ -159,7 +160,6 @@ class ExpWeightsBidder:
         self._rounds_left = horizon  # uniforms not yet drawn, in rounds, up to the horizon
         self._uniforms: list = []    # the rounds of the current block still to play
         if self.wants_full_info:
-            self._rewards: Optional[np.ndarray] = None  # built by the first observe, not at set-up
             bounds = [_kernels.linear_rounds(demand, grid.count, eta) for eta in etas]
             self._linear_rounds, self._bound_range = np.array(bounds), (min(bounds), max(bounds))
             self._updates = 0
@@ -175,14 +175,16 @@ class ExpWeightsBidder:
             self._draw_uniforms()
         uniforms = self._uniforms.pop()
         if self._work is None:  # the kernels' tables and arguments, built at the first round
-            # A lone agent samples from its (M, D) table: the kernels' per-slot
-            # numpy calls cost more on (1, D) slices than on plain rows. Same-shape
-            # float tables multiply fastest: a stack's rates fill its shape, and full
-            # information and the bandit step mask with `allowed` as floats.
-            floats, k = self.allowed * 1.0, self.weights.shape[1]
-            mask = floats if self.wants_full_info else self.allowed
-            self._kernel_args = ((self.weights, mask, np.full(mask.shape, self.eta[:, None]))
-                                 if k > 1 else (self.weights[:, 0], mask[:, 0], self.eta[0]))
+            # A lone agent samples from its (M, D) table: the kernels' per-slot numpy
+            # calls cost more on (1, D) slices than on plain rows. Stacks multiply
+            # same-shape float tables fastest (rates, and the float `allowed` of full
+            # information and the bandit step); a lone bandit agent, a scalar rate.
+            floats, k, full = self.allowed * 1.0, self.weights.shape[1], self.wants_full_info
+            rates = self.eta[:, None] * (_kernels.slot_rewards(
+                self.allowed, self.values.T, self.grid.values) if full else floats)
+            mask = floats if full else self.allowed
+            self._kernel_args = ((self.weights, mask, rates) if k > 1 else (
+                self.weights[:, 0], mask[:, 0], rates[:, 0] if full else self.eta[0]))
             self._cells = np.arange(0, self.weights.size, self.grid.count).reshape(-1, k).T, floats
             self._work = _kernels.Workspace(self._kernel_args[0].shape)
         work = self._work
@@ -213,12 +215,9 @@ class ExpWeightsBidder:
         if self.wants_full_info:
             if thresholds is None:
                 raise ValueError("full-information feedback requires the win thresholds")
-            weights = self._kernel_args[0]  # a lone agent's (M, D) view takes its one row
-            if self._rewards is None:
-                self._rewards = _kernels.slot_rewards(
-                    self.allowed, self.values.T, self.grid.values).reshape(weights.shape)
-            _kernels.apply_slot_rewards(weights, self._rewards, np.array(
-                thresholds[0] if weights.ndim == 2 else thresholds), work=self._work)
+            counts = self._kernel_args[0]  # a lone agent's (M, D) view takes its one row
+            _kernels.apply_slot_rewards(counts, np.array(
+                thresholds[0] if counts.ndim == 2 else thresholds), work=self._work)
             self._updates += 1
         else:
             _bandit_step(self.weights, *self._cells, self._pending_marginals, self._pending_bids,

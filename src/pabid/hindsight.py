@@ -50,8 +50,8 @@ def accumulate_weights_history(
     W[m, j] = (#rounds bid j wins slot m) * (v_m - B_j). Bid j wins slot m in
     every round whose threshold is at most j, so one bincount of the
     slot-offset thresholds and a running sum give every win count in
-    O(T M + M D). `auction.win_thresholds` turns competing bids into
-    thresholds; a run log keeps the ones each agent settled against.
+    O(T M + M D), the counts a full-information EW learner holds. A run log
+    keeps the thresholds each agent settled against (`auction.win_thresholds`).
     """
     thresholds = np.asarray(thresholds, dtype=np.int64)
     m = valuation.demand

@@ -199,8 +199,8 @@ class OmdBidder:
                         *_ignored) -> np.ndarray:
         """Per-cell reward estimate for the round just played.
 
-        Under full information, the realized slot rewards: v_m - B_j on every
-        feasible cell at or above slot m's win threshold. Under bandit
+        Under full information, one round's win counts times the slot rewards:
+        v_m - B_j on every feasible cell at or above slot m's win threshold. Under bandit
         feedback only the won slots' played cells are nonzero (`_won_cells`). Extra
         arguments (the former tie rule and bidder priority) are ignored.
         """
@@ -208,8 +208,8 @@ class OmdBidder:
         if self.wants_full_info:
             if thresholds is None:
                 raise ValueError("full-information feedback requires the win thresholds")
-            _kernels.apply_slot_rewards(est, self._rewards, np.asarray(thresholds))
-            return est
+            _kernels.apply_slot_rewards(est, np.asarray(thresholds))
+            return est * self._rewards
         est[range(allocation), self._pending[:allocation]] = self._won_cells(allocation)[2]
         return est
 

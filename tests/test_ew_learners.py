@@ -21,7 +21,7 @@ from pabid.exp_weights import (
     ix_gamma_schedule,
 )
 from pabid.grids import make_even_grid
-from pabid.hindsight import NodeWeightTable
+from pabid.hindsight import NodeWeightTable, accumulate_weights_history
 from pabid.mirror_descent import OmdBidder
 from pabid.scenario import build_market, validate_scenario
 from pabid.simulator import SelfPlayMarket
@@ -88,12 +88,15 @@ class TestEtaSchedule:
 
 def observed_table(valuation, grid, threshold_rows):
     """The weight table of a one-agent full-information group after it
-    observes each row of win thresholds, one round per row."""
+    observes each row of win thresholds, one round per row: its win counts
+    times the slot rewards."""
     group = ExpWeightsBidder([valuation], grid, max(len(threshold_rows), 1), [LearnerConfig()])
     for row in threshold_rows:
         group.propose()
         group.observe([0], [row])
-    return NodeWeightTable(group.weights[:, 0], group.allowed[:, 0], grid, valuation)
+    allowed = group.allowed[:, 0]
+    weights = group.weights[:, 0] * _kernels.slot_rewards(allowed, valuation.values, grid.values)
+    return NodeWeightTable(weights, allowed, grid, valuation)
 
 
 class TestFullInfoUpdate:
@@ -147,7 +150,7 @@ class TestFullInfoUpdate:
                     if j > competing.indices[m] or j == competing.indices[m]:
                         wins[m, j] += 1
         expect = np.where(table.allowed, wins * margin, 0.0)
-        assert np.allclose(table.weights, expect, atol=1e-9)
+        assert np.array_equal(table.weights, expect)
 
 
 class TestBanditUpdate:
@@ -265,6 +268,23 @@ class TestLearnerRuns:
         assert grouped == alone
         assert grouped[1] == [184, 68, 0]
 
+    @pytest.mark.parametrize("env_wins_ties", [False, True])
+    def test_a_crossing_groups_counts_give_the_hindsight_tables(self, env_wins_ties):
+        """The group above, under either tie rule: after 300 rounds, through
+        the per-agent `bounded` branch, each agent's win counts times its slot
+        rewards are the hindsight table of its logged thresholds, bit for bit."""
+        grid = make_even_grid(11)
+        configs = [LearnerConfig(eta=eta, seed=i) for i, eta in enumerate((2.0, 1.0, 0.5))]
+        valuations = crossing_valuations()
+        group = ExpWeightsBidder(valuations, grid, 300, configs)
+        log = SelfPlayMarket([group], valuations, grid, 3, crossing_adversary(grid), env_wins_ties,
+                             members=[[0, 1, 2]]).play(300)
+        assert group.log_rounds.tolist() == [184, 68, 0]
+        for i, valuation in enumerate(valuations):
+            rewards = _kernels.slot_rewards(group.allowed[:, i], valuation.values, grid.values)
+            table = accumulate_weights_history(valuation, log.thresholds[i], grid)
+            assert np.array_equal(group.weights[:, i] * rewards, table.weights)
+
     def test_a_bandit_group_mixing_linear_and_log_tables_plays_as_alone(self):
         """Agents 0 and 2 explore at gamma 1e-6 and rate 0.3; in 208 rounds
         agent 2's tables leave the linear range while the others' stay
@@ -356,7 +376,8 @@ class TestLearnerRuns:
             history.append(competing)
             learner.observe([0], win_thresholds(competing.indices, 2)[None])
         reference = accumulate_weights(valuation, history, grid)
-        assert np.allclose(learner.weights[:, 0], reference.weights, atol=1e-9)
+        rewards = _kernels.slot_rewards(reference.allowed, valuation.values, grid.values)
+        assert np.array_equal(learner.weights[:, 0] * rewards, reference.weights)
 
     def test_ir_safety_over_full_run(self):
         grid = make_even_grid(9)
@@ -457,7 +478,7 @@ class TestFullInfoTables:
     def test_a_full_information_workspace_builds_no_marginals(self):
         """The workspace builds q, its forward rows and its row buffer at first
         use; a full-information group, on bounded and then log tables, uses none
-        of them, only the win index of its slot rewards."""
+        of them, only the win index of its win counts."""
         agent = {"algorithm": "ew", "feedback": "full", "valuation": [1.0, 0.8, 0.5], "eta": 2}
         _, market = play_scenario(full_info_document([agent] * 2, 11, 3, 150, 4))
         (group,) = market.learners

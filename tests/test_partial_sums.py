@@ -18,7 +18,6 @@ from pabid._kernels import (
     ew_tail_sums,
     linear_rounds,
     sample_monotone,
-    slot_rewards,
 )
 from pabid.auction import ValuationProfile
 from pabid.exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig
@@ -567,15 +566,15 @@ class TestBatchedKernels:
                 assert picks.shape == (k, m)
                 for i, (_, prefix) in enumerate(singles):
                     assert picks[i].tolist() == sample_monotone(prefix, uniforms[i]).tolist()
-            values = np.sort(rng.random((k, m)), axis=1)[:, ::-1]
+            rng.random((k, m))  # keeps the draws that follow
             thresholds = rng.integers(0, d + 1, size=(k, m))
-            grid_values = make_even_grid(d).values
-            stacked = weights.copy()
-            apply_slot_rewards(stacked, slot_rewards(allowed, values.T, grid_values), thresholds)
+            stacked, reference = weights.copy(), weights.copy()
+            apply_slot_rewards(stacked, thresholds)
+            reference += np.arange(d) >= thresholds.T[..., None]
+            assert stacked.tobytes() == reference.tobytes()
             for i in range(k):
                 single = weights[:, i].copy()
-                apply_slot_rewards(single, slot_rewards(allowed[:, i], values[i], grid_values),
-                                   thresholds[i])
+                apply_slot_rewards(single, thresholds[i])
                 assert stacked[:, i].tobytes() == single.tobytes()
 
 
@@ -654,14 +653,13 @@ class TestKernelArgumentForms:
 
 
 class TestSlotRewards:
-    """`apply_slot_rewards` adds the reward table where a fresh mask of the
-    thresholds says, with a workspace's kept bid index and mask or without."""
+    """`apply_slot_rewards` counts a win where a fresh mask of the thresholds
+    says, with a workspace's kept bid index and mask or without."""
 
     @staticmethod
-    def masked_add(weights, rewards, thresholds):
-        """The one-shot form: a new bid index and win mask for every call."""
-        wins = np.arange(rewards.shape[-1]) >= thresholds.T[..., None]
-        np.add(weights, rewards, out=weights, where=wins)
+    def masked_add(counts, thresholds):
+        """The reference: a new bid index and win mask for every call, added."""
+        counts += np.arange(counts.shape[-1]) >= thresholds.T[..., None]
 
     @pytest.mark.parametrize("shape", [(4, 9), (4, 1, 9), (4, 3, 9)])
     def test_every_threshold_with_and_without_work(self, shape):
@@ -670,17 +668,15 @@ class TestSlotRewards:
         rng = np.random.default_rng(28)
         m, d = shape[0], shape[-1]
         agents = np.arange(shape[1])[:, None] if len(shape) == 3 else 0
-        allowed = rng.random(shape) < 0.8
-        values = np.sort(rng.random(shape[:-1]), axis=0)[::-1]
-        rewards = slot_rewards(allowed, values, make_even_grid(d).values)
+        rng.random(shape), rng.random(shape[:-1])  # keeps the draws that follow
         start = rng.uniform(-3.0, 3.0, size=shape)
         ref, fresh, kept = start.copy(), start.copy(), start.copy()
         work = _kernels.Workspace(shape)
         for t in range(d + 1):
             thresholds = (t + np.arange(m) + agents) % (d + 1)
-            self.masked_add(ref, rewards, thresholds)
-            apply_slot_rewards(fresh, rewards, thresholds)
-            apply_slot_rewards(kept, rewards, thresholds, work=work)
+            self.masked_add(ref, thresholds)
+            apply_slot_rewards(fresh, thresholds)
+            apply_slot_rewards(kept, thresholds, work=work)
             assert fresh.tobytes() == ref.tobytes()
             assert kept.tobytes() == ref.tobytes()
         assert not np.array_equal(ref, start)
@@ -691,9 +687,7 @@ class TestSlotRewards:
         the M k D bytes of the one-shot call's."""
         m, k, d = 3, 2, 4097
         rng = np.random.default_rng(29)
-        weights = np.zeros((m, k, d))
-        rewards = slot_rewards(np.ones((m, k, d), bool), np.full((m, k), 0.5),
-                               make_even_grid(d).values)
+        counts = np.zeros((m, k, d))
         thresholds = rng.integers(0, d + 1, size=(k, m))
         work = _kernels.Workspace((m, k, d))
         index, wins = work.win_index
@@ -703,7 +697,7 @@ class TestSlotRewards:
         for kept in (work, None):
             tracemalloc.start()
             try:
-                apply_slot_rewards(weights, rewards, thresholds, work=kept)
+                apply_slot_rewards(counts, thresholds, work=kept)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

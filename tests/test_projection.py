@@ -270,7 +270,8 @@ def omd_kernel_input(seed: int, demand: int, grid_size: int, horizon: int, ir: b
     if full_info:
         eta = eta_scale * omd_eta_schedule(FeedbackMode.FULL_INFO, grid_size, horizon)
         thresholds = np.sort(rng.integers(0, grid_size + 1, size=demand))
-        apply_slot_rewards(estimate, slot_rewards(allowed, values, grid.values), thresholds)
+        apply_slot_rewards(estimate, thresholds)
+        estimate *= slot_rewards(allowed, values, grid.values)
         return unconstrained_step(q, estimate, eta), allowed
     eta = eta_scale * omd_eta_schedule(FeedbackMode.BANDIT_IX, grid_size, horizon)
     gamma = ix_gamma_schedule(allowed, horizon)
