@@ -69,6 +69,8 @@ _LINEAR_MIN = 2.0**-960
 # Largest log of a prefix sum that a bounded linear table may reach: below
 # log(float max) ~ 709.78, with room for the pass's roundoff.
 _LINEAR_LOG_MAX = 700.0
+# The win update's addend: a 0-d array skips the conversion a Python float takes per call.
+_ONE = np.ones(())
 
 
 def project_dual_ascent(qt, allowed, tol, max_sweeps):
@@ -344,18 +346,19 @@ def sample_monotone(prefix, uniforms, linear=False):
     which rows are linear, as `ew_tail_sums` reports it, or is one bool for
     every agent (by default every row is in logs). Expects mass in cell 0 of
     every row. `uniforms` are (M,) for one table, or (k, M) in agent order
-    for an (M, k, D) stack, and the picks take their shape. Bisection reads a
-    flat memoryview, so a draw converts only the cells it probes; a stack
-    draws agent by agent.
+    for an (M, k, D) stack. The picks are Python ints: one list of M for (M,)
+    uniforms, k such lists for (k, M). Bisection reads a flat memoryview, so a
+    draw converts only the cells it probes; a stack draws agent by agent.
     """
     m_units, d = prefix.shape[0], prefix.shape[-1]
     step = prefix.size // m_units  # k * D: from an agent's row of slot m to slot m + 1
     flags = linear.tolist() if isinstance(linear, np.ndarray) else itertools.repeat(linear)
     cells = memoryview(np.ascontiguousarray(prefix).reshape(-1))
-    picks = []
+    rows = []
     for agent, (row, agent_linear) in enumerate(zip(uniforms.reshape(-1, m_units).tolist(), flags)):
         cap = d - 1  # an agent's first slot may take any cell
         lo = agent * d  # slot 0 of the agent; slot m starts at (m * k + agent) * D
+        picks = []
         for u in row:
             total = cells[lo + cap]
             if agent_linear:
@@ -368,7 +371,8 @@ def sample_monotone(prefix, uniforms, linear=False):
             picks.append(pick)
             cap = pick
             lo += step
-    return np.array(picks, dtype=np.int64).reshape(uniforms.shape)
+        rows.append(picks)
+    return rows if uniforms.ndim > 1 else rows[0]
 
 
 def ew_marginals(sums, prefix=None, linear=None):
@@ -457,4 +461,4 @@ def apply_slot_rewards(counts, thresholds, work=None):
     stack; `work`, a `Workspace` of the counts' shape, lends its index and win mask."""
     index, wins = work.win_index if work else (np.arange(counts.shape[-1]), None)
     wins = np.greater_equal(index, thresholds.T[..., None], out=wins)
-    np.add(counts, 1.0, out=counts, where=wins)
+    np.add(counts, _ONE, out=counts, where=wins)

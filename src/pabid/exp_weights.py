@@ -107,10 +107,12 @@ def _bandit_step(weights, offsets, allowed, probs, bids, allocations, values, gr
     Every feasible cell gains 1 (`allowed`, as floats); the played cell
     additionally loses (1 - realized slot reward) / (q + gamma). The net
     played-cell increment 1 - (1 - w)/(q + gamma) is at most 1, which is what
-    permits learning rates up to 1/M. Bids and `offsets`, the flat index of each
-    agent's slot row, are (k, M), allocations (k,), and `linear` (k,) marks the
-    agents whose marginals came from linear tail sums. Returns the (k, M) increments.
+    permits learning rates up to 1/M. `bids` are the k lists `propose` returned,
+    `offsets`, the flat index of each agent's slot row, (k, M), allocations (k,),
+    and `linear` (k,) marks the agents whose marginals came from linear tail sums.
+    Returns the (k, M) increments.
     """
+    bids = np.array(bids)
     cells = offsets + bids
     q = probs.take(cells) + gamma
     zero = (q <= 0.0).any(axis=1)
@@ -130,8 +132,8 @@ class ExpWeightsBidder:
     """k >= 1 decoupled exponential-weights agents of one demand and mode, for one run.
 
     `mode` is the group's; `configs` hold each agent's eta, gamma and seed. A
-    group of the market: `propose` returns one bid row per agent, and
-    `observe(allocations, thresholds)` takes the agents' allocations and,
+    group of the market: `propose` returns one bid row per agent, a list of
+    Python ints, and `observe(allocations, thresholds)` takes the agents' allocations and,
     under full information, their (k, M) win thresholds. The tables
     (`weights`, `allowed`) are (M, k, D), slot-major: `weights[:, i]` is agent
     i's (M, D) table, under full information its win counts. `log_rounds[i]`
@@ -165,12 +167,12 @@ class ExpWeightsBidder:
             self._updates = 0
         self.log_rounds = np.zeros(len(configs), dtype=np.int64)
         self._work: Optional[_kernels.Workspace] = None  # built by the first propose, not at set-up
-        self._pending_bids: Optional[np.ndarray] = None
+        self._pending_bids: Optional[list] = None
         self._pending_marginals: Optional[np.ndarray] = None
         self._pending_linear: Optional[np.ndarray] = None
 
-    def propose(self) -> np.ndarray:
-        """One monotone bid per agent: a (k, M) array of grid indices."""
+    def propose(self) -> list[list[int]]:
+        """One monotone bid per agent: k lists of M grid indices, Python ints."""
         if not self._uniforms:
             self._draw_uniforms()
         uniforms = self._uniforms.pop()

@@ -14,9 +14,9 @@ non-increasing. No transition tensor is built. A bandit round converts to
 Python floats only the cells it probes or plays; whole tables stay in numpy.
 
 RNG contract: `OmdBidder` consumes exactly one uniform per round, whatever
-the demand. It is a market group of one agent: `propose` returns a (1, M)
-row and `observe` takes one allocation and, under full information, one
-row of win thresholds.
+the demand. It is a market group of one agent: `propose` returns a list of
+one row, M grid indices as Python ints, and `observe` takes one allocation
+and, under full information, one row of win thresholds.
 """
 from __future__ import annotations
 
@@ -121,8 +121,8 @@ def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: i
     return q
 
 
-def sample_from_marginals(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Grid indices of a bid vector whose slot-m bid has law q[m], from one uniform U.
+def sample_from_marginals(q: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """Grid indices (a list) of a bid vector whose slot-m bid has law q[m], from one uniform U.
 
     b_m is the smallest index whose cumulative mass in row m exceeds U times
     the row total, which is always a cell of positive mass. The total is the
@@ -142,7 +142,7 @@ def sample_from_marginals(q: np.ndarray, rng: np.random.Generator) -> np.ndarray
     for start in range(0, len(cells), d):
         pick = bisect.bisect_right(cells, u * cells[start + d - 1], start, start + pick) - start
         picks.append(pick)
-    return np.array(picks)
+    return picks
 
 
 def omd_eta_schedule(mode: FeedbackMode, grid_size: int, horizon: int) -> float:
@@ -187,13 +187,13 @@ class OmdBidder:
         self._values = valuation.values.tolist()
         self._bid_values = grid.values.tolist()
         self._offsets = self.gamma.tolist()
-        self._pending: Optional[np.ndarray] = None
+        self._pending: Optional[list] = None
         self.rounds = 0  # rounds observed so far; the next observe is this round index
 
-    def propose(self) -> np.ndarray:
-        """This round's bid, as a (1, M) array of grid indices."""
+    def propose(self) -> list[list[int]]:
+        """This round's bid: one list of M grid indices, in a list."""
         self._pending = sample_from_marginals(self.q, self.rng)
-        return self._pending[None]
+        return [self._pending]
 
     def reward_estimate(self, allocation: Optional[int], thresholds: Optional[np.ndarray],
                         *_ignored) -> np.ndarray:
@@ -220,7 +220,7 @@ class OmdBidder:
         over max(q, Q_FLOOR) + gamma (a lost slot's is 0); Python's float
         arithmetic gives the bits numpy's elementwise arithmetic would.
         """
-        columns = self._pending[:allocation].tolist()
+        columns = self._pending[:allocation]
         played = [self.q.item(m, j) for m, j in enumerate(columns)]
         estimates = [(value - self._bid_values[j]) / (max(q, Q_FLOOR) + gamma)
                      for value, j, q, gamma in zip(self._values, columns, played, self._offsets)]

@@ -8,8 +8,9 @@ and revenue.
 
 Learners come in groups. A group holds k >= 1 agents of the market and has:
 
-- `propose()`: a (k, M) array of grid indices, one monotone bid row per
-  agent;
+- `propose()`: k lists of M grid indices, one monotone bid row per agent,
+  as Python ints: `play` pools them and fills its columns without an array
+  in between;
 - `observe(allocations, thresholds)`: a bandit group gets its agents' k
   allocations and None; a group whose `wants_full_info` is set gets None
   and its agents' per-slot win thresholds (k rows of M, as returned by
@@ -21,7 +22,9 @@ learners read: it pools every group's rows with the environment's bids in
 one sort of integer keys (`round_thresholds`), stops the run at a bid above
 its IR cap (naming the agent and the round) before any learner observes,
 counts each bandit agent's won prefix and hands each group its feedback.
-Rows and thresholds fill (T, M) arrays a block at a time.
+A row of the wrong width stops the run, naming its group and the round.
+Rows and thresholds fill (T, M) arrays a block at a time, one `np.fromiter`
+per agent and column.
 
 Settlement runs once per run, after the last round, on those columns:
 `auction.settle_columns` gives each agent's allocations, rewards and
@@ -55,7 +58,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from string import Formatter
 from typing import Callable, Optional, Sequence
 
@@ -349,11 +352,14 @@ class SelfPlayMarket:
                 rows = [None] * len(ranks)
                 try:
                     for group, members in zip(self.learners, self.members):
-                        proposal = group.propose().tolist()
+                        proposal = group.propose()
                         if len(proposal) != len(members):
                             raise ValueError(f"proposed {len(proposal)} bid rows for a group "
                                              f"of {len(members)}")
                         for n, row in zip(members, proposal):
+                            if len(row) != widths[n]:
+                                raise ValueError(f"agent {n} proposed a bid row of width "
+                                                 f"{len(row)} for a demand of {widths[n]}")
                             rows[n] = row
                 except Exception as err:
                     _locate(err, members, t)
@@ -377,10 +383,10 @@ class SelfPlayMarket:
                     _locate(err, members, t)
                     raise
                 played.append(rows[:n_agents] + pooled)
-            for n in range(n_agents):
-                bids[n][start:stop] = [rows[n] for rows in played]
+            for n, width in enumerate(widths):
+                bids[n][start:stop] = _column(played, n, width)
                 if not solo:
-                    thresholds[n][start:stop] = [rows[n_agents + n] for rows in played]
+                    thresholds[n][start:stop] = _column(played, n_agents + n, width)
 
         allocations = np.empty((rounds, n_agents), dtype=np.int64)
         rewards, payments = np.empty((rounds, n_agents)), np.empty((rounds, n_agents))
@@ -400,6 +406,12 @@ class SelfPlayMarket:
             rewards=rewards, env_bids=env_bids, env_wins_ties=self.env_wins_ties,
             supply=self.supply, seed=seed, config=config or {},
         )
+
+
+def _column(played: list, index: int, width: int) -> np.ndarray:
+    """Entry `index` of every round in `played`, rows of `width` ints, as a (rounds, width) array."""
+    cells = chain.from_iterable(map(operator.itemgetter(index), played))
+    return np.fromiter(cells, np.int64, len(played) * width).reshape(-1, width)
 
 
 def _won(bid: list, thresholds: list) -> int:

@@ -751,7 +751,7 @@ class TestRuntimeFailure:
             bids = propose(self)
             calls.append(None)
             if len(calls) == 4:
-                bids[1] = self.grid.count - 1
+                bids[1] = [self.grid.count - 1] * len(bids[1])
             return bids
 
         monkeypatch.setattr(ExpWeightsBidder, "propose", overbid_in_round_3)
@@ -762,6 +762,31 @@ class TestRuntimeFailure:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             "runtime failure: agent 1, round 3: bid violates individual rationality\n")
+
+    def test_a_short_bid_row_names_the_agent_and_the_round(self, tmp_path, capsys, monkeypatch):
+        """The EW group of agents 0 and 1 is made to propose one slot of agent
+        1's two in round 3; the run stops there, before the row is pooled or logged."""
+        from pabid.exp_weights import ExpWeightsBidder
+
+        propose = ExpWeightsBidder.propose
+        calls = []
+
+        def short_row_in_round_3(self):
+            bids = propose(self)
+            calls.append(None)
+            if len(calls) == 4:
+                bids[1] = bids[1][:1]
+            return bids
+
+        monkeypatch.setattr(ExpWeightsBidder, "propose", short_row_in_round_3)
+        ew = {"algorithm": "ew", "feedback": "full", "valuation": [0.9, 0.6]}
+        omd = {"algorithm": "omd", "feedback": "bandit_ix", "valuation": [0.8, 0.5]}
+        path, _ = write_scenario(tmp_path, rounds=10, replications=1, supply=4,
+                                 agents=[ew, ew, omd], environment={"kind": "self_play"})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "runtime failure: agents 0, 1, round 3: agent 1 proposed a bid row of width 1 "
+            "for a demand of 2\n")
 
     def test_failure_keeps_its_type_and_names_every_agent_of_the_group(self, monkeypatch):
         from pabid import _kernels

@@ -161,7 +161,7 @@ class TestRounds:
             mode = (FeedbackMode.BANDIT_IPW, FeedbackMode.BANDIT_IX)[trial % 2]
             bidder = OmdBidder(valuation, grid, 100, mode=mode, seed=trial)
             bidder.q[:, 1:] *= rng.choice([1.0, 1e-14], size=(m, d - 1))  # some below the floor
-            played = bidder.propose()[0]
+            played = np.array(bidder.propose()[0])
             allocation = int(rng.integers(0, m + 1))
             expected = np.zeros((m, d))
             for slot, j in enumerate(played.tolist()):
@@ -364,11 +364,11 @@ class TestBanditRoundMatchesItsOracles:
         cuts = (cdf / cdf[:, -1:]).ravel()
         for u in [0.0, LAST_UNIFORM, *cuts, *np.nextafter(cuts, 0.0), *np.nextafter(cuts, 1.0)]:
             u = min(float(u), LAST_UNIFORM)
-            got = sample_from_marginals(bidder.q, FixedUniform(u))
+            got = np.array(sample_from_marginals(bidder.q, FixedUniform(u)))
             want = list_sample_from_marginals(bidder.q, FixedUniform(u))
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), u
 
-        bid = bidder.propose()[0]
+        bid = np.array(bidder.propose()[0])
         allocation = data.draw(st.integers(0, demand))
         q_tilde = bidder._bandit_step(allocation)
         assert q_tilde.tobytes() == all_slot_bandit_step(

@@ -394,7 +394,7 @@ class TestKernelsMatchLoops:
             m = log_sums.shape[0]
             draws = [np.zeros(m), np.full(m, top)] + [rng.random(m) for _ in range(20)]
             for uniforms in draws:
-                got = sample_monotone(log_prefix, uniforms)
+                got = np.array(sample_monotone(log_prefix, uniforms))
                 assert got.tolist() == loop_sample_monotone(log_sums, uniforms).tolist()
                 assert got.tolist() == loop_log_sample_monotone(log_sums, uniforms).tolist()
                 assert np.all(np.isfinite(log_sums[np.arange(m), got]))
@@ -402,7 +402,7 @@ class TestKernelsMatchLoops:
         # exceed U * total at U = 1/2, so both samplers take cell 1.
         half = np.array([0.5])
         assert loop_sample_monotone(np.zeros((1, 2)), half).tolist() == [1]
-        assert sample_monotone(np.log([[1.0, 2.0]]), half).tolist() == [1]
+        assert np.array(sample_monotone(np.log([[1.0, 2.0]]), half)).tolist() == [1]
 
     def test_sampler_inverts_the_exact_cdf_on_wide_rows(self):
         # The linear-domain loop loses cells that underflow against the row
@@ -416,12 +416,12 @@ class TestKernelsMatchLoops:
             m = log_sums.shape[0]
             draws = [np.zeros(m), np.full(m, top)] + [rng.random(m) for _ in range(50)]
             for uniforms in draws:
-                got = sample_monotone(log_prefix, uniforms)
+                got = np.array(sample_monotone(log_prefix, uniforms))
                 assert got.tolist() == loop_log_sample_monotone(log_sums, uniforms).tolist()
                 assert np.all(np.isfinite(log_sums[np.arange(m), got]))
         deep_ramp = wide_spread_cases()[0]
         _, log_prefix = ew_tail_sums(*deep_ramp)
-        assert sample_monotone(log_prefix, np.zeros(3)).tolist() == [0, 0, 0]
+        assert np.array(sample_monotone(log_prefix, np.zeros(3))).tolist() == [0, 0, 0]
 
     def test_roundoff_fallback_takes_largest_finite_cell_under_cap(self):
         # U = 1 leaves no cell whose running mass exceeds U * total.
@@ -431,10 +431,10 @@ class TestKernelsMatchLoops:
             [0.0, 0.5, -np.inf, 5.0],   # cell 2 masked, cell 3 above cap: pick 1
         ])
         log_prefix = np.array([loop_log_prefix(row) for row in log_sums])
-        assert sample_monotone(log_prefix, np.ones(3)).tolist() == [2, 2, 1]
+        assert np.array(sample_monotone(log_prefix, np.ones(3))).tolist() == [2, 2, 1]
         rng = np.random.default_rng(11)
         for _ in range(200):
-            picks = sample_monotone(log_prefix, rng.random(3))
+            picks = np.array(sample_monotone(log_prefix, rng.random(3)))
             assert np.all(np.isfinite(log_sums[np.arange(3), picks]))
             assert np.all(np.diff(picks) <= 0)
 
@@ -562,10 +562,11 @@ class TestBatchedKernels:
                 assert log_prefix[:, i].tobytes() == prefix.tobytes()
                 assert marginals[:, i].tobytes() == ew_marginals(sums).tobytes()
             for uniforms in [np.zeros((k, m)), np.full((k, m), top), rng.random((k, m))]:
-                picks = sample_monotone(log_prefix, uniforms)
+                picks = np.array(sample_monotone(log_prefix, uniforms))
                 assert picks.shape == (k, m)
                 for i, (_, prefix) in enumerate(singles):
-                    assert picks[i].tolist() == sample_monotone(prefix, uniforms[i]).tolist()
+                    assert (picks[i].tolist()
+                            == np.array(sample_monotone(prefix, uniforms[i])).tolist())
             rng.random((k, m))  # keeps the draws that follow
             thresholds = rng.integers(0, d + 1, size=(k, m))
             stacked, reference = weights.copy(), weights.copy()
@@ -614,8 +615,8 @@ class TestWorkspace:
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
                 flags = got[2] if flags is None else flags
                 uniforms = rng.random((k, m) if stack else m)
-                assert (sample_monotone(got[1], uniforms, flags).tolist()
-                        == sample_monotone(ref[1], uniforms, flags).tolist())
+                assert (np.array(sample_monotone(got[1], uniforms, flags)).tolist()
+                        == np.array(sample_monotone(ref[1], uniforms, flags)).tolist())
                 if "linear" in kwargs:
                     marginals = ew_marginals(work, linear=flags)
                     assert marginals.tobytes() == ew_marginals(*ref).tobytes()
@@ -821,15 +822,15 @@ class TestLinearTables:
             m = weights.shape[0]
             draws = [np.zeros(m), np.full(m, top)] + [rng.random(m) for _ in range(50)]
             for uniforms in draws:
-                got = sample_monotone(prefix, uniforms, linear)
-                assert got.tolist() == sample_monotone(log_prefix, uniforms).tolist()
+                got = np.array(sample_monotone(prefix, uniforms, linear))
+                assert got.tolist() == np.array(sample_monotone(log_prefix, uniforms)).tolist()
                 assert got.tolist() == loop_log_sample_monotone(log_sums, uniforms).tolist()
         # U on a CDF breakpoint: cell 0 holds half the mass, which does not
         # exceed U * total at U = 1/2, so both samplers take cell 1.
         sums, prefix, linear = ew_tail_sums(np.zeros((1, 2)), np.ones((1, 2), bool), 1.0,
                                             linear=True)
         assert linear.tolist() == [True] and prefix.tolist() == [[1.0, 2.0]]
-        assert sample_monotone(prefix, np.array([0.5]), linear).tolist() == [1]
+        assert np.array(sample_monotone(prefix, np.array([0.5]), linear)).tolist() == [1]
 
     def test_parity_cases_are_linear_and_wide_rows_take_logs(self):
         for weights, allowed, eta in kernel_parity_cases():
@@ -903,11 +904,11 @@ class TestLinearTables:
                 assert prefix[:, i].tobytes() == solo[1].tobytes()
                 assert marginals[:, i].tobytes() == ew_marginals(*solo).tobytes()
             for uniforms in [np.zeros((k, m)), np.full((k, m), top), rng.random((k, m))]:
-                picks = sample_monotone(prefix, uniforms, linear)
+                picks = np.array(sample_monotone(prefix, uniforms, linear))
                 for i in range(k):
                     solo = ew_tail_sums(weights[:, i], allowed[:, i], etas[i], linear=True)
-                    assert picks[i].tolist() == sample_monotone(solo[1], uniforms[i],
-                                                                solo[2]).tolist()
+                    assert picks[i].tolist() == np.array(sample_monotone(
+                        solo[1], uniforms[i], solo[2])).tolist()
             regimes.add(tuple(linear.tolist()))
         if k == 3:
             assert (True, False, True) in regimes

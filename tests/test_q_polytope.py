@@ -70,17 +70,17 @@ class TestInducedMarginals:
     def test_deterministic_chain(self):
         q = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         for u in (0.0, 0.3, LAST_UNIFORM):
-            assert sample_from_marginals(q, FixedUniform(u)).tolist() == [2, 1]
+            assert np.array(sample_from_marginals(q, FixedUniform(u))).tolist() == [2, 1]
 
     def test_sampled_vectors_are_monotone(self, rng):
         q = random_q_member(rng, 4, 5)
         for _ in range(200):
-            bid = sample_from_marginals(q, rng)
+            bid = np.array(sample_from_marginals(q, rng))
             assert np.all(np.diff(bid) <= 0)
         # dominance met only to a 1e-9 slack: slot 1 alone would move up for
         # uniforms inside the slack, and the running minimum holds it down
         slack = np.array([[0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]])
-        bid = sample_from_marginals(slack, FixedUniform(0.5 + 5e-10))
+        bid = np.array(sample_from_marginals(slack, FixedUniform(0.5 + 5e-10)))
         assert bid.tolist() == [0, 0]
 
     def test_draws_avoid_zero_mass_and_ir_masked_cells(self):
@@ -99,7 +99,8 @@ class TestInducedMarginals:
                                   [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
         for q in measures:
             law = sampler_law(q)
-            extremes = [sample_from_marginals(q, FixedUniform(u)) for u in (0.0, LAST_UNIFORM)]
+            extremes = [np.array(sample_from_marginals(q, FixedUniform(u)))
+                        for u in (0.0, LAST_UNIFORM)]
             for indices in list(law) + [tuple(b) for b in extremes]:
                 cells = (np.arange(3), np.array(indices))
                 assert np.all(q[cells] > 0.0) and np.all(bidder.allowed[cells]), indices
@@ -109,8 +110,8 @@ class TestInducedMarginals:
     def test_same_seed_same_draws_one_uniform_each(self, rng):
         q = random_q_member(rng, 4, 6)
         first, second = np.random.default_rng(11), np.random.default_rng(11)
-        a = [sample_from_marginals(q, first).tolist() for _ in range(100)]
-        b = [sample_from_marginals(q, second).tolist() for _ in range(100)]
+        a = [np.array(sample_from_marginals(q, first)).tolist() for _ in range(100)]
+        b = [np.array(sample_from_marginals(q, second)).tolist() for _ in range(100)]
         assert a == b
         reference = np.random.default_rng(11)
         reference.random(100)

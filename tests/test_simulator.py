@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from pabid.adversaries import StochasticAdversary
 from pabid.auction import ValuationProfile
-from pabid.exp_weights import ExpWeightsBidder, LearnerConfig
+from pabid.exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig
 from pabid.grids import make_even_grid
+from pabid.mirror_descent import OmdBidder
 from pabid.scenario import (
     Scenario,
     ScenarioError,
@@ -422,6 +423,29 @@ class TestMarketChecks:
         with pytest.raises(ValueError) as excinfo:
             market.play(10)
         assert str(excinfo.value) == "agent 0, round 0: proposed 2 bid rows for a group of 1"
+
+    @pytest.mark.parametrize("kind, k", [("full", 1), ("full", 3), ("bandit_ix", 1),
+                                         ("bandit_ix", 3), ("omd", 1)])
+    def test_groups_propose_lists_of_python_ints(self, kind, k):
+        """The group interface: k lists of M Python ints, in every round, which
+        `play` pools and logs as they are."""
+        grid = make_even_grid(11)
+        valuation = ValuationProfile(np.array([1.0, 0.7, 0.4]))
+        if kind == "omd":
+            group = OmdBidder(valuation, grid, 20, seed=1)
+        else:
+            group = ExpWeightsBidder([valuation] * k, grid, 20,
+                                     [LearnerConfig(seed=s) for s in range(k)],
+                                     mode=FeedbackMode(kind))
+        for _ in range(20):
+            rows = group.propose()
+            assert type(rows) is list and len(rows) == k
+            assert all(type(row) is list and len(row) == 3 for row in rows)
+            assert all(type(j) is int for row in rows for j in row)
+            if group.wants_full_info:
+                group.observe(None, [[0, 3, 5]] * k)
+            else:
+                group.observe([1] * k)
 
 
 class TestPersistence:
