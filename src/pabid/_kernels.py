@@ -6,11 +6,11 @@ directly; there is no second interface.
 
 Kernels:
   * project_dual_ascent: unnormalized-KL projection onto the dominance
-    polytope by cyclic coordinate ascent on the Lagrange dual, O(M*D) per
-    sweep, certified by the max of layer-sum error, dominance violation and
-    complementary-slackness residual. The first sweep returns on one prefix
-    table's maxima when no pair would move; otherwise every sweep visits
-    every pair.
+    polytope, certified by the max of layer-sum error, dominance violation
+    and complementary-slackness residual. It returns at zero dominance
+    multipliers when one prefix table of the normalized rows certifies, and
+    otherwise takes projected Newton steps on the Lagrange dual: at most 100
+    conjugate-gradient iterations with a matrix-free Hessian, O(M*D) each.
   * backward_pass / forward_pass: the layered graph's two passes (Takimoto &
     Warmuth 2003), one accumulate and one elementwise step per slot, in the
     caller's semiring. Backward: EW's tail sums, (add, multiply) or in logs
@@ -71,119 +71,115 @@ _LINEAR_MIN = 2.0**-960
 _LINEAR_LOG_MAX = 700.0
 # The win update's addend: a 0-d array skips the conversion a Python float takes per call.
 _ONE = np.ones(())
+# A Newton step's largest multiplier move, and its most CG iterations (one O(M*D) product each).
+_MAX_STEP, _CG_ITERATIONS = 4.0, 100
 
 
 def project_dual_ascent(qt, allowed, tol, max_sweeps):
     """Unnormalized-KL projection of `qt` onto the dominance polytope.
 
-    Cyclic coordinate ascent on the Lagrange dual. Each sweep renormalizes
-    every row (nu -= log s), then visits the dominance constraints
-    F_m(j) <= F_{m+1}(j): layer pairs forward on even sweeps and backward on
-    odd ones, and j in the same direction. Constraint (m, j) moves mass
-    between the two prefixes by the closed form delta = log(P/A)/2 (P, A the
-    shallow and deep prefix masses), with the multiplier clipped at zero.
-
-    One sweep costs O(M*D): within a pair the prefix masses are running sums
-    (forward, an update touches only cells <= j, so the next prefix adds one
-    untouched cell) or one cumsum times the product of the updates applied so
-    far (backward). The cell rescaling is lazy: cell k of the deep row is
-    multiplied, once per pair, by exp(sum_{j >= k} delta_j) and the shallow
-    row divided by it. A constraint with lambda = 0 and P <= A is skipped,
-    since its clipped update is exactly zero.
-
-    The usual bandit step leaves every pair idle, so the first sweep checks
-    that on one prefix table of the normalized rows: when its largest P - A,
-    one NaN-propagating max, is not positive, nothing moves, and it returns
-    if the larger of that and the largest row-sum error certifies. That
-    certificate is exact, as the passes' running sums and backward prefixes
-    / 1.0 are the table's sums bit for bit. Otherwise one loop runs the
-    sweeps, each visiting every pair and ending on the KKT gap.
+    The dual has a multiplier lambda[m, j] >= 0 per constraint F_m(j) <=
+    F_{m+1}(j): row m of the iterate is the normalized input times
+    exp(sum_{j >= k} lambda[m - 1, j] - sum_{j >= k} lambda[m, j]) on cell k,
+    renormalized, and nu_m is minus its log scale. The dual value sum(nu) is
+    concave in lambda, with gradient the excess F_m(j) - F_{m+1}(j).
 
     The certificate `gap` is the max of the row-sum error, the dominance
-    violation and the complementary-slackness residual |lambda (A - P)|.
+    violation and the complementary-slackness residual |lambda (A - P)|, and a
+    NaN gap does not certify. The usual bandit step meets dominance up to
+    roundoff, so it is taken first at lambda = 0, on one prefix table of the
+    normalized rows. Otherwise projected Newton steps (`_newton_step`)
+    maximize the dual, each O(M*D).
 
-    `max_sweeps` must be at least 1. Returns (q, lam, nu, sweeps_used, gap).
+    `max_sweeps` (at least 1) bounds the check plus the Newton steps, the
+    count returned. Returns (q, lam, nu, sweeps_used, gap).
     """
     m_units, d = qt.shape
     q = np.where(allowed, qt, 0.0)
-    lam_shape = (max(m_units - 1, 1), max(d - 1, 1))
+    lam = np.zeros((max(m_units - 1, 1), max(d - 1, 1)))
     s = q.sum(axis=1)
     q /= s[:, None]
     nu = 0.0 - np.log(s)
-    top = float(_dominance_excess(q).max(initial=_NEG_INF))
-    if top <= 0.0:  # the first sweep moves no pair (a NaN top is busy)
-        gap = max(float(abs(q.sum(axis=1) - 1.0).max()), top)
-        if not gap > tol:
-            return q, np.zeros(lam_shape), nu, 1, gap
-    lam = np.zeros(lam_shape)
-    for sweep in range(max_sweeps):
-        if sweep:  # the first sweep's normalization is done above
-            s = q.sum(axis=1)
-            q /= s[:, None]
-            nu -= np.log(s)
-        forward = sweep % 2 == 0
-        for m in range(m_units - 1) if forward else range(m_units - 2, -1, -1):
-            _balance_pair(q, lam, m, forward)
-        gap = _kkt_gap(q, _dominance_excess(q), lam)
-        if not gap > tol:  # converged, or a NaN gap: more sweeps cannot help
-            return q, lam, nu, sweep + 1, gap
-    return q, lam, nu, max_sweeps, gap
+    excess = _dominance_excess(q)
+    sweeps, gap = 1, _kkt_gap(q, excess)
+    if not gap > tol:  # lambda = 0 certifies; a NaN gap stops here too
+        return q, lam, nu, sweeps, gap
+    factors, nu0 = np.zeros(q.shape), nu
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logs = np.log(q)  # IR-masked cells: -inf
+        while gap > tol and sweeps < max_sweeps:
+            step = _newton_step(q, lam, excess, logs, factors, nu0)
+            if step is None:  # no step ascends
+                break
+            q, lam, nu, factors = step
+            excess = _dominance_excess(q)
+            sweeps, gap = sweeps + 1, _kkt_gap(q, excess, lam)
+    return q, lam, nu, sweeps, gap
 
 
-def _balance_pair(q, lam, m, forward):
-    """One pass over the d - 1 dominance constraints of rows m, m + 1."""
-    n = q.shape[1] - 1
-    lams = lam[m, :n].tolist()
-    deltas = [0.0] * n
-    if forward:
-        shallow_cells = q[m, :n].tolist()
-        deep_cells = q[m + 1, :n].tolist()
-        shallow = deep = 0.0
-        for j in range(n):
-            shallow += shallow_cells[j]
-            deep += deep_cells[j]
-            lj = lams[j]
-            if lj == 0.0 and shallow <= deep:
-                continue
-            delta = _dominance_step(lj, shallow, deep)
-            if delta != 0.0:
-                lams[j] = lj + delta
-                deltas[j] = delta
-                up = math.exp(delta)
-                shallow /= up
-                deep *= up
-    else:
-        shallow_prefix = q[m, :n].cumsum().tolist()
-        deep_prefix = q[m + 1, :n].cumsum().tolist()
-        up_so_far = 1.0  # exp of the sum of the updates applied so far
-        for j in range(n - 1, -1, -1):
-            shallow = shallow_prefix[j] / up_so_far
-            deep = deep_prefix[j] * up_so_far
-            lj = lams[j]
-            if lj == 0.0 and shallow <= deep:
-                continue
-            delta = _dominance_step(lj, shallow, deep)
-            if delta != 0.0:
-                lams[j] = lj + delta
-                deltas[j] = delta
-                up_so_far *= math.exp(delta)
-    if any(deltas):
-        lam[m, :n] = lams
-        up = np.exp(np.cumsum(deltas[::-1])[::-1])
-        q[m, :n] /= up
-        q[m + 1, :n] *= up
+def _newton_step(q, lam, excess, logs, factors, nu0):
+    """One projected Newton step from `lam`: (q, lam, nu, factors), or None if none ascends.
 
-
-def _dominance_step(lam_j, shallow, deep):
-    """Clipped dual update of one constraint: log(P/A)/2, lambda kept >= 0.
-
-    Empty shallow prefix: release the multiplier. Empty deep prefix: no move.
+    Conjugate gradients on the free set (lambda > 0 or excess > 0), at most one
+    iteration per free multiplier and `_CG_ITERATIONS` in all, give the step,
+    or the gradient where there is no curvature. Capped at `_MAX_STEP` per
+    multiplier, it is halved along max(lambda + step, 0) until the dual rises
+    by 1e-4 of its first-order gain (Armijo). The rise, -log(sum q e^delta)
+    per row, is taken against the current iterate, precise where a difference
+    of sum(nu) would round away; an emptied row (+inf) or an overflow (NaN)
+    fails it. q and nu are rebuilt from the input's `logs` and `nu0`, so
+    rounding does not build up.
     """
-    if shallow <= 0.0:
-        return -lam_j
-    if deep <= 0.0:
-        return 0.0
-    return max(0.5 * (math.log(shallow) - math.log(deep)), -lam_j)
+    free = (lam > 0.0) | (excess > 0.0)
+    residual = np.where(free, excess, 0.0)
+    direction, step = residual.copy(), np.zeros(residual.shape)
+    rr = float((residual * residual).sum())
+    goal = rr * min(0.25, rr)  # stop at a residual of min(1/2, |g|) |g|: superlinear steps
+    for _ in range(min(int(free.sum()), _CG_ITERATIONS)):
+        bend = np.where(free, _curvature(q, direction), 0.0)
+        curvature = float((direction * bend).sum())
+        if not curvature > 0.0:
+            break
+        step += rr / curvature * direction
+        residual -= rr / curvature * bend
+        rr, last = float((residual * residual).sum()), rr
+        if rr <= goal:
+            break
+        direction = residual + (rr / last) * direction
+    step = step if step.any() else np.where(free, excess, 0.0)
+    step *= min(1.0, _MAX_STEP / abs(step).max(initial=0.0))
+    for _ in range(60):
+        trial = np.maximum(lam + step, 0.0)
+        delta = _log_factors(trial - lam, q.shape)
+        rise = -float(np.log1p((q * np.expm1(delta)).sum(axis=1) / q.sum(axis=1)).sum())
+        if 0.0 < 1e-4 * float((excess * (trial - lam)).sum()) <= rise < math.inf:
+            factors = factors + delta
+            cells = logs + factors
+            top = cells.max(axis=1, keepdims=True)
+            q = np.exp(cells - top)
+            s = q.sum(axis=1, keepdims=True)
+            return q / s, trial, nu0 - (top + np.log(s))[:, 0], factors
+        step *= 0.5
+    return None
+
+
+def _log_factors(lam, shape):
+    """Log factor of each cell (m, k): sum_{j >= k} lam[m - 1, j] - sum_{j >= k} lam[m, j]."""
+    factors = np.zeros(shape)
+    tails = lam[:, ::-1].cumsum(axis=1)[:, ::-1]
+    factors[1:, :-1] += tails
+    factors[:-1, :-1] -= tails
+    return factors
+
+
+def _curvature(q, v):
+    """Minus the dual's Hessian times `v`: the log factors move by `_log_factors(v)`,
+    each row's mass by q times their deviation from its mean, the excesses by
+    its prefix sums. One suffix cumsum, one product and one prefix cumsum."""
+    moved = _log_factors(v, q.shape)
+    mass = q * (moved - (q * moved).sum(axis=1, keepdims=True))
+    prefix = mass[:, :-1].cumsum(axis=1)
+    return prefix[1:] - prefix[:-1]
 
 
 def _dominance_excess(q):
@@ -192,11 +188,12 @@ def _dominance_excess(q):
     return prefix[:-1] - prefix[1:]
 
 
-def _kkt_gap(q, excess, lam):
-    """Max of row-sum error, excess and |lambda (A - P)|."""
+def _kkt_gap(q, excess, lam=None):
+    """Max of row-sum error, excess and |lambda (A - P)|, which is 0 at lambda = None."""
     gap = float(abs(q.sum(axis=1) - 1.0).max())
     if excess.size:
-        gap = max(gap, float(excess.max()), float(abs(lam * excess).max()))
+        slack = 0.0 if lam is None else float(abs(lam * excess).max())
+        gap = max(gap, float(excess.max()), slack)
     return gap
 
 

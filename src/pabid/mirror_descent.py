@@ -37,7 +37,7 @@ from .grids import BidGrid
 Q_FLOOR = 1e-12
 
 DEFAULT_PROJECTION_TOL = 1e-8
-DEFAULT_MAX_SWEEPS = 200_000
+DEFAULT_MAX_SWEEPS = 5_000  # the check plus Newton steps
 MAX_PLAIN_EXPONENT = 700.0  # largest unshifted exponent of a step; exp(709.8) overflows
 
 
@@ -50,8 +50,9 @@ class Violation:
 
 
 class ProjectionError(RuntimeError):
-    """The projection stopped with its certificate above tolerance (or NaN);
-    `best` is the (M, D) iterate it stopped at."""
+    """The projection stopped with its certificate above tolerance (or NaN),
+    at its step bound or where no Newton step ascends; `best` is the (M, D)
+    iterate it stopped at and `sweeps` the check plus the steps it took."""
 
     def __init__(self, message: str, best: np.ndarray, gap: float, sweeps: int):
         super().__init__(message)
@@ -104,7 +105,8 @@ def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: i
     The kernel's `gap` bounds the KKT residuals: layer-sum error, dominance
     violation, and complementary slackness of the dominance multipliers.
     Stationarity is exact by construction (the iterate is the dual-feasible
-    exponential reweighting of the input). Returns the (M, D) iterate, or
+    exponential reweighting of the input). `max_sweeps` bounds the kernel's
+    lambda = 0 check plus its Newton steps. Returns the (M, D) iterate, or
     raises `ProjectionError` when the gap exceeds `tol`, its message naming
     `round_index` when given.
 

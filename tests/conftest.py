@@ -5,15 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pabid import _kernels
 from pabid._kernels import sample_monotone
 from pabid.auction import BidVector, ValuationProfile
 from pabid.cli import numpy_build
 from pabid.grids import BidGrid, make_even_grid
 from pabid.hindsight import NodeWeightTable
-from pabid.mirror_descent import sample_from_marginals
+from pabid.mirror_descent import q_membership, sample_from_marginals
 from pabid.simulator import SelfPlayMarket
 
-from oracles import iter_monotone_indices
+from oracles import iter_monotone_indices, unnormalized_kl
 
 # numpy's version and dispatch targets choose the bits of its `exp` and `log`, so an
 # expectation that depends on them names the build it was recorded on and this run's.
@@ -160,3 +161,45 @@ def sampler_law(q: np.ndarray) -> dict[tuple[int, ...], float]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xC0FFEE)
+
+
+def support_has_member(qt: np.ndarray, allowed: np.ndarray) -> bool:
+    """Whether some member of the polytope puts mass only where `qt` does (on `allowed`).
+
+    Dominance makes the rows' top cells non-increasing down the slots, and a
+    member can sit on one cell per row, so there is one exactly when each row
+    has mass at or below the top cell chosen for the row above.
+    """
+    cap = qt.shape[1]
+    for row in np.where(allowed, qt, 0.0) > 0.0:
+        cells = np.flatnonzero(row[:cap])
+        if cells.size == 0:
+            return False
+        cap = int(cells[-1]) + 1
+    return True
+
+
+def assert_same_optimum(got, want, qt, allowed, tol):
+    """`got` certifies the projection of the feasible input `qt`, and reaches the
+    optimum of the reference projection `want` wherever that certifies too.
+
+    On every input, `got` has gap <= tol, is a member, keeps q = 0 on masked
+    cells and is the input reweighted by its own multipliers: log q = log q~ +
+    nu + the log factors of lambda on every cell of mass. A point certified at
+    `tol` has a KL objective within about `tol` times the sum of its
+    multipliers' sizes, |lambda| and |nu|, of the optimum, either side. So
+    where `want` certifies, the two objectives agree within twice that sum over
+    both points times `tol`, and within 1e-8 when it is small.
+    """
+    q, lam, nu, _sweeps, gap = got
+    target = np.where(allowed, qt, 0.0)
+    assert gap <= tol
+    assert q_membership(q, tol=tol) == []
+    assert np.all(q[target == 0.0] == 0.0)
+    cells = q > 0.0
+    logs = np.log(target[cells]) + (nu[:, None] + _kernels._log_factors(lam, q.shape))[cells]
+    assert np.allclose(np.log(q[cells]), logs, rtol=1e-12, atol=1e-9)
+    if want[4] <= tol:
+        sizes = sum(float(abs(multipliers).sum()) for multipliers in (lam, nu, *want[1:3]))
+        bound = max(1e-8, 2.0 * sizes * tol)
+        assert abs(unnormalized_kl(q, target) - unnormalized_kl(want[0], target)) <= bound

@@ -27,10 +27,12 @@ entries, a `PooledBids` per agent and `settle`.
 cell, formatting every float where it appears; `RunLog.to_csv_text` and
 `to_json_text` must give their bytes.
 
-`sweep_dual_ascent` is the KL projection kernel without its first-sweep
-return: every sweep, the first too, visits every layer pair and ends on the
-KKT gap. `count_rule_indices` is the mirror-descent sampler's index rule as a
-count over the whole CDF table. The library must match both bit for bit.
+`sweep_dual_ascent` is the cyclic coordinate ascent that the KL projection
+kernel ran before projected Newton replaced it: every sweep visits every
+layer pair and ends on the KKT gap. It stays as the frozen reference: where
+it certifies, the kernel must certify the same optimum. `count_rule_indices`
+is the mirror-descent sampler's index rule as a count over the whole CDF
+table, which the library must match bit for bit.
 
 A mirror-descent bandit round once converted or rebuilt whole (M, D) tables;
 the library touches only the cells it plays. Its former forms stay here:
@@ -39,7 +41,8 @@ the running minimum by `np.minimum.accumulate`; `all_slot_bandit_step`, the
 bandit step that exponentiates all M played cells, the lost ones too; and
 `row_list_dual_ascent`, the projection whose first-sweep certificate takes
 each row's largest excess and row-sum error as Python floats. The library
-must give their bits.
+must give the bits of the first two, and of the last wherever it certifies
+at zero multipliers.
 
 `PerRoundDrawBidder` is the EW group with each agent's uniforms drawn one
 round at a time, as `rng.random(M)`; the library draws them in blocks of
@@ -576,9 +579,9 @@ def unnormalized_kl(q: np.ndarray, q_tilde: np.ndarray) -> float:
 def sweep_dual_ascent(qt, allowed, tol, max_sweeps):
     """Cyclic dual coordinate ascent that visits every layer pair every sweep.
 
-    Same sweep order, pair passes and certificate as
-    `_kernels.project_dual_ascent`, without its first-sweep return. Returns
-    (q, lam, nu, sweeps_used, gap).
+    The frozen coordinate-ascent reference for the projected Newton kernel,
+    `_kernels.project_dual_ascent`: same dual, multipliers and certificate, a
+    different path to them. Returns (q, lam, nu, sweeps_used, gap).
     """
     m_units, d = qt.shape
     q = np.where(allowed, qt, 0.0)
@@ -707,7 +710,7 @@ def all_slot_bandit_step(q: np.ndarray, bid: np.ndarray, allocation: int, values
 
 
 def row_list_dual_ascent(qt, allowed, tol, max_sweeps):
-    """`_kernels.project_dual_ascent` with its first-sweep certificate taken row by row.
+    """The projection's zero-multiplier check taken row by row, then `sweep_dual_ascent`.
 
     After one normalization, each row's largest dominance excess P - A and
     each row's |sum - 1| become Python floats, and their maxima are NaN when

@@ -697,6 +697,34 @@ class TestOmdEtaRange:
             validate_scenario(document)
 
 
+    @pytest.mark.parametrize("feedback, eta, master_seed, tie", [
+        ("full", 1e3, 5, "agent_wins"), ("full", 1e10, 5, "agent_wins"),
+        ("full", 1e300, 5, "agent_wins"), ("bandit_ix", 1e3, 99, "agent_loses")])
+    def test_huge_eta_inside_the_bound_runs(self, tmp_path, feedback, eta, master_seed, tie):
+        """Round 0's step leaves rows 0 and 1 near point masses at the win
+        threshold and row 2 spread to its IR cap: dominance moves mass by
+        factors near e^100, where coordinate ascent stalled at gap 2.8e-5."""
+        document = json.loads(self.scenario(tmp_path, feedback, eta).read_text())
+        document["master_seed"] = master_seed
+        document["environment"]["tie"] = tie
+        path = tmp_path / "huge_eta.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("master_seed", [125, 129, 131, 139, 195])
+    def test_full_information_seeds_that_stalled_run(self, tmp_path, master_seed):
+        """`benchmark_stochastic` with OMD: on these seeds coordinate ascent
+        stalled one projection for 200,000 sweeps, 8.6-14.2 s, and exited 1."""
+        from pabid.cli import _resolve_scenario_path
+
+        document = json.loads(Path(_resolve_scenario_path("benchmark_stochastic")).read_text())
+        document["agents"][0]["algorithm"] = "omd"
+        document.update(rounds=1_000, replications=1, master_seed=master_seed)
+        path = tmp_path / "omd_full.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestFullInfoEtaRange:
     """Every log tail sum of a full-information EW agent is at most
     eta * M * T + log C(M + D - 1, M), so validation bounds eta * M * T."""

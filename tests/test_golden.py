@@ -4,8 +4,8 @@ Five more scenarios are written out below: a mixed market whose EW agents
 of equal demand and feedback are not adjacent, against an environment that
 wins ties, so the grouping of agents cannot change anyone's draws unseen;
 one OMD bandit agent at the `omd_bandit` benchmark shape whose projections
-often take many sweeps (64 of 300 take more than one, up to 111), so a
-change to the projection cannot move its multi-sweep path unseen; a
+often need Newton steps after the lambda = 0 check (64 of 300, up to 2
+steps), so a change to the projection cannot move its Newton path unseen; a
 group of two EW full-information agents whose user-set rates (the larger
 is 2) carry their tables past the linear range bound at round 116, so the
 switch from linear tail sums to logs cannot move a bid unseen; and one EW
@@ -30,9 +30,10 @@ new digest. Those pin replication 0 only, so one more digest hashes the same
 run bytes of replications 0-4 of `benchmark_stochastic` at 50 rounds: a
 replication past 0 cannot change its seeds unseen. The run digests pin only
 the q of each projection that reaches the bids, so a last digest hashes
-every output of every projection (q, lambda, nu, sweeps and gap) in
+every output of every projection (q, lambda, nu, steps and gap) in
 replication 0 of `omd_multisweep` and `mixed_groups`, whose IR-masked OMD
-agent sends roundoff-busy layer pairs through the sweep loop.
+agent leaves layer pairs whose excess is positive by roundoff alone, which
+the lambda = 0 check certifies.
 
 The projection digest and the bandit agent's log rounds depend on the bits
 of numpy's `exp` and `log`, which its SIMD dispatch chooses per host, so
@@ -179,9 +180,10 @@ REPLICATIONS = 5
 REPLICATION_ROUNDS = 50
 REPLICATIONS_DIGEST = "9f9ecd59e4008998dce6d986142dc58c76742e5c5eb4cdd99b24d9cd36cec171"
 
-# sha256 of the bytes of (q, lambda, nu, sweeps, gap) of every projection, in call order
+# sha256 of the bytes of (q, lambda, nu, steps, gap) of every projection, in call order, of
+# projected Newton on the dual, recorded on RECORDED_TARGET (numpy's AVX-512 dispatch)
 PROJECTION_SCENARIOS = ("omd_multisweep", "mixed_groups")
-PROJECTION_DIGEST = "127beb8582512469d268fb61f8973f19ffcc97d028d4c079ae9b190e22f9d805"
+PROJECTION_DIGEST = "55299519ab03607a239bb13f854207862b571870b8258f0758d75b4cba07a54d"
 
 # sha256 of CSV + regret reports + JSON of a bandit agent with rounds in logs
 LOG_ROUNDS_SCENARIO = {

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pabid import _kernels
 from pabid._kernels import apply_slot_rewards, project_dual_ascent, slot_rewards
 from pabid.auction import ValuationProfile
-from pabid.exp_weights import FeedbackMode, ix_gamma_schedule
+from pabid.exp_weights import FeedbackMode, estimator_offsets
 from pabid.grids import make_even_grid
 from pabid.mirror_descent import (
     DEFAULT_MAX_SWEEPS,
@@ -22,7 +22,7 @@ from pabid.mirror_descent import (
     unconstrained_step,
 )
 
-from conftest import member_on, random_q_member
+from conftest import assert_same_optimum, member_on, random_q_member, support_has_member
 from oracles import sweep_dual_ascent, unnormalized_kl
 
 
@@ -185,27 +185,25 @@ class TestProjectToQ:
             f"projection stopped at gap {excinfo.value.gap:.3e} after 1 sweeps (tol 1.0e-12)")
 
 
-class TestKernelMatchesDefinition:
+class TestSweepOracleMatchesDefinition:
+    """`oracles.sweep_dual_ascent`, the kernel's frozen reference, is the coordinate ascent."""
+
     @pytest.mark.parametrize("tol", [1e-8, 1e-11])
     def test_same_iterate_multipliers_and_sweeps(self, tol):
         for qt, allowed in kernel_parity_cases():
-            q, lam, _nu, sweeps, _gap = project_dual_ascent(qt, allowed, tol, 300)
+            q, lam, _nu, sweeps, _gap = sweep_dual_ascent(qt, allowed, tol, 300)
             ref_q, ref_lam, _, ref_sweeps, _ = textbook_dual_ascent(qt, allowed, tol, 300)
             assert sweeps == ref_sweeps
             assert np.max(np.abs(q - ref_q)) <= 1e-12
             assert np.max(np.abs(lam - ref_lam)) <= 1e-12
 
+
+class TestKernelMatchesDefinition:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_iterate_stops_after_one_sweep(self):
         qt = np.array([[np.inf, 1.0], [1.0, 1.0]])
         _q, _lam, _nu, sweeps, gap = project_dual_ascent(qt, np.ones((2, 2), bool), 1e-8, 1000)
         assert sweeps == 1 and math.isnan(gap)
-
-    def test_an_empty_shallow_prefix_releases_the_multiplier(self):
-        """P = 0: no log(P/A) exists, and the update sets lambda back to 0."""
-        assert _kernels._dominance_step(0.75, 0.0, 0.5) == -0.75
-        assert _kernels._dominance_step(0.75, 0.0, 0.0) == -0.75
-        assert _kernels._dominance_step(0.0, 0.0, 0.5) == 0.0
 
     def test_input_is_not_modified(self, rng):
         qt = rng.uniform(0.1, 1.0, size=(3, 5))
@@ -253,13 +251,14 @@ class TestExactOptimum:
 
 
 def omd_kernel_input(seed: int, demand: int, grid_size: int, horizon: int, ir: bool,
-                     full_info: bool = False, eta_scale: float = 1.0):
+                     full_info: bool = False, eta_scale: float = 1.0, gamma=None):
     """A feasible member times exp(eta * reward estimate), with eta and gamma
     from OMD's own schedules: the input OMD hands the kernel each round.
 
     The estimate is bandit-IX's, nonzero only on a non-increasing played path,
     or under `full_info` the slot rewards at or above random win thresholds.
-    `eta_scale` multiplies the scheduled rate, as a user-set eta would.
+    `eta_scale` multiplies the scheduled rate, and `gamma` replaces the
+    scheduled offsets, as a user-set eta and gamma would.
     """
     rng = np.random.default_rng(seed)
     values = np.sort(rng.random(demand))[::-1] if ir else np.ones(demand)
@@ -274,7 +273,7 @@ def omd_kernel_input(seed: int, demand: int, grid_size: int, horizon: int, ir: b
         estimate *= slot_rewards(allowed, values, grid.values)
         return unconstrained_step(q, estimate, eta), allowed
     eta = eta_scale * omd_eta_schedule(FeedbackMode.BANDIT_IX, grid_size, horizon)
-    gamma = ix_gamma_schedule(allowed, horizon)
+    gamma = estimator_offsets(FeedbackMode.BANDIT_IX, allowed, horizon, gamma)
     cap = grid_size - 1
     won = int(rng.integers(0, demand + 1))
     for m in range(demand):
@@ -285,20 +284,12 @@ def omd_kernel_input(seed: int, demand: int, grid_size: int, horizon: int, ir: b
     return unconstrained_step(q, estimate, eta), allowed
 
 
-def assert_same_projection(got, want):
-    """Bit-for-bit: q, lambda and nu, the sweep count, and the gap (or both NaN)."""
-    for name, a, b in zip(("q", "lam", "nu"), got[:3], want[:3]):
-        assert np.array_equal(a, b, equal_nan=True), name
-    assert got[3] == want[3]
-    assert got[4] == want[4] or (math.isnan(got[4]) and math.isnan(want[4]))
-
-
 def one_violated_pair(m_units: int, pair: int, stuck: bool):
     """Rows 0..pair share one law and rows pair+1.. another that dominates it
     the wrong way, so only layer pair `pair` is violated; the rest have
     identical rows and zero excess. When `stuck`, the deep law has no mass
-    below the shallow one's top cell, so the pair can never move and every
-    sweep, forward and backward, leaves the multipliers at zero."""
+    below the shallow one's top cell, so no reweighting can meet dominance:
+    the projection is infeasible."""
     shallow = np.array([0.5, 0.3, 0.1, 0.1, 0.0]) if stuck else np.array([0.4, 0.3, 0.2, 0.1, 0.05])
     deep = np.array([0.0, 0.0, 0.0, 0.0, 1.0]) if stuck else np.array([0.05, 0.1, 0.2, 0.3, 0.4])
     qt = np.vstack([shallow] * (pair + 1) + [deep] * (m_units - 1 - pair))
@@ -306,59 +297,146 @@ def one_violated_pair(m_units: int, pair: int, stuck: bool):
 
 
 class TestKernelMatchesSweepOracle:
-    """The first-sweep return and its table certificate change no bit of the result."""
+    """The kernel certifies every feasible input, at the sweep oracle's optimum
+    where that certifies."""
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-11])
     def test_parity_cases(self, tol):
         for qt, allowed in kernel_parity_cases():
-            assert_same_projection(project_dual_ascent(qt, allowed, tol, 300),
-                                   sweep_dual_ascent(qt, allowed, tol, 300))
+            if support_has_member(qt, allowed):
+                assert_same_optimum(project_dual_ascent(qt, allowed, tol, DEFAULT_MAX_SWEEPS),
+                                    sweep_dual_ascent(qt, allowed, tol, 300), qt, allowed, tol)
+            else:  # point masses that break dominance: no reweighting certifies
+                assert project_dual_ascent(qt, allowed, tol, 300)[4] > tol
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_input(self):
-        qt, allowed = np.array([[np.inf, 1.0], [1.0, 1.0]]), np.ones((2, 2), bool)
-        assert_same_projection(project_dual_ascent(qt, allowed, 1e-8, 1000),
-                               sweep_dual_ascent(qt, allowed, 1e-8, 1000))
+        """No NaN certifies: a NaN cell stops both at once, wherever it sits."""
+        for qt in ([[np.inf, 1.0], [1.0, 1.0]], [[1.0, 1.0], [np.nan, 1.0]],
+                   [[1.0, np.nan], [1.0, 1.0]], [[1.0, 2.0, 3.0], [3.0, 2.0, np.nan]]):
+            qt = np.array(qt)
+            allowed = np.ones(qt.shape, bool)
+            got = project_dual_ascent(qt, allowed, 1e-8, 1000)
+            assert got[3] == 1 and math.isnan(got[4])
+            assert math.isnan(sweep_dual_ascent(qt, allowed, 1e-8, 1000)[4])
+            with pytest.raises(ProjectionError):
+                _project(qt, allowed, 1e-8, 1000)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), demand=st.integers(1, 6),
            grid_size=st.integers(2, 41), horizon=st.integers(1, 10_000),
            full_info=st.booleans(), eta_scale=st.sampled_from([1.0, 10.0, 100.0]))
     def test_omd_inputs(self, seed, demand, grid_size, horizon, full_info, eta_scale):
-        # a scaled eta makes the multi-sweep projections that the schedule rarely does
+        # a scaled eta makes the multi-step projections that the schedule rarely does
         qt, allowed = omd_kernel_input(seed, demand, grid_size, horizon, True, full_info,
                                        eta_scale)
         tol = DEFAULT_PROJECTION_TOL
-        assert_same_projection(project_dual_ascent(qt, allowed, tol, 2_000),
-                               sweep_dual_ascent(qt, allowed, tol, 2_000))
+        assert_same_optimum(project_dual_ascent(qt, allowed, tol, DEFAULT_MAX_SWEEPS),
+                            sweep_dual_ascent(qt, allowed, tol, 2_000), qt, allowed, tol)
 
     @pytest.mark.parametrize("stuck", [False, True])
     @pytest.mark.parametrize("m_units,pair", [(2, 0), (3, 0), (3, 1), (5, 0), (5, 2), (5, 3)])
     def test_one_violated_pair(self, m_units, pair, stuck):
         qt, allowed = one_violated_pair(m_units, pair, stuck)
         got = project_dual_ascent(qt, allowed, 1e-10, 500)
-        assert_same_projection(got, sweep_dual_ascent(qt, allowed, 1e-10, 500))
-        assert got[3] == 500 if stuck else got[3] > 1
+        assert support_has_member(qt, allowed) != stuck
+        if stuck:
+            assert got[4] > 1e-10
+        else:
+            assert_same_optimum(got, sweep_dual_ascent(qt, allowed, 1e-10, 500), qt, allowed, 1e-10)
+            assert got[3] > 1
 
-    def test_member_takes_the_table_path(self, monkeypatch):
-        def visited(*_args):
-            raise AssertionError("a layer pair was visited")
-
-        monkeypatch.setattr(_kernels, "_balance_pair", visited)
+    def test_member_takes_the_table_path(self):
         rng = np.random.default_rng(5)
         for m_units, d in ((2, 3), (5, 21), (6, 41)):
             q = member_on(rng, np.ones((m_units, d), bool))
-            _q, _lam, _nu, sweeps, gap = project_dual_ascent(q, np.ones(q.shape, bool),
-                                                             DEFAULT_PROJECTION_TOL, 100)
-            assert sweeps == 1 and gap <= DEFAULT_PROJECTION_TOL
+            _q, lam, _nu, sweeps, gap = project_dual_ascent(q, np.ones(q.shape, bool),
+                                                            DEFAULT_PROJECTION_TOL, 100)
+            assert sweeps == 1 and gap <= DEFAULT_PROJECTION_TOL and not lam.any()
+
+
+class TestNewtonSteps:
+    """Inputs that stalled the coordinate ascent, and the safeguards of a projected Newton step."""
+
+    def test_round_zero_stall_meets_its_closed_form(self):
+        # grid_size 3, supply 4, bandit-IX, eta 30.57: round 0's step, zero cells IR-masked
+        qt = np.array([[3.184780612795286e17, 0.5, 0.0], [0.75, 0.25, 0.0], [1.0, 0.0, 0.0]])
+        tol = DEFAULT_PROJECTION_TOL
+        q, _lam, _nu, _sweeps, gap = project_dual_ascent(qt, qt > 0.0, tol, DEFAULT_MAX_SWEEPS)
+        eps = 1.0 / (1.0 + math.sqrt(qt[0, 0] * qt[1, 0] / (qt[0, 1] * qt[1, 1])))
+        assert eps == pytest.approx(7.234e-10, rel=1e-4)
+        assert gap <= tol and q_membership(q, tol=tol) == []
+        assert np.max(np.abs(q[:2] - [1.0 - eps, eps, 0.0])) <= 1e-10
+        assert q[2].tolist() == [1.0, 0.0, 0.0]
+
+    def test_a_step_moves_no_multiplier_by_more_than_its_bound(self):
+        qt = np.array([[3.184780612795286e17, 0.5, 0.0], [0.75, 0.25, 0.0], [1.0, 0.0, 0.0]])
+        for steps in range(1, 6):  # the check, then steps - 1 Newton steps
+            lam = project_dual_ascent(qt, qt > 0.0, DEFAULT_PROJECTION_TOL, steps)[1]
+            assert lam.max() <= _kernels._MAX_STEP * (steps - 1)
+        qt, allowed = one_violated_pair(3, 1, stuck=True)
+        lam = project_dual_ascent(qt, allowed, 1e-10, 2)[1]
+        assert lam.max() == _kernels._MAX_STEP  # an unbounded dual: the bound binds
+
+    def test_a_step_applies_the_hessian_at_most_its_bound(self, monkeypatch):
+        """Conjugate gradients stop at `_CG_ITERATIONS` products, however many of
+        the 1,900 multipliers are free, so a step costs O(M*D) and a round that
+        cannot certify costs O(max_sweeps * M * D)."""
+        products = []
+        curvature = _kernels._curvature
+        monkeypatch.setattr(_kernels, "_curvature",
+                            lambda q, v: products.append(1) or curvature(q, v))
+        qt = np.ones((20, 101))
+        qt[0::2, 1:] = 0.0  # even rows: all mass in cell 0, above odd rows with none there
+        qt[1::2, 0] = 0.0
+        counts = []
+        for steps in range(1, 12):  # the check, then steps - 1 Newton steps
+            products.clear()
+            _q, _lam, _nu, sweeps, gap = project_dual_ascent(qt, np.ones(qt.shape, bool), 1e-8,
+                                                             steps)
+            assert sweeps == steps and gap > 1e-8
+            counts.append(len(products))
+        per_step = np.diff(counts)
+        assert counts[0] == 0 and per_step.max() == _kernels._CG_ITERATIONS
+
+    def test_no_step_empties_a_row(self):
+        """An infeasible input's multipliers grow by up to the step bound every
+        step, so an unshifted iterate would underflow a whole row; each one keeps
+        unit rows and a finite nu."""
+        qt, allowed = one_violated_pair(3, 1, stuck=True)
+        for steps in (2, 10, 100, 1_000):
+            q, lam, nu, sweeps, gap = project_dual_ascent(qt, allowed, 1e-10, steps)
+            assert sweeps == steps and gap > 1e-10
+            assert np.all(np.isfinite(q)) and np.all(np.isfinite(nu))
+            assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= 1e-12
+        assert lam.max() > 745.0  # exp(-745) is below the smallest float
+
+    def test_the_line_search_keeps_its_precision_at_any_scale(self):
+        """Scaling the input moves sum(nu) by about M log(scale) and leaves the
+        projection: the dual's rise is taken against the current iterate, not as
+        a difference of sum(nu), so the last steps' rises, far below that sum's
+        rounding, still count."""
+        qt, allowed = omd_kernel_input(2, 5, 21, 100, True, False, 100.0)
+        tol = 1e-11
+        want = project_dual_ascent(qt, allowed, tol, DEFAULT_MAX_SWEEPS)
+        assert want[4] <= tol and want[3] > 2
+        for scale in (1e-250, 1e250):
+            got = project_dual_ascent(qt * scale, allowed, tol, DEFAULT_MAX_SWEEPS)
+            assert got[4] <= tol
+            assert np.max(np.abs(got[0] - want[0])) <= 1e-9
 
 
 class TestProjectionProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), demand=st.integers(1, 5),
-           grid_size=st.integers(2, 21), horizon=st.integers(1, 10_000), ir=st.booleans())
-    def test_omd_inputs(self, seed, demand, grid_size, horizon, ir):
-        qt, allowed = omd_kernel_input(seed, demand, grid_size, horizon, ir)
+           grid_size=st.integers(2, 21), horizon=st.integers(1, 10_000), ir=st.booleans(),
+           full_info=st.booleans(), eta_scale=st.sampled_from([1.0, 10.0, 100.0]),
+           gamma=st.one_of(st.none(), st.floats(0.01, 0.2)))
+    def test_omd_inputs(self, seed, demand, grid_size, horizon, ir, full_info, eta_scale, gamma):
+        """Scheduled or user-set eta and gamma: every input certifies within
+        `DEFAULT_MAX_SWEEPS` steps, so a stall fails on the step count, not a clock."""
+        qt, allowed = omd_kernel_input(seed, demand, grid_size, horizon, ir, full_info,
+                                       eta_scale, gamma)
         tol = DEFAULT_PROJECTION_TOL
         q, _lam, _nu, _sweeps, gap = project_dual_ascent(qt, allowed, tol, DEFAULT_MAX_SWEEPS)
         assert gap <= tol
