@@ -28,12 +28,11 @@ Kernels:
     exp(eta W) unshifted.
   * ew_marginals: the sampler's slot marginals by the forward pass, which
     conserves each row's mass and ignores its scale, so it needs one
-    normalization per row at the end. On linear tables it reads the tail
-    sums and the prefix table as they are, at three array operations per
-    slot. On log tables it chooses per agent: when every finite cell lies
-    within log 2**960 of its row maximum, it runs on their `exp`; an agent
-    whose rows span more than that runs the recursion on log ratios, so
-    cells far below the row maximum keep their mass.
+    normalization per row at the end. It runs per agent in the domain of
+    its tail sums: on linear tables it reads the tail sums and the prefix
+    table as they are, at three array operations per slot; on log tables it
+    runs the recursion on log ratios, so cells far below the row maximum
+    keep their mass.
   * slot_rewards / apply_slot_rewards: full-information tables are win counts
     times v_m - B_j, as in the hindsight DP; each round adds one win to every
     cell at or above its slot's threshold, and EW's rates carry v_m - B_j.
@@ -61,8 +60,8 @@ import math
 import numpy as np
 
 _NEG_INF = float("-inf")
-# Below this shifted log mass a cell sends its agent to logs: from linear tail
-# sums to log ones, and from linear marginals on log tables to log ratios.
+# Below this shifted log mass a cell sends its agent's tail sums, and so its
+# sampler and marginals, from linear tables to logs.
 _LINEAR_FLOOR = -960.0 * math.log(2.0)
 # Below this prefix sum an agent's linear tail sums give way to logs.
 _LINEAR_MIN = 2.0**-960
@@ -385,13 +384,10 @@ def ew_marginals(sums, prefix=None, linear=None):
     `ew_tail_sums(..., linear=True)` returns them, and the recursion runs on
     them as they are. The others hold log tail sums (all of them when
     `linear` is None; `prefix` is then not read), shifted here by their row
-    maxima to s. When every finite s of such an agent is at least
-    log 2**-960, the recursion runs on S = exp(s): each S is then a normal
-    float, q / z <= 1 / S[m, 0] <= 2**960 and no suffix sum overflows. An
-    agent whose rows span more than that takes `_log_marginals`. Every
-    choice is made per agent, so each agent of an (M, k, D) stack gets the
-    bits of its own (M, D) call; the marginals take the tables' shape. For
-    `sums` a `Workspace`, its S and P are read and linear marginals are its q.
+    maxima, and take `_log_marginals`. Each agent of an (M, k, D) stack gets
+    the bits of its own (M, D) call; the marginals take the tables' shape.
+    For `sums` a `Workspace`, its S and P are read and linear marginals are
+    its q.
     """
     flags = [False] if linear is None else linear.tolist()
     if isinstance(sums, Workspace):
@@ -406,22 +402,7 @@ def ew_marginals(sums, prefix=None, linear=None):
         q[:, linear] = _normalized(marginal_recursion(sums[:, linear], prefix[:, linear]))
         q[:, ~linear] = ew_marginals(sums[:, ~linear])
         return q
-    s = sums - sums.max(axis=-1, keepdims=True)
-    wide = ((s < _LINEAR_FLOOR) & (s > _NEG_INF)).any(axis=(0, -1))
-    if not wide.any():
-        return _linear_marginals(s)
-    if wide.all():
-        return _log_marginals(s)
-    q = np.empty_like(s)
-    q[:, ~wide] = _linear_marginals(s[:, ~wide])
-    q[:, wide] = _log_marginals(s[:, wide])
-    return q
-
-
-def _linear_marginals(s):
-    """The marginal recursion on S = exp(s); every finite s >= _LINEAR_FLOOR."""
-    q = np.exp(s)
-    return _normalized(marginal_recursion(q, np.add.accumulate(q, axis=-1)))
+    return _log_marginals(sums - sums.max(axis=-1, keepdims=True))
 
 
 def marginal_recursion(q, z, rows=None):
@@ -433,7 +414,7 @@ def marginal_recursion(q, z, rows=None):
 
 
 def _log_marginals(s):
-    """The marginal recursion in logs, for rows spanning more than exp's range:
+    """The marginal recursion on log tail sums `s`, each row shifted by its maximum:
     the forward pass on log q = s, in place, with lz the running log row sums. The
     ratio q[m-1] / z[m] never leaves the log domain, so cells far below their
     row maximum keep their mass."""

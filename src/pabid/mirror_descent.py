@@ -98,8 +98,7 @@ def unconstrained_step(q_prev: np.ndarray, reward_estimate: np.ndarray, eta: flo
     return np.exp(logs - logs.max(axis=1, keepdims=True))
 
 
-def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: int,
-             round_index: Optional[int] = None) -> np.ndarray:
+def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
     """Unnormalized-KL projection onto the occupancy polytope, certified.
 
     The kernel's `gap` bounds the KKT residuals: layer-sum error, dominance
@@ -107,17 +106,16 @@ def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: i
     Stationarity is exact by construction (the iterate is the dual-feasible
     exponential reweighting of the input). `max_sweeps` bounds the kernel's
     lambda = 0 check plus its Newton steps. Returns the (M, D) iterate, or
-    raises `ProjectionError` when the gap exceeds `tol`, its message naming
-    `round_index` when given.
+    raises `ProjectionError` when the gap exceeds `tol`; the run loop names
+    the agent and the round.
 
     The kernel is looked up as this module's global at call time, so a
     wrapper installed there (a tracer, a test) sees every projection.
     """
     q, _lam, _nu, sweeps, gap = project_dual_ascent(q_tilde, allowed, tol, max_sweeps)
     if not gap <= tol:
-        where = "" if round_index is None else f" in round {round_index}"
         raise ProjectionError(
-            f"projection{where} stopped at gap {gap:.3e} after {sweeps} sweeps (tol {tol:.1e})",
+            f"projection stopped at gap {gap:.3e} after {sweeps} sweeps (tol {tol:.1e})",
             best=q, gap=float(gap), sweeps=int(sweeps),
         )
     return q
@@ -190,7 +188,6 @@ class OmdBidder:
         self._bid_values = grid.values.tolist()
         self._offsets = self.gamma.tolist()
         self._pending: Optional[list] = None
-        self.rounds = 0  # rounds observed so far; the next observe is this round index
 
     def propose(self) -> list[list[int]]:
         """This round's bid: one list of M grid indices, in a list."""
@@ -237,10 +234,8 @@ class OmdBidder:
             q_tilde = unconstrained_step(self.q, est, self.eta)
         else:
             q_tilde = self._bandit_step(allocations[0])
-        self.q = _project(q_tilde, self.allowed, DEFAULT_PROJECTION_TOL, DEFAULT_MAX_SWEEPS,
-                          self.rounds)
+        self.q = _project(q_tilde, self.allowed, DEFAULT_PROJECTION_TOL, DEFAULT_MAX_SWEEPS)
         self._pending = None
-        self.rounds += 1
 
     def _bandit_step(self, allocation: int) -> np.ndarray:
         """`unconstrained_step` on the bandit estimate, exponentiating the won cells only.

@@ -335,11 +335,13 @@ def _support_problems(support: list, grid_size: Optional[int], supply: Optional[
 
 def read_document(path) -> dict:
     """The JSON document of a scenario file, not yet validated."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except ValueError as err:  # not JSON, or an int with more digits than Python converts
-            raise ScenarioError([f"file: not valid JSON ({err})"]) from err
+    except OSError as err:  # a directory, or a file this process may not read
+        raise ScenarioError([f"file: cannot be read ({err})"]) from err
+    except ValueError as err:  # not JSON, or an int with more digits than Python converts
+        raise ScenarioError([f"file: not valid JSON ({err})"]) from err
 
 
 def replication_seeds(scenario: Scenario, replication: int) -> list[np.random.SeedSequence]:

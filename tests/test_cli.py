@@ -64,6 +64,14 @@ class TestRun:
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
+    def test_a_directory_exits_2_without_outputs(self, tmp_path, capsys):
+        folder = tmp_path / "folder.json"
+        folder.mkdir()
+        out = tmp_path / "out"
+        assert main(["run", str(folder), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: file: cannot be read (")
+        assert not out.exists()
+
     def test_non_object_document_with_seed_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2]")
@@ -764,7 +772,7 @@ class TestRuntimeFailure:
                                  agents=[ew, ew, omd], environment={"kind": "self_play"})
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
-            "runtime failure: agent 2, round 4: projection in round 4 stopped at gap "
+            "runtime failure: agent 2, round 4: projection stopped at gap "
             "1.000e+00 after 777 sweeps (tol 1.0e-08)\n")
 
     def test_ir_violation_names_the_agent_and_the_round(self, tmp_path, capsys, monkeypatch):

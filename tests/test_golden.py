@@ -18,8 +18,7 @@ update from each other's marginals, and not unseen.
 
 A last run pins a bandit agent's rounds in logs, which no run above
 reaches: one EW bandit-IX agent whose tables leave the linear range, so
-676 of its 1,600 rounds sample from log tail sums, and 99 of those (rounds
-1,477-1,585) take the marginals' `_linear_marginals` regime, the rest
+676 of its 1,600 rounds sample from log tail sums and take the marginals'
 `_log_marginals`.
 
 A performance change must leave every run log and every regret report
@@ -272,19 +271,19 @@ def test_projections_are_byte_identical(monkeypatch):
 
 
 def test_bandit_log_rounds_are_byte_identical(monkeypatch):
-    linear = _kernels._linear_marginals
+    log_marginals = _kernels._log_marginals
     calls = []
 
     def counted(s):
         calls.append(s.shape)
-        return linear(s)
+        return log_marginals(s)
 
-    monkeypatch.setattr(_kernels, "_linear_marginals", counted)
+    monkeypatch.setattr(_kernels, "_log_marginals", counted)
     scenario = validate_scenario(LOG_ROUNDS_SCENARIO)
     market, seed, config = build_market(scenario, 0)
     log = market.play(scenario.rounds, config=config, seed=seed)
     digest = hashlib.sha256()
     update_run_digest(digest, log)
     assert market.learners[0].log_rounds.tolist() == [676], TARGETS
-    assert len(calls) == 99, TARGETS
+    assert len(calls) == 676, TARGETS
     assert digest.hexdigest() == LOG_ROUNDS_DIGEST, TARGETS

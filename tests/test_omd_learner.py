@@ -208,6 +208,8 @@ class TestRounds:
 
 
     def test_projection_failure_names_round_sweeps_and_tol(self, monkeypatch):
+        """The learner's message names the gap, the sweeps and the tol; `play`
+        opens it with the agent and the round (test_cli's runtime failure)."""
         from pabid import mirror_descent
 
         project = mirror_descent.project_dual_ascent
@@ -227,7 +229,7 @@ class TestRounds:
         with pytest.raises(ProjectionError) as excinfo:
             bidder.observe([1])
         assert str(excinfo.value) == (
-            "projection in round 2 stopped at gap 1.000e+00 after 777 sweeps (tol 1.0e-08)")
+            "projection stopped at gap 1.000e+00 after 777 sweeps (tol 1.0e-08)")
         assert (excinfo.value.sweeps, excinfo.value.gap) == (777, 1.0)
         assert excinfo.value.best.shape == (2, 5)
         copy = pickle.loads(pickle.dumps(excinfo.value))
@@ -244,7 +246,7 @@ class TestRounds:
                            eta=1e308, gamma=0.0)
         bidder.rng = FixedUniform(0.0)  # bid 0, a margin of 1 when won
         bidder.propose()
-        with pytest.raises(ProjectionError, match="round 0 stopped at gap nan"):
+        with pytest.raises(ProjectionError, match="projection stopped at gap nan"):
             bidder.observe([1])
 
 

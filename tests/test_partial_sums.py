@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pabid import _kernels
 from pabid._kernels import (
     _LINEAR_FLOOR,
-    _linear_marginals,
     _log_marginals,
     apply_slot_rewards,
     ew_marginals,
@@ -527,8 +526,8 @@ def stacked_cases(k):
     eta by 1 + i/2 and keeps the case's mask cut to its own random IR caps
     (non-increasing over slots, cell 0 always feasible). Then, for k > 1, a
     stack whose odd agents have the deep ramp's rows, wider than exp's range,
-    and whose even agents have ordinary rows, so the stack mixes the two
-    marginal regimes."""
+    and whose even agents have ordinary rows, so under `linear` the stack
+    mixes linear tables and logs."""
     rng = np.random.default_rng(31 + k)
     for weights, allowed, eta in kernel_parity_cases() + wide_spread_cases():
         m, d = weights.shape
@@ -706,8 +705,8 @@ class TestSlotRewards:
 
 
 class TestMarginalRegimes:
-    """`ew_marginals` runs in the linear domain unless an agent's rows span
-    more than exp's range; either way it matches the cell-by-cell recursion."""
+    """`ew_marginals` on log tail sums runs the recursion in logs, whatever
+    an agent's rows span, and matches the cell-by-cell recursion."""
 
     @settings(max_examples=300, deadline=None)
     @given(m=st.integers(1, 6), d=st.integers(2, 24), eta=st.sampled_from([0.01, 0.3, 2.0]),
@@ -715,8 +714,8 @@ class TestMarginalRegimes:
            offset=st.floats(-40.0, 40.0))
     def test_matches_the_loop_recursion(self, m, d, eta, seed, near_switch, offset):
         """Random tables and masks; with `near_switch`, some cells of every
-        row sit `offset` above the regime switch, log 2**-960 below the row
-        maximum, so both regimes and both sides of the switch are drawn.
+        row sit `offset` above log 2**-960 below the row maximum, where the
+        tail sums switch to logs, so rows on both sides of it are drawn.
         Every cell stays within 706 of its row maximum, where the loop's own
         exp does not underflow, so the loop is exact enough to be the oracle."""
         rng = np.random.default_rng(seed)
@@ -733,14 +732,14 @@ class TestMarginalRegimes:
         assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_each_agent_of_a_mixed_stack_takes_its_own_regime(self):
+        """Narrow rows and rows wider than exp's range alike take the log recursion."""
         weights, allowed, etas = list(stacked_cases(3))[-1]
         log_sums, _ = ew_tail_sums(weights, allowed, etas[:, None])
         marginals = ew_marginals(log_sums)
         for i, sums in enumerate(log_sums.swapaxes(0, 1)):
             s = sums - sums.max(axis=-1, keepdims=True)
-            regime = _log_marginals if i % 2 else _linear_marginals
             assert (s.min() < _LINEAR_FLOOR) == bool(i % 2)
-            assert marginals[:, i].tobytes() == regime(s).tobytes()
+            assert marginals[:, i].tobytes() == _log_marginals(s).tobytes()
 
     def test_benchmark_shape_stays_in_the_linear_domain(self, monkeypatch):
         """One EW bandit-IX agent at M = 20, D = 101 against a stochastic
@@ -772,6 +771,32 @@ class TestMarginalRegimes:
         log = run_experiment(scenario)
         assert log.rounds == 100 and calls == []
         assert tail_calls == [True] * 100  # no log-domain tail sums either
+
+    def test_benchmark_full_information_shape_stays_on_bounded_tables(self, monkeypatch):
+        """Three EW full-information agents in self-play at M = 5, D = 21, for
+        750 rounds at the scheduled rate, whose `linear_rounds` is 4,837: every
+        round's tail sums take the unshifted bounded pass."""
+        tail_sums = _kernels.ew_tail_sums
+        bounded_calls = []
+
+        def counted_tail_sums(*args, bounded=False, **kwargs):
+            bounded_calls.append(bounded)
+            return tail_sums(*args, bounded=bounded, **kwargs)
+
+        monkeypatch.setattr(_kernels, "ew_tail_sums", counted_tail_sums)
+        demand = 5
+        scenario = validate_scenario({
+            "name": "market_selfplay", "grid_size": 21, "rounds": 750, "master_seed": 1,
+            "supply": demand, "environment": {"kind": "self_play"},
+            "agents": [{"algorithm": "ew", "feedback": "full",
+                        "valuation": {"kind": "uniform_sorted", "demand": demand}}] * 3,
+        })
+        market, seed, config = build_market(scenario, 0)
+        log = market.play(scenario.rounds, config=config, seed=seed)
+        (group,) = market.learners
+        assert log.rounds == 750 and 4837 < group._linear_rounds.min() < 4838
+        assert group.log_rounds.tolist() == [0, 0, 0]
+        assert bounded_calls == [True] * 750
 
 
 def row_shifted(weights, allowed):
