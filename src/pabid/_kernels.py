@@ -211,8 +211,6 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False, work=None):
     is a finite float (see `linear_rounds`), and the pass runs on exp(eta W)
     itself: one `exp`, then one `np.add.accumulate` and one product per
     layer, with no shift and no test. Returns (sums, prefix), both linear.
-    `bounded` may also be (k,) bools: the agents marked take this pass, the
-    others logs, and the sampler takes the bools as its `linear`.
 
     With `linear`, the pass runs on E = exp(eta W - row max). Row scales
     matter neither to the sampler nor to the marginals. An agent keeps these
@@ -227,11 +225,6 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False, work=None):
     agents on linear tables. The tables are `work`'s (a `Workspace`) or new.
     """
     work = work or Workspace(weights.shape)
-    if isinstance(bounded, np.ndarray):  # per agent; the unmarked take logs
-        sums, prefix = ew_tail_sums(weights, allowed, eta, work=work)
-        sums[:, bounded], prefix[:, bounded] = ew_tail_sums(
-            weights[:, bounded], allowed[:, bounded], eta[..., bounded, :], bounded=True)
-        return sums, prefix
     sums = np.multiply(eta, weights, work.sums)
     if bounded:
         np.exp(sums, sums)

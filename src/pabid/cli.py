@@ -166,10 +166,13 @@ def cmd_hindsight(args) -> int:
         if len(widths) != 1:
             print("error: history rows have inconsistent lengths", file=sys.stderr)
             return 2
-        if args.grid_size > MAX_CELLS:  # `pabid run`'s bound, checked before any allocation
-            raise ValueError(f"--grid-size must be at most {MAX_CELLS}")
-        grid = make_even_grid(args.grid_size)
         valuation = ValuationProfile(np.array([float(x) for x in args.valuation.split(",")]))
+        demand = valuation.demand
+        if demand * args.grid_size > MAX_CELLS:  # `pabid run`'s bound, before any allocation
+            raise ValueError(f"--grid-size must be at most {MAX_CELLS // demand}: the (demand, "
+                             f"grid_size) tables of {demand} x {args.grid_size} entries exceed "
+                             f"{MAX_CELLS}")
+        grid = make_even_grid(args.grid_size)
         if valuation.demand > next(iter(widths)):
             print("error: valuation longer than competing-bid rows", file=sys.stderr)
             return 2

@@ -14,23 +14,25 @@ Feedback modes:
     shifted inverse-probability-weighted estimator whose increments never
     exceed 1 (an implicit-exploration variant divides by q + gamma instead).
 
-`ExpWeightsBidder` is a population: k >= 1 agents of one demand and one
-feedback mode share an (M, k, D) weight table, slot-major, so each round
-runs every kernel once for all of them, with eta and gamma per agent, and
-each per-slot step reads one contiguous (k, D) block. The round's tables are
-one `_kernels.Workspace`, built with the kernels' arguments by the first
-`propose`; what the kernels return aliases it until the next `propose`. Each
-agent keeps its own RNG stream and draws its M uniforms per round, a block of rounds at a time.
+`ExpWeightsBidder` is a population: k >= 1 agents of one demand, one
+feedback mode, one learning rate eta and one user gamma share an (M, k, D)
+weight table, slot-major, so each round runs every kernel once for all of
+them, and each per-slot step reads one contiguous (k, D) block. The round's
+tables are one `_kernels.Workspace`, built with the kernels' arguments by the
+first `propose`; what the kernels return aliases it until the next
+`propose`. Each agent keeps its own RNG stream and draws its M uniforms per
+round, a block of rounds at a time.
 
 Agents sample from linear tables where these fit a float's range. A bandit
 group's sampler and marginals share one linear table per round, checked per
 agent; an agent whose table does not fit takes logs. A full-information
-agent samples from exp(eta W) itself, unshifted, while the growth bound of
-`_kernels.linear_rounds` at its own eta proves every prefix sum finite, and
+group samples from exp(eta W) itself, unshifted, while the growth bound of
+`_kernels.linear_rounds` at its eta proves every prefix sum finite, and
 from logs after. `log_rounds` counts each agent's rounds in logs. Both
 domains draw the same bid except for a uniform within rounding of a
-breakpoint of the sampler's CDF. Every choice is per agent, so an agent's
-bids and `log_rounds` are the same whichever group it is in.
+breakpoint of the sampler's CDF. Each choice reads only the agent's own
+table and the rate it shares with its group, so an agent's bids and
+`log_rounds` are the same whichever group it is in.
 
 The group is the only interface to the EW kernels: a single agent is a
 group of one.
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,14 +60,6 @@ class FeedbackMode(enum.Enum):
     FULL_INFO = "full"
     BANDIT_IPW = "bandit_ipw"
     BANDIT_IX = "bandit_ix"
-
-
-@dataclass
-class LearnerConfig:
-    """What differs between the agents of a group; the mode is the group's."""
-    eta: Optional[float] = None
-    gamma: Optional[float] = None  # scalar override; None = per-layer schedule (IX only)
-    seed: int = 0
 
 
 def eta_schedule(mode: FeedbackMode, demand: int, grid_size: int, horizon: int) -> float:
@@ -129,43 +122,44 @@ def _bandit_step(weights, offsets, allowed, probs, bids, allocations, values, gr
 
 
 class ExpWeightsBidder:
-    """k >= 1 decoupled exponential-weights agents of one demand and mode, for one run.
+    """k >= 1 decoupled exponential-weights agents of one demand, mode and rate, for one run.
 
-    `mode` is the group's; `configs` hold each agent's eta, gamma and seed. A
-    group of the market: `propose` returns one bid row per agent, a list of
-    Python ints, and `observe(allocations, thresholds)` takes the agents' allocations and,
-    under full information, their (k, M) win thresholds. The tables
+    `seeds` seed each agent's RNG. As for `OmdBidder`, `eta` is the learning
+    rate (the schedule's when None) and `gamma` the IX offset (when None, the
+    per-layer schedule of each agent's IR mask); both are the group's. A group
+    of the market: `propose` returns one bid row per agent, a list of Python
+    ints, and `observe(allocations, thresholds)` takes the agents' allocations
+    and, under full information, their (k, M) win thresholds. The tables
     (`weights`, `allowed`) are (M, k, D), slot-major: `weights[:, i]` is agent
     i's (M, D) table, under full information its win counts. `log_rounds[i]`
     counts the rounds in which agent i's tail sums were in logs rather than linear.
     """
 
     def __init__(self, valuations: Sequence[ValuationProfile], grid: BidGrid, horizon: int,
-                 configs: Sequence[LearnerConfig], mode: FeedbackMode = FeedbackMode.FULL_INFO):
+                 seeds: Sequence, mode: FeedbackMode = FeedbackMode.FULL_INFO,
+                 eta: Optional[float] = None, gamma: Optional[float] = None):
         self.valuations, self.grid, self.mode = list(valuations), grid, mode
         self.demand = demand = self.valuations[0].demand
-        if len(configs) != len(self.valuations) or any(v.demand != demand for v in self.valuations):
-            raise ValueError("a group needs one config per agent, one mode and one demand")
-        etas = [eta_schedule(mode, demand, grid.count, horizon) if c.eta is None else c.eta
-                for c in configs]
-        if mode is not FeedbackMode.FULL_INFO and not all(eta < 1.0 / demand for eta in etas):
-            raise ValueError("bandit modes require eta < 1/M")
-        self.eta = np.array(etas)
+        if len(seeds) != len(self.valuations) or any(v.demand != demand for v in self.valuations):
+            raise ValueError("a group needs one seed per agent, one mode and one demand")
+        self.eta = eta_schedule(mode, demand, grid.count, horizon) if eta is None else eta
+        if not 0.0 < self.eta < math.inf:  # NaN fails too
+            raise ValueError(f"eta must be a positive finite number, not {self.eta}")
+        if mode is not FeedbackMode.FULL_INFO and not self.eta < 1.0 / demand:
+            raise ValueError(f"bandit modes require eta < 1/M, not {self.eta}")
         self.values = np.array([v.values for v in self.valuations])
         masks = [v.ir_mask(grid) for v in self.valuations]
         self.allowed = np.stack(masks, axis=1)
         self.weights = np.zeros(self.allowed.shape)
-        self.gamma = np.array([estimator_offsets(mode, allowed, horizon, c.gamma)
-                               for allowed, c in zip(masks, configs)])
+        self.gamma = np.array([estimator_offsets(mode, mask, horizon, gamma) for mask in masks])
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
-        self.rngs = [np.random.default_rng(c.seed) for c in configs]
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self._rounds_left = horizon  # uniforms not yet drawn, in rounds, up to the horizon
         self._uniforms: list = []    # the rounds of the current block still to play
         if self.wants_full_info:
-            bounds = [_kernels.linear_rounds(demand, grid.count, eta) for eta in etas]
-            self._linear_rounds, self._bound_range = np.array(bounds), (min(bounds), max(bounds))
+            self._linear_rounds = _kernels.linear_rounds(demand, grid.count, self.eta)
             self._updates = 0
-        self.log_rounds = np.zeros(len(configs), dtype=np.int64)
+        self.log_rounds = np.zeros(len(seeds), dtype=np.int64)
         self._work: Optional[_kernels.Workspace] = None  # built by the first propose, not at set-up
         self._pending_bids: Optional[list] = None
         self._pending_marginals: Optional[np.ndarray] = None
@@ -178,27 +172,22 @@ class ExpWeightsBidder:
         uniforms = self._uniforms.pop()
         if self._work is None:  # the kernels' tables and arguments, built at the first round
             # A lone agent samples from its (M, D) table: the kernels' per-slot numpy
-            # calls cost more on (1, D) slices than on plain rows. Stacks multiply
-            # same-shape float tables fastest (rates, and the float `allowed` of full
-            # information and the bandit step); a lone bandit agent, a scalar rate.
+            # calls cost more on (1, D) slices than on plain rows. Full information's
+            # rates carry the slot rewards, a table, and its `allowed` is floats: stacks
+            # multiply same-shape float tables fastest. Bandit rates are the scalar eta.
             floats, k, full = self.allowed * 1.0, self.weights.shape[1], self.wants_full_info
-            rates = self.eta[:, None] * (_kernels.slot_rewards(
-                self.allowed, self.values.T, self.grid.values) if full else floats)
+            rates = self.eta * _kernels.slot_rewards(
+                self.allowed, self.values.T, self.grid.values) if full else self.eta
             mask = floats if full else self.allowed
             self._kernel_args = ((self.weights, mask, rates) if k > 1 else (
-                self.weights[:, 0], mask[:, 0], rates[:, 0] if full else self.eta[0]))
+                self.weights[:, 0], mask[:, 0], rates[:, 0] if full else rates))
             self._cells = np.arange(0, self.weights.size, self.grid.count).reshape(-1, k).T, floats
             self._work = _kernels.Workspace(self._kernel_args[0].shape)
         work = self._work
         if self.wants_full_info:
-            low, high = self._bound_range
-            if low < self._updates <= high:  # between the agents' bounds: each by its own
-                linear = self._updates <= self._linear_rounds
-                self.log_rounds += ~linear
-            else:  # every agent on the same side of its bound
-                linear = self._updates <= low
-                if not linear:
-                    self.log_rounds += 1
+            linear = self._updates <= self._linear_rounds
+            if not linear:
+                self.log_rounds += 1
             _kernels.ew_tail_sums(*self._kernel_args, bounded=linear, work=work)
         else:
             linear = _kernels.ew_tail_sums(*self._kernel_args, linear=True, work=work)[2]

@@ -8,8 +8,8 @@ offending field, and a scenario that validates can be built and run.
 
 Validation builds, once per scenario, everything the replications share:
 each agent's `FeedbackMode`; the learner groups, in which EW agents of equal
-demand and feedback share a group and each OMD agent is its own; the
-environment's table of competing-bid rows in grid indices with their
+demand, feedback, eta and gamma share a group and each OMD agent is its own;
+the environment's table of competing-bid rows in grid indices with their
 probabilities, and its tie rule; and the hash of the document. A stochastic
 environment's table is its support, each row sorted; the lower-bound
 family's is its two rows (`lower_bound_rows`) at the horizon; a self-play
@@ -42,7 +42,7 @@ import numpy as np
 
 from .adversaries import StochasticAdversary, lower_bound_rows
 from .auction import ValuationProfile
-from .exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig, estimator_offsets
+from .exp_weights import ExpWeightsBidder, FeedbackMode, estimator_offsets
 from .grids import make_even_grid
 from .mirror_descent import Q_FLOOR, OmdBidder
 from .simulator import RunLog, SelfPlayMarket
@@ -86,7 +86,9 @@ class Scenario:
     """A validated scenario and what its replications share, built once by
     `validate_scenario`.
 
-    `groups` lists each learner group's agents, in the order of its rows.
+    `groups` lists each learner group's agents, in the order of its rows. An
+    EW group's agents share their demand, feedback, eta and gamma, so each
+    group runs at one rate.
     `env_table` is the environment's (rows, probabilities), the rows as
     read-only grid indices, or None for self-play; `env_wins_ties` is its tie
     rule. `config_hash` is `canonical_hash` of the document. Each
@@ -156,7 +158,7 @@ def validate_scenario(document: dict) -> Scenario:
         problems.append("master_seed: must be below 2**128")
 
     agents: list[AgentSpec] = []
-    groups: dict = {}  # EW agents of equal demand and feedback share a group
+    groups: dict = {}  # EW agents of equal demand, feedback, eta and gamma share a group
     raw_agents = document.get("agents")
     if not isinstance(raw_agents, list) or not raw_agents:
         problems.append("agents: must be a non-empty list")
@@ -233,7 +235,9 @@ def validate_scenario(document: dict) -> Scenario:
                                 f"overflows")
         agents.append(AgentSpec(algorithm=algorithm, mode=mode, valuation=valuation, eta=eta,
                                 gamma=gamma))
-        groups.setdefault((demand, mode) if algorithm == "ew" else i, []).append(i)
+        # a junk rate may be unhashable: it keys as None until validation rejects it
+        rates = tuple(v if _is_rate(v) else None for v in (eta, gamma))
+        groups.setdefault((demand, mode, rates) if algorithm == "ew" else i, []).append(i)
 
     raw_env = document.get("environment")
     kind = None
@@ -378,10 +382,9 @@ def build_market(scenario: Scenario, replication: int) -> tuple[SelfPlayMarket, 
     for members in scenario.groups:
         first = scenario.agents[members[0]]
         if first.algorithm == "ew":
-            learners.append(ExpWeightsBidder(
-                [valuations[i] for i in members], grid, horizon,
-                [LearnerConfig(eta=scenario.agents[i].eta, gamma=scenario.agents[i].gamma,
-                               seed=seqs[i]) for i in members], mode=first.mode))
+            learners.append(ExpWeightsBidder([valuations[i] for i in members], grid, horizon,
+                                             [seqs[i] for i in members], mode=first.mode,
+                                             eta=first.eta, gamma=first.gamma))
         else:
             learners.append(OmdBidder(valuations[members[0]], grid, horizon, mode=first.mode,
                                       eta=first.eta, gamma=first.gamma, seed=seqs[members[0]]))

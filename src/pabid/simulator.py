@@ -16,9 +16,9 @@ Learners come in groups. A group holds k >= 1 agents of the market and has:
   and its agents' per-slot win thresholds (k rows of M, as returned by
   `auction.round_thresholds`).
 
-An EW group stacks agents of one demand and feedback mode into one weight
-table; an OMD agent is a group of its own. A round keeps only what the
-learners read: it pools every group's rows with the environment's bids in
+An EW group stacks agents of one demand, feedback mode and rate into one
+weight table; an OMD agent is a group of its own. A round keeps only what
+the learners read: it pools every group's rows with the environment's bids in
 one sort of integer keys (`round_thresholds`), stops the run at a bid above
 its IR cap (naming the agent and the round) before any learner observes,
 counts each bandit agent's won prefix and hands each group its feedback.

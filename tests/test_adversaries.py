@@ -6,7 +6,7 @@ import pytest
 
 from pabid.adversaries import StochasticAdversary, lower_bound_rows
 from pabid.auction import CompetingBids, ValuationProfile
-from pabid.exp_weights import ExpWeightsBidder, LearnerConfig
+from pabid.exp_weights import ExpWeightsBidder
 from pabid.grids import make_even_grid
 from pabid.simulator import SelfPlayMarket
 
@@ -181,7 +181,7 @@ class TestSelfPlay:
     def test_single_agent_empty_market_wins_everything(self):
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.array([1.0, 0.75]))
-        learner = ExpWeightsBidder([valuation], grid, 30, [LearnerConfig(seed=0)])
+        learner = ExpWeightsBidder([valuation], grid, 30, [0])
         market = SelfPlayMarket([learner], [valuation], grid, supply=2)
         log = market.play(30)
         for t in range(30):
@@ -193,8 +193,8 @@ class TestSelfPlay:
         grid = make_even_grid(6)
         valuations = [ValuationProfile(np.array([1.0])), ValuationProfile(np.array([0.9]))]
         learners = [
-            ExpWeightsBidder([valuations[0]], grid, 100, [LearnerConfig(seed=1)]),
-            ExpWeightsBidder([valuations[1]], grid, 100, [LearnerConfig(seed=2)]),
+            ExpWeightsBidder([valuations[0]], grid, 100, [1]),
+            ExpWeightsBidder([valuations[1]], grid, 100, [2]),
         ]
         market = SelfPlayMarket(learners, valuations, grid, supply=1)
         log = market.play(100)
@@ -209,7 +209,7 @@ class TestSelfPlay:
             ValuationProfile(np.array([0.89, 0.44, 0.2, 0.12, 0.05])),
             ValuationProfile(np.array([0.67, 0.64, 0.45, 0.27, 0.02])),
         ]
-        learners = [ExpWeightsBidder([v], grid, 60, [LearnerConfig(seed=i)])
+        learners = [ExpWeightsBidder([v], grid, 60, [i])
                     for i, v in enumerate(valuations)]
         market = SelfPlayMarket(learners, valuations, grid, supply=5)
         log = market.play(60)

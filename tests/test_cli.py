@@ -533,6 +533,41 @@ class TestJunkValues:
         assert f"scenario error: {field}:" in capsys.readouterr().err
 
 
+class TestGroupKey:
+    """EW agents share a learner group when their demand, feedback, eta and
+    gamma are equal, so every group runs at one rate."""
+
+    @staticmethod
+    def groups(agents):
+        from pabid.scenario import validate_scenario
+
+        return validate_scenario({"name": "groups", "grid_size": 21, "rounds": 750, "supply": 5,
+                                  "agents": agents, "environment": {"kind": "self_play"}}).groups
+
+    FULL = {"algorithm": "ew", "feedback": "full",
+            "valuation": {"kind": "uniform_sorted", "demand": 5}}
+
+    def test_the_market_selfplay_shape_is_one_group(self):
+        """Three EW full-information agents on the scheduled eta, the
+        `market_selfplay` workload's document, stack in one group."""
+        assert self.groups([self.FULL] * 3) == ((0, 1, 2),)
+
+    def test_user_rates_group_by_value(self):
+        assert self.groups([{**self.FULL, "eta": eta} for eta in (0.5, 0.5, 2)]) == ((0, 1), (2,))
+        assert self.groups([{**self.FULL, "eta": eta} for eta in (2, 2.0)]) == ((0, 1),)
+        ix = {**self.FULL, "feedback": "bandit_ix"}
+        assert self.groups([{**ix, "gamma": 0.1}, ix, {**ix, "gamma": 0.1}]) == ((0, 2), (1,))
+
+    @pytest.mark.parametrize("rate", ["eta", "gamma"])
+    def test_an_unhashable_rate_is_a_scenario_error(self, rate):
+        from pabid.scenario import ScenarioError
+
+        ix = {**self.FULL, "feedback": "bandit_ix"}
+        with pytest.raises(ScenarioError) as excinfo:
+            self.groups([ix, {**ix, rate: [0.1]}])
+        assert excinfo.value.problems == [f"agents[1].{rate}: must be a positive finite number"]
+
+
 class TestArraySizeBounds:
     """`grid_size`, `rounds` and `supply` size arrays: each agent's (demand, grid_size)
     learner tables and the log's (rounds, supply) columns, at most `MAX_CELLS` entries
@@ -827,13 +862,13 @@ class TestRuntimeFailure:
     def test_failure_keeps_its_type_and_names_every_agent_of_the_group(self, monkeypatch):
         from pabid import _kernels
         from pabid.auction import ValuationProfile
-        from pabid.exp_weights import ExpWeightsBidder, LearnerConfig
+        from pabid.exp_weights import ExpWeightsBidder
         from pabid.grids import make_even_grid
         from pabid.simulator import SelfPlayMarket
 
         grid = make_even_grid(5)
         valuations = [ValuationProfile(np.array([1.0, 0.5]))] * 2
-        group = ExpWeightsBidder(valuations, grid, 10, [LearnerConfig(seed=s) for s in (1, 2)])
+        group = ExpWeightsBidder(valuations, grid, 10, [1, 2])
         market = SelfPlayMarket([group], valuations, grid, supply=4, members=[[0, 1]])
         sample = _kernels.sample_monotone
         rounds = []
@@ -870,13 +905,18 @@ class TestHindsight:
         assert main(args) == 0
         assert "total utility: 0\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("size", [MAX_CELLS + 1, 10**11])
-    def test_grid_size_above_the_scenario_bound_exits_2(self, tmp_path, capsys, size):
+    @pytest.mark.parametrize("valuation, size", [("0.3", MAX_CELLS + 1), ("0.3", 10**11),
+                                                 ("1,1,1", MAX_CELLS // 2)])
+    def test_grid_size_above_the_scenario_bound_exits_2(self, tmp_path, capsys, valuation, size):
+        """Demand x grid size is bounded by `MAX_CELLS` before any table is built."""
         history = tmp_path / "h.txt"
-        history.write_text("1.0\n")
-        assert main(["hindsight", str(history), "--valuation", "0.3",
+        history.write_text("1.0 1.0 1.0\n")
+        assert main(["hindsight", str(history), "--valuation", valuation,
                      "--grid-size", str(size)]) == 2
-        assert f"--grid-size must be at most {MAX_CELLS}" in capsys.readouterr().err
+        demand = valuation.count(",") + 1
+        assert (f"--grid-size must be at most {MAX_CELLS // demand}: the (demand, grid_size) "
+                f"tables of {demand} x {size} entries exceed {MAX_CELLS}\n"
+                in capsys.readouterr().err)
 
     def test_benchmark_history_json(self, tmp_path, capsys):
         history = tmp_path / "h.txt"

@@ -15,7 +15,6 @@ from pabid.exp_weights import (
     UNIFORM_BLOCK_ROWS,
     ExpWeightsBidder,
     FeedbackMode,
-    LearnerConfig,
     estimator_offsets,
     eta_schedule,
     ix_gamma_schedule,
@@ -80,8 +79,8 @@ class TestEtaSchedule:
                 else:
                     expected = np.zeros(3)
                 assert estimator_offsets(mode, allowed, 100, gamma).tolist() == expected.tolist()
-                ew = ExpWeightsBidder([valuation], grid, 100,
-                                      [LearnerConfig(eta=0.1, gamma=gamma)], mode=mode)
+                ew = ExpWeightsBidder([valuation], grid, 100, [0], mode=mode, eta=0.1,
+                                      gamma=gamma)
                 omd = OmdBidder(valuation, grid, 100, mode=mode, gamma=gamma)
                 assert ew.gamma[0].tolist() == omd.gamma.tolist() == expected.tolist()
 
@@ -90,7 +89,7 @@ def observed_table(valuation, grid, threshold_rows):
     """The weight table of a one-agent full-information group after it
     observes each row of win thresholds, one round per row: its win counts
     times the slot rewards."""
-    group = ExpWeightsBidder([valuation], grid, max(len(threshold_rows), 1), [LearnerConfig()])
+    group = ExpWeightsBidder([valuation], grid, max(len(threshold_rows), 1), [0])
     for row in threshold_rows:
         group.propose()
         group.observe([0], [row])
@@ -191,19 +190,29 @@ def crossing_adversary(grid):
     return StochasticAdversary(grid.indices_of([[0.1] * 3, [0.3, 0.3, 1.0]]), [0.5, 0.5], seed=4)
 
 
-def grouped_and_alone(grid, configs, rounds, mode=FeedbackMode.FULL_INFO):
-    """(CSV text, log_rounds) of three agents of demand 3 against a supply of
-    3 and a stochastic environment, played as one group and as three
-    one-agent groups."""
+def grouped_and_alone(grid, rates, rounds, mode=FeedbackMode.FULL_INFO):
+    """Three agents of demand 3 against a supply of 3 and a stochastic
+    environment, agent i seeded i at the (eta, gamma) of `rates[i]`: the
+    (CSV text, log_rounds) of their play in groups of equal rates, those of
+    their play as three one-agent groups, and the groups' members."""
     valuations, adversary = crossing_valuations(), crossing_adversary(grid)
-    group = ExpWeightsBidder(valuations, grid, rounds, configs, mode=mode)
-    grouped = SelfPlayMarket([group], valuations, grid, 3, adversary,
-                             members=[[0, 1, 2]]).play(rounds)
-    solos = [ExpWeightsBidder([v], grid, rounds, [c], mode=mode)
-             for v, c in zip(valuations, configs)]
+    members = {}
+    for i, rate in enumerate(rates):
+        members.setdefault(rate, []).append(i)
+    members = list(members.values())
+    groups = [ExpWeightsBidder([valuations[i] for i in agents], grid, rounds, agents, mode,
+                               *rates[agents[0]]) for agents in members]
+    grouped = SelfPlayMarket(groups, valuations, grid, 3, adversary,
+                             members=members).play(rounds)
+    log_rounds = [0] * len(rates)
+    for group, agents in zip(groups, members):
+        for i, count in zip(agents, group.log_rounds.tolist()):
+            log_rounds[i] = count
+    solos = [ExpWeightsBidder([v], grid, rounds, [i], mode, *rate)
+             for i, (v, rate) in enumerate(zip(valuations, rates))]
     alone = SelfPlayMarket(solos, valuations, grid, 3, adversary).play(rounds)
-    return ((grouped.to_csv_text(), group.log_rounds.tolist()),
-            (alone.to_csv_text(), [int(solo.log_rounds[0]) for solo in solos]))
+    return ((grouped.to_csv_text(), log_rounds),
+            (alone.to_csv_text(), [int(solo.log_rounds[0]) for solo in solos]), members)
 
 
 class TestLearnerRuns:
@@ -211,88 +220,91 @@ class TestLearnerRuns:
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.ones(4))
         with pytest.raises(ValueError):
-            ExpWeightsBidder([valuation], grid, 100, [LearnerConfig(eta=0.5)],
-                             mode=FeedbackMode.BANDIT_IPW)
+            ExpWeightsBidder([valuation], grid, 100, [0], mode=FeedbackMode.BANDIT_IPW, eta=0.5)
 
     def test_bandit_rejects_nan_eta(self):
+        """A rate that is not a positive finite number is refused at set-up, in
+        every mode, by a ValueError that names eta."""
         grid = make_even_grid(5)
         valuations = [ValuationProfile(np.ones(2))] * 2
-        with pytest.raises(ValueError, match="eta < 1/M"):
-            ExpWeightsBidder(valuations, grid, 100,
-                             [LearnerConfig(eta=0.1), LearnerConfig(eta=float("nan"))],
-                             mode=FeedbackMode.BANDIT_IX)
+        for mode in FeedbackMode:
+            for eta in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="eta must be a positive finite number"):
+                    ExpWeightsBidder(valuations, grid, 100, [0, 1], mode=mode, eta=eta)
 
     def test_group_needs_one_mode_and_one_demand(self):
         grid = make_even_grid(5)
         with pytest.raises(ValueError, match="one mode and one demand"):
             ExpWeightsBidder([ValuationProfile(np.ones(2)), ValuationProfile(np.ones(1))], grid, 10,
-                             [LearnerConfig(), LearnerConfig()])
+                             [0, 0])
 
     def test_observe_before_propose_rejected(self):
-        learner = ExpWeightsBidder([ValuationProfile(np.ones(2))], make_even_grid(5), 10,
-                                   [LearnerConfig()])
+        learner = ExpWeightsBidder([ValuationProfile(np.ones(2))], make_even_grid(5), 10, [0])
         with pytest.raises(RuntimeError, match="observe called before propose"):
             learner.observe(None, [[0, 0]])
 
     def test_full_info_round_requires_thresholds(self):
-        learner = ExpWeightsBidder([ValuationProfile(np.ones(2))], make_even_grid(5), 10,
-                                   [LearnerConfig()])
+        learner = ExpWeightsBidder([ValuationProfile(np.ones(2))], make_even_grid(5), 10, [0])
         learner.propose()
         with pytest.raises(ValueError, match="requires the win thresholds"):
             learner.observe(None, None)
 
     def test_group_plays_as_its_agents_would_alone(self):
         """One group of three agents and three one-agent groups write the same
-        log, in every mode, with a different eta per agent."""
+        log, in every mode, at each of three rates."""
         grid = make_even_grid(9)
         valuations = [ValuationProfile(np.array(v)) for v in ([1.0, 0.6], [0.8, 0.5], [0.9, 0.2])]
         adversary = StochasticAdversary(
             grid.indices_of([[0.25, 0.5, 0.75], [0.0, 0.125, 1.0]]), [0.5, 0.5], seed=3)
         for mode in FeedbackMode:
-            configs = [LearnerConfig(eta=0.05 * (i + 1), seed=i) for i in range(3)]
-            grouped = SelfPlayMarket([ExpWeightsBidder(valuations, grid, 80, configs, mode=mode)],
-                                     valuations, grid, 3, adversary, members=[[0, 1, 2]]).play(80)
-            alone = SelfPlayMarket([ExpWeightsBidder([v], grid, 80, [c], mode=mode)
-                                    for v, c in zip(valuations, configs)],
-                                   valuations, grid, 3, adversary).play(80)
-            assert grouped.to_csv_text() == alone.to_csv_text()
+            for eta in (0.05, 0.1, 0.15):
+                grouped = SelfPlayMarket(
+                    [ExpWeightsBidder(valuations, grid, 80, [0, 1, 2], mode=mode, eta=eta)],
+                    valuations, grid, 3, adversary, members=[[0, 1, 2]]).play(80)
+                alone = SelfPlayMarket([ExpWeightsBidder([v], grid, 80, [i], mode=mode, eta=eta)
+                                        for i, v in enumerate(valuations)],
+                                       valuations, grid, 3, adversary).play(80)
+                assert grouped.to_csv_text() == alone.to_csv_text()
 
     def test_a_full_information_group_crosses_each_agents_bound_as_it_would_alone(self):
         """Rates 2, 1 and 0.5 at M = 3, D = 11 leave linear tables after 116,
-        232 and 463 rounds (`linear_rounds`), so 300 rounds take the group
-        through rounds where every agent, some agents and no agent sample
-        from logs."""
+        232 and 463 rounds (`linear_rounds`), so 300 rounds take the market,
+        one group per rate, through rounds where every agent, some agents and
+        no agent sample from logs."""
         grid = make_even_grid(11)
-        configs = [LearnerConfig(eta=eta, seed=i) for i, eta in enumerate((2.0, 1.0, 0.5))]
-        grouped, alone = grouped_and_alone(grid, configs, 300)
+        grouped, alone, members = grouped_and_alone(grid, [(2.0, None), (1.0, None),
+                                                           (0.5, None)], 300)
+        assert members == [[0], [1], [2]]
         assert grouped == alone
         assert grouped[1] == [184, 68, 0]
 
     @pytest.mark.parametrize("env_wins_ties", [False, True])
     def test_a_crossing_groups_counts_give_the_hindsight_tables(self, env_wins_ties):
-        """The group above, under either tie rule: after 300 rounds, through
-        the per-agent `bounded` branch, each agent's win counts times its slot
-        rewards are the hindsight table of its logged thresholds, bit for bit."""
+        """The three groups above, under either tie rule: after 300 rounds,
+        across each group's switch to logs, each agent's win counts times its
+        slot rewards are the hindsight table of its logged thresholds, bit for
+        bit."""
         grid = make_even_grid(11)
-        configs = [LearnerConfig(eta=eta, seed=i) for i, eta in enumerate((2.0, 1.0, 0.5))]
         valuations = crossing_valuations()
-        group = ExpWeightsBidder(valuations, grid, 300, configs)
-        log = SelfPlayMarket([group], valuations, grid, 3, crossing_adversary(grid), env_wins_ties,
-                             members=[[0, 1, 2]]).play(300)
-        assert group.log_rounds.tolist() == [184, 68, 0]
-        for i, valuation in enumerate(valuations):
-            rewards = _kernels.slot_rewards(group.allowed[:, i], valuation.values, grid.values)
+        groups = [ExpWeightsBidder([v], grid, 300, [i], eta=eta)
+                  for i, (v, eta) in enumerate(zip(valuations, (2.0, 1.0, 0.5)))]
+        log = SelfPlayMarket(groups, valuations, grid, 3, crossing_adversary(grid),
+                             env_wins_ties).play(300)
+        assert [int(group.log_rounds[0]) for group in groups] == [184, 68, 0]
+        for i, (group, valuation) in enumerate(zip(groups, valuations)):
+            rewards = _kernels.slot_rewards(group.allowed[:, 0], valuation.values, grid.values)
             table = accumulate_weights_history(valuation, log.thresholds[i], grid)
-            assert np.array_equal(group.weights[:, i] * rewards, table.weights)
+            assert np.array_equal(group.weights[:, 0] * rewards, table.weights)
 
     def test_a_bandit_group_mixing_linear_and_log_tables_plays_as_alone(self):
-        """Agents 0 and 2 explore at gamma 1e-6 and rate 0.3; in 208 rounds
-        agent 2's tables leave the linear range while the others' stay
-        linear, so the stack samples and updates from mixed tables."""
+        """Agents 0 and 2 explore at gamma 1e-6 and rate 0.3, one group, and
+        agent 1 on the schedules, another; in 208 rounds agent 2's tables
+        leave the linear range while agent 0's stay linear, so the stack
+        samples and updates from mixed tables."""
         grid = make_even_grid(11)
-        configs = [LearnerConfig(eta=0.3, gamma=1e-6, seed=0), LearnerConfig(seed=1),
-                   LearnerConfig(eta=0.3, gamma=1e-6, seed=2)]
-        grouped, alone = grouped_and_alone(grid, configs, 600, FeedbackMode.BANDIT_IX)
+        rates = [(0.3, 1e-6), (None, None), (0.3, 1e-6)]
+        grouped, alone, members = grouped_and_alone(grid, rates, 600, FeedbackMode.BANDIT_IX)
+        assert members == [[0, 2], [1]]
         assert grouped == alone
         assert grouped[1] == [0, 0, 208], TARGETS  # log rounds follow the bits of np.exp
 
@@ -300,14 +312,13 @@ class TestLearnerRuns:
         """`weights` and `allowed` are C-contiguous (M, k, D) arrays, and
         `weights[:, i]` is the table agent i would hold alone."""
         grid = make_even_grid(11)
-        configs = [LearnerConfig(eta=eta, seed=i) for i, eta in enumerate((2.0, 0.5))]
         valuations = crossing_valuations()[:2]
         adversary = crossing_adversary(grid)
-        group = ExpWeightsBidder(valuations, grid, 50, configs)
+        group = ExpWeightsBidder(valuations, grid, 50, [0, 1], eta=2.0)
         SelfPlayMarket([group], valuations, grid, 3, adversary, members=[[0, 1]]).play(50)
         assert group.weights.shape == group.allowed.shape == (3, 2, 11)
         assert group.weights.flags.c_contiguous and group.allowed.flags.c_contiguous
-        solos = [ExpWeightsBidder([v], grid, 50, [c]) for v, c in zip(valuations, configs)]
+        solos = [ExpWeightsBidder([v], grid, 50, [i], eta=2.0) for i, v in enumerate(valuations)]
         SelfPlayMarket(solos, valuations, grid, 3, adversary).play(50)
         for i, (solo, valuation) in enumerate(zip(solos, valuations)):
             assert group.weights[:, i].tobytes() == solo.weights[:, 0].tobytes()
@@ -327,7 +338,7 @@ class TestLearnerRuns:
         monkeypatch.setattr(_kernels, "Workspace", Counted)
         grid = make_even_grid(11)
         valuations = crossing_valuations()[:agents]
-        group = ExpWeightsBidder(valuations, grid, 40, [LearnerConfig(seed=s) for s in range(agents)],
+        group = ExpWeightsBidder(valuations, grid, 40, list(range(agents)),
                                  mode=FeedbackMode.BANDIT_IX)
         assert built == []
         SelfPlayMarket([group], valuations, grid, 3, crossing_adversary(grid),
@@ -341,7 +352,7 @@ class TestLearnerRuns:
         grid = make_even_grid(6)
         valuation = ValuationProfile(np.array([0.8, 0.6]))
         adversary = StochasticAdversary(grid.indices_of([[1.0, 1.0]]), [1.0], seed=0)
-        learner = ExpWeightsBidder([valuation], grid, 300, [LearnerConfig(seed=4)])
+        learner = ExpWeightsBidder([valuation], grid, 300, [4])
         log = play_against(learner, adversary, 300, tie=True)
         assert math.fsum(log.utilities[:, 0]) == 0.0
         for row in log.bids[0]:
@@ -354,8 +365,7 @@ class TestLearnerRuns:
             grid.indices_of([[0.25, 0.5], [0.0, 0.75]]), [0.5, 0.5], seed=3)
 
         def bids(seed):
-            learner = ExpWeightsBidder([valuation], grid, 100, [LearnerConfig(seed=seed)],
-                                       mode=FeedbackMode.BANDIT_IX)
+            learner = ExpWeightsBidder([valuation], grid, 100, [seed], mode=FeedbackMode.BANDIT_IX)
             return play_against(learner, adversary, 100).bids[0]
 
         runs = [bids(77) for _ in range(2)]
@@ -368,7 +378,7 @@ class TestLearnerRuns:
         valuation = ValuationProfile(np.array([1.0, 0.5]))
         adversary = StochasticAdversary(
             grid.indices_of([[0.2, 0.4], [0.0, 1.0]]), [0.6, 0.4], seed=1)
-        learner = ExpWeightsBidder([valuation], grid, 50, [LearnerConfig(seed=5)])
+        learner = ExpWeightsBidder([valuation], grid, 50, [5])
         history = []
         for row in adversary.draws(0, 50):
             learner.propose()
@@ -384,7 +394,7 @@ class TestLearnerRuns:
         valuation = ValuationProfile(np.array([0.7, 0.45, 0.2]))
         adversary = StochasticAdversary(grid.indices_of([[0.125, 0.25, 0.375]]), [1.0], seed=0)
         for mode in FeedbackMode:
-            learner = ExpWeightsBidder([valuation], grid, 200, [LearnerConfig(seed=9)], mode=mode)
+            learner = ExpWeightsBidder([valuation], grid, 200, [9], mode=mode)
             log = play_against(learner, adversary, 200)
             for row in log.bids[0]:
                 assert np.all(grid.values[row] <= valuation.values + 1e-12)
@@ -426,7 +436,7 @@ class TestFullInfoTables:
                                       "agent_loses" if agent_loses else "agent_wins")
         linear, market = play_scenario(document)
         (group,) = market.learners
-        crossing = max(math.floor(_kernels.linear_rounds(m, d, group.eta.max())) + 1, 0)
+        crossing = max(math.floor(_kernels.linear_rounds(m, d, group.eta)) + 1, 0)
         assert group.log_rounds.tolist() == [max(rounds - crossing, 0)] * k
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_kernels, "_LINEAR_LOG_MAX", -math.inf)  # no round fits
@@ -462,7 +472,7 @@ class TestFullInfoTables:
         allocate at most a few (M, k, D) tables at once, not a (D + 1, D) mask."""
         grid = make_even_grid(4097 + k)
         valuations = [ValuationProfile(np.array([1.0, 0.6]))] * k
-        group = ExpWeightsBidder(valuations, grid, 10, [LearnerConfig(seed=s) for s in range(k)])
+        group = ExpWeightsBidder(valuations, grid, 10, list(range(k)))
         thresholds = [[2000, 3000]] * k
         group.propose()
         tracemalloc.start()
@@ -501,8 +511,7 @@ class TestUniformBlocks:
         edge = UNIFORM_BLOCK_ROWS
         # T = 1, a block edge, one past it, and play beyond a horizon of 5
         for horizon, rounds in ((1, 1), (edge, edge), (edge + 1, edge + 1), (5, edge + 20)):
-            configs = [LearnerConfig(seed=i) for i in range(k)]
-            logs = [SelfPlayMarket([kind(valuations, grid, horizon, configs, mode=mode)],
+            logs = [SelfPlayMarket([kind(valuations, grid, horizon, list(range(k)), mode=mode)],
                                    valuations, grid, 3, adversary,
                                    members=[range(k)]).play(rounds).to_csv_text()
                     for kind in (ExpWeightsBidder, PerRoundDrawBidder)]

@@ -1,14 +1,15 @@
 """Golden outputs: each bundled scenario, shortened to 300 rounds, must keep its bytes.
 
 Five more scenarios are written out below: a mixed market whose EW agents
-of equal demand and feedback are not adjacent, against an environment that
-wins ties, so the grouping of agents cannot change anyone's draws unseen;
-one OMD bandit agent at the `omd_bandit` benchmark shape whose projections
-often need Newton steps after the lambda = 0 check (64 of 300, up to 2
-steps), so a change to the projection cannot move its Newton path unseen; a
-group of two EW full-information agents whose user-set rates (the larger
-is 2) carry their tables past the linear range bound at round 116, so the
-switch from linear tail sums to logs cannot move a bid unseen; and one EW
+of equal demand, feedback and rates are not adjacent, against an environment
+that wins ties, so the grouping of agents cannot change anyone's draws
+unseen; one OMD bandit agent at the `omd_bandit` benchmark shape whose
+projections often need Newton steps after the lambda = 0 check (64 of 300,
+up to 2 steps), so a change to the projection cannot move its Newton path
+unseen; two EW full-information agents at user-set rates 2 and 0.5, a group
+each, the first of which carries its table past the linear range bound at
+round 116, so the switch from linear tail sums to logs cannot move a bid
+unseen; and one EW
 bandit-IX agent of demand 2 against a supply of 3 that wins ties, so a
 lone agent's thresholds, read from the environment's rows alone, cannot
 drop the tie rule or the rows' unsold tail unseen; and a self-play market of

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pabid.adversaries import StochasticAdversary
 from pabid.auction import ValuationProfile
-from pabid.exp_weights import ExpWeightsBidder, FeedbackMode, LearnerConfig
+from pabid.exp_weights import ExpWeightsBidder, FeedbackMode
 from pabid.grids import make_even_grid
 from pabid.mirror_descent import OmdBidder
 from pabid.scenario import (
@@ -406,7 +406,7 @@ class TestMarketChecks:
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.ones(2))
         env = StochasticAdversary(np.zeros((1, width), dtype=np.int64), [1.0], seed=0)
-        market = SelfPlayMarket([ExpWeightsBidder([valuation], grid, 10, [LearnerConfig()])],
+        market = SelfPlayMarket([ExpWeightsBidder([valuation], grid, 10, [0])],
                                 [valuation], grid, 2, env)
         with pytest.raises(ValueError) as excinfo:
             market.play(10)
@@ -418,7 +418,7 @@ class TestMarketChecks:
         agent would learn from the first one's thresholds."""
         grid = make_even_grid(5)
         valuation = ValuationProfile(np.ones(2))
-        group = ExpWeightsBidder([valuation] * 2, grid, 10, [LearnerConfig(seed=s) for s in (1, 2)])
+        group = ExpWeightsBidder([valuation] * 2, grid, 10, [1, 2])
         market = SelfPlayMarket([group], [valuation], grid, 2, members=[[0]])
         with pytest.raises(ValueError) as excinfo:
             market.play(10)
@@ -434,8 +434,7 @@ class TestMarketChecks:
         if kind == "omd":
             group = OmdBidder(valuation, grid, 20, seed=1)
         else:
-            group = ExpWeightsBidder([valuation] * k, grid, 20,
-                                     [LearnerConfig(seed=s) for s in range(k)],
+            group = ExpWeightsBidder([valuation] * k, grid, 20, list(range(k)),
                                      mode=FeedbackMode(kind))
         for _ in range(20):
             rows = group.propose()
