@@ -11,6 +11,9 @@ Kernels:
     multipliers when one prefix table of the normalized rows certifies, and
     otherwise takes projected Newton steps on the Lagrange dual: at most 100
     conjugate-gradient iterations with a matrix-free Hessian, O(M*D) each.
+    Each check's prefix table is one full-row `np.add.accumulate`, written
+    into the caller's buffer, so on return it holds the returned q's row
+    CDFs: the table mirror descent samples its next bid from.
   * backward_pass / forward_pass: the layered graph's two passes (Takimoto &
     Warmuth 2003), one accumulate and one elementwise step per slot, in the
     caller's semiring. Backward: EW's tail sums, (add, multiply) or in logs
@@ -48,7 +51,8 @@ per-slot row views, `ew_marginals` reads them and writes its q, and
 until the group's next `propose`; other callers get new arrays.
 
 Mirror descent samples without a kernel: `mirror_descent.sample_from_marginals`
-bisects every slot's CDF at one shared uniform per round.
+bisects every slot's CDF at one shared uniform per round, in the prefix table
+that the round's projection wrote, so a round builds that table once.
 """
 from __future__ import annotations
 
@@ -68,13 +72,14 @@ _LINEAR_MIN = 2.0**-960
 # Largest log of a prefix sum that a bounded linear table may reach: below
 # log(float max) ~ 709.78, with room for the pass's roundoff.
 _LINEAR_LOG_MAX = 700.0
-# The win update's addend: a 0-d array skips the conversion a Python float takes per call.
+# The win update's addend and the row sums' target: a 0-d array skips the conversion a
+# Python float takes per call.
 _ONE = np.ones(())
 # A Newton step's largest multiplier move, and its most CG iterations (one O(M*D) product each).
 _MAX_STEP, _CG_ITERATIONS = 4.0, 100
 
 
-def project_dual_ascent(qt, allowed, tol, max_sweeps):
+def project_dual_ascent(qt, allowed, tol, max_sweeps, table=None):
     """Unnormalized-KL projection of `qt` onto the dominance polytope.
 
     The dual has a multiplier lambda[m, j] >= 0 per constraint F_m(j) <=
@@ -90,16 +95,21 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
     normalized rows. Otherwise projected Newton steps (`_newton_step`)
     maximize the dual, each O(M*D).
 
+    Every check builds the iterate's full-row prefix table, np.add.accumulate(q,
+    axis=1), in `table` (an (M, D) float array, or a new one when None). On
+    return it holds the returned q's table, the CDF a sampler bisects.
+
     `max_sweeps` (at least 1) bounds the check plus the Newton steps, the
     count returned. Returns (q, lam, nu, sweeps_used, gap).
     """
     m_units, d = qt.shape
     q = np.where(allowed, qt, 0.0)
     lam = np.zeros((max(m_units - 1, 1), max(d - 1, 1)))
-    s = q.sum(axis=1)
+    s = np.add.reduce(q, 1)
     q /= s[:, None]
     nu = 0.0 - np.log(s)
-    excess = _dominance_excess(q)
+    table = np.add.accumulate(q, 1, None, table)
+    excess = _dominance_excess(table)
     sweeps, gap = 1, _kkt_gap(q, excess)
     if not gap > tol:  # lambda = 0 certifies; a NaN gap stops here too
         return q, lam, nu, sweeps, gap
@@ -111,7 +121,7 @@ def project_dual_ascent(qt, allowed, tol, max_sweeps):
             if step is None:  # no step ascends
                 break
             q, lam, nu, factors = step
-            excess = _dominance_excess(q)
+            excess = _dominance_excess(np.add.accumulate(q, 1, None, table))
             sweeps, gap = sweeps + 1, _kkt_gap(q, excess, lam)
     return q, lam, nu, sweeps, gap
 
@@ -181,18 +191,19 @@ def _curvature(q, v):
     return prefix[1:] - prefix[:-1]
 
 
-def _dominance_excess(q):
-    """P - A of every constraint: row m's prefix sums minus row m + 1's."""
-    prefix = q[:, :-1].cumsum(axis=1)
+def _dominance_excess(table):
+    """P - A of every constraint from the rows' prefix table: row m's prefix sums
+    minus row m + 1's, over the first D - 1 columns."""
+    prefix = table[:, :-1]
     return prefix[:-1] - prefix[1:]
 
 
 def _kkt_gap(q, excess, lam=None):
     """Max of row-sum error, excess and |lambda (A - P)|, which is 0 at lambda = None."""
-    gap = float(abs(q.sum(axis=1) - 1.0).max())
+    gap = float(np.maximum.reduce(abs(np.subtract(np.add.reduce(q, 1), _ONE)), None))
     if excess.size:
-        slack = 0.0 if lam is None else float(abs(lam * excess).max())
-        gap = max(gap, float(excess.max()), slack)
+        slack = 0.0 if lam is None else float(np.maximum.reduce(abs(lam * excess), None))
+        gap = max(gap, float(np.maximum.reduce(excess, None)), slack)
     return gap
 
 
@@ -212,11 +223,12 @@ def ew_tail_sums(weights, allowed, eta, linear=False, bounded=False, work=None):
     itself: one `exp`, then one `np.add.accumulate` and one product per
     layer, with no shift and no test. Returns (sums, prefix), both linear.
 
-    With `linear`, the pass runs on E = exp(eta W - row max). Row scales
-    matter neither to the sampler nor to the marginals. An agent keeps these
-    tables when every feasible E >= 2**-960 and every P[m, 0] >= 2**-960
-    (NaN fails both): no cell then loses mass to underflow, capped totals are
-    normal floats and q / P <= 2**960 in the marginal recursion. As E <= 1,
+    With `linear`, `eta` is one scalar rate for every agent (a bandit group's),
+    and the pass runs on E = exp(eta W - row max). Row scales matter neither
+    to the sampler nor to the marginals. An agent keeps these tables when
+    every feasible E >= 2**-960 and every P[m, 0] >= 2**-960 (NaN fails
+    both): no cell then loses mass to underflow, capped totals are normal
+    floats and q / P <= 2**960 in the marginal recursion. As E <= 1,
     P[m, D-1] is at most C(M + D - 1, M), the number of monotone tails; a
     shape where that exceeds 2**960 takes logs throughout, so only the row
     shift can overflow, and an agent whose shift does takes logs. Agents that
@@ -318,8 +330,7 @@ def _linear_tail_sums(weights, allowed, eta, work):
         return (*ew_tail_sums(weights, allowed, eta, work=work), linear)
     if not all(flags):
         logs = ~linear
-        rates = eta if np.ndim(eta) == 0 else eta[..., logs, :]
-        sums[:, logs], prefix[:, logs] = ew_tail_sums(weights[:, logs], allowed[:, logs], rates)
+        sums[:, logs], prefix[:, logs] = ew_tail_sums(weights[:, logs], allowed[:, logs], eta)
     return sums, prefix, linear
 
 

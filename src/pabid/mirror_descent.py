@@ -10,8 +10,12 @@ reward estimates and project back onto the polytope in unnormalized KL.
 Bids are drawn straight from the marginals by the quantile (comonotone)
 coupling: one uniform U per round, and b_m = F_m^{-1}(U) in every slot m.
 Each slot's bid then has law q[m] exactly, and dominance makes the vector
-non-increasing. No transition tensor is built. A bandit round converts to
-Python floats only the cells it probes or plays; whole tables stay in numpy.
+non-increasing. No transition tensor is built. The CDF rows are q's row
+prefix table, which the projection builds for its certificate and writes for
+the q it returns, so each round builds it once and `propose` only bisects
+it; the learner keeps q and its table together, and a projection that fails
+leaves both. A bandit round converts to Python floats only the cells it
+probes or plays; whole tables stay in numpy.
 
 RNG contract: `OmdBidder` consumes exactly one uniform per round, whatever
 the demand. It is a market group of one agent: `propose` returns a list of
@@ -98,7 +102,8 @@ def unconstrained_step(q_prev: np.ndarray, reward_estimate: np.ndarray, eta: flo
     return np.exp(logs - logs.max(axis=1, keepdims=True))
 
 
-def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: int,
+             table: Optional[np.ndarray] = None) -> np.ndarray:
     """Unnormalized-KL projection onto the occupancy polytope, certified.
 
     The kernel's `gap` bounds the KKT residuals: layer-sum error, dominance
@@ -107,12 +112,13 @@ def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: i
     exponential reweighting of the input). `max_sweeps` bounds the kernel's
     lambda = 0 check plus its Newton steps. Returns the (M, D) iterate, or
     raises `ProjectionError` when the gap exceeds `tol`; the run loop names
-    the agent and the round.
+    the agent and the round. The kernel writes the iterate's row prefix table
+    into `table`, when given: on return, the returned q's sampling CDF.
 
     The kernel is looked up as this module's global at call time, so a
     wrapper installed there (a tracer, a test) sees every projection.
     """
-    q, _lam, _nu, sweeps, gap = project_dual_ascent(q_tilde, allowed, tol, max_sweeps)
+    q, _lam, _nu, sweeps, gap = project_dual_ascent(q_tilde, allowed, tol, max_sweeps, table)
     if not gap <= tol:
         raise ProjectionError(
             f"projection stopped at gap {gap:.3e} after {sweeps} sweeps (tol {tol:.1e})",
@@ -121,23 +127,26 @@ def _project(q_tilde: np.ndarray, allowed: np.ndarray, tol: float, max_sweeps: i
     return q
 
 
-def sample_from_marginals(q: np.ndarray, rng: np.random.Generator) -> list[int]:
+def sample_from_marginals(table: np.ndarray, rng: np.random.Generator) -> list[int]:
     """Grid indices (a list) of a bid vector whose slot-m bid has law q[m], from one uniform U.
 
-    b_m is the smallest index whose cumulative mass in row m exceeds U times
-    the row total, which is always a cell of positive mass. The total is the
-    cumulative sum's own last entry: U < 1 then keeps U * total below it in
-    floating point, so the index never runs past the grid. A cumulative sum
-    never decreases, so that index is one `bisect_right` of the row, through
-    a flat memoryview that converts only the cells it probes. Dominance makes
-    the indices non-increasing; bisecting each row below the previous pick
-    takes their running minimum, which absorbs the dominance slack that the
-    projection's tolerance leaves, and changes nothing on an exact member.
+    `table` is q's row prefix table, np.add.accumulate(q, axis=1): the
+    projection writes it for the q it returns (`project_dual_ascent`), so a
+    round builds it once. b_m is the smallest index whose cumulative mass in
+    row m exceeds U times the row total, which is always a cell of positive
+    mass. The total is the row's own last entry: U < 1 then keeps U * total
+    below it in floating point, so the index never runs past the grid. A
+    prefix row never decreases, so that index is one `bisect_right` of the
+    row, through a flat memoryview that converts only the cells it probes.
+    Dominance makes the indices non-increasing; bisecting each row below the
+    previous pick takes their running minimum, which absorbs the dominance
+    slack that the projection's tolerance leaves, and changes nothing on an
+    exact member.
 
     Consumes exactly one uniform per call.
     """
-    u, d = rng.random(), q.shape[1]
-    cells = np.add.accumulate(q, axis=1).reshape(-1).data
+    u, d = rng.random(), table.shape[1]
+    cells = table.reshape(-1).data
     picks, pick = [], d
     for start in range(0, len(cells), d):
         pick = bisect.bisect_right(cells, u * cells[start + d - 1], start, start + pick) - start
@@ -174,8 +183,8 @@ class OmdBidder:
         self.grid = grid
         self.mode = mode
         self.eta = eta if eta is not None else omd_eta_schedule(mode, grid.count, horizon)
-        if not math.isfinite(self.eta):  # the bandit step's lost slots need eta * 0.0 == 0.0
-            raise ValueError(f"eta must be finite, not {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):  # lost slots need eta * 0.0 == 0.0
+            raise ValueError(f"eta must be a positive finite number, not {self.eta}")
         self.allowed = valuation.ir_mask(grid)
         self.gamma = estimator_offsets(mode, self.allowed, horizon, gamma)
         self.wants_full_info = mode is FeedbackMode.FULL_INFO
@@ -183,7 +192,9 @@ class OmdBidder:
             self._rewards = _kernels.slot_rewards(self.allowed, valuation.values, grid.values)
         self.rng = np.random.default_rng(seed)
         feasible = self.allowed.astype(float)
-        self.q = _kernels.marginal_recursion(feasible, np.cumsum(feasible, axis=1))
+        q = _kernels.marginal_recursion(feasible, np.cumsum(feasible, axis=1))
+        self._table = np.empty(q.shape)
+        self._adopt(q, np.add.accumulate(q, axis=1))
         self._values = valuation.values.tolist()
         self._bid_values = grid.values.tolist()
         self._offsets = self.gamma.tolist()
@@ -191,8 +202,13 @@ class OmdBidder:
 
     def propose(self) -> list[list[int]]:
         """This round's bid: one list of M grid indices, in a list."""
-        self._pending = sample_from_marginals(self.q, self.rng)
+        self._pending = sample_from_marginals(self._table, self.rng)
         return [self._pending]
+
+    def _adopt(self, q: np.ndarray, table: np.ndarray) -> None:
+        """Make `q` the marginals and `table`, its row prefix table, the CDF the next
+        `propose` bisects; the table they replace is the next projection's buffer."""
+        self.q, self._table, self._spare = q, table, self._table
 
     def reward_estimate(self, allocation: Optional[int], thresholds: Optional[np.ndarray],
                         *_ignored) -> np.ndarray:
@@ -234,7 +250,9 @@ class OmdBidder:
             q_tilde = unconstrained_step(self.q, est, self.eta)
         else:
             q_tilde = self._bandit_step(allocations[0])
-        self.q = _project(q_tilde, self.allowed, DEFAULT_PROJECTION_TOL, DEFAULT_MAX_SWEEPS)
+        table = self._spare  # a projection that raises leaves q and its table as they were
+        self._adopt(_project(q_tilde, self.allowed, DEFAULT_PROJECTION_TOL, DEFAULT_MAX_SWEEPS,
+                             table), table)
         self._pending = None
 
     def _bandit_step(self, allocation: int) -> np.ndarray:

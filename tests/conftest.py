@@ -151,9 +151,10 @@ def sampler_law(q: np.ndarray) -> dict[tuple[int, ...], float]:
     """
     cdf = np.cumsum(q, axis=1)
     cuts = np.unique(np.concatenate([[0.0, 1.0], np.clip(cdf / cdf[:, -1:], 0.0, 1.0).ravel()]))
+    table = np.add.accumulate(q, axis=1)
     law: dict[tuple[int, ...], float] = {}
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        key = tuple(int(j) for j in sample_from_marginals(q, FixedUniform(0.5 * (lo + hi))))
+        key = tuple(int(j) for j in sample_from_marginals(table, FixedUniform(0.5 * (lo + hi))))
         law[key] = law.get(key, 0.0) + float(hi - lo)
     return law
 

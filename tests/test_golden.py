@@ -33,13 +33,15 @@ the q of each projection that reaches the bids, so a last digest hashes
 every output of every projection (q, lambda, nu, steps and gap) in
 replication 0 of `omd_multisweep` and `mixed_groups`, whose IR-masked OMD
 agent leaves layer pairs whose excess is positive by roundoff alone, which
-the lambda = 0 check certifies.
+the lambda = 0 check certifies. Over the same two runs, every OMD bid must
+be the sampler on its bidder's q: the CDF the projection wrote is q's.
 
 The projection digest and the bandit agent's log rounds depend on the bits
 of numpy's `exp` and `log`, which its SIMD dispatch chooses per host, so
 every digest assertion names the target the digests were recorded on and
 this run's.
 """
+import copy
 import hashlib
 import json
 
@@ -51,7 +53,7 @@ from pabid.cli import _resolve_scenario_path
 from pabid.scenario import build_market, run_experiment, validate_scenario
 from pabid.simulator import market_metrics, regret_report
 
-from conftest import TARGETS
+from conftest import TARGETS, FixedUniform
 
 ROUNDS = 300
 
@@ -269,6 +271,35 @@ def test_projections_are_byte_identical(monkeypatch):
         run_experiment(validate_scenario({**load_document(name), "rounds": ROUNDS}),
                        replication=0)
     assert digest.hexdigest() == PROJECTION_DIGEST, TARGETS
+
+
+def test_every_omd_bid_is_the_sampler_on_its_marginals(monkeypatch):
+    """`propose` bisects the table its last certified projection wrote, in
+    Newton rounds too: every bid is `sample_from_marginals` on the row prefix
+    table of `bidder.q` at the same uniform."""
+    propose, project = mirror_descent.OmdBidder.propose, mirror_descent.project_dual_ascent
+    bids, steps = [], []
+
+    def checked(self):
+        u = copy.deepcopy(self.rng).random()
+        want = mirror_descent.sample_from_marginals(np.add.accumulate(self.q, axis=1),
+                                                    FixedUniform(u))
+        got = propose(self)
+        bids.append(got[0] == want)
+        return got
+
+    def counted(*args):
+        result = project(*args)
+        steps.append(result[3])
+        return result
+
+    monkeypatch.setattr(mirror_descent.OmdBidder, "propose", checked)
+    monkeypatch.setattr(mirror_descent, "project_dual_ascent", counted)
+    for name in PROJECTION_SCENARIOS:
+        run_experiment(validate_scenario({**load_document(name), "rounds": ROUNDS}),
+                       replication=0)
+    assert len(bids) == 2 * ROUNDS and all(bids)
+    assert max(steps) > 1  # some bids follow a Newton step
 
 
 def test_bandit_log_rounds_are_byte_identical(monkeypatch):

@@ -47,6 +47,12 @@ from oracles import (
 )
 
 
+def adopt(bidder: OmdBidder, q: np.ndarray) -> None:
+    """Give `bidder` the marginals q as `observe` does: q with its row prefix table,
+    which the next `propose` bisects."""
+    bidder._adopt(q, np.add.accumulate(q, axis=1))
+
+
 def uniform_successor_chain(allowed: np.ndarray):
     """Slot 1 uniform on its feasible bids; from bid b, uniform on the next
     slot's feasible bids at or below b."""
@@ -162,7 +168,9 @@ class TestRounds:
             valuation = ValuationProfile(np.sort(rng.random(m))[::-1])
             mode = (FeedbackMode.BANDIT_IPW, FeedbackMode.BANDIT_IX)[trial % 2]
             bidder = OmdBidder(valuation, grid, 100, mode=mode, seed=trial)
-            bidder.q[:, 1:] *= rng.choice([1.0, 1e-14], size=(m, d - 1))  # some below the floor
+            q = bidder.q.copy()
+            q[:, 1:] *= rng.choice([1.0, 1e-14], size=(m, d - 1))  # some below the floor
+            adopt(bidder, q)
             played = np.array(bidder.propose()[0])
             allocation = int(rng.integers(0, m + 1))
             expected = np.zeros((m, d))
@@ -185,7 +193,9 @@ class TestRounds:
             mode = (FeedbackMode.BANDIT_IPW, FeedbackMode.BANDIT_IX)[trial % 2]
             eta = (0.05, 3.0, 40.0, 5e3)[trial % 4]
             bidder = OmdBidder(valuation, grid, 100, mode=mode, eta=eta, seed=trial)
-            bidder.q[:, 1:] *= rng.choice([1.0, 1e-3, 1e-14], size=(m, d - 1))
+            q = bidder.q.copy()
+            q[:, 1:] *= rng.choice([1.0, 1e-3, 1e-14], size=(m, d - 1))
+            adopt(bidder, q)
             bidder.propose()
             allocation = int(rng.integers(0, m + 1))
             dense = unconstrained_step(bidder.q, bidder.reward_estimate(allocation, None), eta)
@@ -236,6 +246,38 @@ class TestRounds:
         assert type(copy) is ProjectionError and str(copy) == str(excinfo.value)
         assert (copy.sweeps, copy.gap) == (777, 1.0)
         assert copy.best.tobytes() == excinfo.value.best.tobytes()
+
+    def test_a_failed_projection_keeps_q_and_its_table(self, monkeypatch):
+        """The kernel writes its table into the learner's spare buffer, so when the
+        certificate fails, q and the table `propose` bisects stay the last
+        certified ones."""
+        from pabid import mirror_descent
+
+        project = mirror_descent.project_dual_ascent
+        calls = []
+
+        def fail_third_call(*args):
+            q, lam, nu, sweeps, gap = project(*args)
+            calls.append(sweeps)
+            return (q, lam, nu, 777, 1.0) if len(calls) == 3 else (q, lam, nu, sweeps, gap)
+
+        monkeypatch.setattr(mirror_descent, "project_dual_ascent", fail_third_call)
+        bidder = OmdBidder(ValuationProfile(np.array([1.0, 0.5])), make_even_grid(5), 10, seed=4)
+        for _ in range(2):
+            bidder.propose()
+            bidder.observe([1])
+        q, table = bidder.q, bidder._table
+        kept = q.tobytes(), table.tobytes()
+        bidder.propose()
+        with pytest.raises(ProjectionError) as excinfo:
+            bidder.observe([1])
+        assert excinfo.value.best.tobytes() != kept[0]  # the failed step moved q
+        assert bidder.q is q and bidder._table is table
+        assert (q.tobytes(), table.tobytes()) == kept
+        for u in (0.0, 0.5, LAST_UNIFORM):
+            bidder.rng = FixedUniform(u)
+            want = sample_from_marginals(np.add.accumulate(q, axis=1), FixedUniform(u))
+            assert bidder.propose()[0] == want
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_step_raises_instead_of_returning_nan(self):
@@ -289,8 +331,9 @@ class TestLinearLossIdentity:
 
         draws = 200_000
         total = 0.0
+        table = np.add.accumulate(q, axis=1)
         for _ in range(draws):
-            bid = BidVector(sample_from_marginals(q, rng), grid)
+            bid = BidVector(sample_from_marginals(table, rng), grid)
             total += settle(valuation, bid, competing).utility
         mc = total / draws
         sigma = 3.0 / math.sqrt(draws)  # utilities bounded by 3
@@ -359,16 +402,18 @@ class TestBanditRoundMatchesItsOracles:
         eta = data.draw(st.one_of(st.none(), st.floats(1e-3, 10.0), st.floats(
             10.0, validator_eta_bound(mode, grid_size, horizon))))
         bidder = OmdBidder(valuation, grid, horizon, mode=mode, eta=eta, seed=seed)
-        bidder.q = member_on(rng, bidder.allowed)
+        q = member_on(rng, bidder.allowed)
         if data.draw(st.booleans()):  # off the polytope: cells below the floor, dominance broken
-            bidder.q[:, 1:] *= rng.choice([1.0, 1e-3, 1e-14], size=(demand, grid_size - 1))
+            q[:, 1:] *= rng.choice([1.0, 1e-3, 1e-14], size=(demand, grid_size - 1))
+        adopt(bidder, q)
 
         # uniforms at the rows' normalized CDF breakpoints, one ulp either side and the ends
         cdf = np.cumsum(bidder.q, axis=1)
         cuts = (cdf / cdf[:, -1:]).ravel()
         for u in [0.0, LAST_UNIFORM, *cuts, *np.nextafter(cuts, 0.0), *np.nextafter(cuts, 1.0)]:
             u = min(float(u), LAST_UNIFORM)
-            got = np.array(sample_from_marginals(bidder.q, FixedUniform(u)))
+            got = np.array(sample_from_marginals(np.add.accumulate(bidder.q, axis=1),
+                                                 FixedUniform(u)))
             want = list_sample_from_marginals(bidder.q, FixedUniform(u))
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), u
 
@@ -393,7 +438,10 @@ class TestBanditRoundMatchesItsOracles:
         got = project_dual_ascent(q_tilde, allowed, tol, 50)
         assert got[3] == 1 and math.isnan(got[4])
 
-    def test_eta_must_be_finite(self):
-        for eta in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="^eta must be finite"):
-                OmdBidder(ValuationProfile(np.array([1.0])), make_even_grid(3), 10, eta=eta)
+    @pytest.mark.parametrize("mode", [FeedbackMode.FULL_INFO, FeedbackMode.BANDIT_IX])
+    def test_eta_must_be_positive_and_finite(self, mode):
+        """As `validate_scenario` and `ExpWeightsBidder` do, whatever the feedback."""
+        for eta in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^eta must be a positive finite number, not "):
+                OmdBidder(ValuationProfile(np.array([1.0])), make_even_grid(3), 10, mode=mode,
+                          eta=eta)

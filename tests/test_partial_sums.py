@@ -522,12 +522,12 @@ class TestLayeredPasses:
 
 
 def stacked_cases(k):
-    """Each parity case as an (M, k, D) stack: agent i scales the weights and
-    eta by 1 + i/2 and keeps the case's mask cut to its own random IR caps
-    (non-increasing over slots, cell 0 always feasible). Then, for k > 1, a
-    stack whose odd agents have the deep ramp's rows, wider than exp's range,
-    and whose even agents have ordinary rows, so under `linear` the stack
-    mixes linear tables and logs."""
+    """Each parity case as an (M, k, D) stack at the case's one eta: agent i
+    scales the weights by 1 + i/2 and keeps the case's mask cut to its own
+    random IR caps (non-increasing over slots, cell 0 always feasible). Then,
+    for k > 1, a stack whose odd agents have the deep ramp's rows, wider than
+    exp's range, and whose even agents have ordinary rows, so under `linear`
+    the stack mixes linear tables and logs."""
     rng = np.random.default_rng(31 + k)
     for weights, allowed, eta in kernel_parity_cases() + wide_spread_cases():
         m, d = weights.shape
@@ -535,13 +535,12 @@ def stacked_cases(k):
                 for i in range(k)]
         stack_w = np.stack([weights * (1.0 + i / 2) for i in range(k)], axis=1)
         stack_a = np.stack([allowed & (np.arange(d) <= cap[:, None]) for cap in caps], axis=1)
-        etas = np.array([eta * (1.0 + i / 2) for i in range(k)])
-        yield stack_w, stack_a, etas
+        yield stack_w, stack_a, eta
     if k > 1:
         deep_ramp = wide_spread_cases()[0][0]
         ordinary = rng.uniform(-5.0, 5.0, size=deep_ramp.shape)
         yield (np.stack([deep_ramp if i % 2 else ordinary for i in range(k)], axis=1),
-               np.ones((deep_ramp.shape[0], k, deep_ramp.shape[1]), bool), np.ones(k))
+               np.ones((deep_ramp.shape[0], k, deep_ramp.shape[1]), bool), 1.0)
 
 
 class TestBatchedKernels:
@@ -551,11 +550,11 @@ class TestBatchedKernels:
     def test_stacked_calls_equal_separate_calls_bit_for_bit(self, k):
         rng = np.random.default_rng(5)
         top = 1.0 - 2.0**-53
-        for weights, allowed, etas in stacked_cases(k):
+        for weights, allowed, eta in stacked_cases(k):
             m, _, d = weights.shape
-            log_sums, log_prefix = ew_tail_sums(weights, allowed, etas[:, None])
+            log_sums, log_prefix = ew_tail_sums(weights, allowed, eta)
             marginals = ew_marginals(log_sums)
-            singles = [ew_tail_sums(weights[:, i], allowed[:, i], etas[i]) for i in range(k)]
+            singles = [ew_tail_sums(weights[:, i], allowed[:, i], eta) for i in range(k)]
             for i, (sums, prefix) in enumerate(singles):
                 assert log_sums[:, i].tobytes() == sums.tobytes()
                 assert log_prefix[:, i].tobytes() == prefix.tobytes()
@@ -592,7 +591,7 @@ class TestWorkspace:
         m, d, stack = 4, 9, k > 1
         caps = np.sort(rng.integers(0, d, size=(k, m)), axis=1)[:, ::-1]
         allowed = np.arange(d) <= caps.T[..., None]  # (M, k, D), cell 0 always feasible
-        etas = 0.5 + rng.random(k)
+        eta = 0.5 + rng.random()  # one rate for the stack, as a group has
         work = _kernels.Workspace((m, k, d) if stack else (m, d))
         regimes = set()
         for t in range(50):
@@ -600,8 +599,7 @@ class TestWorkspace:
             wide = stack and t % 2 == 1
             if wide:
                 weights[:, 1] *= 400.0
-            args = ((weights, allowed, etas[:, None]) if stack
-                    else (weights[:, 0], allowed[:, 0], etas[0]))
+            args = (weights, allowed, eta) if stack else (weights[:, 0], allowed[:, 0], eta)
             calls = [({}, False), ({"linear": True}, None)]
             calls += [] if wide else [({"bounded": True}, True)]
             for kwargs, flags in calls:
@@ -624,7 +622,8 @@ class TestWorkspace:
 class TestKernelArgumentForms:
     """The forms an EW group passes: a stack's rates in its shape, and for
     full information `allowed` as floats, give the bits of (k, 1) rates and a
-    bool mask in every regime of the tail sums."""
+    bool mask in the log and bounded tail sums (linear tables take one scalar
+    rate)."""
 
     def test_full_shape_rates_and_a_float_mask_match(self):
         rng = np.random.default_rng(28)
@@ -642,10 +641,6 @@ class TestKernelArgumentForms:
                 ref = ew_tail_sums(weights, allowed, etas[:, None], **kwargs)
                 got = ew_tail_sums(weights, allowed * 1.0, rates, **kwargs)
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
-            ref = ew_tail_sums(weights, allowed, etas[:, None], linear=True)
-            got = ew_tail_sums(weights, allowed, rates, linear=True)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
-            assert got[2].tolist() == [True, not wide, True]
 
 
 class TestSlotRewards:
@@ -729,8 +724,8 @@ class TestMarginalRegimes:
 
     def test_each_agent_of_a_mixed_stack_takes_its_own_regime(self):
         """Narrow rows and rows wider than exp's range alike take the log recursion."""
-        weights, allowed, etas = list(stacked_cases(3))[-1]
-        log_sums, _ = ew_tail_sums(weights, allowed, etas[:, None])
+        weights, allowed, eta = list(stacked_cases(3))[-1]
+        log_sums, _ = ew_tail_sums(weights, allowed, eta)
         marginals = ew_marginals(log_sums)
         for i, sums in enumerate(log_sums.swapaxes(0, 1)):
             s = sums - sums.max(axis=-1, keepdims=True)
@@ -913,13 +908,13 @@ class TestLinearTables:
         rng = np.random.default_rng(6)
         top = 1.0 - 2.0**-53
         regimes = set()
-        for weights, allowed, etas in stacked_cases(k):
+        for weights, allowed, eta in stacked_cases(k):
             m = weights.shape[0]
-            sums, prefix, linear = ew_tail_sums(weights, allowed, etas[:, None], linear=True)
+            sums, prefix, linear = ew_tail_sums(weights, allowed, eta, linear=True)
             marginals = ew_marginals(sums, prefix, linear)
             assert linear.shape == (k,)
             for i in range(k):
-                solo = ew_tail_sums(weights[:, i], allowed[:, i], etas[i], linear=True)
+                solo = ew_tail_sums(weights[:, i], allowed[:, i], eta, linear=True)
                 assert linear[i] == solo[2][0]
                 assert sums[:, i].tobytes() == solo[0].tobytes()
                 assert prefix[:, i].tobytes() == solo[1].tobytes()
@@ -927,7 +922,7 @@ class TestLinearTables:
             for uniforms in [np.zeros((k, m)), np.full((k, m), top), rng.random((k, m))]:
                 picks = np.array(sample_monotone(prefix, uniforms, linear))
                 for i in range(k):
-                    solo = ew_tail_sums(weights[:, i], allowed[:, i], etas[i], linear=True)
+                    solo = ew_tail_sums(weights[:, i], allowed[:, i], eta, linear=True)
                     assert picks[i].tolist() == np.array(sample_monotone(
                         solo[1], uniforms[i], solo[2])).tolist()
             regimes.add(tuple(linear.tolist()))

@@ -447,6 +447,39 @@ class TestProjectionProperties:
         assert np.max(np.abs(again - q)) <= 10 * tol
 
 
+class TestPrefixTable:
+    """The kernel writes the returned q's row prefix table, the sampler's CDF, on
+    both of its exits, and reads its inputs only."""
+
+    @staticmethod
+    def assert_writes_the_table(qt, allowed, max_sweeps):
+        inputs = qt.tobytes(), allowed.tobytes()
+        table = np.full(qt.shape, np.nan)
+        q, _lam, _nu, sweeps, _gap = project_dual_ascent(qt, allowed, DEFAULT_PROJECTION_TOL,
+                                                         max_sweeps, table)
+        assert table.tobytes() == np.add.accumulate(q, axis=1).tobytes()
+        assert (qt.tobytes(), allowed.tobytes()) == inputs
+        return sweeps
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), demand=st.integers(1, 5),
+           grid_size=st.integers(2, 21), horizon=st.integers(1, 10_000), ir=st.booleans(),
+           full_info=st.booleans(), eta_scale=st.sampled_from([1.0, 10.0, 100.0]))
+    def test_omd_inputs(self, seed, demand, grid_size, horizon, ir, full_info, eta_scale):
+        qt, allowed = omd_kernel_input(seed, demand, grid_size, horizon, ir, full_info,
+                                       eta_scale)
+        self.assert_writes_the_table(qt, allowed, DEFAULT_MAX_SWEEPS)
+
+    def test_both_exits(self):
+        """The lambda = 0 exit, the exit after the last Newton step, and a step bound."""
+        rng = np.random.default_rng(7)
+        member = member_on(rng, np.ones((5, 21), bool))
+        assert self.assert_writes_the_table(member, np.ones(member.shape, bool), 100) == 1
+        qt, allowed = omd_kernel_input(2, 5, 21, 100, True, False, 100.0)
+        assert self.assert_writes_the_table(qt, allowed, DEFAULT_MAX_SWEEPS) > 2
+        assert self.assert_writes_the_table(qt, allowed, 2) == 2
+
+
 class TestUnconstrainedStep:
     def test_zero_estimate_is_identity(self, rng):
         q = random_q_member(rng, 2, 4)

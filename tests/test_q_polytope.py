@@ -59,28 +59,30 @@ class TestInducedMarginals:
     def test_monte_carlo_marginals_match_q(self, rng):
         for demand, grid_size in ((3, 4), (2, 6), (4, 3), (1, 5)):
             q = random_q_member(rng, demand, grid_size)
+            table = np.add.accumulate(q, axis=1)
             draws = 50_000
             counts = np.zeros((demand, grid_size))
             for _ in range(draws):
-                counts[np.arange(demand), sample_from_marginals(q, rng)] += 1
+                counts[np.arange(demand), sample_from_marginals(table, rng)] += 1
             freq = counts / draws
             sigma = np.sqrt(np.maximum(q * (1 - q), 1e-12) / draws)
             assert np.all(np.abs(freq - q) <= 3 * sigma + 5e-4), (demand, grid_size)
 
     def test_deterministic_chain(self):
-        q = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        table = np.add.accumulate(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), axis=1)
         for u in (0.0, 0.3, LAST_UNIFORM):
-            assert np.array(sample_from_marginals(q, FixedUniform(u))).tolist() == [2, 1]
+            assert np.array(sample_from_marginals(table, FixedUniform(u))).tolist() == [2, 1]
 
     def test_sampled_vectors_are_monotone(self, rng):
-        q = random_q_member(rng, 4, 5)
+        table = np.add.accumulate(random_q_member(rng, 4, 5), axis=1)
         for _ in range(200):
-            bid = np.array(sample_from_marginals(q, rng))
+            bid = np.array(sample_from_marginals(table, rng))
             assert np.all(np.diff(bid) <= 0)
         # dominance met only to a 1e-9 slack: slot 1 alone would move up for
         # uniforms inside the slack, and the running minimum holds it down
         slack = np.array([[0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]])
-        bid = np.array(sample_from_marginals(slack, FixedUniform(0.5 + 5e-10)))
+        bid = np.array(sample_from_marginals(np.add.accumulate(slack, axis=1),
+                                             FixedUniform(0.5 + 5e-10)))
         assert bid.tolist() == [0, 0]
 
     def test_draws_avoid_zero_mass_and_ir_masked_cells(self):
@@ -99,7 +101,8 @@ class TestInducedMarginals:
                                   [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
         for q in measures:
             law = sampler_law(q)
-            extremes = [np.array(sample_from_marginals(q, FixedUniform(u)))
+            extremes = [np.array(sample_from_marginals(np.add.accumulate(q, axis=1),
+                                                       FixedUniform(u)))
                         for u in (0.0, LAST_UNIFORM)]
             for indices in list(law) + [tuple(b) for b in extremes]:
                 cells = (np.arange(3), np.array(indices))
@@ -108,10 +111,10 @@ class TestInducedMarginals:
         assert [b.tolist() for b in extremes] == [[1, 1, 1], [3, 2, 1]]
 
     def test_same_seed_same_draws_one_uniform_each(self, rng):
-        q = random_q_member(rng, 4, 6)
+        table = np.add.accumulate(random_q_member(rng, 4, 6), axis=1)
         first, second = np.random.default_rng(11), np.random.default_rng(11)
-        a = [np.array(sample_from_marginals(q, first)).tolist() for _ in range(100)]
-        b = [np.array(sample_from_marginals(q, second)).tolist() for _ in range(100)]
+        a = [np.array(sample_from_marginals(table, first)).tolist() for _ in range(100)]
+        b = [np.array(sample_from_marginals(table, second)).tolist() for _ in range(100)]
         assert a == b
         reference = np.random.default_rng(11)
         reference.random(100)
@@ -125,7 +128,7 @@ class TestSamplerMatchesCountRule:
 
     def assert_same_picks(self, q, uniforms):
         for u in (*self.EXTREMES, *uniforms):
-            got = sample_from_marginals(q, FixedUniform(u))
+            got = sample_from_marginals(np.add.accumulate(q, axis=1), FixedUniform(u))
             assert np.array_equal(got, count_rule_indices(q, u)), (q, u)
 
     def test_random_members(self, rng):
